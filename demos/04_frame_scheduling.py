@@ -46,13 +46,12 @@ print("subframe offsets chosen by sorted node assignment:")
 print(f"  {sna_assign(pricer)}")
 
 for strategy in ("sna-mla", "sna-mua"):
-    frame, metrics = schedule(inst, strategy=strategy, pricer=pricer,
-                              subframe_duration=MS)
+    frame, metrics = schedule(inst, strategy=strategy, pricer=pricer)
     print(f"\n{strategy}: max active {metrics.max_active / MS:.2f} ms")
     for m, groups in enumerate(frame.groups):
         slots = ", ".join(f"{ids} @ {alloc.slot / MS:.2f} ms" for ids, alloc in groups)
         print(f"  subframe {m}: {slots}  "
               f"(total {metrics.active_lengths[m] / MS:.2f} ms)")
 
-_, optimum = exhaustive_schedule(inst, pricer=pricer, subframe_duration=MS)
+_, optimum = exhaustive_schedule(inst, pricer=pricer)
 print(f"\nexhaustive optimum: {optimum.max_active / MS:.2f} ms")

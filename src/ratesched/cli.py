@@ -8,6 +8,7 @@ sweep point turned out infeasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiment import ConfigError, ExperimentConfig, emit_results, run_experiment
@@ -40,8 +41,7 @@ def main(argv=None) -> int:
             overrides["master_seed"] = args.seed
         if args.exhaustive_guard is not None:
             overrides["exhaustive_guard"] = args.exhaustive_guard
-        if overrides:
-            cfg = ExperimentConfig.from_dict({**_config_dict(cfg), **overrides})
+        cfg = dataclasses.replace(cfg, **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -63,29 +63,6 @@ def main(argv=None) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "n_sensors": cfg.n_sensors,
-        "n_controllers": cfg.n_controllers,
-        "density": cfg.density,
-        "seeds": cfg.seeds,
-        "master_seed": cfg.master_seed,
-        "rate_models": list(cfg.rate_models),
-        "strategies": list(cfg.strategies),
-        "radio": {
-            "p_max": cfg.radio.p_max,
-            "noise_power": cfg.radio.noise_power,
-            "bandwidth_hz": cfg.radio.bandwidth_hz,
-        },
-        "period_set": list(cfg.period_set),
-        "packet_bits_set": list(cfg.packet_bits_set),
-        "delay_rule": cfg.delay_rule,
-        "energy_scale": cfg.energy_scale,
-        "exhaustive_guard": cfg.exhaustive_guard,
-        "base_period_s": cfg.base_period_s,
-    }
 
 
 def entry() -> None:

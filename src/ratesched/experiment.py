@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .model import (
     validate_instance,
 )
 from .scheduling import (
+    EXHAUSTIVE_MAX_NODES,
+    EXHAUSTIVE_MAX_SUBFRAMES,
     ContinuousPricer,
     InfeasibleInstanceError,
     STRATEGIES,
@@ -65,9 +67,8 @@ RESULT_COLUMNS = (
 
 RATE_MODELS = ("cont", "disc4", "disc8")
 
-# Hard size limits of the exhaustive reference scheduler.
-_EXHAUSTIVE_MAX_NODES = 8
-_EXHAUSTIVE_MAX_SUBFRAMES = 4
+# Radio of every config; a config's "radio" object overrides single fields.
+DEFAULT_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
 
 
 class ConfigError(ValueError):
@@ -92,9 +93,7 @@ class ExperimentConfig:
     master_seed: int = 1
     rate_models: tuple[str, ...] = RATE_MODELS
     strategies: tuple[str, ...] = STRATEGIES
-    radio: RadioConfig = field(
-        default_factory=lambda: RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
-    )
+    radio: RadioConfig = DEFAULT_RADIO
     period_set: tuple[int, ...] = (1, 2, 4, 8)
     packet_bits_set: tuple[float, ...] = (50.0, 100.0)
     delay_rule: object = "subframe"
@@ -111,6 +110,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown strategy {strategy!r}")
         if isinstance(self.n_sensors, list) and isinstance(self.density, list):
             raise ConfigError("only one of n_sensors and density may sweep")
+        if not _positive_numbers(self.density):
+            raise ConfigError("density must be > 0")
+        if not (isinstance(self.n_controllers, int) and self.n_controllers >= 1):
+            raise ConfigError("n_controllers must be an integer >= 1")
+        if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
+            raise ConfigError("packet_bits_set must be positive numbers")
+        if not (isinstance(self.energy_scale, (int, float)) and self.energy_scale > 0):
+            raise ConfigError("energy_scale must be > 0")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if not self.period_set or any(
@@ -125,38 +132,20 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        unknown = set(doc) - {
-            "n_sensors",
-            "n_controllers",
-            "density",
-            "seeds",
-            "master_seed",
-            "rate_models",
-            "strategies",
-            "radio",
-            "period_set",
-            "packet_bits_set",
-            "delay_rule",
-            "energy_scale",
-            "exhaustive_guard",
-            "base_period_s",
-        }
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "radio" in doc:
-            radio = doc["radio"]
             try:
-                doc["radio"] = RadioConfig(
-                    p_max=float(radio.get("p_max", 0.25)),
-                    noise_power=float(radio.get("noise_power", 1e-8)),
-                    bandwidth_hz=float(radio.get("bandwidth_hz", 1e8)),
+                doc["radio"] = replace(
+                    DEFAULT_RADIO, **{k: float(v) for k, v in doc["radio"].items()}
                 )
-            except (TypeError, AttributeError, ValidationError) as exc:
+            except (TypeError, ValueError, AttributeError) as exc:
                 raise ConfigError(f"bad radio overrides: {exc}") from exc
-        for key in ("rate_models", "strategies", "period_set", "packet_bits_set"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
         try:
+            for key in ("rate_models", "strategies", "period_set", "packet_bits_set"):
+                if key in doc:
+                    doc[key] = tuple(doc[key])
             return cls(**doc)
         except (TypeError, ValidationError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -189,6 +178,12 @@ class ExperimentResults:
     @property
     def all_infeasible(self) -> bool:
         return all(row["seed_count"] == 0 for row in self.rows)
+
+
+def _positive_numbers(value) -> bool:
+    """A positive number, or a list or tuple of them."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return all(isinstance(x, (int, float)) and x > 0 for x in items)
 
 
 def subseed(master_seed: int, *key: int) -> int:
@@ -230,7 +225,7 @@ def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k:
         for i in range(n)
     ]
     gains = chan.link_gains(range(n))
-    return nodes, gains, subframe_s
+    return nodes, gains
 
 
 def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
@@ -239,7 +234,7 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     Raises InfeasibleInstanceError if any configured run or the reference
     cannot be scheduled, so that averages always compare the same seeds.
     """
-    nodes, gains, subframe_s = _draw_instance(cfg, n, density, point, k)
+    nodes, gains = _draw_instance(cfg, n, density, point, k)
     instances: dict[str, Instance] = {}
     pricers: dict[str, object] = {}
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
@@ -254,29 +249,21 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
 
     inst_cont = instances["cont"]
     within_guard = (
-        n <= min(cfg.exhaustive_guard, _EXHAUSTIVE_MAX_NODES)
-        and inst_cont.subframe_count <= _EXHAUSTIVE_MAX_SUBFRAMES
+        n <= min(cfg.exhaustive_guard, EXHAUSTIVE_MAX_NODES)
+        and inst_cont.subframe_count <= EXHAUSTIVE_MAX_SUBFRAMES
     )
     cont_heuristics = {}
     max_active: dict[tuple[str, str], float] = {}
     for strategy in cfg.strategies:
         for model in needed:
-            _, metrics = schedule(
-                instances[model],
-                gains,
-                strategy,
-                subframe_duration=subframe_s,
-                pricer=pricers[model],
-            )
+            _, metrics = schedule(instances[model], gains, strategy, pricer=pricers[model])
             if model in cfg.rate_models:
                 max_active[(strategy, model)] = metrics.max_active
             if model == "cont":
                 cont_heuristics[strategy] = metrics.max_active
 
     if within_guard:
-        _, opt = exhaustive_schedule(
-            inst_cont, gains, subframe_duration=subframe_s, pricer=pricers["cont"]
-        )
+        _, opt = exhaustive_schedule(inst_cont, gains, pricer=pricers["cont"])
         reference, ref_kind = opt.max_active, "exhaustive"
     else:
         reference, ref_kind = min(cont_heuristics.values()), "heuristic"

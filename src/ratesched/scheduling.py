@@ -43,6 +43,10 @@ __all__ = [
 
 STRATEGIES = ("sna-mla", "sna-mua")
 
+# Size limits of the exhaustive reference scheduler.
+EXHAUSTIVE_MAX_NODES = 8
+EXHAUSTIVE_MAX_SUBFRAMES = 4
+
 
 class InfeasibleInstanceError(Exception):
     """Some node cannot transmit even alone; no schedule exists."""
@@ -67,7 +71,14 @@ class SubsetPricer:
         return self._cache[key]
 
     def solo_slot(self, node_id: int) -> float:
-        return self.price((node_id,)).slot
+        """Slot length of the node transmitting alone.
+
+        Raises InfeasibleInstanceError if the node cannot transmit even alone.
+        """
+        res = self.price((node_id,))
+        if not res.feasible:
+            raise InfeasibleInstanceError(node_id)
+        return res.slot
 
     def controller(self, node_id: int) -> int:
         return self.inst.node(node_id).controller_id
@@ -134,7 +145,6 @@ class Frame:
     """
 
     subframe_count: int
-    subframe_duration: float | None
     assignments: dict[int, int]
     groups: tuple[tuple[tuple[tuple[int, ...], AllocationResult], ...], ...]
 
@@ -169,12 +179,7 @@ def sna_assign(pricer: SubsetPricer) -> dict[int, int]:
     """
     inst = pricer.inst
     m_count = inst.subframe_count
-    solo = {}
-    for i in inst.ids:
-        res = pricer.price((i,))
-        if not res.feasible:
-            raise InfeasibleInstanceError(i)
-        solo[i] = res.slot
+    solo = {i: pricer.solo_slot(i) for i in inst.ids}
     active = [0.0] * m_count
     assignments: dict[int, int] = {}
     for i in sorted(solo, key=lambda k: (-solo[k], k)):
@@ -195,26 +200,59 @@ def _distinct_controllers(ids, pricer) -> bool:
     return len(set(ctr)) == len(ctr)
 
 
-def _feasible_subsets(population, pricer):
-    """All feasible controller-distinct subsets of a group population."""
-    population = sorted(population)
-    max_size = len({pricer.controller(i) for i in population})
+def _candidates(members, pricer):
+    """Feasible controller-distinct subsets of ``members`` as
+    ``(bitmask, ids, allocation)`` triples, bit k standing for ``members[k]``.
+
+    Subsets are priced by increasing size, in ``itertools.combinations`` order.
+    """
+    bit = {i: 1 << k for k, i in enumerate(members)}
     out = []
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(population, size):
-            if not _distinct_controllers(combo, pricer):
+    for size in range(1, len({pricer.controller(i) for i in members}) + 1):
+        for ids in itertools.combinations(members, size):
+            if not _distinct_controllers(ids, pricer):
                 continue
-            res = pricer.price(combo)
+            res = pricer.price(ids)
             if res.feasible:
-                out.append((combo, res))
+                out.append((sum(bit[i] for i in ids), ids, res))
     return out
+
+
+def _best_partitions(k, candidates):
+    """Minimum-cost partition of every subset of k members into candidates.
+
+    Returns ``slots[mask], groups[mask]`` where ``slots`` holds the tuple of
+    group slot lengths (costs compare by exact fsum) and ``groups`` the chosen
+    partition. Masks with no feasible partition hold None.
+    """
+    by_bit = {b: [c for c in candidates if c[0] & (1 << b)] for b in range(k)}
+    full = (1 << k) - 1
+    slots: list[tuple[float, ...] | None] = [None] * (full + 1)
+    groups: list[tuple | None] = [None] * (full + 1)
+    slots[0], groups[0] = (), ()
+    for mask in range(1, full + 1):
+        low = (mask & -mask).bit_length() - 1
+        best_cost = math.inf
+        for cmask, ids, res in by_bit[low]:
+            if cmask & mask != cmask:
+                continue
+            rest = mask ^ cmask
+            if slots[rest] is None:
+                continue
+            trial_slots = slots[rest] + (res.slot,)
+            cost = math.fsum(trial_slots)
+            if cost < best_cost:
+                best_cost = cost
+                slots[mask] = trial_slots
+                groups[mask] = groups[rest] + ((ids, res),)
+    return slots, groups
 
 
 def _require_coverage(population, candidates):
     covered = set()
-    for ids, _ in candidates:
+    for _, ids, _ in candidates:
         covered.update(ids)
-    for i in sorted(population):
+    for i in population:
         if i not in covered:
             raise InfeasibleInstanceError(i)
 
@@ -222,8 +260,10 @@ def _require_coverage(population, candidates):
 def _dedup_cover(selected, pricer):
     """Keep each node only in its cheapest selected subset, re-pricing the rest.
 
-    Shrinking a subset never raises its slot length, so this step can only
-    reduce the total. Returns disjoint groups in canonical order.
+    Shrinking a subset never raises its slot length under the bundled
+    pricers, so this step can only reduce the total. Returns disjoint groups
+    in canonical order; raises InfeasibleInstanceError if a shrunk subset has
+    no feasible price.
     """
     order = sorted(range(len(selected)), key=lambda k: (selected[k][1].slot, selected[k][0]))
     owner: dict[int, int] = {}
@@ -237,40 +277,19 @@ def _dedup_cover(selected, pricer):
             continue
         if kept != ids:
             res = pricer.price(kept)
+            if not res.feasible:
+                raise InfeasibleInstanceError()
         groups.append((kept, res))
     return sorted(groups, key=lambda g: g[0])
 
 
-def _exact_cover(population, candidates, pricer):
-    # Minimum-total-slot cover by dynamic programming over population masks.
-    bit = {i: 1 << k for k, i in enumerate(population)}
-    full = (1 << len(population)) - 1
-    cand = [(sum(bit[i] for i in ids), ids, res) for ids, res in candidates]
-    by_bit = {b: [c for c in cand if c[0] & (1 << b)] for b in range(len(population))}
-    dp: list[tuple[float, tuple] | None] = [None] * (full + 1)
-    dp[0] = (0.0, ())
-    for mask in range(full + 1):
-        if dp[mask] is None or mask == full:
-            continue
-        uncovered = (~mask) & full
-        low = (uncovered & -uncovered).bit_length() - 1
-        base_groups = dp[mask][1]
-        for cmask, ids, res in by_bit[low]:
-            new_mask = mask | cmask
-            groups = base_groups + ((ids, res),)
-            cost = math.fsum(r.slot for _, r in groups)
-            if dp[new_mask] is None or cost < dp[new_mask][0]:
-                dp[new_mask] = (cost, groups)
-    return list(dp[full][1])
-
-
-def _greedy_cover(population, candidates, pricer):
+def _greedy_cover(population, candidates):
     # Classic weighted set cover: cheapest price per newly covered node first.
     uncovered = set(population)
     selected = []
     while uncovered:
         best = None
-        for ids, res in candidates:
+        for _, ids, res in candidates:
             new = len(uncovered.intersection(ids))
             if new == 0:
                 continue
@@ -286,21 +305,26 @@ def _greedy_cover(population, candidates, pricer):
 def mla_allocate(population, pricer: SubsetPricer):
     """Minimum-total-length concurrency grouping of one subframe population.
 
-    Enumerates the feasible controller-distinct subsets, selects a cover of
-    minimum total slot length (exactly for populations of up to 6 nodes, by
-    greedy price-per-new-node otherwise), then reduces the cover to disjoint
-    groups by keeping every node only in its cheapest subset.
+    Over the feasible controller-distinct subsets, takes the exact
+    minimum-total partition for ≤ 6 nodes, greedy set cover with overlap
+    clean-up above: the cover picks the cheapest price per newly covered node
+    first, then every node stays only in its cheapest selected subset.
     """
     population = sorted(population)
     if not population:
         return []
-    candidates = _feasible_subsets(population, pricer)
+    candidates = _candidates(population, pricer)
     _require_coverage(population, candidates)
-    if len(population) <= 6:
-        selected = _exact_cover(population, candidates, pricer)
-    else:
-        selected = _greedy_cover(population, candidates, pricer)
-    return _dedup_cover(selected, pricer)
+    if len(population) > 6:
+        return _dedup_cover(_greedy_cover(population, candidates), pricer)
+    # A minimum cover shrinks to a partition that costs no more whenever
+    # subsets of feasible groups stay feasible and no dearer, so the
+    # partition DP also finds the minimum cover.
+    _, groups = _best_partitions(len(population), candidates)
+    best = groups[-1]
+    if best is None:
+        raise InfeasibleInstanceError()
+    return sorted(best, key=lambda g: g[0])
 
 
 def mua_allocate(population, pricer: SubsetPricer):
@@ -313,12 +337,7 @@ def mua_allocate(population, pricer: SubsetPricer):
     """
     population = sorted(population)
     groups = []
-    solo = {}
-    for i in population:
-        res = pricer.price((i,))
-        if not res.feasible:
-            raise InfeasibleInstanceError(i)
-        solo[i] = res.slot
+    solo = {i: pricer.solo_slot(i) for i in population}
     unassigned = set(population)
     while unassigned:
         seed = max(unassigned, key=lambda i: (solo[i], -i))
@@ -363,7 +382,6 @@ def schedule(
     inst: Instance,
     gains: GainMatrix | None = None,
     strategy: str = "sna-mla",
-    subframe_duration: float | None = None,
     pricer: SubsetPricer | None = None,
 ) -> tuple[Frame, ScheduleMetrics]:
     """Build a frame with sorted node assignment plus the chosen allocator.
@@ -390,54 +408,13 @@ def schedule(
                 group_cache[key] = allocator(population, pricer)
             rows.extend(group_cache[key])
         per_subframe.append(tuple(rows))
-    frame = Frame(inst.subframe_count, subframe_duration, assignments, tuple(per_subframe))
+    frame = Frame(inst.subframe_count, assignments, tuple(per_subframe))
     return frame, compute_metrics(frame)
-
-
-def _partitions_by_mask(members, pricer):
-    """Minimum-cost partition of every subset of ``members`` into feasible groups.
-
-    Returns ``slots[mask], groups[mask]`` where ``slots`` holds the tuple of
-    group slot lengths (costs compare by exact fsum) and ``groups`` the chosen
-    partition. Masks with no feasible partition hold None.
-    """
-    k = len(members)
-    cand = []
-    for size in range(1, len({pricer.controller(i) for i in members}) + 1):
-        for combo in itertools.combinations(range(k), size):
-            ids = tuple(members[c] for c in combo)
-            if not _distinct_controllers(ids, pricer):
-                continue
-            res = pricer.price(ids)
-            if res.feasible:
-                cand.append((sum(1 << c for c in combo), ids, res))
-    by_bit = {b: [c for c in cand if c[0] & (1 << b)] for b in range(k)}
-    full = (1 << k) - 1
-    slots: list[tuple[float, ...] | None] = [None] * (full + 1)
-    groups: list[tuple | None] = [None] * (full + 1)
-    slots[0], groups[0] = (), ()
-    for mask in range(1, full + 1):
-        low = (mask & -mask).bit_length() - 1
-        best_cost = math.inf
-        for cmask, ids, res in by_bit[low]:
-            if cmask & mask != cmask:
-                continue
-            rest = mask ^ cmask
-            if slots[rest] is None:
-                continue
-            trial_slots = slots[rest] + (res.slot,)
-            cost = math.fsum(trial_slots)
-            if cost < best_cost:
-                best_cost = cost
-                slots[mask] = trial_slots
-                groups[mask] = groups[rest] + ((ids, res),)
-    return slots, groups
 
 
 def exhaustive_schedule(
     inst: Instance,
     gains: GainMatrix | None = None,
-    subframe_duration: float | None = None,
     pricer: SubsetPricer | None = None,
     continuous: bool = False,
 ) -> tuple[Frame, ScheduleMetrics]:
@@ -449,10 +426,12 @@ def exhaustive_schedule(
     subframes. ``continuous=True`` prices groups with the continuous-rate
     baseline instead of the discrete ladder.
     """
-    if len(inst.nodes) > 8:
-        raise ValidationError("exhaustive search limited to 8 nodes")
-    if inst.subframe_count > 4:
-        raise ValidationError("exhaustive search limited to 4 subframes")
+    if len(inst.nodes) > EXHAUSTIVE_MAX_NODES:
+        raise ValidationError(f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes")
+    if inst.subframe_count > EXHAUSTIVE_MAX_SUBFRAMES:
+        raise ValidationError(
+            f"exhaustive search limited to {EXHAUSTIVE_MAX_SUBFRAMES} subframes"
+        )
     if pricer is None:
         if gains is None:
             raise ValidationError("either gains or a pricer is required")
@@ -462,7 +441,7 @@ def exhaustive_schedule(
     classes = []
     for s in sorted(set(inst.periods.values())):
         members = sorted(i for i in inst.periods if inst.periods[i] == s)
-        slots, groups = _partitions_by_mask(members, pricer)
+        slots, groups = _best_partitions(len(members), _candidates(members, pricer))
         classes.append((s, members, slots, groups))
 
     ids = [i for _, members, _, _ in classes for i in members]
@@ -519,7 +498,6 @@ def exhaustive_schedule(
         per_m_groups.append(tuple(sorted(rows, key=lambda x: x[0])))
     frame = Frame(
         m_count,
-        subframe_duration,
         {i: off for i, off in sorted(zip(ids, best_offsets))},
         tuple(per_m_groups),
     )

@@ -2,11 +2,25 @@ import json
 
 import pytest
 
-from ratesched import ConfigError, ExperimentConfig, emit_results, run_experiment
+from ratesched import (
+    ConfigError,
+    ExperimentConfig,
+    RadioConfig,
+    emit_results,
+    run_experiment,
+)
 from ratesched.cli import main
 from ratesched.experiment import RESULT_COLUMNS, subseed
 
 HEADER = ",".join(RESULT_COLUMNS)
+
+# Field values that parse as JSON but describe no experiment.
+INVALID_FIELDS = (
+    {"n_controllers": 0},
+    {"packet_bits_set": []},
+    {"energy_scale": -1},
+    {"density": -5},
+)
 
 
 def tiny_config(**overrides):
@@ -44,6 +58,19 @@ class TestConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="rate model"):
             ExperimentConfig.from_dict({"rate_models": ["disc16"]})
+
+    def test_unknown_radio_key_rejected(self):
+        with pytest.raises(ConfigError, match="radio"):
+            ExperimentConfig.from_dict({"radio": {"p_maxx": 0.1}})
+
+    def test_radio_overrides_keep_other_defaults(self):
+        cfg = ExperimentConfig.from_dict({"radio": {"noise_power": 1e-9}})
+        assert cfg.radio == RadioConfig(p_max=0.25, noise_power=1e-9, bandwidth_hz=1e8)
+
+    @pytest.mark.parametrize("doc", INVALID_FIELDS, ids=lambda d: next(iter(d)))
+    def test_invalid_field_value_rejected(self, doc):
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            ExperimentConfig.from_dict(doc)
 
     def test_bad_delay_rule_rejected(self):
         with pytest.raises(ConfigError, match="delay_rule"):
@@ -153,8 +180,9 @@ class TestCli:
         assert out.read_text().splitlines()[0] == HEADER
 
     def test_bad_config_exits_2(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"bogus_key": 1})
-        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        for doc in ({"bogus_key": 1},) + INVALID_FIELDS:
+            cfg = self.write_config(tmp_path, doc)
+            assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
 
     def test_unreadable_config_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -176,6 +204,16 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(out_c), "--seed", "1"]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
         assert out_a.read_bytes() == out_c.read_bytes()
+
+    def test_exhaustive_guard_flag_overrides_config(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 2, "master_seed": 3})
+        out = str(tmp_path / "results.csv")
+        assert main(["--config", cfg, "--out", out]) == 0
+        assert "heuristic reference on 0," in capsys.readouterr().err
+        assert main(["--config", cfg, "--out", out, "--exhaustive-guard", "0"]) == 0
+        err = capsys.readouterr().err
+        assert "exhaustive reference on 0 seeds" in err
+        assert "heuristic reference on 0," not in err
 
     def test_json_format_flag(self, tmp_path):
         cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 1})

@@ -127,6 +127,45 @@ class TestMlaAllocate:
         assert sorted(seen) == list(range(7))
         assert math.fsum(g[1].slot for g in groups) == pytest.approx(5.0 * MS, rel=1e-12)
 
+    def test_exact_branch_never_returns_an_unpriced_group(self):
+        # the two pairs cover every node, but no partition into priced groups
+        # exists: node 1 can join only one pair and no singleton has a price
+        inst = fixture_instance(
+            periods={0: 1, 1: 1, 2: 1}, controllers={0: 0, 1: 1, 2: 2}
+        )
+        pricer = FixedPricer(inst, {(0, 1): 0.2 * MS, (1, 2): 0.3 * MS})
+        with pytest.raises(InfeasibleInstanceError):
+            mla_allocate([0, 1, 2], pricer)
+
+    def test_greedy_branch_never_returns_an_unpriced_group(self):
+        # seven nodes take the greedy cover: (0, 1), the singletons, then
+        # (1, 2); the overlap clean-up shrinks (1, 2) to (2,), which has no price
+        inst = fixture_instance(
+            periods={i: 1 for i in range(7)}, controllers={i: i for i in range(7)}
+        )
+        prices = {(i,): 0.1 * MS for i in range(3, 7)}
+        prices.update({(0, 1): 0.1 * MS, (1, 2): 0.3 * MS})
+        with pytest.raises(InfeasibleInstanceError):
+            mla_allocate(list(range(7)), FixedPricer(inst, prices))
+
+    def test_exact_branch_matches_exhaustive_optimum(self):
+        # with every period 1 the frame is one subframe, so the exhaustive
+        # optimum is the minimum-total partition of the whole population
+        rng = np.random.default_rng(27)
+        compared = 0
+        while compared < 15:
+            n = int(rng.integers(2, 7))
+            controllers = {i: int(rng.integers(0, 3)) for i in range(n)}
+            inst = fixture_instance(periods={i: 1 for i in range(n)}, controllers=controllers)
+            pricer = TablePricer(inst, random_gains(rng, n))
+            try:
+                _, optimum = exhaustive_schedule(inst, pricer=pricer)
+            except InfeasibleInstanceError:
+                continue
+            groups = mla_allocate(list(range(n)), pricer)
+            assert math.fsum(g[1].slot for g in groups) == optimum.max_active
+            compared += 1
+
 
 class TestMuaAllocate:
     def test_pair_formed_by_utility(self):
