@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .feasibility import FeasibilityReport, Verdict, check_rate_vector, check_targets
+from .feasibility import FeasibilityReport, check_rate_vector, check_targets
 from .model import (
     AllocationResult,
     GainMatrix,
@@ -27,6 +27,9 @@ from .model import (
 )
 
 __all__ = ["lttf", "brute_force_optimal", "continuous_optimal"]
+
+# Relative width at which the continuous slot bisection stops.
+_REL_TOL = 1e-6
 
 
 def _result_for(nodes, rates, report: FeasibilityReport) -> AllocationResult:
@@ -111,18 +114,24 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
     return np.expm1(packet_bits * (math.log(2.0) / (slot * bandwidth)))
 
 
-def continuous_optimal(
-    nodes, gains: GainMatrix, radio: RadioConfig, rel_tol: float = 1e-6
-) -> AllocationResult:
+def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> AllocationResult:
     """Minimum common slot length under capacity-derived (continuous) rates.
 
-    All links transmit for the whole slot t at rate packet_bits/t, so the
-    search is a bisection on t between the interference-free single-link bound
-    and the tightest delay bound. Feasibility of a trial t reuses the ordered
-    spectral/power/delay/energy checks. The energy constraint need not be
-    monotone in t; if it ever rejects a trial point, the bracket cannot be
-    trusted and the search falls back to a 512-point grid scan refined around
-    the best feasible point.
+    All links transmit for the whole slot t at rate packet_bits/t, so link i
+    needs the SINR target g_i(t) = 2**(b_i/(t*W)) - 1; both g_i(t) and
+    t*g_i(t) strictly decrease in t. The interference matrix F(t) scales its
+    rows by the targets, so its spectral radius cannot grow with t. The
+    minimum power vector is the series p(t) = sum_m F(t)**m u(t), and each
+    term of p_i(t) is a positive constant times g_i(t) times other targets
+    g_j(t); in the energy t*p_i(t) the factor g_i(t) becomes t*g_i(t). So
+    the spectral, power and energy checks pass for all t >= t*, and the
+    delay check for all t <= t_hi, the tightest delay bound: the feasible
+    slots form the one interval [t*, t_hi], and a single bisection between
+    the interference-free single-link bound t_lo and t_hi finds t*.
+
+    Guarantee: a feasible result's slot passed the ordered check, and either
+    it equals t_lo or the true boundary t* lies within a relative
+    ``_REL_TOL`` below it.
     """
     nodes = list(nodes)
     if not nodes:
@@ -163,39 +172,8 @@ def continuous_optimal(
     if lo_report.feasible:
         return allocation_at(t_lo, lo_report)
 
-    energy_hit = lo_report.verdict is Verdict.INFEASIBLE_ENERGY
     lo, hi = t_lo, t_hi
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        report = probe(mid)
-        if report.verdict is Verdict.INFEASIBLE_ENERGY:
-            energy_hit = True
-        if report.feasible:
-            hi, hi_report = mid, report
-        else:
-            lo = mid
-
-    if energy_hit:
-        return _grid_fallback(probe, allocation_at, t_lo, t_hi, rel_tol)
-    return allocation_at(hi, hi_report)
-
-
-def _grid_fallback(probe, allocation_at, t_lo, t_hi, rel_tol, points: int = 512):
-    """Scan for the smallest feasible slot when feasibility is not an interval."""
-    grid = np.linspace(t_lo, t_hi, points)
-    best_idx, best_report = None, None
-    for idx, t in enumerate(grid):
-        report = probe(float(t))
-        if report.feasible:
-            best_idx, best_report = idx, report
-            break
-    if best_idx is None:
-        return AllocationResult.infeasible()
-    if best_idx == 0:
-        return allocation_at(float(grid[0]), best_report)
-    lo, hi = float(grid[best_idx - 1]), float(grid[best_idx])
-    hi_report = best_report
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         report = probe(mid)
         if report.feasible:

@@ -102,6 +102,8 @@ class ExperimentConfig:
     base_period_s: float = 1e-3
 
     def __post_init__(self):
+        if not (self.rate_models and self.strategies):
+            raise ConfigError("rate_models and strategies must be nonempty")
         for model in self.rate_models:
             if model not in RATE_MODELS:
                 raise ConfigError(f"unknown rate model {model!r}")
@@ -112,18 +114,26 @@ class ExperimentConfig:
             raise ConfigError("only one of n_sensors and density may sweep")
         if not _positive_numbers(self.density):
             raise ConfigError("density must be > 0")
+        if not (self.n_sensors and _positive_numbers(self.n_sensors, int)):
+            raise ConfigError("n_sensors must be an integer >= 1 or a list of them")
         if not (isinstance(self.n_controllers, int) and self.n_controllers >= 1):
             raise ConfigError("n_controllers must be an integer >= 1")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
         if not (isinstance(self.energy_scale, (int, float)) and self.energy_scale > 0):
             raise ConfigError("energy_scale must be > 0")
-        if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
-        if not self.period_set or any(
-            not isinstance(p, int) or p < 1 for p in self.period_set
-        ):
+        if not (isinstance(self.seeds, int) and self.seeds >= 1):
+            raise ConfigError("seeds must be an integer >= 1")
+        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
+            raise ConfigError("master_seed must be an integer >= 0")
+        if not (self.period_set and _positive_numbers(self.period_set, int)):
             raise ConfigError("period_set must be positive integers")
+        if any(_not_power_of_two(p, min(self.period_set)) for p in self.period_set):
+            raise ConfigError("period_set ratios must be powers of two")
+        if not (isinstance(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
+            raise ConfigError("exhaustive_guard must be an integer >= 0")
+        if not (isinstance(self.base_period_s, (int, float)) and self.base_period_s > 0):
+            raise ConfigError("base_period_s must be > 0")
         if self.delay_rule != "subframe" and not (
             isinstance(self.delay_rule, (int, float)) and self.delay_rule > 0
         ):
@@ -180,10 +190,15 @@ class ExperimentResults:
         return all(row["seed_count"] == 0 for row in self.rows)
 
 
-def _positive_numbers(value) -> bool:
-    """A positive number, or a list or tuple of them."""
+def _positive_numbers(value, kind=(int, float)) -> bool:
+    """A positive number of ``kind``, or a list or tuple of them."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(isinstance(x, (int, float)) and x > 0 for x in items)
+    return all(isinstance(x, kind) and x > 0 for x in items)
+
+
+def _not_power_of_two(period: int, base: int) -> bool:
+    ratio, rem = divmod(period, base)
+    return rem != 0 or ratio & (ratio - 1) != 0
 
 
 def subseed(master_seed: int, *key: int) -> int:

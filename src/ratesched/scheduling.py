@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,10 +155,6 @@ class ScheduleMetrics:
 
     active_lengths: tuple[float, ...]
     max_active: float
-    normalized_max_active: float | None = None
-
-    def normalized_to(self, reference: float) -> "ScheduleMetrics":
-        return replace(self, normalized_max_active=self.max_active / reference)
 
 
 def compute_metrics(frame: Frame) -> ScheduleMetrics:
@@ -416,15 +412,13 @@ def exhaustive_schedule(
     inst: Instance,
     gains: GainMatrix | None = None,
     pricer: SubsetPricer | None = None,
-    continuous: bool = False,
 ) -> tuple[Frame, ScheduleMetrics]:
     """Exact minimum of the maximum active length, for small instances.
 
     Searches every offset assignment combined with every partition of each
     subframe population into feasible controller-distinct groups (computed
     per period class by dynamic programming). Guarded to 8 nodes and 4
-    subframes. ``continuous=True`` prices groups with the continuous-rate
-    baseline instead of the discrete ladder.
+    subframes. ``pricer`` defaults to discrete-rate pricing over ``gains``.
     """
     if len(inst.nodes) > EXHAUSTIVE_MAX_NODES:
         raise ValidationError(f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes")
@@ -435,7 +429,7 @@ def exhaustive_schedule(
     if pricer is None:
         if gains is None:
             raise ValidationError("either gains or a pricer is required")
-        pricer = ContinuousPricer(inst, gains) if continuous else TablePricer(inst, gains)
+        pricer = TablePricer(inst, gains)
 
     m_count = inst.subframe_count
     classes = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratesched.allocation
 from ratesched import (
@@ -11,6 +13,7 @@ from ratesched import (
     brute_force_optimal,
     build_rate_table,
     check_rate_vector,
+    check_targets,
     continuous_optimal,
     disc4_table,
     disc8_table,
@@ -173,7 +176,7 @@ class TestContinuousOptimal:
         res = continuous_optimal([_node(delay=1e-9)], GainMatrix([[1e-6]]), TABLE1_RADIO)
         assert not res.feasible and res.slot == math.inf
 
-    def test_energy_bound_via_grid_fallback(self):
+    def test_energy_bound_matches_single_link_oracle(self):
         # Independent oracle: with one link the energy product
         # t * (N0/g) * (2**(R/(t*W)) - 1) strictly decreases in t, so the
         # optimum is the unique root of t * (2**(R/(t*W)) - 1) = e*g/N0,
@@ -201,6 +204,57 @@ class TestContinuousOptimal:
         assert res.slot == pytest.approx(t_oracle, rel=3e-6)
         # energy constraint holds at the returned point
         assert res.slot * res.powers[0] <= e * (1 + 1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        energy_prob=st.floats(0.25, 1.0),
+        tight_delay_prob=st.sampled_from([0.0, 0.5]),
+        loose_delay=st.sampled_from([1e-3, 2e-6]),
+    )
+    def test_single_bisection_is_exact(
+        self, seed, k, energy_prob, tight_delay_prob, loose_delay
+    ):
+        # The ordered check is monotone in the slot length (feasible slots
+        # form one interval ending at the tightest delay bound), so the
+        # bisection result sits within a relative 1e-6 above the boundary.
+        # Budgets scale with the delay bound, so the short loose delay is
+        # what makes energy bind inside the bracket.
+        rng = np.random.default_rng(seed)
+        nodes, gains = random_instance(
+            rng, k, DISC8, tight_delay_prob=tight_delay_prob,
+            binding_energy_prob=energy_prob, loose_delay=loose_delay,
+        )
+        bits = np.array([n.packet_bits for n in nodes])
+        delays = np.array([n.delay_bound for n in nodes])
+        energies = np.array([n.energy_budget for n in nodes])
+        radio = TABLE1_RADIO
+
+        def feasible(t):
+            with np.errstate(over="ignore"):
+                targets = ratesched.allocation._capacity_targets(
+                    bits, t, radio.bandwidth_hz
+                )
+            return check_targets(
+                gains, targets, radio, np.full(k, t), delays, energies
+            ).feasible
+
+        snr_cap = radio.p_max * np.diag(gains.g) / radio.noise_power
+        t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
+        t_hi = float(np.min(delays))
+        res = continuous_optimal(nodes, gains, radio)
+        if t_lo > t_hi:
+            assert not res.feasible
+            return
+        grid = [feasible(float(t)) for t in np.geomspace(t_lo, t_hi, 60)]
+        first = grid.index(True) if True in grid else len(grid)
+        assert all(grid[first:]), "feasibility not monotone in the slot length"
+        assert res.feasible == grid[-1]
+        if res.feasible:
+            assert feasible(res.slot)
+            if res.slot != t_lo:
+                assert not feasible(res.slot * (1 - 2e-6))
 
     def test_energy_all_infeasible(self):
         res = continuous_optimal(

@@ -20,6 +20,15 @@ INVALID_FIELDS = (
     {"packet_bits_set": []},
     {"energy_scale": -1},
     {"density": -5},
+    {"period_set": [1, 3]},
+    {"n_sensors": 0},
+    {"n_sensors": [4, 0]},
+    {"master_seed": -1},
+    {"base_period_s": -1},
+    {"exhaustive_guard": "x"},
+    {"seeds": 1.5},
+    {"rate_models": []},
+    {"strategies": []},
 )
 
 
@@ -183,6 +192,11 @@ class TestCli:
         for doc in ({"bogus_key": 1},) + INVALID_FIELDS:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
+
+    def test_negative_seed_flag_exits_2(self, tmp_path):
+        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 1})
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", cfg, "--out", out, "--seed", "-1"]) == 2
 
     def test_unreadable_config_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.json")
