@@ -114,6 +114,7 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
     return np.expm1(packet_bits * (math.log(2.0) / (slot * bandwidth)))
 
 
+@np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> AllocationResult:
     """Minimum common slot length under capacity-derived (continuous) rates.
 
@@ -143,11 +144,8 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     snr_cap = radio.p_max * diag / radio.noise_power
 
     def probe(t: float) -> FeasibilityReport:
-        with np.errstate(over="ignore"):
-            targets = _capacity_targets(bits, t, radio.bandwidth_hz)
-        return check_targets(
-            gains, targets, radio, np.full(len(nodes), t), delays, energies
-        )
+        targets = _capacity_targets(bits, t, radio.bandwidth_hz)
+        return check_targets(gains, targets, radio, t, delays, energies)
 
     def allocation_at(t: float, report: FeasibilityReport) -> AllocationResult:
         rates = tuple(b / t for b in bits)

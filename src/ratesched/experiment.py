@@ -116,26 +116,26 @@ class ExperimentConfig:
             raise ConfigError("density must be > 0")
         if not (self.n_sensors and _positive_numbers(self.n_sensors, int)):
             raise ConfigError("n_sensors must be an integer >= 1 or a list of them")
-        if not (isinstance(self.n_controllers, int) and self.n_controllers >= 1):
+        if not (_is_a(self.n_controllers, int) and self.n_controllers >= 1):
             raise ConfigError("n_controllers must be an integer >= 1")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
-        if not (isinstance(self.energy_scale, (int, float)) and self.energy_scale > 0):
+        if not (_is_a(self.energy_scale, (int, float)) and self.energy_scale > 0):
             raise ConfigError("energy_scale must be > 0")
-        if not (isinstance(self.seeds, int) and self.seeds >= 1):
+        if not (_is_a(self.seeds, int) and self.seeds >= 1):
             raise ConfigError("seeds must be an integer >= 1")
-        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
+        if not (_is_a(self.master_seed, int) and self.master_seed >= 0):
             raise ConfigError("master_seed must be an integer >= 0")
         if not (self.period_set and _positive_numbers(self.period_set, int)):
             raise ConfigError("period_set must be positive integers")
         if any(_not_power_of_two(p, min(self.period_set)) for p in self.period_set):
             raise ConfigError("period_set ratios must be powers of two")
-        if not (isinstance(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
+        if not (_is_a(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
             raise ConfigError("exhaustive_guard must be an integer >= 0")
-        if not (isinstance(self.base_period_s, (int, float)) and self.base_period_s > 0):
+        if not (_is_a(self.base_period_s, (int, float)) and self.base_period_s > 0):
             raise ConfigError("base_period_s must be > 0")
         if self.delay_rule != "subframe" and not (
-            isinstance(self.delay_rule, (int, float)) and self.delay_rule > 0
+            _is_a(self.delay_rule, (int, float)) and self.delay_rule > 0
         ):
             raise ConfigError("delay_rule must be 'subframe' or a positive number")
 
@@ -148,7 +148,7 @@ class ExperimentConfig:
         if "radio" in doc:
             try:
                 doc["radio"] = replace(
-                    DEFAULT_RADIO, **{k: float(v) for k, v in doc["radio"].items()}
+                    DEFAULT_RADIO, **{k: _radio_value(v) for k, v in doc["radio"].items()}
                 )
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ConfigError(f"bad radio overrides: {exc}") from exc
@@ -193,7 +193,18 @@ class ExperimentResults:
 def _positive_numbers(value, kind=(int, float)) -> bool:
     """A positive number of ``kind``, or a list or tuple of them."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(isinstance(x, kind) and x > 0 for x in items)
+    return all(_is_a(x, kind) and x > 0 for x in items)
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance(value, kind)``, except that a bool is never a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _radio_value(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _not_power_of_two(period: int, base: int) -> bool:

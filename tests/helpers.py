@@ -56,7 +56,7 @@ def random_nodes(
             delay = bits / table.rate(level) * rng.uniform(0.9, 1.5)
         energy = math.inf
         if rng.random() < binding_energy_prob:
-            energy = TABLE1_RADIO.p_max * delay * 10.0 ** rng.uniform(-3.0, 0.0)
+            energy = TABLE1_RADIO.p_max * bits / table.rate(0) * 10.0 ** rng.uniform(-2.0, 0.0)
         ctrl = i if controllers is None else controllers[i]
         nodes.append(
             NodeSpec(

@@ -219,8 +219,7 @@ class TestContinuousOptimal:
         # The ordered check is monotone in the slot length (feasible slots
         # form one interval ending at the tightest delay bound), so the
         # bisection result sits within a relative 1e-6 above the boundary.
-        # Budgets scale with the delay bound, so the short loose delay is
-        # what makes energy bind inside the bracket.
+        # The two loose delays give a wide and a narrow bracket [t_lo, t_hi].
         rng = np.random.default_rng(seed)
         nodes, gains = random_instance(
             rng, k, DISC8, tight_delay_prob=tight_delay_prob,

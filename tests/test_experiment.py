@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from ratesched import (
     emit_results,
     run_experiment,
 )
+from ratesched import allocation, feasibility
 from ratesched.cli import main
 from ratesched.experiment import RESULT_COLUMNS, subseed
 
@@ -29,7 +31,26 @@ INVALID_FIELDS = (
     {"seeds": 1.5},
     {"rate_models": []},
     {"strategies": []},
+    # a bool is an int to isinstance, but never a count or a quantity here
+    {"delay_rule": True},
+    {"n_sensors": True},
+    {"seeds": True},
+    {"master_seed": False},
+    {"n_controllers": True},
+    {"exhaustive_guard": True},
+    {"energy_scale": True},
+    {"base_period_s": True},
+    {"density": True},
+    {"packet_bits_set": [True]},
+    {"period_set": [True, 2]},
+    {"radio": {"p_max": True}},
 )
+
+
+def field_id(doc):
+    # the field name, with "-bool" for the boolean cases so ids stay unique
+    text = json.dumps(doc)
+    return next(iter(doc)) + ("-bool" if "true" in text or "false" in text else "")
 
 
 def tiny_config(**overrides):
@@ -76,7 +97,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"radio": {"noise_power": 1e-9}})
         assert cfg.radio == RadioConfig(p_max=0.25, noise_power=1e-9, bandwidth_hz=1e8)
 
-    @pytest.mark.parametrize("doc", INVALID_FIELDS, ids=lambda d: next(iter(d)))
+    @pytest.mark.parametrize("doc", INVALID_FIELDS, ids=field_id)
     def test_invalid_field_value_rejected(self, doc):
         with pytest.raises(ConfigError, match=next(iter(doc))):
             ExperimentConfig.from_dict(doc)
@@ -142,6 +163,38 @@ class TestRunExperiment:
             assert row["seed_count"] == count
             assert row["mean_norm"] == pytest.approx(mean, rel=1e-9)
             assert row["std_norm"] == pytest.approx(std, rel=1e-9)
+
+    def test_every_kernel_call_passes_through_the_traced_names(self, monkeypatch):
+        # perfbench counts feasibility work per link count by wrapping these
+        # module globals; a call that bypassed them (say, an inlined kernel)
+        # would silently read as zero work
+        counts = Counter()
+        kernel, check = feasibility.min_power_vector, feasibility.check_targets
+
+        def counting_kernel(gains, sinr_targets, noise):
+            counts[f"k{min(gains.n, 3)}"] += 1
+            return kernel(gains, sinr_targets, noise)
+
+        def counting_check(module):
+            def wrapped(*args):
+                counts[module] += 1
+                return check(*args)
+            return wrapped
+
+        monkeypatch.setattr(feasibility, "min_power_vector", counting_kernel)
+        monkeypatch.setattr(feasibility, "check_targets", counting_check("feasibility"))
+        monkeypatch.setattr(allocation, "check_targets", counting_check("allocation"))
+        run_experiment(
+            tiny_config(
+                n_sensors=8, n_controllers=8, density=50.0, seeds=2,
+                rate_models=["cont", "disc8"], strategies=["sna-mla"],
+            )
+        )
+        assert counts["k1"] and counts["k2"] and counts["k3"]
+        # discrete checks come through feasibility, continuous probes through allocation
+        assert counts["feasibility"] and counts["allocation"]
+        kernel_calls = counts["k1"] + counts["k2"] + counts["k3"]
+        assert counts["feasibility"] + counts["allocation"] == kernel_calls
 
 
 class TestEmitResults:

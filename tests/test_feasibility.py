@@ -1,22 +1,94 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ratesched import (
     GainMatrix,
     NodeSpec,
+    NumericalError,
     ValidationError,
     Verdict,
     achieved_sinr,
     check_rate_vector,
     disc4_table,
+    disc8_table,
     min_power_vector,
 )
 
-from helpers import TABLE1_RADIO, random_gains
+from helpers import TABLE1_RADIO, random_gains, random_instance
 
 TABLE = disc4_table(1e8)
+NOISE = TABLE1_RADIO.noise_power
+EPS = np.finfo(float).eps
+
+
+def reference_min_power(gains, targets, noise):
+    """Eigensolve-and-solve minimum power vector, as the kernel does for k >= 3."""
+    g = gains.g
+    diag = np.diag(g)
+    f = g.T * (targets / diag)[:, None]
+    np.fill_diagonal(f, 0.0)
+    if not np.all(np.isfinite(f)):
+        return None, math.inf
+    rho = float(np.max(np.abs(np.linalg.eigvals(f))))
+    if not rho < 1.0:
+        return None, rho
+    powers = np.linalg.solve(np.eye(gains.n) - f, targets * noise / diag)
+    if not (np.all(np.isfinite(powers)) and np.all(powers > 0)):
+        raise NumericalError("reference solve broke down")
+    return powers, rho
+
+
+def _log_uniform(draw, lo, hi):
+    return 10.0 ** draw(st.floats(lo, hi))
+
+
+@st.composite
+def small_systems(draw):
+    """One or two links: receiver gains 1e-9..1e-3, cross gains -40..+10 dB
+    against the victim's own gain, SINR targets 1e-2..1e4."""
+    n = draw(st.integers(1, 2))
+    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
+    g = [
+        [own[k] if l == k else own[k] * _log_uniform(draw, -4.0, 1.0) for k in range(n)]
+        for l in range(n)
+    ]
+    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(n)])
+    return GainMatrix(g), targets
+
+
+@st.composite
+def near_singular_pairs(draw):
+    """Two links whose interference product a*b = F[0,1]*F[1,0] lies within
+    1e-9 of 1 but at least 1e-12 away from it, on either side."""
+    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(2)]
+    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(2)])
+    a = _log_uniform(draw, -2.0, 2.0)
+    gap = _log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from([-1.0, 1.0]))
+    b = (1.0 + gap) / a
+    g = [[own[0], b * own[1] / targets[1]], [a * own[0] / targets[0], own[1]]]
+    return GainMatrix(g), targets
+
+
+def assert_matches_reference(gains, targets):
+    f = gains.g.T * (targets / np.diag(gains.g))[:, None]
+    det = 1.0 - (f[0, 1] * f[1, 0] if gains.n == 2 else 0.0)
+    # within 1e-12 of rho = 1 the verdict of either method rests on rounding
+    assume(abs(det) >= 1e-12)
+    powers, rho = min_power_vector(gains, targets, NOISE)
+    ref_powers, ref_rho = reference_min_power(gains, targets, NOISE)
+    assert (powers is None) == (ref_powers is None)
+    assert rho == pytest.approx(ref_rho, rel=1e-12, abs=1e-300)
+    if powers is None:
+        return
+    assert isinstance(powers, np.ndarray) and powers.shape == (gains.n,)
+    # both solvers have a forward error of a few eps / (1 - a*b)
+    assert powers == pytest.approx(ref_powers, rel=1e-12 + 64 * EPS / det)
+    assert achieved_sinr(gains, powers, NOISE) == pytest.approx(targets, rel=1e-9)
 
 
 class TestMinPowerVector:
@@ -92,6 +164,54 @@ class TestMinPowerVector:
                 assert after is None
             elif after is not None:
                 assert np.all(after >= before * (1.0 - 1e-12))
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(system=small_systems())
+    def test_small_kernel_matches_eigensolve_reference(self, system):
+        # the k <= 2 closed forms agree with eigvals + solve: same verdict,
+        # rho and powers to rel 1e-12 when well conditioned, SINR equality
+        assert_matches_reference(*system)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(system=near_singular_pairs())
+    def test_small_kernel_matches_reference_near_rho_one(self, system):
+        assert_matches_reference(*system)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        system=small_systems(),
+        huge=st.lists(
+            st.sampled_from([math.inf, 1e300, 1e308, 1.7e308]), min_size=1, max_size=2
+        ),
+    )
+    def test_overflowing_targets_never_give_an_infinite_power(self, system, huge):
+        # an expm1 overflow in the capacity targets gives inf or huge targets:
+        # the kernel returns (None, inf) or raises, and never returns inf powers
+        gains, targets = system
+        k = min(len(huge), gains.n)
+        targets[:k] = huge[:k]
+        try:
+            powers, rho = min_power_vector(gains, targets, NOISE)
+        except NumericalError:
+            return
+        if powers is None:
+            assert rho >= 1.0
+            if math.inf in targets:
+                assert rho == math.inf
+        else:
+            assert np.all(np.isfinite(powers)) and np.all(powers > 0)
+
+    def test_three_links_match_reference(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            gains = random_gains(rng, int(rng.integers(3, 6)))
+            targets = 10.0 ** rng.uniform(0.0, 2.0, size=gains.n)
+            powers, rho = min_power_vector(gains, targets, NOISE)
+            ref_powers, ref_rho = reference_min_power(gains, targets, NOISE)
+            assert rho == ref_rho
+            assert (powers is None) == (ref_powers is None)
+            if powers is not None:
+                assert np.array_equal(powers, ref_powers)
 
     def test_target_validation(self):
         with pytest.raises(ValidationError):
@@ -198,3 +318,24 @@ class TestDescendantInfeasibility:
             if not rep_low.feasible:
                 assert not rep_up.feasible
             pairs += 1
+
+
+class TestRandomInstances:
+    def test_binding_energy_budgets_bind(self):
+        # at binding_energy_prob=1 the helper's budgets must make the energy
+        # check decide some rate vector of most instances, or the energy
+        # branch of every randomized test goes untested
+        table = disc8_table(1e8)
+        rng = np.random.default_rng(20)
+        hits = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            nodes, gains = random_instance(rng, n, table, binding_energy_prob=1.0)
+            verdicts = {
+                check_rate_vector(
+                    nodes, gains, [table.rate(q) for q in combo], table, TABLE1_RADIO
+                ).verdict
+                for combo in itertools.product(range(table.num_levels), repeat=n)
+            }
+            hits += Verdict.INFEASIBLE_ENERGY in verdicts
+        assert hits >= 50
