@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feasibility import NumericalError
 from .model import GainMatrix, ValidationError
 
 __all__ = [
@@ -60,12 +61,17 @@ def generate_topology(
     n_sensors: int, n_controllers: int, density: float, seed=None
 ) -> Topology:
     """Place sensors and controllers uniformly in a square of side
-    sqrt(n_sensors / density) meters."""
+    sqrt(n_sensors / density) meters.
+
+    Raises NumericalError when the side overflows to infinity.
+    """
     if n_sensors < 1 or n_controllers < 1:
         raise ValidationError("need at least one sensor and one controller")
     if not density > 0:
         raise ValidationError("density must be > 0")
     side = math.sqrt(n_sensors / density)
+    if not math.isfinite(side):
+        raise NumericalError(f"square side overflows at density {density!r}")
     rng = np.random.default_rng(seed)
     sensors = rng.uniform(0.0, side, size=(n_sensors, 2))
     controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
@@ -132,6 +138,9 @@ def realize_channel(
     scales a unit-mean exponential fading factor, so the average received
     power matches the large-scale level. The same physical pair (sensor,
     controller) always gets the same gain, whichever link it interferes with.
+
+    Raises NumericalError when a gain underflows to 0, which happens once
+    distances reach about 1e90 m (densities near 1e-180 per square meter).
     """
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(
@@ -142,6 +151,8 @@ def realize_channel(
     fading = rng.exponential(1.0, size=shape)
     pl = path_loss_db(dist, pl_d0_db, alpha, d0) + shadowing
     gains = np.minimum(1.0, 10.0 ** (-pl / 10.0)) * fading
+    if not np.all(gains > 0):
+        raise NumericalError("channel gains underflow to 0")
     return ChannelRealization(gains, topology.controller_of, shadowing, fading, seed)
 
 

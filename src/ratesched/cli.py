@@ -2,7 +2,7 @@
 
 Reads a JSON config, runs the sweep and writes aggregated results. Exit
 codes: 0 on success, 2 on configuration errors, 3 when every seed of every
-sweep point turned out infeasible.
+sweep point was unusable (infeasible, or dropped on a NumericalError).
 """
 
 from __future__ import annotations
@@ -48,10 +48,14 @@ def main(argv=None) -> int:
 
     results = run_experiment(cfg)
     for (var, value), counts in results.reference_counts.items():
+        causes = [f"{model} {c}" for model, c in counts["infeasible_by_model"].items()]
+        if counts["numerical"]:
+            causes.append(f"numerical {counts['numerical']}")
+        split = f" ({', '.join(causes)})" if causes else ""
         print(
             f"{var}={value}: exhaustive reference on {counts['exhaustive']} seeds, "
             f"heuristic reference on {counts['heuristic']}, "
-            f"{counts['infeasible']} infeasible",
+            f"{counts['infeasible']} infeasible{split}",
             file=sys.stderr,
         )
     if results.all_infeasible:

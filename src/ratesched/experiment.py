@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import generate_topology, realize_channel
+from .feasibility import NumericalError
 from .model import (
     Instance,
     NodeSpec,
@@ -257,8 +258,14 @@ def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k:
 def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
     """All (strategy, model) max-actives plus the reference for one seed.
 
-    Raises InfeasibleInstanceError if any configured run or the reference
-    cannot be scheduled, so that averages always compare the same seeds.
+    Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
+    some node cannot transmit alone under some needed model, so that averages
+    always compare the same seeds. This is decided on solo prices before any
+    scheduling, and drops exactly the seeds that scheduling would: every
+    schedule starts with ``sna_assign``, which prices every solo and raises on
+    the first infeasible one, and once every solo is feasible each node is a
+    feasible group by itself, so MLA, MUA and the exhaustive search always
+    find a frame. Kept seeds reread the solo prices from the pricer caches.
     """
     nodes, gains = _draw_instance(cfg, n, density, point, k)
     instances: dict[str, Instance] = {}
@@ -272,6 +279,15 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
             else TablePricer(inst, gains)
         )
         instances[model], pricers[model] = inst, pricer
+
+    # Table models first: a solo ladder walk takes about 4 feasibility checks,
+    # a continuous solo price 17-34 bisection probes.
+    for model in sorted(needed, key=lambda m: m == "cont"):
+        try:
+            for i in instances[model].ids:
+                pricers[model].solo_slot(i)
+        except InfeasibleInstanceError as exc:
+            raise InfeasibleInstanceError(exc.node_id, model) from None
 
     inst_cont = instances["cont"]
     within_guard = (
@@ -297,7 +313,13 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
-    """Execute the configured sweep; infeasible seeds are counted and skipped."""
+    """Execute the configured sweep; unusable seeds are counted and skipped.
+
+    A seed is unusable when some node cannot transmit alone under some needed
+    rate model (counted per model in ``infeasible_by_model``) or when its
+    draw or pricing raises NumericalError (counted as ``numerical``). Both
+    count towards ``infeasible`` and the CSV's ``infeasible_count``.
+    """
     sweep_var, values = cfg.sweep()
     rows = []
     reference_counts = {}
@@ -307,12 +329,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
         density = float(cfg.density) if sweep_var == "n_sensors" else float(value)
         kept: list[tuple[int, dict, float]] = []
         ref_kinds = {"exhaustive": 0, "heuristic": 0}
-        infeasible = 0
+        by_model: dict[str, int] = {}
+        numerical = 0
         for k in range(cfg.seeds):
             try:
                 max_active, reference, ref_kind = _run_seed(cfg, n, density, point, k)
-            except InfeasibleInstanceError:
-                infeasible += 1
+            except InfeasibleInstanceError as exc:
+                by_model[exc.model] = by_model.get(exc.model, 0) + 1
+                continue
+            except NumericalError:
+                numerical += 1
                 continue
             ref_kinds[ref_kind] += 1
             kept.append((k, max_active, reference))
@@ -326,7 +352,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
                     "max_active": {f"{s}/{m}": t for (s, m), t in max_active.items()},
                 }
             )
-        reference_counts[(sweep_var, value)] = dict(ref_kinds, infeasible=infeasible)
+        infeasible = sum(by_model.values()) + numerical
+        reference_counts[(sweep_var, value)] = dict(
+            ref_kinds,
+            infeasible=infeasible,
+            infeasible_by_model=by_model,
+            numerical=numerical,
+        )
         for strategy in cfg.strategies:
             for model in cfg.rate_models:
                 norms = [ma[(strategy, model)] / ref for _, ma, ref in kept]

@@ -36,7 +36,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """The linear solve for the minimum power vector broke down numerically."""
+    """A float computation broke down: the linear solve for the minimum power
+    vector, or a channel draw whose gains leave the float range."""
 
 
 class Verdict(enum.Enum):

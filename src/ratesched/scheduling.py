@@ -49,12 +49,18 @@ EXHAUSTIVE_MAX_SUBFRAMES = 4
 
 
 class InfeasibleInstanceError(Exception):
-    """Some node cannot transmit even alone; no schedule exists."""
+    """Some node cannot transmit even alone; no schedule exists.
 
-    def __init__(self, node_id=None):
+    ``node_id`` names that node and ``model`` the rate model it was priced
+    under, when the raiser knows them.
+    """
+
+    def __init__(self, node_id=None, model=None):
         self.node_id = node_id
+        self.model = model
         detail = f" (node {node_id})" if node_id is not None else ""
-        super().__init__(f"instance is infeasible{detail}")
+        under = f" under {model}" if model is not None else ""
+        super().__init__(f"instance is infeasible{detail}{under}")
 
 
 class SubsetPricer:

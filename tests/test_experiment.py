@@ -1,20 +1,28 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from ratesched import (
     ConfigError,
+    ContinuousPricer,
     ExperimentConfig,
+    InfeasibleInstanceError,
+    NumericalError,
     RadioConfig,
+    TablePricer,
     emit_results,
     run_experiment,
+    validate_instance,
 )
-from ratesched import allocation, feasibility
+from ratesched import allocation, experiment, feasibility, scheduling
 from ratesched.cli import main
 from ratesched.experiment import RESULT_COLUMNS, subseed
 
 HEADER = ",".join(RESULT_COLUMNS)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Field values that parse as JSON but describe no experiment.
 INVALID_FIELDS = (
@@ -65,6 +73,28 @@ def tiny_config(**overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def paper_sweep():
+    """The benchmark's paper-sweep workload (acceptance criterion 8) and the
+    CSV it must write at its default seed."""
+    workload = json.loads((PERFBENCH / "workloads.json").read_text())["paper-sweep"]
+    cfg = ExperimentConfig.from_dict(
+        dict(workload["config"], master_seed=workload["default_seed"])
+    )
+    return cfg, PERFBENCH / "expected" / "paper-sweep.csv"
+
+
+def infeasible_solos(cfg, n, point, k):
+    """(model, node id) pairs of one seed whose solo price is infeasible."""
+    nodes, gains = experiment._draw_instance(cfg, n, cfg.density, point, k)
+    out = set()
+    for model in cfg.rate_models:
+        table = experiment._table_for(model, cfg.radio.bandwidth_hz)
+        inst = validate_instance(nodes, cfg.radio, table)
+        pricer = (ContinuousPricer if model == "cont" else TablePricer)(inst, gains)
+        out.update((model, i) for i in inst.ids if not pricer.price((i,)).feasible)
+    return out
 
 
 class TestSubseed:
@@ -124,6 +154,8 @@ class TestRunExperiment:
             assert row["seed_count"] + row["infeasible_count"] == cfg.seeds
         counted = results.reference_counts[("n_sensors", 2)]
         assert counted["exhaustive"] + counted["heuristic"] + counted["infeasible"] == cfg.seeds
+        by_model = counted["infeasible_by_model"]
+        assert sum(by_model.values()) + counted["numerical"] == counted["infeasible"]
 
     def test_normalized_at_least_one_against_exhaustive_reference(self):
         results = run_experiment(tiny_config(seeds=5))
@@ -197,6 +229,103 @@ class TestRunExperiment:
         assert counts["feasibility"] + counts["allocation"] == kernel_calls
 
 
+    def test_numerical_error_drops_only_its_seed(self, monkeypatch):
+        cfg = tiny_config(n_sensors=[3], seeds=4)
+        clean = run_experiment(cfg)
+        bad = clean.per_seed[0]["seed_index"]
+        drawing = []
+        draw, kernel = experiment._draw_instance, feasibility.min_power_vector
+
+        def recording_draw(cfg, n, density, point, k):
+            drawing.append(k)
+            return draw(cfg, n, density, point, k)
+
+        def failing_kernel(gains, sinr_targets, noise):
+            if drawing[-1] == bad:
+                raise NumericalError("injected")
+            return kernel(gains, sinr_targets, noise)
+
+        monkeypatch.setattr(experiment, "_draw_instance", recording_draw)
+        monkeypatch.setattr(feasibility, "min_power_vector", failing_kernel)
+        results = run_experiment(cfg)
+        counts = results.reference_counts[("n_sensors", 3)]
+        clean_counts = clean.reference_counts[("n_sensors", 3)]
+        assert counts["numerical"] == 1
+        assert counts["infeasible"] == clean_counts["infeasible"] + 1
+        assert counts["infeasible_by_model"] == clean_counts["infeasible_by_model"]
+        assert results.per_seed == clean.per_seed[1:]
+        for row, clean_row in zip(results.rows, clean.rows):
+            assert row["seed_count"] == clean_row["seed_count"] - 1
+            assert row["seed_count"] + row["infeasible_count"] == cfg.seeds
+
+
+class TestSeedTriage:
+    def test_dropped_seed_prices_only_solos_and_never_schedules(self, monkeypatch):
+        cfg, _ = paper_sweep()
+        sizes, calls = [], Counter()
+        price = scheduling.SubsetPricer.price
+
+        def counting_price(pricer, ids):
+            sizes.append(len(ids))
+            return price(pricer, ids)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(scheduling.SubsetPricer, "price", counting_price)
+        monkeypatch.setattr(
+            scheduling, "continuous_optimal", counting("cont", scheduling.continuous_optimal)
+        )
+        for name in ("schedule", "exhaustive_schedule"):
+            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+        dropped_under_disc4 = 0
+        for k in range(10):
+            sizes.clear()
+            calls.clear()
+            try:
+                experiment._run_seed(cfg, 8, cfg.density, 2, k)
+            except InfeasibleInstanceError as exc:
+                assert set(sizes) == {1}
+                assert not calls["schedule"] and not calls["exhaustive_schedule"]
+                if exc.model == "disc4":
+                    # table models are checked first, so nothing was priced
+                    # with the continuous bisection
+                    assert not calls["cont"]
+                    dropped_under_disc4 += 1
+        assert dropped_under_disc4
+
+    def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
+        cfg, _ = paper_sweep()
+        dropped = kept = 0
+        for point, n in enumerate(cfg.n_sensors):
+            for k in range(12):
+                bad = infeasible_solos(cfg, n, point, k)
+                try:
+                    experiment._run_seed(cfg, n, cfg.density, point, k)
+                except InfeasibleInstanceError as exc:
+                    assert (exc.model, exc.node_id) in bad
+                    dropped += 1
+                else:
+                    assert not bad
+                    kept += 1
+        assert dropped and kept
+
+    def test_paper_sweep_writes_the_benchmark_expected_csv(self, tmp_path):
+        cfg, expected = paper_sweep()
+        results = run_experiment(cfg)
+        out = tmp_path / "paper-sweep.csv"
+        emit_results(results, out)
+        assert out.read_bytes() == expected.read_bytes()
+        by_model = {
+            value: counts["infeasible_by_model"]
+            for (_, value), counts in results.reference_counts.items()
+        }
+        assert by_model == {4: {"disc4": 38}, 6: {"disc4": 70}, 8: {"disc4": 83}}
+
+
 class TestEmitResults:
     def test_csv_header_and_determinism(self, tmp_path):
         cfg = tiny_config(seeds=2)
@@ -255,13 +384,23 @@ class TestCli:
         missing = str(tmp_path / "nope.json")
         assert main(["--config", missing, "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_all_infeasible_exits_3(self, tmp_path):
+    def test_all_infeasible_exits_3(self, tmp_path, capsys):
         # a kilowatt of receiver noise makes every link unusable
         cfg = self.write_config(
             tmp_path,
             {"n_sensors": 2, "seeds": 2, "radio": {"noise_power": 1000.0}},
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        # table models are checked first, in config order
+        assert "2 infeasible (disc4 2)" in capsys.readouterr().err
+
+    def test_unrepresentable_channel_exits_3(self, tmp_path, capsys):
+        # at 1e-300 every gain underflows to 0, at 1e-310 the square side
+        # overflows: each seed is dropped on a NumericalError
+        for density in (1e-300, 1e-310):
+            cfg = self.write_config(tmp_path, {"density": density, "seeds": 2})
+            assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+            assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = self.write_config(tmp_path, {"n_sensors": 3, "seeds": 2})

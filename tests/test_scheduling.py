@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratesched import (
+    ContinuousPricer,
     FixedPricer,
     GainMatrix,
     InfeasibleInstanceError,
@@ -18,6 +21,7 @@ from ratesched import (
     sna_assign,
     validate_instance,
 )
+from ratesched.scheduling import STRATEGIES
 
 from helpers import TABLE1_RADIO, four_node_fixture, random_gains
 
@@ -280,10 +284,55 @@ def _random_real_instance(rng, n):
     return inst, gains
 
 
+@st.composite
+def small_instances(draw):
+    """Up to 6 nodes on 3 controllers with periods from {1, 2, 4}, and gains
+    whose solo SNR (at least 2 dB) clears disc8's lowest level."""
+    n = draw(st.integers(1, 6))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    periods = column(st.sampled_from([1, 2, 4]))
+    controllers = column(st.integers(0, 2))
+    bits = column(st.sampled_from([50.0, 100.0]))
+    nodes = [
+        NodeSpec(
+            id=i,
+            controller_id=controllers[i],
+            packet_bits=bits[i],
+            period=periods[i],
+            delay_bound=1e-3,
+        )
+        for i in range(n)
+    ]
+    gains = random_gains(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return validate_instance(nodes, TABLE1_RADIO, DISC8), gains
+
+
 def _occupied(inst, frame, node_id):
     period = inst.periods[node_id]
     offset = frame.assignments[node_id]
     return {m for m in range(frame.subframe_count) if m % period == offset}
+
+
+def assert_frame_invariants(inst, frame, metrics):
+    """Every node once per period, and groups of feasible, controller-distinct
+    nodes of one period."""
+    assert frame.subframe_count == inst.subframe_count
+    for i in inst.ids:
+        assert 0 <= frame.assignments[i] < inst.periods[i]
+        occupied = _occupied(inst, frame, i)
+        for m in range(frame.subframe_count):
+            hits = sum(i in ids for ids, _ in frame.groups[m])
+            assert hits == (1 if m in occupied else 0)
+    for subframe in frame.groups:
+        for ids, alloc in subframe:
+            ctrl = [inst.node(i).controller_id for i in ids]
+            assert len(set(ctrl)) == len(ctrl)
+            assert len({inst.periods[i] for i in ids}) == 1
+            assert alloc.feasible
+    assert metrics.max_active == max(metrics.active_lengths)
 
 
 class TestFrameInvariants:
@@ -293,19 +342,16 @@ class TestFrameInvariants:
             n = int(rng.integers(3, 7))
             inst, gains = _random_real_instance(rng, n)
             for strategy in ("sna-mla", "sna-mua"):
-                frame, metrics = schedule(inst, gains, strategy)
-                for i in inst.ids:
-                    occupied = _occupied(inst, frame, i)
-                    for m in range(frame.subframe_count):
-                        hits = sum(i in ids for ids, _ in frame.groups[m])
-                        assert hits == (1 if m in occupied else 0)
-                for m in range(frame.subframe_count):
-                    for ids, alloc in frame.groups[m]:
-                        ctrl = [inst.node(i).controller_id for i in ids]
-                        assert len(set(ctrl)) == len(ctrl)
-                        assert len({inst.periods[i] for i in ids}) == 1
-                        assert alloc.feasible
-                assert metrics.max_active == max(metrics.active_lengths)
+                assert_frame_invariants(inst, *schedule(inst, gains, strategy))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(case=small_instances(), continuous=st.booleans())
+    def test_every_scheduler_keeps_the_frame_invariants(self, case, continuous):
+        inst, gains = case
+        pricer = (ContinuousPricer if continuous else TablePricer)(inst, gains)
+        for strategy in STRATEGIES:
+            assert_frame_invariants(inst, *schedule(inst, strategy=strategy, pricer=pricer))
+        assert_frame_invariants(inst, *exhaustive_schedule(inst, pricer=pricer))
 
     def test_exhaustive_never_beaten(self):
         rng = np.random.default_rng(22)
