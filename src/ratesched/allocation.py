@@ -17,7 +17,12 @@ import math
 
 import numpy as np
 
-from .feasibility import FeasibilityReport, check_rate_vector, check_targets
+from .feasibility import (
+    FeasibilityReport,
+    NumericalError,
+    check_rate_vector,
+    check_targets,
+)
 from .model import (
     AllocationResult,
     GainMatrix,
@@ -133,6 +138,10 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
     ``_REL_TOL`` below it.
+
+    Raises NumericalError when a bound leaves the float range: the capacity
+    targets at t_hi underflow to 0 (as when t_hi * W overflows), or t_lo
+    underflows to 0 (as when the solo SNR at p_max overflows).
     """
     nodes = list(nodes)
     if not nodes:
@@ -163,9 +172,14 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
     if t_lo > t_hi:
         return AllocationResult.infeasible()
+    # Targets fall with t, so those at t_hi are the smallest of any probe.
+    if not np.all(_capacity_targets(bits, t_hi, radio.bandwidth_hz) > 0):
+        raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
     hi_report = probe(t_hi)
     if not hi_report.feasible:
         return AllocationResult.infeasible()
+    if not t_lo > 0:
+        raise NumericalError("interference-free slot bound underflows to 0")
     lo_report = probe(t_lo)
     if lo_report.feasible:
         return allocation_at(t_lo, lo_report)

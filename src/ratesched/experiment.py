@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -114,15 +114,15 @@ class ExperimentConfig:
         if isinstance(self.n_sensors, list) and isinstance(self.density, list):
             raise ConfigError("only one of n_sensors and density may sweep")
         if not _positive_numbers(self.density):
-            raise ConfigError("density must be > 0")
+            raise ConfigError("density must be a finite number > 0")
         if not (self.n_sensors and _positive_numbers(self.n_sensors, int)):
             raise ConfigError("n_sensors must be an integer >= 1 or a list of them")
         if not (_is_a(self.n_controllers, int) and self.n_controllers >= 1):
             raise ConfigError("n_controllers must be an integer >= 1")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
-        if not (_is_a(self.energy_scale, (int, float)) and self.energy_scale > 0):
-            raise ConfigError("energy_scale must be > 0")
+        if not _positive(self.energy_scale):
+            raise ConfigError("energy_scale must be a finite number > 0")
         if not (_is_a(self.seeds, int) and self.seeds >= 1):
             raise ConfigError("seeds must be an integer >= 1")
         if not (_is_a(self.master_seed, int) and self.master_seed >= 0):
@@ -133,12 +133,14 @@ class ExperimentConfig:
             raise ConfigError("period_set ratios must be powers of two")
         if not (_is_a(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
             raise ConfigError("exhaustive_guard must be an integer >= 0")
-        if not (_is_a(self.base_period_s, (int, float)) and self.base_period_s > 0):
-            raise ConfigError("base_period_s must be > 0")
-        if self.delay_rule != "subframe" and not (
-            _is_a(self.delay_rule, (int, float)) and self.delay_rule > 0
+        if not _positive(self.base_period_s):
+            raise ConfigError("base_period_s must be a finite number > 0")
+        if self.delay_rule != "subframe" and not _positive(self.delay_rule):
+            raise ConfigError("delay_rule must be 'subframe' or a finite number > 0")
+        if not (
+            _is_a(self.radio, RadioConfig) and all(_positive(v) for v in astuple(self.radio))
         ):
-            raise ConfigError("delay_rule must be 'subframe' or a positive number")
+            raise ConfigError("radio fields must be finite numbers > 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -191,10 +193,15 @@ class ExperimentResults:
         return all(row["seed_count"] == 0 for row in self.rows)
 
 
+def _positive(value, kind=(int, float)) -> bool:
+    """A finite number > 0 of ``kind`` (JSON's 1e400 parses to inf)."""
+    return _is_a(value, kind) and 0 < value < math.inf
+
+
 def _positive_numbers(value, kind=(int, float)) -> bool:
-    """A positive number of ``kind``, or a list or tuple of them."""
+    """A finite number > 0 of ``kind``, or a list or tuple of them."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(_is_a(x, kind) and x > 0 for x in items)
+    return all(_positive(x, kind) for x in items)
 
 
 def _is_a(value, kind) -> bool:

@@ -37,7 +37,8 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """A float computation broke down: the linear solve for the minimum power
-    vector, or a channel draw whose gains leave the float range."""
+    vector, a channel draw whose gains leave the float range, or continuous
+    pricing whose slot bounds or capacity targets leave it."""
 
 
 class Verdict(enum.Enum):

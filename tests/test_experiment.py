@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -52,13 +53,25 @@ INVALID_FIELDS = (
     {"packet_bits_set": [True]},
     {"period_set": [True, 2]},
     {"radio": {"p_max": True}},
+    # JSON's 1e400 parses to inf
+    {"delay_rule": math.inf},
+    {"base_period_s": math.inf},
+    {"density": math.inf},
+    {"energy_scale": math.nan},
+    {"packet_bits_set": [50.0, math.inf]},
+    {"radio": {"p_max": math.inf}},
 )
 
 
 def field_id(doc):
-    # the field name, with "-bool" for the boolean cases so ids stay unique
+    # the field name, with "-bool" for the boolean cases and "-nonfinite" for
+    # inf and nan, so ids stay unique
     text = json.dumps(doc)
-    return next(iter(doc)) + ("-bool" if "true" in text or "false" in text else "")
+    if "true" in text or "false" in text:
+        return next(iter(doc)) + "-bool"
+    if "Infinity" in text or "NaN" in text:
+        return next(iter(doc)) + "-nonfinite"
+    return next(iter(doc))
 
 
 def tiny_config(**overrides):
@@ -399,6 +412,15 @@ class TestCli:
         # overflows: each seed is dropped on a NumericalError
         for density in (1e-300, 1e-310):
             cfg = self.write_config(tmp_path, {"density": density, "seeds": 2})
+            assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+            assert "2 infeasible (numerical 2)" in capsys.readouterr().err
+
+    def test_unrepresentable_slots_exit_3(self, tmp_path, capsys):
+        # slots of 1e300 s underflow the capacity targets to 0, and a 1e308 W
+        # solo SNR underflows the interference-free slot bound to 0: each
+        # seed is dropped on a NumericalError in continuous pricing
+        for doc in ({"base_period_s": 1e300}, {"radio": {"p_max": 1e308}}):
+            cfg = self.write_config(tmp_path, dict(doc, n_sensors=2, seeds=2))
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
             assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratesched import (
@@ -13,6 +14,7 @@ from ratesched import (
     NodeSpec,
     TablePricer,
     ValidationError,
+    compute_metrics,
     disc8_table,
     exhaustive_schedule,
     mla_allocate,
@@ -335,6 +337,95 @@ def assert_frame_invariants(inst, frame, metrics):
     assert metrics.max_active == max(metrics.active_lengths)
 
 
+def _partition_slots(pricer, nodes):
+    """Slot lengths of every partition of ``nodes`` into feasible,
+    controller-distinct groups of one period."""
+    if not nodes:
+        yield ()
+        return
+    first, rest = nodes[0], nodes[1:]
+    for size in range(len(rest) + 1):
+        for others in itertools.combinations(rest, size):
+            group = (first,) + others
+            if len({pricer.inst.periods[i] for i in group}) > 1:
+                continue
+            if len({pricer.controller(i) for i in group}) < len(group):
+                continue
+            res = pricer.price(group)
+            if not res.feasible:
+                continue
+            left = [i for i in rest if i not in others]
+            for tail in _partition_slots(pricer, left):
+                yield (res.slot,) + tail
+
+
+def exhaustive_oracle(inst, pricer):
+    """Brute force over every offset vector, without the rotation pin.
+
+    Vectors run in ``itertools.product`` order over the ids sorted by (period,
+    id); a subframe costs the least fsum over all partitions of its population.
+    Returns the optimum and the first optimal assignment that puts the first
+    node of the longest period at offset 0, the frame the exhaustive search
+    documents to return.
+    """
+    ids = sorted(inst.ids, key=lambda i: (inst.periods[i], i))
+    pinned = next(i for i in ids if inst.periods[i] == inst.subframe_count)
+    cost = {}
+
+    def subframe_cost(population):
+        if population not in cost:
+            slots = _partition_slots(pricer, sorted(population))
+            cost[population] = min(map(math.fsum, slots), default=math.inf)
+        return cost[population]
+
+    scores = {}
+    for offsets in itertools.product(*(range(inst.periods[i]) for i in ids)):
+        assignment = dict(zip(ids, offsets))
+        scores[offsets] = max(
+            subframe_cost(
+                frozenset(i for i in ids if m % inst.periods[i] == assignment[i])
+            )
+            for m in range(inst.subframe_count)
+        )
+    optimum = min(scores.values())
+    first = next(
+        offsets
+        for offsets, score in scores.items()
+        if score == optimum and offsets[ids.index(pinned)] == 0
+    )
+    return optimum, dict(zip(ids, first))
+
+
+def assert_matches_oracle(inst, pricer):
+    optimum, assignment = exhaustive_oracle(inst, pricer)
+    if optimum == math.inf:
+        with pytest.raises(InfeasibleInstanceError):
+            exhaustive_schedule(inst, pricer=pricer)
+        return
+    frame, metrics = exhaustive_schedule(inst, pricer=pricer)
+    assert metrics.max_active == optimum
+    assert_frame_invariants(inst, frame, metrics)
+    assert compute_metrics(frame).max_active == metrics.max_active
+    assert frame.assignments == assignment
+
+
+def _two_class_case():
+    # M = 4 with a period-1 and a period-4 class, both with shareable slots
+    periods = [1, 4, 4, 1, 4, 4]
+    nodes = [
+        NodeSpec(
+            id=i,
+            controller_id=i % 3,
+            packet_bits=(50.0, 100.0)[i % 2],
+            period=periods[i],
+            delay_bound=1e-3,
+        )
+        for i in range(len(periods))
+    ]
+    gains = random_gains(np.random.default_rng(27), len(nodes), iso_db=(15.0, 25.0))
+    return validate_instance(nodes, TABLE1_RADIO, DISC8), gains
+
+
 class TestFrameInvariants:
     def test_coverage_controllers_periods_feasibility(self):
         rng = np.random.default_rng(21)
@@ -353,16 +444,15 @@ class TestFrameInvariants:
             assert_frame_invariants(inst, *schedule(inst, strategy=strategy, pricer=pricer))
         assert_frame_invariants(inst, *exhaustive_schedule(inst, pricer=pricer))
 
-    def test_exhaustive_never_beaten(self):
-        rng = np.random.default_rng(22)
-        for _ in range(12):
-            n = int(rng.integers(3, 7))
-            inst, gains = _random_real_instance(rng, n)
-            pricer = TablePricer(inst, gains)
-            _, optimum = exhaustive_schedule(inst, pricer=pricer)
-            for strategy in ("sna-mla", "sna-mua"):
-                _, metrics = schedule(inst, strategy=strategy, pricer=pricer)
-                assert optimum.max_active <= metrics.max_active
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=small_instances(), continuous=st.booleans())
+    def test_exhaustive_never_beaten(self, case, continuous):
+        inst, gains = case
+        pricer = (ContinuousPricer if continuous else TablePricer)(inst, gains)
+        _, optimum = exhaustive_schedule(inst, pricer=pricer)
+        for strategy in STRATEGIES:
+            _, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+            assert optimum.max_active <= metrics.max_active
 
     def test_removing_a_node_from_a_group_never_hurts(self):
         rng = np.random.default_rng(23)
@@ -449,3 +539,27 @@ class TestExhaustive:
             _, opt8 = exhaustive_schedule(inst8, gains)
             assert opt8.max_active <= opt4.max_active
             compared += 1
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=small_instances(), continuous=st.booleans())
+    @example(case=_two_class_case(), continuous=False)
+    @example(case=_two_class_case(), continuous=True)
+    def test_matches_unpinned_brute_force(self, case, continuous):
+        inst, gains = case
+        assert_matches_oracle(inst, (ContinuousPricer if continuous else TablePricer)(inst, gains))
+
+    def test_eight_nodes_of_the_longest_period_match_brute_force(self):
+        # the largest search the guards allow: 4**7 pinned offset vectors
+        nodes = [
+            NodeSpec(
+                id=i,
+                controller_id=i % 4,
+                packet_bits=(50.0, 100.0)[i % 2],
+                period=4,
+                delay_bound=1e-3,
+            )
+            for i in range(8)
+        ]
+        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+        gains = random_gains(np.random.default_rng(28), 8, iso_db=(15.0, 25.0))
+        assert_matches_oracle(inst, TablePricer(inst, gains))
