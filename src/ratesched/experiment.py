@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -194,8 +195,9 @@ class ExperimentResults:
 
 
 def _positive(value, kind=(int, float)) -> bool:
-    """A finite number > 0 of ``kind`` (JSON's 1e400 parses to inf)."""
-    return _is_a(value, kind) and 0 < value < math.inf
+    """A number > 0 of ``kind`` within the float range (JSON's 1e400 parses to
+    inf, and an integer literal may exceed what a float can hold)."""
+    return _is_a(value, kind) and 0 < value <= sys.float_info.max
 
 
 def _positive_numbers(value, kind=(int, float)) -> bool:

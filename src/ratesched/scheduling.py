@@ -477,7 +477,8 @@ def exhaustive_schedule(
         else:
             cost[mask] = math.fsum(lengths)
 
-    # Subframe masks of every offset vector, in itertools.product order.
+    # Subframe masks of every offset vector, in itertools.product order; the
+    # first node of the longest period (the last class) stays at offset 0.
     pinned = classes[-1][0]
     spans = [1 if k == pinned else inst.periods[i] for k, i in enumerate(ids)]
     subframes = np.arange(m_count)

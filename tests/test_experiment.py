@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -60,17 +61,22 @@ INVALID_FIELDS = (
     {"energy_scale": math.nan},
     {"packet_bits_set": [50.0, math.inf]},
     {"radio": {"p_max": math.inf}},
+    # an integer literal too large for a float
+    {"energy_scale": 10**400},
+    {"period_set": [1, 2**1100]},
 )
 
 
 def field_id(doc):
-    # the field name, with "-bool" for the boolean cases and "-nonfinite" for
-    # inf and nan, so ids stay unique
+    # the field name, with "-bool" for the boolean cases, "-nonfinite" for inf
+    # and nan and "-huge" for integers beyond the float range, so ids stay unique
     text = json.dumps(doc)
     if "true" in text or "false" in text:
         return next(iter(doc)) + "-bool"
     if "Infinity" in text or "NaN" in text:
         return next(iter(doc)) + "-nonfinite"
+    if re.search(r"\d{309}", text):
+        return next(iter(doc)) + "-huge"
     return next(iter(doc))
 
 
