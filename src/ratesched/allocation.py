@@ -173,9 +173,10 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     if t_lo > t_hi:
         return AllocationResult.infeasible()
     # Targets fall with t, so those at t_hi are the smallest of any probe.
-    if not np.all(_capacity_targets(bits, t_hi, radio.bandwidth_hz) > 0):
+    hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz)
+    if not np.all(hi_targets > 0):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = probe(t_hi)
+    hi_report = check_targets(gains, hi_targets, radio, t_hi, delays, energies)
     if not hi_report.feasible:
         return AllocationResult.infeasible()
     if not t_lo > 0:

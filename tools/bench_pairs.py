@@ -3,14 +3,15 @@
 Run from the repository root, for example:
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --seeds 601-610 \\
-        --workloads dense-exhaustive paper-sweep dense-large --out BENCH_6.json
+        --trace-seed 601 --out BENCH_6.json
 
 The committed files of each revision are exported with ``git archive`` into
 a temporary directory, so uncommitted edits are never measured and both
 sides are built from source the way the benchmark builds them. For every
-workload and seed the benchmark command of ``BENCHMARK.json`` runs once in
-each tree with ``--trace 0``; the side that runs first alternates from one
-seed to the next, so drift of the machine's speed falls on both sides alike.
+workload of ``BENCHMARK.json`` and every seed, its benchmark command runs
+once in each tree with ``--trace 0`` for its ``run_seconds``; the side that
+runs first alternates from one seed to the next, so drift of the machine's
+speed falls on both sides alike.
 With ``--trace-seed`` each tree also makes one ``--trace 1`` run per
 workload, and every metric it prints is kept, including those that are not
 ``per_layer`` metrics of ``BENCHMARK.json`` (``scheduling.exhaustive.self_s``).
@@ -118,17 +119,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
     parser.add_argument("--head", default="HEAD", help="revision of the head side")
     parser.add_argument("--seeds", required=True, help="e.g. 601-610")
-    parser.add_argument("--workloads", nargs="+", help="default: every workload")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="also make one --trace 1 run per side and workload")
     parser.add_argument("--out", required=True, help="summary JSON file")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     summary = {
