@@ -27,7 +27,6 @@ from .feasibility import (
     check_rate_vector,
     check_targets,
     min_power_vector,
-    spectral_radius,
 )
 from .model import (
     AllocationResult,

@@ -147,8 +147,8 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     if not nodes:
         raise ValidationError("subset must be nonempty")
     bits = np.array([n.packet_bits for n in nodes])
-    delays = np.array([n.delay_bound for n in nodes])
-    energies = np.array([n.energy_budget for n in nodes])
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
     diag = np.diag(gains.g)
     snr_cap = radio.p_max * diag / radio.noise_power
 
@@ -166,7 +166,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
             times=(t,) * len(nodes),
         )
 
-    t_hi = float(np.min(delays))
+    t_hi = float(min(delays))
     if not math.isfinite(t_hi):
         raise ValidationError("continuous baseline needs finite delay bounds")
     t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))

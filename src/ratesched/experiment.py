@@ -116,10 +116,11 @@ class ExperimentConfig:
             raise ConfigError("only one of n_sensors and density may sweep")
         if not _positive_numbers(self.density):
             raise ConfigError("density must be a finite number > 0")
-        if not (self.n_sensors and _positive_numbers(self.n_sensors, int)):
-            raise ConfigError("n_sensors must be an integer >= 1 or a list of them")
-        if not (_is_a(self.n_controllers, int) and self.n_controllers >= 1):
-            raise ConfigError("n_controllers must be an integer >= 1")
+        # numpy cannot size an array dimension beyond sys.maxsize
+        if not (self.n_sensors and _positive_numbers(self.n_sensors, int, sys.maxsize)):
+            raise ConfigError("n_sensors must be an integer in [1, sys.maxsize] or a list")
+        if not _positive(self.n_controllers, int, sys.maxsize):
+            raise ConfigError("n_controllers must be an integer in [1, sys.maxsize]")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
         if not _positive(self.energy_scale):
@@ -194,16 +195,17 @@ class ExperimentResults:
         return all(row["seed_count"] == 0 for row in self.rows)
 
 
-def _positive(value, kind=(int, float)) -> bool:
-    """A number > 0 of ``kind`` within the float range (JSON's 1e400 parses to
-    inf, and an integer literal may exceed what a float can hold)."""
-    return _is_a(value, kind) and 0 < value <= sys.float_info.max
+def _positive(value, kind=(int, float), top=sys.float_info.max) -> bool:
+    """A number > 0 of ``kind``, at most ``top``, by default the float range
+    (JSON's 1e400 parses to inf, and an integer literal may exceed what a
+    float can hold)."""
+    return _is_a(value, kind) and 0 < value <= top
 
 
-def _positive_numbers(value, kind=(int, float)) -> bool:
-    """A finite number > 0 of ``kind``, or a list or tuple of them."""
+def _positive_numbers(value, kind=(int, float), top=sys.float_info.max) -> bool:
+    """A number > 0 of ``kind``, at most ``top``, or a list or tuple of them."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(_positive(x, kind) for x in items)
+    return all(_positive(x, kind, top) for x in items)
 
 
 def _is_a(value, kind) -> bool:

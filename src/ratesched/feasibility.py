@@ -1,16 +1,19 @@
 """Feasibility of concurrent transmissions under SINR, power, delay and energy caps.
 
-A rate choice per link fixes per-link SINR targets. Whether any power vector
-can meet all targets at once reduces to the spectral radius of the normalized
-interference matrix F being below one; when it is, the component-wise minimum
-power vector solves the linear system (I - F) p = u and meets every target
-with equality.
+A rate choice per link fixes per-link SINR targets. With the normalized
+interference matrix F (F[i,j] = target_i * g[j,i] / g[i,i] off the diagonal,
+0 on it) and u (u_i = target_i * N / g[i,i]), some power vector meets all
+targets at once exactly when the spectral radius of F is below one; then the
+component-wise minimum power vector solves (I - F) p = u and meets every
+target with equality (Foschini & Miljanic 1993).
 
-Nearly every system priced is one or two links, and those have closed forms
-evaluated on Python floats: one link has rho = 0 and p = u; two links with
-a = F[0,1] and b = F[1,0] have rho = sqrt(a*b) and, by Cramer's rule,
-p = (u0 + a*u1, u1 + b*u0) / (1 - a*b). Three or more links take a dense
-eigensolve and a linear solve.
+F is nonnegative, so I - F is a Z-matrix, and Gaussian elimination without
+pivoting on I - F has all pivots > 0 exactly when rho(F) < 1: the pivots are
+ratios of consecutive leading principal minors, and a Z-matrix is a
+nonsingular M-matrix exactly when all of those are positive (Berman &
+Plemmons 1979, ch. 6). One elimination on Python floats therefore gives both
+the verdict and the minimum powers, for any number of links, without
+computing rho.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,7 +31,6 @@ __all__ = [
     "Verdict",
     "FeasibilityReport",
     "NumericalError",
-    "spectral_radius",
     "min_power_vector",
     "check_targets",
     "check_rate_vector",
@@ -36,7 +39,7 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """A float computation broke down: the linear solve for the minimum power
+    """A float computation broke down: the elimination for the minimum power
     vector, a channel draw whose gains leave the float range, or continuous
     pricing whose slot bounds or capacity targets leave it."""
 
@@ -53,14 +56,15 @@ class Verdict(enum.Enum):
 class FeasibilityReport:
     """Verdict plus the minimum power vector (present whenever it exists).
 
-    ``min_powers`` is set whenever the spectral condition holds, even if a
-    later power/delay/energy check fails. The checks run in a fixed order
+    ``min_powers`` is set whenever the spectral condition holds (every pivot
+    of the elimination on I - F is > 0, that is rho(F) < 1), even if a later
+    power/delay/energy check fails. Within about 1e-12 of rho = 1 the
+    spectral verdict rests on rounding. The checks run in a fixed order
     (spectral, max power, delay, energy) so the verdict labels are
     deterministic; any single failure already means the vector is infeasible.
     """
 
     verdict: Verdict
-    spectral_radius: float
     min_powers: np.ndarray | None = None
 
     @property
@@ -68,103 +72,72 @@ class FeasibilityReport:
         return self.verdict is Verdict.FEASIBLE
 
 
-def spectral_radius(f: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of the normalized interference matrix.
-
-    Computed with a dense eigensolve. The matrices here are tiny (one row per
-    concurrent link), so this is both faster and more robust than iterative
-    estimates, which stall on the cyclic interference pattern of two links.
-    With a zero diagonal the small cases have closed forms, which
-    ``min_power_vector`` uses instead of this function: rho = 0 for one link
-    and rho = sqrt(f[0,1] * f[1,0]) for two.
-    """
-    n = f.shape[0]
-    if n <= 1:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(f))))
-
-
-def _interference_system(gains: GainMatrix, targets: np.ndarray, noise: float):
-    """Build F and u with F[i,j] = target_i * g[j,i] / g[i,i], u_i = target_i*N/g[i,i]."""
-    g = gains.g
-    diag = np.diag(g)
-    f = (g.T * (targets / diag)[:, None]).copy()
-    np.fill_diagonal(f, 0.0)
-    u = targets * noise / diag
-    return f, u
-
-
-def min_power_vector(
-    gains: GainMatrix, sinr_targets, noise: float
-) -> tuple[np.ndarray | None, float]:
+def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> np.ndarray | None:
     """Component-wise minimum powers meeting the given per-link SINR targets.
 
-    Returns ``(powers, rho)`` where ``rho`` is the spectral radius of the
-    normalized interference matrix. Targets are jointly achievable iff
-    ``rho < 1`` (strictly); otherwise ``powers`` is None. At the returned
-    vector every link meets its target with equality, and any other feasible
-    power vector dominates it component-wise. An overflowing (infinite)
-    target gives ``(None, inf)`` when it makes an entry of the interference
-    matrix non-finite, and NumericalError for a single link.
+    Targets are jointly achievable iff rho(F) < 1 (strictly); otherwise the
+    result is None. The test is the pivot criterion of the module docstring:
+    I - F and u are built row by row, eliminated without pivoting, and the
+    first pivot that is not > 0 gives None, as does a non-finite entry of F
+    (an overflowing target). At the returned vector every link meets its
+    target with equality, and any other feasible power vector dominates it
+    component-wise. One link gives p = u exactly; for two links the only
+    pivot after the first is 1 - F[0,1]*F[1,0].
 
-    One and two links use the closed forms of the module docstring; more
-    links use ``spectral_radius`` and a dense solve. Close to rho = 1 the
-    powers lose accuracy (for two links a relative error of a few
-    eps / (1 - a*b)) but still meet every target to a relative 1e-9; within
+    Close to rho = 1 the powers lose accuracy (a relative error of a few
+    eps / (1 - rho)) but still meet every target to a relative 1e-9; within
     about 1e-12 of rho = 1 the verdict itself rests on rounding.
 
-    Raises NumericalError if the solve fails or returns a non-finite or
-    non-positive power even though ``rho < 1``; that signals numerical
-    breakdown rather than infeasibility, and must never be reported as a
-    silent wrong answer.
+    Raises NumericalError if back-substitution gives a non-finite or
+    non-positive power although every pivot is > 0 (as when an overflowing
+    target meets a single link); that signals numerical breakdown rather than
+    infeasibility, and must never be reported as a silent wrong answer.
     """
-    targets = np.asarray(sinr_targets, dtype=float)
-    if targets.shape != (gains.n,):
-        raise ValidationError("one SINR target per link required")
-    t = targets.tolist()
-    if not all(x > 0 for x in t):
-        raise ValidationError("SINR targets must be > 0")
-    if gains.n == 1:
-        return _checked_powers([t[0] * noise / gains.g.item()], 0.0), 0.0
-    if gains.n == 2:
-        return _two_links(gains.g.tolist(), t, noise)
-    f, u = _interference_system(gains, targets, noise)
-    if not np.all(np.isfinite(f)):
-        return None, math.inf
-    rho = spectral_radius(f)
-    if not rho < 1.0:
-        return None, rho
+    t = sinr_targets.tolist() if isinstance(sinr_targets, np.ndarray) else sinr_targets
+    cols = gains.g.T.tolist()
+    n = len(cols)
     try:
-        powers = np.linalg.solve(np.eye(gains.n) - f, u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular interference system despite spectral radius {rho}"
-        ) from exc
-    return _checked_powers(powers.tolist(), rho), rho
+        valid = len(t) == n and all(x > 0 for x in t)
+    except TypeError:  # a scalar, or a nested list
+        valid = False
+    if not valid:
+        raise ValidationError("one SINR target > 0 per link required")
+    # row i of I - F from column i of g: F[i][j] = g[j][i] * (t_i / g[i][i])
+    a, u = [], []
+    for i, col in enumerate(cols):
+        ti = t[i]
+        gii = col[i]
+        s = ti / gii
+        row = [-(x * s) for x in col]
+        row[i] = 1.0
+        if not all(map(math.isfinite, row)):
+            return None
+        a.append(row)
+        u.append(ti * noise / gii)
+    for c in range(n):
+        pivot_row = a[c]
+        pivot = pivot_row[c]
+        if not pivot > 0:
+            return None
+        for r in range(c + 1, n):
+            row = a[r]
+            m = row[c] / pivot
+            for j in range(c + 1, n):
+                row[j] -= m * pivot_row[j]
+            u[r] -= m * u[c]
+    p = u
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = p[i]
+        for j in range(i + 1, n):
+            s -= row[j] * p[j]
+        p[i] = s / row[i]
+    return _checked_powers(p)
 
 
-def _two_links(g, t, noise: float) -> tuple[np.ndarray | None, float]:
-    """Closed-form two-link system, with the operation order of ``_interference_system``."""
-    (g00, g01), (g10, g11) = g
-    t0, t1 = t
-    a = g10 * (t0 / g00)
-    b = g01 * (t1 / g11)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return None, math.inf
-    rho = math.sqrt(a * b)
-    if not rho < 1.0:
-        return None, rho
-    det = 1.0 - a * b
-    u0 = t0 * noise / g00
-    u1 = t1 * noise / g11
-    return _checked_powers([(u0 + a * u1) / det, (u1 + b * u0) / det], rho), rho
-
-
-def _checked_powers(powers: list, rho: float) -> np.ndarray:
+def _checked_powers(powers: list) -> np.ndarray:
     if not all(math.isfinite(p) and p > 0 for p in powers):
-        raise NumericalError(
-            f"non-finite or non-positive minimum power with spectral radius {rho}"
-        )
+        raise NumericalError("non-finite or non-positive minimum power")
     return np.array(powers)
 
 
@@ -178,34 +151,34 @@ def check_targets(
 ) -> FeasibilityReport:
     """Ordered constraint check for explicit SINR targets and per-link times.
 
-    Checks, in order: existence of a power solution (spectral radius < 1),
-    p <= p_max per link, time <= delay per link, time * power <= energy per
-    link. The first failing check fixes the verdict. ``times``, ``delays``
-    and ``energies`` hold one value per link, or one scalar for all links.
+    Checks, in order: existence of a power solution (rho(F) < 1, by the
+    pivots of ``min_power_vector``), p <= p_max per link, time <= delay per
+    link, time * power <= energy per link. The first failing check fixes the
+    verdict. ``times``, ``delays`` and ``energies`` hold one value per link,
+    or one real scalar for all links.
     """
-    powers, rho = min_power_vector(gains, sinr_targets, radio.noise_power)
+    powers = min_power_vector(gains, sinr_targets, radio.noise_power)
     if powers is None:
-        return FeasibilityReport(Verdict.INFEASIBLE_SPECTRAL, rho)
+        return FeasibilityReport(Verdict.INFEASIBLE_SPECTRAL)
     p = powers.tolist()
     if any(x > radio.p_max for x in p):
-        return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, rho, powers)
+        return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
     n = gains.n
     times = _per_link(times, n)
     if any(x > d for x, d in zip(times, _per_link(delays, n))):
-        return FeasibilityReport(Verdict.INFEASIBLE_DELAY, rho, powers)
+        return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
     if any(x * y > e for x, y, e in zip(times, p, _per_link(energies, n))):
-        return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, rho, powers)
-    return FeasibilityReport(Verdict.FEASIBLE, rho, powers)
+        return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, powers)
+    return FeasibilityReport(Verdict.FEASIBLE, powers)
 
 
-def _per_link(values, n: int) -> list:
-    """``values`` as n Python floats; a scalar stands for every link."""
-    v = np.asarray(values, dtype=float).tolist()
-    if not isinstance(v, list):
-        return [v] * n
-    if len(v) != n:
+def _per_link(values, n: int):
+    """``values`` as n per-link numbers; a real scalar stands for every link."""
+    if isinstance(values, Real):
+        return [values] * n
+    if len(values) != n:
         raise ValidationError("one time, delay and energy per link required")
-    return v
+    return values
 
 
 def check_rate_vector(
@@ -224,10 +197,10 @@ def check_rate_vector(
     rates = list(rates)
     if len(nodes) != gains.n or len(rates) != gains.n:
         raise ValidationError("nodes, rates and gain matrix sizes must agree")
-    targets = np.array([table.threshold_for_rate(r) for r in rates])
-    times = np.array([n.packet_bits / r for n, r in zip(nodes, rates)])
-    delays = np.array([n.delay_bound for n in nodes])
-    energies = np.array([n.energy_budget for n in nodes])
+    targets = [table.threshold_for_rate(r) for r in rates]
+    times = [n.packet_bits / r for n, r in zip(nodes, rates)]
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
     return check_targets(gains, targets, radio, times, delays, energies)
 
 

@@ -89,7 +89,7 @@ def test_criterion_2_minimum_power_correctness():
         n = int(rng.integers(1, 6))
         gains = random_gains(rng, n)
         targets = 10.0 ** (rng.uniform(0.0, 3.0, size=n))
-        powers, _ = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
+        powers = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
         if powers is None:
             continue
         sinr = achieved_sinr(gains, powers, TABLE1_RADIO.noise_power)
@@ -103,7 +103,7 @@ def test_criterion_2_minimum_power_correctness():
         for beta in (1e-4, 1e-3, 5e-3, 1e-2):
             if gamma * beta >= 1.0:
                 continue
-            powers, _ = min_power_vector(
+            powers = min_power_vector(
                 GainMatrix([[g, beta * g], [beta * g, g]]), [gamma, gamma], noise
             )
             expected = gamma * noise / (g * (1.0 - gamma * beta))

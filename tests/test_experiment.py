@@ -64,6 +64,9 @@ INVALID_FIELDS = (
     # an integer literal too large for a float
     {"energy_scale": 10**400},
     {"period_set": [1, 2**1100]},
+    # counts beyond numpy's largest array dimension, sys.maxsize
+    {"n_controllers": 10**400},
+    {"n_sensors": 10**300},
 )
 
 

@@ -27,7 +27,8 @@ EPS = np.finfo(float).eps
 
 
 def reference_min_power(gains, targets, noise):
-    """Eigensolve-and-solve minimum power vector, as the kernel does for k >= 3."""
+    """Independent reference: rho from an eigensolve of F, then a dense LAPACK
+    solve of (I - F) p = u. Returns ``(powers, rho)``."""
     g = gains.g
     diag = np.diag(g)
     f = g.T * (targets / diag)[:, None]
@@ -49,9 +50,9 @@ def _log_uniform(draw, lo, hi):
 
 @st.composite
 def small_systems(draw):
-    """One or two links: receiver gains 1e-9..1e-3, cross gains -40..+10 dB
+    """One to five links: receiver gains 1e-9..1e-3, cross gains -40..+10 dB
     against the victim's own gain, SINR targets 1e-2..1e4."""
-    n = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
     own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
     g = [
         [own[k] if l == k else own[k] * _log_uniform(draw, -4.0, 1.0) for k in range(n)]
@@ -62,57 +63,63 @@ def small_systems(draw):
 
 
 @st.composite
-def near_singular_pairs(draw):
-    """Two links whose interference product a*b = F[0,1]*F[1,0] lies within
-    1e-9 of 1 but at least 1e-12 away from it, on either side."""
-    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(2)]
-    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(2)])
-    a = _log_uniform(draw, -2.0, 2.0)
+def near_singular_systems(draw):
+    """Two to five links whose interference matrix F is a random nonnegative
+    matrix scaled so that its spectral radius lies within 1e-9 of 1 but at
+    least 1e-12 away from it, on either side."""
+    n = draw(st.integers(2, 5))
+    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
+    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(n)])
+    f = np.array(
+        [[0.0 if i == j else _log_uniform(draw, -4.0, 1.0) for j in range(n)] for i in range(n)]
+    )
     gap = _log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from([-1.0, 1.0]))
-    b = (1.0 + gap) / a
-    g = [[own[0], b * own[1] / targets[1]], [a * own[0] / targets[0], own[1]]]
+    f *= (1.0 + gap) / np.max(np.abs(np.linalg.eigvals(f)))
+    # F[i, j] = target_i * g[j, i] / g[i, i]
+    g = [[own[l] if l == k else f[k, l] * own[k] / targets[k] for k in range(n)] for l in range(n)]
     return GainMatrix(g), targets
 
 
 def assert_matches_reference(gains, targets):
-    f = gains.g.T * (targets / np.diag(gains.g))[:, None]
-    det = 1.0 - (f[0, 1] * f[1, 0] if gains.n == 2 else 0.0)
-    # within 1e-12 of rho = 1 the verdict of either method rests on rounding
-    assume(abs(det) >= 1e-12)
-    powers, rho = min_power_vector(gains, targets, NOISE)
     ref_powers, ref_rho = reference_min_power(gains, targets, NOISE)
+    # within 1e-12 of rho = 1 the verdict of either method rests on rounding
+    assume(abs(1.0 - ref_rho) >= 1e-12)
+    powers = min_power_vector(gains, targets, NOISE)
     assert (powers is None) == (ref_powers is None)
-    assert rho == pytest.approx(ref_rho, rel=1e-12, abs=1e-300)
     if powers is None:
         return
     assert isinstance(powers, np.ndarray) and powers.shape == (gains.n,)
-    # both solvers have a forward error of a few eps / (1 - a*b)
-    assert powers == pytest.approx(ref_powers, rel=1e-12 + 64 * EPS / det)
+    # both solvers have a forward error of a few eps / (1 - rho)
+    assert powers == pytest.approx(ref_powers, rel=1e-12 + 64 * EPS / (1.0 - ref_rho))
     assert achieved_sinr(gains, powers, NOISE) == pytest.approx(targets, rel=1e-9)
+    # component-wise minimal: shaving any coordinate breaks that link's SINR
+    for i in range(gains.n):
+        shaved = powers.copy()
+        shaved[i] *= 1.0 - 1e-6
+        assert achieved_sinr(gains, shaved, NOISE)[i] < targets[i]
 
 
 class TestMinPowerVector:
     def test_single_link_closed_form(self):
-        # F = 0 for one link, so p = gamma * N0 / g = 10 * 1e-8 / 1e-7
-        powers, rho = min_power_vector(GainMatrix([[1e-7]]), [10.0], 1e-8)
-        assert rho == 0.0
+        # F = 0 for one link, so p = u = gamma * N0 / g = 10 * 1e-8 / 1e-7
+        powers = min_power_vector(GainMatrix([[1e-7]]), [10.0], 1e-8)
+        assert powers[0] == 10.0 * 1e-8 / 1e-7
         assert powers[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_two_symmetric_links_closed_form(self):
         # p = gamma*N0 / (g_ii * (1 - gamma*beta)) with beta = g_ij/g_ii = 0.05
         g = GainMatrix([[1e-6, 5e-8], [5e-8, 1e-6]])
-        powers, rho = min_power_vector(g, [10.0, 10.0], 1e-8)
-        assert rho == pytest.approx(0.5, rel=1e-9)
+        powers = min_power_vector(g, [10.0, 10.0], 1e-8)
         expected = 10.0 * 1e-8 / (1e-6 * (1.0 - 10.0 * 0.05))
         assert powers == pytest.approx([expected, expected], rel=1e-9)
         assert expected == 0.2
 
     def test_spectral_infeasible(self):
-        # gamma * g_ij/g_ii = 2 makes the interference matrix blow up
+        # gamma * g_ij/g_ii = 2 gives rho(F) = 2, so the second pivot is 1 - 4
         g = GainMatrix([[1e-6, 2e-7], [2e-7, 1e-6]])
-        powers, rho = min_power_vector(g, [10.0, 10.0], 1e-8)
-        assert powers is None
-        assert rho == pytest.approx(2.0, rel=1e-9)
+        assert min_power_vector(g, [10.0, 10.0], 1e-8) is None
+        # rho = 1 exactly (F[0,1] = F[1,0] = 1, a zero pivot) is infeasible too
+        assert min_power_vector(GainMatrix([[1.0, 0.5], [0.5, 1.0]]), [2.0, 2.0], 1e-8) is None
 
     def test_targets_met_with_equality(self):
         rng = np.random.default_rng(7)
@@ -121,7 +128,7 @@ class TestMinPowerVector:
             n = int(rng.integers(1, 5))
             gains = random_gains(rng, n)
             targets = 10.0 ** (rng.uniform(0.0, 3.0, size=n))
-            powers, rho = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
+            powers = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
             if powers is None:
                 continue
             sinr = achieved_sinr(gains, powers, TABLE1_RADIO.noise_power)
@@ -136,7 +143,7 @@ class TestMinPowerVector:
             n = int(rng.integers(2, 5))
             gains = random_gains(rng, n)
             targets = 10.0 ** (rng.uniform(0.0, 2.5, size=n))
-            powers, _ = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
+            powers = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
             if powers is None:
                 continue
             for i in range(n):
@@ -154,12 +161,11 @@ class TestMinPowerVector:
             n = int(rng.integers(2, 5))
             gains = random_gains(rng, n)
             targets = 10.0 ** (rng.uniform(0.0, 3.0, size=n))
-            before, rho_before = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
+            before = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
             bumped = targets.copy()
             i = int(rng.integers(0, n))
             bumped[i] *= rng.uniform(1.1, 3.0)
-            after, rho_after = min_power_vector(gains, bumped, TABLE1_RADIO.noise_power)
-            assert rho_after >= rho_before * (1.0 - 1e-12)
+            after = min_power_vector(gains, bumped, TABLE1_RADIO.noise_power)
             if before is None:
                 assert after is None
             elif after is not None:
@@ -168,12 +174,12 @@ class TestMinPowerVector:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(system=small_systems())
     def test_small_kernel_matches_eigensolve_reference(self, system):
-        # the k <= 2 closed forms agree with eigvals + solve: same verdict,
-        # rho and powers to rel 1e-12 when well conditioned, SINR equality
+        # the elimination agrees with eigvals + solve: same verdict, powers
+        # to rel 1e-12 when well conditioned, SINR equality and minimality
         assert_matches_reference(*system)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(system=near_singular_pairs())
+    @given(system=near_singular_systems())
     def test_small_kernel_matches_reference_near_rho_one(self, system):
         assert_matches_reference(*system)
 
@@ -181,43 +187,32 @@ class TestMinPowerVector:
     @given(
         system=small_systems(),
         huge=st.lists(
-            st.sampled_from([math.inf, 1e300, 1e308, 1.7e308]), min_size=1, max_size=2
+            st.sampled_from([math.inf, 1e300, 1e308, 1.7e308]), min_size=1, max_size=5
         ),
     )
     def test_overflowing_targets_never_give_an_infinite_power(self, system, huge):
         # an expm1 overflow in the capacity targets gives inf or huge targets:
-        # the kernel returns (None, inf) or raises, and never returns inf powers
+        # the kernel returns None or raises, and never returns inf powers
         gains, targets = system
         k = min(len(huge), gains.n)
         targets[:k] = huge[:k]
         try:
-            powers, rho = min_power_vector(gains, targets, NOISE)
+            powers = min_power_vector(gains, targets, NOISE)
         except NumericalError:
             return
-        if powers is None:
-            assert rho >= 1.0
-            if math.inf in targets:
-                assert rho == math.inf
-        else:
+        if math.inf in targets:
+            # every cross gain is > 0, so F has an infinite entry
+            assert gains.n >= 2 and powers is None
+        elif powers is not None:
             assert np.all(np.isfinite(powers)) and np.all(powers > 0)
-
-    def test_three_links_match_reference(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            gains = random_gains(rng, int(rng.integers(3, 6)))
-            targets = 10.0 ** rng.uniform(0.0, 2.0, size=gains.n)
-            powers, rho = min_power_vector(gains, targets, NOISE)
-            ref_powers, ref_rho = reference_min_power(gains, targets, NOISE)
-            assert rho == ref_rho
-            assert (powers is None) == (ref_powers is None)
-            if powers is not None:
-                assert np.array_equal(powers, ref_powers)
 
     def test_target_validation(self):
         with pytest.raises(ValidationError):
             min_power_vector(GainMatrix([[1e-7]]), [10.0, 10.0], 1e-8)
         with pytest.raises(ValidationError):
             min_power_vector(GainMatrix([[1e-7]]), [-1.0], 1e-8)
+        with pytest.raises(ValidationError):
+            min_power_vector(GainMatrix([[1e-7]]), [[10.0]], 1e-8)
 
 
 def _single_node(delay=1e-3, energy=math.inf):

@@ -1,0 +1,81 @@
+"""Check that two revisions give byte-identical sweep results.
+
+Run from the repository root, for example:
+
+    python3 tools/same_results.py --base HEAD~1 --head HEAD
+
+Both revisions are exported with ``bench_pairs.export``, so only committed
+files are compared. In each tree the ratesched CLI (``python3 -m
+ratesched.cli``) runs every workload config of ``perfbench/workloads.json``
+(the head tree's file, for both sides) at four master seeds: the workload's
+default and held-out seeds, 1001 and 20262. Each sweep leaves two files: its
+CSV, and a ``.refs`` file with the CLI's exit code and its stderr, which
+prints every sweep point's ``reference_counts`` (reference kinds, infeasible
+seeds per rate model, numerical drops). Every file is reported as ``same``
+or ``diff`` against the other side; the exit status is 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export
+
+EXTRA_SEEDS = (1001, 20262)
+
+
+def sweep(tree: Path, workload: str, config: dict, seed: int) -> tuple[Path, Path]:
+    """Run one workload sweep in ``tree``; its CSV and ``.refs`` paths."""
+    out = tree / "same-results"
+    out.mkdir(exist_ok=True)
+    config_path = out / f"{workload}.json"
+    config_path.write_text(json.dumps(config))
+    csv_path = out / f"{workload}-{seed}.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratesched.cli", "--config", str(config_path),
+         "--out", str(csv_path), "--seed", str(seed)],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, text=True,
+    )
+    refs_path = out / f"{workload}-{seed}.refs"
+    refs_path.write_text(f"exit {proc.returncode}\n{proc.stderr}")
+    return csv_path, refs_path
+
+
+def contents(path: Path) -> bytes | None:
+    # the CLI writes no CSV when every seed is infeasible (exit 3)
+    return path.read_bytes() if path.exists() else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
+    parser.add_argument("--head", default="HEAD", help="revision of the head side")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
+        trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        export(args.base, trees["base"])
+        export(args.head, trees["head"])
+        workloads = json.loads((trees["head"] / "perfbench" / "workloads.json").read_text())
+        for workload, spec in workloads.items():
+            for seed in (spec["default_seed"], spec["held_out_seed"], *EXTRA_SEEDS):
+                base = sweep(trees["base"], workload, spec["config"], seed)
+                head = sweep(trees["head"], workload, spec["config"], seed)
+                for base_path, head_path in zip(base, head):
+                    same = contents(base_path) == contents(head_path)
+                    differ += not same
+                    print("same" if same else "diff", head_path.name, flush=True)
+    print(f"{differ} of {2 * len(workloads) * (2 + len(EXTRA_SEEDS))} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
