@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -155,15 +154,15 @@ def check_targets(
     pivots of ``min_power_vector``), p <= p_max per link, time <= delay per
     link, time * power <= energy per link. The first failing check fixes the
     verdict. ``times``, ``delays`` and ``energies`` hold one value per link,
-    or one real scalar for all links.
+    or one scalar for all links.
     """
     powers = min_power_vector(gains, sinr_targets, radio.noise_power)
     if powers is None:
         return FeasibilityReport(Verdict.INFEASIBLE_SPECTRAL)
     p = powers.tolist()
-    if any(x > radio.p_max for x in p):
+    if max(p) > radio.p_max:
         return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
-    n = gains.n
+    n = len(p)
     times = _per_link(times, n)
     if any(x > d for x, d in zip(times, _per_link(delays, n))):
         return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
@@ -173,8 +172,9 @@ def check_targets(
 
 
 def _per_link(values, n: int):
-    """``values`` as n per-link numbers; a real scalar stands for every link."""
-    if isinstance(values, Real):
+    """``values`` as n per-link numbers; a scalar (a value without a length)
+    stands for every link."""
+    if not hasattr(values, "__len__"):
         return [values] * n
     if len(values) != n:
         raise ValidationError("one time, delay and energy per link required")
