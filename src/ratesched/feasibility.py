@@ -13,7 +13,9 @@ ratios of consecutive leading principal minors, and a Z-matrix is a
 nonsingular M-matrix exactly when all of those are positive (Berman &
 Plemmons 1979, ch. 6). One elimination on Python floats therefore gives both
 the verdict and the minimum powers, for any number of links, without
-computing rho.
+computing rho. The pivot that decides is about proportional to 1 - rho, so
+within about 1e-12 of rho = 1 the verdict rests on rounding; further away it
+agrees with an eigensolve (property-tested for up to five links).
 """
 
 from __future__ import annotations
