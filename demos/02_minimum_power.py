@@ -26,7 +26,7 @@ for beta in (0.01, 0.05, 0.09, 0.2):
         print(f"beta={beta:4.2f}: infeasible, no power vector can meet both targets")
         continue
     sinr = achieved_sinr(gains, powers, NOISE)
-    print(f"beta={beta:4.2f}: feasible, powers = {powers.round(4)} W, "
+    print(f"beta={beta:4.2f}: feasible, powers = {np.round(powers, 4)} W, "
           f"achieved SINR = {sinr.round(6)}")
 
 print()

@@ -3,7 +3,9 @@
 
 Four sensors: one reports every subframe, three report every other subframe.
 Slot prices are pinned directly (in milliseconds) so the scheduling logic is
-easy to follow: only nodes 2 and 3 can share a slot, at 0.30 ms.
+easy to follow: only nodes 2 and 3 can share a slot, at 0.30 ms. The schedulers
+see the rate model only through such a pricer; a TablePricer or a
+ContinuousPricer over a gain matrix would take the place of the FixedPricer.
 
 Both heuristics first spread nodes over subframes (longest solo transmission
 first), then group nodes of equal period inside each subframe. The frame's
@@ -14,8 +16,6 @@ quality is its maximum total active length; the exhaustive scheduler confirms
 from ratesched import (
     FixedPricer,
     NodeSpec,
-    RadioConfig,
-    disc8_table,
     exhaustive_schedule,
     schedule,
     sna_assign,
@@ -23,7 +23,6 @@ from ratesched import (
 )
 
 MS = 1e-3
-radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=100e6)
 
 periods = {1: 1, 2: 2, 3: 2, 4: 2}
 controllers = {1: 0, 2: 0, 3: 1, 4: 2}
@@ -32,7 +31,7 @@ nodes = [
              period=periods[i], delay_bound=MS)
     for i in sorted(periods)
 ]
-inst = validate_instance(nodes, radio, disc8_table(radio.bandwidth_hz))
+inst = validate_instance(nodes)
 
 pricer = FixedPricer(inst, {
     (1,): 0.15 * MS,
@@ -46,12 +45,12 @@ print("subframe offsets chosen by sorted node assignment:")
 print(f"  {sna_assign(pricer)}")
 
 for strategy in ("sna-mla", "sna-mua"):
-    frame, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+    frame, metrics = schedule(pricer, strategy)
     print(f"\n{strategy}: max active {metrics.max_active / MS:.2f} ms")
     for m, groups in enumerate(frame.groups):
         slots = ", ".join(f"{ids} @ {alloc.slot / MS:.2f} ms" for ids, alloc in groups)
         print(f"  subframe {m}: {slots}  "
               f"(total {metrics.active_lengths[m] / MS:.2f} ms)")
 
-_, optimum = exhaustive_schedule(inst, pricer=pricer)
+_, optimum = exhaustive_schedule(pricer)
 print(f"\nexhaustive optimum: {optimum.max_active / MS:.2f} ms")

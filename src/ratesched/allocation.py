@@ -43,7 +43,7 @@ def _result_for(nodes, rates, report: FeasibilityReport) -> AllocationResult:
         feasible=True,
         slot=max(times),
         rates=tuple(rates),
-        powers=tuple(report.min_powers),
+        powers=report.min_powers,
         times=times,
     )
 
@@ -162,7 +162,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
             feasible=True,
             slot=t,
             rates=rates,
-            powers=tuple(report.min_powers),
+            powers=report.min_powers,
             times=(t,) * len(nodes),
         )
 

@@ -25,13 +25,14 @@ import numpy as np
 from .channel import generate_topology, realize_channel
 from .feasibility import NumericalError
 from .model import (
+    GainMatrix,
     Instance,
     NodeSpec,
     RadioConfig,
-    RateTable,
     ValidationError,
     disc4_table,
     disc8_table,
+    is_nested_period,
     validate_instance,
 )
 from .scheduling import (
@@ -40,6 +41,7 @@ from .scheduling import (
     ContinuousPricer,
     InfeasibleInstanceError,
     STRATEGIES,
+    SubsetPricer,
     TablePricer,
     exhaustive_schedule,
     schedule,
@@ -68,6 +70,9 @@ RESULT_COLUMNS = (
 )
 
 RATE_MODELS = ("cont", "disc4", "disc8")
+
+# Rate ladder of each discrete model, built from the radio bandwidth.
+_LADDERS = {"disc4": disc4_table, "disc8": disc8_table}
 
 # Radio of every config; a config's "radio" object overrides single fields.
 DEFAULT_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
@@ -114,8 +119,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown strategy {strategy!r}")
         if isinstance(self.n_sensors, list) and isinstance(self.density, list):
             raise ConfigError("only one of n_sensors and density may sweep")
-        if not _positive_numbers(self.density):
-            raise ConfigError("density must be a finite number > 0")
+        if not (self.density and _positive_numbers(self.density)):
+            raise ConfigError("density must be a finite number > 0 or a nonempty list")
         # numpy cannot size an array dimension beyond sys.maxsize
         if not (self.n_sensors and _positive_numbers(self.n_sensors, int, sys.maxsize)):
             raise ConfigError("n_sensors must be an integer in [1, sys.maxsize] or a list")
@@ -131,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be an integer >= 0")
         if not (self.period_set and _positive_numbers(self.period_set, int)):
             raise ConfigError("period_set must be positive integers")
-        if any(_not_power_of_two(p, min(self.period_set)) for p in self.period_set):
+        if not all(is_nested_period(p, min(self.period_set)) for p in self.period_set):
             raise ConfigError("period_set ratios must be powers of two")
         if not (_is_a(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
             raise ConfigError("exhaustive_guard must be an integer >= 0")
@@ -143,6 +148,21 @@ class ExperimentConfig:
             _is_a(self.radio, RadioConfig) and all(_positive(v) for v in astuple(self.radio))
         ):
             raise ConfigError("radio fields must be finite numbers > 0")
+        for model in (m for m in self.rate_models if m in _LADDERS):
+            try:
+                _LADDERS[model](self.radio.bandwidth_hz)
+            except ValidationError as exc:
+                raise ConfigError(f"radio bandwidth_hz gives no {model} ladder: {exc}") from exc
+        # delay bounds of the draws: the subframe (the shortest drawn period),
+        # or fixed; each node's energy budget is energy_scale * p_max * delay
+        if self.delay_rule == "subframe":
+            delays = [self.base_period_s * p for p in (min(self.period_set), max(self.period_set))]
+        else:
+            delays = [self.delay_rule]
+        if not _positive(max(delays)):
+            raise ConfigError("base_period_s times the longest period must be finite")
+        if not self.energy_scale * self.radio.p_max * min(delays) > 0:
+            raise ConfigError("energy_scale * p_max * delay bound underflows to 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -152,10 +172,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "radio" in doc:
             try:
-                doc["radio"] = replace(
-                    DEFAULT_RADIO, **{k: _radio_value(v) for k, v in doc["radio"].items()}
-                )
-            except (TypeError, ValueError, AttributeError) as exc:
+                doc["radio"] = replace(DEFAULT_RADIO, **doc["radio"])
+            except (TypeError, ValidationError) as exc:
                 raise ConfigError(f"bad radio overrides: {exc}") from exc
         try:
             for key in ("rate_models", "strategies", "period_set", "packet_bits_set"):
@@ -213,27 +231,17 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _radio_value(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _not_power_of_two(period: int, base: int) -> bool:
-    ratio, rem = divmod(period, base)
-    return rem != 0 or ratio & (ratio - 1) != 0
-
-
 def subseed(master_seed: int, *key: int) -> int:
     """Deterministic child seed for a (sweep point, topology, role) counter."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _table_for(model: str, bandwidth_hz: float) -> RateTable:
-    # The continuous model carries a table too so that instance validation is
-    # uniform; continuous pricing never reads it.
-    return disc4_table(bandwidth_hz) if model == "disc4" else disc8_table(bandwidth_hz)
+def _pricer(model: str, inst: Instance, gains: GainMatrix, radio: RadioConfig) -> SubsetPricer:
+    """The subset pricer of one rate model: ``cont`` or a discrete ladder."""
+    if model == "cont":
+        return ContinuousPricer(inst, gains, radio)
+    return TablePricer(inst, gains, _LADDERS[model](radio.bandwidth_hz), radio)
 
 
 def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
@@ -279,44 +287,35 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     find a frame. Kept seeds reread the solo prices from the pricer caches.
     """
     nodes, gains = _draw_instance(cfg, n, density, point, k)
-    instances: dict[str, Instance] = {}
-    pricers: dict[str, object] = {}
+    inst = validate_instance(nodes)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
-    for model in needed:
-        inst = validate_instance(nodes, cfg.radio, _table_for(model, cfg.radio.bandwidth_hz))
-        pricer = (
-            ContinuousPricer(inst, gains)
-            if model == "cont"
-            else TablePricer(inst, gains)
-        )
-        instances[model], pricers[model] = inst, pricer
+    pricers = {model: _pricer(model, inst, gains, cfg.radio) for model in needed}
 
     # Table models first: a solo ladder walk takes about 4 feasibility checks,
     # a continuous solo price 17-34 bisection probes.
     for model in sorted(needed, key=lambda m: m == "cont"):
         try:
-            for i in instances[model].ids:
+            for i in inst.ids:
                 pricers[model].solo_slot(i)
         except InfeasibleInstanceError as exc:
             raise InfeasibleInstanceError(exc.node_id, model) from None
 
-    inst_cont = instances["cont"]
     within_guard = (
         n <= min(cfg.exhaustive_guard, EXHAUSTIVE_MAX_NODES)
-        and inst_cont.subframe_count <= EXHAUSTIVE_MAX_SUBFRAMES
+        and inst.subframe_count <= EXHAUSTIVE_MAX_SUBFRAMES
     )
     cont_heuristics = {}
     max_active: dict[tuple[str, str], float] = {}
     for strategy in cfg.strategies:
         for model in needed:
-            _, metrics = schedule(instances[model], gains, strategy, pricer=pricers[model])
+            _, metrics = schedule(pricers[model], strategy)
             if model in cfg.rate_models:
                 max_active[(strategy, model)] = metrics.max_active
             if model == "cont":
                 cont_heuristics[strategy] = metrics.max_active
 
     if within_guard:
-        _, opt = exhaustive_schedule(inst_cont, gains, pricer=pricers["cont"])
+        _, opt = exhaustive_schedule(pricers["cont"])
         reference, ref_kind = opt.max_active, "exhaustive"
     else:
         reference, ref_kind = min(cont_heuristics.values()), "heuristic"

@@ -66,14 +66,14 @@ class FeasibilityReport:
     """
 
     verdict: Verdict
-    min_powers: np.ndarray | None = None
+    min_powers: tuple[float, ...] | None = None
 
     @property
     def feasible(self) -> bool:
         return self.verdict is Verdict.FEASIBLE
 
 
-def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> np.ndarray | None:
+def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[float, ...] | None:
     """Component-wise minimum powers meeting the given per-link SINR targets.
 
     Targets are jointly achievable iff rho(F) < 1 (strictly); otherwise the
@@ -136,10 +136,10 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> np.ndarra
     return _checked_powers(p)
 
 
-def _checked_powers(powers: list) -> np.ndarray:
+def _checked_powers(powers: list) -> tuple[float, ...]:
     if not all(math.isfinite(p) and p > 0 for p in powers):
         raise NumericalError("non-finite or non-positive minimum power")
-    return np.array(powers)
+    return tuple(powers)
 
 
 def check_targets(
@@ -161,14 +161,13 @@ def check_targets(
     powers = min_power_vector(gains, sinr_targets, radio.noise_power)
     if powers is None:
         return FeasibilityReport(Verdict.INFEASIBLE_SPECTRAL)
-    p = powers.tolist()
-    if max(p) > radio.p_max:
+    if max(powers) > radio.p_max:
         return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
-    n = len(p)
+    n = len(powers)
     times = _per_link(times, n)
     if any(x > d for x, d in zip(times, _per_link(delays, n))):
         return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
-    if any(x * y > e for x, y, e in zip(times, p, _per_link(energies, n))):
+    if any(x * y > e for x, y, e in zip(times, powers, _per_link(energies, n))):
         return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, powers)
     return FeasibilityReport(Verdict.FEASIBLE, powers)
 

@@ -248,18 +248,17 @@ class AllocationResult:
 
 @dataclass(frozen=True)
 class Instance:
-    """A validated set of nodes plus shared radio and rate-table context.
+    """A validated set of nodes and the frame geometry they define.
 
     ``periods[id]`` is the node period in subframes and ``subframe_count`` is
     the largest period, so one frame covers every node's cycle. Canonical
     instances have a smallest period of 1 (the subframe is defined as the
     shortest packet period); the experiment sampler renormalizes its draws
-    into this form.
+    into this form. The rate model (gains, radio, rate ladder) is not part of
+    an instance: a ``SubsetPricer`` carries it.
     """
 
     nodes: tuple[NodeSpec, ...]
-    radio: RadioConfig
-    table: RateTable
     subframe_count: int
     periods: dict[int, int]
 
@@ -274,16 +273,19 @@ class Instance:
         return tuple(n.id for n in self.nodes)
 
 
-def _is_power_of_two(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
+def is_nested_period(period: int, base: int) -> bool:
+    """Whether ``period`` is a power-of-two multiple of ``base``; periods nest
+    when this holds for each of them and the smallest as ``base``."""
+    ratio, rem = divmod(period, base)
+    return rem == 0 and ratio & (ratio - 1) == 0
 
 
-def validate_instance(nodes, radio: RadioConfig, table: RateTable) -> Instance:
+def validate_instance(nodes) -> Instance:
     """Check a node set for consistency and derive the frame geometry.
 
-    Rejects duplicate ids and period sets that do not nest (every period must
-    be a power-of-two multiple of the smallest one). NodeSpec/RadioConfig
-    field invariants are enforced by their constructors.
+    Rejects an empty set, duplicate ids and period sets that do not nest
+    (every period must be a power-of-two multiple of the smallest one).
+    NodeSpec field invariants are enforced by its constructor.
     """
     nodes = tuple(nodes)
     if not nodes:
@@ -296,10 +298,10 @@ def validate_instance(nodes, radio: RadioConfig, table: RateTable) -> Instance:
     min_p = min(n.period for n in nodes)
     periods = {}
     for n in nodes:
-        if n.period % min_p != 0 or not _is_power_of_two(n.period // min_p):
+        if not is_nested_period(n.period, min_p):
             raise ValidationError(
                 f"non-nested periods: {n.period} is not a power-of-two "
                 f"multiple of {min_p}"
             )
         periods[n.id] = n.period
-    return Instance(nodes, radio, table, max(periods.values()), periods)
+    return Instance(nodes, max(periods.values()), periods)

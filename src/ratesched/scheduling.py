@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import continuous_optimal, lttf
-from .model import AllocationResult, GainMatrix, Instance, ValidationError
+from .model import AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError
 
 __all__ = [
     "InfeasibleInstanceError",
@@ -94,11 +94,12 @@ class SubsetPricer:
 
 
 class _GainBackedPricer(SubsetPricer):
-    def __init__(self, inst: Instance, gains: GainMatrix):
+    def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig):
         super().__init__(inst)
         if gains.n != len(inst.nodes):
             raise ValidationError("gain matrix must cover every instance node")
         self.gains = gains
+        self.radio = radio
         self._pos = {n.id: k for k, n in enumerate(inst.nodes)}
 
     def _sub(self, ids):
@@ -108,19 +109,25 @@ class _GainBackedPricer(SubsetPricer):
 
 
 class TablePricer(_GainBackedPricer):
-    """Prices subsets with the discrete-rate ladder of the instance."""
+    """Prices each subset with ``lttf`` on its submatrix of ``gains`` (rows in
+    ``inst.nodes`` order), ``table`` and ``radio``."""
+
+    def __init__(self, inst: Instance, gains: GainMatrix, table: RateTable, radio: RadioConfig):
+        super().__init__(inst, gains, radio)
+        self.table = table
 
     def _price(self, ids):
         nodes, sub = self._sub(ids)
-        return lttf(nodes, sub, self.inst.table, self.inst.radio)
+        return lttf(nodes, sub, self.table, self.radio)
 
 
 class ContinuousPricer(_GainBackedPricer):
-    """Prices subsets with the continuous-rate baseline."""
+    """Prices each subset with ``continuous_optimal`` on its submatrix of
+    ``gains`` and ``radio``."""
 
     def _price(self, ids):
         nodes, sub = self._sub(ids)
-        return continuous_optimal(nodes, sub, self.inst.radio)
+        return continuous_optimal(nodes, sub, self.radio)
 
 
 class FixedPricer(SubsetPricer):
@@ -380,24 +387,17 @@ def _populations(inst: Instance, assignments, m: int):
     return [(s, sorted(by_period[s])) for s in sorted(by_period)]
 
 
-def schedule(
-    inst: Instance,
-    gains: GainMatrix | None = None,
-    strategy: str = "sna-mla",
-    pricer: SubsetPricer | None = None,
-) -> tuple[Frame, ScheduleMetrics]:
-    """Build a frame with sorted node assignment plus the chosen allocator.
+def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, ScheduleMetrics]:
+    """Build a frame for ``pricer.inst`` with sorted node assignment plus the
+    chosen allocator.
 
-    ``pricer`` defaults to discrete-rate pricing over ``gains``; pass an
-    explicit pricer for the continuous model or fixed price tables.
-    Deterministic for fixed inputs.
+    The pricer is the rate model: a ``TablePricer`` for a discrete ladder, a
+    ``ContinuousPricer`` for the continuous baseline or a ``FixedPricer`` for
+    pinned slot prices. Deterministic for fixed inputs.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    if pricer is None:
-        if gains is None:
-            raise ValidationError("either gains or a pricer is required")
-        pricer = TablePricer(inst, gains)
+    inst = pricer.inst
     allocator = _ALLOCATORS[strategy]
     assignments = sna_assign(pricer)
     group_cache: dict[tuple, list] = {}
@@ -414,17 +414,14 @@ def schedule(
     return frame, compute_metrics(frame)
 
 
-def exhaustive_schedule(
-    inst: Instance,
-    gains: GainMatrix | None = None,
-    pricer: SubsetPricer | None = None,
-) -> tuple[Frame, ScheduleMetrics]:
-    """Exact minimum of the maximum active length, for small instances.
+def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
+    """Exact minimum of the maximum active length of ``pricer.inst``, for
+    small instances, under the slot prices of ``pricer``.
 
     Searches every offset assignment combined with every partition of each
     subframe population into feasible controller-distinct groups (computed
     per period class by dynamic programming). Guarded to 8 nodes and 4
-    subframes. ``pricer`` defaults to discrete-rate pricing over ``gains``.
+    subframes.
 
     Every period divides the frame length M, so shifting every offset by one
     subframe (off_i -> (off_i + 1) mod s_i) rotates the subframes of a frame
@@ -445,16 +442,13 @@ def exhaustive_schedule(
     N <= 8 nodes and M <= 4, V <= 4**7 = 16384 vectors, so the array holds at
     most 64 KiB and its gathered costs 512 KiB.
     """
+    inst = pricer.inst
     if len(inst.nodes) > EXHAUSTIVE_MAX_NODES:
         raise ValidationError(f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes")
     if inst.subframe_count > EXHAUSTIVE_MAX_SUBFRAMES:
         raise ValidationError(
             f"exhaustive search limited to {EXHAUSTIVE_MAX_SUBFRAMES} subframes"
         )
-    if pricer is None:
-        if gains is None:
-            raise ValidationError("either gains or a pricer is required")
-        pricer = TablePricer(inst, gains)
 
     m_count = inst.subframe_count
     # Bits [shift, shift + len(members)) of a node mask hold one period class.

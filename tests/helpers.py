@@ -15,7 +15,6 @@ from ratesched import (
     GainMatrix,
     NodeSpec,
     RadioConfig,
-    disc8_table,
     validate_instance,
 )
 
@@ -96,7 +95,7 @@ def four_node_fixture():
         )
         for i in sorted(periods)
     ]
-    inst = validate_instance(nodes, TABLE1_RADIO, disc8_table(1e8))
+    inst = validate_instance(nodes)
     prices = {
         (1,): 0.15 * ms,
         (2,): 0.20 * ms,

@@ -217,9 +217,9 @@ def test_criterion_5_worked_four_node_frame():
     inst, pricer = four_node_fixture()
     values = {}
     for strategy in ("sna-mla", "sna-mua"):
-        _, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+        _, metrics = schedule(pricer, strategy)
         values[strategy] = metrics.max_active
-    _, optimum = exhaustive_schedule(inst, pricer=pricer)
+    _, optimum = exhaustive_schedule(pricer)
     values["exhaustive"] = optimum.max_active
     ok = all(v == pytest.approx(0.45e-3, rel=1e-12) for v in values.values())
     report(
@@ -250,11 +250,11 @@ def test_criterion_6_cover_heuristic_beats_utility_heuristic_on_average():
             )
             for j in range(n)
         ]
-        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
-        pricer = TablePricer(inst, random_gains(rng, n))
-        _, optimum = exhaustive_schedule(inst, pricer=pricer)
+        inst = validate_instance(nodes)
+        pricer = TablePricer(inst, random_gains(rng, n), DISC8, TABLE1_RADIO)
+        _, optimum = exhaustive_schedule(pricer)
         for strategy in ratios:
-            _, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+            _, metrics = schedule(pricer, strategy)
             ratio = metrics.max_active / optimum.max_active
             if ratio < 1.0:
                 below_one += 1

@@ -1,26 +1,31 @@
+import dataclasses
 import json
 import math
 import re
+import sys
+import tempfile
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratesched import (
     ConfigError,
-    ContinuousPricer,
     ExperimentConfig,
     InfeasibleInstanceError,
     NumericalError,
     RadioConfig,
-    TablePricer,
     emit_results,
     run_experiment,
     validate_instance,
 )
 from ratesched import allocation, experiment, feasibility, scheduling
 from ratesched.cli import main
-from ratesched.experiment import RESULT_COLUMNS, subseed
+from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
+from ratesched.scheduling import STRATEGIES
 
 HEADER = ",".join(RESULT_COLUMNS)
 
@@ -67,20 +72,113 @@ INVALID_FIELDS = (
     # counts beyond numpy's largest array dimension, sys.maxsize
     {"n_controllers": 10**400},
     {"n_sensors": 10**300},
+    # disc ladder rates overflow to inf at this bandwidth
+    {"radio": {"bandwidth_hz": 1e308}, "n_sensors": 2, "seeds": 1},
+    # an empty sweep list would run no seed
+    {"density": []},
+    # radio overrides are JSON numbers, like every other number
+    {"radio": {"p_max": "1"}},
 )
 
 
 def field_id(doc):
     # the field name, with "-bool" for the boolean cases, "-nonfinite" for inf
-    # and nan and "-huge" for integers beyond the float range, so ids stay unique
+    # and nan, "-huge" for integers beyond the float range, "-empty" for an
+    # empty sweep list and "-string" for a number given as a string, so ids
+    # stay unique
     text = json.dumps(doc)
+    name = next(iter(doc))
     if "true" in text or "false" in text:
-        return next(iter(doc)) + "-bool"
+        return name + "-bool"
     if "Infinity" in text or "NaN" in text:
-        return next(iter(doc)) + "-nonfinite"
+        return name + "-nonfinite"
     if re.search(r"\d{309}", text):
-        return next(iter(doc)) + "-huge"
-    return next(iter(doc))
+        return name + "-huge"
+    if doc.get("density") == [] or doc.get("n_sensors") == []:
+        return name + "-empty"
+    if re.search(r'"\d', text):
+        return name + "-string"
+    return name
+
+
+# Numbers at and beyond the edges of the float range (JSON's 1e400 parses to
+# inf), and values of the wrong type.
+EXTREMES = (0, -1, 5e-324, 1e-300, 1e300, 1e308, sys.float_info.max,
+            math.inf, -math.inf, math.nan, 10**400, -(10**400))
+WRONG = (None, True, False, "", "x", "1", {}, [], [None], ["1"], [[1]])
+
+
+def _fuzzed(valid):
+    """A valid value of a field, an extreme or any float, a value of the
+    wrong type, or a list of such entries."""
+    entry = st.one_of(st.sampled_from(EXTREMES), valid, st.floats(), st.sampled_from(WRONG))
+    return st.one_of(entry, st.lists(entry, max_size=3))
+
+
+# Valid values are small (at most 3 sensors, 2 seeds and period 8), so an
+# accepted config runs in milliseconds.
+FUZZED_FIELDS = {
+    "n_sensors": _fuzzed(st.integers(1, 3)),
+    "n_controllers": _fuzzed(st.integers(1, 3)),
+    "density": _fuzzed(st.floats(1e-3, 1e3)),
+    "seeds": _fuzzed(st.integers(1, 2)).filter(lambda v: _runs_briefly("seeds", v)),
+    "master_seed": _fuzzed(st.integers(0, 2**80)),
+    "rate_models": _fuzzed(st.sampled_from(["cont", "disc4", "disc8", "disc16"])),
+    "strategies": _fuzzed(st.sampled_from(["sna-mla", "sna-mua", "sna"])),
+    "radio.p_max": _fuzzed(st.floats(1e-3, 1e3)),
+    "radio.noise_power": _fuzzed(st.floats(1e-12, 1e-6)),
+    "radio.bandwidth_hz": _fuzzed(st.floats(1e6, 1e9)),
+    "radio": _fuzzed(
+        st.dictionaries(st.sampled_from(["p_max", "noise_power", "bandwidth_hz", "gain"]),
+                        st.floats(), max_size=2)
+    ),
+    "period_set": _fuzzed(st.sampled_from([1, 2, 3, 4, 8])),
+    "packet_bits_set": _fuzzed(st.floats(1.0, 1e3)),
+    "delay_rule": _fuzzed(st.just("subframe")),
+    "energy_scale": _fuzzed(st.floats(1e-2, 1e2)),
+    "exhaustive_guard": _fuzzed(st.integers(0, 10)),
+    "base_period_s": _fuzzed(st.floats(1e-5, 1e-1)),
+}
+
+
+def _runs_briefly(field, value):
+    """False for the accepted values that would run for ages: a seed count
+    above 2 (a huge count is valid, and out of scope here)."""
+    return not (field == "seeds" and type(value) is int and value > 2)
+
+
+@st.composite
+def valid_configs(draw):
+    """An accepted config: every field drawn from its valid range."""
+    positive = st.floats(min_value=1e-100, max_value=1e100)
+    counts = st.integers(1, 10**6)
+    sweep = draw(st.sampled_from(["n_sensors", "density", None]))
+    base_period = draw(st.integers(1, 4))
+
+    def maybe_swept(field, value):
+        return st.lists(value, min_size=1, max_size=4) if sweep == field else value
+
+    doc = {
+        "n_sensors": draw(maybe_swept("n_sensors", counts)),
+        "density": draw(maybe_swept("density", positive)),
+        "n_controllers": draw(counts),
+        "seeds": draw(counts),
+        "master_seed": draw(st.integers(0, 2**80)),
+        "rate_models": draw(st.lists(st.sampled_from(RATE_MODELS), min_size=1, max_size=3)),
+        "strategies": draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2)),
+        "radio": {
+            "p_max": draw(positive),
+            "noise_power": draw(positive),
+            "bandwidth_hz": draw(positive),
+        },
+        "period_set": [base_period * 2**k for k in range(draw(st.integers(1, 4)))],
+        "packet_bits_set": draw(st.lists(positive, min_size=1, max_size=4)),
+        "delay_rule": draw(st.just("subframe") | positive),
+        "energy_scale": draw(positive),
+        "exhaustive_guard": draw(st.integers(0, 10)),
+        "base_period_s": draw(positive),
+    }
+    return ExperimentConfig.from_dict(doc)
 
 
 def tiny_config(**overrides):
@@ -110,11 +208,10 @@ def paper_sweep():
 def infeasible_solos(cfg, n, point, k):
     """(model, node id) pairs of one seed whose solo price is infeasible."""
     nodes, gains = experiment._draw_instance(cfg, n, cfg.density, point, k)
+    inst = validate_instance(nodes)
     out = set()
     for model in cfg.rate_models:
-        table = experiment._table_for(model, cfg.radio.bandwidth_hz)
-        inst = validate_instance(nodes, cfg.radio, table)
-        pricer = (ContinuousPricer if model == "cont" else TablePricer)(inst, gains)
+        pricer = experiment._pricer(model, inst, gains, cfg.radio)
         out.update((model, i) for i in inst.ids if not pricer.price((i,)).feasible)
     return out
 
@@ -153,6 +250,20 @@ class TestConfig:
     def test_invalid_field_value_rejected(self, doc):
         with pytest.raises(ConfigError, match=next(iter(doc))):
             ExperimentConfig.from_dict(doc)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(cfg=valid_configs())
+    def test_config_round_trips_through_its_fields(self, cfg):
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert ExperimentConfig.from_dict(doc) == cfg
+
+    def test_derived_delay_and_energy_stay_in_the_float_range(self):
+        # a subframe of 8 periods of 1e308 s overflows to inf, and an energy
+        # budget of 5e-324 * p_max * 1 ms underflows to 0
+        with pytest.raises(ConfigError, match="base_period_s"):
+            ExperimentConfig.from_dict({"base_period_s": 1e308})
+        with pytest.raises(ConfigError, match="energy_scale"):
+            ExperimentConfig.from_dict({"energy_scale": 5e-324})
 
     def test_bad_delay_rule_rejected(self):
         with pytest.raises(ConfigError, match="delay_rule"):
@@ -396,6 +507,31 @@ class TestCli:
         for doc in ({"bogus_key": 1},) + INVALID_FIELDS:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
+
+    def exit_code(self, field, value):
+        """Exit code of the CLI on a small config with ``field`` (``radio.<key>``
+        for one radio field) set to ``value``."""
+        doc = {"n_sensors": 2, "seeds": 2}
+        name, _, radio_key = field.partition(".")
+        doc[name] = {radio_key: value} if radio_key else value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = self.write_config(Path(tmp), doc)
+            return main(["--config", cfg, "--out", str(Path(tmp) / "x.csv")])
+
+    def test_extreme_field_values_exit_0_2_or_3(self):
+        # every field at every extreme ends in a documented exit code
+        for field in FUZZED_FIELDS:
+            for value in filter(partial(_runs_briefly, field), EXTREMES + WRONG):
+                assert self.exit_code(field, value) in (0, 2, 3), (field, value)
+
+    @pytest.mark.parametrize("field", sorted(FUZZED_FIELDS))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_fuzzed_field_exits_0_2_or_3(self, field, data):
+        # one field at a time is fuzzed, so no other field's error masks it;
+        # no value ends in a traceback
+        value = data.draw(FUZZED_FIELDS[field])
+        assert self.exit_code(field, value) in (0, 2, 3), (field, value)
 
     def test_negative_seed_flag_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 1})

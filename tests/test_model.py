@@ -114,24 +114,18 @@ def _nodes_with_periods(periods):
 
 class TestValidateInstance:
     def test_nested_periods_accepted(self):
-        inst = validate_instance(
-            _nodes_with_periods([1, 2, 2, 2]), RadioConfig(0.25, 1e-8, 1e8), disc4_table(1e8)
-        )
+        inst = validate_instance(_nodes_with_periods([1, 2, 2, 2]))
         assert inst.subframe_count == 2
         assert inst.periods == {0: 1, 1: 2, 2: 2, 3: 2}
 
     def test_periods_kept_in_subframe_units(self):
-        inst = validate_instance(
-            _nodes_with_periods([2, 4]), RadioConfig(0.25, 1e-8, 1e8), disc4_table(1e8)
-        )
+        inst = validate_instance(_nodes_with_periods([2, 4]))
         assert inst.subframe_count == 4
         assert inst.periods == {0: 2, 1: 4}
 
     def test_non_nested_periods_rejected(self):
         with pytest.raises(ValidationError, match="non-nested periods"):
-            validate_instance(
-                _nodes_with_periods([1, 3]), RadioConfig(0.25, 1e-8, 1e8), disc4_table(1e8)
-            )
+            validate_instance(_nodes_with_periods([1, 3]))
 
     def test_duplicate_ids_rejected(self):
         nodes = _nodes_with_periods([1, 1])
@@ -139,8 +133,8 @@ class TestValidateInstance:
             id=0, controller_id=1, packet_bits=100.0, period=1, delay_bound=1e-3
         )
         with pytest.raises(ValidationError, match="duplicate node id"):
-            validate_instance(nodes, RadioConfig(0.25, 1e-8, 1e8), disc4_table(1e8))
+            validate_instance(nodes)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValidationError):
-            validate_instance([], RadioConfig(0.25, 1e-8, 1e8), disc4_table(1e8))
+            validate_instance([])

@@ -31,6 +31,13 @@ DISC8 = disc8_table(1e8)
 MS = 1e-3
 
 
+def gain_pricer(inst, gains, continuous=False):
+    """Continuous or disc8 prices over ``gains`` at the Table-1 radio."""
+    if continuous:
+        return ContinuousPricer(inst, gains, TABLE1_RADIO)
+    return TablePricer(inst, gains, DISC8, TABLE1_RADIO)
+
+
 def fixture_instance(periods, controllers):
     nodes = [
         NodeSpec(
@@ -42,7 +49,7 @@ def fixture_instance(periods, controllers):
         )
         for i in sorted(periods)
     ]
-    return validate_instance(nodes, TABLE1_RADIO, DISC8)
+    return validate_instance(nodes)
 
 
 class TestSnaAssign:
@@ -163,9 +170,9 @@ class TestMlaAllocate:
             n = int(rng.integers(2, 7))
             controllers = {i: int(rng.integers(0, 3)) for i in range(n)}
             inst = fixture_instance(periods={i: 1 for i in range(n)}, controllers=controllers)
-            pricer = TablePricer(inst, random_gains(rng, n))
+            pricer = gain_pricer(inst, random_gains(rng, n))
             try:
-                _, optimum = exhaustive_schedule(inst, pricer=pricer)
+                _, optimum = exhaustive_schedule(pricer)
             except InfeasibleInstanceError:
                 continue
             groups = mla_allocate(list(range(n)), pricer)
@@ -226,7 +233,7 @@ class TestMuaAllocate:
         assert mua_total == pytest.approx(3.20 * MS, rel=1e-12)
         assert mua_total > mla_total
         # the exhaustive scheduler agrees with the exact cover here
-        _, metrics = exhaustive_schedule(inst, pricer=pricer)
+        _, metrics = exhaustive_schedule(pricer)
         assert metrics.max_active == pytest.approx(3.04 * MS, rel=1e-12)
 
 
@@ -234,18 +241,18 @@ class TestSchedule:
     def test_four_node_example_max_active(self):
         inst, pricer = four_node_fixture()
         for strategy in ("sna-mla", "sna-mua"):
-            frame, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+            frame, metrics = schedule(pricer, strategy)
             assert metrics.max_active == pytest.approx(0.45 * MS, rel=1e-12)
             assert list(metrics.active_lengths) == pytest.approx(
                 [0.45 * MS, 0.45 * MS], rel=1e-12
             )
-        _, optimum = exhaustive_schedule(inst, pricer=pricer)
+        _, optimum = exhaustive_schedule(pricer)
         assert optimum.max_active == pytest.approx(0.45 * MS, rel=1e-12)
 
     def test_single_node_schedule(self):
         inst = fixture_instance(periods={0: 1}, controllers={0: 0})
         pricer = FixedPricer(inst, {(0,): 0.1 * MS})
-        _, metrics = schedule(inst, pricer=pricer)
+        _, metrics = schedule(pricer)
         assert metrics.max_active == 0.1 * MS
 
     def test_no_concurrency_sums_solo_times(self):
@@ -254,18 +261,13 @@ class TestSchedule:
         )
         prices = {(0,): 0.1 * MS, (1,): 0.2 * MS, (2,): 0.3 * MS}
         pricer = FixedPricer(inst, prices)
-        _, metrics = schedule(inst, pricer=pricer)
+        _, metrics = schedule(pricer)
         assert metrics.max_active == pytest.approx(0.6 * MS, rel=1e-12)
 
     def test_unknown_strategy_rejected(self):
         inst = fixture_instance(periods={0: 1}, controllers={0: 0})
         with pytest.raises(ValidationError, match="strategy"):
-            schedule(inst, strategy="bogus", pricer=FixedPricer(inst, {(0,): 1e-4}))
-
-    def test_gains_or_pricer_required(self):
-        inst = fixture_instance(periods={0: 1}, controllers={0: 0})
-        with pytest.raises(ValidationError):
-            schedule(inst)
+            schedule(FixedPricer(inst, {(0,): 1e-4}), strategy="bogus")
 
 
 def _random_real_instance(rng, n):
@@ -281,7 +283,7 @@ def _random_real_instance(rng, n):
         )
         for i in range(n)
     ]
-    inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+    inst = validate_instance(nodes)
     gains = random_gains(rng, n)
     return inst, gains
 
@@ -309,7 +311,7 @@ def small_instances(draw):
         for i in range(n)
     ]
     gains = random_gains(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
-    return validate_instance(nodes, TABLE1_RADIO, DISC8), gains
+    return validate_instance(nodes), gains
 
 
 def _occupied(inst, frame, node_id):
@@ -400,9 +402,9 @@ def assert_matches_oracle(inst, pricer):
     optimum, assignment = exhaustive_oracle(inst, pricer)
     if optimum == math.inf:
         with pytest.raises(InfeasibleInstanceError):
-            exhaustive_schedule(inst, pricer=pricer)
+            exhaustive_schedule(pricer)
         return
-    frame, metrics = exhaustive_schedule(inst, pricer=pricer)
+    frame, metrics = exhaustive_schedule(pricer)
     assert metrics.max_active == optimum
     assert_frame_invariants(inst, frame, metrics)
     assert compute_metrics(frame).max_active == metrics.max_active
@@ -423,7 +425,7 @@ def _two_class_case():
         for i in range(len(periods))
     ]
     gains = random_gains(np.random.default_rng(27), len(nodes), iso_db=(15.0, 25.0))
-    return validate_instance(nodes, TABLE1_RADIO, DISC8), gains
+    return validate_instance(nodes), gains
 
 
 class TestFrameInvariants:
@@ -433,25 +435,25 @@ class TestFrameInvariants:
             n = int(rng.integers(3, 7))
             inst, gains = _random_real_instance(rng, n)
             for strategy in ("sna-mla", "sna-mua"):
-                assert_frame_invariants(inst, *schedule(inst, gains, strategy))
+                assert_frame_invariants(inst, *schedule(gain_pricer(inst, gains), strategy))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(case=small_instances(), continuous=st.booleans())
     def test_every_scheduler_keeps_the_frame_invariants(self, case, continuous):
         inst, gains = case
-        pricer = (ContinuousPricer if continuous else TablePricer)(inst, gains)
+        pricer = gain_pricer(inst, gains, continuous)
         for strategy in STRATEGIES:
-            assert_frame_invariants(inst, *schedule(inst, strategy=strategy, pricer=pricer))
-        assert_frame_invariants(inst, *exhaustive_schedule(inst, pricer=pricer))
+            assert_frame_invariants(inst, *schedule(pricer, strategy))
+        assert_frame_invariants(inst, *exhaustive_schedule(pricer))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(case=small_instances(), continuous=st.booleans())
     def test_exhaustive_never_beaten(self, case, continuous):
         inst, gains = case
-        pricer = (ContinuousPricer if continuous else TablePricer)(inst, gains)
-        _, optimum = exhaustive_schedule(inst, pricer=pricer)
+        pricer = gain_pricer(inst, gains, continuous)
+        _, optimum = exhaustive_schedule(pricer)
         for strategy in STRATEGIES:
-            _, metrics = schedule(inst, strategy=strategy, pricer=pricer)
+            _, metrics = schedule(pricer, strategy)
             assert optimum.max_active <= metrics.max_active
 
     def test_removing_a_node_from_a_group_never_hurts(self):
@@ -460,8 +462,8 @@ class TestFrameInvariants:
         while checked < 40:
             n = int(rng.integers(4, 7))
             inst, gains = _random_real_instance(rng, n)
-            pricer = TablePricer(inst, gains)
-            frame, _ = schedule(inst, strategy="sna-mla", pricer=pricer)
+            pricer = gain_pricer(inst, gains)
+            frame, _ = schedule(pricer, "sna-mla")
             for m in range(frame.subframe_count):
                 for ids, alloc in frame.groups[m]:
                     if len(ids) < 2:
@@ -476,8 +478,8 @@ class TestFrameInvariants:
     def test_schedule_is_deterministic(self):
         rng = np.random.default_rng(24)
         inst, gains = _random_real_instance(rng, 6)
-        a_frame, a_metrics = schedule(inst, gains, "sna-mua")
-        b_frame, b_metrics = schedule(inst, gains, "sna-mua")
+        a_frame, a_metrics = schedule(gain_pricer(inst, gains), "sna-mua")
+        b_frame, b_metrics = schedule(gain_pricer(inst, gains), "sna-mua")
         assert a_frame == b_frame
         assert a_metrics == b_metrics
 
@@ -487,38 +489,38 @@ class TestExhaustive:
         rng = np.random.default_rng(25)
         inst, gains = _random_real_instance(rng, 9)
         with pytest.raises(ValidationError, match="8 nodes"):
-            exhaustive_schedule(inst, gains)
+            exhaustive_schedule(gain_pricer(inst, gains))
 
     def test_subframe_guard(self):
         nodes = [
             NodeSpec(id=0, controller_id=0, packet_bits=100.0, period=1, delay_bound=1e-3),
             NodeSpec(id=1, controller_id=1, packet_bits=100.0, period=8, delay_bound=1e-3),
         ]
-        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+        inst = validate_instance(nodes)
         with pytest.raises(ValidationError, match="4 subframes"):
-            exhaustive_schedule(inst, GainMatrix(np.eye(2) * 1e-6 + 1e-12))
+            exhaustive_schedule(gain_pricer(inst, GainMatrix(np.eye(2) * 1e-6 + 1e-12)))
 
     def test_decoupled_pair_shares_a_slot(self):
         nodes = [
             NodeSpec(id=0, controller_id=0, packet_bits=100.0, period=1, delay_bound=1e-3),
             NodeSpec(id=1, controller_id=1, packet_bits=50.0, period=1, delay_bound=1e-3),
         ]
-        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+        inst = validate_instance(nodes)
         gains = GainMatrix([[1e-4, 1e-15], [1e-15, 1e-4]])
-        pricer = TablePricer(inst, gains)
-        _, metrics = exhaustive_schedule(inst, pricer=pricer)
+        pricer = gain_pricer(inst, gains)
+        _, metrics = exhaustive_schedule(pricer)
         solos = [pricer.price((0,)).slot, pricer.price((1,)).slot]
         assert metrics.max_active == max(solos)
-        frame, _ = exhaustive_schedule(inst, pricer=pricer)
+        frame, _ = exhaustive_schedule(pricer)
         assert frame.groups[0][0][0] == (0, 1)
 
     def test_infeasible_instance_raises(self):
         nodes = [
             NodeSpec(id=0, controller_id=0, packet_bits=100.0, period=1, delay_bound=1e-9)
         ]
-        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+        inst = validate_instance(nodes)
         with pytest.raises(InfeasibleInstanceError):
-            exhaustive_schedule(inst, GainMatrix([[1e-4]]))
+            exhaustive_schedule(gain_pricer(inst, GainMatrix([[1e-4]])))
 
     def test_denser_ladder_never_hurts_the_optimum(self):
         # disc4's levels are a subset of disc8's, so every group price under
@@ -530,13 +532,12 @@ class TestExhaustive:
         compared = 0
         while compared < 10:
             n = int(rng.integers(3, 6))
-            inst8, gains = _random_real_instance(rng, n)
-            inst4 = validate_instance(inst8.nodes, TABLE1_RADIO, disc4)
+            inst, gains = _random_real_instance(rng, n)
             try:
-                _, opt4 = exhaustive_schedule(inst4, gains)
+                _, opt4 = exhaustive_schedule(TablePricer(inst, gains, disc4, TABLE1_RADIO))
             except InfeasibleInstanceError:
                 continue
-            _, opt8 = exhaustive_schedule(inst8, gains)
+            _, opt8 = exhaustive_schedule(gain_pricer(inst, gains))
             assert opt8.max_active <= opt4.max_active
             compared += 1
 
@@ -546,7 +547,7 @@ class TestExhaustive:
     @example(case=_two_class_case(), continuous=True)
     def test_matches_unpinned_brute_force(self, case, continuous):
         inst, gains = case
-        assert_matches_oracle(inst, (ContinuousPricer if continuous else TablePricer)(inst, gains))
+        assert_matches_oracle(inst, gain_pricer(inst, gains, continuous))
 
     def test_eight_nodes_of_the_longest_period_match_brute_force(self):
         # the largest search the guards allow: 4**7 pinned offset vectors
@@ -560,6 +561,6 @@ class TestExhaustive:
             )
             for i in range(8)
         ]
-        inst = validate_instance(nodes, TABLE1_RADIO, DISC8)
+        inst = validate_instance(nodes)
         gains = random_gains(np.random.default_rng(28), 8, iso_db=(15.0, 25.0))
-        assert_matches_oracle(inst, TablePricer(inst, gains))
+        assert_matches_oracle(inst, gain_pricer(inst, gains))
