@@ -153,7 +153,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     snr_cap = radio.p_max * diag / radio.noise_power
 
     def probe(t: float) -> FeasibilityReport:
-        targets = _capacity_targets(bits, t, radio.bandwidth_hz)
+        targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
         return check_targets(gains, targets, radio, t, delays, energies)
 
     def allocation_at(t: float, report: FeasibilityReport) -> AllocationResult:
@@ -176,7 +176,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz)
     if not np.all(hi_targets > 0):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = check_targets(gains, hi_targets, radio, t_hi, delays, energies)
+    hi_report = check_targets(gains, hi_targets.tolist(), radio, t_hi, delays, energies)
     if not hi_report.feasible:
         return AllocationResult.infeasible()
     if not t_lo > 0:

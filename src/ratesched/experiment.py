@@ -15,6 +15,7 @@ config always produces byte-identical output files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .model import (
     Instance,
     NodeSpec,
     RadioConfig,
+    RateTable,
     ValidationError,
     disc4_table,
     disc8_table,
@@ -73,6 +75,10 @@ RATE_MODELS = ("cont", "disc4", "disc8")
 
 # Rate ladder of each discrete model, built from the radio bandwidth.
 _LADDERS = {"disc4": disc4_table, "disc8": disc8_table}
+
+# Longest frame, in subframes (longest over shortest period), a config may
+# ask for; the paper's period set spans 8.
+MAX_FRAME_SUBFRAMES = 2**20
 
 # Radio of every config; a config's "radio" object overrides single fields.
 DEFAULT_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
@@ -138,6 +144,10 @@ class ExperimentConfig:
             raise ConfigError("period_set must be positive integers")
         if not all(is_nested_period(p, min(self.period_set)) for p in self.period_set):
             raise ConfigError("period_set ratios must be powers of two")
+        if max(self.period_set) // min(self.period_set) > MAX_FRAME_SUBFRAMES:
+            raise ConfigError(
+                f"period_set spans more than {MAX_FRAME_SUBFRAMES} subframes per frame"
+            )
         if not (_is_a(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
             raise ConfigError("exhaustive_guard must be an integer >= 0")
         if not _positive(self.base_period_s):
@@ -150,7 +160,7 @@ class ExperimentConfig:
             raise ConfigError("radio fields must be finite numbers > 0")
         for model in (m for m in self.rate_models if m in _LADDERS):
             try:
-                _LADDERS[model](self.radio.bandwidth_hz)
+                _ladder(model, self.radio.bandwidth_hz)
             except ValidationError as exc:
                 raise ConfigError(f"radio bandwidth_hz gives no {model} ladder: {exc}") from exc
         # delay bounds of the draws: the subframe (the shortest drawn period),
@@ -237,11 +247,18 @@ def subseed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+@functools.cache
+def _ladder(model: str, bandwidth_hz: float) -> RateTable:
+    """The rate ladder of a discrete model, built once per bandwidth; a
+    RateTable is immutable, so every seed shares it."""
+    return _LADDERS[model](bandwidth_hz)
+
+
 def _pricer(model: str, inst: Instance, gains: GainMatrix, radio: RadioConfig) -> SubsetPricer:
     """The subset pricer of one rate model: ``cont`` or a discrete ladder."""
     if model == "cont":
         return ContinuousPricer(inst, gains, radio)
-    return TablePricer(inst, gains, _LADDERS[model](radio.bandwidth_hz), radio)
+    return TablePricer(inst, gains, _ladder(model, radio.bandwidth_hz), radio)
 
 
 def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):

@@ -78,7 +78,8 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
 
     Targets are jointly achievable iff rho(F) < 1 (strictly); otherwise the
     result is None. The test is the pivot criterion of the module docstring:
-    I - F and u are built row by row, eliminated without pivoting, and the
+    I - F and u are built row by row from the columns ``gains.cols`` (so the
+    array ``gains.g`` is never converted), eliminated without pivoting, and the
     first pivot that is not > 0 gives None, as does a non-finite entry of F
     (an overflowing target). At the returned vector every link meets its
     target with equality, and any other feasible power vector dominates it
@@ -95,15 +96,21 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
     infeasibility, and must never be reported as a silent wrong answer.
     """
     t = sinr_targets.tolist() if isinstance(sinr_targets, np.ndarray) else sinr_targets
-    cols = gains.g.T.tolist()
+    cols = gains.cols
     n = len(cols)
     try:
-        valid = len(t) == n and all(x > 0 for x in t)
+        valid = len(t) == n
+        if valid:
+            for x in t:
+                if not x > 0:
+                    valid = False
+                    break
     except TypeError:  # a scalar, or a nested list
         valid = False
     if not valid:
         raise ValidationError("one SINR target > 0 per link required")
     # row i of I - F from column i of g: F[i][j] = g[j][i] * (t_i / g[i][i])
+    isfinite = math.isfinite
     a, u = [], []
     for i, col in enumerate(cols):
         ti = t[i]
@@ -111,8 +118,9 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
         s = ti / gii
         row = [-(x * s) for x in col]
         row[i] = 1.0
-        if not all(map(math.isfinite, row)):
-            return None
+        for x in row:
+            if not isfinite(x):
+                return None
         a.append(row)
         u.append(ti * noise / gii)
     for c in range(n):
@@ -132,14 +140,11 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
         s = p[i]
         for j in range(i + 1, n):
             s -= row[j] * p[j]
-        p[i] = s / row[i]
-    return _checked_powers(p)
-
-
-def _checked_powers(powers: list) -> tuple[float, ...]:
-    if not all(math.isfinite(p) and p > 0 for p in powers):
-        raise NumericalError("non-finite or non-positive minimum power")
-    return tuple(powers)
+        s /= row[i]
+        if not 0 < s < math.inf:
+            raise NumericalError("non-finite or non-positive minimum power")
+        p[i] = s
+    return tuple(p)
 
 
 def check_targets(
@@ -164,11 +169,13 @@ def check_targets(
     if max(powers) > radio.p_max:
         return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
     n = len(powers)
-    times = _per_link(times, n)
-    if any(x > d for x, d in zip(times, _per_link(delays, n))):
-        return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
-    if any(x * y > e for x, y, e in zip(times, powers, _per_link(energies, n))):
-        return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, powers)
+    times = [times] * n if type(times) is float else _per_link(times, n)
+    for x, d in zip(times, _per_link(delays, n)):
+        if x > d:
+            return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
+    for x, y, e in zip(times, powers, _per_link(energies, n)):
+        if x * y > e:
+            return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, powers)
     return FeasibilityReport(Verdict.FEASIBLE, powers)
 
 

@@ -84,6 +84,7 @@ class RateTable:
         for a, b in zip(slopes, slopes[1:]):
             if b > a * (1 + 1e-12):
                 raise ValidationError("threshold->rate map must be concave")
+        object.__setattr__(self, "_threshold_of", {r: g for g, r in self.levels})
 
     @property
     def num_levels(self) -> int:
@@ -107,7 +108,11 @@ class RateTable:
         raise ValidationError(f"rate {rate!r} not in table")
 
     def threshold_for_rate(self, rate: float) -> float:
-        return self.levels[self.index_of(rate)][0]
+        """SINR threshold of an exact rate value; raises if the rate is unknown."""
+        try:
+            return self._threshold_of[rate]
+        except (KeyError, TypeError):  # TypeError: an unhashable rate
+            raise ValidationError(f"rate {rate!r} not in table") from None
 
     def lowest_level_within(self, packet_bits: float, deadline_s: float) -> int | None:
         """Smallest level whose rate transmits ``packet_bits`` within the deadline.
@@ -203,10 +208,13 @@ class GainMatrix:
 
     ``g[l, k]`` is the gain from the transmitter of link l to the receiver
     (controller) of link k, so row l describes where link l's power lands.
-    The array is validated, copied and frozen on construction.
+    The array is validated, copied and frozen on construction. ``cols`` holds
+    the same entries column by column as a tuple of tuples of Python floats
+    (``cols[k][l] == g[l, k]``), built once so that the feasibility kernel
+    never converts the array. ``sub(idx)`` is the matrix of a subset of links.
     """
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "cols")
 
     def __init__(self, g):
         arr = np.array(g, dtype=float)
@@ -216,6 +224,19 @@ class GainMatrix:
             raise ValidationError("gains must be finite and > 0")
         arr.setflags(write=False)
         self.g = arr
+        self.cols = tuple(map(tuple, arr.T.tolist()))
+
+    def sub(self, idx) -> "GainMatrix":
+        """The gains among the links at positions ``idx``, in that order;
+        equal to ``GainMatrix(g[np.ix_(idx, idx)])`` but without validating
+        entries again that were checked when this matrix was built."""
+        arr = self.g.take(idx, 0).take(idx, 1)
+        arr.setflags(write=False)
+        sub = GainMatrix.__new__(GainMatrix)
+        sub.g = arr
+        cols = self.cols
+        sub.cols = tuple([tuple([cols[k][l] for l in idx]) for k in idx])
+        return sub
 
     @property
     def n(self) -> int:

@@ -105,7 +105,7 @@ class _GainBackedPricer(SubsetPricer):
     def _sub(self, ids):
         idx = [self._pos[i] for i in ids]
         nodes = [self.inst.node(i) for i in ids]
-        return nodes, GainMatrix(self.gains.g[np.ix_(idx, idx)])
+        return nodes, self.gains.sub(idx)
 
 
 class TablePricer(_GainBackedPricer):

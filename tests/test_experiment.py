@@ -69,6 +69,8 @@ INVALID_FIELDS = (
     # an integer literal too large for a float
     {"energy_scale": 10**400},
     {"period_set": [1, 2**1100]},
+    # a frame of 2**60 subframes: sna_assign could not allocate its loads
+    {"period_set": [1, 2**60], "n_sensors": 4, "seeds": 2},
     # counts beyond numpy's largest array dimension, sys.maxsize
     {"n_controllers": 10**400},
     {"n_sensors": 10**300},
@@ -84,8 +86,8 @@ INVALID_FIELDS = (
 def field_id(doc):
     # the field name, with "-bool" for the boolean cases, "-nonfinite" for inf
     # and nan, "-huge" for integers beyond the float range, "-empty" for an
-    # empty sweep list and "-string" for a number given as a string, so ids
-    # stay unique
+    # empty sweep list, "-string" for a number given as a string and "-frame"
+    # for a frame longer than the bound, so ids stay unique
     text = json.dumps(doc)
     name = next(iter(doc))
     if "true" in text or "false" in text:
@@ -98,6 +100,8 @@ def field_id(doc):
         return name + "-empty"
     if re.search(r'"\d', text):
         return name + "-string"
+    if name == "period_set" and max(doc[name]) > experiment.MAX_FRAME_SUBFRAMES:
+        return name + "-frame"
     return name
 
 
@@ -289,6 +293,23 @@ class TestRunExperiment:
         assert counted["exhaustive"] + counted["heuristic"] + counted["infeasible"] == cfg.seeds
         by_model = counted["infeasible_by_model"]
         assert sum(by_model.values()) + counted["numerical"] == counted["infeasible"]
+
+    def test_seeds_of_one_sweep_share_one_ladder(self, monkeypatch):
+        # a RateTable is immutable, so each discrete model builds its ladder
+        # once and every seed's pricer reads that one object
+        pricers = []
+        original = experiment._pricer
+
+        def recording(*args):
+            pricers.append(original(*args))
+            return pricers[-1]
+
+        monkeypatch.setattr(experiment, "_pricer", recording)
+        run_experiment(tiny_config(n_sensors=3, seeds=2))
+        tables = [p.table for p in pricers if isinstance(p, scheduling.TablePricer)]
+        assert len(tables) == 2 * 2  # two discrete models, two seeds
+        assert len({id(t) for t in tables}) == 2
+        assert {t.num_levels for t in tables} == {3, 7}
 
     def test_normalized_at_least_one_against_exhaustive_reference(self):
         results = run_experiment(tiny_config(seeds=5))

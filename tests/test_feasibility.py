@@ -10,10 +10,12 @@ from ratesched import (
     GainMatrix,
     NodeSpec,
     NumericalError,
+    RadioConfig,
     ValidationError,
     Verdict,
     achieved_sinr,
     check_rate_vector,
+    check_targets,
     disc4_table,
     disc8_table,
     min_power_vector,
@@ -42,6 +44,62 @@ def reference_min_power(gains, targets, noise):
     if not (np.all(np.isfinite(powers)) and np.all(powers > 0)):
         raise NumericalError("reference solve broke down")
     return powers, rho
+
+
+def frozen_min_power_vector(gains, sinr_targets, noise):
+    """The elimination of ``min_power_vector`` as first written, kept verbatim
+    (on ``gains.g.T.tolist()``, with ``all(...)`` checks) so that the lean
+    kernel can be held to the same float operations in the same order."""
+    t = sinr_targets.tolist() if isinstance(sinr_targets, np.ndarray) else sinr_targets
+    cols = gains.g.T.tolist()
+    n = len(cols)
+    try:
+        valid = len(t) == n and all(x > 0 for x in t)
+    except TypeError:  # a scalar, or a nested list
+        valid = False
+    if not valid:
+        raise ValidationError("one SINR target > 0 per link required")
+    a, u = [], []
+    for i, col in enumerate(cols):
+        ti = t[i]
+        gii = col[i]
+        s = ti / gii
+        row = [-(x * s) for x in col]
+        row[i] = 1.0
+        if not all(map(math.isfinite, row)):
+            return None
+        a.append(row)
+        u.append(ti * noise / gii)
+    for c in range(n):
+        pivot_row = a[c]
+        pivot = pivot_row[c]
+        if not pivot > 0:
+            return None
+        for r in range(c + 1, n):
+            row = a[r]
+            m = row[c] / pivot
+            for j in range(c + 1, n):
+                row[j] -= m * pivot_row[j]
+            u[r] -= m * u[c]
+    p = u
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = p[i]
+        for j in range(i + 1, n):
+            s -= row[j] * p[j]
+        p[i] = s / row[i]
+    if not all(math.isfinite(x) and x > 0 for x in p):
+        raise NumericalError("non-finite or non-positive minimum power")
+    return tuple(p)
+
+
+def kernel_outcome(kernel, gains, targets, noise=None):
+    """``"None"``, ``"NumericalError"`` or the powers as exact hex strings."""
+    try:
+        powers = kernel(gains, targets, NOISE if noise is None else noise)
+    except NumericalError:
+        return "NumericalError"
+    return "None" if powers is None else [p.hex() for p in powers]
 
 
 def _log_uniform(draw, lo, hi):
@@ -207,6 +265,42 @@ class TestMinPowerVector:
         elif powers is not None:
             assert all(math.isfinite(p) and p > 0 for p in powers)
 
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        system=st.one_of(small_systems(), near_singular_systems()),
+        huge=st.lists(st.sampled_from([None, math.inf, 1e300, 1.7e308]), max_size=5),
+        as_list=st.booleans(),
+    )
+    def test_bit_identical_to_the_frozen_elimination(self, system, huge, as_list):
+        # the same float operations in the same order: equal bits, the same
+        # None and the same NumericalError, for array and list targets
+        gains, targets = system
+        for i, x in enumerate(huge[: gains.n]):
+            if x is not None:
+                targets[i] = x
+        if as_list:
+            targets = targets.tolist()
+        assert kernel_outcome(min_power_vector, gains, targets) == kernel_outcome(
+            frozen_min_power_vector, gains, targets
+        )
+
+    @pytest.mark.parametrize(
+        "g, targets, outcome",
+        [
+            # an infinite target makes F[1, 0] infinite
+            ([[1e-6, 1e-8], [1e-8, 1e-6]], [math.inf, 10.0], "None"),
+            # rho(F) = 2, so the second pivot is 1 - 4
+            ([[1e-6, 2e-7], [2e-7, 1e-6]], [10.0, 10.0], "None"),
+            # u = 1e308 * 1e-8 / 1e-9 overflows for one link
+            ([[1e-9]], [1e308], "NumericalError"),
+        ],
+        ids=["nonfinite-F", "pivot", "numerical"],
+    )
+    def test_frozen_elimination_edge_cases(self, g, targets, outcome):
+        gains = GainMatrix(g)
+        assert kernel_outcome(frozen_min_power_vector, gains, targets, 1e-8) == outcome
+        assert kernel_outcome(min_power_vector, gains, targets, 1e-8) == outcome
+
     def test_target_validation(self):
         with pytest.raises(ValidationError):
             min_power_vector(GainMatrix([[1e-7]]), [10.0, 10.0], 1e-8)
@@ -214,6 +308,46 @@ class TestMinPowerVector:
             min_power_vector(GainMatrix([[1e-7]]), [-1.0], 1e-8)
         with pytest.raises(ValidationError):
             min_power_vector(GainMatrix([[1e-7]]), [[10.0]], 1e-8)
+
+
+class TestCheckTargets:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        system=small_systems(),
+        time=st.floats(1e-9, 1e-3),
+        delay=st.floats(1e-9, 1e-3),
+        energy=st.floats(1e-12, 1e-3),
+        p_max=st.sampled_from([1e-3, 0.25, 10.0]),
+    )
+    def test_scalar_list_and_tuple_arguments_agree(self, system, time, delay, energy, p_max):
+        # a scalar stands for every link: one report for a float, a list and a
+        # tuple of each of times, delays and energies
+        gains, targets = system
+        radio = RadioConfig(p_max=p_max, noise_power=NOISE, bandwidth_hz=1e8)
+        n = gains.n
+        forms = [
+            (time, delay, energy),
+            ([time] * n, [delay] * n, [energy] * n),
+            ((time,) * n, (delay,) * n, (energy,) * n),
+            (time, [delay] * n, (energy,) * n),
+        ]
+        reports = {check_targets(gains, targets, radio, *form) for form in forms}
+        assert len(reports) == 1
+
+    def test_scalar_stands_for_every_link_at_every_verdict(self):
+        gains = GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]])
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
+        cases = {
+            Verdict.FEASIBLE: ([10.0, 10.0], 1e-6, 1e-3, 1.0),
+            Verdict.INFEASIBLE_SPECTRAL: ([1e3, 1e3], 1e-6, 1e-3, 1.0),
+            # rho(F) = 0.9, p = 90 * 1e-8 / (1e-6 * 0.1) = 9 W
+            Verdict.INFEASIBLE_MAX_POWER: ([90.0, 90.0], 1e-6, 1e-3, 1.0),
+            Verdict.INFEASIBLE_DELAY: ([10.0, 10.0], 1e-3, 1e-6, 1.0),
+            Verdict.INFEASIBLE_ENERGY: ([10.0, 10.0], 1e-6, 1e-3, 1e-12),
+        }
+        for verdict, (targets, t, d, e) in cases.items():
+            for args in ((t, d, e), ([t] * 2, [d] * 2, [e] * 2), ((t,) * 2, (d,) * 2, (e,) * 2)):
+                assert check_targets(gains, targets, radio, *args).verdict is verdict
 
 
 def _single_node(delay=1e-3, energy=math.inf):

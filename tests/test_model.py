@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratesched import (
     GainMatrix,
@@ -61,6 +64,14 @@ class TestRateTableInvariants:
         with pytest.raises(ValidationError, match="not in table"):
             table.index_of(1.0)
 
+    def test_threshold_for_rate(self):
+        table = disc8_table(1e8)
+        for q in range(table.num_levels):
+            assert table.threshold_for_rate(table.rate(q)) == table.threshold(q)
+        for rate in (1.0, math.nan, [table.rate(0)]):
+            with pytest.raises(ValidationError, match="not in table"):
+                table.threshold_for_rate(rate)
+
     def test_convex_ladder_rejected(self):
         # slope from the origin is 5, next chord slope is 15; not concave
         with pytest.raises(ValidationError, match="concave"):
@@ -103,6 +114,37 @@ class TestNodeAndRadioValidation:
         g = GainMatrix([[1e-6]])
         with pytest.raises(ValueError):
             g.g[0, 0] = 1.0
+
+
+@st.composite
+def gains_and_subset(draw):
+    """A gain matrix of one to eight links and distinct positions in any order."""
+    n = draw(st.integers(1, 8))
+    g = np.array(draw(st.lists(st.floats(1e-12, 1e-3), min_size=n * n, max_size=n * n)))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return GainMatrix(g.reshape(n, n)), idx
+
+
+class TestGainMatrixColumns:
+    def test_cols_are_the_columns_as_python_floats(self):
+        gains = GainMatrix([[1.0, 2.0], [3.0, 4.0]])
+        assert gains.cols == ((1.0, 3.0), (2.0, 4.0))
+        assert all(type(x) is float for col in gains.cols for x in col)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=gains_and_subset())
+    def test_sub_equals_a_validated_submatrix(self, case):
+        gains, idx = case
+        sub = gains.sub(idx)
+        ref = GainMatrix(gains.g[np.ix_(idx, idx)])
+        assert sub.n == ref.n == len(idx)
+        assert sub.g.dtype == ref.g.dtype and sub.g.shape == ref.g.shape
+        assert sub.g.tobytes() == ref.g.tobytes()
+        assert [[x.hex() for x in c] for c in sub.cols] == [[x.hex() for x in c] for c in ref.cols]
+        assert type(sub.cols) is tuple and all(type(c) is tuple for c in sub.cols)
+        assert not sub.g.flags.writeable
+        with pytest.raises(ValueError):
+            sub.g[0, 0] = 1.0
 
 
 def _nodes_with_periods(periods):

@@ -15,6 +15,9 @@ speed falls on both sides alike.
 With ``--trace-seed`` each tree also makes one ``--trace 1`` run per
 workload, and every metric it prints is kept, including those that are not
 ``per_layer`` metrics of ``BENCHMARK.json`` (``scheduling.exhaustive.self_s``).
+Every ``per_layer`` metric whose unit is ``count`` is then compared between
+the two traced runs, and ``counts_moved`` maps each one that differs to its
+``[base, head]`` values; it is empty when both sides did the same work.
 
 The summary holds, per workload and end-to-end metric, each side's runs,
 median and quartiles (``statistics.quantiles``, inclusive method), the
@@ -114,6 +117,18 @@ def summarise(metric: dict, pairs: list[dict]) -> dict:
     }
 
 
+def counts_moved(bench: dict, trace: dict) -> dict:
+    """``{name: [base, head]}`` for every ``per_layer`` count of
+    ``BENCHMARK.json`` that differs between the two traced runs."""
+    moved = {}
+    for metric in bench["per_layer"]:
+        name = metric["name"]
+        values = [trace[side].get(name) for side in ("base", "head")]
+        if metric["unit"] == "count" and values[0] != values[1]:
+            moved[name] = values
+    return moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
@@ -176,6 +191,7 @@ def main(argv=None) -> int:
                                        args.trace_seed, seconds, 1)
                     entry["trace"][side] = dict(traced["printed"], correct=traced["correct"],
                                                 failed=traced["failed"])
+                entry["counts_moved"] = counts_moved(bench, entry["trace"])
             summary["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
