@@ -169,7 +169,7 @@ def check_targets(
     if max(powers) > radio.p_max:
         return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
     n = len(powers)
-    times = [times] * n if type(times) is float else _per_link(times, n)
+    times = _per_link(times, n)
     for x, d in zip(times, _per_link(delays, n)):
         if x > d:
             return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
