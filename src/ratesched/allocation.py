@@ -37,14 +37,13 @@ __all__ = ["lttf", "brute_force_optimal", "continuous_optimal"]
 _REL_TOL = 1e-6
 
 
-def _result_for(nodes, rates, report: FeasibilityReport) -> AllocationResult:
-    times = tuple(n.packet_bits / r for n, r in zip(nodes, rates))
+def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
     return AllocationResult(
         feasible=True,
         slot=max(times),
         rates=tuple(rates),
         powers=report.min_powers,
-        times=times,
+        times=tuple(times),
     )
 
 
@@ -58,7 +57,8 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
     stops when that link already sits at the top level or the raise breaks
     feasibility, and the last feasible vector is returned together with its
     minimum power vector and slot length. Runs at most num_levels * len(nodes)
-    feasibility checks.
+    feasibility checks, each a direct ``check_targets`` call on the thresholds
+    ``table.threshold(q)`` of the current levels.
     """
     nodes = list(nodes)
     if not nodes:
@@ -70,20 +70,24 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
         if q is None:
             return AllocationResult.infeasible()
         levels.append(q)
+    bits = [n.packet_bits for n in nodes]
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
 
-    best: AllocationResult | None = None
+    best = None
     while True:
         rates = [table.rate(q) for q in levels]
-        report = check_rate_vector(nodes, gains, rates, table, radio)
+        times = [b / r for b, r in zip(bits, rates)]
+        targets = [table.threshold(q) for q in levels]
+        report = check_targets(gains, targets, radio, times, delays, energies)
         if not report.feasible:
             break
-        times = [n.packet_bits / r for n, r in zip(nodes, rates)]
+        best = rates, times, report
         j = max(range(len(nodes)), key=lambda i: (times[i], -i))
-        best = _result_for(nodes, rates, report)
         if levels[j] == top:
             break
         levels[j] += 1
-    return best if best is not None else AllocationResult.infeasible()
+    return _result_for(*best) if best is not None else AllocationResult.infeasible()
 
 
 def brute_force_optimal(
@@ -93,7 +97,8 @@ def brute_force_optimal(
 
     Guarded to at most 4 links and 8 usable levels. Ties on the slot length
     are broken by the lexicographically smallest level-index vector, which the
-    enumeration order delivers for free.
+    enumeration order delivers for free. It checks rates through
+    ``check_rate_vector``, so it shares no loop with ``lttf``.
     """
     nodes = list(nodes)
     if not nodes:
@@ -108,9 +113,9 @@ def brute_force_optimal(
         report = check_rate_vector(nodes, gains, rates, table, radio)
         if not report.feasible:
             continue
-        slot = max(n.packet_bits / r for n, r in zip(nodes, rates))
-        if best is None or slot < best.slot:
-            best = _result_for(nodes, rates, report)
+        times = [n.packet_bits / r for n, r in zip(nodes, rates)]
+        if best is None or max(times) < best.slot:
+            best = _result_for(rates, times, report)
     return best if best is not None else AllocationResult.infeasible()
 
 
@@ -146,6 +151,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     nodes = list(nodes)
     if not nodes:
         raise ValidationError("subset must be nonempty")
+    k = len(nodes)
     bits = np.array([n.packet_bits for n in nodes])
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
@@ -154,16 +160,15 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
 
     def probe(t: float) -> FeasibilityReport:
         targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
-        return check_targets(gains, targets, radio, t, delays, energies)
+        return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
     def allocation_at(t: float, report: FeasibilityReport) -> AllocationResult:
-        rates = tuple(b / t for b in bits)
         return AllocationResult(
             feasible=True,
             slot=t,
-            rates=rates,
+            rates=tuple(b / t for b in bits),
             powers=report.min_powers,
-            times=(t,) * len(nodes),
+            times=(t,) * k,
         )
 
     t_hi = float(min(delays))
@@ -176,7 +181,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz)
     if not np.all(hi_targets > 0):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = check_targets(gains, hi_targets.tolist(), radio, t_hi, delays, energies)
+    hi_report = check_targets(gains, hi_targets.tolist(), radio, [t_hi] * k, delays, energies)
     if not hi_report.feasible:
         return AllocationResult.infeasible()
     if not t_lo > 0:

@@ -136,8 +136,8 @@ class ExperimentConfig:
             raise ConfigError("packet_bits_set must be positive numbers")
         if not _positive(self.energy_scale):
             raise ConfigError("energy_scale must be a finite number > 0")
-        if not (_is_a(self.seeds, int) and self.seeds >= 1):
-            raise ConfigError("seeds must be an integer >= 1")
+        if not _positive(self.seeds, int, sys.maxsize):
+            raise ConfigError("seeds must be an integer in [1, sys.maxsize]")
         if not (_is_a(self.master_seed, int) and self.master_seed >= 0):
             raise ConfigError("master_seed must be an integer >= 0")
         if not (self.period_set and _positive_numbers(self.period_set, int)):
@@ -417,7 +417,9 @@ def emit_results(results, path, fmt: str = "csv") -> None:
                 writer.writerow(row)
     elif fmt == "json":
         with open(path, "w") as fh:
-            json.dump([{c: row[c] for c in RESULT_COLUMNS} for row in rows], fh, indent=2)
+            # the means of a sweep point without kept seeds are NaN: null in JSON
+            doc = [{c: None if row[c] != row[c] else row[c] for c in RESULT_COLUMNS} for row in rows]
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -160,33 +160,28 @@ def check_targets(
     Checks, in order: existence of a power solution (rho(F) < 1, by the
     pivots of ``min_power_vector``), p <= p_max per link, time <= delay per
     link, time * power <= energy per link. The first failing check fixes the
-    verdict. ``times``, ``delays`` and ``energies`` hold one value per link,
-    or one scalar for all links.
+    verdict. ``times``, ``delays`` and ``energies`` are sequences of one
+    value per link, checked against ``gains.n`` before the kernel runs: a
+    scalar or a wrong length raises ValidationError at every verdict.
     """
+    try:
+        valid = len(times) == len(delays) == len(energies) == gains.n
+    except TypeError:  # a scalar
+        valid = False
+    if not valid:
+        raise ValidationError("one time, delay and energy per link required")
     powers = min_power_vector(gains, sinr_targets, radio.noise_power)
     if powers is None:
         return FeasibilityReport(Verdict.INFEASIBLE_SPECTRAL)
     if max(powers) > radio.p_max:
         return FeasibilityReport(Verdict.INFEASIBLE_MAX_POWER, powers)
-    n = len(powers)
-    times = _per_link(times, n)
-    for x, d in zip(times, _per_link(delays, n)):
+    for x, d in zip(times, delays):
         if x > d:
             return FeasibilityReport(Verdict.INFEASIBLE_DELAY, powers)
-    for x, y, e in zip(times, powers, _per_link(energies, n)):
+    for x, y, e in zip(times, powers, energies):
         if x * y > e:
             return FeasibilityReport(Verdict.INFEASIBLE_ENERGY, powers)
     return FeasibilityReport(Verdict.FEASIBLE, powers)
-
-
-def _per_link(values, n: int):
-    """``values`` as n per-link numbers; a scalar (a value without a length)
-    stands for every link."""
-    if not hasattr(values, "__len__"):
-        return [values] * n
-    if len(values) != n:
-        raise ValidationError("one time, delay and energy per link required")
-    return values
 
 
 def check_rate_vector(

@@ -58,8 +58,6 @@ class RateTable:
     levels: tuple[tuple[float, float], ...]
     bandwidth_hz: float
     dropped_db: tuple[float, ...] = field(default=())
-    # rate -> level index, built once from ``levels``
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.levels:
@@ -86,7 +84,6 @@ class RateTable:
         for a, b in zip(slopes, slopes[1:]):
             if b > a * (1 + 1e-12):
                 raise ValidationError("threshold->rate map must be concave")
-        object.__setattr__(self, "_index", {r: q for q, (_, r) in enumerate(self.levels)})
 
     @property
     def num_levels(self) -> int:
@@ -104,10 +101,10 @@ class RateTable:
 
     def index_of(self, rate: float) -> int:
         """Level index of an exact rate value; raises if the rate is unknown."""
-        try:
-            return self._index[rate]
-        except (KeyError, TypeError):  # TypeError: an unhashable rate
-            raise ValidationError(f"rate {rate!r} not in table") from None
+        for q, (_, r) in enumerate(self.levels):
+            if r == rate:
+                return q
+        raise ValidationError(f"rate {rate!r} not in table")
 
     def threshold_for_rate(self, rate: float) -> float:
         """SINR threshold of an exact rate value; raises if the rate is unknown."""

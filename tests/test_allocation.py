@@ -10,6 +10,7 @@ from ratesched import (
     GainMatrix,
     NodeSpec,
     ValidationError,
+    Verdict,
     brute_force_optimal,
     build_rate_table,
     check_rate_vector,
@@ -73,22 +74,60 @@ class TestLttf:
             assert all(p <= TABLE1_RADIO.p_max for p in res.powers)
 
     def test_check_budget(self, monkeypatch):
-        # the ladder walk performs at most num_levels * n feasibility checks
+        # the ladder walk performs at most num_levels * n feasibility checks,
+        # and at least one once every link has a level within its delay bound
         rng = np.random.default_rng(12)
         calls = 0
 
         def counting_check(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return check_rate_vector(*args, **kwargs)
+            return check_targets(*args, **kwargs)
 
-        monkeypatch.setattr(ratesched.allocation, "check_rate_vector", counting_check)
+        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        walks = 0
         for _ in range(50):
             n = int(rng.integers(1, 4))
             nodes, gains = random_instance(rng, n, DISC8, tight_delay_prob=0.2)
             calls = 0
             lttf(nodes, gains, DISC8, TABLE1_RADIO)
+            starts = all(
+                DISC8.lowest_level_within(node.packet_bits, node.delay_bound) is not None
+                for node in nodes
+            )
+            assert (calls >= 1) == starts
             assert calls <= DISC8.num_levels * n
+            walks += starts
+        assert walks >= 25
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        table=st.sampled_from([DISC4, DISC8]),
+        energy_prob=st.sampled_from([0.0, 0.5, 1.0]),
+        loose_delay=st.sampled_from([1e-3, 2e-6]),
+    )
+    def test_walk_agrees_with_the_rate_vector_check(
+        self, seed, k, table, energy_prob, loose_delay
+    ):
+        # lttf checks level vectors itself; the public rate-based check must
+        # find each of its results feasible at the very same minimum powers
+        rng = np.random.default_rng(seed)
+        nodes, gains = random_instance(
+            rng, 6, table, tight_delay_prob=0.3, binding_energy_prob=energy_prob,
+            loose_delay=loose_delay,
+        )
+        idx = sorted(int(i) for i in rng.choice(6, size=k, replace=False))
+        subset, sub_gains = [nodes[i] for i in idx], gains.sub(idx)
+        res = lttf(subset, sub_gains, table, TABLE1_RADIO)
+        if not res.feasible:
+            return
+        rep = check_rate_vector(subset, sub_gains, res.rates, table, TABLE1_RADIO)
+        assert rep.verdict is Verdict.FEASIBLE
+        assert [p.hex() for p in rep.min_powers] == [p.hex() for p in res.powers]
+        for node, rate, t in zip(subset, res.rates, res.times):
+            assert t == node.packet_bits / rate
 
 
 class TestBruteForceOracle:

@@ -74,6 +74,8 @@ INVALID_FIELDS = (
     # counts beyond numpy's largest array dimension, sys.maxsize
     {"n_controllers": 10**400},
     {"n_sensors": 10**300},
+    # run_experiment would loop over range(seeds) for ever
+    {"seeds": 10**400},
     # disc ladder rates overflow to inf at this bandwidth
     {"radio": {"bandwidth_hz": 1e308}, "n_sensors": 2, "seeds": 1},
     # an empty sweep list would run no seed
@@ -355,7 +357,8 @@ class TestRunExperiment:
         # module globals; a call that bypassed them (say, an inlined kernel)
         # would silently read as zero work
         counts = Counter()
-        kernel, check = feasibility.min_power_vector, feasibility.check_targets
+        kernel, check, walk = feasibility.min_power_vector, feasibility.check_targets, scheduling.lttf
+        walking = []
 
         def counting_kernel(gains, sinr_targets, noise):
             counts[f"k{min(gains.n, 3)}"] += 1
@@ -364,12 +367,21 @@ class TestRunExperiment:
         def counting_check(module):
             def wrapped(*args):
                 counts[module] += 1
+                counts[module + "/lttf"] += bool(walking)
                 return check(*args)
             return wrapped
+
+        def counting_walk(*args):
+            walking.append(True)
+            try:
+                return walk(*args)
+            finally:
+                walking.pop()
 
         monkeypatch.setattr(feasibility, "min_power_vector", counting_kernel)
         monkeypatch.setattr(feasibility, "check_targets", counting_check("feasibility"))
         monkeypatch.setattr(allocation, "check_targets", counting_check("allocation"))
+        monkeypatch.setattr(scheduling, "lttf", counting_walk)
         run_experiment(
             tiny_config(
                 n_sensors=8, n_controllers=8, density=50.0, seeds=2,
@@ -377,11 +389,10 @@ class TestRunExperiment:
             )
         )
         assert counts["k1"] and counts["k2"] and counts["k3"]
-        # discrete checks come through feasibility, continuous probes through allocation
-        assert counts["feasibility"] and counts["allocation"]
+        # ladder walks and continuous probes alike come through allocation
+        assert 0 < counts["allocation/lttf"] < counts["allocation"]
         kernel_calls = counts["k1"] + counts["k2"] + counts["k3"]
         assert counts["feasibility"] + counts["allocation"] == kernel_calls
-
 
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
@@ -499,6 +510,24 @@ class TestEmitResults:
         emit_results(results, out, fmt="json")
         loaded = json.loads(out.read_text())
         assert loaded == [{c: row[c] for c in RESULT_COLUMNS} for row in results.rows]
+
+    def test_json_writes_null_for_a_point_without_kept_seeds(self, tmp_path):
+        # no seed survives at density 1e-6, so that point's means are NaN,
+        # which strict JSON has no token for
+        cfg = tiny_config(density=[5.0, 1e-6], n_sensors=3, seeds=3)
+        out = tmp_path / "r.json"
+        emit_results(run_experiment(cfg), out, fmt="json")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        loaded = json.loads(out.read_text(), parse_constant=reject)
+        means = ("mean_norm", "std_norm", "mean_max_active_s")
+        empty = [row for row in loaded if row["seed_count"] == 0]
+        kept = [row for row in loaded if row["seed_count"] > 0]
+        assert empty and kept
+        assert all(row[c] is None for row in empty for c in means)
+        assert all(isinstance(row[c], float) for row in kept for c in means)
 
     def test_empty_rows_give_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

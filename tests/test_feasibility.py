@@ -310,44 +310,64 @@ class TestMinPowerVector:
             min_power_vector(GainMatrix([[1e-7]]), [[10.0]], 1e-8)
 
 
+# One case per verdict on two symmetric links: the SINR targets, then the
+# time, delay and energy that both links share.
+PAIR_GAINS = GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]])
+PAIR_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
+PAIR_CASES = {
+    Verdict.FEASIBLE: ([10.0, 10.0], 1e-6, 1e-3, 1.0),
+    Verdict.INFEASIBLE_SPECTRAL: ([1e3, 1e3], 1e-6, 1e-3, 1.0),
+    # rho(F) = 0.9, p = 90 * 1e-8 / (1e-6 * 0.1) = 9 W
+    Verdict.INFEASIBLE_MAX_POWER: ([90.0, 90.0], 1e-6, 1e-3, 1.0),
+    Verdict.INFEASIBLE_DELAY: ([10.0, 10.0], 1e-3, 1e-6, 1.0),
+    Verdict.INFEASIBLE_ENERGY: ([10.0, 10.0], 1e-6, 1e-3, 1e-12),
+}
+
+
 class TestCheckTargets:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         system=small_systems(),
-        time=st.floats(1e-9, 1e-3),
-        delay=st.floats(1e-9, 1e-3),
-        energy=st.floats(1e-12, 1e-3),
+        data=st.data(),
         p_max=st.sampled_from([1e-3, 0.25, 10.0]),
     )
-    def test_scalar_list_and_tuple_arguments_agree(self, system, time, delay, energy, p_max):
-        # a scalar stands for every link: one report for a float, a list and a
-        # tuple of each of times, delays and energies
+    def test_list_tuple_and_ndarray_arguments_agree(self, system, data, p_max):
+        # one report for a list, a tuple and an ndarray of each of times,
+        # delays and energies
         gains, targets = system
         radio = RadioConfig(p_max=p_max, noise_power=NOISE, bandwidth_hz=1e8)
         n = gains.n
+
+        def per_link(lo, hi):
+            return data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+        values = (per_link(1e-9, 1e-3), per_link(1e-9, 1e-3), per_link(1e-12, 1e-3))
         forms = [
-            (time, delay, energy),
-            ([time] * n, [delay] * n, [energy] * n),
-            ((time,) * n, (delay,) * n, (energy,) * n),
-            (time, [delay] * n, (energy,) * n),
+            values,
+            tuple(tuple(v) for v in values),
+            tuple(np.array(v) for v in values),
+            (values[0], tuple(values[1]), np.array(values[2])),
         ]
         reports = {check_targets(gains, targets, radio, *form) for form in forms}
         assert len(reports) == 1
 
-    def test_scalar_stands_for_every_link_at_every_verdict(self):
-        gains = GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]])
-        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
-        cases = {
-            Verdict.FEASIBLE: ([10.0, 10.0], 1e-6, 1e-3, 1.0),
-            Verdict.INFEASIBLE_SPECTRAL: ([1e3, 1e3], 1e-6, 1e-3, 1.0),
-            # rho(F) = 0.9, p = 90 * 1e-8 / (1e-6 * 0.1) = 9 W
-            Verdict.INFEASIBLE_MAX_POWER: ([90.0, 90.0], 1e-6, 1e-3, 1.0),
-            Verdict.INFEASIBLE_DELAY: ([10.0, 10.0], 1e-3, 1e-6, 1.0),
-            Verdict.INFEASIBLE_ENERGY: ([10.0, 10.0], 1e-6, 1e-3, 1e-12),
-        }
-        for verdict, (targets, t, d, e) in cases.items():
-            for args in ((t, d, e), ([t] * 2, [d] * 2, [e] * 2), ((t,) * 2, (d,) * 2, (e,) * 2)):
-                assert check_targets(gains, targets, radio, *args).verdict is verdict
+    def test_sequence_forms_agree_at_every_verdict(self):
+        for verdict, (targets, t, d, e) in PAIR_CASES.items():
+            for form in (list, tuple, np.array):
+                args = (form([t] * 2), form([d] * 2), form([e] * 2))
+                assert check_targets(PAIR_GAINS, targets, PAIR_RADIO, *args).verdict is verdict
+
+    def test_scalar_or_wrong_length_raises_at_every_verdict(self):
+        # lengths are checked before the kernel runs, so the verdict the
+        # values would reach makes no difference
+        for targets, t, d, e in PAIR_CASES.values():
+            good = ([t] * 2, [d] * 2, [e] * 2)
+            for pos, value in enumerate((t, d, e)):
+                for bad in (value, np.float64(value), np.array(value), [value], [value] * 3):
+                    args = list(good)
+                    args[pos] = bad
+                    with pytest.raises(ValidationError, match="per link"):
+                        check_targets(PAIR_GAINS, targets, PAIR_RADIO, *args)
 
 
 def _single_node(delay=1e-3, energy=math.inf):
