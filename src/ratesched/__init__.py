@@ -50,6 +50,7 @@ from .scheduling import (
     SubsetPricer,
     TablePricer,
     compute_metrics,
+    exhaustive_fits,
     exhaustive_schedule,
     mla_allocate,
     mua_allocate,

@@ -1,14 +1,14 @@
 """Command-line experiment runner.
 
-Reads a JSON config, runs the sweep and writes aggregated results. Exit
-codes: 0 on success, 2 on configuration errors, 3 when every seed of every
-sweep point was unusable (infeasible, or dropped on a NumericalError).
+Reads a JSON config, the one source of settings (the master seed too), runs
+the sweep and writes aggregated results. Exit codes: 0 on success, 2 on
+configuration errors, 3 when every seed of every sweep point was unusable
+(infeasible, or dropped on a NumericalError).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .experiment import ConfigError, ExperimentConfig, emit_results, run_experiment
@@ -22,13 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument(
-        "--exhaustive-guard",
-        type=int,
-        default=None,
-        help="largest sensor count priced against the exhaustive reference",
-    )
     return parser
 
 
@@ -36,12 +29,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.exhaustive_guard is not None:
-            overrides["exhaustive_guard"] = args.exhaustive_guard
-        cfg = dataclasses.replace(cfg, **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -38,13 +38,12 @@ from .model import (
     validate_instance,
 )
 from .scheduling import (
-    EXHAUSTIVE_MAX_NODES,
-    EXHAUSTIVE_MAX_SUBFRAMES,
     ContinuousPricer,
     InfeasibleInstanceError,
     STRATEGIES,
     SubsetPricer,
     TablePricer,
+    exhaustive_fits,
     exhaustive_schedule,
     schedule,
 )
@@ -92,11 +91,12 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Experiment description; any field may come from a JSON config file.
 
-    Exactly one of ``n_sensors`` and ``density`` may be a list, which makes it
-    the sweep variable. ``delay_rule`` is either the string "subframe" (delay
-    bound equals the effective subframe duration) or a fixed number of
-    seconds. ``energy_scale`` scales the default per-packet energy budget
-    p_max * delay_bound; at 1.0 the budget never binds.
+    At most one of ``n_sensors`` and ``density`` may be a list (or tuple) of
+    distinct values, which makes it the sweep variable. ``delay_rule`` is
+    either the string "subframe" (delay bound equals the effective subframe
+    duration) or a fixed number of seconds. ``energy_scale`` scales the
+    default per-packet energy budget p_max * delay_bound; at 1.0 the budget
+    never binds.
     """
 
     n_sensors: object = 8
@@ -111,7 +111,6 @@ class ExperimentConfig:
     packet_bits_set: tuple[float, ...] = (50.0, 100.0)
     delay_rule: object = "subframe"
     energy_scale: float = 1.0
-    exhaustive_guard: int = 8
     base_period_s: float = 1e-3
 
     def __post_init__(self):
@@ -123,13 +122,18 @@ class ExperimentConfig:
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r}")
-        if isinstance(self.n_sensors, list) and isinstance(self.density, list):
+        if isinstance(self.n_sensors, (list, tuple)) and isinstance(self.density, (list, tuple)):
             raise ConfigError("only one of n_sensors and density may sweep")
         if not (self.density and _positive_numbers(self.density)):
             raise ConfigError("density must be a finite number > 0 or a nonempty list")
         # numpy cannot size an array dimension beyond sys.maxsize
         if not (self.n_sensors and _positive_numbers(self.n_sensors, int, sys.maxsize)):
             raise ConfigError("n_sensors must be an integer in [1, sys.maxsize] or a list")
+        for name in ("n_sensors", "density"):
+            # compared as numbers: 5 and 5.0 are one sweep point
+            values = getattr(self, name)
+            if isinstance(values, (list, tuple)) and len(set(values)) < len(values):
+                raise ConfigError(f"{name} sweep values must be distinct")
         if not _positive(self.n_controllers, int, sys.maxsize):
             raise ConfigError("n_controllers must be an integer in [1, sys.maxsize]")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
@@ -148,8 +152,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"period_set spans more than {MAX_FRAME_SUBFRAMES} subframes per frame"
             )
-        if not (_is_a(self.exhaustive_guard, int) and self.exhaustive_guard >= 0):
-            raise ConfigError("exhaustive_guard must be an integer >= 0")
         if not _positive(self.base_period_s):
             raise ConfigError("base_period_s must be a finite number > 0")
         if self.delay_rule != "subframe" and not _positive(self.delay_rule):
@@ -196,18 +198,19 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a JSON document nested too deeply for the parser raises RecursionError
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)
 
     def sweep(self) -> tuple[str, list]:
-        if isinstance(self.n_sensors, list):
+        if isinstance(self.n_sensors, (list, tuple)):
             return "n_sensors", list(self.n_sensors)
-        if isinstance(self.density, list):
+        if isinstance(self.density, (list, tuple)):
             return "density", list(self.density)
         return "n_sensors", [self.n_sensors]
 
@@ -294,6 +297,11 @@ def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k:
 def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
     """All (strategy, model) max-actives plus the reference for one seed.
 
+    The reference is the ``cont`` optimum of ``exhaustive_schedule`` when the
+    instance fits it (``exhaustive_fits``), otherwise the smallest ``cont``
+    max-active over the configured strategies; ``cont`` is scheduled for the
+    reference only when it is not a configured model.
+
     Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
     some node cannot transmit alone under some needed model, so that averages
     always compare the same seeds. This is decided on solo prices before any
@@ -317,26 +325,22 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
         except InfeasibleInstanceError as exc:
             raise InfeasibleInstanceError(exc.node_id, model) from None
 
-    within_guard = (
-        n <= min(cfg.exhaustive_guard, EXHAUSTIVE_MAX_NODES)
-        and inst.subframe_count <= EXHAUSTIVE_MAX_SUBFRAMES
-    )
-    cont_heuristics = {}
     max_active: dict[tuple[str, str], float] = {}
     for strategy in cfg.strategies:
-        for model in needed:
+        for model in cfg.rate_models:
             _, metrics = schedule(pricers[model], strategy)
-            if model in cfg.rate_models:
-                max_active[(strategy, model)] = metrics.max_active
-            if model == "cont":
-                cont_heuristics[strategy] = metrics.max_active
+            max_active[(strategy, model)] = metrics.max_active
 
-    if within_guard:
+    if exhaustive_fits(inst):
         _, opt = exhaustive_schedule(pricers["cont"])
-        reference, ref_kind = opt.max_active, "exhaustive"
-    else:
-        reference, ref_kind = min(cont_heuristics.values()), "heuristic"
-    return max_active, reference, ref_kind
+        return max_active, opt.max_active, "exhaustive"
+    reference = min(
+        max_active[(strategy, "cont")]
+        if "cont" in cfg.rate_models
+        else schedule(pricers["cont"], strategy)[1].max_active
+        for strategy in cfg.strategies
+    )
+    return max_active, reference, "heuristic"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:

@@ -37,6 +37,7 @@ __all__ = [
     "mla_allocate",
     "mua_allocate",
     "schedule",
+    "exhaustive_fits",
     "exhaustive_schedule",
     "STRATEGIES",
 ]
@@ -414,14 +415,21 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
     return frame, compute_metrics(frame)
 
 
+def exhaustive_fits(inst: Instance) -> bool:
+    """Whether ``exhaustive_schedule`` takes ``inst``: at most 8 nodes and 4
+    subframes."""
+    nodes, subframes = len(inst.nodes), inst.subframe_count
+    return nodes <= EXHAUSTIVE_MAX_NODES and subframes <= EXHAUSTIVE_MAX_SUBFRAMES
+
+
 def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     """Exact minimum of the maximum active length of ``pricer.inst``, for
     small instances, under the slot prices of ``pricer``.
 
     Searches every offset assignment combined with every partition of each
     subframe population into feasible controller-distinct groups (computed
-    per period class by dynamic programming). Guarded to 8 nodes and 4
-    subframes.
+    per period class by dynamic programming). Raises ValidationError unless
+    ``exhaustive_fits(pricer.inst)``.
 
     Every period divides the frame length M, so shifting every offset by one
     subframe (off_i -> (off_i + 1) mod s_i) rotates the subframes of a frame
@@ -443,11 +451,10 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     most 64 KiB and its gathered costs 512 KiB.
     """
     inst = pricer.inst
-    if len(inst.nodes) > EXHAUSTIVE_MAX_NODES:
-        raise ValidationError(f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes")
-    if inst.subframe_count > EXHAUSTIVE_MAX_SUBFRAMES:
+    if not exhaustive_fits(inst):
         raise ValidationError(
-            f"exhaustive search limited to {EXHAUSTIVE_MAX_SUBFRAMES} subframes"
+            f"exhaustive search limited to {EXHAUSTIVE_MAX_NODES} nodes "
+            f"and {EXHAUSTIVE_MAX_SUBFRAMES} subframes"
         )
 
     m_count = inst.subframe_count

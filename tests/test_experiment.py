@@ -25,7 +25,7 @@ from ratesched import (
 from ratesched import allocation, experiment, feasibility, scheduling
 from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
-from ratesched.scheduling import STRATEGIES
+from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
 HEADER = ",".join(RESULT_COLUMNS)
 
@@ -42,7 +42,6 @@ INVALID_FIELDS = (
     {"n_sensors": [4, 0]},
     {"master_seed": -1},
     {"base_period_s": -1},
-    {"exhaustive_guard": "x"},
     {"seeds": 1.5},
     {"rate_models": []},
     {"strategies": []},
@@ -52,7 +51,6 @@ INVALID_FIELDS = (
     {"seeds": True},
     {"master_seed": False},
     {"n_controllers": True},
-    {"exhaustive_guard": True},
     {"energy_scale": True},
     {"base_period_s": True},
     {"density": True},
@@ -82,14 +80,18 @@ INVALID_FIELDS = (
     {"density": []},
     # radio overrides are JSON numbers, like every other number
     {"radio": {"p_max": "1"}},
+    # two sweep points under one key; values compare as numbers
+    {"n_sensors": [2, 2], "seeds": 2},
+    {"density": [5, 5.0]},
 )
 
 
 def field_id(doc):
     # the field name, with "-bool" for the boolean cases, "-nonfinite" for inf
     # and nan, "-huge" for integers beyond the float range, "-empty" for an
-    # empty sweep list, "-string" for a number given as a string and "-frame"
-    # for a frame longer than the bound, so ids stay unique
+    # empty sweep list, "-string" for a number given as a string, "-frame"
+    # for a frame longer than the bound and "-duplicate" for a repeated sweep
+    # value, so ids stay unique
     text = json.dumps(doc)
     name = next(iter(doc))
     if "true" in text or "false" in text:
@@ -104,6 +106,8 @@ def field_id(doc):
         return name + "-string"
     if name == "period_set" and max(doc[name]) > experiment.MAX_FRAME_SUBFRAMES:
         return name + "-frame"
+    if isinstance(doc[name], list) and len(set(doc[name])) < len(doc[name]):
+        return name + "-duplicate"
     return name
 
 
@@ -142,7 +146,6 @@ FUZZED_FIELDS = {
     "packet_bits_set": _fuzzed(st.floats(1.0, 1e3)),
     "delay_rule": _fuzzed(st.just("subframe")),
     "energy_scale": _fuzzed(st.floats(1e-2, 1e2)),
-    "exhaustive_guard": _fuzzed(st.integers(0, 10)),
     "base_period_s": _fuzzed(st.floats(1e-5, 1e-1)),
 }
 
@@ -162,7 +165,7 @@ def valid_configs(draw):
     base_period = draw(st.integers(1, 4))
 
     def maybe_swept(field, value):
-        return st.lists(value, min_size=1, max_size=4) if sweep == field else value
+        return st.lists(value, min_size=1, max_size=4, unique=True) if sweep == field else value
 
     doc = {
         "n_sensors": draw(maybe_swept("n_sensors", counts)),
@@ -181,7 +184,6 @@ def valid_configs(draw):
         "packet_bits_set": draw(st.lists(positive, min_size=1, max_size=4)),
         "delay_rule": draw(st.just("subframe") | positive),
         "energy_scale": draw(positive),
-        "exhaustive_guard": draw(st.integers(0, 10)),
         "base_period_s": draw(positive),
     }
     return ExperimentConfig.from_dict(doc)
@@ -199,6 +201,20 @@ def tiny_config(**overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def straddling_config(**overrides):
+    """Sweep points on both sides of the exhaustive limits: 7 to 9 nodes, and
+    frames of 1 to 8 subframes."""
+    doc = {"n_sensors": [7, 8, 9], "period_set": [1, 2, 4, 8], "seeds": 12,
+           "rate_models": ["cont", "disc8"]}
+    return tiny_config(**dict(doc, **overrides))
+
+
+def fits_exhaustive(cfg, n, point, k):
+    """Whether the instance drawn for one seed fits the exhaustive search."""
+    nodes, _ = experiment._draw_instance(cfg, n, cfg.density, point, k)
+    return exhaustive_fits(validate_instance(nodes))
 
 
 def paper_sweep():
@@ -239,6 +255,8 @@ class TestConfig:
     def test_double_sweep_rejected(self):
         with pytest.raises(ConfigError, match="only one"):
             ExperimentConfig.from_dict({"n_sensors": [2, 3], "density": [1.0, 2.0]})
+        with pytest.raises(ConfigError, match="only one"):
+            ExperimentConfig(n_sensors=(2, 3), density=(1.0, 2.0))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="rate model"):
@@ -282,6 +300,14 @@ class TestConfig:
         cfg = tiny_config(n_sensors=4)
         assert cfg.sweep() == ("n_sensors", [4])
 
+    def test_tuple_sweeps_like_a_list(self):
+        as_list = tiny_config(seeds=2)
+        as_tuple = dataclasses.replace(as_list, n_sensors=(2, 3))
+        assert as_tuple.sweep() == as_list.sweep()
+        assert run_experiment(as_tuple).rows == run_experiment(as_list).rows
+        with pytest.raises(ConfigError, match="density"):
+            dataclasses.replace(as_list, n_sensors=2, density=(5, 5.0))
+
 
 class TestRunExperiment:
     def test_row_structure_and_accounting(self):
@@ -321,10 +347,49 @@ class TestRunExperiment:
             for value in record["max_active"].values():
                 assert value / record["reference"] >= 1.0
 
-    def test_exhaustive_guard_zero_forces_heuristic_reference(self):
-        results = run_experiment(tiny_config(exhaustive_guard=0))
-        for counts in results.reference_counts.values():
-            assert counts["exhaustive"] == 0
+    def test_more_than_eight_nodes_take_the_heuristic_reference(self):
+        cfg = tiny_config(n_sensors=[9], seeds=4, rate_models=["cont", "disc8"])
+        results = run_experiment(cfg)
+        counts = results.reference_counts[("n_sensors", 9)]
+        assert counts["exhaustive"] == 0
+        assert counts["heuristic"] > 0
+
+    def test_exhaustive_reference_exactly_when_the_instance_fits(self):
+        cfg = straddling_config()
+        kinds = Counter()
+        for record in run_experiment(cfg).per_seed:
+            n, k = record["value"], record["seed_index"]
+            fits = fits_exhaustive(cfg, n, cfg.n_sensors.index(n), k)
+            assert record["reference_kind"] == ("exhaustive" if fits else "heuristic")
+            kinds[record["reference_kind"]] += 1
+        assert kinds["exhaustive"] and kinds["heuristic"]
+
+    def test_cont_is_scheduled_only_for_a_heuristic_reference(self, monkeypatch):
+        # cont is not configured: a seed that fits takes the exhaustive
+        # reference and runs no continuous heuristic, one that does not fit
+        # runs it once per strategy
+        cfg = straddling_config(rate_models=["disc8"])
+        original = experiment.schedule
+        continuous = []
+
+        def recording(pricer, strategy):
+            continuous.append(isinstance(pricer, scheduling.ContinuousPricer))
+            return original(pricer, strategy)
+
+        monkeypatch.setattr(experiment, "schedule", recording)
+        seen = set()
+        for point, n in enumerate(cfg.n_sensors):
+            for k in range(cfg.seeds):
+                continuous.clear()
+                try:
+                    experiment._run_seed(cfg, n, cfg.density, point, k)
+                except InfeasibleInstanceError:
+                    continue
+                fits = fits_exhaustive(cfg, n, point, k)
+                assert continuous.count(True) == (0 if fits else len(cfg.strategies))
+                assert continuous.count(False) == len(cfg.strategies)
+                seen.add(fits)
+        assert seen == {True, False}
 
     def test_single_node_normalization(self):
         # one node: the discrete solo slot divided by the continuous optimum
@@ -554,7 +619,8 @@ class TestCli:
         assert out.read_text().splitlines()[0] == HEADER
 
     def test_bad_config_exits_2(self, tmp_path):
-        for doc in ({"bogus_key": 1},) + INVALID_FIELDS:
+        # exhaustive_guard was a field once; the size limits are fixed now
+        for doc in ({"bogus_key": 1}, {"exhaustive_guard": 8}) + INVALID_FIELDS:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
 
@@ -583,14 +649,16 @@ class TestCli:
         value = data.draw(FUZZED_FIELDS[field])
         assert self.exit_code(field, value) in (0, 2, 3), (field, value)
 
-    def test_negative_seed_flag_exits_2(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 1})
-        out = str(tmp_path / "x.csv")
-        assert main(["--config", cfg, "--out", out, "--seed", "-1"]) == 2
-
-    def test_unreadable_config_exits_2(self, tmp_path):
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["--config", missing, "--out", str(tmp_path / "x.csv")]) == 2
+        # a byte that is not UTF-8, and nesting deeper than the JSON parser
+        # recurses
+        path = tmp_path / "config.json"
+        for data in (b'{"seeds": 2}\xff', b"[" * 100000):
+            path.write_bytes(data)
+            assert main(["--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+            assert "cannot read config" in capsys.readouterr().err
 
     def test_all_infeasible_exits_3(self, tmp_path, capsys):
         # a kilowatt of receiver noise makes every link unusable
@@ -619,24 +687,15 @@ class TestCli:
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
             assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 
-    def test_seed_flag_changes_output(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"n_sensors": 3, "seeds": 2})
-        out_a, out_b, out_c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        assert main(["--config", cfg, "--out", str(out_a), "--seed", "1"]) == 0
-        assert main(["--config", cfg, "--out", str(out_b), "--seed", "2"]) == 0
-        assert main(["--config", cfg, "--out", str(out_c), "--seed", "1"]) == 0
-        assert out_a.read_bytes() != out_b.read_bytes()
-        assert out_a.read_bytes() == out_c.read_bytes()
-
-    def test_exhaustive_guard_flag_overrides_config(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 2, "master_seed": 3})
-        out = str(tmp_path / "results.csv")
-        assert main(["--config", cfg, "--out", out]) == 0
-        assert "heuristic reference on 0," in capsys.readouterr().err
-        assert main(["--config", cfg, "--out", out, "--exhaustive-guard", "0"]) == 0
-        err = capsys.readouterr().err
-        assert "exhaustive reference on 0 seeds" in err
-        assert "heuristic reference on 0," not in err
+    def test_master_seed_changes_output(self, tmp_path):
+        outs = []
+        for name, seed in (("a", 1), ("b", 2), ("c", 1)):
+            cfg = self.write_config(tmp_path, {"n_sensors": 3, "seeds": 2, "master_seed": seed})
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["--config", cfg, "--out", str(outs[-1])]) == 0
+        out_a, out_b, out_c = (out.read_bytes() for out in outs)
+        assert out_a != out_b
+        assert out_a == out_c
 
     def test_json_format_flag(self, tmp_path):
         cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 1})

@@ -16,6 +16,7 @@ from ratesched import (
     ValidationError,
     compute_metrics,
     disc8_table,
+    exhaustive_fits,
     exhaustive_schedule,
     mla_allocate,
     mua_allocate,
@@ -488,6 +489,7 @@ class TestExhaustive:
     def test_node_guard(self):
         rng = np.random.default_rng(25)
         inst, gains = _random_real_instance(rng, 9)
+        assert not exhaustive_fits(inst)
         with pytest.raises(ValidationError, match="8 nodes"):
             exhaustive_schedule(gain_pricer(inst, gains))
 
@@ -497,6 +499,7 @@ class TestExhaustive:
             NodeSpec(id=1, controller_id=1, packet_bits=100.0, period=8, delay_bound=1e-3),
         ]
         inst = validate_instance(nodes)
+        assert not exhaustive_fits(inst)
         with pytest.raises(ValidationError, match="4 subframes"):
             exhaustive_schedule(gain_pricer(inst, GainMatrix(np.eye(2) * 1e-6 + 1e-12)))
 
@@ -562,5 +565,7 @@ class TestExhaustive:
             for i in range(8)
         ]
         inst = validate_instance(nodes)
+        assert (len(inst.nodes), inst.subframe_count) == (8, 4)
+        assert exhaustive_fits(inst)
         gains = random_gains(np.random.default_rng(28), 8, iso_db=(15.0, 25.0))
         assert_matches_oracle(inst, gain_pricer(inst, gains))

@@ -8,8 +8,9 @@ Both revisions are exported with ``bench_pairs.export``, so only committed
 files are compared. In each tree the ratesched CLI (``python3 -m
 ratesched.cli``) runs every workload config of ``perfbench/workloads.json``
 (the head tree's file, for both sides) at four master seeds: the workload's
-default and held-out seeds, 1001 and 20262. Each sweep leaves two files: its
-CSV, and a ``.refs`` file with the CLI's exit code and its stderr, which
+default and held-out seeds, 1001 and 20262, each written into the sweep's
+config file as ``master_seed``. Each sweep leaves two files: its CSV, and a
+``.refs`` file with the CLI's exit code and its stderr, which
 prints every sweep point's ``reference_counts`` (reference kinds, infeasible
 seeds per rate model, numerical drops). Every file is reported as ``same``
 or ``diff`` against the other side; the exit status is 1 if any differs.
@@ -34,12 +35,12 @@ def sweep(tree: Path, workload: str, config: dict, seed: int) -> tuple[Path, Pat
     """Run one workload sweep in ``tree``; its CSV and ``.refs`` paths."""
     out = tree / "same-results"
     out.mkdir(exist_ok=True)
-    config_path = out / f"{workload}.json"
-    config_path.write_text(json.dumps(config))
+    config_path = out / f"{workload}-{seed}.json"
+    config_path.write_text(json.dumps(dict(config, master_seed=seed)))
     csv_path = out / f"{workload}-{seed}.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "ratesched.cli", "--config", str(config_path),
-         "--out", str(csv_path), "--seed", str(seed)],
+         "--out", str(csv_path)],
         cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         capture_output=True, text=True,
     )
