@@ -619,7 +619,7 @@ class TestCli:
         assert out.read_text().splitlines()[0] == HEADER
 
     def test_bad_config_exits_2(self, tmp_path):
-        # exhaustive_guard was a field once; the size limits are fixed now
+        # the exhaustive search's size limits are not a setting
         for doc in ({"bogus_key": 1}, {"exhaustive_guard": 8}) + INVALID_FIELDS:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
