@@ -35,6 +35,11 @@ __all__ = ["lttf", "brute_force_optimal", "continuous_optimal"]
 
 # Relative width at which the continuous slot bisection stops.
 _REL_TOL = 1e-6
+# The continuous guide stops at this relative width of (no, yes) or after
+# _GUIDE_CAP probes; it steps a relative _NUDGE across a converged secant.
+_GUIDE_TOL = 1e-9
+_GUIDE_CAP = 40
+_NUDGE = 4e-10
 
 
 def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
@@ -56,9 +61,16 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
     gets its rate raised one level (ties broken by lowest position). The walk
     stops when that link already sits at the top level or the raise breaks
     feasibility, and the last feasible vector is returned together with its
-    minimum power vector and slot length. Runs at most num_levels * len(nodes)
-    feasibility checks, each a direct ``check_targets`` call on the thresholds
-    ``table.threshold(q)`` of the current levels.
+    minimum power vector and slot length.
+
+    The path of level vectors does not depend on any verdict. Along it targets
+    and (the ladder being concave) time * target products rise and times fall,
+    so by the series argument of ``continuous_optimal`` its verdicts are a
+    feasible prefix. So the path (at most 1 + (num_levels - 1) * len(nodes)
+    vectors) is built first, position 0 is checked (infeasible there, the
+    subset is) and the last feasible position is binary-searched: the linear
+    walk's result from at most 1 + ceil(log2(path length)) ``check_targets``
+    calls on the thresholds ``table.threshold(q)``.
     """
     nodes = list(nodes)
     if not nodes:
@@ -74,20 +86,34 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
 
-    best = None
+    path = [tuple(levels)]
     while True:
-        rates = [table.rate(q) for q in levels]
-        times = [b / r for b, r in zip(bits, rates)]
-        targets = [table.threshold(q) for q in levels]
-        report = check_targets(gains, targets, radio, times, delays, energies)
-        if not report.feasible:
-            break
-        best = rates, times, report
+        times = [b / table.rate(q) for b, q in zip(bits, levels)]
         j = max(range(len(nodes)), key=lambda i: (times[i], -i))
         if levels[j] == top:
             break
         levels[j] += 1
-    return _result_for(*best) if best is not None else AllocationResult.infeasible()
+        path.append(tuple(levels))
+
+    def check(pos: int):
+        rates = [table.rate(q) for q in path[pos]]
+        times = [b / r for b, r in zip(bits, rates)]
+        targets = [table.threshold(q) for q in path[pos]]
+        report = check_targets(gains, targets, radio, times, delays, energies)
+        return (rates, times, report) if report.feasible else None
+
+    best = check(0)
+    if best is None:
+        return AllocationResult.infeasible()
+    lo, hi = 0, len(path)  # position lo is feasible, none from hi on is
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2  # rounded up: many walks end at the top
+        found = check(mid)
+        if found is None:
+            hi = mid
+        else:
+            lo, best = mid, found
+    return _result_for(*best)
 
 
 def brute_force_optimal(
@@ -140,6 +166,20 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     slots form the one interval [t*, t_hi], and a single bisection between
     the interference-free single-link bound t_lo and t_hi finds t*.
 
+    That bisection is replayed: its result depends only on its monotone
+    verdicts, so a probed feasible slot ``yes`` and a probed infeasible slot
+    ``no`` decide every midpoint outside (no, yes). A guide that only
+    chooses where to probe first narrows (no, yes): a secant on 1/slack(t),
+    slack being the largest p_i/p_max and t*p_i/E_i of the last two probes
+    that found powers. 1/slack is close to linear in t near t*, by the pole
+    of p(t) where rho(F(t)) = 1, and far above it, where g_i(t) is about
+    b_i*ln2/(t*W). It takes a geometric step instead when the secant is
+    unusable or leaves (no, yes) or the last probe found no powers, and
+    steps just across a converged secant's root. The replay probes only the
+    midpoints inside (no, yes), and the final slot unless it was probed, so
+    slot and powers are the plain bisection's, bit for bit; should that final
+    probe be infeasible (rounding broke monotonicity), the plain one runs.
+
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
     ``_REL_TOL`` below it.
@@ -190,12 +230,55 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     if lo_report.feasible:
         return allocation_at(t_lo, lo_report)
 
-    lo, hi = t_lo, t_hi
-    while hi - lo > _REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        report = probe(mid)
-        if report.feasible:
-            hi, hi_report = mid, report
+    def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
+        s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
+        return 1.0 / s if 0.0 < s < math.inf else math.nan
+
+    def bisect(no: float, yes: float, yes_report: FeasibilityReport):
+        # The bisection from (t_lo, t_hi), probing only midpoints inside
+        # (no, yes); the report is None when the final slot was not probed.
+        lo, hi, report = t_lo, t_hi, hi_report
+        while hi - lo > _REL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            if no < mid < yes:
+                mid_report = probe(mid)
+                if mid_report.feasible:
+                    yes, yes_report = mid, mid_report
+                else:
+                    no = mid
+            if mid >= yes:
+                hi, report = mid, yes_report if mid == yes else None
+            else:
+                lo = mid
+        return hi, report
+
+    no, yes, yes_report = t_lo, t_hi, hi_report
+    t, last = t_lo, lo_report
+    t1, y1 = t_hi, inverse_slack(t_hi, hi_report.min_powers)
+    for _ in range(_GUIDE_CAP):
+        if yes - no <= _GUIDE_TOL * yes:
+            break
+        step = math.nan
+        if last.min_powers is not None:  # a secant through (t1, y1) and (t, y)
+            y = inverse_slack(t, last.min_powers)
+            if y != y1:
+                step = t + (1.0 - y) * (t - t1) / (y - y1)
+                if abs(step - t) <= _GUIDE_TOL * t:  # close from the other side
+                    step *= 1.0 - _NUDGE if last.feasible else 1.0 + _NUDGE
+            t1, y1 = t, y
+        if not no < step < yes:  # NaN too
+            step = math.sqrt(no) * math.sqrt(yes)  # sqrt(no * yes) can underflow
+            if not no < step < yes:
+                break
+        t, last = step, probe(step)
+        if last.feasible:
+            yes, yes_report = t, last
         else:
-            lo = mid
-    return allocation_at(hi, hi_report)
+            no = t
+
+    slot, report = bisect(no, yes, yes_report)
+    if report is None:
+        report = probe(slot)
+        if not report.feasible:  # float verdicts were not monotone: replay nothing
+            slot, report = bisect(t_lo, t_hi, hi_report)
+    return allocation_at(slot, report)

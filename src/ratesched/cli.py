@@ -2,13 +2,15 @@
 
 Reads a JSON config, the one source of settings (the master seed too), runs
 the sweep and writes aggregated results. Exit codes: 0 on success, 2 on
-configuration errors, 3 when every seed of every sweep point was unusable
+configuration errors or an unwritable output path (checked first too), 3,
+writing nothing, when every seed of every sweep point was unusable
 (infeasible, or dropped on a NumericalError).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiment import ConfigError, ExperimentConfig, emit_results, run_experiment
@@ -33,6 +35,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.path.isdir(out_dir):
+        print(f"cannot write {args.out}: a directory, or in a missing one", file=sys.stderr)
+        return 2
     results = run_experiment(cfg)
     for (var, value), counts in results.reference_counts.items():
         causes = [f"{model} {c}" for model, c in counts["infeasible_by_model"].items()]

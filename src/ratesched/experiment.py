@@ -316,8 +316,8 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
     pricers = {model: _pricer(model, inst, gains, cfg.radio) for model in needed}
 
-    # Table models first: a solo ladder walk takes about 4 feasibility checks,
-    # a continuous solo price 17-34 bisection probes.
+    # Table models first (this order also picks the model a drop is charged
+    # to): a solo ladder walk takes 1-4 checks, a continuous solo about 3.
     for model in sorted(needed, key=lambda m: m == "cont"):
         try:
             for i in inst.ids:

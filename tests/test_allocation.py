@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 import ratesched.allocation
 from ratesched import (
+    AllocationResult,
     GainMatrix,
     NodeSpec,
+    RadioConfig,
+    NumericalError,
     ValidationError,
     Verdict,
     brute_force_optimal,
@@ -25,6 +29,146 @@ from helpers import TABLE1_RADIO, random_instance, random_rate_indices
 
 DISC4 = disc4_table(1e8)
 DISC8 = disc8_table(1e8)
+
+
+def frozen_lttf(nodes, gains, table, radio):
+    """The linear ladder walk, frozen as the reference for ``lttf``: it checks
+    every vector along the path until one is infeasible."""
+    nodes = list(nodes)
+    top = table.num_levels - 1
+    levels = []
+    for n in nodes:
+        q = table.lowest_level_within(n.packet_bits, n.delay_bound)
+        if q is None:
+            return AllocationResult.infeasible()
+        levels.append(q)
+    bits = [n.packet_bits for n in nodes]
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
+    best = None
+    while True:
+        rates = [table.rate(q) for q in levels]
+        times = [b / r for b, r in zip(bits, rates)]
+        targets = [table.threshold(q) for q in levels]
+        report = check_targets(gains, targets, radio, times, delays, energies)
+        if not report.feasible:
+            break
+        best = rates, times, report
+        j = max(range(len(nodes)), key=lambda i: (times[i], -i))
+        if levels[j] == top:
+            break
+        levels[j] += 1
+    if best is None:
+        return AllocationResult.infeasible()
+    rates, times, report = best
+    return AllocationResult(
+        feasible=True, slot=max(times), rates=tuple(rates), powers=report.min_powers,
+        times=tuple(times),
+    )
+
+
+@np.errstate(over="ignore")
+def frozen_continuous_optimal(nodes, gains, radio):
+    """The plain slot bisection, frozen as the reference for
+    ``continuous_optimal``: it probes every midpoint."""
+    nodes = list(nodes)
+    k = len(nodes)
+    bits = np.array([n.packet_bits for n in nodes])
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
+    snr_cap = radio.p_max * np.diag(gains.g) / radio.noise_power
+
+    def targets_at(t):
+        return np.expm1(bits * (math.log(2.0) / (t * radio.bandwidth_hz)))
+
+    def probe(t):
+        return check_targets(gains, targets_at(t).tolist(), radio, [t] * k, delays, energies)
+
+    def allocation_at(t, report):
+        return AllocationResult(
+            feasible=True, slot=t, rates=tuple(b / t for b in bits),
+            powers=report.min_powers, times=(t,) * k,
+        )
+
+    t_hi = float(min(delays))
+    t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
+    if t_lo > t_hi:
+        return AllocationResult.infeasible()
+    hi_targets = targets_at(t_hi)
+    if not np.all(hi_targets > 0):
+        raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
+    hi_report = check_targets(gains, hi_targets.tolist(), radio, [t_hi] * k, delays, energies)
+    if not hi_report.feasible:
+        return AllocationResult.infeasible()
+    if not t_lo > 0:
+        raise NumericalError("interference-free slot bound underflows to 0")
+    lo_report = probe(t_lo)
+    if lo_report.feasible:
+        return allocation_at(t_lo, lo_report)
+    lo, hi = t_lo, t_hi
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        report = probe(mid)
+        if report.feasible:
+            hi, hi_report = mid, report
+        else:
+            lo = mid
+    return allocation_at(hi, hi_report)
+
+
+def level_path(nodes, table):
+    """Every level vector the ladder walk can visit, feasible or not: the
+    longest-time link rises one level until it sits at the top."""
+    levels = [table.lowest_level_within(n.packet_bits, n.delay_bound) for n in nodes]
+    if None in levels:
+        return []
+    path = [tuple(levels)]
+    while True:
+        times = [n.packet_bits / table.rate(q) for n, q in zip(nodes, levels)]
+        j = max(range(len(nodes)), key=lambda i: (times[i], -i))
+        if levels[j] == table.num_levels - 1:
+            return path
+        levels[j] += 1
+        path.append(tuple(levels))
+
+
+def outcome(pricer, *args):
+    """A pricer's result, or the type of the error it raised."""
+    try:
+        return pricer(*args)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc)
+
+
+# Bandwidths that put the slots near 1e-300 and 1e+295 s as well as at the
+# Table-1 scale; tables and delays scale with them.
+BANDWIDTHS = (1e8, 1e300, 1e-292)
+TABLES = {(name, w): make(w) for w in BANDWIDTHS
+          for name, make in (("disc4", disc4_table), ("disc8", disc8_table))}
+
+
+@st.composite
+def pricing_instances(draw):
+    """A subset of 1..5 links with its submatrix, table and radio: disc4 or
+    disc8, binding energy budgets, strong interference (rho near 1) and slot
+    scales near both ends of the float range."""
+    bandwidth = draw(st.sampled_from(BANDWIDTHS))
+    table = TABLES[draw(st.sampled_from(["disc4", "disc8"])), bandwidth]
+    radio = RadioConfig(
+        p_max=TABLE1_RADIO.p_max, noise_power=TABLE1_RADIO.noise_power,
+        bandwidth_hz=bandwidth,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 5))
+    nodes, gains = random_instance(
+        rng, 5, table, radio=radio,
+        iso_db=draw(st.sampled_from([(3.0, 25.0), (0.5, 8.0)])),
+        tight_delay_prob=draw(st.sampled_from([0.0, 0.3])),
+        binding_energy_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        loose_delay=draw(st.sampled_from([1e-3, 2e-6])) * 1e8 / bandwidth,
+    )
+    idx = sorted(int(i) for i in rng.choice(5, size=k, replace=False))
+    return [nodes[i] for i in idx], gains.sub(idx), table, radio
 
 
 def _node(i=0, bits=100.0, delay=1e-3, energy=math.inf, ctrl=None):
@@ -74,8 +218,9 @@ class TestLttf:
             assert all(p <= TABLE1_RADIO.p_max for p in res.powers)
 
     def test_check_budget(self, monkeypatch):
-        # the ladder walk performs at most num_levels * n feasibility checks,
-        # and at least one once every link has a level within its delay bound
+        # the binary search makes at most 1 + ceil(log2(path length))
+        # feasibility checks, and at least one once every link has a level
+        # within its delay bound
         rng = np.random.default_rng(12)
         calls = 0
 
@@ -86,19 +231,34 @@ class TestLttf:
 
         monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
         walks = 0
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            nodes, gains = random_instance(rng, n, DISC8, tight_delay_prob=0.2)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            nodes, gains = random_instance(
+                rng, n, DISC8, tight_delay_prob=0.2, binding_energy_prob=0.3
+            )
             calls = 0
             lttf(nodes, gains, DISC8, TABLE1_RADIO)
-            starts = all(
-                DISC8.lowest_level_within(node.packet_bits, node.delay_bound) is not None
-                for node in nodes
-            )
-            assert (calls >= 1) == starts
-            assert calls <= DISC8.num_levels * n
-            walks += starts
-        assert walks >= 25
+            path = level_path(nodes, DISC8)
+            assert (calls >= 1) == bool(path)
+            if path:
+                assert calls <= 1 + math.ceil(math.log2(len(path)))
+            walks += bool(path)
+        assert walks >= 50
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(instance=pricing_instances())
+    def test_binary_search_equals_the_frozen_walk(self, instance):
+        # the same rates, times and powers, bit for bit, because the
+        # verdicts along the level path are a feasible prefix
+        subset, gains, table, radio = instance
+        verdicts = [
+            check_rate_vector(
+                subset, gains, [table.rate(q) for q in levels], table, radio
+            ).feasible
+            for levels in level_path(subset, table)
+        ]
+        assert verdicts == sorted(verdicts, reverse=True), "verdicts not monotone"
+        assert outcome(lttf, *instance) == outcome(frozen_lttf, *instance)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -293,6 +453,42 @@ class TestContinuousOptimal:
             assert feasible(res.slot)
             if res.slot != t_lo:
                 assert not feasible(res.slot * (1 - 2e-6))
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(instance=pricing_instances(), cap=st.sampled_from([None, 0, 2, 5]))
+    def test_replay_equals_the_frozen_bisection(self, instance, cap):
+        # the same slot, rates and powers, bit for bit, or the same error;
+        # a guide cut short leaves more midpoints for the replay to probe
+        subset, gains, _, radio = instance
+        cap = ratesched.allocation._GUIDE_CAP if cap is None else cap
+        with mock.patch.object(ratesched.allocation, "_GUIDE_CAP", cap):
+            replayed = outcome(continuous_optimal, subset, gains, radio)
+        assert replayed == outcome(frozen_continuous_optimal, subset, gains, radio)
+
+    def test_probe_budget(self, monkeypatch):
+        # the guide leaves few midpoints of the replayed bisection to probe:
+        # at most 16 probes per price on average for k >= 2 links, where the
+        # plain bisection takes about 35
+        rng = np.random.default_rng(19)
+        calls = 0
+
+        def counting_check(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return check_targets(*args, **kwargs)
+
+        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        probes = []
+        for _ in range(200):
+            nodes, gains = random_instance(
+                rng, int(rng.integers(2, 6)), DISC8, tight_delay_prob=0.2,
+                binding_energy_prob=0.3,
+            )
+            calls = 0
+            if continuous_optimal(nodes, gains, TABLE1_RADIO).feasible:
+                probes.append(calls)
+        assert len(probes) >= 50
+        assert sum(probes) / len(probes) <= 16
 
     def test_energy_all_infeasible(self):
         res = continuous_optimal(

@@ -22,7 +22,7 @@ from ratesched import (
     run_experiment,
     validate_instance,
 )
-from ratesched import allocation, experiment, feasibility, scheduling
+from ratesched import allocation, cli, experiment, feasibility, scheduling
 from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
@@ -624,10 +624,31 @@ class TestCli:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
 
-    def exit_code(self, field, value):
-        """Exit code of the CLI on a small config with ``field`` (``radio.<key>``
-        for one radio field) set to ``value``."""
-        doc = {"n_sensors": 2, "seeds": 2}
+    def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # an output path in a missing directory, or a directory itself, is
+        # refused before any seed is scheduled
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 2})
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(["--config", cfg, "--out", str(out)]) == 2
+            assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_write_error_after_the_sweep_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing_emit(results, path, fmt):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "emit_results", failing_emit)
+        cfg = self.write_config(tmp_path, {"n_sensors": 2, "seeds": 2})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "disk full" in capsys.readouterr().err
+
+    def exit_code(self, field, value, n_sensors=2):
+        """Exit code of the CLI on a small config of ``n_sensors`` sensors with
+        ``field`` (``radio.<key>`` for one radio field) set to ``value``."""
+        doc = {"n_sensors": n_sensors, "seeds": 2}
         name, _, radio_key = field.partition(".")
         doc[name] = {radio_key: value} if radio_key else value
         with tempfile.TemporaryDirectory() as tmp:
@@ -635,10 +656,13 @@ class TestCli:
             return main(["--config", cfg, "--out", str(Path(tmp) / "x.csv")])
 
     def test_extreme_field_values_exit_0_2_or_3(self):
-        # every field at every extreme ends in a documented exit code
+        # every field at every extreme ends in a documented exit code; with 3
+        # sensors, continuous prices of k >= 2 links meet the extreme slot
+        # scales too
         for field in FUZZED_FIELDS:
             for value in filter(partial(_runs_briefly, field), EXTREMES + WRONG):
-                assert self.exit_code(field, value) in (0, 2, 3), (field, value)
+                for n in (2, 3):
+                    assert self.exit_code(field, value, n) in (0, 2, 3), (field, value, n)
 
     @pytest.mark.parametrize("field", sorted(FUZZED_FIELDS))
     @settings(derandomize=True, deadline=None, max_examples=30)

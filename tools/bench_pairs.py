@@ -58,11 +58,19 @@ def export(rev: str, dest: Path) -> None:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``601-610`` or ``601,605,607`` (or a mix) as a list of ints."""
+    """``601-610`` or ``601,605,607`` (or a mix) as a list of ints.
+
+    Raises ``argparse.ArgumentTypeError`` for a reversed range and for fewer
+    than two seeds, which give no quartiles to summarise."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        first, last = int(lo), int(hi or lo)
+        if last < first:
+            raise argparse.ArgumentTypeError(f"reversed seed range {part!r}")
+        seeds.extend(range(first, last + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two seeds")
     return seeds
 
 
@@ -133,7 +141,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
     parser.add_argument("--head", default="HEAD", help="revision of the head side")
-    parser.add_argument("--seeds", required=True, help="e.g. 601-610")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="at least two seeds, e.g. 601-610")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="also make one --trace 1 run per side and workload")
     parser.add_argument("--out", required=True, help="summary JSON file")
@@ -142,7 +151,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     summary = {
         "base": revs["base"],
