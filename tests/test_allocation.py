@@ -11,8 +11,8 @@ from ratesched import (
     AllocationResult,
     GainMatrix,
     NodeSpec,
-    RadioConfig,
     NumericalError,
+    RadioConfig,
     ValidationError,
     Verdict,
     brute_force_optimal,
