@@ -202,15 +202,6 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
         targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
         return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
-    def allocation_at(t: float, report: FeasibilityReport) -> AllocationResult:
-        return AllocationResult(
-            feasible=True,
-            slot=t,
-            rates=tuple(b / t for b in bits),
-            powers=report.min_powers,
-            times=(t,) * k,
-        )
-
     t_hi = float(min(delays))
     if not math.isfinite(t_hi):
         raise ValidationError("continuous baseline needs finite delay bounds")
@@ -228,7 +219,7 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
         raise NumericalError("interference-free slot bound underflows to 0")
     lo_report = probe(t_lo)
     if lo_report.feasible:
-        return allocation_at(t_lo, lo_report)
+        return _result_for([b / t_lo for b in bits], [t_lo] * k, lo_report)
 
     def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
         s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
@@ -281,4 +272,4 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing
             slot, report = bisect(t_lo, t_hi, hi_report)
-    return allocation_at(slot, report)
+    return _result_for([b / slot for b in bits], [slot] * k, report)

@@ -1,6 +1,7 @@
 """Random topologies and channel gains: uniform placement, log-distance path
-loss with log-normal shadowing, and unit-mean exponential (Rayleigh power)
-fading.
+loss (``PATH_LOSS_1M_DB`` at 1 m, exponent ``PATH_LOSS_EXPONENT``) with
+log-normal shadowing (``SHADOWING_DB``), and unit-mean exponential (Rayleigh
+power) fading.
 
 Every draw is reproducible from an integer seed; identical seeds give
 bit-identical results.
@@ -26,7 +27,16 @@ __all__ = [
     "mean_gain",
     "topology_to_json",
     "topology_from_json",
+    "PATH_LOSS_1M_DB",
+    "PATH_LOSS_EXPONENT",
+    "SHADOWING_DB",
 ]
+
+# Path loss at 1 m in dB, its distance exponent, and the standard deviation of
+# the log-normal shadowing in dB.
+PATH_LOSS_1M_DB = 70.0
+PATH_LOSS_EXPONENT = 3.5
+SHADOWING_DB = 4.0
 
 
 @dataclass(frozen=True)
@@ -75,26 +85,29 @@ def generate_topology(
     rng = np.random.default_rng(seed)
     sensors = rng.uniform(0.0, side, size=(n_sensors, 2))
     controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
-    dist = np.linalg.norm(sensors[:, None, :] - controllers[None, :, :], axis=-1)
-    controller_of = tuple(int(k) for k in np.argmin(dist, axis=1))
+    controller_of = tuple(int(k) for k in np.argmin(_distances(sensors, controllers), axis=1))
     return Topology(side, sensors, controllers, controller_of, float(density), seed)
 
 
-def path_loss_db(
-    distance_m, pl_d0_db: float = 70.0, alpha: float = 3.5, d0: float = 1.0
-):
+def _distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:
+    """Distance from every sensor (row) to every controller (column)."""
+    return np.linalg.norm(sensors[:, None, :] - controllers[None, :, :], axis=-1)
+
+
+def path_loss_db(distance_m):
     """Log-distance path loss in dB (no shadowing term)."""
     d = np.maximum(np.asarray(distance_m, dtype=float), 1e-9)
-    return pl_d0_db + 10.0 * alpha * np.log10(d / d0)
+    return PATH_LOSS_1M_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
 
 
-def mean_gain(distance_m, pl_d0_db: float = 70.0, alpha: float = 3.5, d0: float = 1.0):
+def mean_gain(distance_m):
     """Mean linear power gain at a distance, capped at 1 (0 dB loss).
 
     The cap keeps very short links physical; without it the log-distance
-    model would amplify below ``d0 * 10**(-pl_d0_db / (10 * alpha))``.
+    model would amplify below ``10**(-PATH_LOSS_1M_DB / (10 * PATH_LOSS_EXPONENT))``
+    meters, 1 cm.
     """
-    return np.minimum(1.0, 10.0 ** (-path_loss_db(distance_m, pl_d0_db, alpha, d0) / 10.0))
+    return np.minimum(1.0, 10.0 ** (-path_loss_db(distance_m) / 10.0))
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,6 @@ class ChannelRealization:
     controller_of: tuple[int, ...]
     shadowing_db: np.ndarray
     fading: np.ndarray
-    seed: int | None
 
     def __post_init__(self):
         for arr in (self.gains, self.shadowing_db, self.fading):
@@ -123,18 +135,11 @@ class ChannelRealization:
         return GainMatrix(self.gains[np.ix_(ids, cols)])
 
 
-def realize_channel(
-    topology: Topology,
-    pl_d0_db: float = 70.0,
-    alpha: float = 3.5,
-    sigma_z_db: float = 4.0,
-    d0: float = 1.0,
-    seed=None,
-) -> ChannelRealization:
+def realize_channel(topology: Topology, seed=None) -> ChannelRealization:
     """Draw one static channel over all sensor-to-controller pairs.
 
-    Large-scale loss is ``pl_d0_db + 10*alpha*log10(d/d0) + Z`` dB with
-    ``Z ~ Normal(0, sigma_z_db**2)``; the resulting mean gain (capped at 1)
+    Large-scale loss is ``path_loss_db(d) + Z`` dB with
+    ``Z ~ Normal(0, SHADOWING_DB**2)``; the resulting mean gain (capped at 1)
     scales a unit-mean exponential fading factor, so the average received
     power matches the large-scale level. The same physical pair (sensor,
     controller) always gets the same gain, whichever link it interferes with.
@@ -143,17 +148,14 @@ def realize_channel(
     distances reach about 1e90 m (densities near 1e-180 per square meter).
     """
     rng = np.random.default_rng(seed)
-    dist = np.linalg.norm(
-        topology.sensors[:, None, :] - topology.controllers[None, :, :], axis=-1
-    )
-    shape = dist.shape
-    shadowing = rng.normal(0.0, sigma_z_db, size=shape)
-    fading = rng.exponential(1.0, size=shape)
-    pl = path_loss_db(dist, pl_d0_db, alpha, d0) + shadowing
+    dist = _distances(topology.sensors, topology.controllers)
+    shadowing = rng.normal(0.0, SHADOWING_DB, size=dist.shape)
+    fading = rng.exponential(1.0, size=dist.shape)
+    pl = path_loss_db(dist) + shadowing
     gains = np.minimum(1.0, 10.0 ** (-pl / 10.0)) * fading
     if not np.all(gains > 0):
         raise NumericalError("channel gains underflow to 0")
-    return ChannelRealization(gains, topology.controller_of, shadowing, fading, seed)
+    return ChannelRealization(gains, topology.controller_of, shadowing, fading)
 
 
 def topology_to_json(topology: Topology) -> str:

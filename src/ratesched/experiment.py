@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -92,11 +93,13 @@ class ExperimentConfig:
     """Experiment description; any field may come from a JSON config file.
 
     At most one of ``n_sensors`` and ``density`` may be a list (or tuple) of
-    distinct values, which makes it the sweep variable. ``delay_rule`` is
-    either the string "subframe" (delay bound equals the effective subframe
-    duration) or a fixed number of seconds. ``energy_scale`` scales the
-    default per-packet energy budget p_max * delay_bound; at 1.0 the budget
-    never binds.
+    distinct values, which makes it the sweep variable. ``rate_models``,
+    ``strategies``, ``period_set`` and ``packet_bits_set`` are lists or
+    tuples, stored as tuples; rate models and strategies must be distinct.
+    ``delay_rule`` is either the string "subframe" (delay bound equals the
+    effective subframe duration) or a fixed number of seconds.
+    ``energy_scale`` scales the default per-packet energy budget
+    p_max * delay_bound; at 1.0 the budget never binds.
     """
 
     n_sensors: object = 8
@@ -114,6 +117,11 @@ class ExperimentConfig:
     base_period_s: float = 1e-3
 
     def __post_init__(self):
+        for name in ("rate_models", "strategies", "period_set", "packet_bits_set"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list")
+            object.__setattr__(self, name, tuple(value))
         if not (self.rate_models and self.strategies):
             raise ConfigError("rate_models and strategies must be nonempty")
         for model in self.rate_models:
@@ -129,11 +137,11 @@ class ExperimentConfig:
         # numpy cannot size an array dimension beyond sys.maxsize
         if not (self.n_sensors and _positive_numbers(self.n_sensors, int, sys.maxsize)):
             raise ConfigError("n_sensors must be an integer in [1, sys.maxsize] or a list")
-        for name in ("n_sensors", "density"):
+        for name in ("n_sensors", "density", "rate_models", "strategies"):
             # compared as numbers: 5 and 5.0 are one sweep point
             values = getattr(self, name)
             if isinstance(values, (list, tuple)) and len(set(values)) < len(values):
-                raise ConfigError(f"{name} sweep values must be distinct")
+                raise ConfigError(f"{name} values must be distinct")
         if not _positive(self.n_controllers, int, sys.maxsize):
             raise ConfigError("n_controllers must be an integer in [1, sys.maxsize]")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
@@ -188,9 +196,6 @@ class ExperimentConfig:
             except (TypeError, ValidationError) as exc:
                 raise ConfigError(f"bad radio overrides: {exc}") from exc
         try:
-            for key in ("rate_models", "strategies", "period_set", "packet_bits_set"):
-                if key in doc:
-                    doc[key] = tuple(doc[key])
             return cls(**doc)
         except (TypeError, ValidationError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -344,12 +349,20 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
-    """Execute the configured sweep; unusable seeds are counted and skipped.
+    """Execute the configured sweep; unusable seeds are recorded and skipped.
 
     A seed is unusable when some node cannot transmit alone under some needed
-    rate model (counted per model in ``infeasible_by_model``) or when its
-    draw or pricing raises NumericalError (counted as ``numerical``). Both
-    count towards ``infeasible`` and the CSV's ``infeasible_count``.
+    rate model or when its draw or pricing raises NumericalError. ``per_seed``
+    holds one record per seed, in sweep-point then seed order, with keys
+    ``sweep_var``, ``value``, ``seed_index`` and ``dropped``: ``None`` for a
+    kept seed, otherwise the rate model that dropped it or ``"numerical"``.
+    A kept record also has ``reference``, ``reference_kind`` ("exhaustive" or
+    "heuristic") and ``max_active``, keyed "strategy/model".
+
+    The rows and ``reference_counts`` are counted from these records. A
+    point's counts hold its reference kinds, ``infeasible`` (every dropped
+    seed, the CSV's ``infeasible_count``), ``infeasible_by_model`` (in the
+    order the models first dropped a seed) and ``numerical``.
     """
     sweep_var, values = cfg.sweep()
     rows = []
@@ -358,42 +371,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     for point, value in enumerate(values):
         n = int(value) if sweep_var == "n_sensors" else int(cfg.n_sensors)
         density = float(cfg.density) if sweep_var == "n_sensors" else float(value)
-        kept: list[tuple[int, dict, float]] = []
-        ref_kinds = {"exhaustive": 0, "heuristic": 0}
-        by_model: dict[str, int] = {}
-        numerical = 0
+        records = []
         for k in range(cfg.seeds):
+            record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
             try:
                 max_active, reference, ref_kind = _run_seed(cfg, n, density, point, k)
             except InfeasibleInstanceError as exc:
-                by_model[exc.model] = by_model.get(exc.model, 0) + 1
-                continue
+                record["dropped"] = exc.model
             except NumericalError:
-                numerical += 1
-                continue
-            ref_kinds[ref_kind] += 1
-            kept.append((k, max_active, reference))
-            per_seed.append(
-                {
-                    "sweep_var": sweep_var,
-                    "value": value,
-                    "seed_index": k,
-                    "reference": reference,
-                    "reference_kind": ref_kind,
-                    "max_active": {f"{s}/{m}": t for (s, m), t in max_active.items()},
-                }
-            )
-        infeasible = sum(by_model.values()) + numerical
-        reference_counts[(sweep_var, value)] = dict(
-            ref_kinds,
-            infeasible=infeasible,
-            infeasible_by_model=by_model,
-            numerical=numerical,
-        )
+                record["dropped"] = "numerical"
+            else:
+                record["reference"] = reference
+                record["reference_kind"] = ref_kind
+                record["max_active"] = {f"{s}/{m}": t for (s, m), t in max_active.items()}
+            records.append(record)
+        per_seed += records
+
+        kept = [r for r in records if r["dropped"] is None]
+        dropped = [r["dropped"] for r in records if r["dropped"] is not None]
+        kinds = [r["reference_kind"] for r in kept]
+        reference_counts[(sweep_var, value)] = {
+            "exhaustive": kinds.count("exhaustive"),
+            "heuristic": kinds.count("heuristic"),
+            "infeasible": len(dropped),
+            "infeasible_by_model": dict(Counter(d for d in dropped if d != "numerical")),
+            "numerical": dropped.count("numerical"),
+        }
         for strategy in cfg.strategies:
             for model in cfg.rate_models:
-                norms = [ma[(strategy, model)] / ref for _, ma, ref in kept]
-                raws = [ma[(strategy, model)] for _, ma, _ in kept]
+                raws = [r["max_active"][f"{strategy}/{model}"] for r in kept]
+                norms = [t / r["reference"] for t, r in zip(raws, kept)]
                 rows.append(
                     {
                         "sweep_var": sweep_var,
@@ -401,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
                         "strategy": strategy,
                         "rate_model": model,
                         "seed_count": len(kept),
-                        "infeasible_count": infeasible,
+                        "infeasible_count": len(dropped),
                         "mean_norm": float(np.mean(norms)) if norms else math.nan,
                         "std_norm": float(np.std(norms)) if norms else math.nan,
                         "mean_max_active_s": float(np.mean(raws)) if raws else math.nan,
@@ -410,9 +417,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     return ExperimentResults(rows, reference_counts, per_seed)
 
 
-def emit_results(results, path, fmt: str = "csv") -> None:
+def emit_results(results: ExperimentResults, path, fmt: str = "csv") -> None:
     """Write result rows with a fixed column order to a CSV or JSON file."""
-    rows = results.rows if isinstance(results, ExperimentResults) else list(results)
+    rows = results.rows
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)

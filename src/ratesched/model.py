@@ -50,28 +50,24 @@ class RateTable:
 
     ``levels[q] = (threshold, rate)`` with thresholds as linear ratios and
     rates in bits/s. A link may use level q only if its SINR is at least
-    ``levels[q][0]``. Levels are strictly increasing in both coordinates, and
-    the threshold->rate map must be concave over the listed points (slopes
-    non-increasing), which every Shannon-derived ladder satisfies.
+    ``levels[q][0]``. Levels are strictly increasing in both coordinates from
+    a rate above 0, and the threshold->rate map must be concave over the
+    listed points (slopes non-increasing), which every Shannon-derived ladder
+    satisfies.
     """
 
     levels: tuple[tuple[float, float], ...]
-    bandwidth_hz: float
     dropped_db: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("no positive rate levels")
-        if not self.bandwidth_hz > 0:
-            raise ValidationError("bandwidth must be > 0")
         prev_g, prev_r = -math.inf, 0.0
         for g, r in self.levels:
             if not (g > prev_g and r > prev_r):
                 raise ValidationError(
                     "rate levels must be strictly increasing in threshold and rate"
                 )
-            if r <= 0:
-                raise ValidationError("all usable rates must be > 0")
             prev_g, prev_r = g, r
         # Concavity over the listed points: chord slopes must not increase.
         # The leading chord from the origin is included so that rate/threshold
@@ -144,9 +140,7 @@ def build_rate_table(sinr_thresholds_db, bandwidth_hz: float) -> RateTable:
             levels.append((g, r))
         else:
             dropped.append(db)
-    if not levels:
-        raise ValidationError("no positive rate levels")
-    return RateTable(tuple(levels), float(bandwidth_hz), tuple(dropped))
+    return RateTable(tuple(levels), tuple(dropped))
 
 
 def disc4_table(bandwidth_hz: float) -> RateTable:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ratesched import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +43,13 @@ def test_readme_quick_start_runs(tmp_path):
     code = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S).group(1)
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_config_names_every_field():
+    # the README's config.json example must parse and name exactly the
+    # config's fields, so a field added or removed shows up there
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"Every key is optional:\n+```json\n(.*?)```", readme, re.S).group(1)
+    doc = json.loads(example)
+    ExperimentConfig.from_dict(doc)
+    assert set(doc) == {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ratesched import (
     ConfigError,
     ExperimentConfig,
+    ExperimentResults,
     InfeasibleInstanceError,
     NumericalError,
     RadioConfig,
@@ -83,6 +84,9 @@ INVALID_FIELDS = (
     # two sweep points under one key; values compare as numbers
     {"n_sensors": [2, 2], "seeds": 2},
     {"density": [5, 5.0]},
+    # a repeated rate model or strategy would repeat its rows
+    {"rate_models": ["disc8", "disc8"], "n_sensors": 3, "seeds": 3},
+    {"strategies": ["sna-mla", "sna-mla"], "n_sensors": 3, "seeds": 3},
 )
 
 
@@ -90,8 +94,8 @@ def field_id(doc):
     # the field name, with "-bool" for the boolean cases, "-nonfinite" for inf
     # and nan, "-huge" for integers beyond the float range, "-empty" for an
     # empty sweep list, "-string" for a number given as a string, "-frame"
-    # for a frame longer than the bound and "-duplicate" for a repeated sweep
-    # value, so ids stay unique
+    # for a frame longer than the bound and "-duplicate" for a repeated value,
+    # so ids stay unique
     text = json.dumps(doc)
     name = next(iter(doc))
     if "true" in text or "false" in text:
@@ -173,8 +177,12 @@ def valid_configs(draw):
         "n_controllers": draw(counts),
         "seeds": draw(counts),
         "master_seed": draw(st.integers(0, 2**80)),
-        "rate_models": draw(st.lists(st.sampled_from(RATE_MODELS), min_size=1, max_size=3)),
-        "strategies": draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2)),
+        "rate_models": draw(
+            st.lists(st.sampled_from(RATE_MODELS), min_size=1, max_size=3, unique=True)
+        ),
+        "strategies": draw(
+            st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2, unique=True)
+        ),
         "radio": {
             "p_max": draw(positive),
             "noise_power": draw(positive),
@@ -209,6 +217,18 @@ def straddling_config(**overrides):
     doc = {"n_sensors": [7, 8, 9], "period_set": [1, 2, 4, 8], "seeds": 12,
            "rate_models": ["cont", "disc8"]}
     return tiny_config(**dict(doc, **overrides))
+
+
+def mixed_drops_config():
+    """Three density points: seeds dropped under disc4 and then disc8 (in that
+    order, against the config's), kept seeds of both reference kinds beside
+    drops under both models, and seeds all dropped as numerical."""
+    return tiny_config(density=[0.5, 5.0, 1e-300], n_sensors=3, seeds=8,
+                       rate_models=["disc8", "cont", "disc4"])
+
+
+def kept_records(results):
+    return [r for r in results.per_seed if r["dropped"] is None]
 
 
 def fits_exhaustive(cfg, n, point, k):
@@ -308,6 +328,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="density"):
             dataclasses.replace(as_list, n_sensors=2, density=(5, 5.0))
 
+    def test_list_fields_run_like_tuples(self):
+        # the constructor stores the list fields as tuples, as from_dict does
+        lists = dict(rate_models=["disc8"], strategies=["sna-mla"],
+                     period_set=[1, 2], packet_bits_set=[50.0])
+        as_list = ExperimentConfig(n_sensors=3, seeds=2, **lists)
+        as_tuple = ExperimentConfig(n_sensors=3, seeds=2,
+                                    **{k: tuple(v) for k, v in lists.items()})
+        assert as_list == as_tuple
+        assert run_experiment(as_list).rows == run_experiment(as_tuple).rows
+        for name in lists:
+            for value in ("disc8", 4, None):
+                with pytest.raises(ConfigError, match=name):
+                    ExperimentConfig(**{name: value})
+
 
 class TestRunExperiment:
     def test_row_structure_and_accounting(self):
@@ -341,7 +375,7 @@ class TestRunExperiment:
 
     def test_normalized_at_least_one_against_exhaustive_reference(self):
         results = run_experiment(tiny_config(seeds=5))
-        for record in results.per_seed:
+        for record in kept_records(results):
             if record["reference_kind"] != "exhaustive":
                 continue
             for value in record["max_active"].values():
@@ -357,7 +391,7 @@ class TestRunExperiment:
     def test_exhaustive_reference_exactly_when_the_instance_fits(self):
         cfg = straddling_config()
         kinds = Counter()
-        for record in run_experiment(cfg).per_seed:
+        for record in kept_records(run_experiment(cfg)):
             n, k = record["value"], record["seed_index"]
             fits = fits_exhaustive(cfg, n, cfg.n_sensors.index(n), k)
             assert record["reference_kind"] == ("exhaustive" if fits else "heuristic")
@@ -462,7 +496,7 @@ class TestRunExperiment:
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
-        bad = clean.per_seed[0]["seed_index"]
+        bad = kept_records(clean)[0]["seed_index"]
         drawing = []
         draw, kernel = experiment._draw_instance, feasibility.min_power_vector
 
@@ -483,10 +517,61 @@ class TestRunExperiment:
         assert counts["numerical"] == 1
         assert counts["infeasible"] == clean_counts["infeasible"] + 1
         assert counts["infeasible_by_model"] == clean_counts["infeasible_by_model"]
-        assert results.per_seed == clean.per_seed[1:]
+        assert results.per_seed[bad] == {
+            "sweep_var": "n_sensors", "value": 3, "seed_index": bad, "dropped": "numerical"
+        }
+        assert results.per_seed[:bad] + results.per_seed[bad + 1:] == (
+            clean.per_seed[:bad] + clean.per_seed[bad + 1:]
+        )
         for row, clean_row in zip(results.rows, clean.rows):
             assert row["seed_count"] == clean_row["seed_count"] - 1
             assert row["seed_count"] + row["infeasible_count"] == cfg.seeds
+
+    def test_one_record_per_seed_in_seed_order(self):
+        cfg = mixed_drops_config()
+        records = run_experiment(cfg).per_seed
+        sweep_var, values = cfg.sweep()
+        assert [(r["sweep_var"], r["value"], r["seed_index"]) for r in records] == [
+            (sweep_var, value, k) for value in values for k in range(cfg.seeds)
+        ]
+        assert {r["dropped"] for r in records} == {None, "disc4", "disc8", "numerical"}
+        for r in records:
+            extra = {"reference", "reference_kind", "max_active"} if r["dropped"] is None else set()
+            assert set(r) == {"sweep_var", "value", "seed_index", "dropped"} | extra
+
+    def test_rows_and_reference_counts_are_counted_from_the_records(self):
+        cfg = mixed_drops_config()
+        results = run_experiment(cfg)
+        for key, counts in results.reference_counts.items():
+            records = [r for r in results.per_seed if (r["sweep_var"], r["value"]) == key]
+            kept = [r for r in records if r["dropped"] is None]
+            dropped = [r["dropped"] for r in records if r["dropped"] is not None]
+            by_model = {}
+            for model in dropped:
+                if model != "numerical":
+                    by_model[model] = by_model.get(model, 0) + 1
+            kinds = Counter(r["reference_kind"] for r in kept)
+            assert counts == {
+                "exhaustive": kinds["exhaustive"],
+                "heuristic": kinds["heuristic"],
+                "infeasible": len(dropped),
+                "infeasible_by_model": by_model,
+                "numerical": dropped.count("numerical"),
+            }
+            # insertion order: the order in which the models first dropped a seed
+            assert list(counts["infeasible_by_model"]) == list(by_model)
+            for row in results.rows:
+                if (row["sweep_var"], row["value"]) == key:
+                    assert (row["seed_count"], row["infeasible_count"]) == (
+                        len(kept), len(dropped)
+                    )
+        by_model = results.reference_counts[("density", 0.5)]["infeasible_by_model"]
+        assert list(by_model) == ["disc4", "disc8"]
+
+    def test_per_seed_is_deterministic(self):
+        cfg = mixed_drops_config()
+        first, second = (json.dumps(run_experiment(cfg).per_seed) for _ in range(2))
+        assert first == second
 
 
 class TestSeedTriage:
@@ -596,12 +681,12 @@ class TestEmitResults:
 
     def test_empty_rows_give_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit_results([], out)
+        emit_results(ExperimentResults([], {}, []), out)
         assert out.read_text().splitlines() == [HEADER]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            emit_results([], tmp_path / "x.bin", fmt="parquet")
+            emit_results(ExperimentResults([], {}, []), tmp_path / "x.bin", fmt="parquet")
 
 
 class TestCli:

@@ -75,7 +75,7 @@ class TestRateTableInvariants:
     def test_convex_ladder_rejected(self):
         # slope from the origin is 5, next chord slope is 15; not concave
         with pytest.raises(ValidationError, match="concave"):
-            RateTable(levels=((1.0, 5.0), (2.0, 20.0)), bandwidth_hz=1.0)
+            RateTable(levels=((1.0, 5.0), (2.0, 20.0)))
 
     def test_lowest_level_within(self):
         table = disc4_table(1e8)

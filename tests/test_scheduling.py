@@ -24,6 +24,7 @@ from ratesched import (
     sna_assign,
     validate_instance,
 )
+from ratesched import scheduling
 from ratesched.scheduling import STRATEGIES
 
 from helpers import TABLE1_RADIO, four_node_fixture, random_gains
@@ -161,6 +162,30 @@ class TestMlaAllocate:
         prices.update({(0, 1): 0.1 * MS, (1, 2): 0.3 * MS})
         with pytest.raises(InfeasibleInstanceError):
             mla_allocate(list(range(7)), FixedPricer(inst, prices))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(7, 10),
+        n_controllers=st.integers(2, 4),
+        continuous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_overlap_cleanup_can_only_reduce_the_total(self, n, n_controllers, continuous, seed):
+        # above 6 nodes the greedy cover's selection may overlap; keeping each
+        # node only in its cheapest selected subset re-prices the shrunk
+        # subsets, which stay feasible and cost no more in total
+        rng = np.random.default_rng(seed)
+        controllers = {i: int(rng.integers(0, n_controllers)) for i in range(n)}
+        inst = fixture_instance(periods={i: 1 for i in range(n)}, controllers=controllers)
+        pricer = gain_pricer(inst, random_gains(rng, n), continuous)
+        population = list(range(n))
+        candidates = scheduling._candidates(population, pricer)
+        scheduling._require_coverage(population, candidates)
+        selected = scheduling._greedy_cover(population, candidates)
+        groups = scheduling._dedup_cover(selected, pricer)
+        assert math.fsum(g[1].slot for g in groups) <= math.fsum(s[1].slot for s in selected)
+        assert all(res.feasible for _, res in groups)
+        assert sorted(i for ids, _ in groups for i in ids) == population
 
     def test_exact_branch_matches_exhaustive_optimum(self):
         # with every period 1 the frame is one subframe, so the exhaustive
