@@ -52,7 +52,9 @@ def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
     )
 
 
-def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> AllocationResult:
+def lttf(
+    nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig, cap: float = math.inf
+) -> AllocationResult:
     """Longest-transmission-time-first rate assignment.
 
     Each link starts at the lowest rate level that meets its delay bound; if
@@ -70,7 +72,17 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
     vectors) is built first, position 0 is checked (infeasible there, the
     subset is) and the last feasible position is binary-searched: the linear
     walk's result from at most 1 + ceil(log2(path length)) ``check_targets``
-    calls on the thresholds ``table.threshold(q)``.
+    calls on the thresholds ``table.threshold(q)``. Each link's time at every
+    level is divided out once per call, and the walk keeps each position's
+    slot.
+
+    ``cap`` is an upper bound on the slot the caller can use: the result is
+    exact whenever its slot is at most ``cap``, and may be
+    ``AllocationResult.infeasible()`` otherwise. Slots never rise along the
+    path, so when position 0 is over ``cap`` the search starts at the first
+    position that is not; with no such position, or an infeasible verdict
+    there, every feasible position is over ``cap``. A price over ``cap``
+    therefore takes at most one check.
     """
     nodes = list(nodes)
     if not nodes:
@@ -82,30 +94,42 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
         if q is None:
             return AllocationResult.infeasible()
         levels.append(q)
-    bits = [n.packet_bits for n in nodes]
+    thresholds, rates = zip(*table.levels)
+    times = [[n.packet_bits / r for r in rates] for n in nodes]  # [link][level]
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
 
-    path = [tuple(levels)]
+    k = len(nodes)
+    current = [t[q] for t, q in zip(times, levels)]
+    path, slots = [], []
     while True:
-        times = [b / table.rate(q) for b, q in zip(bits, levels)]
-        j = max(range(len(nodes)), key=lambda i: (times[i], -i))
+        path.append(tuple(levels))
+        j, slot = 0, current[0]  # the first longest link
+        for i in range(1, k):
+            if current[i] > slot:
+                j, slot = i, current[i]
+        slots.append(slot)
         if levels[j] == top:
             break
         levels[j] += 1
-        path.append(tuple(levels))
+        current[j] = times[j][levels[j]]
 
     def check(pos: int):
-        rates = [table.rate(q) for q in path[pos]]
-        times = [b / r for b, r in zip(bits, rates)]
-        targets = [table.threshold(q) for q in path[pos]]
-        report = check_targets(gains, targets, radio, times, delays, energies)
-        return (rates, times, report) if report.feasible else None
+        vector = path[pos]
+        link_times = [t[q] for t, q in zip(times, vector)]
+        targets = [thresholds[q] for q in vector]
+        report = check_targets(gains, targets, radio, link_times, delays, energies)
+        return (vector, link_times, report) if report.feasible else None
 
-    best = check(0)
+    lo = 0
+    if slots[0] > cap:
+        lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
+        if lo is None:
+            return AllocationResult.infeasible()
+    best = check(lo)
     if best is None:
         return AllocationResult.infeasible()
-    lo, hi = 0, len(path)  # position lo is feasible, none from hi on is
+    hi = len(path)  # position lo is feasible, none from hi on is
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2  # rounded up: many walks end at the top
         found = check(mid)
@@ -113,7 +137,8 @@ def lttf(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> Allo
             hi = mid
         else:
             lo, best = mid, found
-    return _result_for(*best)
+    vector, link_times, report = best
+    return _result_for([rates[q] for q in vector], link_times, report)
 
 
 def brute_force_optimal(
@@ -151,7 +176,9 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
-def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> AllocationResult:
+def continuous_optimal(
+    nodes, gains: GainMatrix, radio: RadioConfig, cap: float = math.inf
+) -> AllocationResult:
     """Minimum common slot length under capacity-derived (continuous) rates.
 
     All links transmit for the whole slot t at rate packet_bits/t, so link i
@@ -180,9 +207,23 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     slot and powers are the plain bisection's, bit for bit; should that final
     probe be infeasible (rounding broke monotonicity), the plain one runs.
 
+    ``cap`` is an upper bound on the slot the caller can use: the result is
+    exact whenever its slot is at most ``cap``, and
+    ``AllocationResult.infeasible()`` otherwise. After the probe at t_hi
+    (which raises the errors below whatever ``cap`` is), a ``cap`` below
+    t_lo gives infeasible at once; one below t_hi is probed, and an
+    infeasible verdict there means t* > cap, while a feasible one becomes
+    the guide's first ``yes``. So a price with t* > cap takes at most two
+    probes. One with t* <= cap below the bisection's slot (within its
+    relative ``_REL_TOL``) is replayed in full and then reported infeasible.
+
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
     ``_REL_TOL`` below it.
+
+    The set-up runs on Python floats, in the same float operations as on
+    arrays; only the logarithms and the capacity targets stay in numpy
+    (``math.log2`` and ``math.expm1`` differ from them in the last bit).
 
     Raises NumericalError when a bound leaves the float range: the capacity
     targets at t_hi underflow to 0 (as when t_hi * W overflows), or t_lo
@@ -195,28 +236,38 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
     bits = np.array([n.packet_bits for n in nodes])
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
-    diag = np.diag(gains.g)
-    snr_cap = radio.p_max * diag / radio.noise_power
+    bandwidth = radio.bandwidth_hz
 
     def probe(t: float) -> FeasibilityReport:
-        targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
+        targets = _capacity_targets(bits, t, bandwidth).tolist()
         return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
     t_hi = float(min(delays))
     if not math.isfinite(t_hi):
         raise ValidationError("continuous baseline needs finite delay bounds")
-    t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
+    cols = gains.cols
+    snr_caps = [radio.p_max * cols[i][i] / radio.noise_power for i in range(k)]
+    log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
+    t_lo = max(n.packet_bits / (bandwidth * x) for n, x in zip(nodes, log_caps))
     if t_lo > t_hi:
         return AllocationResult.infeasible()
     # Targets fall with t, so those at t_hi are the smallest of any probe.
-    hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz)
-    if not np.all(hi_targets > 0):
+    hi_targets = _capacity_targets(bits, t_hi, bandwidth).tolist()
+    if not all(x > 0 for x in hi_targets):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = check_targets(gains, hi_targets.tolist(), radio, [t_hi] * k, delays, energies)
+    hi_report = check_targets(gains, hi_targets, radio, [t_hi] * k, delays, energies)
     if not hi_report.feasible:
         return AllocationResult.infeasible()
     if not t_lo > 0:
         raise NumericalError("interference-free slot bound underflows to 0")
+    if cap < t_lo:
+        return AllocationResult.infeasible()
+    no, yes, yes_report = t_lo, t_hi, hi_report
+    if cap < t_hi:
+        cap_report = probe(cap)
+        if not cap_report.feasible:
+            return AllocationResult.infeasible()
+        yes, yes_report = cap, cap_report
     lo_report = probe(t_lo)
     if lo_report.feasible:
         return _result_for([b / t_lo for b in bits], [t_lo] * k, lo_report)
@@ -243,9 +294,8 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
                 lo = mid
         return hi, report
 
-    no, yes, yes_report = t_lo, t_hi, hi_report
     t, last = t_lo, lo_report
-    t1, y1 = t_hi, inverse_slack(t_hi, hi_report.min_powers)
+    t1, y1 = yes, inverse_slack(yes, yes_report.min_powers)
     for _ in range(_GUIDE_CAP):
         if yes - no <= _GUIDE_TOL * yes:
             break
@@ -268,6 +318,8 @@ def continuous_optimal(nodes, gains: GainMatrix, radio: RadioConfig) -> Allocati
             no = t
 
     slot, report = bisect(no, yes, yes_report)
+    if slot > cap:
+        return AllocationResult.infeasible()
     if report is None:
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing

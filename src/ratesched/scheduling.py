@@ -69,13 +69,33 @@ class SubsetPricer:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._cache: dict[frozenset, AllocationResult] = {}
+        self._ids = frozenset(inst.ids)
+        # subset -> (result, largest cap the result answers)
+        self._cache: dict[frozenset, tuple[AllocationResult, float]] = {}
 
-    def price(self, ids) -> AllocationResult:
+    def price(self, ids, cap: float = math.inf) -> AllocationResult:
+        """Allocation of the node subset ``ids``, a sequence of distinct ids
+        of ``inst``; a repeated or unknown id raises ValidationError.
+
+        ``cap`` is an upper bound on the slot the caller can use. The result
+        is exact whenever its slot is at most ``cap``; otherwise it may be
+        ``AllocationResult.infeasible()``, since the pricer may stop once one
+        verdict proves the slot is above ``cap``. Feasible results are exact
+        and answer every later call; an infeasible one answers only calls
+        whose ``cap`` is at most the one it was priced under, so a result cut
+        short is never returned to a call with a larger ``cap``.
+        """
         key = frozenset(ids)
-        if key not in self._cache:
-            self._cache[key] = self._price(tuple(sorted(key)))
-        return self._cache[key]
+        if len(key) != len(ids):
+            raise ValidationError(f"repeated node id in subset {tuple(ids)}")
+        entry = self._cache.get(key)
+        if entry is not None and cap <= entry[1]:
+            return entry[0]
+        if not key <= self._ids:
+            raise ValidationError(f"unknown node id in subset {tuple(ids)}")
+        res = self._price(tuple(sorted(key)), cap)
+        self._cache[key] = (res, math.inf if res.feasible else cap)
+        return res
 
     def solo_slot(self, node_id: int) -> float:
         """Slot length of the node transmitting alone.
@@ -90,7 +110,7 @@ class SubsetPricer:
     def controller(self, node_id: int) -> int:
         return self.inst.node(node_id).controller_id
 
-    def _price(self, ids: tuple[int, ...]) -> AllocationResult:
+    def _price(self, ids: tuple[int, ...], cap: float) -> AllocationResult:
         raise NotImplementedError
 
 
@@ -117,31 +137,32 @@ class TablePricer(_GainBackedPricer):
         super().__init__(inst, gains, radio)
         self.table = table
 
-    def _price(self, ids):
+    def _price(self, ids, cap):
         nodes, sub = self._sub(ids)
-        return lttf(nodes, sub, self.table, self.radio)
+        return lttf(nodes, sub, self.table, self.radio, cap)
 
 
 class ContinuousPricer(_GainBackedPricer):
     """Prices each subset with ``continuous_optimal`` on its submatrix of
     ``gains`` and ``radio``."""
 
-    def _price(self, ids):
+    def _price(self, ids, cap):
         nodes, sub = self._sub(ids)
-        return continuous_optimal(nodes, sub, self.radio)
+        return continuous_optimal(nodes, sub, self.radio, cap)
 
 
 class FixedPricer(SubsetPricer):
     """Prices subsets from an explicit table; anything absent is infeasible.
 
     Useful for pinning worked examples where only the slot lengths matter.
+    Prices are exact whatever the ``cap``.
     """
 
     def __init__(self, inst: Instance, prices):
         super().__init__(inst)
         self._prices = {frozenset(k): float(v) for k, v in prices.items()}
 
-    def _price(self, ids):
+    def _price(self, ids, cap):
         slot = self._prices.get(frozenset(ids))
         if slot is None:
             return AllocationResult.infeasible()
@@ -212,18 +233,42 @@ def _distinct_controllers(ids, pricer) -> bool:
 
 def _candidates(members, pricer):
     """Feasible controller-distinct subsets of ``members`` as
-    ``(bitmask, ids, allocation)`` triples, bit k standing for ``members[k]``.
+    ``(bitmask, ids, allocation)`` triples, bit k standing for ``members[k]``,
+    leaving out every subset whose slot is above the sum of its members' solo
+    slots.
 
-    Subsets are priced by increasing size, in ``itertools.combinations`` order.
+    Subsets are priced by increasing size, in ``itertools.combinations`` order;
+    a subset of two or more nodes with ``cap`` the ``math.fsum`` of its
+    members' solo slots (inf when one of them is infeasible), and its result is
+    dropped when its slot is above ``cap``, under every pricer. No scheduler
+    uses such a subset S, since splitting S into solos is strictly cheaper
+    (a float slot above the correctly rounded sum is above the exact sum):
+
+    * ``_best_partitions``: a partition holding S costs more, in exact sums,
+      than the same partition with S split, and the solo of S's lowest member
+      comes before S in the candidate order, so S is never a strict optimum.
+      Only a tie of two rounded ``fsum`` costs, one with S and one without,
+      could in principle let the first of them win where S came first, and
+      so return an equal-cost partition with other groups.
+    * ``_greedy_cover``: S's key ``slot / new`` is at least, and its ``slot``
+      above, that of the solo of its cheapest uncovered member, so S never
+      has the smallest key.
     """
     bit = {i: 1 << k for k, i in enumerate(members)}
+    solo = {}
     out = []
-    for size in range(1, len({pricer.controller(i) for i in members}) + 1):
+    for i in members:
+        res = pricer.price((i,))
+        solo[i] = res.slot  # inf when infeasible
+        if res.feasible:
+            out.append((bit[i], (i,), res))
+    for size in range(2, len({pricer.controller(i) for i in members}) + 1):
         for ids in itertools.combinations(members, size):
             if not _distinct_controllers(ids, pricer):
                 continue
-            res = pricer.price(ids)
-            if res.feasible:
+            cap = math.fsum(solo[i] for i in ids)
+            res = pricer.price(ids, cap)
+            if res.feasible and res.slot <= cap:
                 out.append((sum(bit[i] for i in ids), ids, res))
     return out
 
@@ -344,6 +389,11 @@ def mua_allocate(population, pricer: SubsetPricer):
     adding the node that most increases the utility (total solo time saved by
     transmitting concurrently) while the group stays feasible; each addition
     must strictly improve the utility. Repeats until every node is grouped.
+
+    A trial group is priced with ``cap`` the ``math.fsum`` of its members'
+    solo slots, the sum its utility subtracts the slot from: a slot above it
+    gives a utility below 0, never above the current utility (at least 0),
+    so a trial cut short is one that could not be added.
     """
     population = sorted(population)
     groups = []
@@ -360,10 +410,11 @@ def mua_allocate(population, pricer: SubsetPricer):
                 trial = current + [k]
                 if not _distinct_controllers(trial, pricer):
                     continue
-                res = pricer.price(trial)
+                cap = math.fsum(solo[i] for i in trial)
+                res = pricer.price(trial, cap)
                 if not res.feasible:
                     continue
-                util = math.fsum(solo[i] for i in trial) - res.slot
+                util = cap - res.slot
                 if util > cur_util and (best is None or util > best[0]):
                     best = (util, k, res)
             if best is None:

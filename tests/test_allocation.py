@@ -542,3 +542,52 @@ class TestSlotRatioProperties:
             bumped[k] += 1
             t_new = max(b / DISC8.rate(q) for b, q in zip(bits, bumped))
             assert t_new >= max(times)
+
+
+class TestCap:
+    # caps at, just below and around the uncapped slot (or, for an infeasible
+    # subset, its tightest delay bound), and none
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(
+        instance=pricing_instances(),
+        continuous=st.booleans(),
+        factor=st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, math.inf]),
+        below=st.booleans(),
+    )
+    def test_capped_price_is_exact_or_infeasible(self, instance, continuous, factor, below):
+        # the uncapped result when its slot is at most the cap, else
+        # infeasible, after at most one check (lttf) or, when the cap is
+        # below the bisection's tolerance band, two probes
+        # (continuous_optimal); an error exactly when the uncapped call raises
+        subset, gains, table, radio = instance
+        if continuous:
+            def price(cap):
+                return continuous_optimal(subset, gains, radio, cap)
+        else:
+            def price(cap):
+                return lttf(subset, gains, table, radio, cap)
+        exact = outcome(price, math.inf)
+        if isinstance(exact, AllocationResult) and exact.feasible:
+            scale = exact.slot
+        else:
+            scale = min(n.delay_bound for n in subset)
+        cap = scale * factor
+        if below:
+            cap = math.nextafter(cap, 0.0)
+        calls = 0
+
+        def counting_check(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return check_targets(*args, **kwargs)
+
+        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+            capped = outcome(price, cap)
+        if not isinstance(exact, AllocationResult) or exact.slot <= cap:
+            assert capped == exact
+        else:
+            assert capped == AllocationResult.infeasible()
+            if not continuous:
+                assert calls <= 1
+            elif cap < exact.slot * (1 - 2 * ratesched.allocation._REL_TOL):
+                assert calls <= 2

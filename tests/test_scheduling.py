@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratesched import (
+    AllocationResult,
     ContinuousPricer,
     FixedPricer,
     GainMatrix,
@@ -18,6 +20,7 @@ from ratesched import (
     disc8_table,
     exhaustive_fits,
     exhaustive_schedule,
+    Frame,
     mla_allocate,
     mua_allocate,
     schedule,
@@ -594,3 +597,163 @@ class TestExhaustive:
         assert exhaustive_fits(inst)
         gains = random_gains(np.random.default_rng(28), 8, iso_db=(15.0, 25.0))
         assert_matches_oracle(inst, gain_pricer(inst, gains))
+
+
+class TestSubsetPricer:
+    @pytest.mark.parametrize("kind", ["table", "continuous", "fixed"])
+    def test_repeated_or_unknown_ids_raise(self, kind):
+        # a repeated id once collapsed into the frozenset key, and an unknown
+        # one raised a bare KeyError from the gain-backed pricers
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        if kind == "fixed":
+            pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS})
+        else:
+            pricer = gain_pricer(inst, random_gains(np.random.default_rng(3), 2), kind == "continuous")
+        with pytest.raises(ValidationError, match="repeated"):
+            pricer.price((1, 1))  # nothing cached yet
+        assert pricer.price((0,)).feasible
+        for ids in ((0, 0), [0, 1, 0]):  # (0,) is cached
+            with pytest.raises(ValidationError, match="repeated"):
+                pricer.price(ids)
+        for ids in ((5,), (0, 5), (-1, 1)):
+            with pytest.raises(ValidationError, match="unknown"):
+                pricer.price(ids)
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_a_price_cut_short_never_answers_a_larger_cap(self, continuous):
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        gains = random_gains(np.random.default_rng(3), 2, iso_db=(20.0, 25.0))
+        exact = gain_pricer(inst, gains, continuous).price((0, 1))
+        assert exact.feasible
+        pricer = gain_pricer(inst, gains, continuous)
+        caps = []
+        price = pricer._price
+        pricer._price = lambda ids, cap: caps.append(cap) or price(ids, cap)
+        assert pricer.price((0, 1), exact.slot / 2) == AllocationResult.infeasible()
+        assert pricer.price((0, 1), exact.slot / 4) == AllocationResult.infeasible()
+        assert pricer.price((0, 1)) == exact
+        assert pricer.price((0, 1), exact.slot / 4) == exact
+        assert caps == [exact.slot / 2, math.inf]
+
+    def test_fixed_prices_ignore_the_cap(self):
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.5 * MS})
+        assert pricer.price((0, 1), 0.3 * MS).slot == 0.5 * MS
+
+
+class CappingFixedPricer(FixedPricer):
+    """Fixed prices that stop at every cap, as the gain-backed pricers may:
+    a price above ``cap`` comes back infeasible."""
+
+    def _price(self, ids, cap):
+        res = super()._price(ids, cap)
+        return res if res.slot <= cap else AllocationResult.infeasible()
+
+
+def ignoring_cap(pricer):
+    """``pricer`` with every cap dropped, so that each price is exact."""
+    pricer.price = lambda ids, cap=math.inf: type(pricer).price(pricer, ids)
+    return pricer
+
+
+def unfiltered_candidates(members, pricer):
+    """``scheduling._candidates`` without caps: every feasible
+    controller-distinct subset, dominated ones included."""
+    bit = {i: 1 << k for k, i in enumerate(members)}
+    out = []
+    for size in range(1, len({pricer.controller(i) for i in members}) + 1):
+        for ids in itertools.combinations(members, size):
+            if len({pricer.controller(i) for i in ids}) < size:
+                continue
+            res = pricer.price(ids)
+            if res.feasible:
+                out.append((sum(bit[i] for i in ids), ids, res))
+    return out
+
+
+def random_prices(rng, inst):
+    """Solo prices of 0.1-1 ms, and prices for about 4 in 5 groups of 2 or 3
+    nodes at 0.4-1.6 times the sum of their solo prices, so that about half
+    of them are above it."""
+    solo = {i: float(rng.uniform(0.1, 1.0)) * MS for i in inst.ids}
+    prices = {(i,): slot for i, slot in solo.items()}
+    for size in (2, 3):
+        for ids in itertools.combinations(inst.ids, size):
+            if rng.random() < 0.8:
+                prices[ids] = math.fsum(solo[i] for i in ids) * float(rng.uniform(0.4, 1.6))
+    return prices
+
+
+@st.composite
+def cap_cases(draw):
+    """An instance of ``small_instances``, or 7-8 nodes of period 1 on 2-4
+    controllers (MLA's greedy branch); a pricer kind; a seed for fixed
+    prices."""
+    if draw(st.booleans()):
+        inst, gains = draw(small_instances())
+    else:
+        n = draw(st.integers(7, 8))
+        n_controllers = draw(st.integers(2, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        controllers = {i: int(rng.integers(0, n_controllers)) for i in range(n)}
+        inst = fixture_instance(periods={i: 1 for i in range(n)}, controllers=controllers)
+        gains = random_gains(rng, n)
+    return inst, gains, draw(st.sampled_from(["table", "continuous", "fixed"])), draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+class TestCappedPricing:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(case=cap_cases())
+    def test_caps_change_no_schedule(self, case):
+        # MLA (both branches), MUA and the exhaustive search give equal
+        # frames and bit-identical max_active whether the pricer stops at
+        # each cap, ignores every cap, or also prices the subsets whose slot
+        # is above their members' solo sum (which _candidates leaves out)
+        inst, gains, kind, seed = case
+
+        def make():
+            if kind == "fixed":
+                return CappingFixedPricer(inst, random_prices(np.random.default_rng(seed), inst))
+            return gain_pricer(inst, gains, kind == "continuous")
+
+        def run(pricer):
+            runs = [lambda s=s: schedule(pricer, s) for s in STRATEGIES]
+            if exhaustive_fits(inst):
+                runs.append(lambda: exhaustive_schedule(pricer))
+            out = []
+            for fn in runs:
+                try:
+                    out.append(fn())
+                except InfeasibleInstanceError:
+                    out.append(InfeasibleInstanceError)
+            return out
+
+        capped = run(make())
+        assert capped == run(ignoring_cap(make()))
+        with mock.patch.object(scheduling, "_candidates", unfiltered_candidates):
+            assert capped == run(ignoring_cap(make()))
+
+
+class TestComputeMetrics:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        slots=st.lists(
+            st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=8), min_size=1, max_size=4
+        ),
+        data=st.data(),
+    )
+    def test_group_order_within_a_subframe_changes_no_bit(self, slots, data):
+        # active lengths are fsums, so equal group-length multisets give
+        # exactly equal metrics (== on positive floats is bit equality)
+        def metrics(rows):
+            groups = tuple(
+                tuple(((k,), AllocationResult(feasible=True, slot=slot)) for k, slot in row)
+                for row in rows
+            )
+            return compute_metrics(Frame(len(rows), {}, groups))
+
+        rows = [list(enumerate(row)) for row in slots]
+        shuffled = [data.draw(st.permutations(row)) for row in rows]
+        assert metrics(shuffled) == metrics(rows)

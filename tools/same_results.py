@@ -5,15 +5,18 @@ Run from the repository root, for example:
     python3 tools/same_results.py --base HEAD~1 --head HEAD
 
 Both revisions are exported with ``bench_pairs.export``, so only committed
-files are compared. In each tree the ratesched CLI (``python3 -m
-ratesched.cli``) runs every workload config of ``perfbench/workloads.json``
+files are compared. In each tree the ratesched CLI (``ratesched.cli.main``,
+under ``DRIVER``) runs every workload config of ``perfbench/workloads.json``
 (the head tree's file, for both sides) at four master seeds: the workload's
 default and held-out seeds, 1001 and 20262, each written into the sweep's
-config file as ``master_seed``. Each sweep leaves two files: its CSV, and a
-``.refs`` file with the CLI's exit code and its stderr, which
-prints every sweep point's ``reference_counts`` (reference kinds, infeasible
-seeds per rate model, numerical drops). Every file is reported as ``same``
-or ``diff`` against the other side; the exit status is 1 if any differs.
+config file as ``master_seed``. Each sweep leaves three files: its CSV; a
+``.refs`` file with the CLI's exit code and its stderr, which prints every
+sweep point's ``reference_counts`` (reference kinds, infeasible seeds per
+rate model, numerical drops); and a ``.per_seed.json`` file with the sweep's
+``ExperimentResults.per_seed`` records, so that a change to one seed's
+``max_active`` shows even where the CSV's means round it away. ``DRIVER``
+records ``per_seed`` as ``run_experiment`` returns it to the CLI. Every file is reported as ``same`` or ``diff`` against the other
+side; the exit status is 1 if any differs.
 """
 
 from __future__ import annotations
@@ -30,27 +33,45 @@ from bench_pairs import export
 
 EXTRA_SEEDS = (1001, 20262)
 
+# ``python -c DRIVER PER_SEED_PATH CLI_ARGS...``: the CLI, with every
+# ``run_experiment`` result's ``per_seed`` written to PER_SEED_PATH as JSON.
+DRIVER = """
+import json, sys
+from ratesched import cli
+run = cli.run_experiment
+def recording(cfg):
+    results = run(cfg)
+    with open(sys.argv[1], "w") as fh:
+        json.dump(results.per_seed, fh, indent=1)
+    return results
+cli.run_experiment = recording
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
-def sweep(tree: Path, workload: str, config: dict, seed: int) -> tuple[Path, Path]:
-    """Run one workload sweep in ``tree``; its CSV and ``.refs`` paths."""
+
+def sweep(tree: Path, workload: str, config: dict, seed: int) -> tuple[Path, Path, Path]:
+    """Run one workload sweep in ``tree``; its CSV, ``.refs`` and
+    ``.per_seed.json`` paths."""
     out = tree / "same-results"
     out.mkdir(exist_ok=True)
     config_path = out / f"{workload}-{seed}.json"
     config_path.write_text(json.dumps(dict(config, master_seed=seed)))
     csv_path = out / f"{workload}-{seed}.csv"
+    per_seed_path = out / f"{workload}-{seed}.per_seed.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "ratesched.cli", "--config", str(config_path),
+        [sys.executable, "-c", DRIVER, str(per_seed_path), "--config", str(config_path),
          "--out", str(csv_path)],
         cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         capture_output=True, text=True,
     )
     refs_path = out / f"{workload}-{seed}.refs"
     refs_path.write_text(f"exit {proc.returncode}\n{proc.stderr}")
-    return csv_path, refs_path
+    return csv_path, refs_path, per_seed_path
 
 
 def contents(path: Path) -> bytes | None:
-    # the CLI writes no CSV when every seed is infeasible (exit 3)
+    # the CLI writes no CSV when every seed is infeasible (exit 3), and no
+    # sweep runs on a config error (exit 2)
     return path.read_bytes() if path.exists() else None
 
 
@@ -74,7 +95,7 @@ def main(argv=None) -> int:
                     same = contents(base_path) == contents(head_path)
                     differ += not same
                     print("same" if same else "diff", head_path.name, flush=True)
-    print(f"{differ} of {2 * len(workloads) * (2 + len(EXTRA_SEEDS))} files differ")
+    print(f"{differ} of {3 * len(workloads) * (2 + len(EXTRA_SEEDS))} files differ")
     return 1 if differ else 0
 
 
