@@ -77,7 +77,7 @@ def lttf(
     slot.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
-    exact whenever its slot is at most ``cap``, and may be
+    exact whenever its slot is at most ``cap``, and
     ``AllocationResult.infeasible()`` otherwise. Slots never rise along the
     path, so when position 0 is over ``cap`` the search starts at the first
     position that is not; with no such position, or an infeasible verdict
@@ -236,10 +236,9 @@ def continuous_optimal(
     bits = np.array([n.packet_bits for n in nodes])
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
-    bandwidth = radio.bandwidth_hz
 
     def probe(t: float) -> FeasibilityReport:
-        targets = _capacity_targets(bits, t, bandwidth).tolist()
+        targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
         return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
     t_hi = float(min(delays))
@@ -248,11 +247,11 @@ def continuous_optimal(
     cols = gains.cols
     snr_caps = [radio.p_max * cols[i][i] / radio.noise_power for i in range(k)]
     log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
-    t_lo = max(n.packet_bits / (bandwidth * x) for n, x in zip(nodes, log_caps))
+    t_lo = max(n.packet_bits / (radio.bandwidth_hz * x) for n, x in zip(nodes, log_caps))
     if t_lo > t_hi:
         return AllocationResult.infeasible()
     # Targets fall with t, so those at t_hi are the smallest of any probe.
-    hi_targets = _capacity_targets(bits, t_hi, bandwidth).tolist()
+    hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()
     if not all(x > 0 for x in hi_targets):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
     hi_report = check_targets(gains, hi_targets, radio, [t_hi] * k, delays, energies)

@@ -237,19 +237,19 @@ def _candidates(members, pricer):
     leaving out every subset whose slot is above the sum of its members' solo
     slots.
 
-    Subsets are priced by increasing size, in ``itertools.combinations`` order;
-    a subset of two or more nodes with ``cap`` the ``math.fsum`` of its
-    members' solo slots (inf when one of them is infeasible), and its result is
-    dropped when its slot is above ``cap``, under every pricer. No scheduler
-    uses such a subset S, since splitting S into solos is strictly cheaper
-    (a float slot above the correctly rounded sum is above the exact sum):
+    Subsets are priced by increasing size, in ``itertools.combinations`` order.
+    A subset S of two or more nodes is priced with ``cap`` the ``math.fsum``
+    of its members' solo slots (inf when one of them is infeasible), and left
+    out when its slot is above ``cap``, under every pricer. No scheduler can
+    use such an S, since splitting it into solos is strictly cheaper (a float
+    slot above the correctly rounded sum is above the exact sum):
 
-    * ``_best_partitions``: a partition holding S costs more, in exact sums,
-      than the same partition with S split, and the solo of S's lowest member
-      comes before S in the candidate order, so S is never a strict optimum.
-      Only a tie of two rounded ``fsum`` costs, one with S and one without,
-      could in principle let the first of them win where S came first, and
-      so return an equal-cost partition with other groups.
+    * ``_best_partitions`` weighs S only at masks that hold S's lowest
+      member, after that member's solo, whose option costs less in exact
+      sums; so S is never a strict optimum. The costs compared are rounded
+      ``fsum`` values, so only where rounding ties or reverses such a
+      comparison could S have won, and the DP without S would then return
+      another partition, of equal or next-to-equal cost.
     * ``_greedy_cover``: S's key ``slot / new`` is at least, and its ``slot``
       above, that of the solo of its cheapest uncovered member, so S never
       has the smallest key.

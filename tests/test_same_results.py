@@ -40,7 +40,8 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
         value = 0.25
         if tree.name == "head" and seed == 1:
             value = math.nextafter(value, 1.0)
-        paths = [tree / f"{workload}-{seed}{suffix}" for suffix in (".csv", ".refs", ".per_seed.json")]
+        suffixes = (".csv", ".refs", ".per_seed.json")
+        paths = [tree / f"{workload}-{seed}{suffix}" for suffix in suffixes]
         paths[0].write_text("same rows\n")
         paths[1].write_text("exit 0\n")
         paths[2].write_text(json.dumps([{"max_active": {"sna-mla/cont": value}}]))

@@ -608,7 +608,8 @@ class TestSubsetPricer:
         if kind == "fixed":
             pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS})
         else:
-            pricer = gain_pricer(inst, random_gains(np.random.default_rng(3), 2), kind == "continuous")
+            gains = random_gains(np.random.default_rng(3), 2)
+            pricer = gain_pricer(inst, gains, kind == "continuous")
         with pytest.raises(ValidationError, match="repeated"):
             pricer.price((1, 1))  # nothing cached yet
         assert pricer.price((0,)).feasible

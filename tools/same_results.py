@@ -15,8 +15,9 @@ sweep point's ``reference_counts`` (reference kinds, infeasible seeds per
 rate model, numerical drops); and a ``.per_seed.json`` file with the sweep's
 ``ExperimentResults.per_seed`` records, so that a change to one seed's
 ``max_active`` shows even where the CSV's means round it away. ``DRIVER``
-records ``per_seed`` as ``run_experiment`` returns it to the CLI. Every file is reported as ``same`` or ``diff`` against the other
-side; the exit status is 1 if any differs.
+records ``per_seed`` as ``run_experiment`` returns it to the CLI. Every
+file is reported as ``same`` or ``diff`` against the other side; the exit
+status is 1 if any differs.
 """
 
 from __future__ import annotations
