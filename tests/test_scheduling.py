@@ -11,6 +11,7 @@ from ratesched import (
     AllocationResult,
     ContinuousPricer,
     FixedPricer,
+    Frame,
     GainMatrix,
     InfeasibleInstanceError,
     NodeSpec,
@@ -20,7 +21,6 @@ from ratesched import (
     disc8_table,
     exhaustive_fits,
     exhaustive_schedule,
-    Frame,
     mla_allocate,
     mua_allocate,
     schedule,
@@ -602,8 +602,8 @@ class TestExhaustive:
 class TestSubsetPricer:
     @pytest.mark.parametrize("kind", ["table", "continuous", "fixed"])
     def test_repeated_or_unknown_ids_raise(self, kind):
-        # a repeated id once collapsed into the frozenset key, and an unknown
-        # one raised a bare KeyError from the gain-backed pricers
+        # a repeated id would collapse into the frozenset key, and an unknown
+        # one would reach the gain-backed pricers' position lookup
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
         if kind == "fixed":
             pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS})
