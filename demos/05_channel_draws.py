@@ -33,7 +33,8 @@ own = [chan.gains[i, topo.controller_of[i]] for i in range(8)]
 print(f"own-link gains: {np.array(own).round(12)}")
 
 sub = chan.link_gains([0, 3, 5])
-print(f"subset gain matrix for links (0, 3, 5):\n{sub.g}")
+# the matrix keeps its entries column by column: cols[k][l] is entry (l, k)
+print(f"subset gain matrix for links (0, 3, 5):\n{np.array(sub.cols).T}")
 
 # draws are reproducible and serializable
 again = realize_channel(topo, seed=7)

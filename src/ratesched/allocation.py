@@ -221,9 +221,9 @@ def continuous_optimal(
     it equals t_lo or the true boundary t* lies within a relative
     ``_REL_TOL`` below it.
 
-    The set-up runs on Python floats, in the same float operations as on
-    arrays; only the logarithms and the capacity targets stay in numpy
-    (``math.log2`` and ``math.expm1`` differ from them in the last bit).
+    The set-up and the result are Python floats, from the same float
+    operations as on arrays; only the logarithms and the capacity targets
+    use numpy (``math.log2`` and ``math.expm1`` differ in the last bit).
 
     Raises NumericalError when a bound leaves the float range: the capacity
     targets at t_hi underflow to 0 (as when t_hi * W overflows), or t_lo
@@ -233,7 +233,8 @@ def continuous_optimal(
     if not nodes:
         raise ValidationError("subset must be nonempty")
     k = len(nodes)
-    bits = np.array([n.packet_bits for n in nodes])
+    packets = [n.packet_bits for n in nodes]
+    bits = np.array(packets)
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
 
@@ -247,7 +248,7 @@ def continuous_optimal(
     cols = gains.cols
     snr_caps = [radio.p_max * cols[i][i] / radio.noise_power for i in range(k)]
     log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
-    t_lo = max(n.packet_bits / (radio.bandwidth_hz * x) for n, x in zip(nodes, log_caps))
+    t_lo = max(b / (radio.bandwidth_hz * x) for b, x in zip(packets, log_caps))
     if t_lo > t_hi:
         return AllocationResult.infeasible()
     # Targets fall with t, so those at t_hi are the smallest of any probe.
@@ -269,7 +270,7 @@ def continuous_optimal(
         yes, yes_report = cap, cap_report
     lo_report = probe(t_lo)
     if lo_report.feasible:
-        return _result_for([b / t_lo for b in bits], [t_lo] * k, lo_report)
+        return _result_for([b / t_lo for b in packets], [t_lo] * k, lo_report)
 
     def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
         s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
@@ -323,4 +324,4 @@ def continuous_optimal(
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing
             slot, report = bisect(t_lo, t_hi, hi_report)
-    return _result_for([b / slot for b in bits], [slot] * k, report)
+    return _result_for([b / slot for b in packets], [slot] * k, report)

@@ -73,10 +73,12 @@ def generate_topology(
     """Place sensors and controllers uniformly in a square of side
     sqrt(n_sensors / density) meters.
 
-    Raises NumericalError when the side overflows to infinity.
+    Raises ValidationError unless both counts are integers >= 1 (not bools),
+    and NumericalError when the side overflows to infinity.
     """
-    if n_sensors < 1 or n_controllers < 1:
-        raise ValidationError("need at least one sensor and one controller")
+    for name, count in (("n_sensors", n_sensors), ("n_controllers", n_controllers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, not {count!r}")
     if not density > 0:
         raise ValidationError("density must be > 0")
     side = math.sqrt(n_sensors / density)
@@ -127,10 +129,10 @@ class ChannelRealization:
         for arr in (self.gains, self.shadowing_db, self.fading):
             arr.setflags(write=False)
 
-    def link_gains(self, sensor_ids) -> GainMatrix:
+    def link_gains(self, sensors) -> GainMatrix:
         """Gain matrix for a concurrent subset: entry (l, k) is the gain from
-        transmitter ``sensor_ids[l]`` to the controller of ``sensor_ids[k]``."""
-        ids = list(sensor_ids)
+        transmitter ``sensors[l]`` to the controller of ``sensors[k]``."""
+        ids = list(sensors)
         cols = [self.controller_of[i] for i in ids]
         return GainMatrix(self.gains[np.ix_(ids, cols)])
 

@@ -99,7 +99,9 @@ class ExperimentConfig:
     ``delay_rule`` is either the string "subframe" (delay bound equals the
     effective subframe duration) or a fixed number of seconds.
     ``energy_scale`` scales the default per-packet energy budget
-    p_max * delay_bound; at 1.0 the budget never binds.
+    p_max * delay_bound. For the default radio and periods the results are
+    identical from 1.0 down to 1e-3; checks first end in INFEASIBLE_ENERGY
+    at 3e-4, and at 1e-4 perfbench's paper-sweep keeps 69 of 300 seeds.
     """
 
     n_sensors: object = 8

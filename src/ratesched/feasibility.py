@@ -78,9 +78,9 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
 
     Targets are jointly achievable iff rho(F) < 1 (strictly); otherwise the
     result is None. The test is the pivot criterion of the module docstring:
-    I - F and u are built row by row from the columns ``gains.cols`` (so the
-    array ``gains.g`` is never converted), eliminated without pivoting, and the
-    first pivot that is not > 0 gives None, as does a non-finite entry of F
+    I - F and u are built row by row from the columns ``gains.cols``, the
+    matrix's only store, in Python floats, eliminated without pivoting, and
+    the first pivot that is not > 0 gives None, as does a non-finite entry of F
     (an overflowing target). At the returned vector every link meets its
     target with equality, and any other feasible power vector dominates it
     component-wise. One link gives p = u exactly; for two links the only
@@ -209,8 +209,8 @@ def check_rate_vector(
 
 def achieved_sinr(gains: GainMatrix, powers, noise: float) -> np.ndarray:
     """Per-link SINR produced by a given power vector."""
-    g = gains.g
+    g_t = np.array(gains.cols)  # g_t[k, l] is the gain from link l to link k
     p = np.asarray(powers, dtype=float)
-    received = g.T @ p
-    desired = np.diag(g) * p
+    received = g_t @ p
+    desired = np.diag(g_t) * p
     return desired / (noise + received - desired)

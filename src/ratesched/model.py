@@ -196,15 +196,15 @@ class RadioConfig:
 class GainMatrix:
     """Square matrix of linear power gains for a set of concurrent links.
 
-    ``g[l, k]`` is the gain from the transmitter of link l to the receiver
+    Entry (l, k) is the gain from the transmitter of link l to the receiver
     (controller) of link k, so row l describes where link l's power lands.
-    The array is validated, copied and frozen on construction. ``cols`` holds
-    the same entries column by column as a tuple of tuples of Python floats
-    (``cols[k][l] == g[l, k]``), built once so that the feasibility kernel
-    never converts the array. ``sub(idx)`` is the matrix of a subset of links.
+    The entries are validated on construction and kept only column by
+    column: ``cols[k][l]`` is entry (l, k), a Python float, so that the
+    feasibility kernel reads them without converting. ``sub(idx)`` is the
+    matrix of a subset of links.
     """
 
-    __slots__ = ("g", "cols")
+    __slots__ = ("cols",)
 
     def __init__(self, g):
         arr = np.array(g, dtype=float)
@@ -212,25 +212,21 @@ class GainMatrix:
             raise ValidationError("gain matrix must be square")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValidationError("gains must be finite and > 0")
-        arr.setflags(write=False)
-        self.g = arr
         self.cols = tuple(map(tuple, arr.T.tolist()))
 
     def sub(self, idx) -> "GainMatrix":
         """The gains among the links at positions ``idx``, in that order;
-        equal to ``GainMatrix(g[np.ix_(idx, idx)])`` but without validating
-        entries again that were checked when this matrix was built."""
-        arr = self.g.take(idx, 0).take(idx, 1)
-        arr.setflags(write=False)
+        equal to ``GainMatrix`` of those rows and columns but without
+        validating entries again that were checked when this matrix was
+        built."""
         sub = GainMatrix.__new__(GainMatrix)
-        sub.g = arr
         cols = self.cols
         sub.cols = tuple([tuple([cols[k][l] for l in idx]) for k in idx])
         return sub
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return len(self.cols)
 
     def __repr__(self):
         return f"GainMatrix(n={self.n})"
@@ -265,19 +261,22 @@ class Instance:
     the largest period, so one frame covers every node's cycle. Canonical
     instances have a smallest period of 1 (the subframe is defined as the
     shortest packet period); the experiment sampler renormalizes its draws
-    into this form. The rate model (gains, radio, rate ladder) is not part of
-    an instance: a ``SubsetPricer`` carries it.
+    into this form. ``position[id]``, the one map from node ids, is the
+    node's index in ``nodes`` and its row in a gain matrix over them. The
+    rate model (gains, radio, rate ladder) is not part of an instance: a
+    ``SubsetPricer`` carries it.
     """
 
     nodes: tuple[NodeSpec, ...]
     subframe_count: int
     periods: dict[int, int]
-
-    def node(self, node_id: int) -> NodeSpec:
-        return self._by_id[node_id]
+    position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "position", {n.id: k for k, n in enumerate(self.nodes)})
+
+    def node(self, node_id: int) -> NodeSpec:
+        return self.nodes[self.position[node_id]]
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -301,14 +300,11 @@ def validate_instance(nodes) -> Instance:
     nodes = tuple(nodes)
     if not nodes:
         raise ValidationError("instance must contain at least one node")
-    seen = set()
-    for n in nodes:
-        if n.id in seen:
-            raise ValidationError(f"duplicate node id {n.id}")
-        seen.add(n.id)
     min_p = min(n.period for n in nodes)
     periods = {}
     for n in nodes:
+        if n.id in periods:
+            raise ValidationError(f"duplicate node id {n.id}")
         if not is_nested_period(n.period, min_p):
             raise ValidationError(
                 f"non-nested periods: {n.period} is not a power-of-two "

@@ -69,7 +69,6 @@ class SubsetPricer:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._ids = frozenset(inst.ids)
         # subset -> (result, largest cap the result answers)
         self._cache: dict[frozenset, tuple[AllocationResult, float]] = {}
 
@@ -91,7 +90,7 @@ class SubsetPricer:
         entry = self._cache.get(key)
         if entry is not None and cap <= entry[1]:
             return entry[0]
-        if not key <= self._ids:
+        if not key <= self.inst.position.keys():
             raise ValidationError(f"unknown node id in subset {tuple(ids)}")
         res = self._price(tuple(sorted(key)), cap)
         self._cache[key] = (res, math.inf if res.feasible else cap)
@@ -121,12 +120,11 @@ class _GainBackedPricer(SubsetPricer):
             raise ValidationError("gain matrix must cover every instance node")
         self.gains = gains
         self.radio = radio
-        self._pos = {n.id: k for k, n in enumerate(inst.nodes)}
 
     def _sub(self, ids):
-        idx = [self._pos[i] for i in ids]
-        nodes = [self.inst.node(i) for i in ids]
-        return nodes, self.gains.sub(idx)
+        idx = [self.inst.position[i] for i in ids]
+        nodes = self.inst.nodes
+        return [nodes[k] for k in idx], self.gains.sub(idx)
 
 
 class TablePricer(_GainBackedPricer):
@@ -175,7 +173,7 @@ class Frame:
 
     ``assignments[id]`` is the node's subframe offset in [0, period).
     ``groups[m]`` lists the concurrency groups of subframe m as
-    ``(node_ids, allocation)`` pairs. Nodes in one group always have pairwise
+    ``(ids, allocation)`` pairs. Nodes in one group always have pairwise
     distinct controllers and identical periods.
     """
 

@@ -21,6 +21,12 @@ from ratesched import (
 TABLE1_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
 
 
+def gain_array(gains):
+    """The entries of ``gains`` as a C-ordered float array, ``g[l, k]`` being
+    the gain from link l to link k; a ``GainMatrix`` keeps only ``cols``."""
+    return np.array(gains.cols).T.copy()
+
+
 def random_gains(rng, n, radio=TABLE1_RADIO, snr_db=(2.0, 42.0), iso_db=(3.0, 25.0)):
     """Gain matrix with controlled solo SNR and interference isolation."""
     solo = rng.uniform(*snr_db, size=n)

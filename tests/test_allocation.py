@@ -25,7 +25,7 @@ from ratesched import (
     lttf,
 )
 
-from helpers import TABLE1_RADIO, random_instance, random_rate_indices
+from helpers import TABLE1_RADIO, gain_array, random_instance, random_rate_indices
 
 DISC4 = disc4_table(1e8)
 DISC8 = disc8_table(1e8)
@@ -76,7 +76,7 @@ def frozen_continuous_optimal(nodes, gains, radio):
     bits = np.array([n.packet_bits for n in nodes])
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
-    snr_cap = radio.p_max * np.diag(gains.g) / radio.noise_power
+    snr_cap = radio.p_max * np.diag(gain_array(gains)) / radio.noise_power
 
     def targets_at(t):
         return np.expm1(bits * (math.log(2.0) / (t * radio.bandwidth_hz)))
@@ -438,7 +438,7 @@ class TestContinuousOptimal:
                 gains, targets, radio, np.full(k, t), delays, energies
             ).feasible
 
-        snr_cap = radio.p_max * np.diag(gains.g) / radio.noise_power
+        snr_cap = radio.p_max * np.diag(gain_array(gains)) / radio.noise_power
         t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
         t_hi = float(np.min(delays))
         res = continuous_optimal(nodes, gains, radio)
@@ -591,3 +591,23 @@ class TestCap:
                 assert calls <= 1
             elif cap < exact.slot * (1 - 2 * ratesched.allocation._REL_TOL):
                 assert calls <= 2
+
+
+class TestResultTypes:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(instance=pricing_instances())
+    def test_feasible_results_hold_python_floats(self, instance):
+        # every solver returns plain floats, never numpy scalars (np.float64
+        # is a float subclass, so only the exact type tells them apart)
+        subset, gains, table, radio = instance
+        results = [
+            outcome(lttf, subset, gains, table, radio),
+            outcome(continuous_optimal, subset, gains, radio),
+        ]
+        if len(subset) <= 4:
+            results.append(outcome(brute_force_optimal, subset, gains, table, radio))
+        feasible = [r for r in results if isinstance(r, AllocationResult) and r.feasible]
+        for res in feasible:
+            assert type(res.slot) is float
+            for values in (res.rates, res.powers, res.times):
+                assert type(values) is tuple and all(type(x) is float for x in values)

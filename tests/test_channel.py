@@ -5,6 +5,7 @@ import pytest
 
 from ratesched import (
     Topology,
+    ValidationError,
     generate_topology,
     mean_gain,
     path_loss_db,
@@ -13,6 +14,8 @@ from ratesched import (
     topology_to_json,
 )
 
+from helpers import gain_array
+
 
 class TestGenerateTopology:
     def test_side_from_density(self):
@@ -20,6 +23,18 @@ class TestGenerateTopology:
         assert topo.side == pytest.approx(math.sqrt(20.0), rel=1e-12)
         assert topo.n_sensors == 100 and topo.n_controllers == 3
         assert np.all(topo.sensors >= 0) and np.all(topo.sensors <= topo.side)
+
+    @pytest.mark.parametrize(
+        "counts", [(2.5, 3), (3, 2.0), (0, 3), (3, -1), (True, 3), (3, False), ("3", 3), (None, 3)]
+    )
+    def test_bad_counts_rejected(self, counts):
+        # a typed error, not numpy's bare TypeError from the array shape
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            generate_topology(*counts, 5.0, seed=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        topo = generate_topology(np.int64(4), np.int32(2), 5.0, seed=1)
+        assert topo.n_sensors == 4 and topo.n_controllers == 2
 
     def test_single_node_topology(self):
         topo = generate_topology(1, 1, 0.25, seed=2)
@@ -106,7 +121,7 @@ class TestRealizeChannel:
         sub = chan.link_gains(ids)
         for row, l in enumerate(ids):
             for col, k in enumerate(ids):
-                assert sub.g[row, col] == chan.gains[l, topo.controller_of[k]]
+                assert gain_array(sub)[row, col] == chan.gains[l, topo.controller_of[k]]
 
     def test_gains_all_positive_and_reproducible_after_subsetting(self):
         topo = generate_topology(8, 3, 5.0, seed=12)
@@ -114,4 +129,4 @@ class TestRealizeChannel:
         assert np.all(chan.gains > 0)
         a = chan.link_gains(range(8))
         b = chan.link_gains(range(8))
-        assert np.array_equal(a.g, b.g)
+        assert np.array_equal(gain_array(a), gain_array(b))

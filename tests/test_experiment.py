@@ -451,6 +451,44 @@ class TestRunExperiment:
             assert row["mean_norm"] == pytest.approx(mean, rel=1e-9)
             assert row["std_norm"] == pytest.approx(std, rel=1e-9)
 
+    def test_seeded_energy_binding_sweep_regression_pin(self, monkeypatch):
+        # the sweep above with energy budgets 1e-4 of p_max * delay: frozen
+        # output, and the budgets really bind (checks end in
+        # INFEASIBLE_ENERGY, and four more seeds drop than at energy_scale 1.0)
+        verdicts = Counter()
+        check = allocation.check_targets
+
+        def counting_check(*args):
+            report = check(*args)
+            verdicts[report.verdict] += 1
+            return report
+
+        monkeypatch.setattr(allocation, "check_targets", counting_check)
+        results = run_experiment(
+            tiny_config(n_sensors=[4], seeds=20, master_seed=123, energy_scale=1e-4)
+        )
+        assert verdicts[feasibility.Verdict.INFEASIBLE_ENERGY] > 0
+        assert results.reference_counts[("n_sensors", 4)] == {
+            "exhaustive": 3, "heuristic": 5, "infeasible": 12,
+            "infeasible_by_model": {"disc4": 12}, "numerical": 0,
+        }
+        expected = {
+            ("sna-mla", "cont"): (8, 1.0, 0.0),
+            ("sna-mla", "disc4"): (8, 1.3507152780807345, 0.11173786267078226),
+            ("sna-mla", "disc8"): (8, 1.092497124072283, 0.08847390941030833),
+            ("sna-mua", "cont"): (8, 1.0, 0.0),
+            ("sna-mua", "disc4"): (8, 1.3507152780807345, 0.11173786267078226),
+            ("sna-mua", "disc8"): (8, 1.1036957867680295, 0.10189533591351238),
+        }
+        assert len(results.rows) == len(expected)
+        for row in results.rows:
+            count, mean, std = expected[(row["strategy"], row["rate_model"])]
+            assert row["seed_count"] == count and row["infeasible_count"] == 12
+            assert row["mean_norm"] == pytest.approx(mean, rel=1e-9)
+            assert row["std_norm"] == pytest.approx(std, rel=1e-9)
+        unbound = run_experiment(tiny_config(n_sensors=[4], seeds=20, master_seed=123))
+        assert unbound.rows != results.rows
+
     def test_every_kernel_call_passes_through_the_traced_names(self, monkeypatch):
         # perfbench counts feasibility work per link count by wrapping these
         # module globals; a call that bypassed them (say, an inlined kernel)

@@ -21,7 +21,7 @@ from ratesched import (
     min_power_vector,
 )
 
-from helpers import TABLE1_RADIO, random_gains, random_instance
+from helpers import TABLE1_RADIO, gain_array, random_gains, random_instance
 
 TABLE = disc4_table(1e8)
 NOISE = TABLE1_RADIO.noise_power
@@ -31,7 +31,7 @@ EPS = np.finfo(float).eps
 def reference_min_power(gains, targets, noise):
     """Independent reference: rho from an eigensolve of F, then a dense LAPACK
     solve of (I - F) p = u. Returns ``(powers, rho)``."""
-    g = gains.g
+    g = gain_array(gains)
     diag = np.diag(g)
     f = g.T * (targets / diag)[:, None]
     np.fill_diagonal(f, 0.0)
@@ -48,10 +48,10 @@ def reference_min_power(gains, targets, noise):
 
 def frozen_min_power_vector(gains, sinr_targets, noise):
     """The elimination of ``min_power_vector`` as first written, kept verbatim
-    (on ``gains.g.T.tolist()``, with ``all(...)`` checks) so that the lean
+    (on ``gain_array(gains).T.tolist()``, with ``all(...)`` checks) so that the lean
     kernel can be held to the same float operations in the same order."""
     t = sinr_targets.tolist() if isinstance(sinr_targets, np.ndarray) else sinr_targets
-    cols = gains.g.T.tolist()
+    cols = gain_array(gains).T.tolist()
     n = len(cols)
     try:
         valid = len(t) == n and all(x > 0 for x in t)

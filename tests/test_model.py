@@ -17,6 +17,8 @@ from ratesched import (
     validate_instance,
 )
 
+from helpers import gain_array
+
 
 class TestBuildRateTable:
     def test_disc4_levels(self):
@@ -112,8 +114,9 @@ class TestNodeAndRadioValidation:
 
     def test_gain_matrix_frozen(self):
         g = GainMatrix([[1e-6]])
-        with pytest.raises(ValueError):
-            g.g[0, 0] = 1.0
+        assert type(g.cols) is tuple and all(type(c) is tuple for c in g.cols)
+        with pytest.raises(TypeError):
+            g.cols[0][0] = 1.0
 
 
 @st.composite
@@ -136,15 +139,15 @@ class TestGainMatrixColumns:
     def test_sub_equals_a_validated_submatrix(self, case):
         gains, idx = case
         sub = gains.sub(idx)
-        ref = GainMatrix(gains.g[np.ix_(idx, idx)])
+        ref = GainMatrix(gain_array(gains)[np.ix_(idx, idx)])
+        sub_g, ref_g = gain_array(sub), gain_array(ref)
         assert sub.n == ref.n == len(idx)
-        assert sub.g.dtype == ref.g.dtype and sub.g.shape == ref.g.shape
-        assert sub.g.tobytes() == ref.g.tobytes()
+        assert sub_g.dtype == ref_g.dtype and sub_g.shape == ref_g.shape
+        assert sub_g.tobytes() == ref_g.tobytes()
         assert [[x.hex() for x in c] for c in sub.cols] == [[x.hex() for x in c] for c in ref.cols]
         assert type(sub.cols) is tuple and all(type(c) is tuple for c in sub.cols)
-        assert not sub.g.flags.writeable
-        with pytest.raises(ValueError):
-            sub.g[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            sub.cols[0][0] = 1.0
 
 
 def _nodes_with_periods(periods):

@@ -31,14 +31,16 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
     # one max_active one ulp apart: the CSV and the refs agree, the per-seed
     # dump does not
     workloads = {"w": {"config": TINY, "default_seed": 1, "held_out_seed": 2}}
+    configs = {}
 
     def fake_export(rev, dest):
         (dest / "perfbench").mkdir(parents=True)
         (dest / "perfbench" / "workloads.json").write_text(json.dumps(workloads))
 
     def fake_sweep(tree, workload, config, seed):
+        configs[workload] = config
         value = 0.25
-        if tree.name == "head" and seed == 1:
+        if tree.name == "head" and workload == "w" and seed == 1:
             value = math.nextafter(value, 1.0)
         suffixes = (".csv", ".refs", ".per_seed.json")
         paths = [tree / f"{workload}-{seed}{suffix}" for suffix in suffixes]
@@ -54,4 +56,7 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
     assert "diff w-1.per_seed.json" in out
     assert "same w-1.csv" in out and "same w-1.refs" in out
     assert sum(line.startswith("diff") for line in out) == 1
-    assert out[-1] == f"1 of {3 * (2 + len(same_results.EXTRA_SEEDS))} files differ"
+    # every workload also runs with binding energy budgets
+    assert "same w-energy1e-4-1.per_seed.json" in out
+    assert configs == {"w": TINY, "w-energy1e-4": dict(TINY, energy_scale=1e-4)}
+    assert out[-1] == f"1 of {2 * 3 * (2 + len(same_results.EXTRA_SEEDS))} files differ"

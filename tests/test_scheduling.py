@@ -30,7 +30,7 @@ from ratesched import (
 from ratesched import scheduling
 from ratesched.scheduling import STRATEGIES
 
-from helpers import TABLE1_RADIO, four_node_fixture, random_gains
+from helpers import TABLE1_RADIO, four_node_fixture, random_gains, random_nodes
 
 DISC8 = disc8_table(1e8)
 MS = 1e-3
@@ -687,17 +687,31 @@ def random_prices(rng, inst):
 
 @st.composite
 def cap_cases(draw):
-    """An instance of ``small_instances``, or 7-8 nodes of period 1 on 2-4
-    controllers (MLA's greedy branch); a pricer kind; a seed for fixed
-    prices."""
-    if draw(st.booleans()):
+    """An instance of ``small_instances``; 7-8 nodes of period 1 on 2-4
+    controllers (MLA's greedy branch); or 2-8 nodes with periods from
+    {1, 2} on 3 controllers whose energy budgets bind (``random_nodes``);
+    a pricer kind; a seed for fixed prices."""
+    shape = draw(st.sampled_from(["small", "greedy", "energy"]))
+    if shape == "small":
         inst, gains = draw(small_instances())
-    else:
+    elif shape == "greedy":
         n = draw(st.integers(7, 8))
         n_controllers = draw(st.integers(2, 4))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         controllers = {i: int(rng.integers(0, n_controllers)) for i in range(n)}
         inst = fixture_instance(periods={i: 1 for i in range(n)}, controllers=controllers)
+        gains = random_gains(rng, n)
+    else:
+        n = draw(st.integers(2, 8))
+        energy_prob = draw(st.sampled_from([0.5, 1.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        controllers = [int(rng.integers(0, 3)) for _ in range(n)]
+        inst = validate_instance(
+            random_nodes(
+                rng, n, DISC8, periods=(1, 2), controllers=controllers,
+                binding_energy_prob=energy_prob,
+            )
+        )
         gains = random_gains(rng, n)
     return inst, gains, draw(st.sampled_from(["table", "continuous", "fixed"])), draw(
         st.integers(0, 2**32 - 1)
@@ -705,7 +719,7 @@ def cap_cases(draw):
 
 
 class TestCappedPricing:
-    @settings(derandomize=True, deadline=None, max_examples=120)
+    @settings(derandomize=True, deadline=None, max_examples=180)
     @given(case=cap_cases())
     def test_caps_change_no_schedule(self, case):
         # MLA (both branches), MUA and the exhaustive search give equal

@@ -7,9 +7,12 @@ Run from the repository root, for example:
 Both revisions are exported with ``bench_pairs.export``, so only committed
 files are compared. In each tree the ratesched CLI (``ratesched.cli.main``,
 under ``DRIVER``) runs every workload config of ``perfbench/workloads.json``
-(the head tree's file, for both sides) at four master seeds: the workload's
-default and held-out seeds, 1001 and 20262, each written into the sweep's
-config file as ``master_seed``. Each sweep leaves three files: its CSV; a
+(the head tree's file, for both sides) twice: as it is, where no energy
+budget binds, and with ``energy_scale`` 1e-4 (files named
+``<workload>-energy1e-4-<seed>``), where checks end in ``INFEASIBLE_ENERGY``
+and seeds are dropped for it. Each runs at four master seeds: the
+workload's default and held-out seeds, 1001 and 20262, each written into the
+sweep's config file as ``master_seed``. Each sweep leaves three files: its CSV; a
 ``.refs`` file with the CLI's exit code and its stderr, which prints every
 sweep point's ``reference_counts`` (reference kinds, infeasible seeds per
 rate model, numerical drops); and a ``.per_seed.json`` file with the sweep's
@@ -33,6 +36,10 @@ from pathlib import Path
 from bench_pairs import export
 
 EXTRA_SEEDS = (1001, 20262)
+
+# At this energy_scale the per-packet energy budgets of the default radio and
+# periods bind; at 1.0 they never do.
+BINDING_ENERGY_SCALE = 1e-4
 
 # ``python -c DRIVER PER_SEED_PATH CLI_ARGS...``: the CLI, with every
 # ``run_experiment`` result's ``per_seed`` written to PER_SEED_PATH as JSON.
@@ -82,21 +89,24 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="revision of the head side")
     args = parser.parse_args(argv)
 
-    differ = 0
+    differ = files = 0
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
         export(args.base, trees["base"])
         export(args.head, trees["head"])
         workloads = json.loads((trees["head"] / "perfbench" / "workloads.json").read_text())
         for workload, spec in workloads.items():
-            for seed in (spec["default_seed"], spec["held_out_seed"], *EXTRA_SEEDS):
-                base = sweep(trees["base"], workload, spec["config"], seed)
-                head = sweep(trees["head"], workload, spec["config"], seed)
-                for base_path, head_path in zip(base, head):
-                    same = contents(base_path) == contents(head_path)
-                    differ += not same
-                    print("same" if same else "diff", head_path.name, flush=True)
-    print(f"{differ} of {3 * len(workloads) * (2 + len(EXTRA_SEEDS))} files differ")
+            binding = dict(spec["config"], energy_scale=BINDING_ENERGY_SCALE)
+            for name, config in ((workload, spec["config"]), (f"{workload}-energy1e-4", binding)):
+                for seed in (spec["default_seed"], spec["held_out_seed"], *EXTRA_SEEDS):
+                    base = sweep(trees["base"], name, config, seed)
+                    head = sweep(trees["head"], name, config, seed)
+                    for base_path, head_path in zip(base, head):
+                        same = contents(base_path) == contents(head_path)
+                        differ += not same
+                        files += 1
+                        print("same" if same else "diff", head_path.name, flush=True)
+    print(f"{differ} of {files} files differ")
     return 1 if differ else 0
 
 
