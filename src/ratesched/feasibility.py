@@ -78,9 +78,9 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
 
     Targets are jointly achievable iff rho(F) < 1 (strictly); otherwise the
     result is None. The test is the pivot criterion of the module docstring:
-    I - F and u are built row by row from the columns ``gains.cols``, the
-    matrix's only store, in Python floats, eliminated without pivoting, and
-    the first pivot that is not > 0 gives None, as does a non-finite entry of F
+    I - F and u are built row by row, in Python floats, from the columns
+    ``gains.cols`` and eliminated without pivoting, and the first pivot
+    that is not > 0 gives None, as does a non-finite entry of F
     (an overflowing target). At the returned vector every link meets its
     target with equality, and any other feasible power vector dominates it
     component-wise. One link gives p = u exactly; for two links the only

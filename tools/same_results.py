@@ -11,13 +11,14 @@ under ``DRIVER``) runs every workload config of ``perfbench/workloads.json``
 budget binds, and with ``energy_scale`` 1e-4 (files named
 ``<workload>-energy1e-4-<seed>``), where checks end in ``INFEASIBLE_ENERGY``
 and seeds are dropped for it. Each runs at four master seeds: the
-workload's default and held-out seeds, 1001 and 20262, each written into the
-sweep's config file as ``master_seed``. Each sweep leaves three files: its CSV; a
-``.refs`` file with the CLI's exit code and its stderr, which prints every
-sweep point's ``reference_counts`` (reference kinds, infeasible seeds per
-rate model, numerical drops); and a ``.per_seed.json`` file with the sweep's
-``ExperimentResults.per_seed`` records, so that a change to one seed's
-``max_active`` shows even where the CSV's means round it away. ``DRIVER``
+workload's default and held-out seeds, 1001 and 20262, each written into
+the sweep's config file as ``master_seed``. Each sweep leaves three files:
+its CSV; a ``.refs`` file with the CLI's exit code and its stderr, which
+prints every sweep point's ``reference_counts`` (reference kinds,
+infeasible seeds per rate model, numerical drops); and a ``.per_seed.json``
+file with the sweep's ``ExperimentResults.per_seed`` records, so that a
+change to one seed's ``max_active`` shows even where the CSV's means round
+it away. ``DRIVER``
 records ``per_seed`` as ``run_experiment`` returns it to the CLI. Every
 file is reported as ``same`` or ``diff`` against the other side; the exit
 status is 1 if any differs.
@@ -96,8 +97,11 @@ def main(argv=None) -> int:
         export(args.head, trees["head"])
         workloads = json.loads((trees["head"] / "perfbench" / "workloads.json").read_text())
         for workload, spec in workloads.items():
-            binding = dict(spec["config"], energy_scale=BINDING_ENERGY_SCALE)
-            for name, config in ((workload, spec["config"]), (f"{workload}-energy1e-4", binding)):
+            variants = {
+                workload: spec["config"],
+                f"{workload}-energy1e-4": dict(spec["config"], energy_scale=BINDING_ENERGY_SCALE),
+            }
+            for name, config in variants.items():
                 for seed in (spec["default_seed"], spec["held_out_seed"], *EXTRA_SEEDS):
                     base = sweep(trees["base"], name, config, seed)
                     head = sweep(trees["head"], name, config, seed)
