@@ -68,13 +68,28 @@ def lttf(
     The path of level vectors does not depend on any verdict. Along it targets
     and (the ladder being concave) time * target products rise and times fall,
     so by the series argument of ``continuous_optimal`` its verdicts are a
-    feasible prefix. So the path (at most 1 + (num_levels - 1) * len(nodes)
-    vectors) is built first, position 0 is checked (infeasible there, the
-    subset is) and the last feasible position is binary-searched: the linear
-    walk's result from at most 1 + ceil(log2(path length)) ``check_targets``
-    calls on the thresholds ``table.threshold(q)``. Each link's time at every
-    level is divided out once per call, and the walk keeps each position's
-    slot.
+    feasible prefix. A link's ceiling is the last level, counting up from its
+    lowest level within delay, up to which every level passes its solo test:
+    u <= p_max and time * u <= energy budget, with u = threshold * N / g_ii
+    the kernel's interference-free power, as the same float expression.
+    ``min_power_vector`` never returns a power below u, so a vector with a
+    link above its ceiling is infeasible. The path (at most
+    1 + (num_levels - 1) * len(nodes) vectors) is therefore built only up to
+    the vector whose longest link sits at its ceiling; a subset whose first
+    vector is above a ceiling is infeasible without a check. Position 0 is
+    checked (infeasible there, the subset is) and the last feasible position
+    is binary-searched: the linear walk's result from at most
+    1 + ceil(log2(path length)) ``check_targets`` calls on the thresholds
+    ``table.threshold(q)``. Each link's time at every level is divided out
+    once per call, and the walk keeps each position's slot.
+
+    ``lttf`` never checks a vector above a ceiling: such a vector is
+    infeasible, even where the kernel would raise NumericalError on it for
+    an overflowing solo power. With one link every vector on the path
+    passes the kernel's checks with the same floats, so only the last one
+    is checked: a solo price takes 0 or 1 checks. The exception is a solo
+    power that underflows to 0 at the first position to check; that position
+    is checked first, and the kernel raises NumericalError there.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
@@ -98,7 +113,18 @@ def lttf(
     times = [[n.packet_bits / r for r in rates] for n in nodes]  # [link][level]
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
+    noise, p_max = radio.noise_power, radio.p_max
+    solo_gains = [col[i] for i, col in enumerate(gains.cols)]
 
+    def solo_power(i: int, q: int) -> float:
+        return thresholds[q] * noise / solo_gains[i]
+
+    def within_ceiling(i: int, q: int) -> bool:
+        u = solo_power(i, q)
+        return u <= p_max and times[i][q] * u <= energies[i]
+
+    if not all(within_ceiling(i, q) for i, q in enumerate(levels)):
+        return AllocationResult.infeasible()
     k = len(nodes)
     current = [t[q] for t, q in zip(times, levels)]
     path, slots = [], []
@@ -109,7 +135,7 @@ def lttf(
             if current[i] > slot:
                 j, slot = i, current[i]
         slots.append(slot)
-        if levels[j] == top:
+        if levels[j] == top or not within_ceiling(j, levels[j] + 1):
             break
         levels[j] += 1
         current[j] = times[j][levels[j]]
@@ -126,6 +152,8 @@ def lttf(
         lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
         if lo is None:
             return AllocationResult.infeasible()
+    if k == 1 and solo_power(0, path[lo][0]) > 0:
+        lo = len(path) - 1  # every position from lo on passes
     best = check(lo)
     if best is None:
         return AllocationResult.infeasible()

@@ -65,12 +65,20 @@ class InfeasibleInstanceError(Exception):
 
 
 class SubsetPricer:
-    """Base class mapping node subsets to allocation results, with caching."""
+    """Base class mapping node subsets to allocation results, with caching.
+
+    A pricer is the per-(instance, rate model) cache, so it also keeps the
+    grouping work that depends on its prices alone: the ``sna_assign``
+    offsets, and the candidates and partition DP of each member tuple.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         # subset -> (result, largest cap the result answers)
         self._cache: dict[frozenset, tuple[AllocationResult, float]] = {}
+        self._offsets: dict[int, int] | None = None
+        # sorted member tuple -> (candidates, slots, groups)
+        self._partitions: dict[tuple[int, ...], tuple] = {}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
@@ -205,6 +213,10 @@ def sna_assign(pricer: SubsetPricer) -> dict[int, int]:
     active length among the subframes it would occupy, active lengths being
     tracked with solo slot lengths at this stage; offset ties resolve to the
     smallest offset.
+
+    The largest active length an offset would give is taken as
+    ``max(active[off::s]) + solo[i]``: float addition rounds monotonically,
+    so it equals the largest of the sums.
     """
     inst = pricer.inst
     m_count = inst.subframe_count
@@ -215,7 +227,7 @@ def sna_assign(pricer: SubsetPricer) -> dict[int, int]:
         s = inst.periods[i]
         best_off, best_val = 0, None
         for off in range(s):
-            val = max(active[m] + solo[i] for m in range(off, m_count, s))
+            val = max(active[off::s]) + solo[i]
             if best_val is None or val < best_val:
                 best_off, best_val = off, val
         assignments[i] = best_off
@@ -269,6 +281,17 @@ def _candidates(members, pricer):
             if res.feasible and res.slot <= cap:
                 out.append((sum(bit[i] for i in ids), ids, res))
     return out
+
+
+def _partitions(members: tuple[int, ...], pricer: SubsetPricer):
+    """``(candidates, slots, groups)`` of the sorted ``members``: their
+    ``_candidates`` and ``_best_partitions``, computed once per pricer."""
+    entry = pricer._partitions.get(members)
+    if entry is None:
+        candidates = _candidates(members, pricer)
+        entry = (candidates, *_best_partitions(len(members), candidates))
+        pricer._partitions[members] = entry
+    return entry
 
 
 def _best_partitions(k, candidates):
@@ -361,19 +384,22 @@ def mla_allocate(population, pricer: SubsetPricer):
     Over the feasible controller-distinct subsets, takes the exact
     minimum-total partition for ≤ 6 nodes, greedy set cover with overlap
     clean-up above: the cover picks the cheapest price per newly covered node
-    first, then every node stays only in its cheapest selected subset.
+    first, then every node stays only in its cheapest selected subset. The
+    exact partitions of a population are computed once per pricer and shared
+    with ``exhaustive_schedule``.
     """
     population = sorted(population)
     if not population:
         return []
-    candidates = _candidates(population, pricer)
-    _require_coverage(population, candidates)
     if len(population) > 6:
+        candidates = _candidates(population, pricer)
+        _require_coverage(population, candidates)
         return _dedup_cover(_greedy_cover(population, candidates), pricer)
     # A minimum cover shrinks to a partition that costs no more whenever
     # subsets of feasible groups stay feasible and no dearer, so the
     # partition DP also finds the minimum cover.
-    _, groups = _best_partitions(len(population), candidates)
+    candidates, _, groups = _partitions(tuple(population), pricer)
+    _require_coverage(population, candidates)
     best = groups[-1]
     if best is None:
         raise InfeasibleInstanceError()
@@ -427,16 +453,6 @@ def mua_allocate(population, pricer: SubsetPricer):
 _ALLOCATORS = {"sna-mla": mla_allocate, "sna-mua": mua_allocate}
 
 
-def _populations(inst: Instance, assignments, m: int):
-    """Population of subframe m, keyed and ordered by period."""
-    by_period: dict[int, list[int]] = {}
-    for i, off in assignments.items():
-        s = inst.periods[i]
-        if m % s == off:
-            by_period.setdefault(s, []).append(i)
-    return [(s, sorted(by_period[s])) for s in sorted(by_period)]
-
-
 def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, ScheduleMetrics]:
     """Build a frame for ``pricer.inst`` with sorted node assignment plus the
     chosen allocator.
@@ -444,23 +460,32 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
     The pricer is the rate model: a ``TablePricer`` for a discrete ladder, a
     ``ContinuousPricer`` for the continuous baseline or a ``FixedPricer`` for
     pinned slot prices. Deterministic for fixed inputs.
+
+    The ``sna_assign`` offsets depend only on the pricer's solo prices, so
+    they are computed once per pricer and shared by every strategy; each
+    frame gets its own copy. Nodes are grouped by (period, offset) in one
+    pass, and the allocator runs once per group: subframe m holds, in order
+    of period, the group of each period s at offset m mod s.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
     inst = pricer.inst
     allocator = _ALLOCATORS[strategy]
-    assignments = sna_assign(pricer)
-    group_cache: dict[tuple, list] = {}
-    per_subframe = []
-    for m in range(inst.subframe_count):
-        rows = []
-        for s, population in _populations(inst, assignments, m):
-            key = (s, tuple(population))
-            if key not in group_cache:
-                group_cache[key] = allocator(population, pricer)
-            rows.extend(group_cache[key])
-        per_subframe.append(tuple(rows))
-    frame = Frame(inst.subframe_count, assignments, tuple(per_subframe))
+    if pricer._offsets is None:
+        pricer._offsets = sna_assign(pricer)
+    assignments = dict(pricer._offsets)
+    populations: dict[tuple[int, int], list[int]] = {}
+    for i in sorted(assignments):
+        populations.setdefault((inst.periods[i], assignments[i]), []).append(i)
+    rows = [
+        (s, off, allocator(population, pricer))
+        for (s, off), population in sorted(populations.items())
+    ]
+    per_subframe = tuple(
+        tuple(row for s, off, groups in rows if m % s == off for row in groups)
+        for m in range(inst.subframe_count)
+    )
+    frame = Frame(inst.subframe_count, assignments, per_subframe)
     return frame, compute_metrics(frame)
 
 
@@ -492,12 +517,15 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     therefore differ from versions without the pin.
 
     The cost of a subframe depends only on which nodes it holds, so it is
-    read from one table over all 2**N node masks, each entry the ``fsum`` of
+    read from one table over the 2**N node masks, each entry the ``fsum`` of
     the concatenated per-class partition slots (never an fsum of per-class
     fsums, which can differ in the last bit). The offset vectors are scored
     at once from a (V, M) array of subframe masks, one byte per mask: with
     N <= 8 nodes and M <= 4, V <= 4**7 = 16384 vectors, so the array holds at
-    most 64 KiB and its gathered costs 512 KiB.
+    most 64 KiB and its gathered costs 512 KiB. Only the entries of masks
+    that occur in it are filled; the others are never read. The per-class
+    partitions are those of ``mla_allocate``, computed once per pricer, so a
+    class that MLA also groups (the period-1 class) is enumerated once.
     """
     inst = pricer.inst
     if not exhaustive_fits(inst):
@@ -511,21 +539,10 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     classes = []
     ids: list[int] = []
     for s in sorted(set(inst.periods.values())):
-        members = sorted(i for i in inst.periods if inst.periods[i] == s)
-        slots, groups = _best_partitions(len(members), _candidates(members, pricer))
+        members = tuple(sorted(i for i in inst.periods if inst.periods[i] == s))
+        _, slots, groups = _partitions(members, pricer)
         classes.append((len(ids), (1 << len(members)) - 1, slots, groups))
         ids.extend(members)
-
-    cost = np.full(1 << len(ids), math.inf)
-    for mask in range(len(cost)):
-        lengths = []
-        for shift, full, slots, _ in classes:
-            part = slots[(mask >> shift) & full]
-            if part is None:
-                break
-            lengths.extend(part)
-        else:
-            cost[mask] = math.fsum(lengths)
 
     # Subframe masks of every offset vector, in itertools.product order; the
     # first node of the longest period (the last class) stays at offset 0.
@@ -536,6 +553,17 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     for k, i in enumerate(ids):
         present = subframes % inst.periods[i] == np.arange(spans[k])[:, None]
         masks = (masks[:, None, :] | (present << k).astype(np.uint8)).reshape(-1, m_count)
+
+    cost = np.full(1 << len(ids), math.inf)
+    for mask in set(masks.tobytes()):  # one byte per mask
+        lengths = []
+        for shift, full, slots, _ in classes:
+            part = slots[(mask >> shift) & full]
+            if part is None:
+                break
+            lengths.extend(part)
+        else:
+            cost[mask] = math.fsum(lengths)
     objective = cost[masks].max(axis=1)
     best = int(objective.argmin())
     if objective[best] == math.inf:

@@ -13,6 +13,7 @@ from ratesched import (
     NodeSpec,
     NumericalError,
     RadioConfig,
+    RateTable,
     ValidationError,
     Verdict,
     brute_force_optimal,
@@ -132,6 +133,25 @@ def level_path(nodes, table):
         path.append(tuple(levels))
 
 
+def bounded_path(nodes, gains, table, radio):
+    """The prefix of ``level_path`` with no link above its ceiling: the last
+    level, counting up from its first, up to which the link passes
+    ``check_rate_vector`` alone."""
+    path = level_path(nodes, table)
+    if not path:
+        return []
+    ceilings = []
+    for i, (node, q0) in enumerate(zip(nodes, path[0])):
+        ceiling = q0 - 1
+        for q in range(q0, table.num_levels):
+            alone = check_rate_vector([node], gains.sub([i]), [table.rate(q)], table, radio)
+            if not alone.feasible:
+                break
+            ceiling = q
+        ceilings.append(ceiling)
+    return [v for v in path if all(q <= c for q, c in zip(v, ceilings))]
+
+
 def outcome(pricer, *args):
     """A pricer's result, or the type of the error it raised."""
     try:
@@ -219,8 +239,9 @@ class TestLttf:
 
     def test_check_budget(self, monkeypatch):
         # the binary search makes at most 1 + ceil(log2(path length))
-        # feasibility checks, and at least one once every link has a level
-        # within its delay bound
+        # feasibility checks on the path bounded by each link's solo
+        # ceiling, at least one once that path is nonempty, and exactly one
+        # for a single link
         rng = np.random.default_rng(12)
         calls = 0
 
@@ -238,12 +259,59 @@ class TestLttf:
             )
             calls = 0
             lttf(nodes, gains, DISC8, TABLE1_RADIO)
-            path = level_path(nodes, DISC8)
+            path = bounded_path(nodes, gains, DISC8, TABLE1_RADIO)
             assert (calls >= 1) == bool(path)
             if path:
                 assert calls <= 1 + math.ceil(math.log2(len(path)))
+            if path and n == 1:
+                assert calls == 1
             walks += bool(path)
         assert walks >= 50
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(instance=pricing_instances())
+    def test_never_checks_above_a_ceiling(self, instance):
+        # every checked vector passes each link's solo test: the kernel's
+        # interference-free power u = t * N / g_ii within p_max and, times
+        # the link's time, within its energy budget
+        checked = 0
+
+        def solo_tested_check(gains, targets, radio, times, delays, energies):
+            nonlocal checked
+            checked += 1
+            for i, col in enumerate(gains.cols):
+                u = targets[i] * radio.noise_power / col[i]
+                assert u <= radio.p_max and times[i] * u <= energies[i]
+            return check_targets(gains, targets, radio, times, delays, energies)
+
+        with mock.patch.object(ratesched.allocation, "check_targets", solo_tested_check):
+            outcome(lttf, *instance)
+        subset, gains, table, radio = instance
+        if len(subset) == 1 and bounded_path(subset, gains, table, radio):
+            assert checked == 1
+
+    def test_overflowing_solo_power_is_above_the_ceiling(self):
+        # the second level's solo power overflows to inf, on which the kernel
+        # raises; that vector is above the link's ceiling, so it is never
+        # checked and the price is the first level's
+        table = RateTable(((1.0, 1e8), (1e300, 2e8)))
+        radio = RadioConfig(p_max=1e11, noise_power=1.0, bandwidth_hz=1e8)
+        gains = GainMatrix([[1e-10]])
+        with pytest.raises(NumericalError):
+            check_rate_vector([_node()], gains, [2e8], table, radio)
+        res = lttf([_node()], gains, table, radio)
+        assert res.feasible
+        assert res.rates == (1e8,)
+
+    def test_solo_power_underflowing_to_zero_still_raises(self):
+        # the first level's solo power underflows to 0 and the second's does
+        # not: the first is checked, and the kernel raises there
+        table = RateTable(((1.0, 1e8), (1e30, 2e8)))
+        radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
+        gains = GainMatrix([[1e30]])
+        assert check_rate_vector([_node()], gains, [2e8], table, radio).feasible
+        with pytest.raises(NumericalError):
+            lttf([_node()], gains, table, radio)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(instance=pricing_instances())
