@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,15 @@ def generate_topology(
     """Place sensors and controllers uniformly in a square of side
     sqrt(n_sensors / density) meters.
 
-    Raises ValidationError unless both counts are integers >= 1 (not bools),
-    and NumericalError when the side overflows to infinity.
+    Raises ValidationError unless both counts are integers >= 1 (not bools)
+    and the density is a finite real number > 0 (not a bool), and
+    NumericalError when the side overflows to infinity.
     """
     for name, count in (("n_sensors", n_sensors), ("n_controllers", n_controllers)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValidationError(f"{name} must be an integer >= 1, not {count!r}")
-    if not density > 0:
-        raise ValidationError("density must be > 0")
+    if not (_is_finite_real(density) and density > 0):
+        raise ValidationError(f"density must be a finite number > 0, not {density!r}")
     side = math.sqrt(n_sensors / density)
     if not math.isfinite(side):
         raise NumericalError(f"square side overflows at density {density!r}")
@@ -89,6 +91,10 @@ def generate_topology(
     controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
     controller_of = tuple(int(k) for k in np.argmin(_distances(sensors, controllers), axis=1))
     return Topology(side, sensors, controllers, controller_of, float(density), seed)
+
+
+def _is_finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:
@@ -160,6 +166,9 @@ def realize_channel(topology: Topology, seed=None) -> ChannelRealization:
     return ChannelRealization(gains, topology.controller_of, shadowing, fading)
 
 
+_JSON_KEYS = ("side", "density", "seed", "sensors", "controllers", "controller_of")
+
+
 def topology_to_json(topology: Topology) -> str:
     doc = {
         "side": topology.side,
@@ -172,13 +181,62 @@ def topology_to_json(topology: Topology) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _positions(doc: dict, key: str) -> np.ndarray:
+    value = doc[key]
+    if not (
+        isinstance(value, list)
+        and value
+        and all(
+            isinstance(xy, list) and len(xy) == 2 and all(map(_is_finite_real, xy))
+            for xy in value
+        )
+    ):
+        raise ValidationError(f"{key} must be a nonempty list of finite [x, y] pairs")
+    return np.array(value, dtype=float)
+
+
 def topology_from_json(text: str) -> Topology:
-    doc = json.loads(text)
+    """The topology of a ``topology_to_json`` document.
+
+    The document comes from outside, so it is validated here rather than on
+    every ``Topology``: ValidationError unless it is a JSON object with every
+    key of ``topology_to_json``, ``sensors`` and ``controllers`` are
+    nonempty lists of finite [x, y] pairs, ``controller_of`` names one
+    existing controller per sensor, ``side`` and ``density`` are finite
+    numbers > 0 and ``seed`` is an integer or null.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"topology document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError("topology document must be a JSON object")
+    missing = [key for key in _JSON_KEYS if key not in doc]
+    if missing:
+        raise ValidationError(f"topology document lacks {', '.join(missing)}")
+    sensors = _positions(doc, "sensors")
+    controllers = _positions(doc, "controllers")
+    controller_of = doc["controller_of"]
+    if not (
+        isinstance(controller_of, list)
+        and len(controller_of) == len(sensors)
+        and all(
+            isinstance(k, int) and not isinstance(k, bool) and 0 <= k < len(controllers)
+            for k in controller_of
+        )
+    ):
+        raise ValidationError("controller_of must name one existing controller per sensor")
+    for key in ("side", "density"):
+        if not (_is_finite_real(doc[key]) and doc[key] > 0):
+            raise ValidationError(f"{key} must be a finite number > 0, not {doc[key]!r}")
+    seed = doc["seed"]
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ValidationError(f"seed must be an integer or null, not {seed!r}")
     return Topology(
         side=float(doc["side"]),
-        sensors=np.array(doc["sensors"], dtype=float),
-        controllers=np.array(doc["controllers"], dtype=float),
-        controller_of=tuple(int(k) for k in doc["controller_of"]),
+        sensors=sensors,
+        controllers=controllers,
+        controller_of=tuple(controller_of),
         density=float(doc["density"]),
-        seed=doc["seed"],
+        seed=seed,
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,19 @@ class TestGenerateTopology:
         with pytest.raises(ValidationError, match="must be an integer >= 1"):
             generate_topology(*counts, 5.0, seed=1)
 
+    @pytest.mark.parametrize(
+        "density", ["5", None, True, False, math.inf, -math.inf, math.nan, 0.0, -1.0]
+    )
+    def test_bad_density_rejected(self, density):
+        # not numpy's bare TypeError, nor a square of side 0 (inf) or of
+        # density 1 (True)
+        with pytest.raises(ValidationError, match="density must be a finite number > 0"):
+            generate_topology(3, 2, density, seed=1)
+
+    def test_numpy_density_accepted(self):
+        topo = generate_topology(4, 2, np.float64(5.0), seed=1)
+        assert topo.side == generate_topology(4, 2, 5.0, seed=1).side
+
     def test_numpy_integer_counts_accepted(self):
         topo = generate_topology(np.int64(4), np.int32(2), 5.0, seed=1)
         assert topo.n_sensors == 4 and topo.n_controllers == 2
@@ -61,6 +75,51 @@ class TestGenerateTopology:
         assert np.array_equal(back.controllers, topo.controllers)
         assert back.controller_of == topo.controller_of
         assert back.side == topo.side and back.seed == topo.seed
+
+
+def _document(**changes):
+    """A valid topology document with some keys replaced (None: removed)."""
+    doc = json.loads(topology_to_json(generate_topology(3, 2, 5.0, seed=4)))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+class TestTopologyFromJson:
+    def test_missing_key(self):
+        with pytest.raises(ValidationError, match="lacks controller_of"):
+            topology_from_json(_document(controller_of=None))
+
+    def test_ragged_sensors(self):
+        with pytest.raises(ValidationError, match="sensors must be"):
+            topology_from_json(_document(sensors=[[0.0, 1.0], [2.0], [1.0, 1.0]]))
+
+    def test_controller_of_shorter_than_sensors(self):
+        with pytest.raises(ValidationError, match="controller_of"):
+            topology_from_json(_document(controller_of=[0, 1]))
+
+    def test_controller_of_names_a_missing_controller(self):
+        with pytest.raises(ValidationError, match="controller_of"):
+            topology_from_json(_document(controller_of=[0, 1, 2]))
+
+    def test_nan_coordinate(self):
+        # Python's json reads NaN; it must not reach realize_channel
+        text = _document(controllers=[[math.nan, 0.0], [1.0, 1.0]])
+        assert "NaN" in text
+        with pytest.raises(ValidationError, match="controllers must be"):
+            topology_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", "[1, 2]", _document(density=0), _document(side="1"), _document(seed=1.5)],
+        ids=["not-json", "array", "zero-density", "string-side", "float-seed"],
+    )
+    def test_other_malformed_documents(self, text):
+        with pytest.raises(ValidationError):
+            topology_from_json(text)
 
 
 class TestPathLoss:

@@ -751,6 +751,50 @@ class TestCappedPricing:
             assert capped == run(ignoring_cap(make()))
 
 
+class TestSharedPricer:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        instance=small_instances(),
+        kind=st.sampled_from(["table", "continuous", "fixed"]),
+        order=st.permutations(["sna-mla", "sna-mua", "exhaustive"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pricer_serves_every_scheduler(self, instance, kind, order, seed):
+        # the offsets and partitions a pricer keeps give the frames and
+        # bit-identical max_active of fresh pricers, in any order; sna_assign
+        # runs once, and each frame owns its assignments
+        inst, gains = instance
+
+        def make():
+            if kind == "fixed":
+                return FixedPricer(inst, random_prices(np.random.default_rng(seed), inst))
+            return gain_pricer(inst, gains, kind == "continuous")
+
+        def run(pricer, name):
+            return exhaustive_schedule(pricer) if name == "exhaustive" else schedule(pricer, name)
+
+        calls = 0
+
+        def counting_sna_assign(pricer):
+            nonlocal calls
+            calls += 1
+            return sna_assign(pricer)
+
+        shared = make()
+        with mock.patch.object(scheduling, "sna_assign", counting_sna_assign):
+            results = {name: run(shared, name) for name in order}
+        assert calls == 1
+        for name, (frame, metrics) in results.items():
+            fresh_frame, fresh_metrics = run(make(), name)
+            assert frame == fresh_frame
+            assert metrics.max_active.hex() == fresh_metrics.max_active.hex()
+        mla, mua = results["sna-mla"][0], results["sna-mua"][0]
+        kept = dict(mua.assignments)
+        mla.assignments[min(mla.assignments)] += 1
+        assert mua.assignments == kept
+        assert schedule(shared, "sna-mua")[0] == mua
+
+
 class TestComputeMetrics:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
