@@ -86,6 +86,12 @@ def min_power_vector(gains: GainMatrix, sinr_targets, noise: float) -> tuple[flo
     component-wise. One link gives p = u exactly; for two links the only
     pivot after the first is 1 - F[0,1]*F[1,0].
 
+    No returned power is below its link's interference-free power
+    u_i = t_i * noise / g_ii, compared as floats: the elimination only adds
+    non-negative terms to u, and back-substitution only adds non-negative
+    terms and divides by pivots in (0, 1], each step rounding monotonically.
+    The level ceilings of ``lttf`` rest on this.
+
     Close to rho = 1 the powers lose accuracy (a relative error of a few
     eps / (1 - rho)) but still meet every target to a relative 1e-9; within
     about 1e-12 of rho = 1 the verdict itself rests on rounding.

@@ -265,6 +265,20 @@ class TestMinPowerVector:
         elif powers is not None:
             assert all(math.isfinite(p) and p > 0 for p in powers)
 
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(system=st.one_of(small_systems(), near_singular_systems()))
+    def test_no_power_below_the_interference_free_power(self, system):
+        # the elimination adds only non-negative terms to u and divides by
+        # pivots in (0, 1], so p_i >= t_i * N / g_ii as floats; the level
+        # ceilings of lttf rest on this
+        gains, targets = system
+        targets = targets.tolist()
+        powers = min_power_vector(gains, targets, NOISE)
+        if powers is None:
+            return
+        for p, t, col, i in zip(powers, targets, gains.cols, itertools.count()):
+            assert p >= t * NOISE / col[i]
+
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(
         system=st.one_of(small_systems(), near_singular_systems()),
