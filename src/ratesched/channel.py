@@ -94,7 +94,13 @@ def generate_topology(
 
 
 def _is_finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether ``x`` is a real number, not a bool, with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:

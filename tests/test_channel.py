@@ -34,7 +34,7 @@ class TestGenerateTopology:
             generate_topology(*counts, 5.0, seed=1)
 
     @pytest.mark.parametrize(
-        "density", ["5", None, True, False, math.inf, -math.inf, math.nan, 0.0, -1.0]
+        "density", ["5", None, True, False, math.inf, -math.inf, math.nan, 0.0, -1.0, 10**400]
     )
     def test_bad_density_rejected(self, density):
         # not numpy's bare TypeError, nor a square of side 0 (inf) or of
@@ -114,8 +114,15 @@ class TestTopologyFromJson:
 
     @pytest.mark.parametrize(
         "text",
-        ["not json", "[1, 2]", _document(density=0), _document(side="1"), _document(seed=1.5)],
-        ids=["not-json", "array", "zero-density", "string-side", "float-seed"],
+        [
+            "not json",
+            "[1, 2]",
+            _document(density=0),
+            _document(side="1"),
+            _document(side=10**400),
+            _document(seed=1.5),
+        ],
+        ids=["not-json", "array", "zero-density", "string-side", "huge-side", "float-seed"],
     )
     def test_other_malformed_documents(self, text):
         with pytest.raises(ValidationError):
