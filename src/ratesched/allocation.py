@@ -52,8 +52,42 @@ def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
     )
 
 
+def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> list:
+    """Each link's solo terms on the rate ladder, for ``lttf``.
+
+    One record per link, in ``nodes`` order: ``(times, lowest, ceiling)``,
+    with ``times[q] = packet_bits / rate(q)`` at every level, ``lowest`` the
+    first level within the delay bound and ``ceiling`` the last level,
+    counting up from ``lowest``, up to which every level passes the link's
+    solo test (see ``lttf``). A link with no level within its delay bound,
+    or one that fails the solo test at ``lowest``, gets None.
+    """
+    noise, p_max = radio.noise_power, radio.p_max
+    records = []
+    for i, (n, col) in enumerate(zip(nodes, gains.cols)):
+        g_ii = col[i]
+        times = [n.packet_bits / r for _, r in table.levels]
+        lowest = ceiling = None
+        for q, (threshold, _) in enumerate(table.levels):
+            if lowest is None:
+                if times[q] > n.delay_bound:
+                    continue
+                lowest = q
+            u = threshold * noise / g_ii  # the kernel's interference-free power
+            if not (u <= p_max and times[q] * u <= n.energy_budget):
+                break
+            ceiling = q
+        records.append(None if ceiling is None else (times, lowest, ceiling))
+    return records
+
+
 def lttf(
-    nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig, cap: float = math.inf
+    nodes,
+    gains: GainMatrix,
+    table: RateTable,
+    radio: RadioConfig,
+    cap: float = math.inf,
+    solos=None,
 ) -> AllocationResult:
     """Longest-transmission-time-first rate assignment.
 
@@ -75,21 +109,25 @@ def lttf(
     ``min_power_vector`` never returns a power below u, so a vector with a
     link above its ceiling is infeasible. The path (at most
     1 + (num_levels - 1) * len(nodes) vectors) is therefore built only up to
-    the vector whose longest link sits at its ceiling; a subset whose first
-    vector is above a ceiling is infeasible without a check. Position 0 is
-    checked (infeasible there, the subset is) and the last feasible position
-    is binary-searched: the linear walk's result from at most
-    1 + ceil(log2(path length)) ``check_targets`` calls on the thresholds
-    ``table.threshold(q)``. Each link's time at every level is divided out
-    once per call, and the walk keeps each position's slot.
+    the vector whose longest link sits at its ceiling; a subset with a link
+    that fails its solo test at its lowest level is infeasible without a
+    check. Position 0 is checked (infeasible there, the subset is) and the
+    last feasible position is binary-searched: the linear walk's result from
+    at most 1 + ceil(log2(path length)) ``check_targets`` calls on the
+    thresholds ``table.threshold(q)``.
+
+    ``solos`` holds each link's times at every level, lowest level and
+    ceiling, as ``ladder_solos(nodes, gains, table, radio)`` returns them; a
+    ``TablePricer`` derives them once per node and passes them in, and a
+    bare call derives them itself.
 
     ``lttf`` never checks a vector above a ceiling: such a vector is
     infeasible, even where the kernel would raise NumericalError on it for
-    an overflowing solo power. With one link every vector on the path
-    passes the kernel's checks with the same floats, so only the last one
-    is checked: a solo price takes 0 or 1 checks. The exception is a solo
-    power that underflows to 0 at the first position to check; that position
-    is checked first, and the kernel raises NumericalError there.
+    an overflowing solo power. With one link every level up to its ceiling
+    passes the kernel's checks with the same floats, so a solo price is its
+    ceiling level, checked once. The exception is a solo power that
+    underflows to 0 at the first level to check; that level is checked
+    instead, and the kernel raises NumericalError there.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
@@ -98,35 +136,46 @@ def lttf(
     position that is not; with no such position, or an infeasible verdict
     there, every feasible position is over ``cap``. A price over ``cap``
     therefore takes at most one check.
+
+    Raises ValidationError when ``nodes`` is empty or its length differs
+    from ``gains.n``.
     """
     nodes = list(nodes)
     if not nodes:
         raise ValidationError("subset must be nonempty")
-    top = table.num_levels - 1
-    levels = []
-    for n in nodes:
-        q = table.lowest_level_within(n.packet_bits, n.delay_bound)
-        if q is None:
-            return AllocationResult.infeasible()
-        levels.append(q)
+    if len(nodes) != gains.n:
+        raise ValidationError("one node per gain matrix row required")
+    if solos is None:
+        solos = ladder_solos(nodes, gains, table, radio)
+    if None in solos:
+        return AllocationResult.infeasible()
     thresholds, rates = zip(*table.levels)
-    times = [[n.packet_bits / r for r in rates] for n in nodes]  # [link][level]
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
-    noise, p_max = radio.noise_power, radio.p_max
-    solo_gains = [col[i] for i, col in enumerate(gains.cols)]
 
-    def solo_power(i: int, q: int) -> float:
-        return thresholds[q] * noise / solo_gains[i]
+    def check(vector):
+        link_times = [s[0][q] for s, q in zip(solos, vector)]
+        targets = [thresholds[q] for q in vector]
+        report = check_targets(gains, targets, radio, link_times, delays, energies)
+        return (vector, link_times, report) if report.feasible else None
 
-    def within_ceiling(i: int, q: int) -> bool:
-        u = solo_power(i, q)
-        return u <= p_max and times[i][q] * u <= energies[i]
-
-    if not all(within_ceiling(i, q) for i, q in enumerate(levels)):
-        return AllocationResult.infeasible()
     k = len(nodes)
-    current = [t[q] for t, q in zip(times, levels)]
+    if k == 1:
+        (times, q, ceiling), = solos
+        if times[ceiling] > cap:  # the smallest slot of the link
+            return AllocationResult.infeasible()
+        while times[q] > cap:
+            q += 1
+        if thresholds[q] * radio.noise_power / gains.cols[0][0] > 0:
+            q = ceiling  # every level from q on passes
+        best = check((q,))
+        if best is None:
+            return AllocationResult.infeasible()
+        vector, link_times, report = best
+        return _result_for([rates[vector[0]]], link_times, report)
+
+    levels = [s[1] for s in solos]
+    current = [s[0][q] for s, q in zip(solos, levels)]
     path, slots = [], []
     while True:
         path.append(tuple(levels))
@@ -135,32 +184,23 @@ def lttf(
             if current[i] > slot:
                 j, slot = i, current[i]
         slots.append(slot)
-        if levels[j] == top or not within_ceiling(j, levels[j] + 1):
+        if levels[j] == solos[j][2]:
             break
         levels[j] += 1
-        current[j] = times[j][levels[j]]
-
-    def check(pos: int):
-        vector = path[pos]
-        link_times = [t[q] for t, q in zip(times, vector)]
-        targets = [thresholds[q] for q in vector]
-        report = check_targets(gains, targets, radio, link_times, delays, energies)
-        return (vector, link_times, report) if report.feasible else None
+        current[j] = solos[j][0][levels[j]]
 
     lo = 0
     if slots[0] > cap:
         lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
         if lo is None:
             return AllocationResult.infeasible()
-    if k == 1 and solo_power(0, path[lo][0]) > 0:
-        lo = len(path) - 1  # every position from lo on passes
-    best = check(lo)
+    best = check(path[lo])
     if best is None:
         return AllocationResult.infeasible()
     hi = len(path)  # position lo is feasible, none from hi on is
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2  # rounded up: many walks end at the top
-        found = check(mid)
+        found = check(path[mid])
         if found is None:
             hi = mid
         else:
@@ -203,9 +243,23 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
     return np.expm1(packet_bits * (math.log(2.0) / (slot * bandwidth)))
 
 
+def slot_floors(nodes, gains: GainMatrix, radio: RadioConfig) -> list[float]:
+    """Each link's interference-free slot b_i / (W * log2(1 + p_max * g_ii / N)),
+    in ``nodes`` order: the shortest slot in which the link alone carries its
+    packet at p_max. ``continuous_optimal``'s t_lo is the largest of them.
+    A slot that leaves the float range is inf, as when 1 + SNR rounds to 1."""
+    cols = gains.cols
+    snr_caps = [radio.p_max * col[i] / radio.noise_power for i, col in enumerate(cols)]
+    log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
+    return [
+        n.packet_bits / (radio.bandwidth_hz * x) if x > 0 else math.inf
+        for n, x in zip(nodes, log_caps)
+    ]
+
+
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def continuous_optimal(
-    nodes, gains: GainMatrix, radio: RadioConfig, cap: float = math.inf
+    nodes, gains: GainMatrix, radio: RadioConfig, cap: float = math.inf, solos=None
 ) -> AllocationResult:
     """Minimum common slot length under capacity-derived (continuous) rates.
 
@@ -219,31 +273,42 @@ def continuous_optimal(
     the spectral, power and energy checks pass for all t >= t*, and the
     delay check for all t <= t_hi, the tightest delay bound: the feasible
     slots form the one interval [t*, t_hi], and a single bisection between
-    the interference-free single-link bound t_lo and t_hi finds t*.
+    the interference-free single-link bound t_lo and t_hi finds t*. t_lo is
+    the largest of the links' ``slot_floors``; ``solos`` holds them, as a
+    ``ContinuousPricer`` derives them once per node, and a bare call derives
+    them itself.
 
-    That bisection is replayed: its result depends only on its monotone
-    verdicts, so a probed feasible slot ``yes`` and a probed infeasible slot
-    ``no`` decide every midpoint outside (no, yes). A guide that only
-    chooses where to probe first narrows (no, yes): a secant on 1/slack(t),
-    slack being the largest p_i/p_max and t*p_i/E_i of the last two probes
-    that found powers. 1/slack is close to linear in t near t*, by the pole
-    of p(t) where rho(F(t)) = 1, and far above it, where g_i(t) is about
-    b_i*ln2/(t*W). It takes a geometric step instead when the secant is
-    unusable or leaves (no, yes) or the last probe found no powers, and
-    steps just across a converged secant's root. The replay probes only the
-    midpoints inside (no, yes), and the final slot unless it was probed, so
-    slot and powers are the plain bisection's, bit for bit; should that final
-    probe be infeasible (rounding broke monotonicity), the plain one runs.
+    Probes are made in this order, each only when the answer needs it. A
+    ``cap`` below t_hi is probed first. Otherwise a single link probes t_lo
+    first, its answer unless power or energy binds. t_hi is probed only when
+    nothing below it is a feasible anchor: with no cap below t_hi, or after
+    a solo's failed t_lo probe; an infeasible verdict there means no slot is
+    feasible. Then t_lo is probed, unless it already was; a feasible verdict
+    there is the answer.
+
+    Otherwise that bisection is replayed: its result depends only on its
+    monotone verdicts, so a probed feasible slot ``yes`` and a probed
+    infeasible slot ``no`` decide every midpoint outside (no, yes). A guide
+    that only chooses where to probe first narrows (no, yes): a secant on
+    1/slack(t), slack being the largest p_i/p_max and t*p_i/E_i of the last
+    two probes that found powers. 1/slack is close to linear in t near t*,
+    by the pole of p(t) where rho(F(t)) = 1, and far above it, where g_i(t)
+    is about b_i*ln2/(t*W). It takes a geometric step instead when the
+    secant is unusable or leaves (no, yes) or the last probe found no
+    powers, and steps just across a converged secant's root. The replay
+    probes only the midpoints inside (no, yes), and the final slot unless it
+    was probed, so slot and powers are the plain bisection's, bit for bit;
+    should that final probe be infeasible (rounding broke monotonicity), the
+    plain one runs.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
-    ``AllocationResult.infeasible()`` otherwise. After the probe at t_hi
-    (which raises the errors below whatever ``cap`` is), a ``cap`` below
-    t_lo gives infeasible at once; one below t_hi is probed, and an
-    infeasible verdict there means t* > cap, while a feasible one becomes
-    the guide's first ``yes``. So a price with t* > cap takes at most two
-    probes. One with t* <= cap below the bisection's slot (within its
-    relative ``_REL_TOL``) is replayed in full and then reported infeasible.
+    ``AllocationResult.infeasible()`` otherwise. A ``cap`` below t_lo gives
+    infeasible without a probe; one below t_hi is probed, and an infeasible
+    verdict there means t* > cap, while a feasible one becomes the guide's
+    first ``yes``. So a price with t* > cap takes at most one probe. One
+    with t* <= cap below the bisection's slot (within its relative
+    ``_REL_TOL``) is replayed in full and then reported infeasible.
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
@@ -253,13 +318,24 @@ def continuous_optimal(
     operations as on arrays; only the logarithms and the capacity targets
     use numpy (``math.log2`` and ``math.expm1`` differ in the last bit).
 
-    Raises NumericalError when a bound leaves the float range: the capacity
-    targets at t_hi underflow to 0 (as when t_hi * W overflows), or t_lo
-    underflows to 0 (as when the solo SNR at p_max overflows).
+    Raises ValidationError when ``nodes`` is empty, its length differs from
+    ``gains.n`` or a delay bound is not finite. Raises NumericalError when a
+    bound leaves the float range: t_lo is inf (as when 1 + SNR rounds to 1
+    for a link's solo SNR at p_max), the capacity targets at t_hi underflow
+    to 0 (as when t_hi * W overflows), which needs no probe, or t_lo
+    underflows to 0 (as when the solo SNR at p_max overflows) while t_hi is
+    feasible.
+    The kernel's own NumericalError (a minimum power that underflows to 0 or
+    overflows) surfaces only from a slot that is probed: an error that the
+    probe at t_hi alone would raise does not surface when t_hi is not
+    probed, as when a solo's t_lo probe is feasible or a cap below t_hi is
+    infeasible.
     """
     nodes = list(nodes)
     if not nodes:
         raise ValidationError("subset must be nonempty")
+    if len(nodes) != gains.n:
+        raise ValidationError("one node per gain matrix row required")
     k = len(nodes)
     packets = [n.packet_bits for n in nodes]
     bits = np.array(packets)
@@ -270,35 +346,48 @@ def continuous_optimal(
         targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
         return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
+    def at(t: float, report: FeasibilityReport) -> AllocationResult:
+        return _result_for([b / t for b in packets], [t] * k, report)
+
     t_hi = float(min(delays))
     if not math.isfinite(t_hi):
         raise ValidationError("continuous baseline needs finite delay bounds")
-    cols = gains.cols
-    snr_caps = [radio.p_max * cols[i][i] / radio.noise_power for i in range(k)]
-    log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
-    t_lo = max(b / (radio.bandwidth_hz * x) for b, x in zip(packets, log_caps))
+    if solos is None:
+        solos = slot_floors(nodes, gains, radio)
+    t_lo = max(solos)
+    if t_lo == math.inf:
+        raise NumericalError("interference-free slot bound leaves the float range")
     if t_lo > t_hi:
         return AllocationResult.infeasible()
     # Targets fall with t, so those at t_hi are the smallest of any probe.
     hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()
     if not all(x > 0 for x in hi_targets):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = check_targets(gains, hi_targets, radio, [t_hi] * k, delays, energies)
-    if not hi_report.feasible:
+    if not t_lo > 0:  # no slot up to t_lo can be probed
+        if probe(t_hi).feasible:
+            raise NumericalError("interference-free slot bound underflows to 0")
         return AllocationResult.infeasible()
-    if not t_lo > 0:
-        raise NumericalError("interference-free slot bound underflows to 0")
     if cap < t_lo:
         return AllocationResult.infeasible()
-    no, yes, yes_report = t_lo, t_hi, hi_report
+    lo_report = hi_report = None
+    if cap >= t_hi and k == 1:
+        lo_report = probe(t_lo)
+        if lo_report.feasible:
+            return at(t_lo, lo_report)
     if cap < t_hi:
-        cap_report = probe(cap)
-        if not cap_report.feasible:
-            return AllocationResult.infeasible()
-        yes, yes_report = cap, cap_report
-    lo_report = probe(t_lo)
-    if lo_report.feasible:
-        return _result_for([b / t_lo for b in packets], [t_lo] * k, lo_report)
+        yes, yes_report = cap, probe(cap)
+    else:
+        yes = t_hi
+        yes_report = hi_report = check_targets(
+            gains, hi_targets, radio, [t_hi] * k, delays, energies
+        )
+    if not yes_report.feasible:
+        return AllocationResult.infeasible()
+    if lo_report is None:
+        lo_report = probe(t_lo)
+        if lo_report.feasible:
+            return at(t_lo, lo_report)
+    no = t_lo
 
     def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
         s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
@@ -352,4 +441,6 @@ def continuous_optimal(
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing
             slot, report = bisect(t_lo, t_hi, hi_report)
-    return _result_for([b / slot for b in packets], [slot] * k, report)
+            if report is None:  # the slot is t_hi, not probed yet
+                report = probe(slot)
+    return at(slot, report) if report.feasible else AllocationResult.infeasible()

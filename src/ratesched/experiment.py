@@ -324,7 +324,7 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     pricers = {model: _pricer(model, inst, gains, cfg.radio) for model in needed}
 
     # Table models first (this order also picks the model a drop is charged
-    # to): a solo ladder walk takes 0 or 1 checks, a continuous solo about 3.
+    # to): a solo ladder walk takes 0 or 1 checks, a continuous solo about 2.
     for model in sorted(needed, key=lambda m: m == "cont"):
         try:
             for i in inst.ids:

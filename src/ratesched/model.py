@@ -182,15 +182,16 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Radio-wide constants: max transmit power, receiver noise power, bandwidth."""
+    """Radio-wide constants: max transmit power, receiver noise power, bandwidth,
+    each finite and > 0."""
 
     p_max: float
     noise_power: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        if not (self.p_max > 0 and self.noise_power > 0 and self.bandwidth_hz > 0):
-            raise ValidationError("radio parameters must all be > 0")
+        if not all(0 < x < math.inf for x in (self.p_max, self.noise_power, self.bandwidth_hz)):
+            raise ValidationError("radio parameters must all be finite and > 0")
 
 
 class GainMatrix:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import continuous_optimal, lttf
+from .allocation import continuous_optimal, ladder_solos, lttf, slot_floors
 from .model import AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError
 
 __all__ = [
@@ -130,31 +130,50 @@ class _GainBackedPricer(SubsetPricer):
         self.radio = radio
 
     def _sub(self, ids):
+        """Positions, nodes and gain submatrix of the subset ``ids``."""
         idx = [self.inst.position[i] for i in ids]
         nodes = self.inst.nodes
-        return [nodes[k] for k in idx], self.gains.sub(idx)
+        return idx, [nodes[k] for k in idx], self.gains.sub(idx)
 
 
 class TablePricer(_GainBackedPricer):
     """Prices each subset with ``lttf`` on its submatrix of ``gains`` (rows in
-    ``inst.nodes`` order), ``table`` and ``radio``."""
+    ``inst.nodes`` order), ``table`` and ``radio``.
+
+    Each node's solo terms (its time at every level, its lowest level within
+    delay and its ceiling, or None when it fails alone; see ``ladder_solos``)
+    are derived once, here, and passed to every ``lttf`` call.
+    """
 
     def __init__(self, inst: Instance, gains: GainMatrix, table: RateTable, radio: RadioConfig):
         super().__init__(inst, gains, radio)
         self.table = table
+        self._solos = ladder_solos(inst.nodes, gains, table, radio)
 
     def _price(self, ids, cap):
-        nodes, sub = self._sub(ids)
-        return lttf(nodes, sub, self.table, self.radio, cap)
+        idx, nodes, sub = self._sub(ids)
+        solos = [self._solos[k] for k in idx]
+        return lttf(nodes, sub, self.table, self.radio, cap, solos)
 
 
 class ContinuousPricer(_GainBackedPricer):
     """Prices each subset with ``continuous_optimal`` on its submatrix of
-    ``gains`` and ``radio``."""
+    ``gains`` and ``radio``.
+
+    Each node's interference-free slot (see ``slot_floors``) is derived once,
+    here, and passed to every ``continuous_optimal`` call; a submatrix's
+    diagonal holds the full matrix's diagonal entries, so the floats are
+    those a bare call derives.
+    """
+
+    def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig):
+        super().__init__(inst, gains, radio)
+        self._solos = slot_floors(inst.nodes, gains, radio)
 
     def _price(self, ids, cap):
-        nodes, sub = self._sub(ids)
-        return continuous_optimal(nodes, sub, self.radio, cap)
+        idx, nodes, sub = self._sub(ids)
+        solos = [self._solos[k] for k in idx]
+        return continuous_optimal(nodes, sub, self.radio, cap, solos)
 
 
 class FixedPricer(SubsetPricer):

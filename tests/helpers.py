@@ -9,12 +9,17 @@ parameters.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ratesched import (
     FixedPricer,
     GainMatrix,
     NodeSpec,
+    NumericalError,
     RadioConfig,
+    ValidationError,
+    disc4_table,
+    disc8_table,
     validate_instance,
 )
 
@@ -124,3 +129,43 @@ def random_descendant(rng, indices):
         down = [int(rng.integers(0, q + 1)) for q in indices]
         if any(d < q for d, q in zip(down, indices)):
             return down
+
+
+def outcome(pricer, *args):
+    """A pricer's result, or the type of the error it raised."""
+    try:
+        return pricer(*args)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc)
+
+
+# Bandwidths that put the slots near 1e-300 and 1e+295 s as well as at the
+# Table-1 scale; tables and delays scale with them.
+BANDWIDTHS = (1e8, 1e300, 1e-292)
+TABLES = {(name, w): make(w) for w in BANDWIDTHS
+          for name, make in (("disc4", disc4_table), ("disc8", disc8_table))}
+
+
+@st.composite
+def pricing_instances(draw, sizes=st.integers(1, 5)):
+    """A subset of 1..5 links (as many as ``sizes`` draws) of a 5-link
+    instance, with its submatrix, table and radio: disc4 or disc8, binding
+    energy budgets, strong interference (rho near 1) and slot scales near
+    both ends of the float range."""
+    bandwidth = draw(st.sampled_from(BANDWIDTHS))
+    table = TABLES[draw(st.sampled_from(["disc4", "disc8"])), bandwidth]
+    radio = RadioConfig(
+        p_max=TABLE1_RADIO.p_max, noise_power=TABLE1_RADIO.noise_power,
+        bandwidth_hz=bandwidth,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(sizes)
+    nodes, gains = random_instance(
+        rng, 5, table, radio=radio,
+        iso_db=draw(st.sampled_from([(3.0, 25.0), (0.5, 8.0)])),
+        tight_delay_prob=draw(st.sampled_from([0.0, 0.3])),
+        binding_energy_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        loose_delay=draw(st.sampled_from([1e-3, 2e-6])) * 1e8 / bandwidth,
+    )
+    idx = sorted(int(i) for i in rng.choice(5, size=k, replace=False))
+    return [nodes[i] for i in idx], gains.sub(idx), table, radio

@@ -26,7 +26,14 @@ from ratesched import (
     lttf,
 )
 
-from helpers import TABLE1_RADIO, gain_array, random_instance, random_rate_indices
+from helpers import (
+    TABLE1_RADIO,
+    gain_array,
+    outcome,
+    pricing_instances,
+    random_instance,
+    random_rate_indices,
+)
 
 DISC4 = disc4_table(1e8)
 DISC8 = disc8_table(1e8)
@@ -150,45 +157,6 @@ def bounded_path(nodes, gains, table, radio):
             ceiling = q
         ceilings.append(ceiling)
     return [v for v in path if all(q <= c for q, c in zip(v, ceilings))]
-
-
-def outcome(pricer, *args):
-    """A pricer's result, or the type of the error it raised."""
-    try:
-        return pricer(*args)
-    except (ValidationError, NumericalError) as exc:
-        return type(exc)
-
-
-# Bandwidths that put the slots near 1e-300 and 1e+295 s as well as at the
-# Table-1 scale; tables and delays scale with them.
-BANDWIDTHS = (1e8, 1e300, 1e-292)
-TABLES = {(name, w): make(w) for w in BANDWIDTHS
-          for name, make in (("disc4", disc4_table), ("disc8", disc8_table))}
-
-
-@st.composite
-def pricing_instances(draw):
-    """A subset of 1..5 links with its submatrix, table and radio: disc4 or
-    disc8, binding energy budgets, strong interference (rho near 1) and slot
-    scales near both ends of the float range."""
-    bandwidth = draw(st.sampled_from(BANDWIDTHS))
-    table = TABLES[draw(st.sampled_from(["disc4", "disc8"])), bandwidth]
-    radio = RadioConfig(
-        p_max=TABLE1_RADIO.p_max, noise_power=TABLE1_RADIO.noise_power,
-        bandwidth_hz=bandwidth,
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(1, 5))
-    nodes, gains = random_instance(
-        rng, 5, table, radio=radio,
-        iso_db=draw(st.sampled_from([(3.0, 25.0), (0.5, 8.0)])),
-        tight_delay_prob=draw(st.sampled_from([0.0, 0.3])),
-        binding_energy_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        loose_delay=draw(st.sampled_from([1e-3, 2e-6])) * 1e8 / bandwidth,
-    )
-    idx = sorted(int(i) for i in rng.choice(5, size=k, replace=False))
-    return [nodes[i] for i in idx], gains.sub(idx), table, radio
 
 
 def _node(i=0, bits=100.0, delay=1e-3, energy=math.inf, ctrl=None):
@@ -356,6 +324,22 @@ class TestLttf:
         assert [p.hex() for p in rep.min_powers] == [p.hex() for p in res.powers]
         for node, rate, t in zip(subset, res.rates, res.times):
             assert t == node.packet_bits / rate
+
+
+class TestInputs:
+    # the node count must equal the gain matrix size: three nodes on a 2x2
+    # matrix, and one node that the solver would otherwise call infeasible
+    # (no level within its delay bound; t_lo > t_hi)
+    @pytest.mark.parametrize("solver", ["lttf", "continuous_optimal"])
+    @pytest.mark.parametrize("nodes", [
+        [_node(0), _node(1), _node(2)],
+        [_node(delay=1e-9)],
+    ], ids=["three-nodes", "one-infeasible-node"])
+    def test_node_count_must_match_the_gain_matrix(self, solver, nodes):
+        gains = GainMatrix([[1e-6, 1e-9], [1e-9, 1e-6]])
+        args = (DISC8, TABLE1_RADIO) if solver == "lttf" else (TABLE1_RADIO,)
+        with pytest.raises(ValidationError, match="one node per gain matrix row"):
+            getattr(ratesched.allocation, solver)(nodes, gains, *args)
 
 
 class TestBruteForceOracle:
@@ -557,6 +541,59 @@ class TestContinuousOptimal:
                 probes.append(calls)
         assert len(probes) >= 50
         assert sum(probes) / len(probes) <= 16
+        # a single link whose t_lo probe is feasible makes exactly that probe
+        at_t_lo = 0
+        for _ in range(200):
+            nodes, gains = random_instance(
+                rng, 1, DISC8, tight_delay_prob=0.2, binding_energy_prob=0.3,
+            )
+            (node,), g = nodes, gains.cols[0][0]
+            snr_cap = TABLE1_RADIO.p_max * g / TABLE1_RADIO.noise_power
+            t_lo = node.packet_bits / (TABLE1_RADIO.bandwidth_hz * float(np.log2(1.0 + snr_cap)))
+            targets = ratesched.allocation._capacity_targets(
+                np.array([node.packet_bits]), t_lo, TABLE1_RADIO.bandwidth_hz
+            ).tolist()
+            verdict = check_targets(
+                gains, targets, TABLE1_RADIO, [t_lo], [node.delay_bound], [node.energy_budget]
+            )
+            calls = 0
+            res = continuous_optimal(nodes, gains, TABLE1_RADIO)
+            if verdict.feasible:
+                assert (res.slot, calls) == (t_lo, 1)
+                at_t_lo += 1
+        assert at_t_lo >= 50
+
+    def test_t_hi_probe_only_when_needed(self, monkeypatch):
+        # one link whose minimum power underflows to 0 at t_hi (a 1e20 s
+        # delay bound), where the kernel raises NumericalError; the plain
+        # bisection probes t_hi first and raises, but t_hi is never probed
+        # when a feasible t_lo (100 bits) or an infeasible cap (300 bits,
+        # where t_lo just fails p_max) answers first
+        radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
+        gains = GainMatrix([[1.0]])
+        calls = 0
+
+        def counting_check(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return check_targets(*args, **kwargs)
+
+        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        solo = [_node(bits=100.0, delay=1e20)]
+        with pytest.raises(NumericalError):
+            frozen_continuous_optimal(solo, gains, radio)
+        calls = 0
+        res = continuous_optimal(solo, gains, radio)
+        t_lo = ratesched.allocation.slot_floors(solo, gains, radio)[0]
+        assert res.feasible and res.slot == t_lo and calls == 1
+
+        capped = [_node(bits=300.0, delay=1e20)]
+        with pytest.raises(NumericalError):
+            continuous_optimal(capped, gains, radio)
+        t_lo = ratesched.allocation.slot_floors(capped, gains, radio)[0]
+        calls = 0
+        assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
+        assert calls == 1
 
     def test_energy_all_infeasible(self):
         res = continuous_optimal(
@@ -625,8 +662,9 @@ class TestCap:
     def test_capped_price_is_exact_or_infeasible(self, instance, continuous, factor, below):
         # the uncapped result when its slot is at most the cap, else
         # infeasible, after at most one check (lttf) or, when the cap is
-        # below the bisection's tolerance band, two probes
-        # (continuous_optimal); an error exactly when the uncapped call raises
+        # below the bisection's tolerance band, one probe (continuous_optimal;
+        # two for a solo with no feasible slot: t_lo, then t_hi); an error
+        # exactly when the uncapped call raises
         subset, gains, table, radio = instance
         if continuous:
             def price(cap):
@@ -658,7 +696,7 @@ class TestCap:
             if not continuous:
                 assert calls <= 1
             elif cap < exact.slot * (1 - 2 * ratesched.allocation._REL_TOL):
-                assert calls <= 2
+                assert calls <= (1 if exact.feasible else 2)
 
 
 class TestResultTypes:

@@ -104,6 +104,15 @@ class TestNodeAndRadioValidation:
         with pytest.raises(ValidationError):
             RadioConfig(p_max=0.25, noise_power=-1e-8, bandwidth_hz=1e8)
 
+    @pytest.mark.parametrize("field", ["p_max", "noise_power", "bandwidth_hz"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_radio_rejects_values_that_are_not_finite(self, field, value):
+        # an infinite noise power made continuous_optimal divide by zero, and
+        # an infinite p_max made it raise NumericalError while lttf priced
+        args = {"p_max": 0.25, "noise_power": 1e-8, "bandwidth_hz": 1e8, field: value}
+        with pytest.raises(ValidationError, match="finite"):
+            RadioConfig(**args)
+
     def test_gain_matrix_must_be_positive(self):
         with pytest.raises(ValidationError):
             GainMatrix([[1e-6, 0.0], [1e-8, 1e-6]])

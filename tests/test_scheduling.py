@@ -18,9 +18,11 @@ from ratesched import (
     TablePricer,
     ValidationError,
     compute_metrics,
+    continuous_optimal,
     disc8_table,
     exhaustive_fits,
     exhaustive_schedule,
+    lttf,
     mla_allocate,
     mua_allocate,
     schedule,
@@ -30,7 +32,14 @@ from ratesched import (
 from ratesched import scheduling
 from ratesched.scheduling import STRATEGIES
 
-from helpers import TABLE1_RADIO, four_node_fixture, random_gains, random_nodes
+from helpers import (
+    TABLE1_RADIO,
+    four_node_fixture,
+    outcome,
+    pricing_instances,
+    random_gains,
+    random_nodes,
+)
 
 DISC8 = disc8_table(1e8)
 MS = 1e-3
@@ -597,6 +606,29 @@ class TestExhaustive:
         assert exhaustive_fits(inst)
         gains = random_gains(np.random.default_rng(28), 8, iso_db=(15.0, 25.0))
         assert_matches_oracle(inst, gain_pricer(inst, gains))
+
+
+class TestPricerSolos:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        instance=pricing_instances(sizes=st.just(5)),
+        order=st.permutations(
+            [c for k in range(1, 6) for c in itertools.combinations(range(5), k)]
+        ),
+    )
+    def test_cached_solo_terms_change_no_price(self, instance, order):
+        # every subset, priced in random order through one pricer per rate
+        # model, gets the bare solver's result bit for bit, or its error type
+        nodes, gains, table, radio = instance
+        inst = validate_instance(nodes)
+        pricers = TablePricer(inst, gains, table, radio), ContinuousPricer(inst, gains, radio)
+        for ids in order:
+            subset, sub = [nodes[i] for i in ids], gains.sub(ids)
+            bare = (
+                outcome(lttf, subset, sub, table, radio),
+                outcome(continuous_optimal, subset, sub, radio),
+            )
+            assert tuple(outcome(p.price, ids) for p in pricers) == bare
 
 
 class TestSubsetPricer:
