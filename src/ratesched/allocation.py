@@ -65,18 +65,15 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     noise, p_max = radio.noise_power, radio.p_max
     records = []
     for i, (n, col) in enumerate(zip(nodes, gains.cols)):
-        g_ii = col[i]
-        times = [n.packet_bits / r for _, r in table.levels]
-        lowest = ceiling = None
-        for q, (threshold, _) in enumerate(table.levels):
-            if lowest is None:
-                if times[q] > n.delay_bound:
-                    continue
-                lowest = q
-            u = threshold * noise / g_ii  # the kernel's interference-free power
-            if not (u <= p_max and times[q] * u <= n.energy_budget):
-                break
-            ceiling = q
+        times = [n.packet_bits / r for r in table.rates]
+        lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
+        ceiling = None
+        if lowest is not None:
+            for q in range(lowest, table.num_levels):
+                u = table.threshold(q) * noise / col[i]  # the kernel's interference-free power
+                if not (u <= p_max and times[q] * u <= n.energy_budget):
+                    break
+                ceiling = q
         records.append(None if ceiling is None else (times, lowest, ceiling))
     return records
 
@@ -160,40 +157,35 @@ def lttf(
         return (vector, link_times, report) if report.feasible else None
 
     k = len(nodes)
+    lo = 0
     if k == 1:
         (times, q, ceiling), = solos
-        if times[ceiling] > cap:  # the smallest slot of the link
+        if times[ceiling] > cap:  # the link's smallest slot
             return AllocationResult.infeasible()
         while times[q] > cap:
             q += 1
         if thresholds[q] * radio.noise_power / gains.cols[0][0] > 0:
             q = ceiling  # every level from q on passes
-        best = check((q,))
-        if best is None:
-            return AllocationResult.infeasible()
-        vector, link_times, report = best
-        return _result_for([rates[vector[0]]], link_times, report)
-
-    levels = [s[1] for s in solos]
-    current = [s[0][q] for s, q in zip(solos, levels)]
-    path, slots = [], []
-    while True:
-        path.append(tuple(levels))
-        j, slot = 0, current[0]  # the first longest link
-        for i in range(1, k):
-            if current[i] > slot:
-                j, slot = i, current[i]
-        slots.append(slot)
-        if levels[j] == solos[j][2]:
-            break
-        levels[j] += 1
-        current[j] = solos[j][0][levels[j]]
-
-    lo = 0
-    if slots[0] > cap:
-        lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
-        if lo is None:
-            return AllocationResult.infeasible()
+        path = [(q,)]
+    else:
+        levels = [s[1] for s in solos]
+        current = [s[0][q] for s, q in zip(solos, levels)]
+        path, slots = [], []
+        while True:
+            path.append(tuple(levels))
+            j, slot = 0, current[0]  # the first longest link
+            for i in range(1, k):
+                if current[i] > slot:
+                    j, slot = i, current[i]
+            slots.append(slot)
+            if levels[j] == solos[j][2]:
+                break
+            levels[j] += 1
+            current[j] = solos[j][0][levels[j]]
+        if slots[0] > cap:
+            lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
+            if lo is None:
+                return AllocationResult.infeasible()
     best = check(path[lo])
     if best is None:
         return AllocationResult.infeasible()
