@@ -65,7 +65,7 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     noise, p_max = radio.noise_power, radio.p_max
     records = []
     for i, (n, col) in enumerate(zip(nodes, gains.cols)):
-        times = [n.packet_bits / r for r in table.rates]
+        times = [n.packet_bits / r for _, r in table.levels]
         lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
         ceiling = None
         if lowest is not None:
