@@ -107,8 +107,8 @@ class TestNodeAndRadioValidation:
     @pytest.mark.parametrize("field", ["p_max", "noise_power", "bandwidth_hz"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_radio_rejects_values_that_are_not_finite(self, field, value):
-        # an infinite noise power made continuous_optimal divide by zero, and
-        # an infinite p_max made it raise NumericalError while lttf priced
+        # an infinite noise power or p_max puts a solo SNR cap at 0 or inf,
+        # which the continuous baseline cannot price
         args = {"p_max": 0.25, "noise_power": 1e-8, "bandwidth_hz": 1e8, field: value}
         with pytest.raises(ValidationError, match="finite"):
             RadioConfig(**args)
