@@ -130,10 +130,11 @@ class _GainBackedPricer(SubsetPricer):
         self.radio = radio
 
     def _sub(self, ids):
-        """Positions, nodes and gain submatrix of the subset ``ids``."""
+        """Nodes, gain submatrix and solo records of the subset ``ids``;
+        ``_solos`` holds one record per node of ``inst``."""
         idx = [self.inst.position[i] for i in ids]
-        nodes = self.inst.nodes
-        return idx, [nodes[k] for k in idx], self.gains.sub(idx)
+        nodes, solos = self.inst.nodes, self._solos
+        return [nodes[k] for k in idx], self.gains.sub(idx), [solos[k] for k in idx]
 
 
 class TablePricer(_GainBackedPricer):
@@ -151,8 +152,7 @@ class TablePricer(_GainBackedPricer):
         self._solos = ladder_solos(inst.nodes, gains, table, radio)
 
     def _price(self, ids, cap):
-        idx, nodes, sub = self._sub(ids)
-        solos = [self._solos[k] for k in idx]
+        nodes, sub, solos = self._sub(ids)
         return lttf(nodes, sub, self.table, self.radio, cap, solos)
 
 
@@ -171,8 +171,7 @@ class ContinuousPricer(_GainBackedPricer):
         self._solos = slot_floors(inst.nodes, gains, radio)
 
     def _price(self, ids, cap):
-        idx, nodes, sub = self._sub(ids)
-        solos = [self._solos[k] for k in idx]
+        nodes, sub, solos = self._sub(ids)
         return continuous_optimal(nodes, sub, self.radio, cap, solos)
 
 
