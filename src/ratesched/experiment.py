@@ -311,12 +311,11 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
 
     Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
     some node cannot transmit alone under some needed model, so that averages
-    always compare the same seeds. This is decided on solo prices before any
-    scheduling, and drops exactly the seeds that scheduling would: every
-    schedule starts with ``sna_assign``, which prices every solo and raises on
-    the first infeasible one, and once every solo is feasible each node is a
-    feasible group by itself, so MLA, MUA and the exhaustive search always
-    find a frame. Kept seeds reread the solo prices from the pricer caches.
+    always compare the same seeds. Before any scheduling, each needed
+    pricer's ``offsets()`` runs ``sna_assign``, which prices every solo and
+    raises on the first infeasible one; once every solo is feasible each node
+    is a feasible group by itself, so MLA, MUA and the exhaustive search
+    always find a frame. Kept seeds reuse those offsets.
     """
     nodes, gains = _draw_instance(cfg, n, density, point, k)
     inst = validate_instance(nodes)
@@ -327,8 +326,7 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     # to): a solo ladder walk takes 0 or 1 checks, a continuous solo about 2.
     for model in sorted(needed, key=lambda m: m == "cont"):
         try:
-            for i in inst.ids:
-                pricers[model].solo_slot(i)
+            pricers[model].offsets()
         except InfeasibleInstanceError as exc:
             raise InfeasibleInstanceError(exc.node_id, model) from None
 

@@ -42,8 +42,6 @@ __all__ = [
     "STRATEGIES",
 ]
 
-STRATEGIES = ("sna-mla", "sna-mua")
-
 # Size limits of the exhaustive reference scheduler.
 EXHAUSTIVE_MAX_NODES = 8
 EXHAUSTIVE_MAX_SUBFRAMES = 4
@@ -67,9 +65,10 @@ class InfeasibleInstanceError(Exception):
 class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
-    A pricer is the per-(instance, rate model) cache, so it also keeps the
-    grouping work that depends on its prices alone: the ``sna_assign``
-    offsets, and the candidates and partition DP of each member tuple.
+    A pricer is the per-(instance, rate model) cache. It keeps each priced
+    subset's result with the largest cap it answers, the ``offsets()`` and
+    each sorted member tuple's ``partitions()``; the gain-backed pricers also
+    keep one solo record per node.
     """
 
     def __init__(self, inst: Instance):
@@ -103,6 +102,23 @@ class SubsetPricer:
         res = self._price(tuple(sorted(key)), cap)
         self._cache[key] = (res, math.inf if res.feasible else cap)
         return res
+
+    def offsets(self) -> dict[int, int]:
+        """The ``sna_assign`` offsets, computed on the first call (raising as
+        ``sna_assign`` does) and returned as a fresh dict by each call."""
+        if self._offsets is None:
+            self._offsets = sna_assign(self)
+        return dict(self._offsets)
+
+    def partitions(self, members: tuple[int, ...]):
+        """``(candidates, slots, groups)`` of the sorted tuple ``members``: its
+        ``_candidates`` and ``_best_partitions``, computed on the first call."""
+        entry = self._partitions.get(members)
+        if entry is None:
+            candidates = _candidates(members, self)
+            entry = (candidates, *_best_partitions(len(members), candidates))
+            self._partitions[members] = entry
+        return entry
 
     def solo_slot(self, node_id: int) -> float:
         """Slot length of the node transmitting alone.
@@ -301,17 +317,6 @@ def _candidates(members, pricer):
     return out
 
 
-def _partitions(members: tuple[int, ...], pricer: SubsetPricer):
-    """``(candidates, slots, groups)`` of the sorted ``members``: their
-    ``_candidates`` and ``_best_partitions``, computed once per pricer."""
-    entry = pricer._partitions.get(members)
-    if entry is None:
-        candidates = _candidates(members, pricer)
-        entry = (candidates, *_best_partitions(len(members), candidates))
-        pricer._partitions[members] = entry
-    return entry
-
-
 def _best_partitions(k, candidates):
     """Minimum-cost partition of every subset of k members into candidates.
 
@@ -403,8 +408,8 @@ def mla_allocate(population, pricer: SubsetPricer):
     minimum-total partition for ≤ 6 nodes, greedy set cover with overlap
     clean-up above: the cover picks the cheapest price per newly covered node
     first, then every node stays only in its cheapest selected subset. The
-    exact partitions of a population are computed once per pricer and shared
-    with ``exhaustive_schedule``.
+    exact partitions of a population come from ``pricer.partitions``, which
+    ``exhaustive_schedule`` shares.
     """
     population = sorted(population)
     if not population:
@@ -416,7 +421,7 @@ def mla_allocate(population, pricer: SubsetPricer):
     # A minimum cover shrinks to a partition that costs no more whenever
     # subsets of feasible groups stay feasible and no dearer, so the
     # partition DP also finds the minimum cover.
-    candidates, _, groups = _partitions(tuple(population), pricer)
+    candidates, _, groups = pricer.partitions(tuple(population))
     _require_coverage(population, candidates)
     best = groups[-1]
     if best is None:
@@ -469,6 +474,7 @@ def mua_allocate(population, pricer: SubsetPricer):
 
 
 _ALLOCATORS = {"sna-mla": mla_allocate, "sna-mua": mua_allocate}
+STRATEGIES = tuple(_ALLOCATORS)
 
 
 def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, ScheduleMetrics]:
@@ -479,19 +485,17 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
     ``ContinuousPricer`` for the continuous baseline or a ``FixedPricer`` for
     pinned slot prices. Deterministic for fixed inputs.
 
-    The ``sna_assign`` offsets depend only on the pricer's solo prices, so
-    they are computed once per pricer and shared by every strategy; each
-    frame gets its own copy. Nodes are grouped by (period, offset) in one
-    pass, and the allocator runs once per group: subframe m holds, in order
-    of period, the group of each period s at offset m mod s.
+    The offsets come from ``pricer.offsets()``, so ``sna_assign`` runs once
+    per pricer and every strategy shares it; each frame gets its own copy.
+    Nodes are grouped by (period, offset) in one pass, and the allocator
+    runs once per group: subframe m holds, in order of period, the group of
+    each period s at offset m mod s.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
     inst = pricer.inst
     allocator = _ALLOCATORS[strategy]
-    if pricer._offsets is None:
-        pricer._offsets = sna_assign(pricer)
-    assignments = dict(pricer._offsets)
+    assignments = pricer.offsets()
     populations: dict[tuple[int, int], list[int]] = {}
     for i in sorted(assignments):
         populations.setdefault((inst.periods[i], assignments[i]), []).append(i)
@@ -542,8 +546,8 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     N <= 8 nodes and M <= 4, V <= 4**7 = 16384 vectors, so the array holds at
     most 64 KiB and its gathered costs 512 KiB. Only the entries of masks
     that occur in it are filled; the others are never read. The per-class
-    partitions are those of ``mla_allocate``, computed once per pricer, so a
-    class that MLA also groups (the period-1 class) is enumerated once.
+    partitions come from ``pricer.partitions``, as ``mla_allocate``'s do, so
+    a class that MLA also groups (the period-1 class) is enumerated once.
     """
     inst = pricer.inst
     if not exhaustive_fits(inst):
@@ -558,7 +562,7 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     ids: list[int] = []
     for s in sorted(set(inst.periods.values())):
         members = tuple(sorted(i for i in inst.periods if inst.periods[i] == s))
-        _, slots, groups = _partitions(members, pricer)
+        _, slots, groups = pricer.partitions(members)
         classes.append((len(ids), (1 << len(members)) - 1, slots, groups))
         ids.extend(members)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -341,6 +343,12 @@ class TestInputs:
         with pytest.raises(ValidationError, match="one node per gain matrix row"):
             getattr(ratesched.allocation, solver)(nodes, gains, *args)
 
+    @pytest.mark.parametrize("solver", ["lttf", "continuous_optimal", "brute_force_optimal"])
+    def test_empty_subset_is_rejected(self, solver):
+        args = (TABLE1_RADIO,) if solver == "continuous_optimal" else (DISC8, TABLE1_RADIO)
+        with pytest.raises(ValidationError, match="nonempty"):
+            getattr(ratesched.allocation, solver)([], GainMatrix([[1e-6]]), *args)
+
 
 class TestBruteForceOracle:
     def test_guards(self):
@@ -595,6 +603,39 @@ class TestContinuousOptimal:
         assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
         assert calls == 1
 
+    def test_non_monotone_final_probe_falls_back_to_the_plain_bisection(self, monkeypatch):
+        # a seam in check_targets reports INFEASIBLE_MAX_POWER at the slot the
+        # replay ends on (a midpoint, probed only at its end); the plain
+        # bisection then runs from (t_lo, t_hi), and under the same seam its
+        # result is the frozen plain bisection's
+        rng = np.random.default_rng(43)
+        check = check_targets
+        for _ in range(400):
+            nodes, gains = random_instance(rng, 3, DISC8)
+            final = continuous_optimal(nodes, gains, TABLE1_RADIO)
+            t_lo = max(ratesched.allocation.slot_floors(nodes, gains, TABLE1_RADIO))
+            assert final.feasible and t_lo < final.slot < min(n.delay_bound for n in nodes)
+            probed = []
+
+            def flipping_check(gains, targets, radio, times, *args):
+                probed.append(times[0])
+                report = check(gains, targets, radio, times, *args)
+                if times[0] != final.slot:
+                    return report
+                return dataclasses.replace(report, verdict=Verdict.INFEASIBLE_MAX_POWER)
+
+            monkeypatch.setattr(ratesched.allocation, "check_targets", flipping_check)
+            monkeypatch.setattr(sys.modules[__name__], "check_targets", flipping_check)
+            res = continuous_optimal(nodes, gains, TABLE1_RADIO)
+            guided, probed[:] = probed[:], []
+            frozen = frozen_continuous_optimal(nodes, gains, TABLE1_RADIO)
+            monkeypatch.undo()
+            assert res == frozen and res != final
+            # the replay's last probe is its first at the final slot; the
+            # midpoints that the frozen bisection probes after t_hi and t_lo
+            # follow it
+            assert guided[guided.index(final.slot) + 1:] == probed[2:]
+
     def test_energy_all_infeasible(self):
         res = continuous_optimal(
             [_node(energy=1e-12)], GainMatrix([[1e-6]]), TABLE1_RADIO
@@ -660,11 +701,6 @@ class TestCap:
         below=st.booleans(),
     )
     def test_capped_price_is_exact_or_infeasible(self, instance, continuous, factor, below):
-        # the uncapped result when its slot is at most the cap, else
-        # infeasible, after at most one check (lttf) or, when the cap is
-        # below the bisection's tolerance band, one probe (continuous_optimal;
-        # two for a solo with no feasible slot: t_lo, then t_hi); an error
-        # exactly when the uncapped call raises
         subset, gains, table, radio = instance
         if continuous:
             def price(cap):
@@ -680,16 +716,57 @@ class TestCap:
         cap = scale * factor
         if below:
             cap = math.nextafter(cap, 0.0)
+        self.assert_capped(price, cap, exact, continuous)
+
+    def test_capped_price_may_stop_before_the_probe_that_raises(self):
+        # one link whose minimum power underflows to 0 at t_hi (a 1e20 s
+        # delay bound): the uncapped price raises NumericalError there, while
+        # a cap at t_lo, which 300 bits just fail at p_max, is infeasible
+        # after one probe; no factor of the draws above places such a cap
+        radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
+        subset, gains = [_node(bits=300.0, delay=1e20)], GainMatrix([[1.0]])
+
+        def price(cap):
+            return continuous_optimal(subset, gains, radio, cap)
+
+        exact = outcome(price, math.inf)
+        assert exact is NumericalError
+        t_lo = ratesched.allocation.slot_floors(subset, gains, radio)[0]
+        assert self.assert_capped(price, t_lo, exact, True) == (AllocationResult.infeasible(), 1)
+
+    @staticmethod
+    def assert_capped(price, cap, exact, continuous):
+        """Check ``price(cap)`` against ``exact``, the uncapped outcome, and
+        return the capped outcome and its probe count.
+
+        The capped outcome is the uncapped result when its slot is at most
+        the cap, else infeasible, after at most one check (lttf) or, when the
+        cap is below the bisection's tolerance band, one probe
+        (continuous_optimal; two for a solo with no feasible slot: t_lo, then
+        t_hi). It raises only where a probe that the capped call makes
+        raises, or where the set-up raises whatever the cap; so where the
+        uncapped call raises, the capped one raises that error type or
+        returns infeasible.
+        """
         calls = 0
+        raised = []
 
         def counting_check(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return check_targets(*args, **kwargs)
+            try:
+                return check_targets(*args, **kwargs)
+            except NumericalError:
+                raised.append(NumericalError)
+                raise
 
         with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
             capped = outcome(price, cap)
-        if not isinstance(exact, AllocationResult) or exact.slot <= cap:
+        if not isinstance(capped, AllocationResult):
+            assert capped in raised or (not raised and capped == exact)
+        if not isinstance(exact, AllocationResult):
+            assert capped in (exact, AllocationResult.infeasible())
+        elif exact.slot <= cap:
             assert capped == exact
         else:
             assert capped == AllocationResult.infeasible()
@@ -697,6 +774,7 @@ class TestCap:
                 assert calls <= 1
             elif cap < exact.slot * (1 - 2 * ratesched.allocation._REL_TOL):
                 assert calls <= (1 if exact.feasible else 2)
+        return capped, calls
 
 
 class TestResultTypes:

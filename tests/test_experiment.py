@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -531,6 +532,24 @@ class TestRunExperiment:
         kernel_calls = counts["k1"] + counts["k2"] + counts["k3"]
         assert counts["feasibility"] + counts["allocation"] == kernel_calls
 
+    def test_perfbench_trace_sees_every_scheduling_layer(self):
+        # perfbench/layers.py, loaded as it stands, wraps module bindings
+        # such as scheduling.sna_assign; an offsets() or a dispatch that
+        # bypassed them would read as zero work. Tracing changes no result.
+        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        cfg = tiny_config(period_set=[1, 2])
+        untraced = run_experiment(cfg)
+        tracer = layers.Tracer()
+        with layers.traced(tracer):
+            traced = experiment.run_experiment(cfg)
+        spans = layers.span_stats(tracer)["spans"]
+        for layer in ("sna_assign", "price", "mla", "exhaustive"):
+            assert spans[f"scheduling.{layer}"]["calls"] > 0, layer
+        assert json.dumps(traced.rows) == json.dumps(untraced.rows)
+        assert traced.per_seed == untraced.per_seed
+
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
@@ -741,11 +760,14 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == HEADER
 
-    def test_bad_config_exits_2(self, tmp_path):
-        # the exhaustive search's size limits are not a setting
-        for doc in ({"bogus_key": 1}, {"exhaustive_guard": 8}) + INVALID_FIELDS:
+    def test_bad_config_exits_2(self, tmp_path, capsys):
+        # the exhaustive search's size limits are not a setting, and valid
+        # JSON that is not an object is no config
+        for doc in ({"bogus_key": 1}, {"exhaustive_guard": 8}, [1, 2]) + INVALID_FIELDS:
             cfg = self.write_config(tmp_path, doc)
             assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, doc
+            err = capsys.readouterr().err
+            assert isinstance(doc, dict) or "config must be a JSON object" in err
 
     def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         # an output path in a missing directory, or a directory itself, is

@@ -100,6 +100,11 @@ class TestNodeAndRadioValidation:
         with pytest.raises(ValidationError, match="delay"):
             NodeSpec(id=0, controller_id=0, packet_bits=50, period=1, delay_bound=0.0)
 
+    def test_bad_energy_budget_rejected(self):
+        with pytest.raises(ValidationError, match="energy_budget"):
+            NodeSpec(id=0, controller_id=0, packet_bits=50, period=1, delay_bound=1e-3,
+                     energy_budget=0)
+
     def test_bad_radio_rejected(self):
         with pytest.raises(ValidationError):
             RadioConfig(p_max=0.25, noise_power=-1e-8, bandwidth_hz=1e8)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,19 @@ class TestMlaAllocate:
         assert math.fsum(g[1].slot for g in groups) <= math.fsum(s[1].slot for s in selected)
         assert all(res.feasible for _, res in groups)
         assert sorted(i for ids, _ in groups for i in ids) == population
+
+    def test_overlap_cleanup_drops_an_emptied_subset(self):
+        # the cover picks (1, 2, 3) first (2.9 ms for 3 nodes), then the
+        # 2 ms pairs (1, 4), (2, 5), (3, 6) and the solo (7,); each of 1, 2
+        # and 3 stays in its cheaper pair, which leaves (1, 2, 3) empty
+        controllers = {1: 0, 2: 1, 3: 2, 4: 1, 5: 2, 6: 0, 7: 3}
+        inst = fixture_instance(periods={i: 1 for i in controllers}, controllers=controllers)
+        prices = {(i,): 5 * MS for i in controllers}
+        prices.update({(1, 2, 3): 2.9 * MS, (1, 4): 2 * MS, (2, 5): 2 * MS, (3, 6): 2 * MS})
+        groups = mla_allocate(list(controllers), FixedPricer(inst, prices))
+        assert [(ids, res.slot) for ids, res in groups] == [
+            ((1, 4), 2 * MS), ((2, 5), 2 * MS), ((3, 6), 2 * MS), ((7,), 5 * MS)
+        ]
 
     def test_exact_branch_matches_exhaustive_optimum(self):
         # with every period 1 the frame is one subframe, so the exhaustive
@@ -668,6 +682,12 @@ class TestSubsetPricer:
         assert pricer.price((0, 1), exact.slot / 4) == exact
         assert caps == [exact.slot / 2, math.inf]
 
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_gain_matrix_must_cover_the_instance(self, continuous):
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        with pytest.raises(ValidationError, match="every instance node"):
+            gain_pricer(inst, GainMatrix([[1e-6]]), continuous)
+
     def test_fixed_prices_ignore_the_cap(self):
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
         pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.5 * MS})
@@ -794,7 +814,8 @@ class TestSharedPricer:
     def test_one_pricer_serves_every_scheduler(self, instance, kind, order, seed):
         # the offsets and partitions a pricer keeps give the frames and
         # bit-identical max_active of fresh pricers, in any order; sna_assign
-        # runs once, and each frame owns its assignments
+        # runs once, each member tuple's candidates are enumerated at most
+        # once, and each frame owns its assignments
         inst, gains = instance
 
         def make():
@@ -806,16 +827,26 @@ class TestSharedPricer:
             return exhaustive_schedule(pricer) if name == "exhaustive" else schedule(pricer, name)
 
         calls = 0
+        enumerated = Counter()
+        candidates = scheduling._candidates
 
         def counting_sna_assign(pricer):
             nonlocal calls
             calls += 1
             return sna_assign(pricer)
 
+        def counting_candidates(members, pricer):
+            enumerated[tuple(members)] += 1
+            return candidates(members, pricer)
+
         shared = make()
-        with mock.patch.object(scheduling, "sna_assign", counting_sna_assign):
+        with (
+            mock.patch.object(scheduling, "sna_assign", counting_sna_assign),
+            mock.patch.object(scheduling, "_candidates", counting_candidates),
+        ):
             results = {name: run(shared, name) for name in order}
         assert calls == 1
+        assert enumerated and max(enumerated.values()) == 1
         for name, (frame, metrics) in results.items():
             fresh_frame, fresh_metrics = run(make(), name)
             assert frame == fresh_frame
