@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 from unittest import mock
 
 import numpy as np
@@ -625,7 +624,7 @@ class TestContinuousOptimal:
                 return dataclasses.replace(report, verdict=Verdict.INFEASIBLE_MAX_POWER)
 
             monkeypatch.setattr(ratesched.allocation, "check_targets", flipping_check)
-            monkeypatch.setattr(sys.modules[__name__], "check_targets", flipping_check)
+            monkeypatch.setitem(globals(), "check_targets", flipping_check)
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             guided, probed[:] = probed[:], []
             frozen = frozen_continuous_optimal(nodes, gains, TABLE1_RADIO)
@@ -756,8 +755,8 @@ class TestCap:
             calls += 1
             try:
                 return check_targets(*args, **kwargs)
-            except NumericalError:
-                raised.append(NumericalError)
+            except NumericalError as exc:
+                raised.append(type(exc))
                 raise
 
         with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
