@@ -270,13 +270,16 @@ def continuous_optimal(
     ``ContinuousPricer`` derives them once per node, and a bare call derives
     them itself.
 
-    Probes are made in this order, each only when the answer needs it. A
-    ``cap`` below t_hi is probed first. Otherwise a single link probes t_lo
-    first, its answer unless power or energy binds. t_hi is probed only when
-    nothing below it is a feasible anchor: with no cap below t_hi, or after
-    a solo's failed t_lo probe; an infeasible verdict there means no slot is
-    feasible. Then t_lo is probed, unless it already was; a feasible verdict
-    there is the answer.
+    Probes are made in this order, each only when the answer needs it. The
+    anchor is min(cap, t_hi). A single link anchored at t_hi probes t_lo
+    first, its answer unless power or energy binds. The anchor is probed
+    next; an infeasible verdict there means no slot up to it is feasible.
+    Then t_lo is probed, unless it already was; a feasible verdict there is
+    the answer. The pricers make two kinds of call, which this order
+    serves: a solo with no cap, mostly answered at t_lo, and a group of two
+    or more links capped below its tightest delay bound, anchored at its
+    cap. Under those calls t_hi is probed only for a solo whose t_lo probe
+    fails, or as the bisection's final slot.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed
@@ -295,12 +298,12 @@ def continuous_optimal(
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
-    ``AllocationResult.infeasible()`` otherwise. A ``cap`` below t_lo gives
-    infeasible without a probe; one below t_hi is probed, and an infeasible
-    verdict there means t* > cap, while a feasible one becomes the guide's
-    first ``yes``. So a price with t* > cap takes at most one probe. One
-    with t* <= cap below the bisection's slot (within its relative
-    ``_REL_TOL``) is replayed in full and then reported infeasible.
+    ``AllocationResult.infeasible()`` otherwise. An anchor below t_lo gives
+    infeasible without a probe; a ``cap`` anchor is probed, and an
+    infeasible verdict there means t* > cap, while a feasible one becomes
+    the guide's first ``yes``. So a price with t* > cap takes at most one
+    probe. One with t* <= cap below the bisection's slot (within its
+    relative ``_REL_TOL``) is replayed in full and then reported infeasible.
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
@@ -311,12 +314,11 @@ def continuous_optimal(
     use numpy (``math.log2`` and ``math.expm1`` differ in the last bit).
 
     Raises ValidationError when ``nodes`` is empty, its length differs from
-    ``gains.n`` or a delay bound is not finite. Raises NumericalError when a
-    bound leaves the float range: t_lo is inf (as when 1 + SNR rounds to 1
-    for a link's solo SNR at p_max), the capacity targets at t_hi underflow
-    to 0 (as when t_hi * W overflows), which needs no probe, or t_lo
-    underflows to 0 (as when the solo SNR at p_max overflows) while t_hi is
-    feasible.
+    ``gains.n`` or a delay bound is not finite. Raises NumericalError,
+    whatever the cap and before any probe, when t_lo is not in (0, inf) (inf
+    as when 1 + SNR rounds to 1 for a link's solo SNR at p_max, 0 as when
+    that SNR overflows) or when the capacity targets at t_hi underflow to 0
+    (as when t_hi * W overflows).
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
@@ -347,32 +349,20 @@ def continuous_optimal(
     if solos is None:
         solos = slot_floors(nodes, gains, radio)
     t_lo = max(solos)
-    if t_lo == math.inf:
-        raise NumericalError("interference-free slot bound leaves the float range")
-    if t_lo > t_hi:
-        return AllocationResult.infeasible()
+    if not 0.0 < t_lo < math.inf:
+        raise NumericalError(f"interference-free slot bound {t_lo} leaves the float range")
     # Targets fall with t, so those at t_hi are the smallest of any probe.
-    hi_targets = _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()
-    if not all(x > 0 for x in hi_targets):
+    if not all(x > 0 for x in _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    if not t_lo > 0:  # no slot up to t_lo can be probed
-        if probe(t_hi).feasible:
-            raise NumericalError("interference-free slot bound underflows to 0")
+    yes = cap if cap < t_hi else t_hi  # a NaN cap is no cap
+    if t_lo > yes:
         return AllocationResult.infeasible()
-    if cap < t_lo:
-        return AllocationResult.infeasible()
-    lo_report = hi_report = None
-    if cap >= t_hi and k == 1:
+    lo_report = None
+    if yes == t_hi and k == 1:
         lo_report = probe(t_lo)
         if lo_report.feasible:
             return at(t_lo, lo_report)
-    if cap < t_hi:
-        yes, yes_report = cap, probe(cap)
-    else:
-        yes = t_hi
-        yes_report = hi_report = check_targets(
-            gains, hi_targets, radio, [t_hi] * k, delays, energies
-        )
+    yes_report = probe(yes)
     if not yes_report.feasible:
         return AllocationResult.infeasible()
     if lo_report is None:
@@ -388,7 +378,7 @@ def continuous_optimal(
     def bisect(no: float, yes: float, yes_report: FeasibilityReport):
         # The bisection from (t_lo, t_hi), probing only midpoints inside
         # (no, yes); the report is None when the final slot was not probed.
-        lo, hi, report = t_lo, t_hi, hi_report
+        lo, hi, report = t_lo, t_hi, None
         while hi - lo > _REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if no < mid < yes:
@@ -432,7 +422,7 @@ def continuous_optimal(
     if report is None:
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing
-            slot, report = bisect(t_lo, t_hi, hi_report)
+            slot, report = bisect(t_lo, t_hi, None)
             if report is None:  # the slot is t_hi, not probed yet
                 report = probe(slot)
     return at(slot, report) if report.feasible else AllocationResult.infeasible()

@@ -79,7 +79,9 @@ def frozen_lttf(nodes, gains, table, radio):
 @np.errstate(over="ignore")
 def frozen_continuous_optimal(nodes, gains, radio):
     """The plain slot bisection, frozen as the reference for
-    ``continuous_optimal``: it probes every midpoint."""
+    ``continuous_optimal``: it probes every midpoint. It returns infeasible
+    for a t_lo = 0 pair with an infeasible t_hi and for a t_lo = inf solo,
+    where ``continuous_optimal`` raises NumericalError."""
     nodes = list(nodes)
     k = len(nodes)
     bits = np.array([n.packet_bits for n in nodes])
@@ -634,6 +636,43 @@ class TestContinuousOptimal:
             # midpoints that the frozen bisection probes after t_hi and t_lo
             # follow it
             assert guided[guided.index(final.slot) + 1:] == probed[2:]
+
+    @pytest.mark.parametrize("gains", [
+        pytest.param([[1e10]], id="solo-t_lo-0"),
+        pytest.param([[1e10, 1e16], [1e16, 1e10]], id="pair-t_lo-0"),
+        pytest.param([[1e-320]], id="solo-t_lo-inf"),
+    ])
+    def test_t_lo_outside_the_float_range_raises(self, gains):
+        # the solo SNR at p_max overflows (t_lo = 0) or 1 + SNR rounds to 1
+        # (t_lo = inf); the pair's t_hi is infeasible, so the frozen
+        # bisection returns infeasible for it
+        radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
+        nodes = [_node(i) for i in range(len(gains))]
+        t_lo = max(ratesched.allocation.slot_floors(nodes, GainMatrix(gains), radio))
+        assert t_lo in (0.0, math.inf)
+        for cap in (math.inf, 1e-12):
+            with pytest.raises(NumericalError):
+                continuous_optimal(nodes, GainMatrix(gains), radio, cap)
+
+    def test_guide_stops_when_no_geometric_step_fits(self, monkeypatch):
+        # at a 1e300 Hz bandwidth the slot is subnormal, so (no, yes) holds
+        # no geometric mean long before its relative width reaches
+        # _GUIDE_TOL; the guide stops there rather than probing to its cap
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e300)
+        nodes = [_node(0, bits=1e-16, delay=1e-290), _node(1, bits=2e-16, delay=1e-290)]
+        gains = GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]])
+        calls = 0
+
+        def counting_check(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return check_targets(*args, **kwargs)
+
+        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        res = continuous_optimal(nodes, gains, radio)
+        assert res.feasible and 0.0 < res.slot < np.finfo(float).tiny
+        assert calls < ratesched.allocation._GUIDE_CAP
+        assert res == frozen_continuous_optimal(nodes, gains, radio)
 
     def test_energy_all_infeasible(self):
         res = continuous_optimal(

@@ -550,6 +550,37 @@ class TestRunExperiment:
         assert json.dumps(traced.rows) == json.dumps(untraced.rows)
         assert traced.per_seed == untraced.per_seed
 
+    def test_solvers_see_uncapped_solos_and_groups_capped_below_their_delay(
+        self, monkeypatch
+    ):
+        # the two kinds of call continuous_optimal's probe order is written
+        # for, at each benchmark workload's default seed
+        workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+        kinds = set()
+
+        def recording(name, solver):
+            def call(nodes, gains, *args):  # both end (..., cap, solos)
+                cap, tightest = args[-2], min(n.delay_bound for n in nodes)
+                if len(nodes) == 1:
+                    kinds.add((name, "solo"))
+                    assert cap == math.inf
+                else:
+                    kinds.add((name, "group"))
+                    assert cap < tightest
+                return solver(nodes, gains, *args)
+            return call
+
+        for name in ("lttf", "continuous_optimal"):
+            monkeypatch.setattr(scheduling, name, recording(name, getattr(scheduling, name)))
+        for workload in workloads.values():
+            run_experiment(ExperimentConfig.from_dict(
+                dict(workload["config"], master_seed=workload["default_seed"])
+            ))
+        assert kinds == {
+            (name, kind) for name in ("lttf", "continuous_optimal")
+            for kind in ("solo", "group")
+        }
+
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
