@@ -313,12 +313,11 @@ def continuous_optimal(
     operations as on arrays; only the logarithms and the capacity targets
     use numpy (``math.log2`` and ``math.expm1`` differ in the last bit).
 
-    Raises ValidationError when ``nodes`` is empty, its length differs from
-    ``gains.n`` or a delay bound is not finite. Raises NumericalError,
-    whatever the cap and before any probe, when t_lo is not in (0, inf) (inf
-    as when 1 + SNR rounds to 1 for a link's solo SNR at p_max, 0 as when
-    that SNR overflows) or when the capacity targets at t_hi underflow to 0
-    (as when t_hi * W overflows).
+    Raises ValidationError when ``nodes`` is empty or its length differs
+    from ``gains.n``. Raises NumericalError, whatever the cap and before any
+    probe, when t_lo is not in (0, inf) (inf as when 1 + SNR rounds to 1 for
+    a link's solo SNR at p_max, 0 as when that SNR overflows) or when the
+    capacity targets at t_hi underflow to 0 (as when t_hi * W overflows).
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
@@ -344,8 +343,6 @@ def continuous_optimal(
         return _result_for([b / t for b in packets], [t] * k, report)
 
     t_hi = float(min(delays))
-    if not math.isfinite(t_hi):
-        raise ValidationError("continuous baseline needs finite delay bounds")
     if solos is None:
         solos = slot_floors(nodes, gains, radio)
     t_lo = max(solos)

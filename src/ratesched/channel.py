@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .feasibility import NumericalError
-from .model import GainMatrix, ValidationError
+from .model import GainMatrix, ValidationError, is_number
 
 __all__ = [
     "Topology",
@@ -79,9 +78,9 @@ def generate_topology(
     NumericalError when the side overflows to infinity.
     """
     for name, count in (("n_sensors", n_sensors), ("n_controllers", n_controllers)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        if not is_number(count, (int, np.integer), top=math.inf):
             raise ValidationError(f"{name} must be an integer >= 1, not {count!r}")
-    if not (_is_finite_real(density) and density > 0):
+    if not is_number(density, (int, float, np.integer, np.floating)):
         raise ValidationError(f"density must be a finite number > 0, not {density!r}")
     side = math.sqrt(n_sensors / density)
     if not math.isfinite(side):
@@ -91,16 +90,6 @@ def generate_topology(
     controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
     controller_of = tuple(int(k) for k in np.argmin(_distances(sensors, controllers), axis=1))
     return Topology(side, sensors, controllers, controller_of, float(density), seed)
-
-
-def _is_finite_real(x) -> bool:
-    """Whether ``x`` is a real number, not a bool, with a finite float value."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:
@@ -193,7 +182,7 @@ def _positions(doc: dict, key: str) -> np.ndarray:
         isinstance(value, list)
         and value
         and all(
-            isinstance(xy, list) and len(xy) == 2 and all(map(_is_finite_real, xy))
+            isinstance(xy, list) and len(xy) == 2 and all(is_number(x, low=-math.inf) for x in xy)
             for xy in value
         )
     ):
@@ -226,17 +215,14 @@ def topology_from_json(text: str) -> Topology:
     if not (
         isinstance(controller_of, list)
         and len(controller_of) == len(sensors)
-        and all(
-            isinstance(k, int) and not isinstance(k, bool) and 0 <= k < len(controllers)
-            for k in controller_of
-        )
+        and all(is_number(k, int, -1, len(controllers) - 1) for k in controller_of)
     ):
         raise ValidationError("controller_of must name one existing controller per sensor")
     for key in ("side", "density"):
-        if not (_is_finite_real(doc[key]) and doc[key] > 0):
+        if not is_number(doc[key]):
             raise ValidationError(f"{key} must be a finite number > 0, not {doc[key]!r}")
     seed = doc["seed"]
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+    if seed is not None and not is_number(seed, int, -math.inf, math.inf):
         raise ValidationError(f"seed must be an integer or null, not {seed!r}")
     return Topology(
         side=float(doc["side"]),

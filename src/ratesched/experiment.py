@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .model import (
     disc4_table,
     disc8_table,
     is_nested_period,
+    is_number,
     validate_instance,
 )
 from .scheduling import (
@@ -144,15 +145,15 @@ class ExperimentConfig:
             values = getattr(self, name)
             if isinstance(values, (list, tuple)) and len(set(values)) < len(values):
                 raise ConfigError(f"{name} values must be distinct")
-        if not _positive(self.n_controllers, int, sys.maxsize):
+        if not is_number(self.n_controllers, int, top=sys.maxsize):
             raise ConfigError("n_controllers must be an integer in [1, sys.maxsize]")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
-        if not _positive(self.energy_scale):
+        if not is_number(self.energy_scale):
             raise ConfigError("energy_scale must be a finite number > 0")
-        if not _positive(self.seeds, int, sys.maxsize):
+        if not is_number(self.seeds, int, top=sys.maxsize):
             raise ConfigError("seeds must be an integer in [1, sys.maxsize]")
-        if not (_is_a(self.master_seed, int) and self.master_seed >= 0):
+        if not is_number(self.master_seed, int, -1, math.inf):
             raise ConfigError("master_seed must be an integer >= 0")
         if not (self.period_set and _positive_numbers(self.period_set, int)):
             raise ConfigError("period_set must be positive integers")
@@ -162,14 +163,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"period_set spans more than {MAX_FRAME_SUBFRAMES} subframes per frame"
             )
-        if not _positive(self.base_period_s):
+        if not is_number(self.base_period_s):
             raise ConfigError("base_period_s must be a finite number > 0")
-        if self.delay_rule != "subframe" and not _positive(self.delay_rule):
+        if self.delay_rule != "subframe" and not is_number(self.delay_rule):
             raise ConfigError("delay_rule must be 'subframe' or a finite number > 0")
-        if not (
-            _is_a(self.radio, RadioConfig) and all(_positive(v) for v in astuple(self.radio))
-        ):
-            raise ConfigError("radio fields must be finite numbers > 0")
+        if not isinstance(self.radio, RadioConfig):
+            raise ConfigError("radio must be a RadioConfig")
         for model in (m for m in self.rate_models if m in _LADDERS):
             try:
                 _ladder(model, self.radio.bandwidth_hz)
@@ -181,7 +180,7 @@ class ExperimentConfig:
             delays = [self.base_period_s * p for p in (min(self.period_set), max(self.period_set))]
         else:
             delays = [self.delay_rule]
-        if not _positive(max(delays)):
+        if not is_number(max(delays)):
             raise ConfigError("base_period_s times the longest period must be finite")
         if not self.energy_scale * self.radio.p_max * min(delays) > 0:
             raise ConfigError("energy_scale * p_max * delay bound underflows to 0")
@@ -233,22 +232,10 @@ class ExperimentResults:
         return all(row["seed_count"] == 0 for row in self.rows)
 
 
-def _positive(value, kind=(int, float), top=sys.float_info.max) -> bool:
-    """A number > 0 of ``kind``, at most ``top``, by default the float range
-    (JSON's 1e400 parses to inf, and an integer literal may exceed what a
-    float can hold)."""
-    return _is_a(value, kind) and 0 < value <= top
-
-
 def _positive_numbers(value, kind=(int, float), top=sys.float_info.max) -> bool:
-    """A number > 0 of ``kind``, at most ``top``, or a list or tuple of them."""
+    """``is_number`` of ``value``, or of each item of a list or tuple."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(_positive(x, kind, top) for x in items)
-
-
-def _is_a(value, kind) -> bool:
-    """``isinstance(value, kind)``, except that a bool is never a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return all(is_number(x, kind, 0, top) for x in items)
 
 
 def subseed(master_seed: int, *key: int) -> int:

@@ -13,6 +13,7 @@ All types are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,15 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when an input object violates a documented invariant."""
+
+
+def is_number(value, kind=(int, float), low=0, top=sys.float_info.max) -> bool:
+    """Whether ``value`` is a ``kind``, never a bool, with ``low < value <= top``.
+
+    The default ``top`` is the largest float, so NaN, infinities and integers
+    beyond the float range fail; a string or None fails the ``kind`` test.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool) and low < value <= top
 
 
 # Threshold ladders for the two bundled discrete-rate models. The -inf entry
@@ -125,8 +135,8 @@ def build_rate_table(sinr_thresholds_db, bandwidth_hz: float) -> RateTable:
     "silent" entry) are excluded from the usable ladder and recorded in
     ``dropped_db``.
     """
-    if not bandwidth_hz > 0:
-        raise ValidationError("bandwidth must be > 0")
+    if not is_number(bandwidth_hz):
+        raise ValidationError(f"bandwidth must be a finite number > 0, not {bandwidth_hz!r}")
     thresholds = list(sinr_thresholds_db)
     for a, b in zip(thresholds, thresholds[1:]):
         if not b > a:
@@ -159,7 +169,10 @@ class NodeSpec:
 
     ``period`` counts subframes between packets, ``delay_bound`` caps the
     transmission time of one packet and ``energy_budget`` caps the per-packet
-    transmit energy (``math.inf`` means not binding).
+    transmit energy (``math.inf`` means not binding). ``packet_bits`` and
+    ``delay_bound`` must be finite numbers > 0, ``period`` an integer in
+    [1, sys.maxsize] and ``energy_budget`` a number > 0; none may be a bool.
+    Anything else raises ValidationError.
     """
 
     id: int
@@ -170,28 +183,29 @@ class NodeSpec:
     energy_budget: float = math.inf
 
     def __post_init__(self):
-        if not self.packet_bits > 0:
-            raise ValidationError(f"node {self.id}: packet_bits must be > 0")
-        if not (isinstance(self.period, int) and self.period >= 1):
-            raise ValidationError(f"node {self.id}: period must be an integer >= 1")
-        if not self.delay_bound > 0:
-            raise ValidationError(f"node {self.id}: delay_bound must be > 0")
-        if not self.energy_budget > 0:
-            raise ValidationError(f"node {self.id}: energy_budget must be > 0")
+        if not is_number(self.packet_bits):
+            raise ValidationError(f"node {self.id}: packet_bits must be a finite number > 0")
+        if not is_number(self.period, int, top=sys.maxsize):
+            raise ValidationError(f"node {self.id}: period must be an integer in [1, sys.maxsize]")
+        if not is_number(self.delay_bound):
+            raise ValidationError(f"node {self.id}: delay_bound must be a finite number > 0")
+        if not is_number(self.energy_budget, top=math.inf):
+            raise ValidationError(f"node {self.id}: energy_budget must be a number > 0")
 
 
 @dataclass(frozen=True)
 class RadioConfig:
     """Radio-wide constants: max transmit power, receiver noise power, bandwidth,
-    each finite and > 0."""
+    each a finite number > 0 and not a bool; anything else raises
+    ValidationError."""
 
     p_max: float
     noise_power: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.p_max, self.noise_power, self.bandwidth_hz)):
-            raise ValidationError("radio parameters must all be finite and > 0")
+        if not all(map(is_number, (self.p_max, self.noise_power, self.bandwidth_hz))):
+            raise ValidationError("radio parameters must all be finite numbers > 0")
 
 
 class GainMatrix:

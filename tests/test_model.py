@@ -47,6 +47,11 @@ class TestBuildRateTable:
         with pytest.raises(ValidationError):
             build_rate_table([10.0], 0.0)
 
+    @pytest.mark.parametrize("bandwidth", [True, math.inf, "x"])
+    def test_bandwidth_must_be_a_finite_number(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            build_rate_table([10.0], bandwidth)
+
 
 class TestRateTableInvariants:
     def test_monotone_in_threshold_and_rate(self):
@@ -105,15 +110,34 @@ class TestNodeAndRadioValidation:
             NodeSpec(id=0, controller_id=0, packet_bits=50, period=1, delay_bound=1e-3,
                      energy_budget=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("packet_bits", v) for v in (True, math.inf, math.nan, "5")]
+        + [pytest.param("packet_bits", 10**400, id="packet_bits-10**400")]
+        + [("delay_bound", v) for v in (True, math.inf)]
+        + [("period", v) for v in (True, 2.0, 0)]
+        + [("energy_budget", v) for v in (True, math.nan, 0)],
+    )
+    def test_node_rejects_bools_strings_and_numbers_out_of_range(self, field, value):
+        args = {"packet_bits": 50, "period": 1, "delay_bound": 1e-3, field: value}
+        with pytest.raises(ValidationError, match=f"node 7: {field}"):
+            NodeSpec(id=7, controller_id=0, **args)
+
+    def test_infinite_energy_budget_is_accepted_as_not_binding(self):
+        node = NodeSpec(id=0, controller_id=0, packet_bits=50, period=1, delay_bound=1e-3,
+                        energy_budget=math.inf)
+        assert node.energy_budget == math.inf
+
     def test_bad_radio_rejected(self):
         with pytest.raises(ValidationError):
             RadioConfig(p_max=0.25, noise_power=-1e-8, bandwidth_hz=1e8)
 
     @pytest.mark.parametrize("field", ["p_max", "noise_power", "bandwidth_hz"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True, "x"])
     def test_radio_rejects_values_that_are_not_finite(self, field, value):
         # an infinite noise power or p_max puts a solo SNR cap at 0 or inf,
-        # which the continuous baseline cannot price
+        # which the continuous baseline cannot price; a bool or a string is
+        # not a number
         args = {"p_max": 0.25, "noise_power": 1e-8, "bandwidth_hz": 1e8, field: value}
         with pytest.raises(ValidationError, match="finite"):
             RadioConfig(**args)
