@@ -378,6 +378,8 @@ def continuous_optimal(
         lo, hi, report = t_lo, t_hi, None
         while hi - lo > _REL_TOL * hi:
             mid = 0.5 * (lo + hi)
+            if mid == math.inf:  # lo + hi overflows
+                mid = 0.5 * lo + 0.5 * hi
             if no < mid < yes:
                 mid_report = probe(mid)
                 if mid_report.feasible:

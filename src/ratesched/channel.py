@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "PATH_LOSS_1M_DB",
     "PATH_LOSS_EXPONENT",
     "SHADOWING_DB",
+    "MAX_LINKS",
 ]
 
 # Path loss at 1 m in dB, its distance exponent, and the standard deviation of
@@ -37,6 +39,11 @@ __all__ = [
 PATH_LOSS_1M_DB = 70.0
 PATH_LOSS_EXPONENT = 3.5
 SHADOWING_DB = 4.0
+
+# The largest n_sensors * n_controllers: the bytes of the (n_sensors,
+# n_controllers, 2) float64 array of sensor-controller offsets must fit in
+# sys.maxsize for numpy to size it.
+MAX_LINKS = sys.maxsize // 16
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,15 @@ def generate_topology(
     sqrt(n_sensors / density) meters.
 
     Raises ValidationError unless both counts are integers >= 1 (not bools)
-    and the density is a finite real number > 0 (not a bool), and
-    NumericalError when the side overflows to infinity.
+    whose product is at most ``MAX_LINKS`` and the density is a finite real
+    number > 0 (not a bool), and NumericalError when the side overflows to
+    infinity.
     """
     for name, count in (("n_sensors", n_sensors), ("n_controllers", n_controllers)):
         if not is_number(count, (int, np.integer), top=math.inf):
             raise ValidationError(f"{name} must be an integer >= 1, not {count!r}")
+    if int(n_sensors) * int(n_controllers) > MAX_LINKS:
+        raise ValidationError(f"n_sensors * n_controllers must be at most {MAX_LINKS}")
     if not is_number(density, (int, float, np.integer, np.floating)):
         raise ValidationError(f"density must be a finite number > 0, not {density!r}")
     side = math.sqrt(n_sensors / density)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import generate_topology, realize_channel
+from .channel import MAX_LINKS, generate_topology, realize_channel
 from .feasibility import NumericalError
 from .model import (
     GainMatrix,
@@ -137,16 +137,18 @@ class ExperimentConfig:
             raise ConfigError("only one of n_sensors and density may sweep")
         if not (self.density and _positive_numbers(self.density)):
             raise ConfigError("density must be a finite number > 0 or a nonempty list")
-        # numpy cannot size an array dimension beyond sys.maxsize
-        if not (self.n_sensors and _positive_numbers(self.n_sensors, int, sys.maxsize)):
-            raise ConfigError("n_sensors must be an integer in [1, sys.maxsize] or a list")
+        if not (self.n_sensors and _positive_numbers(self.n_sensors, int, math.inf)):
+            raise ConfigError("n_sensors must be an integer >= 1 or a list")
         for name in ("n_sensors", "density", "rate_models", "strategies"):
             # compared as numbers: 5 and 5.0 are one sweep point
             values = getattr(self, name)
             if isinstance(values, (list, tuple)) and len(set(values)) < len(values):
                 raise ConfigError(f"{name} values must be distinct")
-        if not is_number(self.n_controllers, int, top=sys.maxsize):
-            raise ConfigError("n_controllers must be an integer in [1, sys.maxsize]")
+        if not is_number(self.n_controllers, int, top=math.inf):
+            raise ConfigError("n_controllers must be an integer >= 1")
+        # generate_topology's bound, checked here so that no draw fails on it
+        if not _positive_numbers(self.n_sensors, int, MAX_LINKS // self.n_controllers):
+            raise ConfigError(f"n_sensors * n_controllers must be at most {MAX_LINKS}")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):
             raise ConfigError("packet_bits_set must be positive numbers")
         if not is_number(self.energy_scale):

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import continuous_optimal, ladder_solos, lttf, slot_floors
-from .model import AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError
+from .model import (
+    AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, is_number
+)
 
 __all__ = [
     "InfeasibleInstanceError",
@@ -51,7 +53,8 @@ class InfeasibleInstanceError(Exception):
     """Some node cannot transmit even alone; no schedule exists.
 
     ``node_id`` names that node and ``model`` the rate model it was priced
-    under, when the raiser knows them.
+    under, which ``experiment`` adds. ``_dedup_cover`` alone raises with
+    neither, for a shrunk group that a ``FixedPricer`` leaves unpriced.
     """
 
     def __init__(self, node_id=None, model=None):
@@ -120,15 +123,14 @@ class SubsetPricer:
             self._partitions[members] = entry
         return entry
 
-    def solo_slot(self, node_id: int) -> float:
-        """Slot length of the node transmitting alone.
-
-        Raises InfeasibleInstanceError if the node cannot transmit even alone.
-        """
+    def solo(self, node_id: int) -> AllocationResult:
+        """Allocation of the node transmitting alone, the one solo rule of
+        every scheduler: raises InfeasibleInstanceError(node_id) unless it is
+        feasible."""
         res = self.price((node_id,))
         if not res.feasible:
             raise InfeasibleInstanceError(node_id)
-        return res.slot
+        return res
 
     def controller(self, node_id: int) -> int:
         return self.inst.node(node_id).controller_id
@@ -195,11 +197,15 @@ class FixedPricer(SubsetPricer):
     """Prices subsets from an explicit table; anything absent is infeasible.
 
     Useful for pinning worked examples where only the slot lengths matter.
-    Prices are exact whatever the ``cap``.
+    Prices are exact whatever the ``cap``. Raises ValidationError unless
+    every price is a finite number > 0 (``model.is_number``).
     """
 
     def __init__(self, inst: Instance, prices):
         super().__init__(inst)
+        for ids, slot in prices.items():
+            if not is_number(slot):
+                raise ValidationError(f"price of {ids} must be a finite number > 0, not {slot!r}")
         self._prices = {frozenset(k): float(v) for k, v in prices.items()}
 
     def _price(self, ids, cap):
@@ -254,7 +260,7 @@ def sna_assign(pricer: SubsetPricer) -> dict[int, int]:
     """
     inst = pricer.inst
     m_count = inst.subframe_count
-    solo = {i: pricer.solo_slot(i) for i in inst.ids}
+    solo = {i: pricer.solo(i).slot for i in inst.ids}
     active = [0.0] * m_count
     assignments: dict[int, int] = {}
     for i in sorted(solo, key=lambda k: (-solo[k], k)):
@@ -281,12 +287,13 @@ def _candidates(members, pricer):
     leaving out every subset whose slot is above the sum of its members' solo
     slots.
 
-    Subsets are priced by increasing size, in ``itertools.combinations`` order.
+    The solos come from ``pricer.solo``, so each member is a candidate. Larger
+    subsets are priced by increasing size, in ``itertools.combinations`` order.
     A subset S of two or more nodes is priced with ``cap`` the ``math.fsum``
-    of its members' solo slots (inf when one of them is infeasible), and left
-    out when its slot is above ``cap``, under every pricer. No scheduler can
-    use such an S, since splitting it into solos is strictly cheaper (a float
-    slot above the correctly rounded sum is above the exact sum):
+    of its members' solo slots, and left out when its slot is above ``cap``,
+    under every pricer. No scheduler can use such an S, since splitting it
+    into solos is strictly cheaper (a float slot above the correctly rounded
+    sum is above the exact sum):
 
     * ``_best_partitions`` weighs S only at masks that hold S's lowest
       member, after that member's solo, whose option costs less in exact
@@ -299,18 +306,13 @@ def _candidates(members, pricer):
       has the smallest key.
     """
     bit = {i: 1 << k for k, i in enumerate(members)}
-    solo = {}
-    out = []
-    for i in members:
-        res = pricer.price((i,))
-        solo[i] = res.slot  # inf when infeasible
-        if res.feasible:
-            out.append((bit[i], (i,), res))
+    solo = {i: pricer.solo(i) for i in members}
+    out = [(bit[i], (i,), res) for i, res in solo.items()]
     for size in range(2, len({pricer.controller(i) for i in members}) + 1):
         for ids in itertools.combinations(members, size):
             if not _distinct_controllers(ids, pricer):
                 continue
-            cap = math.fsum(solo[i] for i in ids)
+            cap = math.fsum(solo[i].slot for i in ids)
             res = pricer.price(ids, cap)
             if res.feasible and res.slot <= cap:
                 out.append((sum(bit[i] for i in ids), ids, res))
@@ -322,7 +324,7 @@ def _best_partitions(k, candidates):
 
     Returns ``slots[mask], groups[mask]`` where ``slots`` holds the tuple of
     group slot lengths (costs compare by exact fsum) and ``groups`` the chosen
-    partition. Masks with no feasible partition hold None.
+    partition. ``candidates`` hold every member's solo, so every mask has one.
     """
     by_bit = {b: [c for c in candidates if c[0] & (1 << b)] for b in range(k)}
     full = (1 << k) - 1
@@ -336,8 +338,6 @@ def _best_partitions(k, candidates):
             if cmask & mask != cmask:
                 continue
             rest = mask ^ cmask
-            if slots[rest] is None:
-                continue
             trial_slots = slots[rest] + (res.slot,)
             cost = math.fsum(trial_slots)
             if cost < best_cost:
@@ -345,15 +345,6 @@ def _best_partitions(k, candidates):
                 slots[mask] = trial_slots
                 groups[mask] = groups[rest] + ((ids, res),)
     return slots, groups
-
-
-def _require_coverage(population, candidates):
-    covered = set()
-    for _, ids, _ in candidates:
-        covered.update(ids)
-    for i in population:
-        if i not in covered:
-            raise InfeasibleInstanceError(i)
 
 
 def _dedup_cover(selected, pricer):
@@ -416,17 +407,12 @@ def mla_allocate(population, pricer: SubsetPricer):
         return []
     if len(population) > 6:
         candidates = _candidates(population, pricer)
-        _require_coverage(population, candidates)
         return _dedup_cover(_greedy_cover(population, candidates), pricer)
     # A minimum cover shrinks to a partition that costs no more whenever
     # subsets of feasible groups stay feasible and no dearer, so the
     # partition DP also finds the minimum cover.
-    candidates, _, groups = pricer.partitions(tuple(population))
-    _require_coverage(population, candidates)
-    best = groups[-1]
-    if best is None:
-        raise InfeasibleInstanceError()
-    return sorted(best, key=lambda g: g[0])
+    _, _, groups = pricer.partitions(tuple(population))
+    return sorted(groups[-1], key=lambda g: g[0])
 
 
 def mua_allocate(population, pricer: SubsetPricer):
@@ -444,12 +430,12 @@ def mua_allocate(population, pricer: SubsetPricer):
     """
     population = sorted(population)
     groups = []
-    solo = {i: pricer.solo_slot(i) for i in population}
+    solo = {i: pricer.solo(i) for i in population}
     unassigned = set(population)
     while unassigned:
-        seed = max(unassigned, key=lambda i: (solo[i], -i))
+        seed = max(unassigned, key=lambda i: (solo[i].slot, -i))
         current = [seed]
-        cur_res = pricer.price((seed,))
+        cur_res = solo[seed]
         cur_util = 0.0
         while True:
             best = None
@@ -457,7 +443,7 @@ def mua_allocate(population, pricer: SubsetPricer):
                 trial = current + [k]
                 if not _distinct_controllers(trial, pricer):
                     continue
-                cap = math.fsum(solo[i] for i in trial)
+                cap = math.fsum(solo[i].slot for i in trial)
                 res = pricer.price(trial, cap)
                 if not res.feasible:
                     continue
@@ -578,18 +564,11 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
 
     cost = np.full(1 << len(ids), math.inf)
     for mask in set(masks.tobytes()):  # one byte per mask
-        lengths = []
-        for shift, full, slots, _ in classes:
-            part = slots[(mask >> shift) & full]
-            if part is None:
-                break
-            lengths.extend(part)
-        else:
-            cost[mask] = math.fsum(lengths)
+        cost[mask] = math.fsum(
+            [t for shift, full, slots, _ in classes for t in slots[(mask >> shift) & full]]
+        )
     objective = cost[masks].max(axis=1)
     best = int(objective.argmin())
-    if objective[best] == math.inf:
-        raise InfeasibleInstanceError()
 
     offsets = np.unravel_index(best, spans)
     per_m_groups = []

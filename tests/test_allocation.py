@@ -674,6 +674,15 @@ class TestContinuousOptimal:
         assert calls < ratesched.allocation._GUIDE_CAP
         assert res == frozen_continuous_optimal(nodes, gains, radio)
 
+    def test_bisection_midpoint_stays_finite_near_the_float_max(self):
+        # at a 1.7e308 s delay bound t_lo + t_hi overflows, so the midpoint
+        # is taken from the halves instead of probing inf
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-306)
+        node = _node(bits=50.0, delay=1.7e308)
+        res = continuous_optimal([node], GainMatrix([[1e-6]]), radio)
+        t_lo = ratesched.allocation.slot_floors([node], GainMatrix([[1e-6]]), radio)[0]
+        assert res.feasible and t_lo < res.slot < 1.7e308
+
     def test_energy_all_infeasible(self):
         res = continuous_optimal(
             [_node(energy=1e-12)], GainMatrix([[1e-6]]), TABLE1_RADIO

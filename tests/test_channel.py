@@ -15,6 +15,8 @@ from ratesched import (
     topology_to_json,
 )
 
+from ratesched.channel import MAX_LINKS
+
 from helpers import gain_array
 
 
@@ -31,6 +33,17 @@ class TestGenerateTopology:
     def test_bad_counts_rejected(self, counts):
         # a typed error, not numpy's bare TypeError from the array shape
         with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            generate_topology(*counts, 5.0, seed=1)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(10**19, 1), (1, 10**19), (MAX_LINKS + 1, 1), (MAX_LINKS // 2 + 1, 2),
+         (np.int64(2**62), np.int64(4))],  # an int64 product would wrap to 0
+    )
+    def test_counts_beyond_the_offset_array_rejected(self, counts):
+        # ValidationError before any numpy call, not numpy's ValueError from
+        # an array it cannot size
+        with pytest.raises(ValidationError, match=r"n_sensors \* n_controllers"):
             generate_topology(*counts, 5.0, seed=1)
 
     @pytest.mark.parametrize(

@@ -74,6 +74,9 @@ INVALID_FIELDS = (
     # counts beyond numpy's largest array dimension, sys.maxsize
     {"n_controllers": 10**400},
     {"n_sensors": 10**300},
+    # an (n_sensors, n_controllers, 2) float64 array numpy cannot size
+    {"n_sensors": 4611686018427387904, "seeds": 1},
+    {"n_sensors": [4, 8], "n_controllers": 2**58},
     # run_experiment would loop over range(seeds) for ever
     {"seeds": 10**400},
     # disc ladder rates overflow to inf at this bandwidth

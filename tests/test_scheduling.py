@@ -92,6 +92,37 @@ class TestSnaAssign:
             sna_assign(pricer)
 
 
+def priced_only_in_a_group():
+    """Seven period-1 nodes on distinct controllers, each priced alone at
+    1 ms except node 3, which is priced only in the group (2, 3)."""
+    inst = fixture_instance(periods={i: 1 for i in range(7)}, controllers={i: i for i in range(7)})
+    prices = {(i,): 1.0 * MS for i in range(7) if i != 3}
+    prices[(2, 3)] = 0.5 * MS
+    return FixedPricer(inst, prices)
+
+
+class TestSoloRule:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            sna_assign,
+            lambda pricer: schedule(pricer, "sna-mla"),
+            lambda pricer: schedule(pricer, "sna-mua"),
+            lambda pricer: mla_allocate(range(6), pricer),
+            lambda pricer: mla_allocate(range(7), pricer),
+            lambda pricer: mua_allocate(range(7), pricer),
+            exhaustive_schedule,
+        ],
+        ids=["sna_assign", "sna-mla", "sna-mua", "mla-exact", "mla-greedy", "mua", "exhaustive"],
+    )
+    def test_a_node_priced_only_in_a_group_has_no_schedule(self, run):
+        # every scheduler takes its solos from SubsetPricer.solo, so none
+        # lets a group cover a node that cannot transmit alone
+        with pytest.raises(InfeasibleInstanceError) as excinfo:
+            run(priced_only_in_a_group())
+        assert excinfo.value.node_id == 3
+
+
 class TestMlaAllocate:
     def test_pair_beats_singletons(self):
         inst = fixture_instance(
@@ -166,15 +197,17 @@ class TestMlaAllocate:
             mla_allocate([0, 1, 2], pricer)
 
     def test_greedy_branch_never_returns_an_unpriced_group(self):
-        # seven nodes take the greedy cover: (0, 1), the singletons, then
-        # (1, 2); the overlap clean-up shrinks (1, 2) to (2,), which has no price
+        # seven nodes take the greedy cover: (0, 1) at 0.1 ms per node, then
+        # (1, 2, 3) at 0.45 ms per new node, then the solos at 1 ms; the
+        # overlap clean-up shrinks (1, 2, 3) to (2, 3), which has no price
         inst = fixture_instance(
             periods={i: 1 for i in range(7)}, controllers={i: i for i in range(7)}
         )
-        prices = {(i,): 0.1 * MS for i in range(3, 7)}
-        prices.update({(0, 1): 0.1 * MS, (1, 2): 0.3 * MS})
-        with pytest.raises(InfeasibleInstanceError):
+        prices = {(i,): 1.0 * MS for i in range(7)}
+        prices.update({(0, 1): 0.2 * MS, (1, 2, 3): 0.9 * MS})
+        with pytest.raises(InfeasibleInstanceError) as excinfo:
             mla_allocate(list(range(7)), FixedPricer(inst, prices))
+        assert excinfo.value.node_id is None  # raised by _dedup_cover
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -193,7 +226,6 @@ class TestMlaAllocate:
         pricer = gain_pricer(inst, random_gains(rng, n), continuous)
         population = list(range(n))
         candidates = scheduling._candidates(population, pricer)
-        scheduling._require_coverage(population, candidates)
         selected = scheduling._greedy_cover(population, candidates)
         groups = scheduling._dedup_cover(selected, pricer)
         assert math.fsum(g[1].slot for g in groups) <= math.fsum(s[1].slot for s in selected)
@@ -692,6 +724,10 @@ class TestSubsetPricer:
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
         pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.5 * MS})
         assert pricer.price((0, 1), 0.3 * MS).slot == 0.5 * MS
+        # a feasible price is a finite slot > 0, as the schedulers assume
+        for bad in (-1.0, 0, math.nan, math.inf, True, "1"):
+            with pytest.raises(ValidationError, match="finite number > 0"):
+                FixedPricer(inst, {(0,): 0.1 * MS, (0, 1): bad})
 
 
 class CappingFixedPricer(FixedPricer):
@@ -710,11 +746,12 @@ def ignoring_cap(pricer):
 
 
 def unfiltered_candidates(members, pricer):
-    """``scheduling._candidates`` without caps: every feasible
-    controller-distinct subset, dominated ones included."""
+    """``scheduling._candidates`` without caps: every member's solo from
+    ``pricer.solo``, then every feasible controller-distinct subset,
+    dominated ones included."""
     bit = {i: 1 << k for k, i in enumerate(members)}
-    out = []
-    for size in range(1, len({pricer.controller(i) for i in members}) + 1):
+    out = [(bit[i], (i,), pricer.solo(i)) for i in members]
+    for size in range(2, len({pricer.controller(i) for i in members}) + 1):
         for ids in itertools.combinations(members, size):
             if len({pricer.controller(i) for i in ids}) < size:
                 continue
