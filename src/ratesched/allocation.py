@@ -276,8 +276,10 @@ def continuous_optimal(
     next; an infeasible verdict there means no slot up to it is feasible.
     Then t_lo is probed, unless it already was; a feasible verdict there is
     the answer. The pricers make two kinds of call, which this order
-    serves: a solo with no cap, mostly answered at t_lo, and a group of two
-    or more links capped below its tightest delay bound, anchored at its
+    serves: a solo from ``SubsetPricer.solo``, with no cap, mostly answered
+    at t_lo, and a group of two or more links from ``SubsetPricer.group``,
+    capped at the sum of its members' solo slots, which at the benchmark
+    workloads is below its tightest delay bound, so it is anchored at its
     cap. Under those calls t_hi is probed only for a solo whose t_lo probe
     fails, or as the bisection's final slot.
 

@@ -400,10 +400,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
                         "infeasible_count": len(dropped),
                         "mean_norm": float(np.mean(norms)) if norms else math.nan,
                         "std_norm": float(np.std(norms)) if norms else math.nan,
-                        "mean_max_active_s": float(np.mean(raws)) if raws else math.nan,
+                        "mean_max_active_s": _mean(raws),
                     }
                 )
     return ExperimentResults(rows, reference_counts, per_seed)
+
+
+def _mean(values) -> float:
+    """``np.mean(values)``, NaN for no values. Where the sum of finite values
+    overflows, the mean of the values scaled down by 2**k, with 2**k above
+    their count, is scaled back up, so the mean stays finite."""
+    if not values:
+        return math.nan
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    if mean == math.inf:
+        k = len(values).bit_length()
+        mean = math.ldexp(float(np.mean(np.ldexp(values, -k))), k)
+    return mean
 
 
 def emit_results(results: ExperimentResults, path, fmt: str = "csv") -> None:

@@ -63,7 +63,8 @@ class RateTable:
     ``levels[q][0]``. Levels are strictly increasing in both coordinates from
     a rate above 0, and the threshold->rate map must be concave over the
     listed points (slopes non-increasing), which every Shannon-derived ladder
-    satisfies.
+    satisfies. Every threshold and rate must be a finite number > 0
+    (``is_number``).
     """
 
     levels: tuple[tuple[float, float], ...]
@@ -74,6 +75,8 @@ class RateTable:
             raise ValidationError("no positive rate levels")
         prev_g, prev_r = -math.inf, 0.0
         for g, r in self.levels:
+            if not (is_number(g) and is_number(r)):
+                raise ValidationError(f"rate level ({g!r}, {r!r}) must be finite numbers > 0")
             if not (g > prev_g and r > prev_r):
                 raise ValidationError(
                     "rate levels must be strictly increasing in threshold and rate"
@@ -133,18 +136,25 @@ def build_rate_table(sinr_thresholds_db, bandwidth_hz: float) -> RateTable:
     Each threshold ``x`` dB becomes a linear ratio ``g = 10**(x/10)`` with rate
     ``bandwidth_hz * log2(1 + g)``. Levels with nonpositive rate (the -inf dB
     "silent" entry) are excluded from the usable ladder and recorded in
-    ``dropped_db``.
+    ``dropped_db``. Each threshold is -inf or a finite number whose ratio ``g``
+    is finite; raises ValidationError otherwise.
     """
     if not is_number(bandwidth_hz):
         raise ValidationError(f"bandwidth must be a finite number > 0, not {bandwidth_hz!r}")
     thresholds = list(sinr_thresholds_db)
+    for db in thresholds:
+        if db != -math.inf and not is_number(db, low=-math.inf):
+            raise ValidationError(f"threshold must be a finite number of dB or -inf, not {db!r}")
     for a, b in zip(thresholds, thresholds[1:]):
         if not b > a:
             raise ValidationError("thresholds must be strictly increasing")
     levels = []
     dropped = []
     for db in thresholds:
-        g = 10.0 ** (db / 10.0) if db != -math.inf else 0.0
+        try:
+            g = 10.0 ** (db / 10.0) if db != -math.inf else 0.0
+        except OverflowError:
+            raise ValidationError(f"threshold {db!r} dB overflows its linear ratio") from None
         r = bandwidth_hz * math.log2(1.0 + g)
         if r > 0:
             levels.append((g, r))

@@ -53,25 +53,23 @@ class InfeasibleInstanceError(Exception):
     """Some node cannot transmit even alone; no schedule exists.
 
     ``node_id`` names that node and ``model`` the rate model it was priced
-    under, which ``experiment`` adds. ``_dedup_cover`` alone raises with
-    neither, for a shrunk group that a ``FixedPricer`` leaves unpriced.
+    under, which ``experiment`` adds.
     """
 
-    def __init__(self, node_id=None, model=None):
+    def __init__(self, node_id, model=None):
         self.node_id = node_id
         self.model = model
-        detail = f" (node {node_id})" if node_id is not None else ""
         under = f" under {model}" if model is not None else ""
-        super().__init__(f"instance is infeasible{detail}{under}")
+        super().__init__(f"instance is infeasible (node {node_id}){under}")
 
 
 class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
     A pricer is the per-(instance, rate model) cache. It keeps each priced
-    subset's result with the largest cap it answers, the ``offsets()`` and
-    each sorted member tuple's ``partitions()``; the gain-backed pricers also
-    keep one solo record per node.
+    subset's result with the largest cap it answers, each feasible ``solo()``,
+    the ``offsets()`` and each sorted member tuple's ``partitions()``; the
+    gain-backed pricers also keep one solo record per node.
     """
 
     def __init__(self, inst: Instance):
@@ -81,6 +79,8 @@ class SubsetPricer:
         self._offsets: dict[int, int] | None = None
         # sorted member tuple -> (candidates, slots, groups)
         self._partitions: dict[tuple[int, ...], tuple] = {}
+        # node id -> its feasible solo result
+        self._solo_results: dict[int, AllocationResult] = {}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
@@ -127,10 +127,45 @@ class SubsetPricer:
         """Allocation of the node transmitting alone, the one solo rule of
         every scheduler: raises InfeasibleInstanceError(node_id) unless it is
         feasible."""
-        res = self.price((node_id,))
-        if not res.feasible:
-            raise InfeasibleInstanceError(node_id)
+        res = self._solo_results.get(node_id)
+        if res is None:
+            res = self.price((node_id,))
+            if not res.feasible:
+                raise InfeasibleInstanceError(node_id)
+            self._solo_results[node_id] = res
         return res
+
+    def group(self, ids) -> AllocationResult | None:
+        """Allocation of the nodes ``ids`` sharing one slot, the one group
+        rule of every scheduler; a one-member group is that node's ``solo``.
+
+        None unless the members' controllers are pairwise distinct and the
+        subset, priced with ``cap`` the ``math.fsum`` of the members' solo
+        slots, is feasible with a slot at most ``cap``. No scheduler can use
+        a subset S above its cap, since splitting S into solos is strictly
+        cheaper (a float slot above the correctly rounded sum is above the
+        exact sum):
+
+        * ``_best_partitions`` weighs S only at masks that hold S's lowest
+          member, after that member's solo, whose option costs less in exact
+          sums; so S is never a strict optimum. The costs compared are
+          rounded ``fsum`` values, so only where rounding ties or reverses
+          such a comparison could S have won, and the DP without S would then
+          return another partition, of equal or next-to-equal cost.
+        * ``_greedy_cover``: S's key ``slot / new`` is at least, and its
+          ``slot`` above, that of the solo of its cheapest uncovered member,
+          so S never has the smallest key.
+        * ``mua_allocate``: S's utility, ``cap`` minus its slot, is below 0,
+          never above the current utility.
+        """
+        if len({self.controller(i) for i in ids}) < len(ids):
+            return None
+        solos = [self.solo(i) for i in ids]
+        if len(solos) == 1:
+            return solos[0]
+        cap = math.fsum(res.slot for res in solos)
+        res = self.price(ids, cap)
+        return res if res.feasible and res.slot <= cap else None
 
     def controller(self, node_id: int) -> int:
         return self.inst.node(node_id).controller_id
@@ -276,45 +311,18 @@ def sna_assign(pricer: SubsetPricer) -> dict[int, int]:
     return assignments
 
 
-def _distinct_controllers(ids, pricer) -> bool:
-    ctr = [pricer.controller(i) for i in ids]
-    return len(set(ctr)) == len(ctr)
-
-
 def _candidates(members, pricer):
-    """Feasible controller-distinct subsets of ``members`` as
-    ``(bitmask, ids, allocation)`` triples, bit k standing for ``members[k]``,
-    leaving out every subset whose slot is above the sum of its members' solo
-    slots.
-
-    The solos come from ``pricer.solo``, so each member is a candidate. Larger
-    subsets are priced by increasing size, in ``itertools.combinations`` order.
-    A subset S of two or more nodes is priced with ``cap`` the ``math.fsum``
-    of its members' solo slots, and left out when its slot is above ``cap``,
-    under every pricer. No scheduler can use such an S, since splitting it
-    into solos is strictly cheaper (a float slot above the correctly rounded
-    sum is above the exact sum):
-
-    * ``_best_partitions`` weighs S only at masks that hold S's lowest
-      member, after that member's solo, whose option costs less in exact
-      sums; so S is never a strict optimum. The costs compared are rounded
-      ``fsum`` values, so only where rounding ties or reverses such a
-      comparison could S have won, and the DP without S would then return
-      another partition, of equal or next-to-equal cost.
-    * ``_greedy_cover``: S's key ``slot / new`` is at least, and its ``slot``
-      above, that of the solo of its cheapest uncovered member, so S never
-      has the smallest key.
+    """Every subset of ``members`` that ``pricer.group`` accepts, as
+    ``(bitmask, ids, allocation)`` triples, bit k standing for ``members[k]``:
+    every member's ``pricer.solo`` first, then larger subsets by increasing
+    size, in ``itertools.combinations`` order.
     """
     bit = {i: 1 << k for k, i in enumerate(members)}
-    solo = {i: pricer.solo(i) for i in members}
-    out = [(bit[i], (i,), res) for i, res in solo.items()]
+    out = [(bit[i], (i,), pricer.solo(i)) for i in members]
     for size in range(2, len({pricer.controller(i) for i in members}) + 1):
         for ids in itertools.combinations(members, size):
-            if not _distinct_controllers(ids, pricer):
-                continue
-            cap = math.fsum(solo[i].slot for i in ids)
-            res = pricer.price(ids, cap)
-            if res.feasible and res.slot <= cap:
+            res = pricer.group(ids)
+            if res is not None:
                 out.append((sum(bit[i] for i in ids), ids, res))
     return out
 
@@ -350,10 +358,10 @@ def _best_partitions(k, candidates):
 def _dedup_cover(selected, pricer):
     """Keep each node only in its cheapest selected subset, re-pricing the rest.
 
-    Shrinking a subset never raises its slot length under the bundled
-    pricers, so this step can only reduce the total. Returns disjoint groups
-    in canonical order; raises InfeasibleInstanceError if a shrunk subset has
-    no feasible price.
+    Each shrunk subset comes from ``pricer.group``; one that it rejects
+    transmits as its members' solos. Shrinking a subset never raises its slot
+    length under the bundled pricers, so this step can only reduce the
+    total. Returns disjoint groups in canonical order.
     """
     order = sorted(range(len(selected)), key=lambda k: (selected[k][1].slot, selected[k][0]))
     owner: dict[int, int] = {}
@@ -363,13 +371,11 @@ def _dedup_cover(selected, pricer):
     groups = []
     for k, (ids, res) in enumerate(selected):
         kept = tuple(i for i in ids if owner[i] == k)
-        if not kept:
-            continue
-        if kept != ids:
-            res = pricer.price(kept)
-            if not res.feasible:
-                raise InfeasibleInstanceError()
-        groups.append((kept, res))
+        if kept == ids:
+            groups.append((ids, res))
+        elif kept:
+            res = pricer.group(kept)
+            groups += [(kept, res)] if res is not None else [((i,), pricer.solo(i)) for i in kept]
     return sorted(groups, key=lambda g: g[0])
 
 
@@ -420,13 +426,8 @@ def mua_allocate(population, pricer: SubsetPricer):
 
     Seeds a group with the unassigned node of largest solo slot, then keeps
     adding the node that most increases the utility (total solo time saved by
-    transmitting concurrently) while the group stays feasible; each addition
+    sharing the slot) while ``pricer.group`` accepts the group; each addition
     must strictly improve the utility. Repeats until every node is grouped.
-
-    A trial group is priced with ``cap`` the ``math.fsum`` of its members'
-    solo slots, the sum its utility subtracts the slot from: a slot above it
-    gives a utility below 0, never above the current utility (at least 0),
-    so a trial cut short is one that could not be added.
     """
     population = sorted(population)
     groups = []
@@ -441,13 +442,10 @@ def mua_allocate(population, pricer: SubsetPricer):
             best = None
             for k in sorted(unassigned - set(current)):
                 trial = current + [k]
-                if not _distinct_controllers(trial, pricer):
+                res = pricer.group(trial)
+                if res is None:
                     continue
-                cap = math.fsum(solo[i].slot for i in trial)
-                res = pricer.price(trial, cap)
-                if not res.feasible:
-                    continue
-                util = cap - res.slot
+                util = math.fsum(solo[i].slot for i in trial) - res.slot
                 if util > cur_util and (best is None or util > best[0]):
                     best = (util, k, res)
             if best is None:

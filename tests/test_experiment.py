@@ -5,10 +5,12 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -584,6 +586,30 @@ class TestRunExperiment:
             for kind in ("solo", "group")
         }
 
+    def test_every_group_is_priced_at_its_solo_sum(self, monkeypatch):
+        # SubsetPricer.solo and SubsetPricer.group are the only callers of
+        # price: a solo has no cap, and a group of two or more is capped at
+        # the fsum of its members' solo slots, at each benchmark workload's
+        # default seed
+        workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+        sizes = Counter()
+        price = scheduling.SubsetPricer.price
+
+        def checking(pricer, ids, cap=math.inf):
+            if len(ids) == 1:
+                assert cap == math.inf
+            else:
+                assert cap == math.fsum(pricer.solo(i).slot for i in ids)
+            sizes[min(len(ids), 2)] += 1
+            return price(pricer, ids, cap)
+
+        monkeypatch.setattr(scheduling.SubsetPricer, "price", checking)
+        for workload in workloads.values():
+            run_experiment(ExperimentConfig.from_dict(
+                dict(workload["config"], master_seed=workload["default_seed"])
+            ))
+        assert sizes[1] > 0 and sizes[2] > 0
+
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
@@ -663,6 +689,27 @@ class TestRunExperiment:
         cfg = mixed_drops_config()
         first, second = (json.dumps(run_experiment(cfg).per_seed) for _ in range(2))
         assert first == second
+
+    def test_mean_max_active_stays_finite_when_its_sum_overflows(self):
+        # slots near 1e308 s (a 1.7e308 s delay bound at a 1e-306 Hz
+        # bandwidth) are finite, but ten of them sum past the float max
+        cfg = ExperimentConfig.from_dict({
+            "n_sensors": 8, "n_controllers": 3, "density": 5.0, "seeds": 10,
+            "rate_models": ["cont"], "packet_bits_set": [50.0], "delay_rule": 1.7e308,
+            "radio": {"bandwidth_hz": 1e-306}, "period_set": [1],
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_experiment(cfg)
+        for row in results.rows:
+            raws = [r["max_active"][f"{row['strategy']}/cont"] for r in kept_records(results)]
+            assert len(raws) == 10 and max(raws) > sys.float_info.max / 10
+            assert math.fsum(v / 10 for v in raws) == pytest.approx(
+                row["mean_max_active_s"], rel=1e-15
+            )
+        # where np.mean is finite it is kept
+        assert experiment._mean([0.1, 0.2, 0.7]) == float(np.mean([0.1, 0.2, 0.7]))
+        assert math.isnan(experiment._mean([]))
 
 
 class TestSeedTriage:

@@ -52,6 +52,24 @@ class TestBuildRateTable:
         with pytest.raises(ValidationError, match="bandwidth"):
             build_rate_table([10.0], bandwidth)
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        [["a"], [None], [True, 5.0], [0.0, math.nan], [0.0, math.inf], [math.inf]],
+    )
+    def test_thresholds_must_be_finite_numbers_or_minus_inf(self, thresholds):
+        with pytest.raises(ValidationError, match="finite number of dB or -inf"):
+            build_rate_table(thresholds, 1e8)
+
+    @pytest.mark.parametrize("thresholds", [[0.0, 4000.0], [0.0, 1e308]])
+    def test_threshold_ratio_must_not_overflow(self, thresholds):
+        with pytest.raises(ValidationError, match="overflows"):
+            build_rate_table(thresholds, 1e8)
+
+    def test_rate_must_not_overflow(self):
+        # 1e308 Hz * log2(11) is above the float max
+        with pytest.raises(ValidationError, match="finite numbers > 0"):
+            build_rate_table([10.0], 1e308)
+
 
 class TestRateTableInvariants:
     def test_monotone_in_threshold_and_rate(self):
@@ -83,6 +101,14 @@ class TestRateTableInvariants:
         # slope from the origin is 5, next chord slope is 15; not concave
         with pytest.raises(ValidationError, match="concave"):
             RateTable(levels=((1.0, 5.0), (2.0, 20.0)))
+
+    @pytest.mark.parametrize(
+        "level",
+        [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (True, 1.0), ("1", 1.0)],
+    )
+    def test_levels_must_be_finite_numbers_above_zero(self, level):
+        with pytest.raises(ValidationError, match="finite numbers > 0"):
+            RateTable(levels=(level,))
 
     def test_lowest_level_within(self):
         table = disc4_table(1e8)

@@ -199,15 +199,17 @@ class TestMlaAllocate:
     def test_greedy_branch_never_returns_an_unpriced_group(self):
         # seven nodes take the greedy cover: (0, 1) at 0.1 ms per node, then
         # (1, 2, 3) at 0.45 ms per new node, then the solos at 1 ms; the
-        # overlap clean-up shrinks (1, 2, 3) to (2, 3), which has no price
+        # overlap clean-up shrinks (1, 2, 3) to (2, 3), which has no price,
+        # so pricer.group rejects it and its members transmit alone
         inst = fixture_instance(
             periods={i: 1 for i in range(7)}, controllers={i: i for i in range(7)}
         )
         prices = {(i,): 1.0 * MS for i in range(7)}
         prices.update({(0, 1): 0.2 * MS, (1, 2, 3): 0.9 * MS})
-        with pytest.raises(InfeasibleInstanceError) as excinfo:
-            mla_allocate(list(range(7)), FixedPricer(inst, prices))
-        assert excinfo.value.node_id is None  # raised by _dedup_cover
+        groups = mla_allocate(list(range(7)), FixedPricer(inst, prices))
+        assert [ids for ids, _ in groups] == [(0, 1), (2,), (3,), (4,), (5,), (6,)]
+        assert sorted(i for ids, _ in groups for i in ids) == list(range(7))
+        assert all(res.slot == prices[ids] for ids, res in groups)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -719,6 +721,28 @@ class TestSubsetPricer:
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
         with pytest.raises(ValidationError, match="every instance node"):
             gain_pricer(inst, GainMatrix([[1e-6]]), continuous)
+
+    def test_group_rule(self):
+        # distinct controllers, a feasible price, and a slot at most the
+        # fsum of the members' solo slots; one member is that node's solo
+        inst = fixture_instance(
+            periods={0: 1, 1: 1, 2: 1, 3: 1}, controllers={0: 0, 1: 1, 2: 0, 3: 2}
+        )
+        prices = {(0,): 0.1 * MS, (1,): 0.2 * MS, (2,): 0.3 * MS, (3,): 0.4 * MS}
+        at_sum = math.fsum([prices[(1,)], prices[(3,)]])
+        above_sum = math.nextafter(math.fsum([prices[(0,)], prices[(3,)]]), math.inf)
+        prices.update({(0, 2): 0.1 * MS, (1, 3): at_sum, (0, 3): above_sum})
+        pricer = FixedPricer(inst, prices)
+        assert pricer.group((0, 2)) is None  # controller 0 twice
+        assert pricer.group((2, 3)) is None  # unpriced
+        assert pricer.group((0, 3)) is None  # one ulp above its solo sum
+        assert pricer.group((3, 1)).slot == at_sum
+        assert pricer.group((2,)) is pricer.solo(2)
+        assert pricer.group([2]).slot == 0.3 * MS
+        del prices[(3,)]
+        with pytest.raises(InfeasibleInstanceError) as excinfo:
+            FixedPricer(inst, prices).group((1, 3))  # as solo does
+        assert excinfo.value.node_id == 3
 
     def test_fixed_prices_ignore_the_cap(self):
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
