@@ -152,7 +152,7 @@ def build_rate_table(sinr_thresholds_db, bandwidth_hz: float) -> RateTable:
     dropped = []
     for db in thresholds:
         try:
-            g = 10.0 ** (db / 10.0) if db != -math.inf else 0.0
+            g = math.pow(10.0, db / 10.0) if db != -math.inf else 0.0
         except OverflowError:
             raise ValidationError(f"threshold {db!r} dB overflows its linear ratio") from None
         r = bandwidth_hz * math.log2(1.0 + g)

@@ -60,7 +60,7 @@ class TestBuildRateTable:
         with pytest.raises(ValidationError, match="finite number of dB or -inf"):
             build_rate_table(thresholds, 1e8)
 
-    @pytest.mark.parametrize("thresholds", [[0.0, 4000.0], [0.0, 1e308]])
+    @pytest.mark.parametrize("thresholds", [[0.0, 4000.0], [0.0, 1e308], [np.float64(4000.0)]])
     def test_threshold_ratio_must_not_overflow(self, thresholds):
         with pytest.raises(ValidationError, match="overflows"):
             build_rate_table(thresholds, 1e8)

@@ -199,17 +199,19 @@ class TestMlaAllocate:
     def test_greedy_branch_never_returns_an_unpriced_group(self):
         # seven nodes take the greedy cover: (0, 1) at 0.1 ms per node, then
         # (1, 2, 3) at 0.45 ms per new node, then the solos at 1 ms; the
-        # overlap clean-up shrinks (1, 2, 3) to (2, 3), which has no price,
-        # so pricer.group rejects it and its members transmit alone
+        # overlap clean-up shrinks (1, 2, 3) to (2, 3), which has no price
+        # (or one above its solo sum), so pricer.group rejects it and its
+        # members transmit alone
         inst = fixture_instance(
             periods={i: 1 for i in range(7)}, controllers={i: i for i in range(7)}
         )
         prices = {(i,): 1.0 * MS for i in range(7)}
         prices.update({(0, 1): 0.2 * MS, (1, 2, 3): 0.9 * MS})
-        groups = mla_allocate(list(range(7)), FixedPricer(inst, prices))
-        assert [ids for ids, _ in groups] == [(0, 1), (2,), (3,), (4,), (5,), (6,)]
-        assert sorted(i for ids, _ in groups for i in ids) == list(range(7))
-        assert all(res.slot == prices[ids] for ids, res in groups)
+        for pair in ({}, {(2, 3): 2.5 * MS}):
+            groups = mla_allocate(list(range(7)), FixedPricer(inst, prices | pair))
+            assert [ids for ids, _ in groups] == [(0, 1), (2,), (3,), (4,), (5,), (6,)]
+            assert sorted(i for ids, _ in groups for i in ids) == list(range(7))
+            assert all(res.slot == prices[ids] for ids, res in groups)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -739,6 +741,11 @@ class TestSubsetPricer:
         assert pricer.group((3, 1)).slot == at_sum
         assert pricer.group((2,)) is pricer.solo(2)
         assert pricer.group([2]).slot == 0.3 * MS
+        pricer, caps = FixedPricer(inst, prices), []
+        price = pricer.price
+        pricer.price = lambda ids, cap=math.inf: caps.append(cap) or price(ids, cap)
+        assert pricer.group((2,)).slot == 0.3 * MS
+        assert caps == [math.inf]  # priced as a solo, never capped
         del prices[(3,)]
         with pytest.raises(InfeasibleInstanceError) as excinfo:
             FixedPricer(inst, prices).group((1, 3))  # as solo does
