@@ -318,8 +318,9 @@ def continuous_optimal(
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``. Raises NumericalError, whatever the cap and before any
     probe, when t_lo is not in (0, inf) (inf as when 1 + SNR rounds to 1 for
-    a link's solo SNR at p_max, 0 as when that SNR overflows) or when the
-    capacity targets at t_hi underflow to 0 (as when t_hi * W overflows).
+    a link's solo SNR at p_max, 0 as when that SNR overflows), when t_lo * W
+    underflows to 0, or when the capacity targets at t_hi underflow to 0 (as
+    when t_hi * W overflows).
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
@@ -348,7 +349,8 @@ def continuous_optimal(
     if solos is None:
         solos = slot_floors(nodes, gains, radio)
     t_lo = max(solos)
-    if not 0.0 < t_lo < math.inf:
+    # Every probe is at t >= t_lo, so t * W > 0 wherever t_lo * W > 0.
+    if not (0.0 < t_lo < math.inf and t_lo * radio.bandwidth_hz > 0):
         raise NumericalError(f"interference-free slot bound {t_lo} leaves the float range")
     # Targets fall with t, so those at t_hi are the smallest of any probe.
     if not all(x > 0 for x in _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()):

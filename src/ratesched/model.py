@@ -63,7 +63,8 @@ class RateTable:
     ``levels[q][0]``. Levels are strictly increasing in both coordinates from
     a rate above 0, and the threshold->rate map must be concave over the
     listed points (slopes non-increasing), which every Shannon-derived ladder
-    satisfies. Every threshold and rate must be a finite number > 0
+    satisfies; a chord slope past the first that overflows fails this test,
+    since it cannot be compared. Every threshold and rate must be a finite number > 0
     (``is_number``).
     """
 
@@ -90,8 +91,10 @@ class RateTable:
             (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
             for i in range(len(pts) - 1)
         ]
+        # A slope that overflows cannot be compared, so past the first one it
+        # fails closed; an overflowing first slope is above every finite one.
         for a, b in zip(slopes, slopes[1:]):
-            if b > a * (1 + 1e-12):
+            if b == math.inf or b > a * (1 + 1e-12):
                 raise ValidationError("threshold->rate map must be concave")
 
     @property
@@ -301,7 +304,11 @@ class Instance:
         object.__setattr__(self, "position", {n.id: k for k, n in enumerate(self.nodes)})
 
     def node(self, node_id: int) -> NodeSpec:
-        return self.nodes[self.position[node_id]]
+        """The node ``node_id``; raises ValidationError for an unknown id."""
+        k = self.position.get(node_id)
+        if k is None:
+            raise ValidationError(f"unknown node id {node_id!r}")
+        return self.nodes[k]
 
     @property
     def ids(self) -> tuple[int, ...]:

@@ -66,21 +66,21 @@ class InfeasibleInstanceError(Exception):
 class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
-    A pricer is the per-(instance, rate model) cache. It keeps each priced
-    subset's result with the largest cap it answers, each feasible ``solo()``,
-    the ``offsets()`` and each sorted member tuple's ``partitions()``; the
-    gain-backed pricers also keep one solo record per node.
+    A pricer is the per-(instance, rate model) cache. It keeps each feasible
+    ``solo()``, each ``group()`` answer, the ``offsets()`` and each sorted
+    member tuple's ``partitions()``; the gain-backed pricers also keep one
+    solo record per node. ``price`` keeps nothing.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        # subset -> (result, largest cap the result answers)
-        self._cache: dict[frozenset, tuple[AllocationResult, float]] = {}
         self._offsets: dict[int, int] | None = None
         # sorted member tuple -> (candidates, slots, groups)
         self._partitions: dict[tuple[int, ...], tuple] = {}
         # node id -> its feasible solo result
         self._solo_results: dict[int, AllocationResult] = {}
+        # member set -> its group() answer, None included
+        self._groups: dict[frozenset, AllocationResult | None] = {}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
@@ -89,22 +89,14 @@ class SubsetPricer:
         ``cap`` is an upper bound on the slot the caller can use. The result
         is exact whenever its slot is at most ``cap``; otherwise it may be
         ``AllocationResult.infeasible()``, since the pricer may stop once one
-        verdict proves the slot is above ``cap``. Feasible results are exact
-        and answer every later call; an infeasible one answers only calls
-        whose ``cap`` is at most the one it was priced under, so a result cut
-        short is never returned to a call with a larger ``cap``.
+        verdict proves the slot is above ``cap``.
         """
         key = frozenset(ids)
         if len(key) != len(ids):
             raise ValidationError(f"repeated node id in subset {tuple(ids)}")
-        entry = self._cache.get(key)
-        if entry is not None and cap <= entry[1]:
-            return entry[0]
         if not key <= self.inst.position.keys():
             raise ValidationError(f"unknown node id in subset {tuple(ids)}")
-        res = self._price(tuple(sorted(key)), cap)
-        self._cache[key] = (res, math.inf if res.feasible else cap)
-        return res
+        return self._price(tuple(sorted(key)), cap)
 
     def offsets(self) -> dict[int, int]:
         """The ``sna_assign`` offsets, computed on the first call (raising as
@@ -157,15 +149,19 @@ class SubsetPricer:
           so S never has the smallest key.
         * ``mua_allocate``: S's utility, ``cap`` minus its slot, is below 0,
           never above the current utility.
+
+        The answer is kept per member set, None included. The controller test
+        runs first, so a repeated id is None and never reaches a kept answer.
         """
         if len({self.controller(i) for i in ids}) < len(ids):
             return None
-        solos = [self.solo(i) for i in ids]
-        if len(solos) == 1:
-            return solos[0]
-        cap = math.fsum(res.slot for res in solos)
-        res = self.price(ids, cap)
-        return res if res.feasible and res.slot <= cap else None
+        key = frozenset(ids)
+        if key not in self._groups:
+            solos = [self.solo(i) for i in ids]
+            cap = math.fsum(res.slot for res in solos)
+            res = solos[0] if len(solos) == 1 else self.price(ids, cap)
+            self._groups[key] = res if res.feasible and res.slot <= cap else None
+        return self._groups[key]
 
     def controller(self, node_id: int) -> int:
         return self.inst.node(node_id).controller_id

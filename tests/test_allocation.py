@@ -654,6 +654,17 @@ class TestContinuousOptimal:
             with pytest.raises(NumericalError):
                 continuous_optimal(nodes, GainMatrix(gains), radio, cap)
 
+    def test_t_lo_times_bandwidth_underflowing_raises(self):
+        # t_lo is in (0, inf), but t_lo * W underflows to 0, where the
+        # capacity targets of the t_lo probe would divide by zero
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-30)
+        nodes, gains = [_node(bits=5e-324, delay=1e30)], GainMatrix([[1e-6]])
+        t_lo = ratesched.allocation.slot_floors(nodes, gains, radio)[0]
+        assert 0.0 < t_lo < math.inf and t_lo * radio.bandwidth_hz == 0.0
+        for cap in (math.inf, 1e-12):
+            with pytest.raises(NumericalError, match="float range"):
+                continuous_optimal(nodes, gains, radio, cap)
+
     def test_guide_stops_when_no_geometric_step_fits(self, monkeypatch):
         # at a 1e300 Hz bandwidth the slot is subnormal, so (no, yes) holds
         # no geometric mean long before its relative width reaches

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import importlib.util
 import json
 import math
@@ -6,7 +7,7 @@ import re
 import sys
 import tempfile
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
 
@@ -590,9 +591,12 @@ class TestRunExperiment:
         # SubsetPricer.solo and SubsetPricer.group are the only callers of
         # price: a solo has no cap, and a group of two or more is capped at
         # the fsum of its members' solo slots, at each benchmark workload's
-        # default seed
+        # default seed, with energy budgets loose and binding. So a subset's cap is fixed by the subset, and no
+        # pricer prices a subset twice. The record is keyed by the pricer
+        # itself: the id() of a collected pricer is reused.
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         sizes = Counter()
+        priced = defaultdict(set)
         price = scheduling.SubsetPricer.price
 
         def checking(pricer, ids, cap=math.inf):
@@ -600,14 +604,18 @@ class TestRunExperiment:
                 assert cap == math.inf
             else:
                 assert cap == math.fsum(pricer.solo(i).slot for i in ids)
+            assert frozenset(ids) not in priced[pricer]
+            priced[pricer].add(frozenset(ids))
             sizes[min(len(ids), 2)] += 1
             return price(pricer, ids, cap)
 
         monkeypatch.setattr(scheduling.SubsetPricer, "price", checking)
-        for workload in workloads.values():
-            run_experiment(ExperimentConfig.from_dict(
-                dict(workload["config"], master_seed=workload["default_seed"])
-            ))
+        for workload, energy_scale in itertools.product(workloads.values(), (1.0, 1e-4)):
+            run_experiment(ExperimentConfig.from_dict(dict(
+                workload["config"],
+                master_seed=workload["default_seed"],
+                energy_scale=energy_scale,
+            )))
         assert sizes[1] > 0 and sizes[2] > 0
 
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
@@ -871,10 +879,11 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "disk full" in capsys.readouterr().err
 
-    def exit_code(self, field, value, n_sensors=2):
+    def exit_code(self, field, value, n_sensors=2, **others):
         """Exit code of the CLI on a small config of ``n_sensors`` sensors with
-        ``field`` (``radio.<key>`` for one radio field) set to ``value``."""
-        doc = {"n_sensors": n_sensors, "seeds": 2}
+        ``field`` (``radio.<key>`` for one radio field) set to ``value`` and
+        the top-level fields ``others``."""
+        doc = {"n_sensors": n_sensors, "seeds": 2, **others}
         name, _, radio_key = field.partition(".")
         doc[name] = {radio_key: value} if radio_key else value
         with tempfile.TemporaryDirectory() as tmp:
@@ -889,6 +898,16 @@ class TestCli:
             for value in filter(partial(_runs_briefly, field), EXTREMES + WRONG):
                 for n in (2, 3):
                     assert self.exit_code(field, value, n) in (0, 2, 3), (field, value, n)
+
+    def test_interference_free_slot_times_bandwidth_underflowing_exits_3(self, capsys):
+        # t_lo * W underflows to 0 in continuous_optimal, which raises
+        # NumericalError before any probe; both seeds drop as numerical
+        code = self.exit_code(
+            "radio.bandwidth_hz", 1e-30, 1, n_controllers=2, master_seed=69,
+            period_set=[1, 2], delay_rule=1e30, packet_bits_set=[5e-324],
+        )
+        assert code == 3
+        assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", sorted(FUZZED_FIELDS))
     @settings(derandomize=True, deadline=None, max_examples=30)

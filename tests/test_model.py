@@ -102,6 +102,18 @@ class TestRateTableInvariants:
         with pytest.raises(ValidationError, match="concave"):
             RateTable(levels=((1.0, 5.0), (2.0, 20.0)))
 
+    def test_convex_ladder_with_overflowing_slopes_rejected(self):
+        # both chord slopes (1e600 and 2e600) overflow to inf and cannot be
+        # compared, so the test fails closed
+        with pytest.raises(ValidationError, match="concave"):
+            RateTable(levels=((1e-300, 1e300), (2e-300, 3e300)))
+
+    def test_concave_ladder_with_an_overflowing_leading_chord_accepted(self):
+        # only the chord from the origin (slope 1e310) overflows; it is above
+        # the next chord's finite slope 1e10
+        table = RateTable(levels=((1e-300, 1e10), (1.0, 2e10)))
+        assert table.num_levels == 2
+
     @pytest.mark.parametrize(
         "level",
         [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (True, 1.0), ("1", 1.0)],

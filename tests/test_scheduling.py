@@ -693,30 +693,35 @@ class TestSubsetPricer:
             gains = random_gains(np.random.default_rng(3), 2)
             pricer = gain_pricer(inst, gains, kind == "continuous")
         with pytest.raises(ValidationError, match="repeated"):
-            pricer.price((1, 1))  # nothing cached yet
+            pricer.price((1, 1))
         assert pricer.price((0,)).feasible
-        for ids in ((0, 0), [0, 1, 0]):  # (0,) is cached
+        for ids in ((0, 0), [0, 1, 0]):
             with pytest.raises(ValidationError, match="repeated"):
                 pricer.price(ids)
         for ids in ((5,), (0, 5), (-1, 1)):
             with pytest.raises(ValidationError, match="unknown"):
                 pricer.price(ids)
+        for ids in ((9,), (0, 9)):  # group's controller lookup, as solo and price
+            with pytest.raises(ValidationError, match="unknown"):
+                pricer.group(ids)
 
-    @pytest.mark.parametrize("continuous", [False, True])
-    def test_a_price_cut_short_never_answers_a_larger_cap(self, continuous):
+    @pytest.mark.parametrize("over_cap", [False, True])
+    def test_a_repeated_group_returns_the_first_answer(self, over_cap):
+        # group keeps its answer per member set, None included, and prices
+        # each set once; a repeated id is still None once {0, 1} is kept
         inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
-        gains = random_gains(np.random.default_rng(3), 2, iso_db=(20.0, 25.0))
-        exact = gain_pricer(inst, gains, continuous).price((0, 1))
-        assert exact.feasible
-        pricer = gain_pricer(inst, gains, continuous)
-        caps = []
+        slot = (0.4 if over_cap else 0.2) * MS
+        prices = {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): slot}
+        pricer, priced = FixedPricer(inst, prices), []
         price = pricer._price
-        pricer._price = lambda ids, cap: caps.append(cap) or price(ids, cap)
-        assert pricer.price((0, 1), exact.slot / 2) == AllocationResult.infeasible()
-        assert pricer.price((0, 1), exact.slot / 4) == AllocationResult.infeasible()
-        assert pricer.price((0, 1)) == exact
-        assert pricer.price((0, 1), exact.slot / 4) == exact
-        assert caps == [exact.slot / 2, math.inf]
+        pricer._price = lambda ids, cap: priced.append(ids) or price(ids, cap)
+        pricer.solo(0), pricer.solo(1)
+        first = pricer.group((0, 1))
+        assert (first is None) == over_cap
+        assert pricer.group((1, 0)) is first
+        assert priced.count((0, 1)) == 1
+        assert first == FixedPricer(inst, prices).group((0, 1))
+        assert pricer.group((0, 1, 0)) is None
 
     @pytest.mark.parametrize("continuous", [False, True])
     def test_gain_matrix_must_cover_the_instance(self, continuous):
