@@ -64,8 +64,8 @@ class RateTable:
     a rate above 0, and the threshold->rate map must be concave over the
     listed points (slopes non-increasing), which every Shannon-derived ladder
     satisfies; a chord slope past the first that overflows fails this test,
-    since it cannot be compared. Every threshold and rate must be a finite number > 0
-    (``is_number``).
+    since it cannot be compared. Every threshold and rate must be a finite
+    number > 0 (``is_number``).
     """
 
     levels: tuple[tuple[float, float], ...]

@@ -591,9 +591,10 @@ class TestRunExperiment:
         # SubsetPricer.solo and SubsetPricer.group are the only callers of
         # price: a solo has no cap, and a group of two or more is capped at
         # the fsum of its members' solo slots, at each benchmark workload's
-        # default seed, with energy budgets loose and binding. So a subset's cap is fixed by the subset, and no
-        # pricer prices a subset twice. The record is keyed by the pricer
-        # itself: the id() of a collected pricer is reused.
+        # default seed, with energy budgets loose and binding. So a subset's
+        # cap is fixed by the subset, and no pricer prices a subset twice.
+        # The record is keyed by the pricer itself: the id() of a collected
+        # pricer is reused.
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         sizes = Counter()
         priced = defaultdict(set)

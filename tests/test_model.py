@@ -101,8 +101,6 @@ class TestRateTableInvariants:
         # slope from the origin is 5, next chord slope is 15; not concave
         with pytest.raises(ValidationError, match="concave"):
             RateTable(levels=((1.0, 5.0), (2.0, 20.0)))
-
-    def test_convex_ladder_with_overflowing_slopes_rejected(self):
         # both chord slopes (1e600 and 2e600) overflow to inf and cannot be
         # compared, so the test fails closed
         with pytest.raises(ValidationError, match="concave"):
