@@ -129,10 +129,10 @@ def lttf(
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
     ``AllocationResult.infeasible()`` otherwise. Slots never rise along the
-    path, so when position 0 is over ``cap`` the search starts at the first
-    position that is not; with no such position, or an infeasible verdict
-    there, every feasible position is over ``cap``. A price over ``cap``
-    therefore takes at most one check.
+    walk, so the path keeps only the vectors whose slot is not over ``cap``,
+    a suffix of the walk, and the search starts at its first; with none
+    kept, or an infeasible verdict at the first, every feasible vector is
+    over ``cap``. A price over ``cap`` therefore takes at most one check.
 
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``.
@@ -157,7 +157,6 @@ def lttf(
         return (vector, link_times, report) if report.feasible else None
 
     k = len(nodes)
-    lo = 0
     if k == 1:
         (times, q, ceiling), = solos
         if times[ceiling] > cap:  # the link's smallest slot
@@ -170,26 +169,24 @@ def lttf(
     else:
         levels = [s[1] for s in solos]
         current = [s[0][q] for s, q in zip(solos, levels)]
-        path, slots = [], []
+        path = []
         while True:
-            path.append(tuple(levels))
             j, slot = 0, current[0]  # the first longest link
             for i in range(1, k):
                 if current[i] > slot:
                     j, slot = i, current[i]
-            slots.append(slot)
+            if not slot > cap:  # a NaN cap is no cap
+                path.append(tuple(levels))
             if levels[j] == solos[j][2]:
                 break
             levels[j] += 1
             current[j] = solos[j][0][levels[j]]
-        if slots[0] > cap:
-            lo = next((pos for pos, slot in enumerate(slots) if slot <= cap), None)
-            if lo is None:
-                return AllocationResult.infeasible()
-    best = check(path[lo])
+        if not path:
+            return AllocationResult.infeasible()
+    best = check(path[0])
     if best is None:
         return AllocationResult.infeasible()
-    hi = len(path)  # position lo is feasible, none from hi on is
+    lo, hi = 0, len(path)  # position lo is feasible, none from hi on is
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2  # rounded up: many walks end at the top
         found = check(path[mid])
@@ -239,14 +236,13 @@ def slot_floors(nodes, gains: GainMatrix, radio: RadioConfig) -> list[float]:
     """Each link's interference-free slot b_i / (W * log2(1 + p_max * g_ii / N)),
     in ``nodes`` order: the shortest slot in which the link alone carries its
     packet at p_max. ``continuous_optimal``'s t_lo is the largest of them.
-    A slot that leaves the float range is inf, as when 1 + SNR rounds to 1."""
+    A slot that leaves the float range is inf, as when 1 + SNR rounds to 1 or
+    the link's rate W * log2(1 + SNR) underflows to 0."""
     cols = gains.cols
     snr_caps = [radio.p_max * col[i] / radio.noise_power for i, col in enumerate(cols)]
     log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
-    return [
-        n.packet_bits / (radio.bandwidth_hz * x) if x > 0 else math.inf
-        for n, x in zip(nodes, log_caps)
-    ]
+    rates = [radio.bandwidth_hz * x for x in log_caps]
+    return [n.packet_bits / r if r > 0 else math.inf for n, r in zip(nodes, rates)]
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
@@ -304,8 +300,10 @@ def continuous_optimal(
     infeasible without a probe; a ``cap`` anchor is probed, and an
     infeasible verdict there means t* > cap, while a feasible one becomes
     the guide's first ``yes``. So a price with t* > cap takes at most one
-    probe. One with t* <= cap below the bisection's slot (within its
-    relative ``_REL_TOL``) is replayed in full and then reported infeasible.
+    probe. The slot is compared with ``cap`` once, as it is returned,
+    whether the replay or the plain bisection gave it: one with t* <= cap
+    below the bisection's slot (within its relative ``_REL_TOL``) is
+    replayed in full, its final slot probed, and then reported infeasible.
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
@@ -318,9 +316,9 @@ def continuous_optimal(
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``. Raises NumericalError, whatever the cap and before any
     probe, when t_lo is not in (0, inf) (inf as when 1 + SNR rounds to 1 for
-    a link's solo SNR at p_max, 0 as when that SNR overflows), when t_lo * W
-    underflows to 0, or when the capacity targets at t_hi underflow to 0 (as
-    when t_hi * W overflows).
+    a link's solo SNR at p_max, 0 as when that SNR overflows), when
+    min(t_lo, t_hi) * W underflows to 0, or when the capacity targets at t_hi
+    underflow to 0 (as when t_hi * W overflows).
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
@@ -349,8 +347,9 @@ def continuous_optimal(
     if solos is None:
         solos = slot_floors(nodes, gains, radio)
     t_lo = max(solos)
-    # Every probe is at t >= t_lo, so t * W > 0 wherever t_lo * W > 0.
-    if not (0.0 < t_lo < math.inf and t_lo * radio.bandwidth_hz > 0):
+    # Every probe is at t >= t_lo and the check below at t_hi, so t * W > 0
+    # at each of them wherever min(t_lo, t_hi) * W > 0.
+    if not (0.0 < t_lo < math.inf and min(t_lo, t_hi) * radio.bandwidth_hz > 0):
         raise NumericalError(f"interference-free slot bound {t_lo} leaves the float range")
     # Targets fall with t, so those at t_hi are the smallest of any probe.
     if not all(x > 0 for x in _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()):
@@ -420,12 +419,12 @@ def continuous_optimal(
             no = t
 
     slot, report = bisect(no, yes, yes_report)
-    if slot > cap:
-        return AllocationResult.infeasible()
     if report is None:
         report = probe(slot)
         if not report.feasible:  # float verdicts were not monotone: replay nothing
             slot, report = bisect(t_lo, t_hi, None)
             if report is None:  # the slot is t_hi, not probed yet
                 report = probe(slot)
-    return at(slot, report) if report.feasible else AllocationResult.infeasible()
+    if report.feasible and not slot > cap:  # a NaN cap is no cap
+        return at(slot, report)
+    return AllocationResult.infeasible()

@@ -176,16 +176,23 @@ class ExperimentConfig:
                 _ladder(model, self.radio.bandwidth_hz)
             except ValidationError as exc:
                 raise ConfigError(f"radio bandwidth_hz gives no {model} ladder: {exc}") from exc
-        # delay bounds of the draws: the subframe (the shortest drawn period),
-        # or fixed; each node's energy budget is energy_scale * p_max * delay
-        if self.delay_rule == "subframe":
-            delays = [self.base_period_s * p for p in (min(self.period_set), max(self.period_set))]
-        else:
-            delays = [self.delay_rule]
-        if not is_number(max(delays)):
+        delay, _ = self._budget(max(self.period_set))  # the longest of any draw
+        _, energy = self._budget(min(self.period_set))  # the least of any draw
+        if not is_number(delay):
             raise ConfigError("base_period_s times the longest period must be finite")
-        if not self.energy_scale * self.radio.p_max * min(delays) > 0:
+        if not energy > 0:
             raise ConfigError("energy_scale * p_max * delay bound underflows to 0")
+
+    def _budget(self, min_period: int) -> tuple[float, float]:
+        """Each node's delay bound and energy budget in a draw whose shortest
+        period is ``min_period``: the delay is the subframe,
+        ``base_period_s * min_period``, or the fixed ``delay_rule``, and the
+        energy is ``energy_scale * p_max * delay``."""
+        if self.delay_rule == "subframe":
+            delay = self.base_period_s * min_period
+        else:
+            delay = float(self.delay_rule)
+        return delay, self.energy_scale * self.radio.p_max * delay
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -272,9 +279,7 @@ def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k:
     # canonical form: the subframe is the shortest drawn period
     min_p = min(drawn)
     periods = [p // min_p for p in drawn]
-    subframe_s = cfg.base_period_s * min_p
-    delay = subframe_s if cfg.delay_rule == "subframe" else float(cfg.delay_rule)
-    energy = cfg.energy_scale * cfg.radio.p_max * delay
+    delay, energy = cfg._budget(min_p)
     nodes = [
         NodeSpec(
             id=i,

@@ -285,8 +285,13 @@ class AllocationResult:
 class Instance:
     """A validated set of nodes and the frame geometry they define.
 
-    ``periods[id]`` is the node period in subframes and ``subframe_count`` is
-    the largest period, so one frame covers every node's cycle. Canonical
+    The constructor takes only ``nodes`` and raises ValidationError for an
+    empty set, duplicate ids or periods that do not nest (every period must
+    be a power-of-two multiple of the smallest one); NodeSpec field
+    invariants are enforced by its own constructor. The other fields are
+    derived: ``periods[id]`` is the node period in subframes and
+    ``subframe_count`` is the largest period, so one frame covers every
+    node's cycle. Canonical
     instances have a smallest period of 1 (the subframe is defined as the
     shortest packet period); the experiment sampler renormalizes its draws
     into this form. ``position[id]``, the one map from node ids, is the
@@ -296,12 +301,28 @@ class Instance:
     """
 
     nodes: tuple[NodeSpec, ...]
-    subframe_count: int
-    periods: dict[int, int]
+    subframe_count: int = field(init=False)
+    periods: dict[int, int] = field(init=False)
     position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", {n.id: k for k, n in enumerate(self.nodes)})
+        nodes = self.nodes
+        if not nodes:
+            raise ValidationError("instance must contain at least one node")
+        min_p = min(n.period for n in nodes)
+        periods = {}
+        for n in nodes:
+            if n.id in periods:
+                raise ValidationError(f"duplicate node id {n.id}")
+            if not is_nested_period(n.period, min_p):
+                raise ValidationError(
+                    f"non-nested periods: {n.period} is not a power-of-two "
+                    f"multiple of {min_p}"
+                )
+            periods[n.id] = n.period
+        object.__setattr__(self, "subframe_count", max(periods.values()))
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "position", {n.id: k for k, n in enumerate(nodes)})
 
     def node(self, node_id: int) -> NodeSpec:
         """The node ``node_id``; raises ValidationError for an unknown id."""
@@ -323,24 +344,5 @@ def is_nested_period(period: int, base: int) -> bool:
 
 
 def validate_instance(nodes) -> Instance:
-    """Check a node set for consistency and derive the frame geometry.
-
-    Rejects an empty set, duplicate ids and period sets that do not nest
-    (every period must be a power-of-two multiple of the smallest one).
-    NodeSpec field invariants are enforced by its constructor.
-    """
-    nodes = tuple(nodes)
-    if not nodes:
-        raise ValidationError("instance must contain at least one node")
-    min_p = min(n.period for n in nodes)
-    periods = {}
-    for n in nodes:
-        if n.id in periods:
-            raise ValidationError(f"duplicate node id {n.id}")
-        if not is_nested_period(n.period, min_p):
-            raise ValidationError(
-                f"non-nested periods: {n.period} is not a power-of-two "
-                f"multiple of {min_p}"
-            )
-        periods[n.id] = n.period
-    return Instance(nodes, max(periods.values()), periods)
+    """``Instance(tuple(nodes))``: the checked node set and its frame geometry."""
+    return Instance(tuple(nodes))

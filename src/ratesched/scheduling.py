@@ -75,7 +75,7 @@ class SubsetPricer:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._offsets: dict[int, int] | None = None
-        # sorted member tuple -> (candidates, slots, groups)
+        # sorted member tuple -> (slots, groups)
         self._partitions: dict[tuple[int, ...], tuple] = {}
         # node id -> its feasible solo result
         self._solo_results: dict[int, AllocationResult] = {}
@@ -106,12 +106,12 @@ class SubsetPricer:
         return dict(self._offsets)
 
     def partitions(self, members: tuple[int, ...]):
-        """``(candidates, slots, groups)`` of the sorted tuple ``members``: its
-        ``_candidates`` and ``_best_partitions``, computed on the first call."""
+        """``(slots, groups)`` of the sorted tuple ``members``: the
+        ``_best_partitions`` of its ``_candidates``, computed on the first
+        call."""
         entry = self._partitions.get(members)
         if entry is None:
-            candidates = _candidates(members, self)
-            entry = (candidates, *_best_partitions(len(members), candidates))
+            entry = _best_partitions(len(members), _candidates(members, self))
             self._partitions[members] = entry
         return entry
 
@@ -413,7 +413,7 @@ def mla_allocate(population, pricer: SubsetPricer):
     # A minimum cover shrinks to a partition that costs no more whenever
     # subsets of feasible groups stay feasible and no dearer, so the
     # partition DP also finds the minimum cover.
-    _, _, groups = pricer.partitions(tuple(population))
+    _, groups = pricer.partitions(tuple(population))
     return sorted(groups[-1], key=lambda g: g[0])
 
 
@@ -542,7 +542,7 @@ def exhaustive_schedule(pricer: SubsetPricer) -> tuple[Frame, ScheduleMetrics]:
     ids: list[int] = []
     for s in sorted(set(inst.periods.values())):
         members = tuple(sorted(i for i in inst.periods if inst.periods[i] == s))
-        _, slots, groups = pricer.partitions(members)
+        slots, groups = pricer.partitions(members)
         classes.append((len(ids), (1 << len(members)) - 1, slots, groups))
         ids.extend(members)
 

@@ -630,12 +630,18 @@ class TestContinuousOptimal:
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             guided, probed[:] = probed[:], []
             frozen = frozen_continuous_optimal(nodes, gains, TABLE1_RADIO)
+            plain = probed[:]
+            cap = final.slot * (1 + 1e-9)
+            capped = continuous_optimal(nodes, gains, TABLE1_RADIO, cap)
             monkeypatch.undo()
             assert res == frozen and res != final
             # the replay's last probe is its first at the final slot; the
             # midpoints that the frozen bisection probes after t_hi and t_lo
             # follow it
-            assert guided[guided.index(final.slot) + 1:] == probed[2:]
+            assert guided[guided.index(final.slot) + 1:] == plain[2:]
+            # capped just above the replay's final slot, the plain
+            # bisection's slot is over the cap: the cap is tested on it too
+            assert frozen.slot > cap and capped == AllocationResult.infeasible()
 
     @pytest.mark.parametrize("gains", [
         pytest.param([[1e10]], id="solo-t_lo-0"),
@@ -664,6 +670,26 @@ class TestContinuousOptimal:
         for cap in (math.inf, 1e-12):
             with pytest.raises(NumericalError, match="float range"):
                 continuous_optimal(nodes, gains, radio, cap)
+
+    def test_t_hi_times_bandwidth_underflowing_raises(self):
+        # t_lo * W is positive, but t_hi * W underflows to 0, where the
+        # capacity targets of the check at t_hi would divide by zero
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-30)
+        nodes, gains = [_node(delay=1e-308)], GainMatrix([[1e-6]])
+        t_lo = ratesched.allocation.slot_floors(nodes, gains, radio)[0]
+        assert t_lo * radio.bandwidth_hz > 0 and 1e-308 * radio.bandwidth_hz == 0.0
+        for cap in (math.inf, 1e-12):
+            with pytest.raises(NumericalError, match="float range"):
+                continuous_optimal(nodes, gains, radio, cap)
+
+    def test_rate_underflowing_gives_an_infinite_slot_floor(self):
+        # W * log2(1 + SNR) underflows to 0 although log2(1 + SNR) > 0: the
+        # floor is inf, not a division by zero, and pricing raises
+        radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=5e-324)
+        nodes, gains = [_node()], GainMatrix([[1e-8]])
+        assert ratesched.allocation.slot_floors(nodes, gains, radio) == [math.inf]
+        with pytest.raises(NumericalError, match="float range"):
+            continuous_optimal(nodes, gains, radio)
 
     def test_guide_stops_when_no_geometric_step_fits(self, monkeypatch):
         # at a 1e300 Hz bandwidth the slot is subnormal, so (no, yes) holds
@@ -791,6 +817,22 @@ class TestCap:
         assert exact is NumericalError
         t_lo = ratesched.allocation.slot_floors(subset, gains, radio)[0]
         assert self.assert_capped(price, t_lo, exact, True) == (AllocationResult.infeasible(), 1)
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_nan_cap_is_no_cap(self, continuous, k, data):
+        # lttf's k = 1 branch and its path, and continuous_optimal's anchor
+        # and return test, read a NaN cap as none
+        subset, gains, table, radio = data.draw(pricing_instances(st.just(k)))
+        if continuous:
+            def price(cap):
+                return continuous_optimal(subset, gains, radio, cap)
+        else:
+            def price(cap):
+                return lttf(subset, gains, table, radio, cap)
+        assert outcome(price, math.nan) == outcome(price, math.inf)
 
     @staticmethod
     def assert_capped(price, cap, exact, continuous):

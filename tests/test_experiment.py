@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import importlib.util
@@ -159,6 +160,14 @@ FUZZED_FIELDS = {
     "energy_scale": _fuzzed(st.floats(1e-2, 1e2)),
     "base_period_s": _fuzzed(st.floats(1e-5, 1e-1)),
 }
+
+
+# Fields fuzzed two or three at a time, each at an extreme float, with one
+# of these rate-model sets (None: the default).
+COMBINED_FIELDS = ("radio.p_max", "radio.noise_power", "radio.bandwidth_hz", "packet_bits_set",
+                   "delay_rule", "energy_scale", "base_period_s", "density")
+EXTREME_FLOATS = (5e-324, 1e-308, 1e-30, 1e30, 1e300, 1.7e308)
+RATE_MODEL_SETS = (None, ["cont"], ["disc8"], ["cont", "disc8"])
 
 
 def _runs_briefly(field, value):
@@ -880,6 +889,16 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "disk full" in capsys.readouterr().err
 
+    def run_cli(self, doc):
+        """Exit code of the CLI on the config ``doc`` and the CSV rows it
+        wrote (none unless it exits 0)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = self.write_config(Path(tmp), doc)
+            out = Path(tmp) / "x.csv"
+            code = main(["--config", cfg, "--out", str(out)])
+            rows = list(csv.DictReader(out.open())) if out.exists() else []
+        return code, rows
+
     def exit_code(self, field, value, n_sensors=2, **others):
         """Exit code of the CLI on a small config of ``n_sensors`` sensors with
         ``field`` (``radio.<key>`` for one radio field) set to ``value`` and
@@ -887,9 +906,7 @@ class TestCli:
         doc = {"n_sensors": n_sensors, "seeds": 2, **others}
         name, _, radio_key = field.partition(".")
         doc[name] = {radio_key: value} if radio_key else value
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = self.write_config(Path(tmp), doc)
-            return main(["--config", cfg, "--out", str(Path(tmp) / "x.csv")])
+        return self.run_cli(doc)[0]
 
     def test_extreme_field_values_exit_0_2_or_3(self):
         # every field at every extreme ends in a documented exit code; with 3
@@ -909,6 +926,54 @@ class TestCli:
         )
         assert code == 3
         assert "2 infeasible (numerical 2)" in capsys.readouterr().err
+
+    def test_rate_underflowing_exits_3(self, capsys):
+        # W * log2(1 + SNR) underflows to 0 in slot_floors, as the continuous
+        # pricer is built: the slot floor is inf, and the disc4 solos, priced
+        # first, drop both seeds
+        code = self.exit_code(
+            "radio.bandwidth_hz", 5e-324, 4, n_controllers=1, master_seed=59, period_set=[1],
+        )
+        assert code == 3
+        assert "2 infeasible (disc4 2)" in capsys.readouterr().err
+
+    def test_delay_bound_times_bandwidth_underflowing_exits_3(self, capsys):
+        # t_hi * W underflows to 0 in continuous_optimal, which raises
+        # NumericalError before any probe; the seed drops as numerical
+        code = self.exit_code(
+            "radio.bandwidth_hz", 1e-30, 1, seeds=1, rate_models=["cont"], base_period_s=1e-308,
+        )
+        assert code == 3
+        assert "1 infeasible (numerical 1)" in capsys.readouterr().err
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        fields=st.lists(st.sampled_from(COMBINED_FIELDS), min_size=2, max_size=3, unique=True),
+        data=st.data(),
+        rate_models=st.sampled_from(RATE_MODEL_SETS),
+        n_sensors=st.integers(1, 4),
+        seeds=st.integers(1, 2),
+        master_seed=st.integers(0, 99),
+    )
+    def test_fuzzed_fields_together_exit_0_2_or_3(
+        self, fields, data, rate_models, n_sensors, seeds, master_seed
+    ):
+        # holes come from combinations of extremes that each field alone
+        # passes; no combination ends in a traceback or a non-finite mean
+        doc = {"n_sensors": n_sensors, "seeds": seeds, "master_seed": master_seed}
+        if rate_models is not None:
+            doc["rate_models"] = rate_models
+        for field in fields:
+            value = data.draw(st.sampled_from(EXTREME_FLOATS), label=field)
+            name, _, radio_key = field.partition(".")
+            if radio_key:
+                doc.setdefault("radio", {})[radio_key] = value
+            else:
+                doc[name] = [value] if name == "packet_bits_set" else value
+        code, rows = self.run_cli(doc)
+        assert code in (0, 2, 3), doc
+        for row in rows:
+            assert int(row["seed_count"]) == 0 or math.isfinite(float(row["mean_max_active_s"])), doc
 
     @pytest.mark.parametrize("field", sorted(FUZZED_FIELDS))
     @settings(derandomize=True, deadline=None, max_examples=30)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ratesched import (
     GainMatrix,
+    Instance,
     NodeSpec,
     RadioConfig,
     RateTable,
@@ -257,3 +258,23 @@ class TestValidateInstance:
     def test_empty_instance_rejected(self):
         with pytest.raises(ValidationError):
             validate_instance([])
+
+    def test_instance_checks_its_own_nodes(self):
+        # the constructor takes only the nodes and derives the geometry, so
+        # no instance holds periods or a frame length that its nodes contradict
+        duplicate = _nodes_with_periods([1, 1])
+        duplicate[1] = NodeSpec(
+            id=0, controller_id=1, packet_bits=100.0, period=1, delay_bound=1e-3
+        )
+        for nodes, match in (
+            ((), "at least one node"),
+            (tuple(duplicate), "duplicate node id"),
+            (tuple(_nodes_with_periods([1, 3])), "non-nested periods"),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                Instance(nodes)
+        nodes = tuple(_nodes_with_periods([1, 2]))
+        assert Instance(nodes) == validate_instance(nodes)
+        assert (Instance(nodes).subframe_count, Instance(nodes).periods) == (2, {0: 1, 1: 2})
+        with pytest.raises(TypeError):
+            Instance(nodes, 1, {0: 1, 1: 1})
