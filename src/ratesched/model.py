@@ -291,13 +291,12 @@ class Instance:
     invariants are enforced by its own constructor. The other fields are
     derived: ``periods[id]`` is the node period in subframes and
     ``subframe_count`` is the largest period, so one frame covers every
-    node's cycle. Canonical
-    instances have a smallest period of 1 (the subframe is defined as the
-    shortest packet period); the experiment sampler renormalizes its draws
-    into this form. ``position[id]``, the one map from node ids, is the
-    node's index in ``nodes`` and its row in a gain matrix over them. The
-    rate model (gains, radio, rate ladder) is not part of an instance: a
-    ``SubsetPricer`` carries it.
+    node's cycle. Canonical instances have a smallest period of 1 (the
+    subframe is defined as the shortest packet period); the experiment
+    sampler renormalizes its draws into this form. ``position[id]``, the
+    one map from node ids, is the node's index in ``nodes`` and its row in a
+    gain matrix over them. The rate model (gains, radio, rate ladder) is not
+    part of an instance: a ``SubsetPricer`` carries it.
     """
 
     nodes: tuple[NodeSpec, ...]

@@ -896,7 +896,7 @@ class TestCli:
             cfg = self.write_config(Path(tmp), doc)
             out = Path(tmp) / "x.csv"
             code = main(["--config", cfg, "--out", str(out)])
-            rows = list(csv.DictReader(out.open())) if out.exists() else []
+            rows = list(csv.DictReader(out.read_text().splitlines())) if out.exists() else []
         return code, rows
 
     def exit_code(self, field, value, n_sensors=2, **others):
