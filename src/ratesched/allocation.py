@@ -53,28 +53,42 @@ def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
 
 
 def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> list:
-    """Each link's solo terms on the rate ladder, for ``lttf``.
+    """Each link's solo terms on the rate ladder, for ``lttf`` and ``TablePricer``.
 
-    One record per link, in ``nodes`` order: ``(times, lowest, ceiling)``,
-    with ``times[q] = packet_bits / rate(q)`` at every level, ``lowest`` the
-    first level within the delay bound and ``ceiling`` the last level,
-    counting up from ``lowest``, up to which every level passes the link's
-    solo test (see ``lttf``). A link with no level within its delay bound,
-    or one that fails the solo test at ``lowest``, gets None.
+    One record per link, in ``nodes`` order: ``(times, lowest, ceiling,
+    solo)``, with ``times[q] = packet_bits / rate(q)`` at every level,
+    ``lowest`` the first level within the delay bound, ``ceiling`` the last
+    level, counting up from ``lowest``, up to which every level passes the
+    link's solo test (see ``lttf``), and ``solo`` the link's price alone. A
+    link with no level within its delay bound, or one that fails the solo
+    test at ``lowest``, gets None.
+
+    Alone, every level up to the ceiling passes the kernel's checks with the
+    same floats, so ``solo`` is the ceiling level, with the result a check
+    there would give: slot and time ``times[ceiling]``, rate
+    ``table.rate(ceiling)`` and power ``threshold(ceiling) * N / g_ii``. It
+    is None when that power underflows to 0 at ``lowest``, where the kernel
+    raises NumericalError.
     """
     noise, p_max = radio.noise_power, radio.p_max
     records = []
     for i, (n, col) in enumerate(zip(nodes, gains.cols)):
         times = [n.packet_bits / r for _, r in table.levels]
         lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
-        ceiling = None
+        powers = []  # the kernel's interference-free power at each passing level
         if lowest is not None:
             for q in range(lowest, table.num_levels):
-                u = table.threshold(q) * noise / col[i]  # the kernel's interference-free power
+                u = table.threshold(q) * noise / col[i]
                 if not (u <= p_max and times[q] * u <= n.energy_budget):
                     break
-                ceiling = q
-        records.append(None if ceiling is None else (times, lowest, ceiling))
+                powers.append(u)
+        if not powers:
+            records.append(None)
+            continue
+        ceiling = lowest + len(powers) - 1
+        t = times[ceiling]
+        solo = AllocationResult(True, t, (table.rate(ceiling),), (powers[-1],), (t,))
+        records.append((times, lowest, ceiling, solo if powers[0] > 0 else None))
     return records
 
 
@@ -113,18 +127,15 @@ def lttf(
     at most 1 + ceil(log2(path length)) ``check_targets`` calls on the
     thresholds ``table.threshold(q)``.
 
-    ``solos`` holds each link's times at every level, lowest level and
-    ceiling, as ``ladder_solos(nodes, gains, table, radio)`` returns them; a
-    ``TablePricer`` derives them once per node and passes them in, and a
-    bare call derives them itself.
+    ``solos`` holds each link's record as ``ladder_solos(nodes, gains,
+    table, radio)`` returns it; a ``TablePricer`` derives them once per node
+    and passes them in, and a bare call derives them itself. A single link
+    searches its path like any subset; a ``TablePricer`` reads its solo
+    price from its record instead.
 
     ``lttf`` never checks a vector above a ceiling: such a vector is
     infeasible, even where the kernel would raise NumericalError on it for
-    an overflowing solo power. With one link every level up to its ceiling
-    passes the kernel's checks with the same floats, so a solo price is its
-    ceiling level, checked once. The exception is a solo power that
-    underflows to 0 at the first level to check; that level is checked
-    instead, and the kernel raises NumericalError there.
+    an overflowing solo power.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
@@ -156,33 +167,22 @@ def lttf(
         report = check_targets(gains, targets, radio, link_times, delays, energies)
         return (vector, link_times, report) if report.feasible else None
 
-    k = len(nodes)
-    if k == 1:
-        (times, q, ceiling), = solos
-        if times[ceiling] > cap:  # the link's smallest slot
-            return AllocationResult.infeasible()
-        while times[q] > cap:
-            q += 1
-        if thresholds[q] * radio.noise_power / gains.cols[0][0] > 0:
-            q = ceiling  # every level from q on passes
-        path = [(q,)]
-    else:
-        levels = [s[1] for s in solos]
-        current = [s[0][q] for s, q in zip(solos, levels)]
-        path = []
-        while True:
-            j, slot = 0, current[0]  # the first longest link
-            for i in range(1, k):
-                if current[i] > slot:
-                    j, slot = i, current[i]
-            if not slot > cap:  # a NaN cap is no cap
-                path.append(tuple(levels))
-            if levels[j] == solos[j][2]:
-                break
-            levels[j] += 1
-            current[j] = solos[j][0][levels[j]]
-        if not path:
-            return AllocationResult.infeasible()
+    levels = [s[1] for s in solos]
+    current = [s[0][q] for s, q in zip(solos, levels)]
+    path = []
+    while True:
+        j, slot = 0, current[0]  # the first longest link
+        for i in range(1, len(nodes)):
+            if current[i] > slot:
+                j, slot = i, current[i]
+        if not slot > cap:  # a NaN cap is no cap
+            path.append(tuple(levels))
+        if levels[j] == solos[j][2]:
+            break
+        levels[j] += 1
+        current[j] = solos[j][0][levels[j]]
+    if not path:
+        return AllocationResult.infeasible()
     best = check(path[0])
     if best is None:
         return AllocationResult.infeasible()

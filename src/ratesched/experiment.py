@@ -305,20 +305,21 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
 
     Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
     some node cannot transmit alone under some needed model, so that averages
-    always compare the same seeds. Before any scheduling, each needed
-    pricer's ``offsets()`` runs ``sna_assign``, which prices every solo and
-    raises on the first infeasible one; once every solo is feasible each node
-    is a feasible group by itself, so MLA, MUA and the exhaustive search
-    always find a frame. Kept seeds reuse those offsets.
+    always compare the same seeds. Before any scheduling, each needed model's
+    pricer is built in turn and its ``offsets()`` runs ``sna_assign``, which
+    prices every solo and raises on the first infeasible one; once every solo
+    is feasible each node is a feasible group by itself, so MLA, MUA and the
+    exhaustive search always find a frame. Kept seeds reuse those offsets.
     """
     nodes, gains = _draw_instance(cfg, n, density, point, k)
     inst = validate_instance(nodes)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
-    pricers = {model: _pricer(model, inst, gains, cfg.radio) for model in needed}
+    pricers = {}
 
     # Table models first (this order also picks the model a drop is charged
-    # to): a solo ladder walk takes 0 or 1 checks, a continuous solo about 2.
+    # to): a ladder solo takes no check, a continuous solo about 2.
     for model in sorted(needed, key=lambda m: m == "cont"):
+        pricers[model] = _pricer(model, inst, gains, cfg.radio)
         try:
             pricers[model].offsets()
         except InfeasibleInstanceError as exc:

@@ -190,15 +190,16 @@ class TablePricer(_GainBackedPricer):
     """Prices each subset with ``lttf`` on its submatrix of ``gains`` (rows in
     ``inst.nodes`` order), ``table`` and ``radio``.
 
-    Each node's solo terms (its time at every level, its lowest level within
-    delay and its ceiling, or None when it fails alone; see ``ladder_solos``)
-    are derived once, here, and passed to every ``lttf`` call.
+    Each node's solo terms (see ``ladder_solos``) are derived once, here,
+    and passed to every ``lttf`` call; ``solo`` reads their solo prices with
+    no check, so only a node without one is priced alone, by ``lttf``.
     """
 
     def __init__(self, inst: Instance, gains: GainMatrix, table: RateTable, radio: RadioConfig):
         super().__init__(inst, gains, radio)
         self.table = table
-        self._solos = ladder_solos(inst.nodes, gains, table, radio)
+        self._solos = solos = ladder_solos(inst.nodes, gains, table, radio)
+        self._solo_results = {i: r[3] for i, r in zip(inst.ids, solos) if r and r[3]}
 
     def _price(self, ids, cap):
         nodes, sub, solos = self._sub(ids)
@@ -405,8 +406,6 @@ def mla_allocate(population, pricer: SubsetPricer):
     ``exhaustive_schedule`` shares.
     """
     population = sorted(population)
-    if not population:
-        return []
     if len(population) > 6:
         candidates = _candidates(population, pricer)
         return _dedup_cover(_greedy_cover(population, candidates), pricer)

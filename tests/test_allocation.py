@@ -11,10 +11,12 @@ import ratesched.allocation
 from ratesched import (
     AllocationResult,
     GainMatrix,
+    InfeasibleInstanceError,
     NodeSpec,
     NumericalError,
     RadioConfig,
     RateTable,
+    TablePricer,
     ValidationError,
     Verdict,
     brute_force_optimal,
@@ -25,6 +27,7 @@ from ratesched import (
     disc4_table,
     disc8_table,
     lttf,
+    validate_instance,
 )
 
 from helpers import (
@@ -211,8 +214,7 @@ class TestLttf:
     def test_check_budget(self, monkeypatch):
         # the binary search makes at most 1 + ceil(log2(path length))
         # feasibility checks on the path bounded by each link's solo
-        # ceiling, at least one once that path is nonempty, and exactly one
-        # for a single link
+        # ceiling, and at least one once that path is nonempty
         rng = np.random.default_rng(12)
         calls = 0
 
@@ -234,8 +236,6 @@ class TestLttf:
             assert (calls >= 1) == bool(path)
             if path:
                 assert calls <= 1 + math.ceil(math.log2(len(path)))
-            if path and n == 1:
-                assert calls == 1
             walks += bool(path)
         assert walks >= 50
 
@@ -245,11 +245,7 @@ class TestLttf:
         # every checked vector passes each link's solo test: the kernel's
         # interference-free power u = t * N / g_ii within p_max and, times
         # the link's time, within its energy budget
-        checked = 0
-
         def solo_tested_check(gains, targets, radio, times, delays, energies):
-            nonlocal checked
-            checked += 1
             for i, col in enumerate(gains.cols):
                 u = targets[i] * radio.noise_power / col[i]
                 assert u <= radio.p_max and times[i] * u <= energies[i]
@@ -257,9 +253,6 @@ class TestLttf:
 
         with mock.patch.object(ratesched.allocation, "check_targets", solo_tested_check):
             outcome(lttf, *instance)
-        subset, gains, table, radio = instance
-        if len(subset) == 1 and bounded_path(subset, gains, table, radio):
-            assert checked == 1
 
     def test_overflowing_solo_power_is_above_the_ceiling(self):
         # the second level's solo power overflows to inf, on which the kernel
@@ -283,6 +276,32 @@ class TestLttf:
         assert check_rate_vector([_node()], gains, [2e8], table, radio).feasible
         with pytest.raises(NumericalError):
             lttf([_node()], gains, table, radio)
+        # the link's record holds no solo price, so the pricer checks it too
+        pricer = TablePricer(validate_instance([_node()]), gains, table, radio)
+        with pytest.raises(NumericalError):
+            pricer.solo(0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(instance=pricing_instances(sizes=st.just(1)))
+    def test_a_pricer_solo_is_read_from_its_record(self, instance):
+        # a TablePricer prices a link alone with no check, and its price is
+        # the bare walk's and the oracle's, or all three are infeasible
+        subset, gains, table, radio = instance
+        pricer = TablePricer(validate_instance(subset), gains, table, radio)
+        checked = 0
+
+        def counting_check(*args):
+            nonlocal checked
+            checked += 1
+            return check_targets(*args)
+
+        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+            try:
+                solo = pricer.solo(subset[0].id)
+            except InfeasibleInstanceError:
+                solo = AllocationResult.infeasible()
+        assert checked == 0
+        assert solo == lttf(*instance) == brute_force_optimal(*instance)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(instance=pricing_instances())

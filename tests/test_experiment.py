@@ -374,20 +374,24 @@ class TestRunExperiment:
 
     def test_seeds_of_one_sweep_share_one_ladder(self, monkeypatch):
         # a RateTable is immutable, so each discrete model builds its ladder
-        # once and every seed's pricer reads that one object
-        pricers = []
+        # once and every TablePricer built for that model reads that one
+        # object
+        tables = defaultdict(list)
         original = experiment._pricer
 
-        def recording(*args):
-            pricers.append(original(*args))
-            return pricers[-1]
+        def recording(model, *args):
+            pricer = original(model, *args)
+            if isinstance(pricer, scheduling.TablePricer):
+                tables[model].append(pricer.table)
+            return pricer
 
         monkeypatch.setattr(experiment, "_pricer", recording)
-        run_experiment(tiny_config(n_sensors=3, seeds=2))
-        tables = [p.table for p in pricers if isinstance(p, scheduling.TablePricer)]
-        assert len(tables) == 2 * 2  # two discrete models, two seeds
-        assert len({id(t) for t in tables}) == 2
-        assert {t.num_levels for t in tables} == {3, 7}
+        run_experiment(tiny_config(n_sensors=3, seeds=3))
+        # disc4 is triaged first, so one seed it drops builds no disc8 pricer
+        assert {m: len(t) for m, t in tables.items()} == {"disc4": 3, "disc8": 2}
+        for model, levels in (("disc4", 3), ("disc8", 7)):
+            assert len({id(t) for t in tables[model]}) == 1
+            assert tables[model][0].num_levels == levels
 
     def test_normalized_at_least_one_against_exhaustive_reference(self):
         results = run_experiment(tiny_config(seeds=5))
@@ -575,14 +579,21 @@ class TestRunExperiment:
 
         def recording(name, solver):
             def call(nodes, gains, *args):  # both end (..., cap, solos)
-                cap, tightest = args[-2], min(n.delay_bound for n in nodes)
+                (cap, solos), tightest = args[-2:], min(n.delay_bound for n in nodes)
                 if len(nodes) == 1:
                     kinds.add((name, "solo"))
                     assert cap == math.inf
                 else:
                     kinds.add((name, "group"))
                     assert cap < tightest
-                return solver(nodes, gains, *args)
+                res = solver(nodes, gains, *args)
+                if (name, len(nodes)) == ("lttf", 1):
+                    # a TablePricer reads every solo price from its record,
+                    # so it hands lttf only a link without one, which the
+                    # walk prices infeasible (or raises on)
+                    assert solos[0] is None or solos[0][3] is None
+                    assert not res.feasible
+                return res
             return call
 
         for name in ("lttf", "continuous_optimal"):
@@ -767,6 +778,32 @@ class TestSeedTriage:
                     assert not calls["cont"]
                     dropped_under_disc4 += 1
         assert dropped_under_disc4
+
+    def test_a_dropped_seed_builds_no_pricer_after_its_model(self, monkeypatch):
+        # the triage builds each model's pricer only when it reaches it, in
+        # the order disc4, disc8, cont: a seed dropped under disc4 builds no
+        # disc8 and no cont pricer
+        cfg, _ = paper_sweep()
+        built = []
+        draw, pricer = experiment._draw_instance, experiment._pricer
+
+        def drawing(*args):
+            built.append([])
+            return draw(*args)
+
+        def building(model, *args):
+            built[-1].append(model)
+            return pricer(model, *args)
+
+        monkeypatch.setattr(experiment, "_draw_instance", drawing)
+        monkeypatch.setattr(experiment, "_pricer", building)
+        results = run_experiment(cfg)
+        order = ["disc4", "disc8", "cont"]
+        for record, models in zip(results.per_seed, built, strict=True):
+            dropped = record["dropped"]
+            assert models == (order if dropped is None else order[: order.index(dropped) + 1])
+        # 191 seeds dropped under disc4 and 109 kept: 900 pricers built before
+        assert sum(map(len, built)) == 191 + 3 * 109
 
     def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
         cfg, _ = paper_sweep()

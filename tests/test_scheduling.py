@@ -124,6 +124,12 @@ class TestSoloRule:
 
 
 class TestMlaAllocate:
+    def test_empty_population_gives_no_groups(self):
+        # the exact branch's partition of no members is empty, as is MUA's loop
+        pricer = FixedPricer(fixture_instance({0: 1}, {0: 0}), {(0,): 0.1 * MS})
+        assert mla_allocate([], pricer) == []
+        assert mua_allocate([], pricer) == []
+
     def test_pair_beats_singletons(self):
         inst = fixture_instance(
             periods={2: 1, 3: 1, 4: 1}, controllers={2: 0, 3: 1, 4: 2}
