@@ -802,7 +802,7 @@ class TestSeedTriage:
         for record, models in zip(results.per_seed, built, strict=True):
             dropped = record["dropped"]
             assert models == (order if dropped is None else order[: order.index(dropped) + 1])
-        # 191 seeds dropped under disc4 and 109 kept: 900 pricers built before
+        # 191 seeds dropped under disc4, 109 kept under all three models
         assert sum(map(len, built)) == 191 + 3 * 109
 
     def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
