@@ -98,13 +98,33 @@ def generate_topology(
     rng = np.random.default_rng(seed)
     sensors = rng.uniform(0.0, side, size=(n_sensors, 2))
     controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
-    controller_of = tuple(int(k) for k in np.argmin(_distances(sensors, controllers), axis=1))
+    controller_of = tuple(nearest_controllers(distances(sensors, controllers)).tolist())
     return Topology(side, sensors, controllers, controller_of, float(density), seed)
 
 
-def _distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:
-    """Distance from every sensor (row) to every controller (column)."""
-    return np.linalg.norm(sensors[:, None, :] - controllers[None, :, :], axis=-1)
+# The three transforms below act on the last axes and broadcast over any
+# leading batch axes, so that a batch of topologies gives, entry by entry, the
+# same bits as each topology alone.
+
+
+def distances(sensors: np.ndarray, controllers: np.ndarray) -> np.ndarray:
+    """Distance from every sensor (row) to every controller (column):
+    positions of shape (..., n_sensors, 2) and (..., n_controllers, 2) give
+    distances of shape (..., n_sensors, n_controllers)."""
+    return np.linalg.norm(sensors[..., :, None, :] - controllers[..., None, :, :], axis=-1)
+
+
+def nearest_controllers(dist: np.ndarray) -> np.ndarray:
+    """Index of each sensor's nearest controller in ``distances``' output
+    (the first one on a tie)."""
+    return np.argmin(dist, axis=-1)
+
+
+def fade(dist: np.ndarray, shadowing_db: np.ndarray, fading: np.ndarray) -> np.ndarray:
+    """Linear gains at distances ``dist``: the mean gain of
+    ``path_loss_db(dist) + shadowing_db``, capped at 1, times ``fading``."""
+    pl = path_loss_db(dist) + shadowing_db
+    return np.minimum(1.0, 10.0 ** (-pl / 10.0)) * fading
 
 
 def path_loss_db(distance_m):
@@ -142,8 +162,16 @@ class ChannelRealization:
 
     def link_gains(self, sensors) -> GainMatrix:
         """Gain matrix for a concurrent subset: entry (l, k) is the gain from
-        transmitter ``sensors[l]`` to the controller of ``sensors[k]``."""
+        transmitter ``sensors[l]`` to the controller of ``sensors[k]``.
+
+        Raises ValidationError unless ``sensors`` are distinct integers (not
+        bools) in [0, n_sensors), at least one.
+        """
         ids = list(sensors)
+        n = len(self.controller_of)
+        in_range = all(is_number(i, (int, np.integer), -1, n - 1) for i in ids)
+        if not (ids and in_range and len(set(ids)) == len(ids)):
+            raise ValidationError(f"sensor ids must be distinct integers in [0, {n}), not {ids!r}")
         cols = [self.controller_of[i] for i in ids]
         return GainMatrix(self.gains[np.ix_(ids, cols)])
 
@@ -161,11 +189,10 @@ def realize_channel(topology: Topology, seed=None) -> ChannelRealization:
     distances reach about 1e90 m (densities near 1e-180 per square meter).
     """
     rng = np.random.default_rng(seed)
-    dist = _distances(topology.sensors, topology.controllers)
+    dist = distances(topology.sensors, topology.controllers)
     shadowing = rng.normal(0.0, SHADOWING_DB, size=dist.shape)
     fading = rng.exponential(1.0, size=dist.shape)
-    pl = path_loss_db(dist) + shadowing
-    gains = np.minimum(1.0, 10.0 ** (-pl / 10.0)) * fading
+    gains = fade(dist, shadowing, fading)
     if not np.all(gains > 0):
         raise NumericalError("channel gains underflow to 0")
     return ChannelRealization(gains, topology.controller_of, shadowing, fading)

@@ -9,7 +9,8 @@ heuristic (the reference kind used is counted per sweep point).
 
 Seeds fan out from one master seed through counter-style spawn keys, so any
 (sweep point, topology) pair can be reproduced in isolation and a fixed
-config always produces byte-identical output files.
+config always produces byte-identical output files. A sweep point's seeds are
+drawn together, in blocks, each from its own three ``subseed`` streams.
 """
 
 from __future__ import annotations
@@ -24,7 +25,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import MAX_LINKS, generate_topology, realize_channel
+# generate_topology and realize_channel draw one seed's topology and channel
+# alone, as _draw_seeds draws each seed of a block; perfbench's tracer wraps
+# them under these names.
+from .channel import (
+    MAX_LINKS,
+    SHADOWING_DB,
+    distances,
+    fade,
+    generate_topology,
+    nearest_controllers,
+    realize_channel,
+)
 from .feasibility import NumericalError
 from .model import (
     GainMatrix,
@@ -49,6 +61,7 @@ from .scheduling import (
     exhaustive_schedule,
     schedule,
 )
+from .seeding import seed_states, subseed
 
 __all__ = [
     "ConfigError",
@@ -247,12 +260,6 @@ def _positive_numbers(value, kind=(int, float), top=sys.float_info.max) -> bool:
     return all(is_number(x, kind, 0, top) for x in items)
 
 
-def subseed(master_seed: int, *key: int) -> int:
-    """Deterministic child seed for a (sweep point, topology, role) counter."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 @functools.cache
 def _ladder(model: str, bandwidth_hz: float) -> RateTable:
     """The rate ladder of a discrete model, built once per bandwidth; a
@@ -267,36 +274,117 @@ def _pricer(model: str, inst: Instance, gains: GainMatrix, radio: RadioConfig) -
     return TablePricer(inst, gains, _ladder(model, radio.bandwidth_hz), radio)
 
 
-def _draw_instance(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
-    """Topology, channel and traffic for one seeded instance."""
-    topo = generate_topology(
-        n, cfg.n_controllers, density, subseed(cfg.master_seed, point, k, 0)
-    )
-    chan = realize_channel(topo, seed=subseed(cfg.master_seed, point, k, 1))
-    rng = np.random.default_rng(subseed(cfg.master_seed, point, k, 2))
-    drawn = [int(p) for p in rng.choice(cfg.period_set, size=n)]
-    packets = [float(b) for b in rng.choice(cfg.packet_bits_set, size=n)]
-    # canonical form: the subframe is the shortest drawn period
-    min_p = min(drawn)
-    periods = [p // min_p for p in drawn]
-    delay, energy = cfg._budget(min_p)
-    nodes = [
-        NodeSpec(
-            id=i,
-            controller_id=topo.controller_of[i],
-            packet_bits=packets[i],
-            period=periods[i],
-            delay_bound=delay,
-            energy_budget=energy,
-        )
-        for i in range(n)
-    ]
-    gains = chan.link_gains(range(n))
-    return nodes, gains
+# Most float64 elements a block of seeds drawn together puts in one array, as
+# counted by 2 * (n*C + n + C) per seed (the sensor-controller offsets and the
+# positions): a sweep point's seeds are drawn in blocks, so that memory does
+# not grow with ``seeds``, n or C. Larger blocks save little seeding time but
+# hold more memory while their seeds are scheduled.
+_BLOCK_ELEMENTS = 2**12
 
 
-def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int):
-    """All (strategy, model) max-actives plus the reference for one seed.
+def _blocks(ks: range, size: int):
+    """``ks`` in ranges of at most ``size`` seeds, split at 2**32, where a
+    seed index starts to take two words of ``seed_states``' entropy."""
+    start = ks.start
+    while start < ks.stop:
+        stop = min(ks.stop, start + size)
+        if start < 2**32 < stop:
+            stop = 2**32
+        yield range(start, stop)
+        start = stop
+
+
+def _reseed(rng: np.random.Generator, state: int, inc: int) -> None:
+    """Put ``rng`` in the state of a fresh PCG64 generator ``(state, inc)``."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw_block(cfg: ExperimentConfig, n: int, side: float, point: int, block: range):
+    """The link gains (seed, sensor, controller), nearest controllers (seed,
+    sensor) and traffic indices (seed, period or packet, sensor) of a block of
+    seeds of ``_draw_seeds``, each seed drawn from its own streams by one
+    reseeded generator. Only these arrays outlive the call while the block's
+    seeds are scheduled."""
+    c = cfg.n_controllers
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = iter(seed_states(cfg.master_seed, point, block))
+    xy = np.empty((len(block), n + c, 2))
+    shadowing = np.empty((len(block), n, c))
+    fading = np.empty((len(block), n, c))
+    traffic = np.empty((len(block), 2, n), dtype=np.int64)
+    for b in range(len(block)):
+        _reseed(rng, *next(states))
+        xy[b] = rng.uniform(0.0, side, size=(n + c, 2))
+        _reseed(rng, *next(states))
+        shadowing[b] = rng.normal(0.0, SHADOWING_DB, size=(n, c))
+        fading[b] = rng.exponential(1.0, size=(n, c))
+        _reseed(rng, *next(states))
+        traffic[b, 0] = rng.integers(0, len(cfg.period_set), n)
+        traffic[b, 1] = rng.integers(0, len(cfg.packet_bits_set), n)
+    dist = distances(xy[:, :n], xy[:, n:])
+    return fade(dist, shadowing, fading), nearest_controllers(dist), traffic
+
+
+def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: range):
+    """Topology, channel and traffic of the seeds ``ks`` of one sweep point:
+    in seed order, each seed's ``(nodes, gains)``, or the NumericalError
+    that drops it.
+
+    Seed k draws from ``default_rng(subseed(cfg.master_seed, point, k,
+    role))``: role 0 places the sensors, then the controllers, as
+    ``generate_topology`` does; role 1 draws the shadowing, then the
+    fading, as ``realize_channel`` does; role 2 draws each node's period,
+    then its packet size, by index into the config's sets. Each node is
+    attached to its nearest controller, and the subframe is the shortest
+    drawn period. A seed raises NumericalError when one of its gains
+    underflows to 0, and every seed does when the square's side overflows.
+
+    The seeds are seeded and their channel arithmetic is done a block at a
+    time (``_BLOCK_ELEMENTS``); each seed's nodes and gain matrix are built,
+    and validated, only when it is reached.
+    """
+    side = math.sqrt(n / density)
+    if not math.isfinite(side):
+        for _ in ks:
+            yield NumericalError(f"square side overflows at density {density!r}")
+        return
+    c = cfg.n_controllers
+    for block in _blocks(ks, max(1, _BLOCK_ELEMENTS // (2 * (n * c + n + c)))):
+        gains, controller_of, traffic = _draw_block(cfg, n, side, point, block)
+        underflows = ~np.all(gains > 0, axis=(1, 2))
+        for b in range(len(block)):
+            if underflows[b]:
+                yield NumericalError("channel gains underflow to 0")
+                continue
+            ctrl = controller_of[b].tolist()
+            drawn = [cfg.period_set[i] for i in traffic[b, 0].tolist()]
+            packets = [float(cfg.packet_bits_set[i]) for i in traffic[b, 1].tolist()]
+            min_p = min(drawn)
+            delay, energy = cfg._budget(min_p)
+            nodes = [
+                NodeSpec(
+                    id=i,
+                    controller_id=ctrl[i],
+                    packet_bits=packets[i],
+                    period=drawn[i] // min_p,
+                    delay_bound=delay,
+                    energy_budget=energy,
+                )
+                for i in range(n)
+            ]
+            # entry (l, k): from sensor l to the controller of sensor k
+            yield nodes, GainMatrix(gains[b][:, ctrl])
+
+
+def _run_seed(cfg: ExperimentConfig, drawn):
+    """All (strategy, model) max-actives plus the reference for one seed,
+    given as ``_draw_seeds`` yields it: ``(nodes, gains)``, or the
+    NumericalError that drops the seed, which is raised here.
 
     The reference is the ``cont`` optimum of ``exhaustive_schedule`` when the
     instance fits it (``exhaustive_fits``), otherwise the smallest ``cont``
@@ -311,7 +399,9 @@ def _run_seed(cfg: ExperimentConfig, n: int, density: float, point: int, k: int)
     is feasible each node is a feasible group by itself, so MLA, MUA and the
     exhaustive search always find a frame. Kept seeds reuse those offsets.
     """
-    nodes, gains = _draw_instance(cfg, n, density, point, k)
+    if isinstance(drawn, NumericalError):
+        raise drawn
+    nodes, gains = drawn
     inst = validate_instance(nodes)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
     pricers = {}
@@ -367,10 +457,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
         n = int(value) if sweep_var == "n_sensors" else int(cfg.n_sensors)
         density = float(cfg.density) if sweep_var == "n_sensors" else float(value)
         records = []
-        for k in range(cfg.seeds):
+        for k, drawn in enumerate(_draw_seeds(cfg, n, density, point, range(cfg.seeds))):
             record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
             try:
-                max_active, reference, ref_kind = _run_seed(cfg, n, density, point, k)
+                max_active, reference, ref_kind = _run_seed(cfg, drawn)
             except InfeasibleInstanceError as exc:
                 record["dropped"] = exc.model
             except NumericalError:

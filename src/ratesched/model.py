@@ -226,18 +226,18 @@ class GainMatrix:
 
     Entry (l, k) is the gain from the transmitter of link l to the receiver
     (controller) of link k, so row l describes where link l's power lands.
-    The entries are validated on construction and kept only column by
-    column: ``cols[k][l]`` is entry (l, k), a Python float, so that the
-    feasibility kernel reads them without converting. ``sub(idx)`` is the
-    matrix of a subset of links.
+    It must be square with at least one link. The entries are validated on
+    construction and kept only column by column: ``cols[k][l]`` is entry
+    (l, k), a Python float, so that the feasibility kernel reads them without
+    converting. ``sub(idx)`` is the matrix of a subset of links.
     """
 
     __slots__ = ("cols",)
 
     def __init__(self, g):
         arr = np.array(g, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("gain matrix must be square")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise ValidationError("gain matrix must be square and nonempty")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValidationError("gains must be finite and > 0")
         self.cols = tuple(map(tuple, arr.T.tolist()))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from ratesched import (
     FixedPricer,
+    generate_topology,
+    realize_channel,
     GainMatrix,
     NodeSpec,
     NumericalError,
@@ -22,6 +24,8 @@ from ratesched import (
     disc8_table,
     validate_instance,
 )
+
+from ratesched.experiment import subseed
 
 TABLE1_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
 
@@ -169,3 +173,29 @@ def pricing_instances(draw, sizes=st.integers(1, 5)):
     )
     idx = sorted(int(i) for i in rng.choice(5, size=k, replace=False))
     return [nodes[i] for i in idx], gains.sub(idx), table, radio
+
+
+def draw_instance(cfg, n, density, point, k):
+    """Nodes and gain matrix of one seed of a sweep, drawn alone through
+    ``generate_topology``, ``realize_channel`` and ``rng.choice``: the oracle
+    of ``experiment._draw_seeds``. Raises NumericalError where that yields
+    one."""
+    topo = generate_topology(n, cfg.n_controllers, density, subseed(cfg.master_seed, point, k, 0))
+    chan = realize_channel(topo, seed=subseed(cfg.master_seed, point, k, 1))
+    rng = np.random.default_rng(subseed(cfg.master_seed, point, k, 2))
+    drawn = [int(p) for p in rng.choice(cfg.period_set, size=n)]
+    packets = [float(b) for b in rng.choice(cfg.packet_bits_set, size=n)]
+    min_p = min(drawn)
+    delay, energy = cfg._budget(min_p)
+    nodes = [
+        NodeSpec(
+            id=i,
+            controller_id=topo.controller_of[i],
+            packet_bits=packets[i],
+            period=drawn[i] // min_p,
+            delay_bound=delay,
+            energy_budget=energy,
+        )
+        for i in range(n)
+    ]
+    return nodes, chan.link_gains(range(n))

@@ -202,6 +202,23 @@ class TestRealizeChannel:
             for col, k in enumerate(ids):
                 assert gain_array(sub)[row, col] == chan.gains[l, topo.controller_of[k]]
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[-1], [5], [1.0], [], [True], [np.bool_(True)], [2, 2], [0, np.int64(0)], ["1"], [None]],
+        ids=["negative", "past-the-end", "float", "empty", "bool", "numpy-bool", "repeated",
+             "repeated-numpy", "string", "none"],
+    )
+    def test_link_gains_rejects_bad_ids(self, ids):
+        # not sensor n-1's gains for -1, nor a bare IndexError or TypeError,
+        # nor a 0x0 matrix
+        chan = realize_channel(generate_topology(5, 2, 5.0, seed=10), seed=11)
+        with pytest.raises(ValidationError, match=r"distinct integers in \[0, 5\)"):
+            chan.link_gains(ids)
+
+    def test_link_gains_takes_numpy_integers(self):
+        chan = realize_channel(generate_topology(5, 2, 5.0, seed=10), seed=11)
+        assert chan.link_gains(np.arange(5)).cols == chan.link_gains(range(5)).cols
+
     def test_gains_all_positive_and_reproducible_after_subsetting(self):
         topo = generate_topology(8, 3, 5.0, seed=12)
         chan = realize_channel(topo, seed=13)

@@ -28,10 +28,12 @@ from ratesched import (
     run_experiment,
     validate_instance,
 )
-from ratesched import allocation, cli, experiment, feasibility, scheduling
+from ratesched import allocation, cli, experiment, feasibility, scheduling, seeding
 from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
+
+from helpers import draw_instance
 
 HEADER = ",".join(RESULT_COLUMNS)
 
@@ -247,9 +249,14 @@ def kept_records(results):
     return [r for r in results.per_seed if r["dropped"] is None]
 
 
+def draw_seed(cfg, n, point, k):
+    """What ``_draw_seeds`` yields for one seed at the config's density."""
+    return next(experiment._draw_seeds(cfg, n, cfg.density, point, range(k, k + 1)))
+
+
 def fits_exhaustive(cfg, n, point, k):
     """Whether the instance drawn for one seed fits the exhaustive search."""
-    nodes, _ = experiment._draw_instance(cfg, n, cfg.density, point, k)
+    nodes, _ = draw_seed(cfg, n, point, k)
     return exhaustive_fits(validate_instance(nodes))
 
 
@@ -265,7 +272,7 @@ def paper_sweep():
 
 def infeasible_solos(cfg, n, point, k):
     """(model, node id) pairs of one seed whose solo price is infeasible."""
-    nodes, gains = experiment._draw_instance(cfg, n, cfg.density, point, k)
+    nodes, gains = draw_seed(cfg, n, point, k)
     inst = validate_instance(nodes)
     out = set()
     for model in cfg.rate_models:
@@ -281,6 +288,153 @@ class TestSubseed:
     def test_distinct_roles(self):
         seeds = {subseed(1, 0, 0, r) for r in range(4)}
         assert len(seeds) == 4
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            ((0, 0, 0, 0), 4189226428916626942),
+            ((2**32 - 1, 0, 0, 1), 9761616283354268282),
+            ((2**32, 1, 2, 2), 2713554719880617597),
+            ((20260810000, 2, 99, 0), 10625477587754115896),
+            ((1, 0, 2**32, 1), 7957918316143879930),
+        ],
+    )
+    def test_pinned_values(self, key, expected):
+        # every sweep's draws derive from these: a change to numpy's seeding
+        # fails here rather than silently changing every CSV
+        assert subseed(*key) == expected
+
+
+def pcg64_state(state, inc):
+    """A fresh PCG64 generator's ``bit_generator.state``."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def default_rng_states(master, point, ks):
+    """``default_rng(subseed(...))``'s state for each seed of ``ks`` and role."""
+    return [
+        np.random.default_rng(subseed(master, point, k, role)).bit_generator.state
+        for k in ks
+        for role in range(3)
+    ]
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 20260810, 2**64 + 7, 2**130 + 5])
+    @pytest.mark.parametrize(
+        "point, ks",
+        [(0, range(6)), (3, range(2**32 - 3, 2**32)), (2**33, range(2**32, 2**32 + 3))],
+    )
+    def test_equal_default_rng_of_subseed(self, master, point, ks):
+        states = seeding.seed_states(master, point, ks)
+        assert [pcg64_state(*s) for s in states] == default_rng_states(master, point, ks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master=st.integers(0, 2**140),
+        point=st.integers(0, 2**40),
+        k=st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32 + 4),
+    )
+    def test_equal_default_rng_of_subseed_on_random_keys(self, master, point, k):
+        # _blocks cuts a range of seeds where seed_states needs it cut
+        blocks = list(experiment._blocks(range(k, k + 5), 3))
+        assert [i for block in blocks for i in block] == list(range(k, k + 5))
+        states = [s for block in blocks for s in seeding.seed_states(master, point, block)]
+        assert [pcg64_state(*s) for s in states] == default_rng_states(master, point, range(k, k + 5))
+
+    @pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 3])
+    def test_hash_and_mix_equal_seed_sequence(self, value):
+        # more than 4 words take the mixing of the remaining entropy
+        expected = np.random.SeedSequence(value).generate_state(4, np.uint64).tolist()
+        words = seeding._words(value)
+        assert seeding._generate(seeding._pool(words), 4) == expected
+
+    def test_a_subseed_hashes_as_a_pair_of_words(self):
+        # a subseed below 2**32 is one word: its high word, 0, hashes like a
+        # missing one
+        subs = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        pool = seeding._pool([subs & 0xFFFFFFFF, subs >> 32])
+        got = [list(state) for state in zip(*(v.tolist() for v in seeding._generate(pool, 4)))]
+        assert got == [
+            np.random.SeedSequence(int(v)).generate_state(4, np.uint64).tolist() for v in subs
+        ]
+
+
+def oracle_draw(cfg, n, density, point, k):
+    """``draw_instance``'s nodes and gains, or the NumericalError it raised."""
+    try:
+        return draw_instance(cfg, n, density, point, k)
+    except NumericalError as exc:
+        return exc
+
+
+def same_draw(got, expected) -> bool:
+    if isinstance(expected, NumericalError):
+        return type(got) is NumericalError and str(got) == str(expected)
+    nodes, gains = got
+    return nodes == expected[0] and gains.cols == expected[1].cols
+
+
+class TestDrawSeeds:
+    @pytest.mark.parametrize("block_elements", [experiment._BLOCK_ELEMENTS, 150])
+    @pytest.mark.parametrize(
+        "doc, density, point, drops",
+        [
+            ({"n_sensors": 8, "master_seed": 20260810}, 5.0, 2, "none"),
+            ({"n_sensors": 1, "n_controllers": 1, "master_seed": 2**32}, 0.25, 0, "none"),
+            # the config's integers beyond int64, indexed rather than chosen
+            ({"n_sensors": 4, "period_set": [2**70, 2**72], "packet_bits_set": [50, 2**70],
+              "master_seed": 2**64 + 1}, 5.0, 1, "none"),
+            # some seeds' gains underflow to 0
+            ({"n_sensors": 4}, 1e-180, 0, "some"),
+            # the side overflows
+            ({"n_sensors": 4}, 1e-308, 3, "all"),
+        ],
+    )
+    def test_equal_the_single_seed_oracle(
+        self, monkeypatch, block_elements, doc, density, point, drops
+    ):
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_elements)
+        blocks = []
+        seed_states = experiment.seed_states
+        monkeypatch.setattr(
+            experiment, "seed_states", lambda *args: blocks.append(args) or seed_states(*args)
+        )
+        cfg = ExperimentConfig.from_dict(dict(doc, seeds=24))
+        n, c = cfg.n_sensors, cfg.n_controllers
+        drawn = list(experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds)))
+        # blocks of at most _BLOCK_ELEMENTS elements, counting 2 * (n*C + n + C)
+        # per seed, and at least one seed
+        per_block = max(1, block_elements // (2 * (n * c + n + c)))
+        assert len(blocks) == (0 if drops == "all" else math.ceil(cfg.seeds / per_block))
+        expected = [oracle_draw(cfg, n, density, point, k) for k in range(cfg.seeds)]
+        assert len(drawn) == len(expected)
+        assert all(map(same_draw, drawn, expected))
+        dropped = sum(isinstance(d, NumericalError) for d in drawn)
+        assert {"none": dropped == 0, "some": 0 < dropped < cfg.seeds,
+                "all": dropped == cfg.seeds}[drops]
+
+    def test_seeds_on_both_sides_of_two_to_the_32(self):
+        cfg = tiny_config()
+        ks = range(2**32 - 2, 2**32 + 2)
+        drawn = experiment._draw_seeds(cfg, 3, cfg.density, 1, ks)
+        assert all(same_draw(d, oracle_draw(cfg, 3, cfg.density, 1, k)) for d, k in zip(drawn, ks))
+
+    def test_a_seed_is_built_when_it_is_reached(self, monkeypatch):
+        built = []
+        node = experiment.NodeSpec
+        monkeypatch.setattr(experiment, "NodeSpec", lambda **kw: built.append(kw) or node(**kw))
+        cfg = tiny_config(seeds=50)
+        drawn = experiment._draw_seeds(cfg, 3, cfg.density, 0, range(cfg.seeds))
+        next(drawn)
+        assert len(built) == 3
+        next(drawn)
+        assert len(built) == 6
 
 
 class TestConfig:
@@ -436,7 +590,7 @@ class TestRunExperiment:
             for k in range(cfg.seeds):
                 continuous.clear()
                 try:
-                    experiment._run_seed(cfg, n, cfg.density, point, k)
+                    experiment._run_seed(cfg, draw_seed(cfg, n, point, k))
                 except InfeasibleInstanceError:
                     continue
                 fits = fits_exhaustive(cfg, n, point, k)
@@ -643,19 +797,20 @@ class TestRunExperiment:
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
         bad = kept_records(clean)[0]["seed_index"]
-        drawing = []
-        draw, kernel = experiment._draw_instance, feasibility.min_power_vector
+        running = []
+        run_seed, kernel = experiment._run_seed, feasibility.min_power_vector
 
-        def recording_draw(cfg, n, density, point, k):
-            drawing.append(k)
-            return draw(cfg, n, density, point, k)
+        def recording_run(cfg, drawn):
+            # one sweep point: the k-th call runs seed k
+            running.append(len(running))
+            return run_seed(cfg, drawn)
 
         def failing_kernel(gains, sinr_targets, noise):
-            if drawing[-1] == bad:
+            if running[-1] == bad:
                 raise NumericalError("injected")
             return kernel(gains, sinr_targets, noise)
 
-        monkeypatch.setattr(experiment, "_draw_instance", recording_draw)
+        monkeypatch.setattr(experiment, "_run_seed", recording_run)
         monkeypatch.setattr(feasibility, "min_power_vector", failing_kernel)
         results = run_experiment(cfg)
         counts = results.reference_counts[("n_sensors", 3)]
@@ -768,7 +923,7 @@ class TestSeedTriage:
             sizes.clear()
             calls.clear()
             try:
-                experiment._run_seed(cfg, 8, cfg.density, 2, k)
+                experiment._run_seed(cfg, draw_seed(cfg, 8, 2, k))
             except InfeasibleInstanceError as exc:
                 assert set(sizes) == {1}
                 assert not calls["schedule"] and not calls["exhaustive_schedule"]
@@ -785,17 +940,17 @@ class TestSeedTriage:
         # disc8 and no cont pricer
         cfg, _ = paper_sweep()
         built = []
-        draw, pricer = experiment._draw_instance, experiment._pricer
+        run_seed, pricer = experiment._run_seed, experiment._pricer
 
-        def drawing(*args):
+        def running(*args):
             built.append([])
-            return draw(*args)
+            return run_seed(*args)
 
         def building(model, *args):
             built[-1].append(model)
             return pricer(model, *args)
 
-        monkeypatch.setattr(experiment, "_draw_instance", drawing)
+        monkeypatch.setattr(experiment, "_run_seed", running)
         monkeypatch.setattr(experiment, "_pricer", building)
         results = run_experiment(cfg)
         order = ["disc4", "disc8", "cont"]
@@ -812,7 +967,7 @@ class TestSeedTriage:
             for k in range(12):
                 bad = infeasible_solos(cfg, n, point, k)
                 try:
-                    experiment._run_seed(cfg, n, cfg.density, point, k)
+                    experiment._run_seed(cfg, draw_seed(cfg, n, point, k))
                 except InfeasibleInstanceError as exc:
                     assert (exc.model, exc.node_id) in bad
                     dropped += 1

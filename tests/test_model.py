@@ -187,6 +187,12 @@ class TestNodeAndRadioValidation:
         with pytest.raises(ValidationError):
             GainMatrix([[1e-6, 1e-8]])
 
+    @pytest.mark.parametrize("g", [np.empty((0, 0)), [[]], []])
+    def test_gain_matrix_must_be_nonempty(self, g):
+        # a 0x0 matrix describes no link
+        with pytest.raises(ValidationError, match="square and nonempty"):
+            GainMatrix(g)
+
     def test_gain_matrix_frozen(self):
         g = GainMatrix([[1e-6]])
         assert type(g.cols) is tuple and all(type(c) is tuple for c in g.cols)

@@ -58,5 +58,29 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
     assert sum(line.startswith("diff") for line in out) == 1
     # every workload also runs with binding energy budgets
     assert "same w-energy1e-4-1.per_seed.json" in out
-    assert configs == {"w": TINY, "w-energy1e-4": dict(TINY, energy_scale=1e-4)}
-    assert out[-1] == f"1 of {2 * 3 * (2 + len(same_results.EXTRA_SEEDS))} files differ"
+    assert configs == {"w": TINY, "w-energy1e-4": dict(TINY, energy_scale=1e-4),
+                       **same_results.EDGE_CONFIGS}
+    # and so does each edge config, at one seed
+    for name in same_results.EDGE_CONFIGS:
+        assert f"same {name}-{same_results.EDGE_SEED}.per_seed.json" in out
+    files = 2 * 3 * (2 + len(same_results.EXTRA_SEEDS)) + 3 * len(same_results.EDGE_CONFIGS)
+    assert out[-1] == f"1 of {files} files differ"
+
+
+def edge_results(name):
+    config = dict(same_results.EDGE_CONFIGS[name], master_seed=same_results.EDGE_SEED)
+    return run_experiment(ExperimentConfig.from_dict(config))
+
+
+def test_edge_configs_reach_their_edges():
+    # each edge config keeps some seeds and reaches the edge it is named for
+    for name in same_results.EDGE_CONFIGS:
+        assert any(r["dropped"] is None for r in edge_results(name).per_seed), name
+    one_node = same_results.EDGE_CONFIGS["edge-one-node"]
+    assert (one_node["n_sensors"], one_node["n_controllers"]) == (1, 1)
+    density_sweep = ExperimentConfig.from_dict(same_results.EDGE_CONFIGS["edge-density-sweep"])
+    assert density_sweep.sweep()[0] == "density"
+    records = edge_results("edge-underflow").per_seed
+    assert {r["value"] for r in records if r["dropped"] == "numerical"} == {1e-180}
+    huge = same_results.EDGE_CONFIGS["edge-huge-integers"]
+    assert min(huge["period_set"]) > 2**63 and max(huge["packet_bits_set"]) > 2**63

@@ -19,7 +19,8 @@ infeasible seeds per rate model, numerical drops); and a ``.per_seed.json``
 file with the sweep's ``ExperimentResults.per_seed`` records, so that a
 change to one seed's ``max_active`` shows even where the CSV's means round
 it away. ``DRIVER``
-records ``per_seed`` as ``run_experiment`` returns it to the CLI. Every
+records ``per_seed`` as ``run_experiment`` returns it to the CLI. The
+``EDGE_CONFIGS`` then run the same way, each at ``EDGE_SEED`` alone. Every
 file is reported as ``same`` or ``diff`` against the other side; the exit
 status is 1 if any differs.
 """
@@ -41,6 +42,23 @@ EXTRA_SEEDS = (1001, 20262)
 # At this energy_scale the per-packet energy budgets of the default radio and
 # periods bind; at 1.0 they never do.
 BINDING_ENERGY_SCALE = 1e-4
+
+# Inputs at the edges of the seed draw, beyond the workloads': one node and
+# one controller; a density sweep; a density at which some seeds' gains
+# underflow to 0, so that they are dropped as numerical; and period and
+# packet sets of integers beyond int64.
+EDGE_CONFIGS = {
+    "edge-one-node": {"n_sensors": 1, "n_controllers": 1, "seeds": 20},
+    "edge-density-sweep": {"n_sensors": 6, "density": [1.0, 5.0, 50.0], "seeds": 10},
+    "edge-underflow": {"n_sensors": 4, "density": [5.0, 1e-180], "seeds": 20},
+    "edge-huge-integers": {
+        "n_sensors": 4,
+        "seeds": 20,
+        "period_set": [2**70, 2**72],
+        "packet_bits_set": [50, 2**70],
+    },
+}
+EDGE_SEED = 20262
 
 # ``python -c DRIVER PER_SEED_PATH CLI_ARGS...``: the CLI, with every
 # ``run_experiment`` result's ``per_seed`` written to PER_SEED_PATH as JSON.
@@ -96,6 +114,7 @@ def main(argv=None) -> int:
         export(args.base, trees["base"])
         export(args.head, trees["head"])
         workloads = json.loads((trees["head"] / "perfbench" / "workloads.json").read_text())
+        runs = []
         for workload, spec in workloads.items():
             variants = {
                 workload: spec["config"],
@@ -103,13 +122,16 @@ def main(argv=None) -> int:
             }
             for name, config in variants.items():
                 for seed in (spec["default_seed"], spec["held_out_seed"], *EXTRA_SEEDS):
-                    base = sweep(trees["base"], name, config, seed)
-                    head = sweep(trees["head"], name, config, seed)
-                    for base_path, head_path in zip(base, head):
-                        same = contents(base_path) == contents(head_path)
-                        differ += not same
-                        files += 1
-                        print("same" if same else "diff", head_path.name, flush=True)
+                    runs.append((name, config, seed))
+        runs += [(name, config, EDGE_SEED) for name, config in EDGE_CONFIGS.items()]
+        for name, config, seed in runs:
+            base = sweep(trees["base"], name, config, seed)
+            head = sweep(trees["head"], name, config, seed)
+            for base_path, head_path in zip(base, head):
+                same = contents(base_path) == contents(head_path)
+                differ += not same
+                files += 1
+                print("same" if same else "diff", head_path.name, flush=True)
     print(f"{differ} of {files} files differ")
     return 1 if differ else 0
 
