@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -52,6 +53,109 @@ def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
     )
 
 
+def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
+    """Every link's solo terms, elementwise over arrays of one shape, such as
+    (seeds, links): each link's own gain ``g_ii``, packet bits, delay bound
+    and energy budget. Returns ``(ladders, floors, tops)``.
+
+    ``ladders[m]`` holds the terms of ``ladder_solos`` under ``tables[m]``:
+    ``(times, powers, lowest, ceiling, record, solo)``, with ``times[..., q]``
+    and ``powers[..., q]`` the time and the kernel's interference-free power
+    at level q, ``record`` whether the link has a record, ``solo`` whether
+    that record has a solo price, and ``lowest`` and ``ceiling`` read only
+    where it does. ``floors`` holds each link's ``slot_floors`` slot t_lo.
+
+    ``tops`` holds the top of the bisection whose final slot, ``solo_guess(
+    t_lo, top)``, is where the link alone is first checked for its
+    continuous price, NaN where there is none: t_lo where the check there
+    passes, and t_hi (the delay bound) where it fails on power alone, which
+    makes the guess the final slot of ``continuous_optimal``'s bisection
+    with every midpoint feasible. Both need t_lo <= t_hi, and every check a
+    single link's ``continuous_optimal`` makes, at t_lo, at t_hi or between,
+    to return without raising: capacity targets > 0 and 0 < power < inf at
+    t_lo and at t_hi. A guess only chooses where to check
+    (``ContinuousPricer``).
+
+    Each term is the same float expression as the kernel's, on float64
+    arrays (the logarithms and capacity targets use numpy, as everywhere);
+    values given as integers are compared as floats (``float_array``).
+    """
+    noise, p_max, width = (float(x) for x in (radio.noise_power, radio.p_max, radio.bandwidth_hz))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ladders = []
+        for table in tables:
+            thresholds, rates = (float_array(x) for x in zip(*table.levels))
+            times = bits[..., None] / rates
+            powers = thresholds * noise / own[..., None]
+            within = times <= delay[..., None]  # every level from the lowest on
+            failing = within & ~((powers <= p_max) & (times * powers <= energy[..., None]))
+            lowest = within.argmax(-1)
+            ceiling = np.where(failing.any(-1), failing.argmax(-1), len(rates)) - 1
+            record = within.any(-1) & (ceiling >= lowest)
+            solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
+            ladders.append((times, powers, lowest, ceiling, record, solo))
+        floors = bits / (width * np.log2(1.0 + p_max * own / noise))
+        (target_lo, target_hi), (p_lo, p_hi) = zip(*(
+            (targets, targets * noise / own)
+            for targets in (_capacity_targets(bits, t, width) for t in (floors, delay))
+        ))
+        guessed = (
+            (0 < floors) & (floors <= delay) & (np.minimum(floors, delay) * width > 0)
+            & (target_lo > 0) & (target_hi > 0)
+            & (0 < p_lo) & (p_lo < np.inf) & (0 < p_hi) & (p_hi < np.inf)
+            & (floors * p_lo <= energy)
+        )
+        tops = np.where(guessed, np.where(p_lo <= p_max, floors, delay), np.nan)
+    return ladders, floors, tops
+
+
+def solo_guess(t_lo: float, top: float) -> float:
+    """The final slot of ``continuous_optimal``'s bisection from (t_lo, top)
+    with every midpoint feasible: t_lo for top = t_lo, NaN for a NaN top."""
+    hi = top
+    while hi - t_lo > _REL_TOL * hi:
+        mid = 0.5 * (t_lo + hi)
+        hi = mid if mid != math.inf else 0.5 * t_lo + 0.5 * hi  # t_lo + hi overflows
+    return hi
+
+
+def float_array(values) -> np.ndarray:
+    """``values`` as a float64 array, an integer beyond the float range as
+    the largest float, which every float compares with as with the integer."""
+    top = sys.float_info.max
+    return np.array([min(x, top) if isinstance(x, int) else x for x in values], dtype=float)
+
+
+def _link_arrays(nodes, gains: GainMatrix):
+    """``solo_terms``' inputs for one subset: arrays of shape (1, links)."""
+    return tuple(
+        float_array(values)[None]
+        for values in (
+            [col[i] for i, col in enumerate(gains.cols)],
+            [n.packet_bits for n in nodes],
+            [n.delay_bound for n in nodes],
+            [n.energy_budget for n in nodes],
+        )
+    )
+
+
+def ladder_records(table: RateTable, terms, b: int = 0) -> list:
+    """The ``ladder_solos`` records of row ``b`` of ``solo_terms``' ladder
+    ``terms`` under ``table``."""
+    records = []
+    for times, powers, lowest, ceiling, record, solo in zip(*(x[b].tolist() for x in terms)):
+        if not record:
+            records.append(None)
+            continue
+        t = times[ceiling]
+        result = (
+            AllocationResult(True, t, (table.rate(ceiling),), (powers[ceiling],), (t,))
+            if solo else None
+        )
+        records.append((times, lowest, ceiling, result))
+    return records
+
+
 def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig) -> list:
     """Each link's solo terms on the rate ladder, for ``lttf`` and ``TablePricer``.
 
@@ -68,28 +172,10 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     there would give: slot and time ``times[ceiling]``, rate
     ``table.rate(ceiling)`` and power ``threshold(ceiling) * N / g_ii``. It
     is None when that power underflows to 0 at ``lowest``, where the kernel
-    raises NumericalError.
+    raises NumericalError. The terms are ``solo_terms``' for one subset.
     """
-    noise, p_max = radio.noise_power, radio.p_max
-    records = []
-    for i, (n, col) in enumerate(zip(nodes, gains.cols)):
-        times = [n.packet_bits / r for _, r in table.levels]
-        lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
-        powers = []  # the kernel's interference-free power at each passing level
-        if lowest is not None:
-            for q in range(lowest, table.num_levels):
-                u = table.threshold(q) * noise / col[i]
-                if not (u <= p_max and times[q] * u <= n.energy_budget):
-                    break
-                powers.append(u)
-        if not powers:
-            records.append(None)
-            continue
-        ceiling = lowest + len(powers) - 1
-        t = times[ceiling]
-        solo = AllocationResult(True, t, (table.rate(ceiling),), (powers[-1],), (t,))
-        records.append((times, lowest, ceiling, solo if powers[0] > 0 else None))
-    return records
+    (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
+    return ladder_records(table, terms)
 
 
 def lttf(
@@ -232,17 +318,36 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
     return np.expm1(packet_bits * (math.log(2.0) / (slot * bandwidth)))
 
 
+def continuous_solos(nodes, gains: GainMatrix, radio: RadioConfig) -> tuple[list, list]:
+    """Each link's ``slot_floors`` slot and ``solo_terms`` top, in ``nodes``
+    order, for ``ContinuousPricer``."""
+    _, floors, tops = solo_terms(*_link_arrays(nodes, gains), radio)
+    return floors[0].tolist(), tops[0].tolist()
+
+
 def slot_floors(nodes, gains: GainMatrix, radio: RadioConfig) -> list[float]:
     """Each link's interference-free slot b_i / (W * log2(1 + p_max * g_ii / N)),
     in ``nodes`` order: the shortest slot in which the link alone carries its
     packet at p_max. ``continuous_optimal``'s t_lo is the largest of them.
     A slot that leaves the float range is inf, as when 1 + SNR rounds to 1 or
     the link's rate W * log2(1 + SNR) underflows to 0."""
-    cols = gains.cols
-    snr_caps = [radio.p_max * col[i] / radio.noise_power for i, col in enumerate(cols)]
-    log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
-    rates = [radio.bandwidth_hz * x for x in log_caps]
-    return [n.packet_bits / r if r > 0 else math.inf for n, r in zip(nodes, rates)]
+    return continuous_solos(nodes, gains, radio)[0]
+
+
+def continuous_at(nodes, gains: GainMatrix, radio: RadioConfig, slot: float) -> AllocationResult:
+    """The links ``nodes`` sharing the slot ``slot`` at capacity-derived
+    rates: one check there, as ``continuous_optimal`` probes it, and the
+    result it would return at ``slot`` if that check is feasible, else
+    ``AllocationResult.infeasible()``."""
+    packets = [n.packet_bits for n in nodes]
+    k = len(packets)
+    targets = _capacity_targets(np.array(packets), slot, radio.bandwidth_hz).tolist()
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
+    report = check_targets(gains, targets, radio, [slot] * k, delays, energies)
+    if not report.feasible:
+        return AllocationResult.infeasible()
+    return _result_for([b / slot for b in packets], [slot] * k, report)
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
@@ -272,12 +377,14 @@ def continuous_optimal(
     next; an infeasible verdict there means no slot up to it is feasible.
     Then t_lo is probed, unless it already was; a feasible verdict there is
     the answer. The pricers make two kinds of call, which this order
-    serves: a solo from ``SubsetPricer.solo``, with no cap, mostly answered
-    at t_lo, and a group of two or more links from ``SubsetPricer.group``,
-    capped at the sum of its members' solo slots, which at the benchmark
-    workloads is below its tightest delay bound, so it is anchored at its
-    cap. Under those calls t_hi is probed only for a solo whose t_lo probe
-    fails, or as the bisection's final slot.
+    serves: a solo from ``SubsetPricer.solo``, with no cap, which a
+    ``ContinuousPricer`` makes only for a link whose check at its
+    ``solo_guess`` was not feasible or that has none, and a group of two or
+    more links from ``SubsetPricer.group``, capped at the sum of its
+    members' solo slots, which at the benchmark workloads is below its
+    tightest delay bound, so it is anchored at its cap. Under those calls
+    t_hi is probed only for a solo whose t_lo probe fails, or as the
+    bisection's final slot.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed

@@ -37,6 +37,7 @@ from .channel import (
     nearest_controllers,
     realize_channel,
 )
+from .allocation import float_array, ladder_records, solo_terms
 from .feasibility import NumericalError
 from .model import (
     GainMatrix,
@@ -267,11 +268,14 @@ def _ladder(model: str, bandwidth_hz: float) -> RateTable:
     return _LADDERS[model](bandwidth_hz)
 
 
-def _pricer(model: str, inst: Instance, gains: GainMatrix, radio: RadioConfig) -> SubsetPricer:
-    """The subset pricer of one rate model: ``cont`` or a discrete ladder."""
+def _pricer(
+    model: str, inst: Instance, gains: GainMatrix, radio: RadioConfig, solos=None
+) -> SubsetPricer:
+    """The subset pricer of one rate model, ``cont`` or a discrete ladder,
+    given its nodes' solo records ``solos`` or deriving them."""
     if model == "cont":
-        return ContinuousPricer(inst, gains, radio)
-    return TablePricer(inst, gains, _ladder(model, radio.bandwidth_hz), radio)
+        return ContinuousPricer(inst, gains, radio, solos)
+    return TablePricer(inst, gains, _ladder(model, radio.bandwidth_hz), radio, solos)
 
 
 # Most float64 elements a block of seeds drawn together puts in one array, as
@@ -332,8 +336,8 @@ def _draw_block(cfg: ExperimentConfig, n: int, side: float, point: int, block: r
 
 def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: range):
     """Topology, channel and traffic of the seeds ``ks`` of one sweep point:
-    in seed order, each seed's ``(nodes, gains)``, or the NumericalError
-    that drops it.
+    in seed order, each seed's ``(nodes, gains, solos)``, or the
+    NumericalError or InfeasibleInstanceError that drops it.
 
     Seed k draws from ``default_rng(subseed(cfg.master_seed, point, k,
     role))``: role 0 places the sensors, then the controllers, as
@@ -344,9 +348,15 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     drawn period. A seed raises NumericalError when one of its gains
     underflows to 0, and every seed does when the square's side overflows.
 
-    The seeds are seeded and their channel arithmetic is done a block at a
-    time (``_BLOCK_ELEMENTS``); each seed's nodes and gain matrix are built,
-    and validated, only when it is reached.
+    The seeds are seeded, and their channel arithmetic and links' solo terms
+    (``solo_terms``) are computed, a block at a time (``_BLOCK_ELEMENTS``).
+    A seed is dropped there, as ``InfeasibleInstanceError(node_id,
+    model)``, when under some table model of the config, the first of them
+    in config order where some link fails its ladder solo test, the first
+    such link has no ladder record: ``_run_seed`` would build that model's
+    pricer and its ``sna_assign`` would raise just that. Any other seed's
+    nodes, gain matrix and ``solos``, each needed model's solo records for
+    its pricer, are built, and validated, only when it is reached.
     """
     side = math.sqrt(n / density)
     if not math.isfinite(side):
@@ -354,18 +364,49 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
             yield NumericalError(f"square side overflows at density {density!r}")
         return
     c = cfg.n_controllers
+    tables = [m for m in cfg.rate_models if m != "cont"]
+    ladders = [_ladder(m, cfg.radio.bandwidth_hz) for m in tables]
+    packet_bits = float_array(cfg.packet_bits_set)
+    # a seed's delay and energy budgets, by the index of its shortest period
+    by_period = sorted(range(len(cfg.period_set)), key=cfg.period_set.__getitem__)
+    rank = np.argsort(by_period)
+    budgets = [cfg._budget(p) for p in cfg.period_set]
+    delays, energies = (float_array(x) for x in zip(*budgets))
     for block in _blocks(ks, max(1, _BLOCK_ELEMENTS // (2 * (n * c + n + c)))):
         gains, controller_of, traffic = _draw_block(cfg, n, side, point, block)
         underflows = ~np.all(gains > 0, axis=(1, 2))
+        shortest = np.array(by_period)[rank[traffic[:, 0]].min(axis=1)]
+        own = np.take_along_axis(gains, controller_of[..., None], -1)[..., 0]
+        terms, floors, tops = solo_terms(
+            own,
+            packet_bits[traffic[:, 1]],
+            np.repeat(delays[shortest, None], n, 1),
+            np.repeat(energies[shortest, None], n, 1),
+            cfg.radio,
+            ladders,
+        )
+        # the triage: the table model and node that drop each seed, or -1
+        drop_model = np.full(len(block), -1)
+        drop_node = np.zeros(len(block), dtype=int)
+        pending = ~underflows
+        for m, (*_, record, solo) in enumerate(terms):
+            first = np.argmax(~solo, axis=1)
+            failing = pending & ~solo.all(axis=1)
+            dropped = failing & ~record[np.arange(len(block)), first]
+            drop_model[dropped], drop_node[dropped] = m, first[dropped]
+            pending &= ~failing
         for b in range(len(block)):
             if underflows[b]:
                 yield NumericalError("channel gains underflow to 0")
                 continue
+            if drop_model[b] >= 0:
+                yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]])
+                continue
             ctrl = controller_of[b].tolist()
             drawn = [cfg.period_set[i] for i in traffic[b, 0].tolist()]
             packets = [float(cfg.packet_bits_set[i]) for i in traffic[b, 1].tolist()]
-            min_p = min(drawn)
-            delay, energy = cfg._budget(min_p)
+            min_p = cfg.period_set[shortest[b]]
+            delay, energy = budgets[shortest[b]]
             nodes = [
                 NodeSpec(
                     id=i,
@@ -377,14 +418,17 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
                 )
                 for i in range(n)
             ]
+            solos = {m: ladder_records(t, x, b) for m, t, x in zip(tables, ladders, terms)}
+            solos["cont"] = floors[b].tolist(), tops[b].tolist()
             # entry (l, k): from sensor l to the controller of sensor k
-            yield nodes, GainMatrix(gains[b][:, ctrl])
+            yield nodes, GainMatrix(gains[b][:, ctrl]), solos
 
 
 def _run_seed(cfg: ExperimentConfig, drawn):
     """All (strategy, model) max-actives plus the reference for one seed,
-    given as ``_draw_seeds`` yields it: ``(nodes, gains)``, or the
-    NumericalError that drops the seed, which is raised here.
+    given as ``_draw_seeds`` yields it: ``(nodes, gains, solos)``, or the
+    error that drops the seed, which is raised here afresh, so that no
+    reference cycle through this frame keeps it alive.
 
     The reference is the ``cont`` optimum of ``exhaustive_schedule`` when the
     instance fits it (``exhaustive_fits``), otherwise the smallest ``cont``
@@ -394,22 +438,25 @@ def _run_seed(cfg: ExperimentConfig, drawn):
     Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
     some node cannot transmit alone under some needed model, so that averages
     always compare the same seeds. Before any scheduling, each needed model's
-    pricer is built in turn and its ``offsets()`` runs ``sna_assign``, which
-    prices every solo and raises on the first infeasible one; once every solo
-    is feasible each node is a feasible group by itself, so MLA, MUA and the
-    exhaustive search always find a frame. Kept seeds reuse those offsets.
+    pricer is built in turn, from the seed's solo records, and its
+    ``offsets()`` runs ``sna_assign``, which prices every solo and raises on
+    the first infeasible one; once every solo is feasible each node is a
+    feasible group by itself, so MLA, MUA and the exhaustive search always
+    find a frame. Kept seeds reuse those offsets.
     """
     if isinstance(drawn, NumericalError):
-        raise drawn
-    nodes, gains = drawn
+        raise NumericalError(*drawn.args)
+    if isinstance(drawn, InfeasibleInstanceError):
+        raise InfeasibleInstanceError(drawn.node_id, drawn.model)
+    nodes, gains, solos = drawn
     inst = validate_instance(nodes)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
     pricers = {}
 
     # Table models first (this order also picks the model a drop is charged
-    # to): a ladder solo takes no check, a continuous solo about 2.
+    # to): a ladder solo takes no check, a continuous solo about 1.
     for model in sorted(needed, key=lambda m: m == "cont"):
-        pricers[model] = _pricer(model, inst, gains, cfg.radio)
+        pricers[model] = _pricer(model, inst, gains, cfg.radio, solos[model])
         try:
             pricers[model].offsets()
         except InfeasibleInstanceError as exc:

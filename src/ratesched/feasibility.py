@@ -214,9 +214,11 @@ def check_rate_vector(
 
 
 def achieved_sinr(gains: GainMatrix, powers, noise: float) -> np.ndarray:
-    """Per-link SINR produced by a given power vector."""
+    """Per-link SINR produced by a given power vector: each link's desired
+    power over the noise plus the interference summed over the other links
+    alone, so that no term cancels at high SNR."""
     g_t = np.array(gains.cols)  # g_t[k, l] is the gain from link l to link k
-    p = np.asarray(powers, dtype=float)
-    received = g_t @ p
-    desired = np.diag(g_t) * p
-    return desired / (noise + received - desired)
+    received = g_t * np.asarray(powers, dtype=float)
+    desired = np.diag(received).copy()
+    np.fill_diagonal(received, 0.0)
+    return desired / (noise + received.sum(axis=1))

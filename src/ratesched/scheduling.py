@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import continuous_optimal, ladder_solos, lttf, slot_floors
+from .allocation import (
+    continuous_at, continuous_optimal, continuous_solos, ladder_solos, lttf, solo_guess
+)
 from .model import (
     AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, is_number
 )
@@ -121,11 +123,14 @@ class SubsetPricer:
         feasible."""
         res = self._solo_results.get(node_id)
         if res is None:
-            res = self.price((node_id,))
+            res = self._first_solo(node_id)
             if not res.feasible:
                 raise InfeasibleInstanceError(node_id)
             self._solo_results[node_id] = res
         return res
+
+    def _first_solo(self, node_id: int) -> AllocationResult:
+        return self.price((node_id,))
 
     def group(self, ids) -> AllocationResult | None:
         """Allocation of the nodes ``ids`` sharing one slot, the one group
@@ -190,15 +195,20 @@ class TablePricer(_GainBackedPricer):
     """Prices each subset with ``lttf`` on its submatrix of ``gains`` (rows in
     ``inst.nodes`` order), ``table`` and ``radio``.
 
-    Each node's solo terms (see ``ladder_solos``) are derived once, here,
-    and passed to every ``lttf`` call; ``solo`` reads their solo prices with
-    no check, so only a node without one is priced alone, by ``lttf``.
+    Each node's solo record (see ``ladder_solos``) is derived once, here,
+    unless ``solos`` holds them already, and passed to every ``lttf`` call;
+    ``solo`` reads their solo prices with no check, so only a node without
+    one is priced alone, by ``lttf``.
     """
 
-    def __init__(self, inst: Instance, gains: GainMatrix, table: RateTable, radio: RadioConfig):
+    def __init__(
+        self, inst: Instance, gains: GainMatrix, table: RateTable, radio: RadioConfig, solos=None
+    ):
         super().__init__(inst, gains, radio)
         self.table = table
-        self._solos = solos = ladder_solos(inst.nodes, gains, table, radio)
+        if solos is None:
+            solos = ladder_solos(inst.nodes, gains, table, radio)
+        self._solos = solos
         self._solo_results = {i: r[3] for i, r in zip(inst.ids, solos) if r and r[3]}
 
     def _price(self, ids, cap):
@@ -210,15 +220,31 @@ class ContinuousPricer(_GainBackedPricer):
     """Prices each subset with ``continuous_optimal`` on its submatrix of
     ``gains`` and ``radio``.
 
-    Each node's interference-free slot (see ``slot_floors``) is derived once,
-    here, and passed to every ``continuous_optimal`` call; a submatrix's
-    diagonal holds the full matrix's diagonal entries, so the floats are
-    those a bare call derives.
+    Each node's interference-free slot and solo top (see
+    ``continuous_solos``) are derived once, here, unless ``solos`` holds
+    them already as two lists in ``inst.nodes`` order; the slots are passed
+    to every ``continuous_optimal`` call, and a submatrix's diagonal holds
+    the full matrix's diagonal entries, so the floats are those a bare call
+    derives. A node's solo is first checked at its ``solo_guess``, with
+    ``continuous_at``, and a feasible result there is kept: it is
+    ``continuous_optimal``'s (see ``solo_terms``). Without a guess, or with
+    an infeasible check there, ``continuous_optimal`` prices it.
     """
 
-    def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig):
+    def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig, solos=None):
         super().__init__(inst, gains, radio)
-        self._solos = slot_floors(inst.nodes, gains, radio)
+        if solos is None:
+            solos = continuous_solos(inst.nodes, gains, radio)
+        self._solos, self._tops = solos
+
+    def _first_solo(self, node_id):
+        k = self.inst.position.get(node_id)
+        if k is not None and self._tops[k] > 0:  # a NaN top is no guess
+            nodes, sub, _ = self._sub((node_id,))
+            res = continuous_at(nodes, sub, self.radio, solo_guess(self._solos[k], self._tops[k]))
+            if res.feasible:
+                return res
+        return self.price((node_id,))
 
     def _price(self, ids, cap):
         nodes, sub, solos = self._sub(ids)

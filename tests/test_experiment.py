@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import itertools
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import re
 import sys
 import tempfile
 import warnings
+import weakref
 from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
@@ -255,8 +257,8 @@ def draw_seed(cfg, n, point, k):
 
 
 def fits_exhaustive(cfg, n, point, k):
-    """Whether the instance drawn for one seed fits the exhaustive search."""
-    nodes, _ = draw_seed(cfg, n, point, k)
+    """Whether the instance drawn for one (kept) seed fits the exhaustive search."""
+    nodes = draw_seed(cfg, n, point, k)[0]
     return exhaustive_fits(validate_instance(nodes))
 
 
@@ -272,7 +274,7 @@ def paper_sweep():
 
 def infeasible_solos(cfg, n, point, k):
     """(model, node id) pairs of one seed whose solo price is infeasible."""
-    nodes, gains = draw_seed(cfg, n, point, k)
+    nodes, gains = draw_instance(cfg, n, cfg.density, point, k)
     inst = validate_instance(nodes)
     out = set()
     for model in cfg.rate_models:
@@ -373,11 +375,45 @@ def oracle_draw(cfg, n, density, point, k):
         return exc
 
 
-def same_draw(got, expected) -> bool:
+def pricers_drop(cfg, nodes, gains):
+    """``(node_id, model)`` of the drop that building each needed model's
+    pricer, with its own solo records, and calling its ``offsets()`` in
+    ``_run_seed``'s order gives one seed; None if none drops it."""
+    inst = validate_instance(nodes)
+    for model in sorted({"cont", *cfg.rate_models}, key=lambda m: (m == "cont", cfg.rate_models.index(m))):
+        try:
+            experiment._pricer(model, inst, gains, cfg.radio).offsets()
+        except InfeasibleInstanceError as exc:
+            return exc.node_id, model
+    return None
+
+
+def derived_solos(cfg, nodes, gains):
+    """Each needed model's solo records of one seed, derived per seed."""
+    solos = {}
+    for model in cfg.rate_models:
+        if model != "cont":
+            table = experiment._ladder(model, cfg.radio.bandwidth_hz)
+            solos[model] = allocation.ladder_solos(nodes, gains, table, cfg.radio)
+    solos["cont"] = allocation.continuous_solos(nodes, gains, cfg.radio)
+    return solos
+
+
+def same_draw(cfg, got, expected) -> bool:
+    """Whether ``_draw_seeds`` yielded ``got`` for the seed the oracle drew
+    as ``expected``: the same NumericalError, a drop that the pricers give
+    too, or the same nodes and gains with the solo records the pricers
+    derive (compared by ``repr``, exact for floats and NaN alike)."""
     if isinstance(expected, NumericalError):
         return type(got) is NumericalError and str(got) == str(expected)
-    nodes, gains = got
-    return nodes == expected[0] and gains.cols == expected[1].cols
+    if isinstance(got, InfeasibleInstanceError):
+        return (got.node_id, got.model) == pricers_drop(cfg, *expected)
+    nodes, gains, solos = got
+    return (
+        nodes == expected[0]
+        and gains.cols == expected[1].cols
+        and repr(solos) == repr(derived_solos(cfg, *expected))
+    )
 
 
 class TestDrawSeeds:
@@ -414,7 +450,7 @@ class TestDrawSeeds:
         assert len(blocks) == (0 if drops == "all" else math.ceil(cfg.seeds / per_block))
         expected = [oracle_draw(cfg, n, density, point, k) for k in range(cfg.seeds)]
         assert len(drawn) == len(expected)
-        assert all(map(same_draw, drawn, expected))
+        assert all(map(partial(same_draw, cfg), drawn, expected))
         dropped = sum(isinstance(d, NumericalError) for d in drawn)
         assert {"none": dropped == 0, "some": 0 < dropped < cfg.seeds,
                 "all": dropped == cfg.seeds}[drops]
@@ -423,7 +459,9 @@ class TestDrawSeeds:
         cfg = tiny_config()
         ks = range(2**32 - 2, 2**32 + 2)
         drawn = experiment._draw_seeds(cfg, 3, cfg.density, 1, ks)
-        assert all(same_draw(d, oracle_draw(cfg, 3, cfg.density, 1, k)) for d, k in zip(drawn, ks))
+        assert all(
+            same_draw(cfg, d, oracle_draw(cfg, 3, cfg.density, 1, k)) for d, k in zip(drawn, ks)
+        )
 
     def test_a_seed_is_built_when_it_is_reached(self, monkeypatch):
         built = []
@@ -431,10 +469,12 @@ class TestDrawSeeds:
         monkeypatch.setattr(experiment, "NodeSpec", lambda **kw: built.append(kw) or node(**kw))
         cfg = tiny_config(seeds=50)
         drawn = experiment._draw_seeds(cfg, 3, cfg.density, 0, range(cfg.seeds))
-        next(drawn)
-        assert len(built) == 3
-        next(drawn)
-        assert len(built) == 6
+        kept = []
+        for _ in range(4):
+            kept.append(isinstance(next(drawn), tuple))
+            # a seed the triage drops builds no node
+            assert len(built) == 3 * sum(kept)
+        assert kept == [True, False, True, True]
 
 
 class TestConfig:
@@ -541,8 +581,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "_pricer", recording)
         run_experiment(tiny_config(n_sensors=3, seeds=3))
-        # disc4 is triaged first, so one seed it drops builds no disc8 pricer
-        assert {m: len(t) for m, t in tables.items()} == {"disc4": 3, "disc8": 2}
+        # one seed is dropped under disc4 before any pricer is built
+        assert {m: len(t) for m, t in tables.items()} == {"disc4": 2, "disc8": 2}
         for model, levels in (("disc4", 3), ("disc8", 7)):
             assert len({id(t) for t in tables[model]}) == 1
             assert tables[model][0].num_levels == levels
@@ -744,7 +784,8 @@ class TestRunExperiment:
                 if (name, len(nodes)) == ("lttf", 1):
                     # a TablePricer reads every solo price from its record,
                     # so it hands lttf only a link without one, which the
-                    # walk prices infeasible (or raises on)
+                    # walk prices infeasible (or raises on); the block triage
+                    # drops these seeds at the workloads' default seeds
                     assert solos[0] is None or solos[0][3] is None
                     assert not res.feasible
                 return res
@@ -756,10 +797,9 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig.from_dict(
                 dict(workload["config"], master_seed=workload["default_seed"])
             ))
-        assert kinds == {
-            (name, kind) for name in ("lttf", "continuous_optimal")
-            for kind in ("solo", "group")
-        }
+        # every solo there is read from its ladder record or kept at its
+        # continuous guess, so the solvers see groups alone
+        assert kinds == {("lttf", "group"), ("continuous_optimal", "group")}
 
     def test_every_group_is_priced_at_its_solo_sum(self, monkeypatch):
         # SubsetPricer.solo and SubsetPricer.group are the only callers of
@@ -897,6 +937,53 @@ class TestRunExperiment:
 
 
 class TestSeedTriage:
+    @pytest.mark.parametrize("energy_scale, triaged", [(1.0, 191), (1e-4, 231)])
+    def test_the_block_triage_drops_what_the_pricers_drop(self, energy_scale, triaged):
+        # every seed dropped before any node is built is dropped, under the
+        # same model and at the same node, by building the seed's pricers
+        # and calling offsets(); at paper-sweep's default seed that is every
+        # dropped seed
+        cfg = dataclasses.replace(paper_sweep()[0], energy_scale=energy_scale)
+        drops = []
+        for point, n in enumerate(cfg.n_sensors):
+            for k, drawn in enumerate(
+                experiment._draw_seeds(cfg, n, cfg.density, point, range(cfg.seeds))
+            ):
+                if isinstance(drawn, InfeasibleInstanceError):
+                    nodes, gains = draw_instance(cfg, n, cfg.density, point, k)
+                    assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model)
+                    drops.append(drawn.model)
+        assert len(drops) == triaged
+        assert sum(r["dropped"] is not None for r in run_experiment(cfg).per_seed) == triaged
+
+    @pytest.mark.parametrize("kind", [InfeasibleInstanceError, NumericalError])
+    def test_no_dropped_seed_error_outlives_its_seed(self, kind):
+        # _run_seed raises a fresh error, so that no reference cycle (error,
+        # traceback, _run_seed's frame, the drawn error) keeps either alive
+        # until the GC runs; numerical drops come from gains that underflow
+        if kind is InfeasibleInstanceError:
+            cfg, n, density = paper_sweep()[0], 8, 5.0
+        else:
+            cfg, n, density = tiny_config(density=1e-180, n_sensors=4), 4, 1e-180
+
+        def dropped_error_refs():
+            refs = []
+            for drawn in experiment._draw_seeds(cfg, n, density, 0, range(cfg.seeds)):
+                if isinstance(drawn, kind):
+                    refs.append(weakref.ref(drawn))
+                    try:
+                        experiment._run_seed(cfg, drawn)
+                    except kind as exc:
+                        refs.append(weakref.ref(exc))
+            return refs
+
+        gc.disable()
+        try:
+            refs = dropped_error_refs()
+            assert refs and not any(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+
     def test_dropped_seed_prices_only_solos_and_never_schedules(self, monkeypatch):
         cfg, _ = paper_sweep()
         sizes, calls = [], Counter()
@@ -925,19 +1012,21 @@ class TestSeedTriage:
             try:
                 experiment._run_seed(cfg, draw_seed(cfg, 8, 2, k))
             except InfeasibleInstanceError as exc:
-                assert set(sizes) == {1}
+                assert set(sizes) <= {1}
                 assert not calls["schedule"] and not calls["exhaustive_schedule"]
                 if exc.model == "disc4":
                     # table models are checked first, so nothing was priced
-                    # with the continuous bisection
-                    assert not calls["cont"]
+                    # with the continuous bisection, nor at all where the
+                    # block triage dropped the seed
+                    assert not calls["cont"] and not sizes
                     dropped_under_disc4 += 1
         assert dropped_under_disc4
 
     def test_a_dropped_seed_builds_no_pricer_after_its_model(self, monkeypatch):
         # the triage builds each model's pricer only when it reaches it, in
         # the order disc4, disc8, cont: a seed dropped under disc4 builds no
-        # disc8 and no cont pricer
+        # disc8 and no cont pricer, and one the block triage drops builds
+        # none
         cfg, _ = paper_sweep()
         built = []
         run_seed, pricer = experiment._run_seed, experiment._pricer
@@ -956,9 +1045,10 @@ class TestSeedTriage:
         order = ["disc4", "disc8", "cont"]
         for record, models in zip(results.per_seed, built, strict=True):
             dropped = record["dropped"]
-            assert models == (order if dropped is None else order[: order.index(dropped) + 1])
-        # 191 seeds dropped under disc4, 109 kept under all three models
-        assert sum(map(len, built)) == 191 + 3 * 109
+            assert models == (order if dropped is None else [])
+        # 191 seeds dropped under disc4 by the block triage, 109 kept under
+        # all three models
+        assert sum(map(len, built)) == 3 * 109
 
     def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
         cfg, _ = paper_sweep()

@@ -503,3 +503,25 @@ class TestRandomInstances:
             }
             hits += Verdict.INFEASIBLE_ENERGY in verdicts
         assert hits >= 50
+
+
+class TestAchievedSinr:
+    @pytest.mark.parametrize("snr", [3e7, 3e11, 3e15, 3e17])
+    def test_one_link_at_high_snr_is_exact(self, snr, recwarn):
+        # p = 0.3, g = 1: SINR = 0.3 / N. Adding the desired power to the
+        # noise and taking it off again lost 5e-10, 2e-5, 10% and everything
+        # (inf, with a RuntimeWarning) of it at these SNRs.
+        noise = 0.3 / snr
+        assert achieved_sinr(GainMatrix([[1.0]]), [0.3], noise).tolist() == [0.3 / noise]
+        assert not recwarn.list
+
+    def test_interference_is_summed_over_the_other_links(self):
+        # g[l][k]: from link l to the controller of link k
+        g = GainMatrix([[1.0, 1e-3, 2e-3], [4e-3, 0.5, 1e-9], [8e-3, 1e-2, 0.25]])
+        powers = [0.1, 0.2, 0.3]
+        want = [
+            0.1 * 1.0 / (1e-8 + (0.2 * 4e-3 + 0.3 * 8e-3)),
+            0.2 * 0.5 / (1e-8 + (0.1 * 1e-3 + 0.3 * 1e-2)),
+            0.3 * 0.25 / (1e-8 + (0.1 * 2e-3 + 0.2 * 1e-9)),
+        ]
+        assert achieved_sinr(g, powers, 1e-8).tolist() == want

@@ -8,7 +8,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import same_results  # noqa: E402
 
-from ratesched import ExperimentConfig, emit_results, run_experiment  # noqa: E402
+from ratesched import ExperimentConfig, emit_results, experiment, run_experiment  # noqa: E402
 
 TINY = {"n_sensors": [3, 4], "n_controllers": 2, "seeds": 3, "rate_models": ["cont", "disc4"]}
 
@@ -84,3 +84,31 @@ def test_edge_configs_reach_their_edges():
     assert {r["value"] for r in records if r["dropped"] == "numerical"} == {1e-180}
     huge = same_results.EDGE_CONFIGS["edge-huge-integers"]
     assert min(huge["period_set"]) > 2**63 and max(huge["packet_bits_set"]) > 2**63
+
+
+def edge_draws(name):
+    """What ``_draw_seeds`` yields for every seed of one edge config."""
+    cfg = ExperimentConfig.from_dict(
+        dict(same_results.EDGE_CONFIGS[name], master_seed=same_results.EDGE_SEED)
+    )
+    var, values = cfg.sweep()
+    for point, value in enumerate(values):
+        n, density = (value, cfg.density) if var == "n_sensors" else (cfg.n_sensors, value)
+        yield from experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds))
+
+
+def test_edge_configs_reach_the_solo_triage_fallbacks():
+    # table models alone, in reverse order: drops are charged to each
+    records = edge_results("edge-tables-reversed").per_seed
+    assert {r["dropped"] for r in records} == {None, "disc8", "disc4"}
+    # a short delay bound shuts the lowest ladder levels out of some solos
+    kept = [d for d in edge_draws("edge-short-delay") if isinstance(d, tuple)]
+    assert kept and any(
+        record[1] > 0 for _, _, solos in kept for record in solos["disc4"] if record
+    )
+    # every continuous solo binds on energy at t_lo, so it has no guess and
+    # continuous_optimal prices it; some seeds are still kept
+    kept = [d for d in edge_draws("edge-energy-1e-6") if isinstance(d, tuple)]
+    assert kept and all(
+        math.isnan(top) for _, _, solos in kept for top in solos["cont"][1]
+    )

@@ -1,0 +1,118 @@
+"""Interleaved timing of two revisions' sweeps in one process.
+
+Run from the repository root, for example:
+
+    python3 tools/ab_sweeps.py --base HEAD~1 --head HEAD --reps 14 --sweeps 4
+
+Both revisions are exported with ``bench_pairs.export``, so only committed
+files are timed. Each tree's ``ratesched`` package is imported under its own
+name (``ratesched_base``, ``ratesched_head``), which works because the
+package imports its own modules only relatively. For every workload of the
+head tree's ``perfbench/workloads.json``, each rep runs a set of
+``--sweeps`` sweeps on each side, at master seeds ``seed * 1000 + r`` for
+r = 0, 1, ... as perfbench numbers them, and the side that runs first
+alternates from one rep to the next. The two sides share the process and
+alternate every set, so a drift of the machine's speed falls on both alike;
+a perfbench run, by contrast, times only about a second of sweeps.
+
+Per workload it prints the median over reps of base time / head time, the
+reps the head side won, and whether both sides gave the same rows and
+per-seed records in every set. The exit status is 1 if any set differed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from bench_pairs import export
+
+SIDES = ("base", "head")
+
+
+def load(src: Path, name: str):
+    """The ``ratesched`` package under ``src``, imported as ``name``."""
+    package = src / "ratesched"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> dict:
+    """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
+    ``base`` and ``head`` packages: each side's seconds per set, the median
+    base/head ratio, the head side's wins and whether every set's results
+    were the same on both sides."""
+    cfgs = {
+        side: [
+            packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
+            for r in range(sweeps)
+        ]
+        for side in SIDES
+    }
+    seconds = {side: [] for side in SIDES}
+    same = True
+    for rep in range(reps):
+        results = {}
+        for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
+            run = packages[side].run_experiment
+            start = time.perf_counter()
+            results[side] = [run(cfg) for cfg in cfgs[side]]
+            seconds[side].append(time.perf_counter() - start)
+        same &= all(
+            (a.rows, a.per_seed) == (b.rows, b.per_seed)
+            for a, b in zip(results["base"], results["head"])
+        )
+    ratios = [b / h for b, h in zip(seconds["base"], seconds["head"])]
+    return {
+        "seconds": seconds,
+        "ratio": statistics.median(ratios),
+        "head_wins": sum(r > 1.0 for r in ratios),
+        "reps": reps,
+        "same_results": same,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
+    parser.add_argument("--head", default="HEAD", help="revision of the head side")
+    parser.add_argument("--reps", type=int, default=14, help="sets per side and workload")
+    parser.add_argument("--sweeps", type=int, default=4, help="sweeps per set")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the sweeps")
+    parser.add_argument("--workload", action="append", help="workload to time (default: all)")
+    args = parser.parse_args(argv)
+
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="ab-sweeps-") as tmp:
+        packages = {}
+        for side in SIDES:
+            tree = Path(tmp) / side
+            export(getattr(args, side), tree)
+            packages[side] = load(tree / "src", f"ratesched_{side}")
+        workloads = json.loads((Path(tmp) / "head" / "perfbench" / "workloads.json").read_text())
+        for name in args.workload or workloads:
+            out = compare(packages, workloads[name]["config"], args.seed, args.reps, args.sweeps)
+            differ |= not out["same_results"]
+            medians = {side: statistics.median(out["seconds"][side]) for side in SIDES}
+            print(
+                f"{name}: base/head {out['ratio']:.3f}, head won {out['head_wins']} of "
+                f"{out['reps']}, median set {medians['base']:.3f} s / {medians['head']:.3f} s, "
+                f"{'same' if out['same_results'] else 'DIFFERENT'} results",
+                flush=True,
+            )
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

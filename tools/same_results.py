@@ -43,10 +43,13 @@ EXTRA_SEEDS = (1001, 20262)
 # periods bind; at 1.0 they never do.
 BINDING_ENERGY_SCALE = 1e-4
 
-# Inputs at the edges of the seed draw, beyond the workloads': one node and
-# one controller; a density sweep; a density at which some seeds' gains
-# underflow to 0, so that they are dropped as numerical; and period and
-# packet sets of integers beyond int64.
+# Inputs at the edges of the seed draw and of the solo triage, beyond the
+# workloads': one node and one controller; a density sweep; a density at
+# which some seeds' gains underflow to 0, so that they are dropped as
+# numerical; period and packet sets of integers beyond int64; table models
+# alone and in reverse order, so that the model a drop is charged to shows;
+# a fixed delay bound short enough to shut the lowest ladder levels out; and
+# energy budgets on which every continuous solo binds, without a guess.
 EDGE_CONFIGS = {
     "edge-one-node": {"n_sensors": 1, "n_controllers": 1, "seeds": 20},
     "edge-density-sweep": {"n_sensors": 6, "density": [1.0, 5.0, 50.0], "seeds": 10},
@@ -56,6 +59,11 @@ EDGE_CONFIGS = {
         "seeds": 20,
         "period_set": [2**70, 2**72],
         "packet_bits_set": [50, 2**70],
+    },
+    "edge-tables-reversed": {"n_sensors": [4, 8], "seeds": 20, "rate_models": ["disc8", "disc4"]},
+    "edge-short-delay": {"n_sensors": 4, "seeds": 20, "delay_rule": 2e-7},
+    "edge-energy-1e-6": {
+        "n_sensors": [2, 6], "seeds": 20, "energy_scale": 1e-6, "rate_models": ["cont"],
     },
 }
 EDGE_SEED = 20262
