@@ -54,9 +54,9 @@ def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
 
 
 def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
-    """Every link's solo terms, elementwise over arrays of one shape, such as
-    (seeds, links): each link's own gain ``g_ii``, packet bits, delay bound
-    and energy budget. Returns ``(ladders, floors, tops)``.
+    """Every link's solo terms, elementwise over arrays that broadcast to one
+    shape, such as (seeds, links): each link's own gain ``g_ii``, packet
+    bits, delay bound and energy budget. Returns ``(ladders, floors, tops)``.
 
     ``ladders[m]`` holds the terms of ``ladder_solos`` under ``tables[m]``:
     ``(times, powers, lowest, ceiling, record, solo)``, with ``times[..., q]``
@@ -95,13 +95,10 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
             solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
             ladders.append((times, powers, lowest, ceiling, record, solo))
         floors = bits / (width * np.log2(1.0 + p_max * own / noise))
-        (target_lo, target_hi), (p_lo, p_hi) = zip(*(
-            (targets, targets * noise / own)
-            for targets in (_capacity_targets(bits, t, width) for t in (floors, delay))
-        ))
+        # the kernel's solo power at t_lo and at t_hi; one > 0 has a target > 0
+        p_lo, p_hi = (_capacity_targets(bits, t, width) * noise / own for t in (floors, delay))
         guessed = (
-            (0 < floors) & (floors <= delay) & (np.minimum(floors, delay) * width > 0)
-            & (target_lo > 0) & (target_hi > 0)
+            (floors <= delay) & (floors * width > 0)
             & (0 < p_lo) & (p_lo < np.inf) & (0 < p_hi) & (p_hi < np.inf)
             & (floors * p_lo <= energy)
         )

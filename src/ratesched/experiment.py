@@ -28,6 +28,7 @@ import numpy as np
 # generate_topology and realize_channel draw one seed's topology and channel
 # alone, as _draw_seeds draws each seed of a block; perfbench's tracer wraps
 # them under these names.
+from .allocation import float_array, ladder_records, solo_terms
 from .channel import (
     MAX_LINKS,
     SHADOWING_DB,
@@ -37,7 +38,6 @@ from .channel import (
     nearest_controllers,
     realize_channel,
 )
-from .allocation import float_array, ladder_records, solo_terms
 from .feasibility import NumericalError
 from .model import (
     GainMatrix,
@@ -368,20 +368,20 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     ladders = [_ladder(m, cfg.radio.bandwidth_hz) for m in tables]
     packet_bits = float_array(cfg.packet_bits_set)
     # a seed's delay and energy budgets, by the index of its shortest period
-    by_period = sorted(range(len(cfg.period_set)), key=cfg.period_set.__getitem__)
+    by_period = np.array(sorted(range(len(cfg.period_set)), key=cfg.period_set.__getitem__))
     rank = np.argsort(by_period)
     budgets = [cfg._budget(p) for p in cfg.period_set]
     delays, energies = (float_array(x) for x in zip(*budgets))
     for block in _blocks(ks, max(1, _BLOCK_ELEMENTS // (2 * (n * c + n + c)))):
         gains, controller_of, traffic = _draw_block(cfg, n, side, point, block)
         underflows = ~np.all(gains > 0, axis=(1, 2))
-        shortest = np.array(by_period)[rank[traffic[:, 0]].min(axis=1)]
+        shortest = by_period[rank[traffic[:, 0]].min(axis=1)]
         own = np.take_along_axis(gains, controller_of[..., None], -1)[..., 0]
         terms, floors, tops = solo_terms(
             own,
             packet_bits[traffic[:, 1]],
-            np.repeat(delays[shortest, None], n, 1),
-            np.repeat(energies[shortest, None], n, 1),
+            delays[shortest, None],
+            energies[shortest, None],
             cfg.radio,
             ladders,
         )
