@@ -59,11 +59,11 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     bits, delay bound and energy budget. Returns ``(ladders, floors, tops)``.
 
     ``ladders[m]`` holds the terms of ``ladder_solos`` under ``tables[m]``:
-    ``(times, powers, lowest, ceiling, record, solo)``, with ``times[..., q]``
-    and ``powers[..., q]`` the time and the kernel's interference-free power
-    at level q, ``record`` whether the link has a record, ``solo`` whether
-    that record has a solo price, and ``lowest`` and ``ceiling`` read only
-    where it does. ``floors`` holds each link's ``slot_floors`` slot t_lo.
+    ``(lowest, ceiling, power, record, solo)``, with ``record`` whether the
+    link has a record, ``solo`` whether that record has a solo price, and
+    ``lowest``, ``ceiling`` and the solo ``power``, the kernel's
+    interference-free power at the ceiling, read only where it does.
+    ``floors`` holds each link's ``slot_floors`` slot t_lo.
 
     ``tops`` holds the top of the bisection whose final slot, ``solo_guess(
     t_lo, top)``, is where the link alone is first checked for its
@@ -91,9 +91,11 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
             failing = within & ~((powers <= p_max) & (times * powers <= energy[..., None]))
             lowest = within.argmax(-1)
             ceiling = np.where(failing.any(-1), failing.argmax(-1), len(rates)) - 1
-            record = within.any(-1) & (ceiling >= lowest)
+            # a record needs the lowest level to pass; its power is unread elsewhere
+            record = within.any(-1) & ~np.take_along_axis(failing, lowest[..., None], -1)[..., 0]
+            power = np.take_along_axis(powers, ceiling[..., None], -1)[..., 0]
             solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
-            ladders.append((times, powers, lowest, ceiling, record, solo))
+            ladders.append((lowest, ceiling, power, record, solo))
         floors = bits / (width * np.log2(1.0 + p_max * own / noise))
         # the kernel's solo power at t_lo and at t_hi; one > 0 has a target > 0
         p_lo, p_hi = (_capacity_targets(bits, t, width) * noise / own for t in (floors, delay))
@@ -104,6 +106,24 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
         )
         tops = np.where(guessed, np.where(p_lo <= p_max, floors, delay), np.nan)
     return ladders, floors, tops
+
+
+def ladder_triage(ladders, rows: int):
+    """Where a ``TablePricer``'s ``sna_assign`` drops each row of
+    ``solo_terms``' ``ladders``, tried in order: under the first ladder where
+    some link fails its solo test, the first such link raises
+    InfeasibleInstanceError there if it has no record (one with a record and
+    no solo price raises NumericalError instead). Returns the ladder's and
+    the link's index per row, the ladder's -1 where no link is dropped."""
+    ladder, link = np.full(rows, -1), np.zeros(rows, dtype=int)
+    pending = np.ones(rows, dtype=bool)
+    for m, (*_, record, solo) in enumerate(ladders):
+        first = (~solo).argmax(-1)
+        failing = pending & ~solo.all(-1)
+        dropped = failing & ~np.take_along_axis(record, first[:, None], -1)[:, 0]
+        ladder, link = np.where(dropped, m, ladder), np.where(dropped, first, link)
+        pending &= ~failing
+    return ladder, link
 
 
 def solo_guess(t_lo: float, top: float) -> float:
@@ -136,19 +156,18 @@ def _link_arrays(nodes, gains: GainMatrix):
     )
 
 
-def ladder_records(table: RateTable, terms, b: int = 0) -> list:
-    """The ``ladder_solos`` records of row ``b`` of ``solo_terms``' ladder
-    ``terms`` under ``table``."""
+def ladder_records(table: RateTable, packets, terms, b: int = 0) -> list:
+    """The ``ladder_solos`` records of links with packet bits ``packets``,
+    row ``b`` of ``solo_terms``' ladder ``terms`` under ``table``; each
+    record's times are the divisions ``solo_terms`` makes."""
     records = []
-    for times, powers, lowest, ceiling, record, solo in zip(*(x[b].tolist() for x in terms)):
+    for bits, lowest, ceiling, power, record, solo in zip(packets, *(x[b].tolist() for x in terms)):
         if not record:
             records.append(None)
             continue
+        times = [bits / r for _, r in table.levels]
         t = times[ceiling]
-        result = (
-            AllocationResult(True, t, (table.rate(ceiling),), (powers[ceiling],), (t,))
-            if solo else None
-        )
+        result = AllocationResult(True, t, (table.rate(ceiling),), (power,), (t,)) if solo else None
         records.append((times, lowest, ceiling, result))
     return records
 
@@ -172,7 +191,7 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     raises NumericalError. The terms are ``solo_terms``' for one subset.
     """
     (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
-    return ladder_records(table, terms)
+    return ladder_records(table, [n.packet_bits for n in nodes], terms)
 
 
 def lttf(

@@ -28,7 +28,7 @@ import numpy as np
 # generate_topology and realize_channel draw one seed's topology and channel
 # alone, as _draw_seeds draws each seed of a block; perfbench's tracer wraps
 # them under these names.
-from .allocation import float_array, ladder_records, solo_terms
+from .allocation import float_array, ladder_records, ladder_triage, solo_terms
 from .channel import (
     MAX_LINKS,
     SHADOWING_DB,
@@ -367,34 +367,16 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     tables = [m for m in cfg.rate_models if m != "cont"]
     ladders = [_ladder(m, cfg.radio.bandwidth_hz) for m in tables]
     packet_bits = float_array(cfg.packet_bits_set)
-    # a seed's delay and energy budgets, by the index of its shortest period
-    by_period = np.array(sorted(range(len(cfg.period_set)), key=cfg.period_set.__getitem__))
-    rank = np.argsort(by_period)
-    budgets = [cfg._budget(p) for p in cfg.period_set]
-    delays, energies = (float_array(x) for x in zip(*budgets))
+    # Both budgets rise with the shortest period, so a seed's are the
+    # smallest of its nodes' periods' budgets.
+    delays, energies = (float_array(x) for x in zip(*map(cfg._budget, cfg.period_set)))
     for block in _blocks(ks, max(1, _BLOCK_ELEMENTS // (2 * (n * c + n + c)))):
         gains, controller_of, traffic = _draw_block(cfg, n, side, point, block)
         underflows = ~np.all(gains > 0, axis=(1, 2))
-        shortest = by_period[rank[traffic[:, 0]].min(axis=1)]
         own = np.take_along_axis(gains, controller_of[..., None], -1)[..., 0]
-        terms, floors, tops = solo_terms(
-            own,
-            packet_bits[traffic[:, 1]],
-            delays[shortest, None],
-            energies[shortest, None],
-            cfg.radio,
-            ladders,
-        )
-        # the triage: the table model and node that drop each seed, or -1
-        drop_model = np.full(len(block), -1)
-        drop_node = np.zeros(len(block), dtype=int)
-        pending = ~underflows
-        for m, (*_, record, solo) in enumerate(terms):
-            first = np.argmax(~solo, axis=1)
-            failing = pending & ~solo.all(axis=1)
-            dropped = failing & ~record[np.arange(len(block)), first]
-            drop_model[dropped], drop_node[dropped] = m, first[dropped]
-            pending &= ~failing
+        budgets = (x[traffic[:, 0]].min(axis=1, keepdims=True) for x in (delays, energies))
+        terms, floors, tops = solo_terms(own, packet_bits[traffic[:, 1]], *budgets, cfg.radio, ladders)
+        drop_model, drop_node = ladder_triage(terms, len(block))
         for b in range(len(block)):
             if underflows[b]:
                 yield NumericalError("channel gains underflow to 0")
@@ -405,8 +387,8 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
             ctrl = controller_of[b].tolist()
             drawn = [cfg.period_set[i] for i in traffic[b, 0].tolist()]
             packets = [float(cfg.packet_bits_set[i]) for i in traffic[b, 1].tolist()]
-            min_p = cfg.period_set[shortest[b]]
-            delay, energy = budgets[shortest[b]]
+            min_p = min(drawn)
+            delay, energy = cfg._budget(min_p)
             nodes = [
                 NodeSpec(
                     id=i,
@@ -418,7 +400,7 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
                 )
                 for i in range(n)
             ]
-            solos = {m: ladder_records(t, x, b) for m, t, x in zip(tables, ladders, terms)}
+            solos = {m: ladder_records(t, packets, x, b) for m, t, x in zip(tables, ladders, terms)}
             solos["cont"] = floors[b].tolist(), tops[b].tolist()
             # entry (l, k): from sensor l to the controller of sensor k
             yield nodes, GainMatrix(gains[b][:, ctrl]), solos

@@ -123,14 +123,11 @@ class SubsetPricer:
         feasible."""
         res = self._solo_results.get(node_id)
         if res is None:
-            res = self._first_solo(node_id)
+            res = self.price((node_id,))
             if not res.feasible:
                 raise InfeasibleInstanceError(node_id)
             self._solo_results[node_id] = res
         return res
-
-    def _first_solo(self, node_id: int) -> AllocationResult:
-        return self.price((node_id,))
 
     def group(self, ids) -> AllocationResult | None:
         """Allocation of the nodes ``ids`` sharing one slot, the one group
@@ -225,10 +222,10 @@ class ContinuousPricer(_GainBackedPricer):
     them already as two lists in ``inst.nodes`` order; the slots are passed
     to every ``continuous_optimal`` call, and a submatrix's diagonal holds
     the full matrix's diagonal entries, so the floats are those a bare call
-    derives. A node's solo is first checked at its ``solo_guess``, with
-    ``continuous_at``, and a feasible result there is kept: it is
-    ``continuous_optimal``'s (see ``solo_terms``). Without a guess, or with
-    an infeasible check there, ``continuous_optimal`` prices it.
+    derives. A single node is first checked at its ``solo_guess``, with
+    ``continuous_at``, and a feasible result there within the cap is kept:
+    it is ``continuous_optimal``'s (see ``solo_terms``). Without a guess, or
+    otherwise, ``continuous_optimal`` prices it.
     """
 
     def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig, solos=None):
@@ -237,17 +234,13 @@ class ContinuousPricer(_GainBackedPricer):
             solos = continuous_solos(inst.nodes, gains, radio)
         self._solos, self._tops = solos
 
-    def _first_solo(self, node_id):
-        k = self.inst.position.get(node_id)
-        if k is not None and self._tops[k] > 0:  # a NaN top is no guess
-            nodes, sub, _ = self._sub((node_id,))
-            res = continuous_at(nodes, sub, self.radio, solo_guess(self._solos[k], self._tops[k]))
-            if res.feasible:
-                return res
-        return self.price((node_id,))
-
     def _price(self, ids, cap):
         nodes, sub, solos = self._sub(ids)
+        top = self._tops[self.inst.position[ids[0]]] if len(ids) == 1 else math.nan
+        if top > 0:  # a NaN top is no guess
+            res = continuous_at(nodes, sub, self.radio, solo_guess(solos[0], top))
+            if res.feasible and not res.slot > cap:
+                return res
         return continuous_optimal(nodes, sub, self.radio, cap, solos)
 
 

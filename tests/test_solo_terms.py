@@ -131,7 +131,7 @@ class TestBlocks:
                      for i in range(own.shape[1])]
             # off the diagonal the gains play no part in a solo
             gains = GainMatrix(np.diag(own[b]) + 1e-3 * own[b].min() * (1 - np.eye(own.shape[1])))
-            records = ladder_records(table, terms, b)
+            records = ladder_records(table, bits[b].tolist(), terms, b)
             assert repr(records) == repr(ladder_solos(nodes, gains, table, radio))
             assert repr(records) == repr(frozen_ladder_solos(nodes, gains, table, radio))
             assert floors[b].tolist() == slot_floors(nodes, gains, radio)
