@@ -380,7 +380,7 @@ def pricers_drop(cfg, nodes, gains):
     pricer, with its own solo records, and calling its ``offsets()`` in
     ``_run_seed``'s order gives one seed; None if none drops it."""
     inst = validate_instance(nodes)
-    for model in sorted({"cont", *cfg.rate_models}, key=lambda m: (m == "cont", cfg.rate_models.index(m))):
+    for model in [m for m in cfg.rate_models if m != "cont"] + ["cont"]:
         try:
             experiment._pricer(model, inst, gains, cfg.radio).offsets()
         except InfeasibleInstanceError as exc:
