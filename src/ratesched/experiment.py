@@ -375,7 +375,8 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
         underflows = ~np.all(gains > 0, axis=(1, 2))
         own = np.take_along_axis(gains, controller_of[..., None], -1)[..., 0]
         budgets = (x[traffic[:, 0]].min(axis=1, keepdims=True) for x in (delays, energies))
-        terms, floors, tops = solo_terms(own, packet_bits[traffic[:, 1]], *budgets, cfg.radio, ladders)
+        bits = packet_bits[traffic[:, 1]]
+        terms, floors, tops = solo_terms(own, bits, *budgets, cfg.radio, ladders)
         drop_model, drop_node = ladder_triage(terms, len(block))
         for b in range(len(block)):
             if underflows[b]:

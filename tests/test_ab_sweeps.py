@@ -26,7 +26,10 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     def fake_export(rev, dest):
         shutil.copytree(ROOT / "src" / "ratesched", dest / "src" / "ratesched")
         (dest / "perfbench").mkdir()
-        workloads = {"tiny": {"config": TINY}, "tiny-cont": {"config": dict(TINY, rate_models=["cont"])}}
+        workloads = {
+            "tiny": {"config": TINY},
+            "tiny-cont": {"config": dict(TINY, rate_models=["cont"])},
+        }
         (dest / "perfbench" / "workloads.json").write_text(json.dumps(workloads))
 
     monkeypatch.setattr(ab_sweeps, "export", fake_export)
