@@ -145,22 +145,16 @@ class TestBlocks:
 class TestContinuousGuess:
     def test_t_lo_feasible_and_failing_by_rounding_both_keep_the_price(self):
         # alone, a link's power at t_lo is p_max up to rounding: about a
-        # third of links round above it, and halve towards t_lo
-        kinds = [check_continuous_solo(*link(own), TABLE1_RADIO)
-                 for own in np.geomspace(1e-7, 1e-3, 60)]
-        assert {"t_lo", "halved"} <= set(kinds)
-
-    def test_halved_guess_is_the_plain_bisection_slot(self):
+        # third of links round above it, and halve from t_hi towards t_lo
+        kinds = []
         for own in np.geomspace(1e-7, 1e-3, 60):
             nodes, gains = link(own)
+            kinds.append(check_continuous_solo(nodes, gains, TABLE1_RADIO))
             (floor,), (top,) = continuous_solos(nodes, gains, TABLE1_RADIO)
-            if top != floor:
+            if kinds[-1] == "halved":
                 assert top == nodes[0].delay_bound
-                guess = solo_guess(floor, top)
-                assert floor < guess <= floor * (1 + 1e-6) / (1 - 1e-6)
-                assert continuous_optimal(nodes, gains, TABLE1_RADIO).slot == guess
-                return
-        pytest.fail("no link failed t_lo by rounding")
+                assert floor < solo_guess(floor, top) <= floor * (1 + 1e-6) / (1 - 1e-6)
+        assert {"t_lo", "halved"} <= set(kinds)
 
     @pytest.mark.parametrize(
         "case, kwargs, radio",
