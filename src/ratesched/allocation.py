@@ -63,18 +63,20 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     link has a record, ``solo`` whether that record has a solo price, and
     ``lowest``, ``ceiling`` and the solo ``power``, the kernel's
     interference-free power at the ceiling, read only where it does.
-    ``floors`` holds each link's ``slot_floors`` slot t_lo.
+    ``floors`` holds each link's interference-free slot t_lo = b_i / (W *
+    log2(1 + p_max * g_ii / N)), the shortest slot in which it alone carries
+    its packet at p_max: inf where that leaves the float range, as when
+    1 + SNR rounds to 1 or the rate W * log2(1 + SNR) underflows to 0.
 
     ``tops`` holds the top of the bisection whose final slot, ``solo_guess(
-    t_lo, top)``, is where the link alone is first checked for its
-    continuous price, NaN where there is none: t_lo where the check there
-    passes, and t_hi (the delay bound) where it fails on power alone, which
-    makes the guess the final slot of ``continuous_optimal``'s bisection
-    with every midpoint feasible. Both need t_lo <= t_hi, and every check a
-    single link's ``continuous_optimal`` makes, at t_lo, at t_hi or between,
-    to return without raising: capacity targets > 0 and 0 < power < inf at
-    t_lo and at t_hi. A guess only chooses where to check
-    (``ContinuousPricer``).
+    t_lo, top)``, is where ``continuous_optimal`` first checks the link
+    alone, NaN where there is none: t_lo where the check there passes, and
+    t_hi (the delay bound) where it fails on power alone, which makes the
+    guess the final slot of its bisection with every midpoint feasible.
+    Both need t_lo <= t_hi, and every check a single link's price makes, at
+    t_lo, at t_hi or between, to return without raising: capacity targets
+    > 0 and 0 < power < inf at t_lo and at t_hi. A guess only chooses where
+    to check.
 
     Each term is the same float expression as the kernel's, on float64
     arrays (the logarithms and capacity targets use numpy, as everywhere);
@@ -334,39 +336,14 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
     return np.expm1(packet_bits * (math.log(2.0) / (slot * bandwidth)))
 
 
-def continuous_solos(nodes, gains: GainMatrix, radio: RadioConfig) -> tuple[list, list]:
-    """Each link's ``slot_floors`` slot and ``solo_terms`` top, in ``nodes``
-    order, for ``ContinuousPricer``."""
+def continuous_solos(nodes, gains: GainMatrix, radio: RadioConfig) -> list[tuple[float, float]]:
+    """Each link's ``(t_lo, top)``, in ``nodes`` order, for
+    ``continuous_optimal``: its ``solo_terms`` floor and top, the records a
+    ``ContinuousPricer`` keeps per node."""
     _, floors, tops = solo_terms(*_link_arrays(nodes, gains), radio)
-    return floors[0].tolist(), tops[0].tolist()
+    return list(zip(floors[0].tolist(), tops[0].tolist()))
 
 
-def slot_floors(nodes, gains: GainMatrix, radio: RadioConfig) -> list[float]:
-    """Each link's interference-free slot b_i / (W * log2(1 + p_max * g_ii / N)),
-    in ``nodes`` order: the shortest slot in which the link alone carries its
-    packet at p_max. ``continuous_optimal``'s t_lo is the largest of them.
-    A slot that leaves the float range is inf, as when 1 + SNR rounds to 1 or
-    the link's rate W * log2(1 + SNR) underflows to 0."""
-    return continuous_solos(nodes, gains, radio)[0]
-
-
-def continuous_at(nodes, gains: GainMatrix, radio: RadioConfig, slot: float) -> AllocationResult:
-    """The links ``nodes`` sharing the slot ``slot`` at capacity-derived
-    rates: one check there, as ``continuous_optimal`` probes it, and the
-    result it would return at ``slot`` if that check is feasible, else
-    ``AllocationResult.infeasible()``."""
-    packets = [n.packet_bits for n in nodes]
-    k = len(packets)
-    targets = _capacity_targets(np.array(packets), slot, radio.bandwidth_hz).tolist()
-    delays = [n.delay_bound for n in nodes]
-    energies = [n.energy_budget for n in nodes]
-    report = check_targets(gains, targets, radio, [slot] * k, delays, energies)
-    if not report.feasible:
-        return AllocationResult.infeasible()
-    return _result_for([b / slot for b in packets], [slot] * k, report)
-
-
-@np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def continuous_optimal(
     nodes, gains: GainMatrix, radio: RadioConfig, cap: float = math.inf, solos=None
 ) -> AllocationResult:
@@ -383,24 +360,31 @@ def continuous_optimal(
     delay check for all t <= t_hi, the tightest delay bound: the feasible
     slots form the one interval [t*, t_hi], and a single bisection between
     the interference-free single-link bound t_lo and t_hi finds t*. t_lo is
-    the largest of the links' ``slot_floors``; ``solos`` holds them, as a
-    ``ContinuousPricer`` derives them once per node, and a bare call derives
-    them itself.
+    the largest of the links' interference-free slots.
 
-    Probes are made in this order, each only when the answer needs it. The
-    anchor is min(cap, t_hi). A single link anchored at t_hi probes t_lo
-    first, its answer unless power or energy binds. The anchor is probed
-    next; an infeasible verdict there means no slot up to it is feasible.
-    Then t_lo is probed, unless it already was; a feasible verdict there is
-    the answer. The pricers make two kinds of call, which this order
-    serves: a solo from ``SubsetPricer.solo``, with no cap, which a
-    ``ContinuousPricer`` makes only for a link whose check at its
-    ``solo_guess`` was not feasible or that has none, and a group of two or
-    more links from ``SubsetPricer.group``, capped at the sum of its
-    members' solo slots, which at the benchmark workloads is below its
-    tightest delay bound, so it is anchored at its cap. Under those calls
-    t_hi is probed only for a solo whose t_lo probe fails, or as the
-    bisection's final slot.
+    ``solos`` holds one ``(t_lo, top)`` pair per link, in ``nodes`` order,
+    as ``continuous_solos`` returns them: the link's interference-free slot
+    and the top of its guess (``solo_terms``), NaN where it has none. A
+    ``ContinuousPricer`` derives them once per node and passes them in, and
+    a bare call derives them itself. Whoever calls, a continuous price is
+    made here, for one link or many.
+
+    Probes are made in this order, each only when the answer needs it. A
+    single link with a guess is first checked at ``solo_guess(t_lo, top)``,
+    unless that is over ``cap``; a feasible verdict there is the answer: it
+    is t_lo, or the final slot of the bisection with every midpoint
+    feasible, where t_lo fails on power alone. The anchor is min(cap, t_hi).
+    A single link with no guess, anchored at t_hi, probes t_lo first, its
+    answer unless power or energy binds. The anchor is probed next; an
+    infeasible verdict there means no slot up to it is feasible. Then t_lo
+    is probed, unless it already was; a feasible verdict there is the
+    answer. The pricers make two kinds of call, which this order serves: a
+    solo from ``SubsetPricer.solo``, with no cap, and a group of two or more
+    links from ``SubsetPricer.group``, capped at the sum of its members'
+    solo slots, which at the benchmark workloads is below its tightest delay
+    bound, so it is anchored at its cap. Under those calls t_hi is probed
+    only for a solo whose guess is not feasible and whose t_lo probe fails,
+    or that has neither, or as the bisection's final slot.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed
@@ -439,37 +423,58 @@ def continuous_optimal(
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``. Raises NumericalError, whatever the cap and before any
     probe, when t_lo is not in (0, inf) (inf as when 1 + SNR rounds to 1 for
-    a link's solo SNR at p_max, 0 as when that SNR overflows), when
-    min(t_lo, t_hi) * W underflows to 0, or when the capacity targets at t_hi
-    underflow to 0 (as when t_hi * W overflows).
+    a link's solo SNR at p_max, or its rate W * log2(1 + SNR) underflows to
+    0, and 0 as when that SNR overflows), when min(t_lo, t_hi) * W
+    underflows to 0, or when the capacity targets at t_hi underflow to 0
+    (as when t_hi * W overflows); a link with a guess has none of these.
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
-    probed, as when a solo's t_lo probe is feasible or a cap below t_hi is
-    infeasible.
+    probed, as when a solo's guess or t_lo probe is feasible or a cap below
+    t_hi is infeasible.
     """
     nodes = list(nodes)
     if not nodes:
         raise ValidationError("subset must be nonempty")
     if len(nodes) != gains.n:
         raise ValidationError("one node per gain matrix row required")
-    k = len(nodes)
+    if solos is None:
+        solos = continuous_solos(nodes, gains, radio)
     packets = [n.packet_bits for n in nodes]
-    bits = np.array(packets)
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
+    guessed = len(solos) == 1 and solos[0][1] > 0  # a NaN top is no guess
+    if guessed:
+        slot = solo_guess(*solos[0])
+        if not slot > cap:  # a NaN cap is no cap
+            report = _probe(gains, radio, np.array(packets), delays, energies, slot)
+            if report.feasible:
+                return _result_for([packets[0] / slot], [slot], report)
+    t_lo = max(t for t, _ in solos)
+    return _search(gains, radio, packets, delays, energies, t_lo, cap, not guessed)
+
+
+def _probe(gains, radio, bits, delays, energies, t: float) -> FeasibilityReport:
+    """The check of links with packet bits ``bits`` sharing the slot ``t``
+    at capacity-derived rates."""
+    targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
+    return check_targets(gains, targets, radio, [t] * len(delays), delays, energies)
+
+
+@np.errstate(over="ignore")  # capacity targets overflow at tiny slots
+def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
+    """``continuous_optimal`` from its anchor on, a single link probing t_lo
+    first where ``lo_first``."""
+    k = len(packets)
+    bits = np.array(packets)
 
     def probe(t: float) -> FeasibilityReport:
-        targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
-        return check_targets(gains, targets, radio, [t] * k, delays, energies)
+        return _probe(gains, radio, bits, delays, energies, t)
 
     def at(t: float, report: FeasibilityReport) -> AllocationResult:
         return _result_for([b / t for b in packets], [t] * k, report)
 
     t_hi = float(min(delays))
-    if solos is None:
-        solos = slot_floors(nodes, gains, radio)
-    t_lo = max(solos)
     # Every probe is at t >= t_lo and the check below at t_hi, so t * W > 0
     # at each of them wherever min(t_lo, t_hi) * W > 0.
     if not (0.0 < t_lo < math.inf and min(t_lo, t_hi) * radio.bandwidth_hz > 0):
@@ -481,7 +486,7 @@ def continuous_optimal(
     if t_lo > yes:
         return AllocationResult.infeasible()
     lo_report = None
-    if yes == t_hi and k == 1:
+    if yes == t_hi and k == 1 and lo_first:
         lo_report = probe(t_lo)
         if lo_report.feasible:
             return at(t_lo, lo_report)

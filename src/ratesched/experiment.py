@@ -402,7 +402,7 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
                 for i in range(n)
             ]
             solos = {m: ladder_records(t, packets, x, b) for m, t, x in zip(tables, ladders, terms)}
-            solos["cont"] = floors[b].tolist(), tops[b].tolist()
+            solos["cont"] = list(zip(floors[b].tolist(), tops[b].tolist()))
             # entry (l, k): from sensor l to the controller of sensor k
             yield nodes, GainMatrix(gains[b][:, ctrl]), solos
 

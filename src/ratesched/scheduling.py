@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (
-    continuous_at, continuous_optimal, continuous_solos, ladder_solos, lttf, solo_guess
-)
+from .allocation import continuous_optimal, continuous_solos, ladder_solos, lttf
 from .model import (
     AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, is_number
 )
@@ -217,30 +215,21 @@ class ContinuousPricer(_GainBackedPricer):
     """Prices each subset with ``continuous_optimal`` on its submatrix of
     ``gains`` and ``radio``.
 
-    Each node's interference-free slot and solo top (see
-    ``continuous_solos``) are derived once, here, unless ``solos`` holds
-    them already as two lists in ``inst.nodes`` order; the slots are passed
-    to every ``continuous_optimal`` call, and a submatrix's diagonal holds
-    the full matrix's diagonal entries, so the floats are those a bare call
-    derives. A single node is first checked at its ``solo_guess``, with
-    ``continuous_at``, and a feasible result there within the cap is kept:
-    it is ``continuous_optimal``'s (see ``solo_terms``). Without a guess, or
-    otherwise, ``continuous_optimal`` prices it.
+    Each node's ``(t_lo, top)`` pair (see ``continuous_solos``) is derived
+    once, here, unless ``solos`` holds them already in ``inst.nodes`` order,
+    and passed to every ``continuous_optimal`` call, which checks a single
+    node at its guess first; a submatrix's diagonal holds the full matrix's
+    diagonal entries, so the floats are those a bare call derives.
     """
 
     def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig, solos=None):
         super().__init__(inst, gains, radio)
         if solos is None:
             solos = continuous_solos(inst.nodes, gains, radio)
-        self._solos, self._tops = solos
+        self._solos = solos
 
     def _price(self, ids, cap):
         nodes, sub, solos = self._sub(ids)
-        top = self._tops[self.inst.position[ids[0]]] if len(ids) == 1 else math.nan
-        if top > 0:  # a NaN top is no guess
-            res = continuous_at(nodes, sub, self.radio, solo_guess(solos[0], top))
-            if res.feasible and not res.slot > cap:
-                return res
         return continuous_optimal(nodes, sub, self.radio, cap, solos)
 
 

@@ -79,6 +79,11 @@ def frozen_lttf(nodes, gains, table, radio):
     )
 
 
+def interference_free_slot(nodes, gains, radio):
+    """``continuous_optimal``'s t_lo: the largest of the links' floors."""
+    return max(t for t, _ in ratesched.allocation.continuous_solos(nodes, gains, radio))
+
+
 @np.errstate(over="ignore")
 def frozen_continuous_optimal(nodes, gains, radio):
     """The plain slot bisection, frozen as the reference for
@@ -612,13 +617,13 @@ class TestContinuousOptimal:
             frozen_continuous_optimal(solo, gains, radio)
         calls = 0
         res = continuous_optimal(solo, gains, radio)
-        t_lo = ratesched.allocation.slot_floors(solo, gains, radio)[0]
+        t_lo = interference_free_slot(solo, gains, radio)
         assert res.feasible and res.slot == t_lo and calls == 1
 
         capped = [_node(bits=300.0, delay=1e20)]
         with pytest.raises(NumericalError):
             continuous_optimal(capped, gains, radio)
-        t_lo = ratesched.allocation.slot_floors(capped, gains, radio)[0]
+        t_lo = interference_free_slot(capped, gains, radio)
         calls = 0
         assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
         assert calls == 1
@@ -633,7 +638,7 @@ class TestContinuousOptimal:
         for _ in range(400):
             nodes, gains = random_instance(rng, 3, DISC8)
             final = continuous_optimal(nodes, gains, TABLE1_RADIO)
-            t_lo = max(ratesched.allocation.slot_floors(nodes, gains, TABLE1_RADIO))
+            t_lo = interference_free_slot(nodes, gains, TABLE1_RADIO)
             assert final.feasible and t_lo < final.slot < min(n.delay_bound for n in nodes)
             probed = []
 
@@ -673,7 +678,7 @@ class TestContinuousOptimal:
         # bisection returns infeasible for it
         radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
         nodes = [_node(i) for i in range(len(gains))]
-        t_lo = max(ratesched.allocation.slot_floors(nodes, GainMatrix(gains), radio))
+        t_lo = interference_free_slot(nodes, GainMatrix(gains), radio)
         assert t_lo in (0.0, math.inf)
         for cap in (math.inf, 1e-12):
             with pytest.raises(NumericalError):
@@ -684,7 +689,7 @@ class TestContinuousOptimal:
         # capacity targets of the t_lo probe would divide by zero
         radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-30)
         nodes, gains = [_node(bits=5e-324, delay=1e30)], GainMatrix([[1e-6]])
-        t_lo = ratesched.allocation.slot_floors(nodes, gains, radio)[0]
+        t_lo = interference_free_slot(nodes, gains, radio)
         assert 0.0 < t_lo < math.inf and t_lo * radio.bandwidth_hz == 0.0
         for cap in (math.inf, 1e-12):
             with pytest.raises(NumericalError, match="float range"):
@@ -695,7 +700,7 @@ class TestContinuousOptimal:
         # capacity targets of the check at t_hi would divide by zero
         radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-30)
         nodes, gains = [_node(delay=1e-308)], GainMatrix([[1e-6]])
-        t_lo = ratesched.allocation.slot_floors(nodes, gains, radio)[0]
+        t_lo = interference_free_slot(nodes, gains, radio)
         assert t_lo * radio.bandwidth_hz > 0 and 1e-308 * radio.bandwidth_hz == 0.0
         for cap in (math.inf, 1e-12):
             with pytest.raises(NumericalError, match="float range"):
@@ -706,7 +711,7 @@ class TestContinuousOptimal:
         # floor is inf, not a division by zero, and pricing raises
         radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=5e-324)
         nodes, gains = [_node()], GainMatrix([[1e-8]])
-        assert ratesched.allocation.slot_floors(nodes, gains, radio) == [math.inf]
+        assert interference_free_slot(nodes, gains, radio) == math.inf
         with pytest.raises(NumericalError, match="float range"):
             continuous_optimal(nodes, gains, radio)
 
@@ -736,7 +741,7 @@ class TestContinuousOptimal:
         radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e-306)
         node = _node(bits=50.0, delay=1.7e308)
         res = continuous_optimal([node], GainMatrix([[1e-6]]), radio)
-        t_lo = ratesched.allocation.slot_floors([node], GainMatrix([[1e-6]]), radio)[0]
+        t_lo = interference_free_slot([node], GainMatrix([[1e-6]]), radio)
         assert res.feasible and t_lo < res.slot < 1.7e308
 
     def test_energy_all_infeasible(self):
@@ -834,7 +839,7 @@ class TestCap:
 
         exact = outcome(price, math.inf)
         assert exact is NumericalError
-        t_lo = ratesched.allocation.slot_floors(subset, gains, radio)[0]
+        t_lo = interference_free_slot(subset, gains, radio)
         assert self.assert_capped(price, t_lo, exact, True) == (AllocationResult.infeasible(), 1)
 
     @pytest.mark.parametrize("continuous", [False, True])

@@ -781,6 +781,10 @@ class TestRunExperiment:
                     kinds.add((name, "group"))
                     assert cap < tightest
                 res = solver(nodes, gains, *args)
+                if (name, len(nodes)) == ("continuous_optimal", 1):
+                    # every continuous solo is kept at its guess, the one
+                    # slot checked
+                    assert res.slot == allocation.solo_guess(*solos[0])
                 if (name, len(nodes)) == ("lttf", 1):
                     # a TablePricer reads every solo price from its record,
                     # so it hands lttf only a link without one, which the
@@ -797,9 +801,11 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig.from_dict(
                 dict(workload["config"], master_seed=workload["default_seed"])
             ))
-        # every solo there is read from its ladder record or kept at its
-        # continuous guess, so the solvers see groups alone
-        assert kinds == {("lttf", "group"), ("continuous_optimal", "group")}
+        # every ladder solo there is read from its record, so lttf sees
+        # groups alone
+        assert kinds == {
+            ("lttf", "group"), ("continuous_optimal", "solo"), ("continuous_optimal", "group")
+        }
 
     def test_every_group_is_priced_at_its_solo_sum(self, monkeypatch):
         # SubsetPricer.solo and SubsetPricer.group are the only callers of
@@ -1210,9 +1216,9 @@ class TestCli:
         assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 
     def test_rate_underflowing_exits_3(self, capsys):
-        # W * log2(1 + SNR) underflows to 0 in slot_floors, as the continuous
-        # pricer is built: the slot floor is inf, and the disc4 solos, priced
-        # first, drop both seeds
+        # W * log2(1 + SNR) underflows to 0 in solo_terms, as the block's
+        # solo terms are computed: the slot floor is inf, and the disc4
+        # solos, triaged first, drop both seeds
         code = self.exit_code(
             "radio.bandwidth_hz", 5e-324, 4, n_controllers=1, master_seed=59, period_set=[1],
         )

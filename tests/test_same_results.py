@@ -110,5 +110,5 @@ def test_edge_configs_reach_the_solo_triage_fallbacks():
     # continuous_optimal prices it; some seeds are still kept
     kept = [d for d in edge_draws("edge-energy-1e-6") if isinstance(d, tuple)]
     assert kept and all(
-        math.isnan(top) for _, _, solos in kept for top in solos["cont"][1]
+        math.isnan(top) for _, _, solos in kept for _, top in solos["cont"]
     )

@@ -1,8 +1,10 @@
 """The block solo pass: ``solo_terms`` on arrays of many seeds against the
-per-seed records and against ``continuous_optimal`` on each link alone."""
+per-seed records, and ``continuous_optimal`` on each link alone, checked at
+its guess first, against the same price without a guess."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +19,12 @@ from ratesched import (
     RadioConfig,
     validate_instance,
 )
+from ratesched import allocation
 from ratesched.allocation import (
-    continuous_at,
     continuous_optimal,
     continuous_solos,
     ladder_records,
     ladder_solos,
-    slot_floors,
     solo_guess,
     solo_terms,
 )
@@ -58,7 +59,8 @@ def frozen_ladder_solos(nodes, gains, table, radio):
 
 
 def frozen_slot_floors(nodes, gains, radio):
-    """The per-node loop ``slot_floors`` ran before the block pass."""
+    """Each link's interference-free slot, by the per-node loop that ran
+    before the block pass."""
     snr_caps = [radio.p_max * col[i] / radio.noise_power for i, col in enumerate(gains.cols)]
     log_caps = np.log2([1.0 + s for s in snr_caps]).tolist()
     rates = [radio.bandwidth_hz * x for x in log_caps]
@@ -87,17 +89,20 @@ def pricer_solo(nodes, gains, radio):
 
 
 def check_continuous_solo(nodes, gains, radio) -> str:
-    """Assert that a single link's pricer solo is ``continuous_optimal``'s,
-    uncapped, and that a feasible check at its guess is exactly that; the
-    kind of guess the link has: "t_lo", "halved" or "none"."""
-    (floor,), (top,) = continuous_solos(nodes, gains, radio)
-    want = outcome(continuous_optimal, nodes, gains, radio)
+    """Assert that a single link's price, bare and as a pricer solo, is the
+    uncapped price of the same link without a guess (a NaN top), and that a
+    feasible check at its guess is the one check made; the kind of guess
+    the link has: "t_lo", "halved" or "none"."""
+    ((floor, top),) = continuous_solos(nodes, gains, radio)
+    want = outcome(continuous_optimal, nodes, gains, radio, math.inf, [(floor, math.nan)])
+    with mock.patch.object(allocation, "check_targets", wraps=allocation.check_targets) as check:
+        assert outcome(continuous_optimal, nodes, gains, radio) == want
     assert outcome(pricer_solo, nodes, gains, radio) == want
     if math.isnan(top):
         return "none"
-    at_guess = continuous_at(nodes, gains, radio, solo_guess(floor, top))
-    if at_guess.feasible:
-        assert at_guess == want
+    guess = solo_guess(floor, top)
+    if isinstance(want, AllocationResult) and want.slot == guess:
+        assert check.call_count == 1
     return "t_lo" if top == floor else "halved"
 
 
@@ -134,9 +139,9 @@ class TestBlocks:
             records = ladder_records(table, bits[b].tolist(), terms, b)
             assert repr(records) == repr(ladder_solos(nodes, gains, table, radio))
             assert repr(records) == repr(frozen_ladder_solos(nodes, gains, table, radio))
-            assert floors[b].tolist() == slot_floors(nodes, gains, radio)
+            pairs = list(zip(floors[b].tolist(), tops[b].tolist()))
+            assert repr(pairs) == repr(continuous_solos(nodes, gains, radio))
             assert floors[b].tolist() == frozen_slot_floors(nodes, gains, radio)
-            assert repr(tops[b].tolist()) == repr(continuous_solos(nodes, gains, radio)[1])
             for i in range(own.shape[1]):
                 alone = dataclasses.replace(nodes[i], id=0, controller_id=0)
                 check_continuous_solo([alone], GainMatrix([[own[b, i]]]), radio)
@@ -150,7 +155,7 @@ class TestContinuousGuess:
         for own in np.geomspace(1e-7, 1e-3, 60):
             nodes, gains = link(own)
             kinds.append(check_continuous_solo(nodes, gains, TABLE1_RADIO))
-            (floor,), (top,) = continuous_solos(nodes, gains, TABLE1_RADIO)
+            ((floor, top),) = continuous_solos(nodes, gains, TABLE1_RADIO)
             if kinds[-1] == "halved":
                 assert top == nodes[0].delay_bound
                 assert floor < solo_guess(floor, top) <= floor * (1 + 1e-6) / (1 - 1e-6)
@@ -169,10 +174,16 @@ class TestContinuousGuess:
              RadioConfig(p_max=1.7976931348623157e308, noise_power=1.0, bandwidth_hz=1e8)),
         ],
     )
-    def test_no_guess_leaves_the_price_to_continuous_optimal(self, case, kwargs, radio):
+    def test_no_guess_goes_to_the_bisection(self, case, kwargs, radio):
+        # with no guess, the first slot checked is t_lo, as the bisection's
+        # single-link order has it, unless t_lo > t_hi answers without one
         nodes, gains = link(**kwargs)
         assert check_continuous_solo(nodes, gains, radio) == "none"
-        [floor], _ = continuous_solos(nodes, gains, radio)
+        [(floor, _)] = continuous_solos(nodes, gains, radio)
+        with mock.patch.object(allocation, "check_targets", wraps=allocation.check_targets) as check:
+            outcome(continuous_optimal, nodes, gains, radio)
+        slots = [call.args[3][0] for call in check.call_args_list]
+        assert slots[:1] == ([] if case == "delay too tight" else [floor])
         targets = [math.expm1(50.0 * math.log(2.0) / (t * radio.bandwidth_hz))
                    for t in (floor, nodes[0].delay_bound)]
         powers = [x * radio.noise_power / gains.cols[0][0] if x < math.inf else x
