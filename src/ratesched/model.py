@@ -182,8 +182,9 @@ class NodeSpec:
 
     ``period`` counts subframes between packets, ``delay_bound`` caps the
     transmission time of one packet and ``energy_budget`` caps the per-packet
-    transmit energy (``math.inf`` means not binding). ``packet_bits`` and
-    ``delay_bound`` must be finite numbers > 0, ``period`` an integer in
+    transmit energy (``math.inf`` means not binding). ``id`` and
+    ``controller_id`` must be integers >= 0, ``packet_bits`` and
+    ``delay_bound`` finite numbers > 0, ``period`` an integer in
     [1, sys.maxsize] and ``energy_budget`` a number > 0; none may be a bool.
     Anything else raises ValidationError.
     """
@@ -196,6 +197,9 @@ class NodeSpec:
     energy_budget: float = math.inf
 
     def __post_init__(self):
+        for name in ("id", "controller_id"):
+            if not is_number(getattr(self, name), int, -1, math.inf):
+                raise ValidationError(f"node {self.id!r}: {name} must be an integer >= 0")
         if not is_number(self.packet_bits):
             raise ValidationError(f"node {self.id}: packet_bits must be a finite number > 0")
         if not is_number(self.period, int, top=sys.maxsize):

@@ -121,6 +121,39 @@ def four_node_fixture():
     return inst, FixedPricer(inst, prices)
 
 
+def link_sinrs(cols, powers, noise):
+    """Each link's SINR at ``powers``, computed afresh in Python floats: its
+    own received power over the noise plus the interference summed over the
+    other links only. ``cols[k][l]`` is the gain from link l to link k's
+    controller, as in ``GainMatrix.cols``."""
+    return [
+        powers[k] * col[k]
+        / (noise + math.fsum(p * g for l, (p, g) in enumerate(zip(powers, col)) if l != k))
+        for k, col in enumerate(cols)
+    ]
+
+
+def assert_group_certificate(pricer, ids, alloc):
+    """Check one group of a gain-backed pricer's frame from first principles,
+    sharing no code with the feasibility kernel: each member's SINR at the
+    reported powers meets its rate's target, the ladder threshold of its
+    rate or 2**(rate/W) - 1 under ``cont``, to a relative 1e-12; each power
+    is at most p_max, each energy p * t within its budget and each time
+    within its delay bound; and the slot is the longest time."""
+    radio, inst = pricer.radio, pricer.inst
+    idx = [inst.position[i] for i in ids]
+    cols = [[pricer.gains.cols[k][l] for l in idx] for k in idx]
+    table = getattr(pricer, "table", None)
+    thresholds = {} if table is None else {rate: th for th, rate in table.levels}
+    sinrs = link_sinrs(cols, alloc.powers, radio.noise_power)
+    for i, sinr, rate, p, t in zip(ids, sinrs, alloc.rates, alloc.powers, alloc.times):
+        node = inst.node(i)
+        target = thresholds[rate] if table else 2 ** (rate / radio.bandwidth_hz) - 1
+        assert abs(sinr - target) <= 1e-12 * target, (ids, sinr, target)
+        assert p <= radio.p_max and p * t <= node.energy_budget and t <= node.delay_bound
+    assert len(alloc.times) == len(ids) and alloc.slot == max(alloc.times)
+
+
 def random_rate_indices(rng, n, num_levels):
     return [int(q) for q in rng.integers(0, num_levels, size=n)]
 

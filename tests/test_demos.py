@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ratesched import ExperimentConfig
+from ratesched import ExperimentConfig, GainMatrix, experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -53,3 +54,22 @@ def test_readme_config_names_every_field():
     doc = json.loads(example)
     ExperimentConfig.from_dict(doc)
     assert set(doc) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_readme_one_seed_recipe_matches_the_batch_draw():
+    # the README's recipe draws one seed of a sweep alone; its gains,
+    # periods and packet sizes must be that seed's rows of the block draw,
+    # so the documented stream layout cannot drift from _draw_block
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"at master seed 20260810:\n+```python\n(.*?)```", readme, re.S).group(1)
+    recipe = {}
+    exec(code, recipe)
+    cfg, point, k, n = (recipe[name] for name in ("cfg", "point", "k", "n"))
+    assert (cfg.master_seed, point, k, n) == (20260810, 2, 17, 8)
+    side = math.sqrt(n / cfg.density)
+    gains, controller_of, traffic = experiment._draw_block(cfg, n, side, point, range(k, k + 1))
+    ctrl = controller_of[0].tolist()
+    assert list(recipe["topo"].controller_of) == ctrl
+    assert recipe["gains"].cols == GainMatrix(gains[0][:, ctrl]).cols
+    assert recipe["periods"].tolist() == [cfg.period_set[i] for i in traffic[0, 0].tolist()]
+    assert recipe["packet_bits"].tolist() == [cfg.packet_bits_set[i] for i in traffic[0, 1].tolist()]

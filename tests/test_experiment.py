@@ -770,6 +770,12 @@ class TestRunExperiment:
         # for, at each benchmark workload's default seed
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         kinds = set()
+        checked = []
+        check = allocation.check_targets
+
+        def counting_check(gains, targets, radio, times, *args):
+            checked.append(times[0])
+            return check(gains, targets, radio, times, *args)
 
         def recording(name, solver):
             def call(nodes, gains, *args):  # both end (..., cap, solos)
@@ -780,11 +786,12 @@ class TestRunExperiment:
                 else:
                     kinds.add((name, "group"))
                     assert cap < tightest
+                checked.clear()
                 res = solver(nodes, gains, *args)
                 if (name, len(nodes)) == ("continuous_optimal", 1):
                     # every continuous solo is kept at its guess, the one
                     # slot checked
-                    assert res.slot == allocation.solo_guess(*solos[0])
+                    assert checked == [res.slot] == [allocation.solo_guess(*solos[0])]
                 if (name, len(nodes)) == ("lttf", 1):
                     # a TablePricer reads every solo price from its record,
                     # so it hands lttf only a link without one, which the
@@ -797,6 +804,7 @@ class TestRunExperiment:
 
         for name in ("lttf", "continuous_optimal"):
             monkeypatch.setattr(scheduling, name, recording(name, getattr(scheduling, name)))
+        monkeypatch.setattr(allocation, "check_targets", counting_check)
         for workload in workloads.values():
             run_experiment(ExperimentConfig.from_dict(
                 dict(workload["config"], master_seed=workload["default_seed"])

@@ -21,7 +21,7 @@ from ratesched import (
     min_power_vector,
 )
 
-from helpers import TABLE1_RADIO, gain_array, random_gains, random_instance
+from helpers import TABLE1_RADIO, gain_array, link_sinrs, random_gains, random_instance
 
 TABLE = disc4_table(1e8)
 NOISE = TABLE1_RADIO.noise_power
@@ -121,17 +121,17 @@ def small_systems(draw):
 
 
 @st.composite
-def near_singular_systems(draw):
+def near_singular_systems(draw, sides=(-1.0, 1.0)):
     """Two to five links whose interference matrix F is a random nonnegative
     matrix scaled so that its spectral radius lies within 1e-9 of 1 but at
-    least 1e-12 away from it, on either side."""
+    least 1e-12 away from it, on either side (below 1 for ``sides`` (-1,))."""
     n = draw(st.integers(2, 5))
     own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
     targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(n)])
     f = np.array(
         [[0.0 if i == j else _log_uniform(draw, -4.0, 1.0) for j in range(n)] for i in range(n)]
     )
-    gap = _log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from([-1.0, 1.0]))
+    gap = _log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from(sides))
     f *= (1.0 + gap) / np.max(np.abs(np.linalg.eigvals(f)))
     # F[i, j] = target_i * g[j, i] / g[i, i]
     g = [[own[l] if l == k else f[k, l] * own[k] / targets[k] for k in range(n)] for l in range(n)]
@@ -241,6 +241,17 @@ class TestMinPowerVector:
     @given(system=near_singular_systems())
     def test_small_kernel_matches_reference_near_rho_one(self, system):
         assert_matches_reference(*system)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(system=near_singular_systems(sides=(-1.0,)))
+    def test_targets_met_to_a_relative_1e9_near_rho_one(self, system):
+        # the docstring's promise, with each SINR computed afresh from the
+        # powers, interference summed over the other links only
+        gains, targets = system
+        powers = min_power_vector(gains, targets, NOISE)
+        assert powers is not None
+        sinrs = link_sinrs(gains.cols, powers, NOISE)
+        assert all(abs(x - t) <= 1e-9 * t for x, t in zip(sinrs, targets.tolist()))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(

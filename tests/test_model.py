@@ -160,6 +160,14 @@ class TestNodeAndRadioValidation:
         with pytest.raises(ValidationError, match=f"node 7: {field}"):
             NodeSpec(id=7, controller_id=0, **args)
 
+    @pytest.mark.parametrize("field", ["id", "controller_id"])
+    @pytest.mark.parametrize("value", [True, False, 1.5, 1.0, -3, "1", None])
+    def test_ids_must_be_integers_at_least_zero(self, field, value):
+        # a bool id would price as node 1 or 0: FixedPricer(...).price((True,))
+        args = {"id": 0, "controller_id": 0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 0"):
+            NodeSpec(packet_bits=50, period=1, delay_bound=1e-3, **args)
+
     def test_infinite_energy_budget_is_accepted_as_not_binding(self):
         node = NodeSpec(id=0, controller_id=0, packet_bits=50, period=1, delay_bound=1e-3,
                         energy_budget=math.inf)

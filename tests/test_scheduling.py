@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,11 +32,12 @@ from ratesched import (
     sna_assign,
     validate_instance,
 )
-from ratesched import scheduling
+from ratesched import ExperimentConfig, experiment, run_experiment, scheduling
 from ratesched.scheduling import STRATEGIES
 
 from helpers import (
     TABLE1_RADIO,
+    assert_group_certificate,
     four_node_fixture,
     outcome,
     pricing_instances,
@@ -44,6 +47,9 @@ from helpers import (
 
 DISC8 = disc8_table(1e8)
 MS = 1e-3
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text()
+)
 
 
 def gain_pricer(inst, gains, continuous=False):
@@ -414,9 +420,11 @@ def _occupied(inst, frame, node_id):
     return {m for m in range(frame.subframe_count) if m % period == offset}
 
 
-def assert_frame_invariants(inst, frame, metrics):
-    """Every node once per period, and groups of feasible, controller-distinct
-    nodes of one period."""
+def assert_frame_invariants(pricer, frame, metrics):
+    """Every node of ``pricer.inst`` once per period, and groups of feasible,
+    controller-distinct nodes of one period; under a gain-backed pricer
+    every group also carries its certificate (``assert_group_certificate``)."""
+    inst = pricer.inst
     assert frame.subframe_count == inst.subframe_count
     for i in inst.ids:
         assert 0 <= frame.assignments[i] < inst.periods[i]
@@ -430,6 +438,8 @@ def assert_frame_invariants(inst, frame, metrics):
             assert len(set(ctrl)) == len(ctrl)
             assert len({inst.periods[i] for i in ids}) == 1
             assert alloc.feasible
+            if hasattr(pricer, "gains"):
+                assert_group_certificate(pricer, ids, alloc)
     assert metrics.max_active == max(metrics.active_lengths)
 
 
@@ -500,7 +510,7 @@ def assert_matches_oracle(inst, pricer):
         return
     frame, metrics = exhaustive_schedule(pricer)
     assert metrics.max_active == optimum
-    assert_frame_invariants(inst, frame, metrics)
+    assert_frame_invariants(pricer, frame, metrics)
     assert compute_metrics(frame).max_active == metrics.max_active
     assert frame.assignments == assignment
 
@@ -528,8 +538,9 @@ class TestFrameInvariants:
         for _ in range(25):
             n = int(rng.integers(3, 7))
             inst, gains = _random_real_instance(rng, n)
+            pricer = gain_pricer(inst, gains)
             for strategy in ("sna-mla", "sna-mua"):
-                assert_frame_invariants(inst, *schedule(gain_pricer(inst, gains), strategy))
+                assert_frame_invariants(pricer, *schedule(pricer, strategy))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(case=small_instances(), continuous=st.booleans())
@@ -537,8 +548,33 @@ class TestFrameInvariants:
         inst, gains = case
         pricer = gain_pricer(inst, gains, continuous)
         for strategy in STRATEGIES:
-            assert_frame_invariants(inst, *schedule(pricer, strategy))
-        assert_frame_invariants(inst, *exhaustive_schedule(pricer))
+            assert_frame_invariants(pricer, *schedule(pricer, strategy))
+        assert_frame_invariants(pricer, *exhaustive_schedule(pricer))
+
+    @pytest.mark.parametrize("energy_scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_workload_frames_carry_their_certificates(self, workload, energy_scale, monkeypatch):
+        # every frame of a benchmark workload's sweep, on a tenth of its
+        # seeds, heuristic and exhaustive, with loose and binding energy
+        # budgets, keeps the invariants and each group's certificate
+        built = Counter()
+
+        def checking(name, build):
+            def call(pricer, *args):
+                frame, metrics = build(pricer, *args)
+                assert_frame_invariants(pricer, frame, metrics)
+                built[name, type(pricer).__name__] += 1
+                return frame, metrics
+            return call
+
+        for name in ("schedule", "exhaustive_schedule"):
+            monkeypatch.setattr(experiment, name, checking(name, getattr(experiment, name)))
+        spec = WORKLOADS[workload]
+        run_experiment(ExperimentConfig.from_dict(dict(
+            spec["config"], seeds=max(2, spec["config"]["seeds"] // 10),
+            master_seed=spec["default_seed"], energy_scale=energy_scale,
+        )))
+        assert built["schedule", "ContinuousPricer"] and built["schedule", "TablePricer"]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(case=small_instances(), continuous=st.booleans())
