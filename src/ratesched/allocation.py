@@ -337,9 +337,8 @@ def _capacity_targets(packet_bits: np.ndarray, slot: float, bandwidth: float) ->
 
 
 def continuous_solos(nodes, gains: GainMatrix, radio: RadioConfig) -> list[tuple[float, float]]:
-    """Each link's ``(t_lo, top)``, in ``nodes`` order, for
-    ``continuous_optimal``: its ``solo_terms`` floor and top, the records a
-    ``ContinuousPricer`` keeps per node."""
+    """Each link's ``solo_terms`` floor t_lo and top, as ``(t_lo, top)``
+    pairs in ``nodes`` order: ``continuous_optimal``'s ``solos``."""
     _, floors, tops = solo_terms(*_link_arrays(nodes, gains), radio)
     return list(zip(floors[0].tolist(), tops[0].tolist()))
 
@@ -360,14 +359,10 @@ def continuous_optimal(
     delay check for all t <= t_hi, the tightest delay bound: the feasible
     slots form the one interval [t*, t_hi], and a single bisection between
     the interference-free single-link bound t_lo and t_hi finds t*. t_lo is
-    the largest of the links' interference-free slots.
-
-    ``solos`` holds one ``(t_lo, top)`` pair per link, in ``nodes`` order,
-    as ``continuous_solos`` returns them: the link's interference-free slot
-    and the top of its guess (``solo_terms``), NaN where it has none. A
+    the largest of the links' interference-free slots. ``solos`` holds each
+    link's ``(t_lo, top)``, as ``continuous_solos`` returns them: a
     ``ContinuousPricer`` derives them once per node and passes them in, and
-    a bare call derives them itself. Whoever calls, a continuous price is
-    made here, for one link or many.
+    a bare call derives them itself.
 
     Probes are made in this order, each only when the answer needs it. A
     single link with a guess is first checked at ``solo_guess(t_lo, top)``,
@@ -423,10 +418,9 @@ def continuous_optimal(
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``. Raises NumericalError, whatever the cap and before any
     probe, when t_lo is not in (0, inf) (inf as when 1 + SNR rounds to 1 for
-    a link's solo SNR at p_max, or its rate W * log2(1 + SNR) underflows to
-    0, and 0 as when that SNR overflows), when min(t_lo, t_hi) * W
-    underflows to 0, or when the capacity targets at t_hi underflow to 0
-    (as when t_hi * W overflows); a link with a guess has none of these.
+    a link's solo SNR at p_max, 0 as when that SNR overflows), when
+    min(t_lo, t_hi) * W underflows to 0, or when the capacity targets at t_hi
+    underflow to 0 (as when t_hi * W overflows); no link with a guess does.
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
@@ -447,29 +441,24 @@ def continuous_optimal(
     if guessed:
         slot = solo_guess(*solos[0])
         if not slot > cap:  # a NaN cap is no cap
-            report = _probe(gains, radio, np.array(packets), delays, energies, slot)
+            targets = _capacity_targets(np.array(packets), slot, radio.bandwidth_hz).tolist()
+            report = check_targets(gains, targets, radio, [slot], delays, energies)
             if report.feasible:
                 return _result_for([packets[0] / slot], [slot], report)
     t_lo = max(t for t, _ in solos)
     return _search(gains, radio, packets, delays, energies, t_lo, cap, not guessed)
 
 
-def _probe(gains, radio, bits, delays, energies, t: float) -> FeasibilityReport:
-    """The check of links with packet bits ``bits`` sharing the slot ``t``
-    at capacity-derived rates."""
-    targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
-    return check_targets(gains, targets, radio, [t] * len(delays), delays, energies)
-
-
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
-    """``continuous_optimal`` from its anchor on, a single link probing t_lo
+    """``continuous_optimal`` after the guess, a single link probing t_lo
     first where ``lo_first``."""
     k = len(packets)
     bits = np.array(packets)
 
     def probe(t: float) -> FeasibilityReport:
-        return _probe(gains, radio, bits, delays, energies, t)
+        targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
+        return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
     def at(t: float, report: FeasibilityReport) -> AllocationResult:
         return _result_for([b / t for b in packets], [t] * k, report)
