@@ -446,13 +446,14 @@ def continuous_optimal(
             if report.feasible:
                 return _result_for([packets[0] / slot], [slot], report)
     t_lo = max(t for t, _ in solos)
-    return _search(gains, radio, packets, delays, energies, t_lo, cap, not guessed)
+    lo_first = len(solos) == 1 and not guessed
+    return _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first)
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
-    """``continuous_optimal`` after the guess, a single link probing t_lo
-    first where ``lo_first``."""
+    """``continuous_optimal`` after the guess, probing t_lo first where
+    ``lo_first``, for a single link with no guess."""
     k = len(packets)
     bits = np.array(packets)
 
@@ -475,7 +476,7 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     if t_lo > yes:
         return AllocationResult.infeasible()
     lo_report = None
-    if yes == t_hi and k == 1 and lo_first:
+    if yes == t_hi and lo_first:
         lo_report = probe(t_lo)
         if lo_report.feasible:
             return at(t_lo, lo_report)

@@ -71,5 +71,6 @@ def test_readme_one_seed_recipe_matches_the_batch_draw():
     ctrl = controller_of[0].tolist()
     assert list(recipe["topo"].controller_of) == ctrl
     assert recipe["gains"].cols == GainMatrix(gains[0][:, ctrl]).cols
-    assert recipe["periods"].tolist() == [cfg.period_set[i] for i in traffic[0, 0].tolist()]
-    assert recipe["packet_bits"].tolist() == [cfg.packet_bits_set[i] for i in traffic[0, 1].tolist()]
+    periods, packets = traffic[0].tolist()
+    assert recipe["periods"].tolist() == [cfg.period_set[i] for i in periods]
+    assert recipe["packet_bits"].tolist() == [cfg.packet_bits_set[i] for i in packets]

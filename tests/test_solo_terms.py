@@ -19,7 +19,7 @@ from ratesched import (
     RadioConfig,
     validate_instance,
 )
-from ratesched import allocation
+from ratesched import allocation, check_targets
 from ratesched.allocation import (
     continuous_optimal,
     continuous_solos,
@@ -95,7 +95,7 @@ def check_continuous_solo(nodes, gains, radio) -> str:
     the link has: "t_lo", "halved" or "none"."""
     ((floor, top),) = continuous_solos(nodes, gains, radio)
     want = outcome(continuous_optimal, nodes, gains, radio, math.inf, [(floor, math.nan)])
-    with mock.patch.object(allocation, "check_targets", wraps=allocation.check_targets) as check:
+    with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
         assert outcome(continuous_optimal, nodes, gains, radio) == want
     assert outcome(pricer_solo, nodes, gains, radio) == want
     if math.isnan(top):
@@ -180,7 +180,7 @@ class TestContinuousGuess:
         nodes, gains = link(**kwargs)
         assert check_continuous_solo(nodes, gains, radio) == "none"
         [(floor, _)] = continuous_solos(nodes, gains, radio)
-        with mock.patch.object(allocation, "check_targets", wraps=allocation.check_targets) as check:
+        with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
             outcome(continuous_optimal, nodes, gains, radio)
         slots = [call.args[3][0] for call in check.call_args_list]
         assert slots[:1] == ([] if case == "delay too tight" else [floor])
