@@ -7,14 +7,27 @@ schedule's maximum total active length is normalized by a continuous-rate
 reference: the exhaustive optimum where tractable, otherwise the better
 continuous heuristic. Seeds where any configured run is infeasible (for
 example a node that cannot reach the 10 dB floor of the 4-level ladder) drop
-out of every average.
+out of every average. The first dropped seed is then replayed alone with
+``draw_seed``, and the pricer of the model that dropped it says which node
+it is.
 
 The same sweep is available from the command line:
 
     ratesched-sim --config config.json --out results.csv
 """
 
-from ratesched import ExperimentConfig, emit_results, run_experiment
+from ratesched import (
+    ContinuousPricer,
+    ExperimentConfig,
+    InfeasibleInstanceError,
+    TablePricer,
+    disc4_table,
+    disc8_table,
+    draw_seed,
+    emit_results,
+    run_experiment,
+    validate_instance,
+)
 
 cfg = ExperimentConfig.from_dict({
     "n_sensors": [4, 6],
@@ -36,6 +49,25 @@ for row in results.rows:
 print("\nreference used per sweep point:")
 for (var, value), counts in results.reference_counts.items():
     print(f"  {var}={value}: {counts}")
+
+record = next(r for r in results.per_seed if r["dropped"] not in (None, "numerical"))
+model = record["dropped"]
+point = cfg.sweep()[1].index(record["value"])
+nodes, gains = draw_seed(cfg, point, record["seed_index"])
+inst = validate_instance(nodes)
+if model == "cont":
+    pricer = ContinuousPricer(inst, gains, cfg.radio)
+else:
+    ladder = {"disc4": disc4_table, "disc8": disc8_table}[model](cfg.radio.bandwidth_hz)
+    pricer = TablePricer(inst, gains, ladder, cfg.radio)
+try:
+    pricer.offsets()
+except InfeasibleInstanceError as exc:
+    # the pricer knows no model name; the sweep charges the drop to this one
+    print(f"\nseed {record['seed_index']} at {record['sweep_var']}={record['value']}, "
+          f"replayed: {InfeasibleInstanceError(exc.node_id, model)}")
+else:
+    raise SystemExit(f"seed dropped under {model}, but its {model} pricer finds every solo")
 
 emit_results(results, "sweep_results.csv")
 print("\nwrote sweep_results.csv")

@@ -16,6 +16,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentResults,
+    draw_seed,
     emit_results,
     run_experiment,
 )

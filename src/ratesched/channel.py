@@ -92,14 +92,39 @@ def generate_topology(
         raise ValidationError(f"n_sensors * n_controllers must be at most {MAX_LINKS}")
     if not is_number(density, (int, float, np.integer, np.floating)):
         raise ValidationError(f"density must be a finite number > 0, not {density!r}")
+    side = square_side(n_sensors, density)
+    xy = draw_positions(np.random.default_rng(seed), side, n_sensors + n_controllers)
+    sensors, controllers = xy[:n_sensors], xy[n_sensors:]
+    controller_of = tuple(nearest_controllers(distances(sensors, controllers)).tolist())
+    return Topology(side, sensors, controllers, controller_of, float(density), seed)
+
+
+def square_side(n_sensors, density) -> float:
+    """Side in meters of the square that holds ``n_sensors`` at ``density``
+    sensors per square meter; raises NumericalError when it overflows."""
     side = math.sqrt(n_sensors / density)
     if not math.isfinite(side):
         raise NumericalError(f"square side overflows at density {density!r}")
-    rng = np.random.default_rng(seed)
-    sensors = rng.uniform(0.0, side, size=(n_sensors, 2))
-    controllers = rng.uniform(0.0, side, size=(n_controllers, 2))
-    controller_of = tuple(nearest_controllers(distances(sensors, controllers)).tolist())
-    return Topology(side, sensors, controllers, controller_of, float(density), seed)
+    return side
+
+
+# A seed's draw, alone (``generate_topology``, ``realize_channel``) or in a
+# block of seeds (``experiment._draw_block``), makes its random draws through
+# the two functions below, so both give one seed the same floats.
+
+
+def draw_positions(rng: np.random.Generator, side: float, count: int) -> np.ndarray:
+    """``count`` points drawn uniformly in the square of side ``side``, shape
+    (count, 2). A seed places its sensors, then its controllers, in one such
+    call, which fills row by row, so it leaves the floats and the generator
+    state of one call per kind."""
+    return rng.uniform(0.0, side, size=(count, 2))
+
+
+def draw_losses(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The shadowing in dB, ``Normal(0, SHADOWING_DB**2)``, then the
+    unit-mean exponential fading, each of ``shape`` (sensor, controller)."""
+    return rng.normal(0.0, SHADOWING_DB, size=shape), rng.exponential(1.0, size=shape)
 
 
 # The three transforms below act on the last axes and broadcast over any
@@ -188,10 +213,8 @@ def realize_channel(topology: Topology, seed=None) -> ChannelRealization:
     Raises NumericalError when a gain underflows to 0, which happens once
     distances reach about 1e90 m (densities near 1e-180 per square meter).
     """
-    rng = np.random.default_rng(seed)
     dist = distances(topology.sensors, topology.controllers)
-    shadowing = rng.normal(0.0, SHADOWING_DB, size=dist.shape)
-    fading = rng.exponential(1.0, size=dist.shape)
+    shadowing, fading = draw_losses(np.random.default_rng(seed), dist.shape)
     gains = fade(dist, shadowing, fading)
     if not np.all(gains > 0):
         raise NumericalError("channel gains underflow to 0")

@@ -8,9 +8,10 @@ optimum when the instance is small enough, otherwise the best continuous-rate
 heuristic (the reference kind used is counted per sweep point).
 
 Seeds fan out from one master seed through counter-style spawn keys, so any
-(sweep point, topology) pair can be reproduced in isolation and a fixed
-config always produces byte-identical output files. A sweep point's seeds are
-drawn together, in blocks, each from its own three ``subseed`` streams.
+(sweep point, topology) pair can be reproduced in isolation, by
+``draw_seed``, and a fixed config always produces byte-identical output
+files. A sweep point's seeds are drawn together, in blocks, each from its
+own three ``subseed`` streams.
 """
 
 from __future__ import annotations
@@ -25,18 +26,22 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# generate_topology and realize_channel draw one seed's topology and channel
-# alone, as _draw_seeds draws each seed of a block; perfbench's tracer wraps
-# them under these names.
 from .allocation import float_array, ladder_records, ladder_triage, solo_terms
+
+# generate_topology and realize_channel draw one seed's topology and channel
+# alone, through the channel functions that _draw_block draws each seed of a
+# block through; no sweep calls them, but perfbench's tracer wraps them under
+# these names.
 from .channel import (
     MAX_LINKS,
-    SHADOWING_DB,
     distances,
+    draw_losses,
+    draw_positions,
     fade,
     generate_topology,
     nearest_controllers,
     realize_channel,
+    square_side,
 )
 from .feasibility import NumericalError
 from .model import (
@@ -69,6 +74,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResults",
     "run_experiment",
+    "draw_seed",
     "emit_results",
     "RESULT_COLUMNS",
     "subseed",
@@ -323,10 +329,9 @@ def _draw_block(cfg: ExperimentConfig, n: int, side: float, point: int, block: r
     traffic = np.empty((len(block), 2, n), dtype=np.int64)
     for b in range(len(block)):
         _reseed(rng, *next(states))
-        xy[b] = rng.uniform(0.0, side, size=(n + c, 2))
+        xy[b] = draw_positions(rng, side, n + c)
         _reseed(rng, *next(states))
-        shadowing[b] = rng.normal(0.0, SHADOWING_DB, size=(n, c))
-        fading[b] = rng.exponential(1.0, size=(n, c))
+        shadowing[b], fading[b] = draw_losses(rng, (n, c))
         _reseed(rng, *next(states))
         traffic[b, 0] = rng.integers(0, len(cfg.period_set), n)
         traffic[b, 1] = rng.integers(0, len(cfg.packet_bits_set), n)
@@ -340,13 +345,13 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     NumericalError or InfeasibleInstanceError that drops it.
 
     Seed k draws from ``default_rng(subseed(cfg.master_seed, point, k,
-    role))``: role 0 places the sensors, then the controllers, as
-    ``generate_topology`` does; role 1 draws the shadowing, then the
-    fading, as ``realize_channel`` does; role 2 draws each node's period,
-    then its packet size, by index into the config's sets. Each node is
-    attached to its nearest controller, and the subframe is the shortest
-    drawn period. A seed raises NumericalError when one of its gains
-    underflows to 0, and every seed does when the square's side overflows.
+    role))``: role 0 places the sensors, then the controllers, and role 1
+    draws the shadowing, then the fading, through the ``channel`` functions
+    that ``generate_topology`` and ``realize_channel`` draw through; role 2
+    draws each node's period, then its packet size, by index into the
+    config's sets. ``_seed_instance`` builds a seed's nodes and gains. A
+    seed raises NumericalError when one of its gains underflows to 0, and
+    every seed does when the square's side overflows.
 
     The seeds are seeded, and their channel arithmetic and links' solo terms
     (``solo_terms``) are computed, a block at a time (``_BLOCK_ELEMENTS``).
@@ -358,10 +363,11 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     nodes, gain matrix and ``solos``, each needed model's solo records for
     its pricer, are built, and validated, only when it is reached.
     """
-    side = math.sqrt(n / density)
-    if not math.isfinite(side):
+    try:
+        side = square_side(n, density)
+    except NumericalError as exc:
         for _ in ks:
-            yield NumericalError(f"square side overflows at density {density!r}")
+            yield NumericalError(*exc.args)
         return
     c = cfg.n_controllers
     tables = [m for m in cfg.rate_models if m != "cont"]
@@ -385,26 +391,68 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
             if drop_model[b] >= 0:
                 yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]])
                 continue
-            ctrl = controller_of[b].tolist()
-            drawn = [cfg.period_set[i] for i in traffic[b, 0].tolist()]
-            packets = [float(cfg.packet_bits_set[i]) for i in traffic[b, 1].tolist()]
-            min_p = min(drawn)
-            delay, energy = cfg._budget(min_p)
-            nodes = [
-                NodeSpec(
-                    id=i,
-                    controller_id=ctrl[i],
-                    packet_bits=packets[i],
-                    period=drawn[i] // min_p,
-                    delay_bound=delay,
-                    energy_budget=energy,
-                )
-                for i in range(n)
-            ]
+            nodes, matrix = _seed_instance(cfg, gains[b], controller_of[b], traffic[b])
+            packets = bits[b].tolist()
             solos = {m: ladder_records(t, packets, x, b) for m, t, x in zip(tables, ladders, terms)}
             solos["cont"] = list(zip(floors[b].tolist(), tops[b].tolist()))
-            # entry (l, k): from sensor l to the controller of sensor k
-            yield nodes, GainMatrix(gains[b][:, ctrl]), solos
+            yield nodes, matrix, solos
+
+
+def _seed_instance(cfg: ExperimentConfig, gains, controller_of, traffic):
+    """One seed's nodes and gain matrix, from its rows of ``_draw_block``'s
+    arrays. Each node is attached to its nearest controller, its period is
+    divided by the shortest drawn period, the subframe, and its delay bound
+    and energy budget are ``cfg._budget`` of that period."""
+    ctrl = controller_of.tolist()
+    drawn = [cfg.period_set[i] for i in traffic[0].tolist()]
+    packets = [float(cfg.packet_bits_set[i]) for i in traffic[1].tolist()]
+    min_p = min(drawn)
+    delay, energy = cfg._budget(min_p)
+    nodes = [
+        NodeSpec(
+            id=i,
+            controller_id=ctrl[i],
+            packet_bits=packets[i],
+            period=drawn[i] // min_p,
+            delay_bound=delay,
+            energy_budget=energy,
+        )
+        for i in range(len(ctrl))
+    ]
+    # entry (l, k): from sensor l to the controller of sensor k
+    return nodes, GainMatrix(gains[:, ctrl])
+
+
+def _point_size(cfg: ExperimentConfig, sweep_var: str, value) -> tuple[int, float]:
+    """The sensor count and density of the sweep point ``value`` of
+    ``sweep_var``, as ``cfg.sweep()`` gives them."""
+    if sweep_var == "n_sensors":
+        return int(value), float(cfg.density)
+    return int(cfg.n_sensors), float(value)
+
+
+def draw_seed(cfg: ExperimentConfig, point: int, k: int) -> tuple[list[NodeSpec], GainMatrix]:
+    """The nodes and gain matrix of seed ``k`` of sweep point ``point``, the
+    index of its value in ``cfg.sweep()``, as ``run_experiment`` draws them:
+    the seed replayed alone, whatever its fate in the sweep, a seed that its
+    block's triage drops included.
+
+    Raises ValidationError unless ``point`` and ``k`` are integers (not
+    bools) in ``[0, len(cfg.sweep()[1]))`` and ``[0, cfg.seeds)``, and the
+    NumericalError that the sweep drops the seed for: the square's side
+    overflows, or one of its gains underflows to 0.
+    """
+    sweep_var, values = cfg.sweep()
+    for name, index, count in (("point", point, len(values)), ("k", k, cfg.seeds)):
+        if not is_number(index, int, -1, count - 1):
+            raise ValidationError(f"{name} must be an integer in [0, {count}), not {index!r}")
+    n, density = _point_size(cfg, sweep_var, values[point])
+    gains, controller_of, traffic = _draw_block(
+        cfg, n, square_side(n, density), point, range(k, k + 1)
+    )
+    if not np.all(gains > 0):
+        raise NumericalError("channel gains underflow to 0")
+    return _seed_instance(cfg, gains[0], controller_of[0], traffic[0])
 
 
 def _run_seed(cfg: ExperimentConfig, drawn):
@@ -484,8 +532,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     reference_counts = {}
     per_seed = []
     for point, value in enumerate(values):
-        n = int(value) if sweep_var == "n_sensors" else int(cfg.n_sensors)
-        density = float(cfg.density) if sweep_var == "n_sensors" else float(value)
+        n, density = _point_size(cfg, sweep_var, value)
         records = []
         for k, drawn in enumerate(_draw_seeds(cfg, n, density, point, range(cfg.seeds))):
             record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}

@@ -63,6 +63,15 @@ class InfeasibleInstanceError(Exception):
         super().__init__(f"instance is infeasible (node {node_id}){under}")
 
 
+def _check_ids(ids) -> None:
+    """Raise ValidationError unless every id is an int: a bool or a float
+    that equals a node id hashes as that id, so a cache or position lookup
+    alone would take it for that node."""
+    for i in ids:
+        if type(i) is not int:
+            raise ValidationError(f"node ids must be ints, not {i!r}")
+
+
 class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
@@ -84,13 +93,15 @@ class SubsetPricer:
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
-        of ``inst``; a repeated or unknown id raises ValidationError.
+        of ``inst``; an id that is not an int, or a repeated or unknown id,
+        raises ValidationError.
 
         ``cap`` is an upper bound on the slot the caller can use. The result
         is exact whenever its slot is at most ``cap``; otherwise it may be
         ``AllocationResult.infeasible()``, since the pricer may stop once one
         verdict proves the slot is above ``cap``.
         """
+        _check_ids(ids)
         key = frozenset(ids)
         if len(key) != len(ids):
             raise ValidationError(f"repeated node id in subset {tuple(ids)}")
@@ -118,7 +129,8 @@ class SubsetPricer:
     def solo(self, node_id: int) -> AllocationResult:
         """Allocation of the node transmitting alone, the one solo rule of
         every scheduler: raises InfeasibleInstanceError(node_id) unless it is
-        feasible."""
+        feasible, and ValidationError for an id that is not an int."""
+        _check_ids((node_id,))
         res = self._solo_results.get(node_id)
         if res is None:
             res = self.price((node_id,))
@@ -150,9 +162,11 @@ class SubsetPricer:
         * ``mua_allocate``: S's utility, ``cap`` minus its slot, is below 0,
           never above the current utility.
 
-        The answer is kept per member set, None included. The controller test
-        runs first, so a repeated id is None and never reaches a kept answer.
+        The answer is kept per member set, None included. An id that is not
+        an int raises ValidationError. The controller test runs next, so a
+        repeated id is None and never reaches a kept answer.
         """
+        _check_ids(ids)
         if len({self.controller(i) for i in ids}) < len(ids):
             return None
         key = frozenset(ids)

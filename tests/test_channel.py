@@ -15,7 +15,7 @@ from ratesched import (
     topology_to_json,
 )
 
-from ratesched.channel import MAX_LINKS
+from ratesched.channel import MAX_LINKS, SHADOWING_DB, draw_positions
 
 from helpers import gain_array
 
@@ -73,6 +73,19 @@ class TestGenerateTopology:
         assert np.array_equal(a.sensors, b.sensors)
         assert np.array_equal(a.controllers, b.controllers)
         assert a.controller_of == b.controller_of
+
+    def test_sensors_then_controllers_in_one_draw(self):
+        # one uniform call of shape (n + C, 2) leaves the floats and the
+        # generator state of a call for the sensors, then one for the
+        # controllers
+        for seed in range(50):
+            topo = generate_topology(5, 3, 2.0, seed=seed)
+            rng, two_calls = np.random.default_rng(seed), np.random.default_rng(seed)
+            xy = draw_positions(rng, topo.side, 8)
+            assert np.array_equal(topo.sensors, two_calls.uniform(0.0, topo.side, size=(5, 2)))
+            assert np.array_equal(topo.controllers, two_calls.uniform(0.0, topo.side, size=(3, 2)))
+            assert np.array_equal(xy, np.concatenate([topo.sensors, topo.controllers]))
+            assert rng.bit_generator.state == two_calls.bit_generator.state
 
     def test_nearest_controller_attachment(self):
         topo = generate_topology(50, 4, 5.0, seed=3)
@@ -175,6 +188,13 @@ class TestRealizeChannel:
         a = realize_channel(topo, seed=6)
         b = realize_channel(topo, seed=6)
         assert np.array_equal(a.gains, b.gains)
+
+    def test_shadowing_then_fading(self):
+        topo = generate_topology(6, 3, 5.0, seed=1)
+        chan = realize_channel(topo, seed=2)
+        rng = np.random.default_rng(2)
+        assert np.array_equal(chan.shadowing_db, rng.normal(0.0, SHADOWING_DB, size=(6, 3)))
+        assert np.array_equal(chan.fading, rng.exponential(1.0, size=(6, 3)))
 
     def test_mean_gain_recovered_without_shadowing(self):
         # unit-mean fading: once the drawn shadowing is divided out, averaging

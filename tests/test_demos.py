@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import re
 import subprocess
@@ -9,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ratesched import ExperimentConfig, GainMatrix, experiment
+from ratesched import ExperimentConfig, InfeasibleInstanceError, experiment
+
+from helpers import draw_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -57,20 +58,16 @@ def test_readme_config_names_every_field():
 
 
 def test_readme_one_seed_recipe_matches_the_batch_draw():
-    # the README's recipe draws one seed of a sweep alone; its gains,
-    # periods and packet sizes must be that seed's rows of the block draw,
-    # so the documented stream layout cannot drift from _draw_block
+    # the README's recipe replays one seed of a sweep, one the sweep drops
+    # under disc4, in one draw_seed call; its nodes and gains must be those
+    # the independent single-seed oracle draws
     readme = (ROOT / "README.md").read_text()
     code = re.search(r"at master seed 20260810:\n+```python\n(.*?)```", readme, re.S).group(1)
     recipe = {}
     exec(code, recipe)
-    cfg, point, k, n = (recipe[name] for name in ("cfg", "point", "k", "n"))
-    assert (cfg.master_seed, point, k, n) == (20260810, 2, 17, 8)
-    side = math.sqrt(n / cfg.density)
-    gains, controller_of, traffic = experiment._draw_block(cfg, n, side, point, range(k, k + 1))
-    ctrl = controller_of[0].tolist()
-    assert list(recipe["topo"].controller_of) == ctrl
-    assert recipe["gains"].cols == GainMatrix(gains[0][:, ctrl]).cols
-    periods, packets = traffic[0].tolist()
-    assert recipe["periods"].tolist() == [cfg.period_set[i] for i in periods]
-    assert recipe["packet_bits"].tolist() == [cfg.packet_bits_set[i] for i in packets]
+    cfg, point, k = (recipe[name] for name in ("cfg", "point", "k"))
+    assert (cfg.master_seed, point, k, cfg.sweep()[1][point]) == (20260810, 2, 17, 8)
+    nodes, gains = draw_instance(cfg, 8, cfg.density, point, k)
+    assert recipe["nodes"] == nodes and recipe["gains"].cols == gains.cols
+    drawn = next(experiment._draw_seeds(cfg, 8, cfg.density, point, range(k, k + 1)))
+    assert isinstance(drawn, InfeasibleInstanceError) and drawn.model == "disc4"

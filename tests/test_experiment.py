@@ -26,6 +26,7 @@ from ratesched import (
     InfeasibleInstanceError,
     NumericalError,
     RadioConfig,
+    ValidationError,
     emit_results,
     run_experiment,
     validate_instance,
@@ -37,9 +38,21 @@ from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
 from helpers import draw_instance
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import same_results  # noqa: E402
+
 HEADER = ",".join(RESULT_COLUMNS)
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = ROOT / "perfbench"
+
+# Every seed of these sweeps is replayed alone by draw_seed: the perfbench
+# workloads at their default seeds and same_results.py's edge configs.
+REPLAYED = {
+    name: dict(spec["config"], master_seed=spec["default_seed"])
+    for name, spec in json.loads((PERFBENCH / "workloads.json").read_text()).items()
+} | {name: dict(doc, master_seed=same_results.EDGE_SEED) for name, doc in same_results.EDGE_CONFIGS.items()}
 
 # Field values that parse as JSON but describe no experiment.
 INVALID_FIELDS = (
@@ -251,14 +264,14 @@ def kept_records(results):
     return [r for r in results.per_seed if r["dropped"] is None]
 
 
-def draw_seed(cfg, n, point, k):
+def drawn_item(cfg, n, point, k):
     """What ``_draw_seeds`` yields for one seed at the config's density."""
     return next(experiment._draw_seeds(cfg, n, cfg.density, point, range(k, k + 1)))
 
 
 def fits_exhaustive(cfg, n, point, k):
     """Whether the instance drawn for one (kept) seed fits the exhaustive search."""
-    nodes = draw_seed(cfg, n, point, k)[0]
+    nodes = drawn_item(cfg, n, point, k)[0]
     return exhaustive_fits(validate_instance(nodes))
 
 
@@ -477,6 +490,61 @@ class TestDrawSeeds:
         assert kept == [True, False, True, True]
 
 
+def replay(cfg, point, k):
+    """``draw_seed``'s nodes and gains, or the NumericalError it raised."""
+    try:
+        return experiment.draw_seed(cfg, point, k)
+    except NumericalError as exc:
+        return exc
+
+
+def assert_replays_every_seed(cfg) -> int:
+    """Check that ``draw_seed`` replays every seed of ``cfg``'s sweep as
+    ``_draw_seeds`` draws it and as the oracle draws it alone, triaged seeds
+    included, each of those dropped by its pricers as by the triage; the
+    number of triaged seeds."""
+    sweep_var, values = cfg.sweep()
+    triaged = 0
+    for point, value in enumerate(values):
+        n, density = experiment._point_size(cfg, sweep_var, value)
+        for k, drawn in enumerate(experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds))):
+            got, expected = replay(cfg, point, k), oracle_draw(cfg, n, density, point, k)
+            if isinstance(drawn, NumericalError):
+                assert type(got) is NumericalError and str(got) == str(drawn) == str(expected)
+                continue
+            nodes, gains = got
+            assert nodes == expected[0] and gains.cols == expected[1].cols
+            if isinstance(drawn, InfeasibleInstanceError):
+                assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model)
+                triaged += 1
+            else:
+                assert nodes == drawn[0] and gains.cols == drawn[1].cols
+    return triaged
+
+
+class TestDrawSeed:
+    @pytest.mark.parametrize("name", REPLAYED)
+    def test_replays_every_seed_of_the_sweep(self, name):
+        assert_replays_every_seed(ExperimentConfig.from_dict(REPLAYED[name]))
+
+    def test_replays_seeds_across_block_boundaries(self, monkeypatch):
+        # blocks of 2 seeds at n = 8, of 4 at n = 3
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 150)
+        cfg = dataclasses.replace(paper_sweep()[0], n_sensors=[3, 8], seeds=9)
+        assert assert_replays_every_seed(cfg) > 0
+
+    @pytest.mark.parametrize(
+        "bad, point, k",
+        [("point", -1, 0), ("point", 3, 0), ("point", True, 0), ("point", 1.0, 0),
+         ("point", np.int64(1), 0), ("point", "1", 0),
+         ("k", 0, -1), ("k", 0, 100), ("k", 0, False), ("k", 0, 2.0), ("k", 0, None)],
+    )
+    def test_bad_point_or_seed_index_rejected(self, bad, point, k):
+        # paper-sweep has 3 sweep points of 100 seeds
+        with pytest.raises(ValidationError, match=f"^{bad} must be an integer in"):
+            experiment.draw_seed(paper_sweep()[0], point, k)
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -630,7 +698,7 @@ class TestRunExperiment:
             for k in range(cfg.seeds):
                 continuous.clear()
                 try:
-                    experiment._run_seed(cfg, draw_seed(cfg, n, point, k))
+                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k))
                 except InfeasibleInstanceError:
                     continue
                 fits = fits_exhaustive(cfg, n, point, k)
@@ -1024,7 +1092,7 @@ class TestSeedTriage:
             sizes.clear()
             calls.clear()
             try:
-                experiment._run_seed(cfg, draw_seed(cfg, 8, 2, k))
+                experiment._run_seed(cfg, drawn_item(cfg, 8, 2, k))
             except InfeasibleInstanceError as exc:
                 assert set(sizes) <= {1}
                 assert not calls["schedule"] and not calls["exhaustive_schedule"]
@@ -1071,7 +1139,7 @@ class TestSeedTriage:
             for k in range(12):
                 bad = infeasible_solos(cfg, n, point, k)
                 try:
-                    experiment._run_seed(cfg, draw_seed(cfg, n, point, k))
+                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k))
                 except InfeasibleInstanceError as exc:
                     assert (exc.model, exc.node_id) in bad
                     dropped += 1

@@ -747,6 +747,24 @@ class TestSubsetPricer:
             with pytest.raises(ValidationError, match="unknown"):
                 pricer.group(ids)
 
+    @pytest.mark.parametrize("kind", ["table", "fixed"])
+    def test_ids_that_are_not_ints_raise(self, kind):
+        # True and 1.0 hash as node 1, so a lookup by key alone would take
+        # them for it: price would price node 1, solo read its kept result
+        # and group the pair's kept answer
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        if kind == "fixed":
+            pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.25 * MS})
+        else:
+            pricer = gain_pricer(inst, random_gains(np.random.default_rng(3), 2))
+        assert pricer.solo(1).feasible and pricer.group((0, 1)) is not None
+        calls = [(pricer.price, ids) for ids in ((True,), (1.0,), (0, np.int64(1)))]
+        calls += [(pricer.solo, i) for i in (True, 1.0, np.int64(1))]
+        calls += [(pricer.group, ids) for ids in ((False, 1.0), (0, True), (1.0,))]
+        for call, arg in calls:
+            with pytest.raises(ValidationError, match="must be ints"):
+                call(arg)
+
     @pytest.mark.parametrize("over_cap", [False, True])
     def test_a_repeated_group_returns_the_first_answer(self, over_cap):
         # group keeps its answer per member set, None included, and prices
