@@ -63,13 +63,12 @@ class InfeasibleInstanceError(Exception):
         super().__init__(f"instance is infeasible (node {node_id}){under}")
 
 
-def _check_ids(ids) -> None:
-    """Raise ValidationError unless every id is an int: a bool or a float
-    that equals a node id hashes as that id, so a cache or position lookup
-    alone would take it for that node."""
-    for i in ids:
-        if type(i) is not int:
-            raise ValidationError(f"node ids must be ints, not {i!r}")
+def _not_an_id(value) -> ValidationError:
+    """The error for an id that is not an int, which every pricer entry
+    raises before any lookup: a bool or a float that equals a node id hashes
+    as that id, so a cache or position lookup alone would take it for that
+    node."""
+    return ValidationError(f"node ids must be ints, not {value!r}")
 
 
 class SubsetPricer:
@@ -101,7 +100,9 @@ class SubsetPricer:
         ``AllocationResult.infeasible()``, since the pricer may stop once one
         verdict proves the slot is above ``cap``.
         """
-        _check_ids(ids)
+        for i in ids:
+            if type(i) is not int:
+                raise _not_an_id(i)
         key = frozenset(ids)
         if len(key) != len(ids):
             raise ValidationError(f"repeated node id in subset {tuple(ids)}")
@@ -130,7 +131,8 @@ class SubsetPricer:
         """Allocation of the node transmitting alone, the one solo rule of
         every scheduler: raises InfeasibleInstanceError(node_id) unless it is
         feasible, and ValidationError for an id that is not an int."""
-        _check_ids((node_id,))
+        if type(node_id) is not int:
+            raise _not_an_id(node_id)
         res = self._solo_results.get(node_id)
         if res is None:
             res = self.price((node_id,))
@@ -162,11 +164,10 @@ class SubsetPricer:
         * ``mua_allocate``: S's utility, ``cap`` minus its slot, is below 0,
           never above the current utility.
 
-        The answer is kept per member set, None included. An id that is not
-        an int raises ValidationError. The controller test runs next, so a
-        repeated id is None and never reaches a kept answer.
+        The answer is kept per member set, None included. The controller test
+        runs first, so an id that is not an int raises ValidationError there,
+        and a repeated id is None and never reaches a kept answer.
         """
-        _check_ids(ids)
         if len({self.controller(i) for i in ids}) < len(ids):
             return None
         key = frozenset(ids)
@@ -178,6 +179,8 @@ class SubsetPricer:
         return self._groups[key]
 
     def controller(self, node_id: int) -> int:
+        if type(node_id) is not int:
+            raise _not_an_id(node_id)
         return self.inst.node(node_id).controller_id
 
     def _price(self, ids: tuple[int, ...], cap: float) -> AllocationResult:
