@@ -52,7 +52,10 @@ PERFBENCH = ROOT / "perfbench"
 REPLAYED = {
     name: dict(spec["config"], master_seed=spec["default_seed"])
     for name, spec in json.loads((PERFBENCH / "workloads.json").read_text()).items()
-} | {name: dict(doc, master_seed=same_results.EDGE_SEED) for name, doc in same_results.EDGE_CONFIGS.items()}
+} | {
+    name: dict(doc, master_seed=same_results.EDGE_SEED)
+    for name, doc in same_results.EDGE_CONFIGS.items()
+}
 
 # Field values that parse as JSON but describe no experiment.
 INVALID_FIELDS = (
@@ -507,7 +510,8 @@ def assert_replays_every_seed(cfg) -> int:
     triaged = 0
     for point, value in enumerate(values):
         n, density = experiment._point_size(cfg, sweep_var, value)
-        for k, drawn in enumerate(experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds))):
+        drawn_seeds = experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds))
+        for k, drawn in enumerate(drawn_seeds):
             got, expected = replay(cfg, point, k), oracle_draw(cfg, n, density, point, k)
             if isinstance(drawn, NumericalError):
                 assert type(got) is NumericalError and str(got) == str(drawn) == str(expected)
@@ -528,7 +532,7 @@ class TestDrawSeed:
         assert_replays_every_seed(ExperimentConfig.from_dict(REPLAYED[name]))
 
     def test_replays_seeds_across_block_boundaries(self, monkeypatch):
-        # blocks of 2 seeds at n = 8, of 4 at n = 3
+        # blocks of 5 seeds at n = 3, of 2 at n = 8
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 150)
         cfg = dataclasses.replace(paper_sweep()[0], n_sensors=[3, 8], seeds=9)
         assert assert_replays_every_seed(cfg) > 0
