@@ -131,11 +131,21 @@ def ladder_triage(ladders, rows: int):
 def solo_guess(t_lo: float, top: float) -> float:
     """The final slot of ``continuous_optimal``'s bisection from (t_lo, top)
     with every midpoint feasible: t_lo for top = t_lo, NaN for a NaN top."""
-    hi = top
-    while hi - t_lo > _REL_TOL * hi:
-        mid = 0.5 * (t_lo + hi)
-        hi = mid if mid != math.inf else 0.5 * t_lo + 0.5 * hi  # t_lo + hi overflows
-    return hi
+    return _final_cell(t_lo, top, lambda mid: True)[1]
+
+
+def _final_cell(lo: float, hi: float, feasible) -> tuple[float, float]:
+    """The final cell (lo, hi) of ``continuous_optimal``'s bisection from
+    (lo, hi), each midpoint's verdict given by ``feasible(mid)``."""
+    while hi - lo > _REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflows
+            mid = 0.5 * lo + 0.5 * hi
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def float_array(values) -> np.ndarray:
@@ -369,17 +379,30 @@ def continuous_optimal(
     unless that is over ``cap``; a feasible verdict there is the answer: it
     is t_lo, or the final slot of the bisection with every midpoint
     feasible, where t_lo fails on power alone. The anchor is min(cap, t_hi).
-    A single link with no guess, anchored at t_hi, probes t_lo first, its
-    answer unless power or energy binds. The anchor is probed next; an
-    infeasible verdict there means no slot up to it is feasible. Then t_lo
-    is probed, unless it already was; a feasible verdict there is the
-    answer. The pricers make two kinds of call, which this order serves: a
-    solo from ``SubsetPricer.solo``, with no cap, and a group of two or more
-    links from ``SubsetPricer.group``, capped at the sum of its members'
-    solo slots, which at the benchmark workloads is below its tightest delay
-    bound, so it is anchored at its cap. Under those calls t_hi is probed
-    only for a solo whose guess is not feasible and whose t_lo probe fails,
-    or that has neither, or as the bisection's final slot.
+    Two links first take the bisection's final cell (lo, hi) as the closed
+    form of their minimum powers predicts it (``_pair_cell``), unless hi is
+    above the anchor or the arithmetic leaves the float range, and probe hi
+    and then lo. A feasible hi with an infeasible lo makes hi the answer,
+    and a feasible lo that is t_lo makes t_lo the answer: by the replay
+    argument below no other midpoint can decide differently, so the slot,
+    rates and powers are the plain bisection's, bit for bit. Any other
+    verdict is kept for the order that follows: an infeasible hi as ``no``
+    (no slot up to it is feasible, so t_lo is not probed), a feasible lo as
+    ``yes`` (the anchor is not probed). A single link with no guess,
+    anchored at t_hi, probes t_lo first, its answer unless power or energy
+    binds. The anchor is probed next, unless it is an infeasible hi or a
+    feasible lo stands in for it; an infeasible verdict there means no slot
+    up to it is feasible. Then
+    t_lo is probed, unless it already was or an infeasible hi decides it; a
+    feasible verdict there is the answer. The pricers make two kinds of
+    call, which this order serves: a solo from ``SubsetPricer.solo``, with
+    no cap, and a group of two or more links from ``SubsetPricer.group``,
+    capped at the sum of its members' solo slots, which at the benchmark
+    workloads is below its tightest delay bound, so it is anchored at its
+    cap. Under those calls a feasible pair takes two probes when its cell
+    is confirmed, t_hi is probed only for a solo whose guess is not
+    feasible and whose t_lo probe fails, or that has neither, or as the
+    bisection's final slot.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed
@@ -450,6 +473,64 @@ def continuous_optimal(
     return _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first)
 
 
+def _pair_cell(gains, radio, packets, energies, t_lo, t_hi, anchor):
+    """The final cell (lo, hi) of the bisection from (t_lo, t_hi) for two
+    links, its verdicts those of the closed-form minimum powers; None where
+    hi is above ``anchor`` or the arithmetic leaves the float range. It only
+    chooses where ``_search`` probes.
+
+    For two links p = (I - F)^-1 u has numerators n_0 = u_0 + F_01 u_1 and
+    n_1 = u_1 + F_10 u_0 over the pivot d = 1 - F_01 F_10, so 1/slack - 1 =
+    d / max_i(n_i * max(1/p_max, t/E_i)) - 1 is continuous in t and >= 0
+    exactly where the powers and energies pass. An Illinois secant narrows a
+    bracket (a, b) of its root, and the bisection is walked with midpoints
+    at or below a infeasible, at or above b feasible, and those between
+    decided by the closed form."""
+    (c00, c01), (c10, c11) = gains.cols
+    noise, width, rate = radio.noise_power, radio.bandwidth_hz, 1.0 / radio.p_max
+    k0, k1 = (b * (math.log(2.0) / width) for b in packets)
+    e0, e1 = energies
+    a0, a1, x01, x10 = noise / c00, noise / c11, c01 / c00, c10 / c11
+
+    def h(t: float) -> float:  # NaN outside the float range
+        z0, z1 = math.expm1(k0 / t), math.expm1(k1 / t)
+        n0, n1 = z0 * (a0 + x01 * a1 * z1), z1 * (a1 + x10 * a0 * z0)
+        m = max(n0 * max(rate, t / e0), n1 * max(rate, t / e1))
+        return (1.0 - x01 * x10 * z0 * z1) / m - 1.0
+
+    try:
+        b, hb = anchor, h(anchor)
+        a, ha = t_lo, h(t_lo) if hb >= 0.0 else math.nan
+        if ha >= 0.0:  # every midpoint is feasible
+            b = t_lo
+        elif not ha < 0.0:  # t* above the anchor, or NaN
+            return None
+        side = 0
+        for _ in range(_GUIDE_CAP):
+            if b - a <= _GUIDE_TOL * b:
+                break
+            c = b - hb * (b - a) / (hb - ha)
+            if not a < c < b:
+                break
+            hc = h(c)
+            if hc >= 0.0:
+                b, hb = c, hc
+                if side > 0:
+                    ha *= 0.5
+                side = 1
+            elif hc < 0.0:
+                a, ha = c, hc
+                if side < 0:
+                    hb *= 0.5
+                side = -1
+            else:
+                return None
+        lo, hi = _final_cell(t_lo, t_hi, lambda mid: mid >= b or (mid > a and h(mid) >= 0.0))
+    except ArithmeticError:  # math.expm1 overflows, or a division by 0
+        return None
+    return (lo, hi) if hi <= anchor else None
+
+
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
     """``continuous_optimal`` after the guess, probing t_lo first where
@@ -472,22 +553,37 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     # Targets fall with t, so those at t_hi are the smallest of any probe.
     if not all(x > 0 for x in _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    yes = cap if cap < t_hi else t_hi  # a NaN cap is no cap
+    yes = cap if cap < t_hi else t_hi  # the anchor; a NaN cap is no cap
     if t_lo > yes:
         return AllocationResult.infeasible()
-    lo_report = None
-    if yes == t_hi and lo_first:
-        lo_report = probe(t_lo)
-        if lo_report.feasible:
-            return at(t_lo, lo_report)
-    yes_report = probe(yes)
-    if not yes_report.feasible:
-        return AllocationResult.infeasible()
-    if lo_report is None:
-        lo_report = probe(t_lo)
-        if lo_report.feasible:
-            return at(t_lo, lo_report)
-    no = t_lo
+    no, no_report, yes_report = t_lo, None, None
+    cell = _pair_cell(gains, radio, packets, energies, t_lo, t_hi, yes) if k == 2 else None
+    if cell is not None:
+        lo, hi = cell
+        report = probe(hi)
+        if not report.feasible:
+            if hi == yes:
+                return AllocationResult.infeasible()
+            no, no_report = hi, report
+        else:
+            lo_report = probe(lo)
+            if not lo_report.feasible:
+                return at(hi, report)
+            if lo == t_lo:
+                return at(t_lo, lo_report)
+            yes, yes_report = lo, lo_report
+    elif yes == t_hi and lo_first:
+        no_report = probe(t_lo)
+        if no_report.feasible:
+            return at(t_lo, no_report)
+    if yes_report is None:
+        yes_report = probe(yes)
+        if not yes_report.feasible:
+            return AllocationResult.infeasible()
+    if no_report is None:
+        no_report = probe(t_lo)
+        if no_report.feasible:
+            return at(t_lo, no_report)
 
     def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
         s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
@@ -496,24 +592,20 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     def bisect(no: float, yes: float, yes_report: FeasibilityReport):
         # The bisection from (t_lo, t_hi), probing only midpoints inside
         # (no, yes); the report is None when the final slot was not probed.
-        lo, hi, report = t_lo, t_hi, None
-        while hi - lo > _REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if mid == math.inf:  # lo + hi overflows
-                mid = 0.5 * lo + 0.5 * hi
+        def feasible(mid: float) -> bool:
+            nonlocal no, yes, yes_report
             if no < mid < yes:
-                mid_report = probe(mid)
-                if mid_report.feasible:
-                    yes, yes_report = mid, mid_report
+                report = probe(mid)
+                if report.feasible:
+                    yes, yes_report = mid, report
                 else:
                     no = mid
-            if mid >= yes:
-                hi, report = mid, yes_report if mid == yes else None
-            else:
-                lo = mid
-        return hi, report
+            return mid >= yes
 
-    t, last = t_lo, lo_report
+        _, hi = _final_cell(t_lo, t_hi, feasible)
+        return hi, yes_report if hi == yes else None
+
+    t, last = no, no_report
     t1, y1 = yes, inverse_slack(yes, yes_report.min_powers)
     for _ in range(_GUIDE_CAP):
         if yes - no <= _GUIDE_TOL * yes:

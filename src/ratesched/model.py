@@ -328,7 +328,11 @@ class Instance:
         object.__setattr__(self, "position", {n.id: k for k, n in enumerate(nodes)})
 
     def node(self, node_id: int) -> NodeSpec:
-        """The node ``node_id``; raises ValidationError for an unknown id."""
+        """The node ``node_id``; raises ValidationError for an id that is not
+        an int (a bool or a float that equals a node id hashes as that id)
+        or is unknown."""
+        if type(node_id) is not int:
+            raise _not_an_id(node_id)
         k = self.position.get(node_id)
         if k is None:
             raise ValidationError(f"unknown node id {node_id!r}")
@@ -337,6 +341,13 @@ class Instance:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes)
+
+
+def _not_an_id(value) -> ValidationError:
+    """The error for an id that is not an int, which every lookup by node id
+    raises before it looks: a bool or a float that equals a node id hashes as
+    that id, so a dict lookup alone would take it for that node."""
+    return ValidationError(f"node ids must be ints, not {value!r}")
 
 
 def is_nested_period(period: int, base: int) -> bool:

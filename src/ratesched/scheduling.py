@@ -23,7 +23,8 @@ import numpy as np
 
 from .allocation import continuous_optimal, continuous_solos, ladder_solos, lttf
 from .model import (
-    AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, is_number
+    AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, _not_an_id,
+    is_number,
 )
 
 __all__ = [
@@ -63,14 +64,6 @@ class InfeasibleInstanceError(Exception):
         super().__init__(f"instance is infeasible (node {node_id}){under}")
 
 
-def _not_an_id(value) -> ValidationError:
-    """The error for an id that is not an int, which every pricer entry
-    raises before any lookup: a bool or a float that equals a node id hashes
-    as that id, so a cache or position lookup alone would take it for that
-    node."""
-    return ValidationError(f"node ids must be ints, not {value!r}")
-
-
 class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
@@ -89,6 +82,8 @@ class SubsetPricer:
         self._solo_results: dict[int, AllocationResult] = {}
         # member set -> its group() answer, None included
         self._groups: dict[frozenset, AllocationResult | None] = {}
+        # node id -> its controller id
+        self._controllers = {n.id: n.controller_id for n in inst.nodes}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
@@ -165,8 +160,10 @@ class SubsetPricer:
           never above the current utility.
 
         The answer is kept per member set, None included. The controller test
-        runs first, so an id that is not an int raises ValidationError there,
-        and a repeated id is None and never reaches a kept answer.
+        runs first, so an id that is not an int or is unknown raises
+        ValidationError there, and a repeated id is None and never reaches a
+        kept answer. The members, so checked, are priced by ``_price`` as a
+        sorted tuple, with no second check.
         """
         if len({self.controller(i) for i in ids}) < len(ids):
             return None
@@ -174,14 +171,19 @@ class SubsetPricer:
         if key not in self._groups:
             solos = [self.solo(i) for i in ids]
             cap = math.fsum(res.slot for res in solos)
-            res = solos[0] if len(solos) == 1 else self.price(ids, cap)
+            res = solos[0] if len(solos) == 1 else self._price(tuple(sorted(ids)), cap)
             self._groups[key] = res if res.feasible and res.slot <= cap else None
         return self._groups[key]
 
     def controller(self, node_id: int) -> int:
+        """The controller of the node ``node_id``; raises ValidationError for
+        an id that is not an int or is unknown."""
         if type(node_id) is not int:
             raise _not_an_id(node_id)
-        return self.inst.node(node_id).controller_id
+        controller = self._controllers.get(node_id)
+        if controller is None:
+            raise ValidationError(f"unknown node id {node_id!r}")
+        return controller
 
     def _price(self, ids: tuple[int, ...], cap: float) -> AllocationResult:
         raise NotImplementedError

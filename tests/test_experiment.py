@@ -888,29 +888,33 @@ class TestRunExperiment:
         }
 
     def test_every_group_is_priced_at_its_solo_sum(self, monkeypatch):
-        # SubsetPricer.solo and SubsetPricer.group are the only callers of
-        # price: a solo has no cap, and a group of two or more is capped at
-        # the fsum of its members' solo slots, at each benchmark workload's
-        # default seed, with energy budgets loose and binding. So a subset's
-        # cap is fixed by the subset, and no pricer prices a subset twice.
-        # The record is keyed by the pricer itself: the id() of a collected
-        # pricer is reused.
+        # _price, the seam of both gain-backed pricers, is called only by
+        # SubsetPricer.solo (through price) and SubsetPricer.group, with a
+        # sorted member tuple: a solo has no cap, and a group of two or more
+        # is capped at the fsum of its members' solo slots, at each benchmark
+        # workload's default seed, with energy budgets loose and binding. So
+        # a subset's cap is fixed by the subset, and no pricer prices a
+        # subset twice. The record is keyed by the pricer itself: the id() of
+        # a collected pricer is reused.
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         sizes = Counter()
         priced = defaultdict(set)
-        price = scheduling.SubsetPricer.price
 
-        def checking(pricer, ids, cap=math.inf):
-            if len(ids) == 1:
-                assert cap == math.inf
-            else:
-                assert cap == math.fsum(pricer.solo(i).slot for i in ids)
-            assert frozenset(ids) not in priced[pricer]
-            priced[pricer].add(frozenset(ids))
-            sizes[min(len(ids), 2)] += 1
-            return price(pricer, ids, cap)
+        def checking(price):
+            def checked(pricer, ids, cap):
+                assert ids == tuple(sorted(ids))
+                if len(ids) == 1:
+                    assert cap == math.inf
+                else:
+                    assert cap == math.fsum(pricer.solo(i).slot for i in ids)
+                assert frozenset(ids) not in priced[pricer]
+                priced[pricer].add(frozenset(ids))
+                sizes[min(len(ids), 2)] += 1
+                return price(pricer, ids, cap)
+            return checked
 
-        monkeypatch.setattr(scheduling.SubsetPricer, "price", checking)
+        for pricer in (scheduling.TablePricer, scheduling.ContinuousPricer):
+            monkeypatch.setattr(pricer, "_price", checking(pricer._price))
         for workload, energy_scale in itertools.product(workloads.values(), (1.0, 1e-4)):
             run_experiment(ExperimentConfig.from_dict(dict(
                 workload["config"],
