@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ratesched import (
+    AllocationResult,
     FixedPricer,
     generate_topology,
     realize_channel,
@@ -20,6 +21,7 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     ValidationError,
+    check_targets,
     disc4_table,
     disc8_table,
     validate_instance,
@@ -232,3 +234,121 @@ def draw_instance(cfg, n, density, point, k):
         for i in range(n)
     ]
     return nodes, chan.link_gains(range(n))
+
+
+@np.errstate(over="ignore")
+def frozen_continuous_optimal(nodes, gains, radio):
+    """The plain slot bisection, frozen as the reference for
+    ``continuous_optimal``: it probes every midpoint. It returns infeasible
+    for a t_lo = 0 pair with an infeasible t_hi and for a t_lo = inf solo,
+    where ``continuous_optimal`` raises NumericalError."""
+    nodes = list(nodes)
+    k = len(nodes)
+    bits = np.array([n.packet_bits for n in nodes])
+    delays = [n.delay_bound for n in nodes]
+    energies = [n.energy_budget for n in nodes]
+    snr_cap = radio.p_max * np.diag(gain_array(gains)) / radio.noise_power
+
+    def targets_at(t):
+        return np.expm1(bits * (math.log(2.0) / (t * radio.bandwidth_hz)))
+
+    def probe(t):
+        return check_targets(gains, targets_at(t).tolist(), radio, [t] * k, delays, energies)
+
+    def allocation_at(t, report):
+        return AllocationResult(
+            feasible=True, slot=t, rates=tuple(b / t for b in bits),
+            powers=report.min_powers, times=(t,) * k,
+        )
+
+    t_hi = float(min(delays))
+    t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
+    if t_lo > t_hi:
+        return AllocationResult.infeasible()
+    hi_targets = targets_at(t_hi)
+    if not np.all(hi_targets > 0):
+        raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
+    hi_report = check_targets(gains, hi_targets.tolist(), radio, [t_hi] * k, delays, energies)
+    if not hi_report.feasible:
+        return AllocationResult.infeasible()
+    if not t_lo > 0:
+        raise NumericalError("interference-free slot bound underflows to 0")
+    lo_report = probe(t_lo)
+    if lo_report.feasible:
+        return allocation_at(t_lo, lo_report)
+    lo, hi = t_lo, t_hi
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        report = probe(mid)
+        if report.feasible:
+            hi, hi_report = mid, report
+        else:
+            lo = mid
+    return allocation_at(hi, hi_report)
+
+
+def bisection_cell(t_lo, t_hi, feasible):
+    """The final cell (lo, hi) of the plain slot bisection from (t_lo, t_hi)
+    under the verdicts ``feasible(mid)``."""
+    lo, hi = t_lo, t_hi
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def log_uniform(draw, lo, hi):
+    return 10.0 ** draw(st.floats(lo, hi))
+
+
+@st.composite
+def near_singular_systems(draw, sides=(-1.0, 1.0), sizes=st.integers(2, 5)):
+    """Two to five links (as many as ``sizes`` draws) whose interference
+    matrix F is a random nonnegative matrix scaled so that its spectral
+    radius lies within 1e-9 of 1 but at least 1e-12 away from it, on either
+    side (below 1 for ``sides`` (-1,))."""
+    n = draw(sizes)
+    own = [log_uniform(draw, -9.0, -3.0) for _ in range(n)]
+    targets = np.array([log_uniform(draw, -2.0, 4.0) for _ in range(n)])
+    f = np.array(
+        [[0.0 if i == j else log_uniform(draw, -4.0, 1.0) for j in range(n)] for i in range(n)]
+    )
+    gap = log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from(sides))
+    f *= (1.0 + gap) / np.max(np.abs(np.linalg.eigvals(f)))
+    # F[i, j] = target_i * g[j, i] / g[i, i]
+    g = [[own[l] if l == k else f[k, l] * own[k] / targets[k] for k in range(n)] for l in range(n)]
+    return GainMatrix(g), targets
+
+
+@st.composite
+def near_singular_pairs(draw):
+    """Two links of ``near_singular_systems`` priced on a continuous slot:
+    packets whose capacity targets at 1 us are the system's SINR targets,
+    where rho(F) lies within 1e-9 of 1, and a noise power that puts the
+    links' interference-free powers there at 1e-12..1e-3 of p_max, so that
+    the slot boundary t* sits where 1 - rho is about that small. Delay
+    bounds are loose or just above 1 us, energy budgets loose or binding.
+    Returns ``(nodes, gains, radio)``."""
+    gains, targets = draw(near_singular_systems(sizes=st.just(2)))
+    t0, p_max = 1e-6, TABLE1_RADIO.p_max
+    width = TABLE1_RADIO.bandwidth_hz
+    share = log_uniform(draw, -12.0, -3.0)
+    noise = share * p_max * min(col[k] / x for k, (col, x) in enumerate(zip(gains.cols, targets)))
+    radio = RadioConfig(p_max=p_max, noise_power=noise, bandwidth_hz=width)
+    delay = t0 * draw(st.sampled_from([1e3, 1.5, 3.0]))
+    budgets = st.sampled_from([math.inf, p_max * t0 * log_uniform(draw, 0.0, 1.0)])
+    nodes = [
+        NodeSpec(
+            id=k,
+            controller_id=k,
+            packet_bits=float(np.log2(1.0 + x)) * t0 * width,
+            period=1,
+            delay_bound=delay,
+            energy_budget=draw(budgets),
+        )
+        for k, x in enumerate(targets)
+    ]
+    return nodes, gains, radio

@@ -4,9 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import ratesched.allocation
 from ratesched import (
     AllocationResult,
@@ -32,7 +33,10 @@ from ratesched import (
 
 from helpers import (
     TABLE1_RADIO,
+    bisection_cell,
+    frozen_continuous_optimal,
     gain_array,
+    near_singular_pairs,
     outcome,
     pricing_instances,
     random_instance,
@@ -82,57 +86,6 @@ def frozen_lttf(nodes, gains, table, radio):
 def interference_free_slot(nodes, gains, radio):
     """``continuous_optimal``'s t_lo: the largest of the links' floors."""
     return max(t for t, _ in ratesched.allocation.continuous_solos(nodes, gains, radio))
-
-
-@np.errstate(over="ignore")
-def frozen_continuous_optimal(nodes, gains, radio):
-    """The plain slot bisection, frozen as the reference for
-    ``continuous_optimal``: it probes every midpoint. It returns infeasible
-    for a t_lo = 0 pair with an infeasible t_hi and for a t_lo = inf solo,
-    where ``continuous_optimal`` raises NumericalError."""
-    nodes = list(nodes)
-    k = len(nodes)
-    bits = np.array([n.packet_bits for n in nodes])
-    delays = [n.delay_bound for n in nodes]
-    energies = [n.energy_budget for n in nodes]
-    snr_cap = radio.p_max * np.diag(gain_array(gains)) / radio.noise_power
-
-    def targets_at(t):
-        return np.expm1(bits * (math.log(2.0) / (t * radio.bandwidth_hz)))
-
-    def probe(t):
-        return check_targets(gains, targets_at(t).tolist(), radio, [t] * k, delays, energies)
-
-    def allocation_at(t, report):
-        return AllocationResult(
-            feasible=True, slot=t, rates=tuple(b / t for b in bits),
-            powers=report.min_powers, times=(t,) * k,
-        )
-
-    t_hi = float(min(delays))
-    t_lo = float(np.max(bits / (radio.bandwidth_hz * np.log2(1.0 + snr_cap))))
-    if t_lo > t_hi:
-        return AllocationResult.infeasible()
-    hi_targets = targets_at(t_hi)
-    if not np.all(hi_targets > 0):
-        raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    hi_report = check_targets(gains, hi_targets.tolist(), radio, [t_hi] * k, delays, energies)
-    if not hi_report.feasible:
-        return AllocationResult.infeasible()
-    if not t_lo > 0:
-        raise NumericalError("interference-free slot bound underflows to 0")
-    lo_report = probe(t_lo)
-    if lo_report.feasible:
-        return allocation_at(t_lo, lo_report)
-    lo, hi = t_lo, t_hi
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        report = probe(mid)
-        if report.feasible:
-            hi, hi_report = mid, report
-        else:
-            lo = mid
-    return allocation_at(hi, hi_report)
 
 
 def level_path(nodes, table):
@@ -650,7 +603,7 @@ class TestContinuousOptimal:
                 return dataclasses.replace(report, verdict=Verdict.INFEASIBLE_MAX_POWER)
 
             monkeypatch.setattr(ratesched.allocation, "check_targets", flipping_check)
-            monkeypatch.setitem(globals(), "check_targets", flipping_check)
+            monkeypatch.setattr(helpers, "check_targets", flipping_check)
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             guided, probed[:] = probed[:], []
             frozen = frozen_continuous_optimal(nodes, gains, TABLE1_RADIO)
@@ -763,6 +716,115 @@ class TestContinuousOptimal:
             # nested ladders: every disc4 vector is a disc8 vector
             disc4 = brute_force_optimal(nodes, gains, DISC4, TABLE1_RADIO)
             assert disc.slot <= disc4.slot
+
+
+class TestPairCell:
+    """Two links are priced at the bisection's final cell as the closed form
+    predicts it, confirmed by two probes."""
+
+    @staticmethod
+    def counted(price, *args):
+        """``price(*args)``'s outcome and the ``check_targets`` calls it made."""
+        calls = 0
+
+        def counting_check(*a, **kw):
+            nonlocal calls
+            calls += 1
+            return check_targets(*a, **kw)
+
+        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+            result = outcome(price, *args)
+        return result, calls
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        instance=st.one_of(
+            pricing_instances(st.just(2)).map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
+            near_singular_pairs(),
+        ),
+        cap=st.sampled_from(["none", "at", "above", "below", "in cell", "under cell"]),
+    )
+    def test_pair_equals_the_plain_bisection(self, instance, cap):
+        # the same slot, rates and powers, bit for bit, or the same error, at
+        # energy-binding budgets, near rho = 1 and near both ends of the
+        # float range; a cap at the plain bisection's slot, one float above
+        # or below it, inside its final cell (within a relative 1e-6 below
+        # the slot, where t* lies) or under it gives the slot where it is at
+        # most the cap and infeasible otherwise
+        nodes, gains, radio = instance
+        plain = outcome(frozen_continuous_optimal, nodes, gains, radio)
+        if cap == "none":
+            assert outcome(continuous_optimal, nodes, gains, radio) == plain
+            return
+        assume(isinstance(plain, AllocationResult) and plain.feasible)
+        slot = plain.slot
+        cap = {
+            "at": slot,
+            "above": math.nextafter(slot, math.inf),
+            "below": math.nextafter(slot, 0.0),
+            "in cell": slot * (1.0 - 3e-7),
+            "under cell": slot * (1.0 - 2e-6),
+        }[cap]
+        expected = plain if slot <= cap else AllocationResult.infeasible()
+        assert outcome(continuous_optimal, nodes, gains, radio, cap) == expected
+
+    @pytest.mark.parametrize("shift", ["up", "down"])
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(instance=pricing_instances(st.just(2)))
+    def test_a_cell_one_off_leaves_the_result(self, shift, instance):
+        # a guess patched to the cell just above or below the bisection's
+        # final cell gives the same result, bit for bit, with more probes
+        # than the two that confirm the right cell
+        nodes, gains, _, radio = instance
+        exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
+        assume(isinstance(exact, AllocationResult) and exact.feasible and calls == 2)
+        t_lo = interference_free_slot(nodes, gains, radio)
+        t_hi = min(n.delay_bound for n in nodes)
+        lo, hi = bisection_cell(t_lo, t_hi, lambda mid: mid >= exact.slot)
+        if shift == "up":
+            assume(hi < t_hi)
+            off = bisection_cell(t_lo, t_hi, lambda mid: mid > hi)
+        else:
+            assume(lo > t_lo)
+            off = bisection_cell(t_lo, t_hi, lambda mid: mid >= lo)
+        with mock.patch.object(ratesched.allocation, "_pair_cell", lambda *args: off):
+            shifted, shifted_calls = self.counted(continuous_optimal, nodes, gains, radio)
+        assert shifted == exact and shifted_calls > calls
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        gains=st.lists(st.floats(5e-324, 1.7e308), min_size=4, max_size=4),
+        radio=st.lists(st.floats(5e-324, 1.7e308), min_size=3, max_size=3),
+        packets=st.lists(st.floats(5e-324, 1.7e308), min_size=2, max_size=2),
+        energies=st.lists(st.floats(5e-324, math.inf), min_size=2, max_size=2),
+        slots=st.lists(st.floats(5e-324, 1.7e308), min_size=3, max_size=3),
+    )
+    def test_guess_arithmetic_never_raises(self, gains, radio, packets, energies, slots):
+        # at any floats _search can pass (t_lo <= anchor <= t_hi, all finite
+        # and > 0), the guess is a cell within [t_lo, anchor] or None: an
+        # overflowing expm1, a division by 0 or a NaN means no guess
+        t_lo, anchor, t_hi = sorted(slots)
+        cell = ratesched.allocation._pair_cell(
+            GainMatrix([gains[:2], gains[2:]]), RadioConfig(*radio), packets, energies,
+            t_lo, t_hi, anchor,
+        )
+        if cell is not None:
+            lo, hi = cell
+            assert t_lo <= lo <= hi <= anchor
+
+    def test_guess_arithmetic_out_of_range_gives_no_guess(self):
+        # at a 1e-306 Hz bandwidth the capacity exponent b * ln2 / (t * W)
+        # overflows math.expm1 at t_lo; 1e-300 bits at slots near 1e300 s
+        # round both targets to 0, so 1/slack divides by 0: neither raises
+        gains = GainMatrix([[1.0, 0.1], [0.1, 1.0]])
+        for width, packets, t_lo, t_hi in [
+            (1e-306, [50.0, 100.0], 1e300, 1.7e308),
+            (1e8, [1e-300, 1e-300], 1e290, 1e300),
+        ]:
+            radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=width)
+            assert ratesched.allocation._pair_cell(
+                gains, radio, packets, [math.inf, math.inf], t_lo, t_hi, t_hi
+            ) is None
 
 
 class TestSlotRatioProperties:

@@ -839,10 +839,11 @@ class TestRunExperiment:
         self, monkeypatch
     ):
         # the two kinds of call continuous_optimal's probe order is written
-        # for, at each benchmark workload's default seed
+        # for, at each benchmark workload's default seed, and the probes of
+        # its solos and feasible pairs
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         kinds = set()
-        checked = []
+        checked, pairs = [], []
         check = allocation.check_targets
 
         def counting_check(gains, targets, radio, times, *args):
@@ -864,6 +865,11 @@ class TestRunExperiment:
                     # every continuous solo is kept at its guess, the one
                     # slot checked
                     assert checked == [res.slot] == [allocation.solo_guess(*solos[0])]
+                if (name, len(nodes), res.feasible) == ("continuous_optimal", 2, True):
+                    # every feasible continuous pair is its predicted cell,
+                    # confirmed by two checks, one of them at the slot
+                    assert len(checked) == 2 and res.slot in checked
+                    pairs.append(res.slot)
                 if (name, len(nodes)) == ("lttf", 1):
                     # a TablePricer reads every solo price from its record,
                     # so it hands lttf only a link without one, which the
@@ -886,6 +892,7 @@ class TestRunExperiment:
         assert kinds == {
             ("lttf", "group"), ("continuous_optimal", "solo"), ("continuous_optimal", "group")
         }
+        assert pairs
 
     def test_every_group_is_priced_at_its_solo_sum(self, monkeypatch):
         # _price, the seam of both gain-backed pricers, is called only by

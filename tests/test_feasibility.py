@@ -21,7 +21,15 @@ from ratesched import (
     min_power_vector,
 )
 
-from helpers import TABLE1_RADIO, gain_array, link_sinrs, random_gains, random_instance
+from helpers import (
+    TABLE1_RADIO,
+    gain_array,
+    link_sinrs,
+    log_uniform,
+    near_singular_systems,
+    random_gains,
+    random_instance,
+)
 
 TABLE = disc4_table(1e8)
 NOISE = TABLE1_RADIO.noise_power
@@ -102,39 +110,17 @@ def kernel_outcome(kernel, gains, targets, noise=None):
     return "None" if powers is None else [p.hex() for p in powers]
 
 
-def _log_uniform(draw, lo, hi):
-    return 10.0 ** draw(st.floats(lo, hi))
-
-
 @st.composite
 def small_systems(draw):
     """One to five links: receiver gains 1e-9..1e-3, cross gains -40..+10 dB
     against the victim's own gain, SINR targets 1e-2..1e4."""
     n = draw(st.integers(1, 5))
-    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
+    own = [log_uniform(draw, -9.0, -3.0) for _ in range(n)]
     g = [
-        [own[k] if l == k else own[k] * _log_uniform(draw, -4.0, 1.0) for k in range(n)]
+        [own[k] if l == k else own[k] * log_uniform(draw, -4.0, 1.0) for k in range(n)]
         for l in range(n)
     ]
-    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(n)])
-    return GainMatrix(g), targets
-
-
-@st.composite
-def near_singular_systems(draw, sides=(-1.0, 1.0)):
-    """Two to five links whose interference matrix F is a random nonnegative
-    matrix scaled so that its spectral radius lies within 1e-9 of 1 but at
-    least 1e-12 away from it, on either side (below 1 for ``sides`` (-1,))."""
-    n = draw(st.integers(2, 5))
-    own = [_log_uniform(draw, -9.0, -3.0) for _ in range(n)]
-    targets = np.array([_log_uniform(draw, -2.0, 4.0) for _ in range(n)])
-    f = np.array(
-        [[0.0 if i == j else _log_uniform(draw, -4.0, 1.0) for j in range(n)] for i in range(n)]
-    )
-    gap = _log_uniform(draw, -12.0, -9.0) * draw(st.sampled_from(sides))
-    f *= (1.0 + gap) / np.max(np.abs(np.linalg.eigvals(f)))
-    # F[i, j] = target_i * g[j, i] / g[i, i]
-    g = [[own[l] if l == k else f[k, l] * own[k] / targets[k] for k in range(n)] for l in range(n)]
+    targets = np.array([log_uniform(draw, -2.0, 4.0) for _ in range(n)])
     return GainMatrix(g), targets
 
 

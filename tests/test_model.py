@@ -292,3 +292,14 @@ class TestValidateInstance:
         assert (Instance(nodes).subframe_count, Instance(nodes).periods) == (2, {0: 1, 1: 2})
         with pytest.raises(TypeError):
             Instance(nodes, 1, {0: 1, 1: 1})
+
+    def test_node_takes_only_int_ids(self):
+        # True, 1.0 and np.int64(1) hash as node 1, so a position lookup
+        # alone would return node 1 for each of them
+        inst = validate_instance(_nodes_with_periods([1, 1]))
+        assert inst.node(1) is inst.nodes[1]
+        for node_id in (True, 1.0, np.int64(1)):
+            with pytest.raises(ValidationError, match="must be ints"):
+                inst.node(node_id)
+        with pytest.raises(ValidationError, match="unknown node id"):
+            inst.node(2)

@@ -15,9 +15,14 @@ alternates from one rep to the next. The two sides share the process and
 alternate every set, so a drift of the machine's speed falls on both alike;
 a perfbench run, by contrast, times only about a second of sweeps.
 
+After the timed reps, each side runs one more set, untimed, that counts
+its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``),
+so that a speed-up is reported next to the work it saved.
+
 Per workload it prints the median over reps of base time / head time, the
-reps the head side won, and whether both sides gave the same rows and
-per-seed records in every set. The exit status is 1 if any set differed.
+reps the head side won, each side's median set time and check count, and
+whether both sides gave the same rows and per-seed records in every set.
+The exit status is 1 if any set differed.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ def load(src: Path, name: str):
 
 def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> dict:
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
-    ``base`` and ``head`` packages: each side's seconds per set, the median
-    base/head ratio, the head side's wins and whether every set's results
-    were the same on both sides."""
+    ``base`` and ``head`` packages: each side's seconds per set and
+    ``check_targets`` calls in one untimed set, the median base/head ratio,
+    the head side's wins and whether every set's results were the same on
+    both sides."""
     cfgs = {
         side: [
             packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
@@ -76,11 +82,32 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     ratios = [b / h for b, h in zip(seconds["base"], seconds["head"])]
     return {
         "seconds": seconds,
+        "checks": {side: count_checks(packages[side], cfgs[side]) for side in SIDES},
         "ratio": statistics.median(ratios),
         "head_wins": sum(r > 1.0 for r in ratios),
         "reps": reps,
         "same_results": same,
     }
+
+
+def count_checks(package, cfgs) -> int:
+    """The ``check_targets`` calls that ``package``'s subset solvers make in
+    one set of sweeps of ``cfgs``."""
+    allocation = package.allocation
+    check, calls = allocation.check_targets, 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return check(*args, **kwargs)
+
+    allocation.check_targets = counting
+    try:
+        for cfg in cfgs:
+            package.run_experiment(cfg)
+    finally:
+        allocation.check_targets = check
+    return calls
 
 
 def main(argv=None) -> int:
@@ -108,6 +135,7 @@ def main(argv=None) -> int:
             print(
                 f"{name}: base/head {out['ratio']:.3f}, head won {out['head_wins']} of "
                 f"{out['reps']}, median set {medians['base']:.3f} s / {medians['head']:.3f} s, "
+                f"checks {out['checks']['base']} / {out['checks']['head']}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )
