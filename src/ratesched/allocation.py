@@ -379,30 +379,27 @@ def continuous_optimal(
     unless that is over ``cap``; a feasible verdict there is the answer: it
     is t_lo, or the final slot of the bisection with every midpoint
     feasible, where t_lo fails on power alone. The anchor is min(cap, t_hi).
-    Two links first take the bisection's final cell (lo, hi) as the closed
-    form of their minimum powers predicts it (``_pair_cell``), unless hi is
-    above the anchor or the arithmetic leaves the float range, and probe hi
-    and then lo. A feasible hi with an infeasible lo makes hi the answer,
-    and a feasible lo that is t_lo makes t_lo the answer: by the replay
-    argument below no other midpoint can decide differently, so the slot,
-    rates and powers are the plain bisection's, bit for bit. Any other
-    verdict is kept for the order that follows: an infeasible hi as ``no``
-    (no slot up to it is feasible, so t_lo is not probed), a feasible lo as
-    ``yes`` (the anchor is not probed). A single link with no guess,
-    anchored at t_hi, probes t_lo first, its answer unless power or energy
-    binds. The anchor is probed next, unless it is an infeasible hi or a
+    Two links take the bisection's final cell (lo, hi) as the closed form
+    of their minimum powers predicts it (``_pair_cell``), unless hi is above
+    the anchor or the arithmetic leaves the float range, and probe hi, then
+    lo. A feasible hi with an infeasible lo makes hi the answer, and a
+    feasible lo that is t_lo makes t_lo the answer: by the replay argument
+    below no other midpoint can decide differently, so the slot, rates and
+    powers are the plain bisection's, bit for bit. Any other verdict is
+    kept, an infeasible hi as ``no`` and a feasible lo as ``yes``. A single
+    link with no guess, anchored at t_hi, probes t_lo first, its answer
+    unless power or energy binds. The anchor is probed next, unless a
     feasible lo stands in for it; an infeasible verdict there means no slot
-    up to it is feasible. Then
-    t_lo is probed, unless it already was or an infeasible hi decides it; a
-    feasible verdict there is the answer. The pricers make two kinds of
-    call, which this order serves: a solo from ``SubsetPricer.solo``, with
-    no cap, and a group of two or more links from ``SubsetPricer.group``,
-    capped at the sum of its members' solo slots, which at the benchmark
-    workloads is below its tightest delay bound, so it is anchored at its
-    cap. Under those calls a feasible pair takes two probes when its cell
-    is confirmed, t_hi is probed only for a solo whose guess is not
-    feasible and whose t_lo probe fails, or that has neither, or as the
-    bisection's final slot.
+    up to it is feasible. Then t_lo is probed, unless it already was or an
+    infeasible hi lies above it; a feasible verdict there is the answer. The
+    pricers make two kinds of call, which this order serves: a solo from
+    ``SubsetPricer.solo``, with no cap, and a group of two or more links
+    from ``SubsetPricer.group``, capped at the sum of its members' solo
+    slots, which at the benchmark workloads is below its tightest delay
+    bound, so it is anchored at its cap. Under those calls a feasible pair
+    whose cell is confirmed takes two probes, and t_hi is probed only for a
+    solo whose guess is not feasible and whose t_lo probe fails, or that
+    has neither, or as the bisection's final slot.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed
@@ -533,8 +530,8 @@ def _pair_cell(gains, radio, packets, energies, t_lo, t_hi, anchor):
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
 def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
-    """``continuous_optimal`` after the guess, probing t_lo first where
-    ``lo_first``, for a single link with no guess."""
+    """``continuous_optimal`` after a single link's guess, probing t_lo
+    first where ``lo_first``, for a single link with no guess."""
     k = len(packets)
     bits = np.array(packets)
 
@@ -562,8 +559,6 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
         lo, hi = cell
         report = probe(hi)
         if not report.feasible:
-            if hi == yes:
-                return AllocationResult.infeasible()
             no, no_report = hi, report
         else:
             lo_report = probe(lo)
