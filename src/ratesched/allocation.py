@@ -38,6 +38,7 @@ __all__ = ["lttf", "brute_force_optimal", "continuous_optimal"]
 _REL_TOL = 1e-6
 # The continuous guide stops at this relative width of (no, yes) or after
 # _GUIDE_CAP probes; it steps a relative _NUDGE across a converged secant.
+# The two-link guess's secant stops at the same width or step count.
 _GUIDE_TOL = 1e-9
 _GUIDE_CAP = 40
 _NUDGE = 4e-10
