@@ -301,6 +301,7 @@ def bisection_cell(t_lo, t_hi, feasible):
 
 
 def log_uniform(draw, lo, hi):
+    """10 to the power of a float drawn from [lo, hi]."""
     return 10.0 ** draw(st.floats(lo, hi))
 
 
