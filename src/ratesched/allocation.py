@@ -132,12 +132,17 @@ def ladder_triage(ladders, rows: int):
 def solo_guess(t_lo: float, top: float) -> float:
     """The final slot of ``continuous_optimal``'s bisection from (t_lo, top)
     with every midpoint feasible: t_lo for top = t_lo, NaN for a NaN top."""
-    return _final_cell(t_lo, top, lambda mid: True)[1]
+    hi = top
+    while hi - t_lo > _REL_TOL * hi:
+        mid = 0.5 * (t_lo + hi)
+        hi = mid if mid != math.inf else 0.5 * t_lo + 0.5 * hi  # t_lo + hi overflows
+    return hi
 
 
 def _final_cell(lo: float, hi: float, feasible) -> tuple[float, float]:
     """The final cell (lo, hi) of ``continuous_optimal``'s bisection from
-    (lo, hi), each midpoint's verdict given by ``feasible(mid)``."""
+    (lo, hi), each midpoint's verdict given by ``feasible(mid)``; with every
+    midpoint feasible, hi is ``solo_guess(lo, hi)``."""
     while hi - lo > _REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mid == math.inf:  # lo + hi overflows
@@ -445,8 +450,8 @@ def continuous_optimal(
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
-    probed, as when a solo's guess or t_lo probe is feasible or a cap below
-    t_hi is infeasible.
+    probed, as when a solo's guess or t_lo probe is feasible, a pair's cell
+    below t_hi is confirmed, or a cap below t_hi is infeasible.
     """
     nodes = list(nodes)
     if not nodes:
