@@ -82,8 +82,6 @@ class SubsetPricer:
         self._solo_results: dict[int, AllocationResult] = {}
         # member set -> its group() answer, None included
         self._groups: dict[frozenset, AllocationResult | None] = {}
-        # node id -> its controller id
-        self._controllers = {n.id: n.controller_id for n in inst.nodes}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a sequence of distinct ids
@@ -180,7 +178,7 @@ class SubsetPricer:
         an id that is not an int or is unknown."""
         if type(node_id) is not int:
             raise _not_an_id(node_id)
-        controller = self._controllers.get(node_id)
+        controller = self.inst.controllers.get(node_id)
         if controller is None:
             raise ValidationError(f"unknown node id {node_id!r}")
         return controller
