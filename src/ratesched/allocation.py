@@ -392,7 +392,8 @@ def continuous_optimal(
     feasible lo that is t_lo makes t_lo the answer: by the replay argument
     below no other midpoint can decide differently, so the slot, rates and
     powers are the plain bisection's, bit for bit. Any other verdict is
-    kept, an infeasible hi as ``no`` and a feasible lo as ``yes``. A single
+    kept, an infeasible hi as ``no`` and a feasible lo as ``yes``; an
+    infeasible hi that is the anchor is the answer infeasible. A single
     link with no guess, anchored at t_hi, probes t_lo first, its answer
     unless power or energy binds. The anchor is probed next, unless a
     feasible lo stands in for it; an infeasible verdict there means no slot
@@ -565,6 +566,8 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
         lo, hi = cell
         report = probe(hi)
         if not report.feasible:
+            if hi == yes:  # the anchor, checked once
+                return AllocationResult.infeasible()
             no, no_report = hi, report
         else:
             lo_report = probe(lo)

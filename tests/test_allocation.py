@@ -791,6 +791,24 @@ class TestPairCell:
             shifted, shifted_calls = self.counted(continuous_optimal, nodes, gains, radio)
         assert shifted == exact and shifted_calls > calls
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(instance=pricing_instances(st.just(2)))
+    def test_a_failing_guess_at_the_anchor_is_checked_once(self, instance):
+        # capped at the infeasible side lo of the final cell, a guess whose hi
+        # is that anchor fails at it, and the price is infeasible after that
+        # one check, as with no guess
+        nodes, gains, _, radio = instance
+        exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
+        assume(isinstance(exact, AllocationResult) and exact.feasible and calls == 2)
+        t_lo = interference_free_slot(nodes, gains, radio)
+        t_hi = min(n.delay_bound for n in nodes)
+        lo, _ = bisection_cell(t_lo, t_hi, lambda mid: mid >= exact.slot)
+        assume(lo > t_lo)
+        infeasible = (AllocationResult.infeasible(), 1)
+        assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
+        with mock.patch.object(ratesched.allocation, "_pair_cell", lambda *args: (t_lo, lo)):
+            assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
+
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(
         gains=st.lists(st.floats(5e-324, 1.7e308), min_size=4, max_size=4),

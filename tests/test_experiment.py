@@ -1083,25 +1083,28 @@ class TestSeedTriage:
 
     def test_dropped_seed_prices_only_solos_and_never_schedules(self, monkeypatch):
         cfg, _ = paper_sweep()
+        # the sizes reaching _price, the seam of solo and group alike
         sizes, calls = [], Counter()
-        price = scheduling.SubsetPricer.price
 
-        def counting_price(pricer, ids):
-            sizes.append(len(ids))
-            return price(pricer, ids)
+        def counting(price):
+            def counted(pricer, ids, cap):
+                sizes.append(len(ids))
+                return price(pricer, ids, cap)
+            return counted
 
-        def counting(name, fn):
+        def calling(name, fn):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(scheduling.SubsetPricer, "price", counting_price)
+        for pricer in (scheduling.TablePricer, scheduling.ContinuousPricer):
+            monkeypatch.setattr(pricer, "_price", counting(pricer._price))
         monkeypatch.setattr(
-            scheduling, "continuous_optimal", counting("cont", scheduling.continuous_optimal)
+            scheduling, "continuous_optimal", calling("cont", scheduling.continuous_optimal)
         )
         for name in ("schedule", "exhaustive_schedule"):
-            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+            monkeypatch.setattr(experiment, name, calling(name, getattr(experiment, name)))
         dropped_under_disc4 = 0
         for k in range(10):
             sizes.clear()

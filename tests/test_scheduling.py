@@ -836,8 +836,10 @@ class CappingFixedPricer(FixedPricer):
 
 
 def ignoring_cap(pricer):
-    """``pricer`` with every cap dropped, so that each price is exact."""
-    pricer.price = lambda ids, cap=math.inf: type(pricer).price(pricer, ids)
+    """``pricer`` with every cap dropped, so that each price is exact: its
+    ``_price``, the seam of ``price``, ``solo`` and ``group``, is called with
+    no cap."""
+    pricer._price = lambda ids, cap: type(pricer)._price(pricer, ids, math.inf)
     return pricer
 
 
