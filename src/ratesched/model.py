@@ -298,18 +298,15 @@ class Instance:
     node's cycle. Canonical instances have a smallest period of 1 (the
     subframe is defined as the shortest packet period); the experiment
     sampler renormalizes its draws into this form. ``position[id]``, the
-    one map from node ids to positions, is the node's index in ``nodes`` and
-    its row in a gain matrix over them; ``controllers[id]`` is the node's
-    controller id, which every pricer of the instance reads for each group
-    member. The rate model (gains, radio, rate ladder) is not part of an
-    instance: a ``SubsetPricer`` carries it.
+    one map from node ids, is the node's index in ``nodes`` and its row in a
+    gain matrix over them. The rate model (gains, radio, rate ladder) is not
+    part of an instance: a ``SubsetPricer`` carries it.
     """
 
     nodes: tuple[NodeSpec, ...]
     subframe_count: int = field(init=False)
     periods: dict[int, int] = field(init=False)
     position: dict[int, int] = field(init=False, repr=False, compare=False)
-    controllers: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = self.nodes
@@ -329,7 +326,6 @@ class Instance:
         object.__setattr__(self, "subframe_count", max(periods.values()))
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "position", {n.id: k for k, n in enumerate(nodes)})
-        object.__setattr__(self, "controllers", {n.id: n.controller_id for n in nodes})
 
     def node(self, node_id: int) -> NodeSpec:
         """The node ``node_id``; raises ValidationError for an id that is not

@@ -176,12 +176,7 @@ class SubsetPricer:
     def controller(self, node_id: int) -> int:
         """The controller of the node ``node_id``; raises ValidationError for
         an id that is not an int or is unknown."""
-        if type(node_id) is not int:
-            raise _not_an_id(node_id)
-        controller = self.inst.controllers.get(node_id)
-        if controller is None:
-            raise ValidationError(f"unknown node id {node_id!r}")
-        return controller
+        return self.inst.node(node_id).controller_id
 
     def _price(self, ids: tuple[int, ...], cap: float) -> AllocationResult:
         raise NotImplementedError

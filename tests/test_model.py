@@ -290,7 +290,6 @@ class TestValidateInstance:
         nodes = tuple(_nodes_with_periods([1, 2]))
         assert Instance(nodes) == validate_instance(nodes)
         assert (Instance(nodes).subframe_count, Instance(nodes).periods) == (2, {0: 1, 1: 2})
-        assert Instance(nodes).controllers == {0: 0, 1: 1}
         with pytest.raises(TypeError):
             Instance(nodes, 1, {0: 1, 1: 1})
 
