@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from . import feasibility
 from .feasibility import (
     FeasibilityReport,
     NumericalError,
@@ -36,9 +37,9 @@ __all__ = ["lttf", "brute_force_optimal", "continuous_optimal"]
 
 # Relative width at which the continuous slot bisection stops.
 _REL_TOL = 1e-6
-# The continuous guide stops at this relative width of (no, yes) or after
-# _GUIDE_CAP probes; it steps a relative _NUDGE across a converged secant.
-# The two-link guess's secant stops at the same width or step count.
+# The secant that predicts the continuous bisection's final cell stops at
+# this relative width of its bracket or after _GUIDE_CAP steps; it steps a
+# relative _NUDGE across a converged root.
 _GUIDE_TOL = 1e-9
 _GUIDE_CAP = 40
 _NUDGE = 4e-10
@@ -385,54 +386,50 @@ def continuous_optimal(
     unless that is over ``cap``; a feasible verdict there is the answer: it
     is t_lo, or the final slot of the bisection with every midpoint
     feasible, where t_lo fails on power alone. The anchor is min(cap, t_hi).
-    Two links take the bisection's final cell (lo, hi) as the closed form
-    of their minimum powers predicts it (``_pair_cell``), unless hi is above
-    the anchor or the arithmetic leaves the float range, and probe hi, then
-    lo. A feasible hi with an infeasible lo makes hi the answer, and a
-    feasible lo that is t_lo makes t_lo the answer: by the replay argument
-    below no other midpoint can decide differently, so the slot, rates and
-    powers are the plain bisection's, bit for bit. Any other verdict is
-    kept, an infeasible hi as ``no`` and a feasible lo as ``yes``; an
-    infeasible hi that is the anchor is the answer infeasible. A single
-    link with no guess, anchored at t_hi, probes t_lo first, its answer
-    unless power or energy binds. The anchor is probed next, unless a
-    feasible lo stands in for it; an infeasible verdict there means no slot
-    up to it is feasible. Then t_lo is probed, unless it already was or an
-    infeasible hi lies above it; a feasible verdict there is the answer. The
-    pricers make two kinds of call, which this order serves: a solo from
-    ``SubsetPricer.solo``, with no cap, and a group of two or more links
-    from ``SubsetPricer.group``, capped at the sum of its members' solo
-    slots, which at the benchmark workloads is below its tightest delay
-    bound, so it is anchored at its cap. Under those calls a feasible pair
-    whose cell is confirmed takes two probes, and t_hi is probed only for a
-    solo whose guess is not feasible and whose t_lo probe fails, or that
-    has neither, or as the bisection's final slot.
+    A single link with no guess, anchored at t_hi, probes t_lo first, its
+    answer unless power or energy binds. Any price that goes on takes the
+    bisection's final cell (lo, hi) as arithmetic predicts it, which only
+    chooses where to probe: the closed form of the minimum powers for two
+    links, the kernel run bare for any other count (``_predicted_cell``).
+    Unless hi is above the anchor or the arithmetic finds the anchor
+    infeasible, it probes hi, then lo unless lo is a t_lo already probed. A
+    feasible hi with an infeasible lo makes hi the answer, and a feasible
+    lo that is t_lo makes t_lo the answer: by the replay argument below no
+    other midpoint can decide differently, so the slot, rates and powers
+    are the plain bisection's, bit for bit. Any other verdict is kept, an
+    infeasible hi as ``no`` and a feasible lo as ``yes``; an infeasible hi
+    that is the anchor is the answer infeasible. The anchor is probed next,
+    unless a feasible lo stands in for it; an infeasible verdict there
+    means no slot up to it is feasible. Then t_lo is probed, unless it
+    already was or an infeasible hi lies above it; a feasible verdict there
+    is the answer. The pricers make two kinds of call, which this order
+    serves: a solo from ``SubsetPricer.solo``, with no cap, and a group of
+    two or more links from ``SubsetPricer.group``, capped at the sum of its
+    members' solo slots, which at the benchmark workloads is below its
+    tightest delay bound, so it is anchored at its cap. Under those calls a feasible group whose cell is confirmed takes
+    two probes, and t_hi is probed only for a solo that neither its guess
+    nor its t_lo probe answers and whose cell is missing, unconfirmed or
+    ends at t_hi.
 
     Otherwise that bisection is replayed: its result depends only on its
     monotone verdicts, so a probed feasible slot ``yes`` and a probed
-    infeasible slot ``no`` decide every midpoint outside (no, yes). A guide
-    that only chooses where to probe first narrows (no, yes): a secant on
-    1/slack(t), slack being the largest p_i/p_max and t*p_i/E_i of the last
-    two probes that found powers. 1/slack is close to linear in t near t*,
-    by the pole of p(t) where rho(F(t)) = 1, and far above it, where g_i(t)
-    is about b_i*ln2/(t*W). It takes a geometric step instead when the
-    secant is unusable or leaves (no, yes) or the last probe found no
-    powers, and steps just across a converged secant's root. The replay
-    probes only the midpoints inside (no, yes), and the final slot unless it
-    was probed, so slot and powers are the plain bisection's, bit for bit;
-    should that final probe be infeasible (rounding broke monotonicity), the
-    plain one runs.
+    infeasible slot ``no`` decide every midpoint outside (no, yes). The
+    replay probes only the midpoints inside (no, yes), and the final slot
+    unless it was probed, so slot and powers are the plain bisection's, bit
+    for bit; should that final probe be infeasible (rounding broke
+    monotonicity), the plain one runs.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
     ``AllocationResult.infeasible()`` otherwise. An anchor below t_lo gives
     infeasible without a probe; a ``cap`` anchor is probed, and an
     infeasible verdict there means t* > cap, while a feasible one becomes
-    the guide's first ``yes``. So a price with t* > cap takes at most one
-    probe. The slot is compared with ``cap`` once, as it is returned,
-    whether the replay or the plain bisection gave it: one with t* <= cap
-    below the bisection's slot (within its relative ``_REL_TOL``) is
-    replayed in full, its final slot probed, and then reported infeasible.
+    ``yes``. So a price with t* > cap takes one probe, or two where a
+    predicted cell below the cap fails first. The slot is compared with
+    ``cap`` once, as it is returned, whether the replay or the plain
+    bisection gave it: one with t* <= cap below the bisection's slot
+    (within its relative ``_REL_TOL``) is replayed in full, its final slot
+    probed, and then reported infeasible.
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
@@ -451,8 +448,9 @@ def continuous_optimal(
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
-    probed, as when a solo's guess or t_lo probe is feasible, a pair's cell
-    below t_hi is confirmed, or a cap below t_hi is infeasible.
+    probed, as when a solo's guess or t_lo probe is feasible, a cell below
+    t_hi is confirmed, or a cap below t_hi is infeasible. A prediction never
+    raises: the bare kernel's errors there read as NaN.
     """
     nodes = list(nodes)
     if not nodes:
@@ -477,61 +475,87 @@ def continuous_optimal(
     return _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first)
 
 
-def _pair_cell(gains, radio, packets, energies, t_lo, t_hi, anchor):
-    """The final cell (lo, hi) of the bisection from (t_lo, t_hi) for two
-    links, its verdicts those of the closed-form minimum powers; None where
-    hi is above ``anchor`` or the arithmetic leaves the float range. It only
-    chooses where ``_search`` probes.
+def _inverse_slack(gains, radio, packets, energies):
+    """y(t) = 1/slack, slack being the largest p_i/p_max and t*p_i/E_i of
+    the minimum powers p(t) on ``math.expm1`` targets: y(t) >= 1 exactly
+    where they exist and pass, NaN where there are none or arithmetic raises.
 
     For two links p = (I - F)^-1 u has numerators n_0 = u_0 + F_01 u_1 and
-    n_1 = u_1 + F_10 u_0 over the pivot d = 1 - F_01 F_10, so 1/slack - 1 =
-    d / max_i(n_i * max(1/p_max, t/E_i)) - 1 is continuous in t and >= 0
-    exactly where the powers and energies pass. An Illinois secant narrows a
-    bracket (a, b) of its root, and the bisection is walked with midpoints
-    at or below a infeasible, at or above b feasible, and those between
-    decided by the closed form."""
-    (c00, c01), (c10, c11) = gains.cols
-    noise, width, rate = radio.noise_power, radio.bandwidth_hz, 1.0 / radio.p_max
-    k0, k1 = (b * (math.log(2.0) / width) for b in packets)
-    e0, e1 = energies
-    a0, a1, x01, x10 = noise / c00, noise / c11, c01 / c00, c10 / c11
+    n_1 = u_1 + F_10 u_0 over the pivot d = 1 - F_01 F_10, so y is the
+    closed form d / max_i(n_i * max(1/p_max, t/E_i)). Any other count runs
+    the kernel bare, through ``feasibility`` so that a wrapper there sees
+    it; its ValidationError (a target that underflows to 0) and
+    NumericalError are NaN."""
+    noise, rate = radio.noise_power, 1.0 / radio.p_max
+    scales = [b * (math.log(2.0) / radio.bandwidth_hz) for b in packets]
+    if len(packets) == 2:
+        (c00, c01), (c10, c11) = gains.cols
+        (s0, s1), (e0, e1) = scales, energies
+        a0, a1, x01, x10 = noise / c00, noise / c11, c01 / c00, c10 / c11
 
-    def h(t: float) -> float:  # NaN outside the float range
-        z0, z1 = math.expm1(k0 / t), math.expm1(k1 / t)
-        n0, n1 = z0 * (a0 + x01 * a1 * z1), z1 * (a1 + x10 * a0 * z0)
-        m = max(n0 * max(rate, t / e0), n1 * max(rate, t / e1))
-        return (1.0 - x01 * x10 * z0 * z1) / m - 1.0
+        def y(t: float) -> float:
+            try:
+                z0, z1 = math.expm1(s0 / t), math.expm1(s1 / t)
+                n0, n1 = z0 * (a0 + x01 * a1 * z1), z1 * (a1 + x10 * a0 * z0)
+                m = max(n0 * max(rate, t / e0), n1 * max(rate, t / e1))
+                return (1.0 - x01 * x10 * z0 * z1) / m
+            except ArithmeticError:  # expm1 overflows, or a division by 0
+                return math.nan
 
-    try:
-        b, hb = anchor, h(anchor)
-        a, ha = t_lo, h(t_lo) if hb >= 0.0 else math.nan
-        if ha >= 0.0:  # every midpoint is feasible
-            b = t_lo
-        elif not ha < 0.0:  # t* above the anchor, or NaN
-            return None
-        side = 0
-        for _ in range(_GUIDE_CAP):
-            if b - a <= _GUIDE_TOL * b:
-                break
-            c = b - hb * (b - a) / (hb - ha)
-            if not a < c < b:
-                break
-            hc = h(c)
-            if hc >= 0.0:
-                b, hb = c, hc
-                if side > 0:
-                    ha *= 0.5
-                side = 1
-            elif hc < 0.0:
-                a, ha = c, hc
-                if side < 0:
-                    hb *= 0.5
-                side = -1
-            else:
-                return None
-        lo, hi = _final_cell(t_lo, t_hi, lambda mid: mid >= b or (mid > a and h(mid) >= 0.0))
-    except ArithmeticError:  # math.expm1 overflows, or a division by 0
+        return y
+
+    def y(t: float) -> float:
+        try:
+            targets = [math.expm1(s / t) for s in scales]
+            powers = feasibility.min_power_vector(gains, targets, noise)
+            if powers is None:
+                return math.nan
+            return 1.0 / max(p * max(rate, t / e) for p, e in zip(powers, energies))
+        except (ArithmeticError, ValidationError, NumericalError):
+            return math.nan
+
+    return y
+
+
+def _predicted_cell(y, t_lo, t_hi, anchor):
+    """The final cell (lo, hi) of the bisection from (t_lo, t_hi) under the
+    verdicts y(t) >= 1 of ``_inverse_slack``; None where hi is above
+    ``anchor`` or y(anchor) is not >= 1. It only chooses where to probe.
+
+    From (no, yes) = (t_lo, anchor) a secant through the last two non-NaN
+    values of y steps to y = 1: 1/slack is close to linear in t near t*,
+    by the pole of p(t) where rho(F(t)) = 1, and far above it, where g_i(t)
+    is about b_i*ln2/(t*W). It steps geometrically where the secant is
+    unusable or leaves (no, yes) or y is NaN, and just across a converged
+    root. The walk then takes midpoints at or below no as infeasible, at or
+    above yes as feasible, and those between from y."""
+    yes, y1 = anchor, y(anchor)
+    if not y1 >= 1.0:  # t* above the anchor, or NaN
         return None
+    t1, no = anchor, t_lo
+    t, yt = t_lo, y(t_lo)
+    if yt >= 1.0:  # every midpoint is feasible
+        yes = t_lo
+    for _ in range(_GUIDE_CAP):
+        if yes - no <= _GUIDE_TOL * yes:
+            break
+        step = math.nan
+        if yt == yt:  # a secant through (t1, y1) and (t, yt), NaN excluded
+            if yt != y1:
+                step = t + (1.0 - yt) * (t - t1) / (yt - y1)
+                if abs(step - t) <= _GUIDE_TOL * t:  # close from the other side
+                    step *= 1.0 - _NUDGE if yt >= 1.0 else 1.0 + _NUDGE
+            t1, y1 = t, yt
+        if not no < step < yes:  # NaN too
+            step = math.sqrt(no) * math.sqrt(yes)  # sqrt(no * yes) can underflow
+            if not no < step < yes:
+                break
+        t, yt = step, y(step)
+        if yt >= 1.0:
+            yes = t
+        else:
+            no = t
+    lo, hi = _final_cell(t_lo, t_hi, lambda mid: mid >= yes or (mid > no and y(mid) >= 1.0))
     return (lo, hi) if hi <= anchor else None
 
 
@@ -561,7 +585,11 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     if t_lo > yes:
         return AllocationResult.infeasible()
     no, no_report, yes_report = t_lo, None, None
-    cell = _pair_cell(gains, radio, packets, energies, t_lo, t_hi, yes) if k == 2 else None
+    if yes == t_hi and lo_first:
+        no_report = probe(t_lo)
+        if no_report.feasible:
+            return at(t_lo, no_report)
+    cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, yes)
     if cell is not None:
         lo, hi = cell
         report = probe(hi)
@@ -570,16 +598,13 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
                 return AllocationResult.infeasible()
             no, no_report = hi, report
         else:
-            lo_report = probe(lo)
+            # a solo with no guess has probed t_lo already
+            lo_report = no_report if lo == t_lo and no_report is not None else probe(lo)
             if not lo_report.feasible:
                 return at(hi, report)
             if lo == t_lo:
                 return at(t_lo, lo_report)
             yes, yes_report = lo, lo_report
-    elif yes == t_hi and lo_first:
-        no_report = probe(t_lo)
-        if no_report.feasible:
-            return at(t_lo, no_report)
     if yes_report is None:
         yes_report = probe(yes)
         if not yes_report.feasible:
@@ -588,10 +613,6 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
         no_report = probe(t_lo)
         if no_report.feasible:
             return at(t_lo, no_report)
-
-    def inverse_slack(t: float, powers) -> float:  # NaN outside the float range
-        s = max(max(p / radio.p_max, t * p / e) for p, e in zip(powers, energies))
-        return 1.0 / s if 0.0 < s < math.inf else math.nan
 
     def bisect(no: float, yes: float, yes_report: FeasibilityReport):
         # The bisection from (t_lo, t_hi), probing only midpoints inside
@@ -608,29 +629,6 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
 
         _, hi = _final_cell(t_lo, t_hi, feasible)
         return hi, yes_report if hi == yes else None
-
-    t, last = no, no_report
-    t1, y1 = yes, inverse_slack(yes, yes_report.min_powers)
-    for _ in range(_GUIDE_CAP):
-        if yes - no <= _GUIDE_TOL * yes:
-            break
-        step = math.nan
-        if last.min_powers is not None:  # a secant through (t1, y1) and (t, y)
-            y = inverse_slack(t, last.min_powers)
-            if y != y1:
-                step = t + (1.0 - y) * (t - t1) / (y - y1)
-                if abs(step - t) <= _GUIDE_TOL * t:  # close from the other side
-                    step *= 1.0 - _NUDGE if last.feasible else 1.0 + _NUDGE
-            t1, y1 = t, y
-        if not no < step < yes:  # NaN too
-            step = math.sqrt(no) * math.sqrt(yes)  # sqrt(no * yes) can underflow
-            if not no < step < yes:
-                break
-        t, last = step, probe(step)
-        if last.feasible:
-            yes, yes_report = t, last
-        else:
-            no = t
 
     slot, report = bisect(no, yes, yes_report)
     if report is None:

@@ -230,9 +230,9 @@ class ContinuousPricer(_GainBackedPricer):
     Each node's ``(t_lo, top)`` pair (see ``continuous_solos``) is derived
     once, here, unless ``solos`` holds them already in ``inst.nodes`` order,
     and passed to every ``continuous_optimal`` call, which checks a single
-    node at its guess first, as it checks a pair at its predicted cell; a
-    submatrix's diagonal holds the full matrix's diagonal entries, so the
-    floats are those a bare call derives.
+    node at its guess first, as it checks any other price at its predicted
+    cell; a submatrix's diagonal holds the full matrix's diagonal entries,
+    so the floats are those a bare call derives.
     """
 
     def __init__(self, inst: Instance, gains: GainMatrix, radio: RadioConfig, solos=None):

@@ -21,8 +21,9 @@ def test_each_tree_imports_under_its_own_name():
     assert out["same_results"] and out["reps"] == 3 and 0 <= out["head_wins"] <= 3
     assert [len(out["seconds"][side]) for side in ab_sweeps.SIDES] == [3, 3]
     assert out["ratio"] > 0
-    # both sides of one tree do the same work
+    # both sides of one tree do the same work, and every check runs the kernel
     assert out["checks"]["base"] == out["checks"]["head"] > 0
+    assert out["kernel"]["base"] == out["kernel"]["head"] >= out["checks"]["head"]
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):
@@ -40,5 +41,6 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tiny", "tiny-cont"]
     assert all(line.endswith("same results") for line in lines)
-    counts = [re.search(r"checks (\d+) / (\d+),", line).groups() for line in lines]
-    assert all(base == head != "0" for base, head in counts)
+    for kind in ("checks", "kernel"):
+        counts = [re.search(kind + r" (\d+) / (\d+),", line).groups() for line in lines]
+        assert all(base == head != "0" for base, head in counts)

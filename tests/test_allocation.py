@@ -36,7 +36,7 @@ from helpers import (
     bisection_cell,
     frozen_continuous_optimal,
     gain_array,
-    near_singular_pairs,
+    near_singular_links,
     outcome,
     pricing_instances,
     random_instance,
@@ -496,7 +496,8 @@ class TestContinuousOptimal:
     @given(instance=pricing_instances(), cap=st.sampled_from([None, 0, 2, 5]))
     def test_replay_equals_the_frozen_bisection(self, instance, cap):
         # the same slot, rates and powers, bit for bit, or the same error;
-        # a guide cut short leaves more midpoints for the replay to probe
+        # a secant cut short leaves more midpoints for the predicted cell's
+        # walk to evaluate
         subset, gains, _, radio = instance
         cap = ratesched.allocation._GUIDE_CAP if cap is None else cap
         with mock.patch.object(ratesched.allocation, "_GUIDE_CAP", cap):
@@ -504,9 +505,9 @@ class TestContinuousOptimal:
         assert replayed == outcome(frozen_continuous_optimal, subset, gains, radio)
 
     def test_probe_budget(self, monkeypatch):
-        # the guide leaves few midpoints of the replayed bisection to probe:
-        # at most 16 probes per price on average for k >= 2 links, where the
-        # plain bisection takes about 35
+        # the predicted cell leaves few midpoints of the replayed bisection
+        # to probe: at most 16 probes per price on average for k >= 2 links,
+        # where the plain bisection takes about 35
         rng = np.random.default_rng(19)
         calls = 0
 
@@ -582,17 +583,22 @@ class TestContinuousOptimal:
         assert calls == 1
 
     def test_non_monotone_final_probe_falls_back_to_the_plain_bisection(self, monkeypatch):
-        # a seam in check_targets reports INFEASIBLE_MAX_POWER at the slot the
-        # replay ends on (a midpoint, probed only at its end); the plain
-        # bisection then runs from (t_lo, t_hi), and under the same seam its
-        # result is the frozen plain bisection's
+        # a predicted cell patched to (below, anchor), below being the float
+        # just under the bisection's final slot and off its grid, is
+        # confirmed with a feasible below, so the replay ends on that slot,
+        # probed only there; a seam in check_targets reports
+        # INFEASIBLE_MAX_POWER at it, the plain bisection then runs from
+        # (t_lo, t_hi), and under the same seam its result is the frozen
+        # plain bisection's
         rng = np.random.default_rng(43)
         check = check_targets
         for _ in range(400):
             nodes, gains = random_instance(rng, 3, DISC8)
             final = continuous_optimal(nodes, gains, TABLE1_RADIO)
             t_lo = interference_free_slot(nodes, gains, TABLE1_RADIO)
-            assert final.feasible and t_lo < final.slot < min(n.delay_bound for n in nodes)
+            t_hi = min(n.delay_bound for n in nodes)
+            assert final.feasible and t_lo < final.slot < t_hi
+            below = math.nextafter(final.slot, 0.0)
             probed = []
 
             def flipping_check(gains, targets, radio, times, *args):
@@ -604,6 +610,10 @@ class TestContinuousOptimal:
 
             monkeypatch.setattr(ratesched.allocation, "check_targets", flipping_check)
             monkeypatch.setattr(helpers, "check_targets", flipping_check)
+            monkeypatch.setattr(
+                ratesched.allocation, "_predicted_cell",
+                lambda y, t_lo, t_hi, anchor: (below, anchor),
+            )
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             guided, probed[:] = probed[:], []
             frozen = frozen_continuous_optimal(nodes, gains, TABLE1_RADIO)
@@ -612,9 +622,11 @@ class TestContinuousOptimal:
             capped = continuous_optimal(nodes, gains, TABLE1_RADIO, cap)
             monkeypatch.undo()
             assert res == frozen and res != final
-            # the replay's last probe is its first at the final slot; the
+            # the cell is confirmed at t_hi and below, t_lo fails, and the
+            # replay's last probe is its first at the final slot; the
             # midpoints that the frozen bisection probes after t_hi and t_lo
             # follow it
+            assert guided[:3] == [t_hi, below, t_lo]
             assert guided[guided.index(final.slot) + 1:] == plain[2:]
             # capped just above the replay's final slot, the plain
             # bisection's slot is over the cap: the cap is tested on it too
@@ -671,21 +683,27 @@ class TestContinuousOptimal:
     def test_guide_stops_when_no_geometric_step_fits(self, monkeypatch):
         # at a 1e300 Hz bandwidth the slot is subnormal, so (no, yes) holds
         # no geometric mean long before its relative width reaches
-        # _GUIDE_TOL; the guide stops there rather than probing to its cap
+        # _GUIDE_TOL; the predicting secant stops there rather than
+        # evaluating 1/slack to its cap
         radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e300)
         nodes = [_node(0, bits=1e-16, delay=1e-290), _node(1, bits=2e-16, delay=1e-290)]
         gains = GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]])
-        calls = 0
+        evaluations = 0
+        inverse_slack = ratesched.allocation._inverse_slack
 
-        def counting_check(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return check_targets(*args, **kwargs)
+        def counting_slack(*args):
+            y = inverse_slack(*args)
 
-        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+            def counted(t):
+                nonlocal evaluations
+                evaluations += 1
+                return y(t)
+            return counted
+
+        monkeypatch.setattr(ratesched.allocation, "_inverse_slack", counting_slack)
         res = continuous_optimal(nodes, gains, radio)
         assert res.feasible and 0.0 < res.slot < np.finfo(float).tiny
-        assert calls < ratesched.allocation._GUIDE_CAP
+        assert 0 < evaluations < ratesched.allocation._GUIDE_CAP
         assert res == frozen_continuous_optimal(nodes, gains, radio)
 
     def test_bisection_midpoint_stays_finite_near_the_float_max(self):
@@ -718,9 +736,10 @@ class TestContinuousOptimal:
             assert disc.slot <= disc4.slot
 
 
-class TestPairCell:
-    """Two links are priced at the bisection's final cell as the closed form
-    predicts it, confirmed by two probes."""
+class TestPredictedCell:
+    """A price that reaches the bisection is probed at its final cell as
+    ``_inverse_slack`` predicts it, the closed form for two links and the
+    bare kernel for any other count, confirmed by two probes."""
 
     @staticmethod
     def counted(price, *args):
@@ -736,21 +755,27 @@ class TestPairCell:
             result = outcome(price, *args)
         return result, calls
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @staticmethod
+    def predicted(gains, radio, packets, energies, t_lo, t_hi, anchor):
+        allocation = ratesched.allocation
+        y = allocation._inverse_slack(gains, radio, packets, energies)
+        return allocation._predicted_cell(y, t_lo, t_hi, anchor)
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
     @given(
         instance=st.one_of(
-            pricing_instances(st.just(2)).map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
-            near_singular_pairs(),
+            pricing_instances(st.integers(1, 4)).map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
+            near_singular_links(),
         ),
         cap=st.sampled_from(["none", "at", "above", "below", "in cell", "under cell"]),
     )
-    def test_pair_equals_the_plain_bisection(self, instance, cap):
-        # the same slot, rates and powers, bit for bit, or the same error, at
-        # energy-binding budgets, near rho = 1 and near both ends of the
-        # float range; a cap at the plain bisection's slot, one float above
-        # or below it, inside its final cell (within a relative 1e-6 below
-        # the slot, where t* lies) or under it gives the slot where it is at
-        # most the cap and infeasible otherwise
+    def test_equals_the_plain_bisection(self, instance, cap):
+        # the same slot, rates and powers, bit for bit, or the same error, for
+        # one to four links, at energy-binding budgets, near rho = 1 and near
+        # both ends of the float range; a cap at the plain bisection's slot,
+        # one float above or below it, inside its final cell (within a
+        # relative 1e-6 below the slot, where t* lies) or under it gives the
+        # slot where it is at most the cap and infeasible otherwise
         nodes, gains, radio = instance
         plain = outcome(frozen_continuous_optimal, nodes, gains, radio)
         if cap == "none":
@@ -770,14 +795,18 @@ class TestPairCell:
 
     @pytest.mark.parametrize("shift", ["up", "down"])
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(instance=pricing_instances(st.just(2)))
+    @given(instance=pricing_instances(st.integers(1, 4)))
     def test_a_cell_one_off_leaves_the_result(self, shift, instance):
-        # a guess patched to the cell just above or below the bisection's
-        # final cell gives the same result, bit for bit, with more probes
-        # than the two that confirm the right cell
+        # a prediction patched to the cell just above or below the
+        # bisection's final cell gives the same result, bit for bit, with
+        # more probes than the two that confirm the right cell, from the
+        # closed form (two links) and the kernel (one, three or four) alike;
+        # a single link first makes its failing guess or t_lo probe, and
+        # that t_lo may be the cell's lo
         nodes, gains, _, radio = instance
         exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
-        assume(isinstance(exact, AllocationResult) and exact.feasible and calls == 2)
+        confirmed = (2,) if len(nodes) > 1 else (2, 3)
+        assume(isinstance(exact, AllocationResult) and exact.feasible and calls in confirmed)
         t_lo = interference_free_slot(nodes, gains, radio)
         t_hi = min(n.delay_bound for n in nodes)
         lo, hi = bisection_cell(t_lo, t_hi, lambda mid: mid >= exact.slot)
@@ -787,16 +816,16 @@ class TestPairCell:
         else:
             assume(lo > t_lo)
             off = bisection_cell(t_lo, t_hi, lambda mid: mid >= lo)
-        with mock.patch.object(ratesched.allocation, "_pair_cell", lambda *args: off):
+        with mock.patch.object(ratesched.allocation, "_predicted_cell", lambda *args: off):
             shifted, shifted_calls = self.counted(continuous_optimal, nodes, gains, radio)
         assert shifted == exact and shifted_calls > calls
 
     @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(instance=pricing_instances(st.just(2)))
+    @given(instance=pricing_instances(st.integers(2, 4)))
     def test_a_failing_guess_at_the_anchor_is_checked_once(self, instance):
-        # capped at the infeasible side lo of the final cell, a guess whose hi
-        # is that anchor fails at it, and the price is infeasible after that
-        # one check, as with no guess
+        # capped at the infeasible side lo of the final cell, a prediction
+        # whose hi is that anchor fails at it, and the price is infeasible
+        # after that one check, as with no prediction
         nodes, gains, _, radio = instance
         exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
         assume(isinstance(exact, AllocationResult) and exact.feasible and calls == 2)
@@ -806,43 +835,54 @@ class TestPairCell:
         assume(lo > t_lo)
         infeasible = (AllocationResult.infeasible(), 1)
         assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
-        with mock.patch.object(ratesched.allocation, "_pair_cell", lambda *args: (t_lo, lo)):
+        with mock.patch.object(ratesched.allocation, "_predicted_cell", lambda *args: (t_lo, lo)):
             assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(derandomize=True, deadline=None, max_examples=800)
     @given(
-        gains=st.lists(st.floats(5e-324, 1.7e308), min_size=4, max_size=4),
+        k=st.integers(1, 3),
+        floats=st.lists(st.floats(5e-324, 1.7e308), min_size=9, max_size=9),
         radio=st.lists(st.floats(5e-324, 1.7e308), min_size=3, max_size=3),
-        packets=st.lists(st.floats(5e-324, 1.7e308), min_size=2, max_size=2),
-        energies=st.lists(st.floats(5e-324, math.inf), min_size=2, max_size=2),
+        packets=st.lists(st.floats(5e-324, 1.7e308), min_size=3, max_size=3),
+        energies=st.lists(st.floats(5e-324, math.inf), min_size=3, max_size=3),
         slots=st.lists(st.floats(5e-324, 1.7e308), min_size=3, max_size=3),
     )
-    def test_guess_arithmetic_never_raises(self, gains, radio, packets, energies, slots):
+    def test_guess_arithmetic_never_raises(self, k, floats, radio, packets, energies, slots):
         # at any floats _search can pass (t_lo <= anchor <= t_hi, all finite
-        # and > 0), the guess is a cell within [t_lo, anchor] or None: an
-        # overflowing expm1, a division by 0 or a NaN means no guess
+        # and > 0), the prediction is a cell within [t_lo, anchor] or None:
+        # an overflowing expm1, a division by 0, or the bare kernel's
+        # ValidationError (a target that underflows to 0) or NumericalError
+        # (a power that leaves the float range) is a NaN
         t_lo, anchor, t_hi = sorted(slots)
-        cell = ratesched.allocation._pair_cell(
-            GainMatrix([gains[:2], gains[2:]]), RadioConfig(*radio), packets, energies,
-            t_lo, t_hi, anchor,
+        gains = GainMatrix([floats[i * k:(i + 1) * k] for i in range(k)])
+        cell = self.predicted(
+            gains, RadioConfig(*radio), packets[:k], energies[:k], t_lo, t_hi, anchor
         )
         if cell is not None:
             lo, hi = cell
             assert t_lo <= lo <= hi <= anchor
 
-    def test_guess_arithmetic_out_of_range_gives_no_guess(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_arithmetic_out_of_range_is_nan(self, k):
         # at a 1e-306 Hz bandwidth the capacity exponent b * ln2 / (t * W)
         # overflows math.expm1 at t_lo; 1e-300 bits at slots near 1e300 s
-        # round both targets to 0, so 1/slack divides by 0: neither raises
-        gains = GainMatrix([[1.0, 0.1], [0.1, 1.0]])
-        for width, packets, t_lo, t_hi in [
-            (1e-306, [50.0, 100.0], 1e300, 1.7e308),
-            (1e8, [1e-300, 1e-300], 1e290, 1e300),
+        # round every target to 0, where the closed form's 1/slack divides
+        # by 0 and the kernel raises ValidationError: neither escapes
+        gains = GainMatrix([[1.0 if i == j else 0.1 for j in range(k)] for i in range(k)])
+        allocation = ratesched.allocation
+        for width, bits, t_lo, t_hi in [
+            (1e-306, 50.0, 1e300, 1.7e308),
+            (1e8, 1e-300, 1e290, 1e300),
         ]:
             radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=width)
-            assert ratesched.allocation._pair_cell(
-                gains, radio, packets, [math.inf, math.inf], t_lo, t_hi, t_hi
-            ) is None
+            packets, energies = [bits * (i + 1) for i in range(k)], [math.inf] * k
+            y = allocation._inverse_slack(gains, radio, packets, energies)
+            assert math.isnan(y(t_lo))
+            cell = self.predicted(gains, radio, packets, energies, t_lo, t_hi, t_hi)
+            if math.isnan(y(t_hi)):  # no slot predicts feasible
+                assert cell is None
+            else:
+                assert cell is not None and t_lo < cell[0] < cell[1] <= t_hi
 
 
 class TestSlotRatioProperties:

@@ -778,20 +778,27 @@ class TestRunExperiment:
     def test_every_kernel_call_passes_through_the_traced_names(self, monkeypatch):
         # perfbench counts feasibility work per link count by wrapping these
         # module globals; a call that bypassed them (say, an inlined kernel)
-        # would silently read as zero work
+        # would silently read as zero work. A kernel call outside any check
+        # is a predicted cell's bare evaluation, counted as its own kind.
         counts = Counter()
         kernel, check, walk = feasibility.min_power_vector, feasibility.check_targets, scheduling.lttf
-        walking = []
+        walking, checking = [], []
 
         def counting_kernel(gains, sinr_targets, noise):
-            counts[f"k{min(gains.n, 3)}"] += 1
+            k = f"k{min(gains.n, 3)}"
+            counts[k] += 1
+            counts[k + "/bare"] += not checking
             return kernel(gains, sinr_targets, noise)
 
         def counting_check(module):
             def wrapped(*args):
                 counts[module] += 1
                 counts[module + "/lttf"] += bool(walking)
-                return check(*args)
+                checking.append(True)
+                try:
+                    return check(*args)
+                finally:
+                    checking.pop()
             return wrapped
 
         def counting_walk(*args):
@@ -814,8 +821,12 @@ class TestRunExperiment:
         assert counts["k1"] and counts["k2"] and counts["k3"]
         # ladder walks and continuous probes alike come through allocation
         assert 0 < counts["allocation/lttf"] < counts["allocation"]
+        # predicted cells of three or more links run the kernel bare; those
+        # of two links take the closed form instead
+        assert counts["k3/bare"] and not counts["k2/bare"]
+        bare = counts["k1/bare"] + counts["k3/bare"]
         kernel_calls = counts["k1"] + counts["k2"] + counts["k3"]
-        assert counts["feasibility"] + counts["allocation"] == kernel_calls
+        assert counts["feasibility"] + counts["allocation"] + bare == kernel_calls
 
     def test_perfbench_trace_sees_every_scheduling_layer(self):
         # perfbench/layers.py, loaded as it stands, wraps module bindings
@@ -1082,7 +1093,14 @@ class TestSeedTriage:
             gc.enable()
 
     def test_dropped_seed_prices_only_solos_and_never_schedules(self, monkeypatch):
-        cfg, _ = paper_sweep()
+        # paper-sweep with cont alone at energy budgets 1e-4 of p_max *
+        # delay: the block triage tests table models only, so every seed
+        # that drops is dropped by the cont pricer's offsets(), in _run_seed
+        workload = json.loads((PERFBENCH / "workloads.json").read_text())["paper-sweep"]
+        cfg = ExperimentConfig.from_dict(dict(
+            workload["config"], master_seed=workload["default_seed"],
+            rate_models=["cont"], energy_scale=1e-4,
+        ))
         # the sizes reaching _price, the seam of solo and group alike
         sizes, calls = [], Counter()
 
@@ -1105,22 +1123,19 @@ class TestSeedTriage:
         )
         for name in ("schedule", "exhaustive_schedule"):
             monkeypatch.setattr(experiment, name, calling(name, getattr(experiment, name)))
-        dropped_under_disc4 = 0
+        dropped_by_the_pricer = 0
         for k in range(10):
             sizes.clear()
             calls.clear()
             try:
                 experiment._run_seed(cfg, drawn_item(cfg, 8, 2, k))
             except InfeasibleInstanceError as exc:
-                assert set(sizes) <= {1}
+                assert exc.model == "cont"
+                # solos were priced, each by one continuous_optimal call
+                assert sizes and set(sizes) <= {1} and calls["cont"] == len(sizes)
                 assert not calls["schedule"] and not calls["exhaustive_schedule"]
-                if exc.model == "disc4":
-                    # table models are checked first, so nothing was priced
-                    # with the continuous bisection, nor at all where the
-                    # block triage dropped the seed
-                    assert not calls["cont"] and not sizes
-                    dropped_under_disc4 += 1
-        assert dropped_under_disc4
+                dropped_by_the_pricer += 1
+        assert dropped_by_the_pricer
 
     def test_a_dropped_seed_builds_no_pricer_after_its_model(self, monkeypatch):
         # the triage builds each model's pricer only when it reaches it, in

@@ -16,12 +16,15 @@ alternate every set, so a drift of the machine's speed falls on both alike;
 a perfbench run, by contrast, times only about a second of sweeps.
 
 After the timed reps, each side runs one more set, untimed, that counts
-its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``),
-so that a speed-up is reported next to the work it saved.
+its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``)
+and its ``feasibility.min_power_vector`` calls (one per check, plus any
+made bare), so that a speed-up is reported next to the work it saved, and
+a change that trades checks for bare kernel calls shows both.
 
 Per workload it prints the median over reps of base time / head time, the
-reps the head side won, each side's median set time and check count, and
-whether both sides gave the same rows and per-seed records in every set.
+reps the head side won, each side's median set time, check count and
+kernel count, and whether both sides gave the same rows and per-seed
+records in every set.
 The exit status is 1 if any set differed.
 """
 
@@ -55,8 +58,9 @@ def load(src: Path, name: str):
 
 def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> dict:
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
-    ``base`` and ``head`` packages: each side's seconds per set and
-    ``check_targets`` calls in one untimed set, the median base/head ratio,
+    ``base`` and ``head`` packages: each side's seconds per set, and its
+    ``check_targets`` and kernel calls in one untimed set (``count_calls``),
+    the median base/head ratio,
     the head side's wins and whether every set's results were the same on
     both sides."""
     cfgs = {
@@ -80,9 +84,11 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
             for a, b in zip(results["base"], results["head"])
         )
     ratios = [b / h for b, h in zip(seconds["base"], seconds["head"])]
+    counted = {side: count_calls(packages[side], cfgs[side]) for side in SIDES}
     return {
         "seconds": seconds,
-        "checks": {side: count_checks(packages[side], cfgs[side]) for side in SIDES},
+        "checks": {side: counted[side][0] for side in SIDES},
+        "kernel": {side: counted[side][1] for side in SIDES},
         "ratio": statistics.median(ratios),
         "head_wins": sum(r > 1.0 for r in ratios),
         "reps": reps,
@@ -90,24 +96,29 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     }
 
 
-def count_checks(package, cfgs) -> int:
+def count_calls(package, cfgs) -> tuple[int, int]:
     """The ``check_targets`` calls that ``package``'s subset solvers make in
-    one set of sweeps of ``cfgs``."""
-    allocation = package.allocation
-    check, calls = allocation.check_targets, 0
+    one set of sweeps of ``cfgs``, and the ``feasibility.min_power_vector``
+    calls of that set, made by those checks or bare."""
+    allocation, feasibility = package.allocation, package.feasibility
+    check, kernel = allocation.check_targets, feasibility.min_power_vector
+    calls = [0, 0]
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return check(*args, **kwargs)
+    def counting(index, fn):
+        def counted(*args, **kwargs):
+            calls[index] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    allocation.check_targets = counting
+    allocation.check_targets = counting(0, check)
+    feasibility.min_power_vector = counting(1, kernel)
     try:
         for cfg in cfgs:
             package.run_experiment(cfg)
     finally:
         allocation.check_targets = check
-    return calls
+        feasibility.min_power_vector = kernel
+    return calls[0], calls[1]
 
 
 def main(argv=None) -> int:
@@ -136,6 +147,7 @@ def main(argv=None) -> int:
                 f"{name}: base/head {out['ratio']:.3f}, head won {out['head_wins']} of "
                 f"{out['reps']}, median set {medians['base']:.3f} s / {medians['head']:.3f} s, "
                 f"checks {out['checks']['base']} / {out['checks']['head']}, "
+                f"kernel {out['kernel']['base']} / {out['kernel']['head']}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )
