@@ -326,14 +326,13 @@ def near_singular_systems(draw, sides=(-1.0, 1.0), sizes=st.integers(2, 5)):
 
 @st.composite
 def near_singular_links(draw, sizes=st.integers(2, 4)):
-    """Links of ``near_singular_systems`` (as many as ``sizes`` draws, two
-    to five) priced on a continuous slot:
-    packets whose capacity targets at 1 us are the system's SINR targets,
-    where rho(F) lies within 1e-9 of 1, and a noise power that puts the
-    links' interference-free powers there at 1e-12..1e-3 of p_max, so that
-    the slot boundary t* sits where 1 - rho is about that small. Delay
-    bounds are loose or just above 1 us, energy budgets loose or binding.
-    Returns ``(nodes, gains, radio)``."""
+    """Two to five links of ``near_singular_systems`` (as many as ``sizes``
+    draws) priced on a continuous slot: packets whose capacity targets at
+    1 us are the system's SINR targets, where rho(F) lies within 1e-9 of 1,
+    and a noise power that puts the links' interference-free powers there
+    at 1e-12..1e-3 of p_max, so that the slot boundary t* sits where 1 - rho
+    is about that small. Delay bounds are loose or just above 1 us, energy
+    budgets loose or binding. Returns ``(nodes, gains, radio)``."""
     gains, targets = draw(near_singular_systems(sizes=sizes))
     t0, p_max = 1e-6, TABLE1_RADIO.p_max
     width = TABLE1_RADIO.bandwidth_hz

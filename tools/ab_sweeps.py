@@ -60,9 +60,8 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
     ``base`` and ``head`` packages: each side's seconds per set, and its
     ``check_targets`` and kernel calls in one untimed set (``count_calls``),
-    the median base/head ratio,
-    the head side's wins and whether every set's results were the same on
-    both sides."""
+    the median base/head ratio, the head side's wins and whether every
+    set's results were the same on both sides."""
     cfgs = {
         side: [
             packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
