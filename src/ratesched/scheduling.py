@@ -68,14 +68,16 @@ class SubsetPricer:
     """Base class mapping node subsets to allocation results, with caching.
 
     A pricer is the per-(instance, rate model) cache. It keeps each feasible
-    ``solo()``, each ``group()`` answer, the ``offsets()`` and each sorted
-    member tuple's ``partitions()``; the gain-backed pricers also keep one
-    solo record per node. ``price`` keeps nothing.
+    ``solo()``, each ``group()`` answer, the ``offsets()`` with the
+    population map they give (``populations()``) and each sorted member
+    tuple's ``partitions()``; the gain-backed pricers also keep one solo
+    record per node. ``price`` keeps nothing.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._offsets: dict[int, int] | None = None
+        # (offsets, populations), as offsets() and populations() answer
+        self._assignment: tuple | None = None
         # sorted member tuple -> (slots, groups)
         self._partitions: dict[tuple[int, ...], tuple] = {}
         # node id -> its feasible solo result
@@ -84,9 +86,9 @@ class SubsetPricer:
         self._groups: dict[frozenset, AllocationResult | None] = {}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
-        """Allocation of the node subset ``ids``, a sequence of distinct ids
-        of ``inst``; an id that is not an int, or a repeated or unknown id,
-        raises ValidationError.
+        """Allocation of the node subset ``ids``, a nonempty sequence of
+        distinct ids of ``inst``; an empty subset, an id that is not an int,
+        or a repeated or unknown id raises ValidationError.
 
         ``cap`` is an upper bound on the slot the caller can use. The result
         is exact whenever its slot is at most ``cap``; otherwise it may be
@@ -97,6 +99,8 @@ class SubsetPricer:
             if type(i) is not int:
                 raise _not_an_id(i)
         key = frozenset(ids)
+        if not key:
+            raise ValidationError("subset must be nonempty")
         if len(key) != len(ids):
             raise ValidationError(f"repeated node id in subset {tuple(ids)}")
         if not key <= self.inst.position.keys():
@@ -105,10 +109,26 @@ class SubsetPricer:
 
     def offsets(self) -> dict[int, int]:
         """The ``sna_assign`` offsets, computed on the first call (raising as
-        ``sna_assign`` does) and returned as a fresh dict by each call."""
-        if self._offsets is None:
-            self._offsets = sna_assign(self)
-        return dict(self._offsets)
+        ``sna_assign`` does) together with ``populations()``, and returned as
+        a fresh dict by each call."""
+        return dict(self._assign()[0])
+
+    def populations(self) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+        """The subframe populations of ``offsets()``: a ``((period, offset),
+        members)`` pair per occupied pair, in sorted order, ``members`` the
+        sorted ids of the nodes of that period at that offset. Computed with
+        ``offsets()`` and kept, so every strategy shares one map."""
+        return self._assign()[1]
+
+    def _assign(self):
+        if self._assignment is None:
+            offsets, periods = sna_assign(self), self.inst.periods
+            populations: dict[tuple[int, int], list[int]] = {}
+            for i in sorted(offsets):
+                populations.setdefault((periods[i], offsets[i]), []).append(i)
+            kept = tuple((key, tuple(ids)) for key, ids in sorted(populations.items()))
+            self._assignment = offsets, kept
+        return self._assignment
 
     def partitions(self, members: tuple[int, ...]):
         """``(slots, groups)`` of the sorted tuple ``members``: the
@@ -160,13 +180,16 @@ class SubsetPricer:
         The answer is kept per member set, None included. The controller test
         runs first, so an id that is not an int or is unknown raises
         ValidationError there, and a repeated id is None and never reaches a
-        kept answer. The members, so checked, are priced by ``_price`` as a
-        sorted tuple, with no second check.
+        kept answer; an empty subset raises ValidationError, as ``price``
+        does. The members, so checked, are priced by ``_price`` as a sorted
+        tuple, with no second check.
         """
         if len({self.controller(i) for i in ids}) < len(ids):
             return None
         key = frozenset(ids)
         if key not in self._groups:
+            if not key:
+                raise ValidationError("subset must be nonempty")
             solos = [self.solo(i) for i in ids]
             cap = math.fsum(res.slot for res in solos)
             res = solos[0] if len(solos) == 1 else self._price(tuple(sorted(ids)), cap)
@@ -416,6 +439,14 @@ def _greedy_cover(population, candidates):
     return selected
 
 
+def _distinct(population):
+    """The ids of ``population`` sorted; ValidationError if one repeats."""
+    population = sorted(population)
+    if len(set(population)) != len(population):
+        raise ValidationError(f"repeated node id in population {tuple(population)}")
+    return population
+
+
 def mla_allocate(population, pricer: SubsetPricer):
     """Minimum-total-length concurrency grouping of one subframe population.
 
@@ -424,9 +455,9 @@ def mla_allocate(population, pricer: SubsetPricer):
     clean-up above: the cover picks the cheapest price per newly covered node
     first, then every node stays only in its cheapest selected subset. The
     exact partitions of a population come from ``pricer.partitions``, which
-    ``exhaustive_schedule`` shares.
+    ``exhaustive_schedule`` shares. A repeated id raises ValidationError.
     """
-    population = sorted(population)
+    population = _distinct(population)
     if len(population) > 6:
         candidates = _candidates(population, pricer)
         return _dedup_cover(_greedy_cover(population, candidates), pricer)
@@ -444,8 +475,9 @@ def mua_allocate(population, pricer: SubsetPricer):
     adding the node that most increases the utility (total solo time saved by
     sharing the slot) while ``pricer.group`` accepts the group; each addition
     must strictly improve the utility. Repeats until every node is grouped.
+    A repeated id raises ValidationError.
     """
-    population = sorted(population)
+    population = _distinct(population)
     groups = []
     solo = {i: pricer.solo(i) for i in population}
     unassigned = set(population)
@@ -485,29 +517,30 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
     ``ContinuousPricer`` for the continuous baseline or a ``FixedPricer`` for
     pinned slot prices. Deterministic for fixed inputs.
 
-    The offsets come from ``pricer.offsets()``, so ``sna_assign`` runs once
-    per pricer and every strategy shares it; each frame gets its own copy.
-    Nodes are grouped by (period, offset) in one pass, and the allocator
-    runs once per group: subframe m holds, in order of period, the group of
-    each period s at offset m mod s.
+    The offsets and populations come from ``pricer.offsets()`` and
+    ``pricer.populations()``, so ``sna_assign`` runs once per pricer and
+    every strategy shares its populations; each frame gets its own copy of
+    the offsets. The allocator runs once per population of two or more
+    nodes; a one-node population takes its solo, ``[((i,), solo)]``, which
+    is what either allocator returns for it. Each population's groups go to
+    its own subframes, off, off + s, ..., in sorted (period, offset) order:
+    subframe m holds, in order of period, the groups of each period s at
+    offset m mod s.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    inst = pricer.inst
+    m_count = pricer.inst.subframe_count
     allocator = _ALLOCATORS[strategy]
     assignments = pricer.offsets()
-    populations: dict[tuple[int, int], list[int]] = {}
-    for i in sorted(assignments):
-        populations.setdefault((inst.periods[i], assignments[i]), []).append(i)
-    rows = [
-        (s, off, allocator(population, pricer))
-        for (s, off), population in sorted(populations.items())
-    ]
-    per_subframe = tuple(
-        tuple(row for s, off, groups in rows if m % s == off for row in groups)
-        for m in range(inst.subframe_count)
-    )
-    frame = Frame(inst.subframe_count, assignments, per_subframe)
+    per_subframe: list[list] = [[] for _ in range(m_count)]
+    for (s, off), members in pricer.populations():
+        if len(members) == 1:
+            groups = [(members, pricer.solo(members[0]))]
+        else:
+            groups = allocator(members, pricer)
+        for m in range(off, m_count, s):
+            per_subframe[m] += groups
+    frame = Frame(m_count, assignments, tuple(map(tuple, per_subframe)))
     return frame, compute_metrics(frame)
 
 

@@ -24,6 +24,7 @@ def test_each_tree_imports_under_its_own_name():
     # both sides of one tree do the same work, and every check runs the kernel
     assert out["checks"]["base"] == out["checks"]["head"] > 0
     assert out["kernel"]["base"] == out["kernel"]["head"] >= out["checks"]["head"]
+    assert out["candidates"]["base"] == out["candidates"]["head"] > 0
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):
@@ -41,6 +42,6 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tiny", "tiny-cont"]
     assert all(line.endswith("same results") for line in lines)
-    for kind in ("checks", "kernel"):
+    for kind in ("checks", "kernel", "candidates"):
         counts = [re.search(kind + r" (\d+) / (\d+),", line).groups() for line in lines]
         assert all(base == head != "0" for base, head in counts)

@@ -16,14 +16,16 @@ alternate every set, so a drift of the machine's speed falls on both alike;
 a perfbench run, by contrast, times only about a second of sweeps.
 
 After the timed reps, each side runs one more set, untimed, that counts
-its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``)
-and its ``feasibility.min_power_vector`` calls (one per check, plus any
-made bare), so that a speed-up is reported next to the work it saved, and
-a change that trades checks for bare kernel calls shows both.
+its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``),
+its ``feasibility.min_power_vector`` calls (one per check, plus any made
+bare) and its ``scheduling._candidates`` calls (one per enumerated
+population or period class), so that a speed-up is reported next to the
+work it saved, a change that trades checks for bare kernel calls shows
+both, and a grouping-layer change shows the enumerations it saved.
 
 Per workload it prints the median over reps of base time / head time, the
-reps the head side won, each side's median set time, check count and
-kernel count, and whether both sides gave the same rows and per-seed
+reps the head side won, each side's median set time, check, kernel and
+candidate counts, and whether both sides gave the same rows and per-seed
 records in every set.
 The exit status is 1 if any set differed.
 """
@@ -59,7 +61,8 @@ def load(src: Path, name: str):
 def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> dict:
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
     ``base`` and ``head`` packages: each side's seconds per set, and its
-    ``check_targets`` and kernel calls in one untimed set (``count_calls``),
+    ``check_targets``, kernel and ``_candidates`` calls in one untimed set
+    (``count_calls``),
     the median base/head ratio, the head side's wins and whether every
     set's results were the same on both sides."""
     cfgs = {
@@ -88,6 +91,7 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
         "seconds": seconds,
         "checks": {side: counted[side][0] for side in SIDES},
         "kernel": {side: counted[side][1] for side in SIDES},
+        "candidates": {side: counted[side][2] for side in SIDES},
         "ratio": statistics.median(ratios),
         "head_wins": sum(r > 1.0 for r in ratios),
         "reps": reps,
@@ -95,13 +99,17 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     }
 
 
-def count_calls(package, cfgs) -> tuple[int, int]:
+def count_calls(package, cfgs) -> tuple[int, int, int]:
     """The ``check_targets`` calls that ``package``'s subset solvers make in
-    one set of sweeps of ``cfgs``, and the ``feasibility.min_power_vector``
-    calls of that set, made by those checks or bare."""
-    allocation, feasibility = package.allocation, package.feasibility
+    one set of sweeps of ``cfgs``, the ``feasibility.min_power_vector``
+    calls of that set, made by those checks or bare, and its
+    ``scheduling._candidates`` calls."""
+    allocation, feasibility, scheduling = (
+        package.allocation, package.feasibility, package.scheduling
+    )
     check, kernel = allocation.check_targets, feasibility.min_power_vector
-    calls = [0, 0]
+    candidates = scheduling._candidates
+    calls = [0, 0, 0]
 
     def counting(index, fn):
         def counted(*args, **kwargs):
@@ -111,13 +119,15 @@ def count_calls(package, cfgs) -> tuple[int, int]:
 
     allocation.check_targets = counting(0, check)
     feasibility.min_power_vector = counting(1, kernel)
+    scheduling._candidates = counting(2, candidates)
     try:
         for cfg in cfgs:
             package.run_experiment(cfg)
     finally:
         allocation.check_targets = check
         feasibility.min_power_vector = kernel
-    return calls[0], calls[1]
+        scheduling._candidates = candidates
+    return calls[0], calls[1], calls[2]
 
 
 def main(argv=None) -> int:
@@ -147,6 +157,7 @@ def main(argv=None) -> int:
                 f"{out['reps']}, median set {medians['base']:.3f} s / {medians['head']:.3f} s, "
                 f"checks {out['checks']['base']} / {out['checks']['head']}, "
                 f"kernel {out['kernel']['base']} / {out['kernel']['head']}, "
+                f"candidates {out['candidates']['base']} / {out['candidates']['head']}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )
