@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ratesched import (
     AllocationResult,
     FixedPricer,
+    Frame,
     generate_topology,
     realize_channel,
     GainMatrix,
@@ -22,8 +23,12 @@ from ratesched import (
     RadioConfig,
     ValidationError,
     check_targets,
+    compute_metrics,
     disc4_table,
     disc8_table,
+    mla_allocate,
+    mua_allocate,
+    sna_assign,
     validate_instance,
 )
 
@@ -121,6 +126,29 @@ def four_node_fixture():
         (2, 3): 0.30 * ms,
     }
     return inst, FixedPricer(inst, prices)
+
+
+def reference_schedule(pricer, strategy):
+    """``scheduling.schedule`` as a plain definition: the strategy's
+    allocator runs on every (period, offset) population of ``sna_assign``'s
+    offsets, one-node ones included, and each subframe m scans every
+    population, in (period, offset) order, for those of a period s at
+    offset m mod s."""
+    inst = pricer.inst
+    allocate = {"sna-mla": mla_allocate, "sna-mua": mua_allocate}[strategy]
+    assignments = sna_assign(pricer)
+    populations = {}
+    for i in sorted(assignments):
+        populations.setdefault((inst.periods[i], assignments[i]), []).append(i)
+    rows = [
+        (s, off, allocate(members, pricer)) for (s, off), members in sorted(populations.items())
+    ]
+    groups = tuple(
+        tuple(group for s, off, groups in rows if m % s == off for group in groups)
+        for m in range(inst.subframe_count)
+    )
+    frame = Frame(inst.subframe_count, assignments, groups)
+    return frame, compute_metrics(frame)
 
 
 def link_sinrs(cols, powers, noise):

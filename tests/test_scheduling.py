@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratesched import (
@@ -43,6 +43,7 @@ from helpers import (
     pricing_instances,
     random_gains,
     random_nodes,
+    reference_schedule,
 )
 
 DISC8 = disc8_table(1e8)
@@ -57,6 +58,16 @@ def gain_pricer(inst, gains, continuous=False):
     if continuous:
         return ContinuousPricer(inst, gains, TABLE1_RADIO)
     return TablePricer(inst, gains, DISC8, TABLE1_RADIO)
+
+
+def two_node_pricer(kind):
+    """Nodes 0 and 1 on distinct controllers, priced by ``kind``: "fixed"
+    prices of 0.1 and 0.2 ms alone and 0.25 ms together, or "table" or
+    "continuous" prices over random gains."""
+    inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+    if kind == "fixed":
+        return FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.25 * MS})
+    return gain_pricer(inst, random_gains(np.random.default_rng(3), 2), kind == "continuous")
 
 
 def fixture_instance(periods, controllers):
@@ -278,6 +289,17 @@ class TestMlaAllocate:
             groups = mla_allocate(list(range(n)), pricer)
             assert math.fsum(g[1].slot for g in groups) == optimum.max_active
             compared += 1
+
+
+@pytest.mark.parametrize("kind", ["table", "continuous", "fixed"])
+@pytest.mark.parametrize("allocate", [mla_allocate, mua_allocate])
+def test_allocators_reject_a_repeated_id(allocate, kind):
+    # as price does: MLA's partition DP would fail on the repeated bit and
+    # MUA's unassigned set would group the node once
+    pricer = two_node_pricer(kind)
+    for population in ([0, 0], (1, 0, 1)):
+        with pytest.raises(ValidationError, match="repeated"):
+            allocate(population, pricer)
 
 
 class TestMuaAllocate:
@@ -728,12 +750,7 @@ class TestSubsetPricer:
     def test_repeated_or_unknown_ids_raise(self, kind):
         # a repeated id would collapse into the frozenset key, and an unknown
         # one would reach the gain-backed pricers' position lookup
-        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
-        if kind == "fixed":
-            pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS})
-        else:
-            gains = random_gains(np.random.default_rng(3), 2)
-            pricer = gain_pricer(inst, gains, kind == "continuous")
+        pricer = two_node_pricer(kind)
         with pytest.raises(ValidationError, match="repeated"):
             pricer.price((1, 1))
         assert pricer.price((0,)).feasible
@@ -747,16 +764,12 @@ class TestSubsetPricer:
             with pytest.raises(ValidationError, match="unknown"):
                 pricer.group(ids)
 
-    @pytest.mark.parametrize("kind", ["table", "fixed"])
+    @pytest.mark.parametrize("kind", ["table", "continuous", "fixed"])
     def test_ids_that_are_not_ints_raise(self, kind):
         # True and 1.0 hash as node 1, so a lookup by key alone would take
         # them for it: price would price node 1, solo read its kept result
         # and group the pair's kept answer
-        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
-        if kind == "fixed":
-            pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): 0.25 * MS})
-        else:
-            pricer = gain_pricer(inst, random_gains(np.random.default_rng(3), 2))
+        pricer = two_node_pricer(kind)
         assert pricer.solo(1).feasible and pricer.group((0, 1)) is not None
         calls = [(pricer.price, ids) for ids in ((True,), (1.0,), (0, np.int64(1)))]
         calls += [(pricer.solo, i) for i in (True, 1.0, np.int64(1))]
@@ -764,6 +777,22 @@ class TestSubsetPricer:
         for call, arg in calls:
             with pytest.raises(ValidationError, match="must be ints"):
                 call(arg)
+
+    @pytest.mark.parametrize("kind", ["table", "continuous", "fixed"])
+    def test_an_empty_subset_raises(self, kind):
+        # every pricer gives the one answer before any _price call: fixed
+        # prices would answer infeasible, the solvers raise their own error
+        pricer, priced = two_node_pricer(kind), []
+        price = pricer._price
+        pricer._price = lambda ids, cap: priced.append(ids) or price(ids, cap)
+        for ids in ((), [], frozenset()):
+            for call in (pricer.price, pricer.group):
+                with pytest.raises(ValidationError, match="nonempty"):
+                    call(ids)
+        assert priced == []
+        assert pricer.group((0, 1)) is not None and priced[-1] == (0, 1)
+        with pytest.raises(ValidationError, match="nonempty"):
+            pricer.group(())
 
     @pytest.mark.parametrize("over_cap", [False, True])
     def test_a_repeated_group_returns_the_first_answer(self, over_cap):
@@ -947,10 +976,11 @@ class TestSharedPricer:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_pricer_serves_every_scheduler(self, instance, kind, order, seed):
-        # the offsets and partitions a pricer keeps give the frames and
-        # bit-identical max_active of fresh pricers, in any order; sna_assign
-        # runs once, each member tuple's candidates are enumerated at most
-        # once, and each frame owns its assignments
+        # the offsets, populations and partitions a pricer keeps give the
+        # frames and bit-identical max_active of fresh pricers, in any order;
+        # sna_assign runs once, both strategies get the kept population
+        # tuples, each member tuple's candidates are enumerated at most once,
+        # and each frame owns its assignments
         inst, gains = instance
 
         def make():
@@ -974,14 +1004,28 @@ class TestSharedPricer:
             enumerated[tuple(members)] += 1
             return candidates(members, pricer)
 
+        allocated = []
+
+        def recording(allocate):
+            def allocator(population, pricer):
+                allocated.append(population)
+                return allocate(population, pricer)
+            return allocator
+
+        allocators = {name: recording(fn) for name, fn in scheduling._ALLOCATORS.items()}
         shared = make()
         with (
             mock.patch.object(scheduling, "sna_assign", counting_sna_assign),
             mock.patch.object(scheduling, "_candidates", counting_candidates),
+            mock.patch.dict(scheduling._ALLOCATORS, allocators),
         ):
             results = {name: run(shared, name) for name in order}
         assert calls == 1
         assert enumerated and max(enumerated.values()) == 1
+        kept = shared.populations()
+        assert shared.populations() is kept
+        assert all(any(p is members for _, members in kept) for p in allocated)
+        assert len(allocated) == 2 * sum(len(members) > 1 for _, members in kept)
         for name, (frame, metrics) in results.items():
             fresh_frame, fresh_metrics = run(make(), name)
             assert frame == fresh_frame
@@ -991,6 +1035,78 @@ class TestSharedPricer:
         mla.assignments[min(mla.assignments)] += 1
         assert mua.assignments == kept
         assert schedule(shared, "sna-mua")[0] == mua
+
+
+@st.composite
+def population_cases(draw):
+    """7-8 nodes of period 1 (one population for MLA's greedy branch), 3 of
+    period 2, which sorted node assignment mostly splits into a one-node and
+    a two-node population, and 0-4 of period 4, on 2-4 controllers; a pricer
+    kind and a seed for fixed prices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods = [1] * draw(st.integers(7, 8)) + [2] * 3 + [4] * draw(st.integers(0, 4))
+    n_controllers = draw(st.integers(2, 4))
+    controllers = {i: int(rng.integers(0, n_controllers)) for i in range(len(periods))}
+    inst = fixture_instance(periods=dict(enumerate(periods)), controllers=controllers)
+    gains = random_gains(rng, len(periods))
+    kind = draw(st.sampled_from(["table", "continuous", "fixed"]))
+    return inst, gains, kind, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPopulationAssembly:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=population_cases())
+    def test_matches_the_plain_reference(self, case):
+        # per-population assembly, with one-node populations taking their
+        # solo, gives the plain reference's frame and bit-identical
+        # max_active under both strategies; no one-node population is
+        # enumerated, and both allocators give a lone node its solo
+        inst, gains, kind, seed = case
+
+        def make():
+            if kind == "fixed":
+                return FixedPricer(inst, random_prices(np.random.default_rng(seed), inst))
+            return gain_pricer(inst, gains, kind == "continuous")
+
+        enumerated = []
+        candidates = scheduling._candidates
+
+        def counting_candidates(members, pricer):
+            enumerated.append(tuple(members))
+            return candidates(members, pricer)
+
+        pricer = make()
+        sizes = Counter(len(members) for _, members in pricer.populations())
+        assume(sizes[1] and sizes[2])
+        assert max(sizes) > 6
+        for strategy in STRATEGIES:
+            with mock.patch.object(scheduling, "_candidates", counting_candidates):
+                frame, metrics = schedule(pricer, strategy)
+            ref_frame, ref_metrics = reference_schedule(make(), strategy)
+            assert frame == ref_frame
+            assert metrics.max_active.hex() == ref_metrics.max_active.hex()
+        assert enumerated and min(map(len, enumerated)) > 1
+        for i in inst.ids:
+            solo = [((i,), pricer.solo(i))]
+            assert mla_allocate([i], pricer) == mua_allocate([i], pricer) == solo
+
+    def test_one_node_classes_still_reach_the_exhaustive_search(self):
+        # schedule enumerates the two-node population alone; the exhaustive
+        # search enumerates every period class, the one-node class included
+        inst, pricer = four_node_fixture()
+        enumerated = []
+        candidates = scheduling._candidates
+
+        def counting_candidates(members, pricer):
+            enumerated.append(tuple(members))
+            return candidates(members, pricer)
+
+        with mock.patch.object(scheduling, "_candidates", counting_candidates):
+            for strategy in STRATEGIES:
+                schedule(pricer, strategy)
+            assert enumerated == [(2, 3)]
+            exhaustive_schedule(pricer)
+        assert enumerated == [(2, 3), (1,), (2, 3, 4)]
 
 
 class TestComputeMetrics:
