@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -992,17 +993,11 @@ class TestSharedPricer:
             return exhaustive_schedule(pricer) if name == "exhaustive" else schedule(pricer, name)
 
         calls = 0
-        enumerated = Counter()
-        candidates = scheduling._candidates
 
         def counting_sna_assign(pricer):
             nonlocal calls
             calls += 1
             return sna_assign(pricer)
-
-        def counting_candidates(members, pricer):
-            enumerated[tuple(members)] += 1
-            return candidates(members, pricer)
 
         allocated = []
 
@@ -1016,12 +1011,12 @@ class TestSharedPricer:
         shared = make()
         with (
             mock.patch.object(scheduling, "sna_assign", counting_sna_assign),
-            mock.patch.object(scheduling, "_candidates", counting_candidates),
+            recording_candidates() as enumerated,
             mock.patch.dict(scheduling._ALLOCATORS, allocators),
         ):
             results = {name: run(shared, name) for name in order}
         assert calls == 1
-        assert enumerated and max(enumerated.values()) == 1
+        assert enumerated and max(Counter(enumerated).values()) == 1
         kept = shared.populations()
         assert shared.populations() is kept
         assert all(any(p is members for _, members in kept) for p in allocated)
@@ -1035,6 +1030,21 @@ class TestSharedPricer:
         mla.assignments[min(mla.assignments)] += 1
         assert mua.assignments == kept
         assert schedule(shared, "sna-mua")[0] == mua
+
+
+@contextlib.contextmanager
+def recording_candidates():
+    """Patch ``scheduling._candidates`` to record, in a list it yields, the
+    member tuple of each call."""
+    seen = []
+    candidates = scheduling._candidates
+
+    def recording(members, pricer):
+        seen.append(tuple(members))
+        return candidates(members, pricer)
+
+    with mock.patch.object(scheduling, "_candidates", recording):
+        yield seen
 
 
 @st.composite
@@ -1068,24 +1078,17 @@ class TestPopulationAssembly:
                 return FixedPricer(inst, random_prices(np.random.default_rng(seed), inst))
             return gain_pricer(inst, gains, kind == "continuous")
 
-        enumerated = []
-        candidates = scheduling._candidates
-
-        def counting_candidates(members, pricer):
-            enumerated.append(tuple(members))
-            return candidates(members, pricer)
-
         pricer = make()
         sizes = Counter(len(members) for _, members in pricer.populations())
         assume(sizes[1] and sizes[2])
         assert max(sizes) > 6
         for strategy in STRATEGIES:
-            with mock.patch.object(scheduling, "_candidates", counting_candidates):
+            with recording_candidates() as enumerated:
                 frame, metrics = schedule(pricer, strategy)
             ref_frame, ref_metrics = reference_schedule(make(), strategy)
             assert frame == ref_frame
             assert metrics.max_active.hex() == ref_metrics.max_active.hex()
-        assert enumerated and min(map(len, enumerated)) > 1
+            assert all(len(members) > 1 for members in enumerated)
         for i in inst.ids:
             solo = [((i,), pricer.solo(i))]
             assert mla_allocate([i], pricer) == mua_allocate([i], pricer) == solo
@@ -1094,14 +1097,7 @@ class TestPopulationAssembly:
         # schedule enumerates the two-node population alone; the exhaustive
         # search enumerates every period class, the one-node class included
         inst, pricer = four_node_fixture()
-        enumerated = []
-        candidates = scheduling._candidates
-
-        def counting_candidates(members, pricer):
-            enumerated.append(tuple(members))
-            return candidates(members, pricer)
-
-        with mock.patch.object(scheduling, "_candidates", counting_candidates):
+        with recording_candidates() as enumerated:
             for strategy in STRATEGIES:
                 schedule(pricer, strategy)
             assert enumerated == [(2, 3)]

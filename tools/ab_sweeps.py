@@ -62,9 +62,8 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
     ``base`` and ``head`` packages: each side's seconds per set, and its
     ``check_targets``, kernel and ``_candidates`` calls in one untimed set
-    (``count_calls``),
-    the median base/head ratio, the head side's wins and whether every
-    set's results were the same on both sides."""
+    (``count_calls``), the median base/head ratio, the head side's wins and
+    whether every set's results were the same on both sides."""
     cfgs = {
         side: [
             packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
@@ -127,7 +126,7 @@ def count_calls(package, cfgs) -> tuple[int, int, int]:
         allocation.check_targets = check
         feasibility.min_power_vector = kernel
         scheduling._candidates = candidates
-    return calls[0], calls[1], calls[2]
+    return tuple(calls)
 
 
 def main(argv=None) -> int:
