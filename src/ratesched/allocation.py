@@ -394,42 +394,39 @@ def continuous_optimal(
     Unless hi is above the anchor or the arithmetic finds the anchor
     infeasible, it probes hi, then lo unless lo is a t_lo already probed. A
     feasible hi with an infeasible lo makes hi the answer, and a feasible
-    lo that is t_lo makes t_lo the answer: by the replay argument below no
-    other midpoint can decide differently, so the slot, rates and powers
-    are the plain bisection's, bit for bit. Any other verdict is kept, an
-    infeasible hi as ``no`` and a feasible lo as ``yes``; an infeasible hi
-    that is the anchor is the answer infeasible. The anchor is probed next,
-    unless a feasible lo stands in for it; an infeasible verdict there
-    means no slot up to it is feasible. Then t_lo is probed, unless it
-    already was or an infeasible hi lies above it; a feasible verdict there
-    is the answer. The pricers make two kinds of call, which this order
-    serves: a solo from ``SubsetPricer.solo``, with no cap, and a group of
-    two or more links from ``SubsetPricer.group``, capped at the sum of its
-    members' solo slots, which at the benchmark workloads is below its
-    tightest delay bound, so it is anchored at its cap. Under those calls a feasible group whose cell is confirmed takes
-    two probes, and t_hi is probed only for a solo that neither its guess
-    nor its t_lo probe answers and whose cell is missing, unconfirmed or
-    ends at t_hi.
+    lo that is t_lo makes t_lo the answer: the bisection's result depends
+    only on its verdicts, which are monotone, and every midpoint outside
+    the cell decides as the probed slot on its side of it, so the slot,
+    rates and powers are the plain bisection's, bit for bit.
 
-    Otherwise that bisection is replayed: its result depends only on its
-    monotone verdicts, so a probed feasible slot ``yes`` and a probed
-    infeasible slot ``no`` decide every midpoint outside (no, yes). The
-    replay probes only the midpoints inside (no, yes), and the final slot
-    unless it was probed, so slot and powers are the plain bisection's, bit
-    for bit; should that final probe be infeasible (rounding broke
-    monotonicity), the plain one runs.
+    Where the cell is missing or not confirmed, the plain bisection runs.
+    The anchor is probed, unless it was the cell's hi, and an infeasible
+    verdict there is the answer infeasible: no slot up to it is feasible.
+    Then t_lo is probed, unless it already was, and a feasible verdict
+    there is the answer. Then every midpoint of the bisection from (t_lo,
+    t_hi) below the anchor is probed, and those at or above it count as
+    feasible; so where rounding breaks monotonicity the verdicts are still
+    those the plain bisection probes.
+
+    The pricers make two kinds of call, which this order serves: a solo
+    from ``SubsetPricer.solo``, with no cap, and a group of two or more
+    links from ``SubsetPricer.group``, capped at the sum of its members'
+    solo slots, which at the benchmark workloads is below its tightest
+    delay bound, so it is anchored at its cap. Under those calls a feasible
+    group whose cell is confirmed takes two probes, and t_hi is probed only
+    for a solo that neither its guess nor its t_lo probe answers and whose
+    cell is missing, unconfirmed or ends at t_hi.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
     ``AllocationResult.infeasible()`` otherwise. An anchor below t_lo gives
     infeasible without a probe; a ``cap`` anchor is probed, and an
-    infeasible verdict there means t* > cap, while a feasible one becomes
-    ``yes``. So a price with t* > cap takes one probe, or two where a
-    predicted cell below the cap fails first. The slot is compared with
-    ``cap`` once, as it is returned, whether the replay or the plain
-    bisection gave it: one with t* <= cap below the bisection's slot
-    (within its relative ``_REL_TOL``) is replayed in full, its final slot
-    probed, and then reported infeasible.
+    infeasible verdict there means t* > cap. So a price with t* > cap takes
+    one probe, or two where a predicted cell below the cap fails first. The
+    slot is compared with ``cap`` once, as it is returned: a feasible slot
+    at or under ``cap`` is always a probed slot, and a bisection slot above
+    ``cap`` (as where t* <= cap lies below it, within its relative
+    ``_REL_TOL``) is infeasible without a probe.
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative
@@ -581,62 +578,45 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     # Targets fall with t, so those at t_hi are the smallest of any probe.
     if not all(x > 0 for x in _capacity_targets(bits, t_hi, radio.bandwidth_hz).tolist()):
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
-    yes = cap if cap < t_hi else t_hi  # the anchor; a NaN cap is no cap
-    if t_lo > yes:
+    anchor = cap if cap < t_hi else t_hi  # a NaN cap is no cap
+    if t_lo > anchor:
         return AllocationResult.infeasible()
-    no, no_report, yes_report = t_lo, None, None
-    if yes == t_hi and lo_first:
-        no_report = probe(t_lo)
-        if no_report.feasible:
-            return at(t_lo, no_report)
-    cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, yes)
+    lo_report = report = None  # report: the anchor's, then the slot's
+    if anchor == t_hi and lo_first:
+        lo_report = probe(t_lo)
+        if lo_report.feasible:
+            return at(t_lo, lo_report)
+    cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, anchor)
     if cell is not None:
         lo, hi = cell
-        report = probe(hi)
-        if not report.feasible:
-            if hi == yes:  # the anchor, checked once
-                return AllocationResult.infeasible()
-            no, no_report = hi, report
-        else:
+        hi_report = probe(hi)
+        if hi_report.feasible:
             # a solo with no guess has probed t_lo already
-            lo_report = no_report if lo == t_lo and no_report is not None else probe(lo)
-            if not lo_report.feasible:
-                return at(hi, report)
+            confirm = lo_report if lo == t_lo and lo_report is not None else probe(lo)
+            if not confirm.feasible:
+                return at(hi, hi_report)
             if lo == t_lo:
-                return at(t_lo, lo_report)
-            yes, yes_report = lo, lo_report
-    if yes_report is None:
-        yes_report = probe(yes)
-        if not yes_report.feasible:
-            return AllocationResult.infeasible()
-    if no_report is None:
-        no_report = probe(t_lo)
-        if no_report.feasible:
-            return at(t_lo, no_report)
-
-    def bisect(no: float, yes: float, yes_report: FeasibilityReport):
-        # The bisection from (t_lo, t_hi), probing only midpoints inside
-        # (no, yes); the report is None when the final slot was not probed.
-        def feasible(mid: float) -> bool:
-            nonlocal no, yes, yes_report
-            if no < mid < yes:
-                report = probe(mid)
-                if report.feasible:
-                    yes, yes_report = mid, report
-                else:
-                    no = mid
-            return mid >= yes
-
-        _, hi = _final_cell(t_lo, t_hi, feasible)
-        return hi, yes_report if hi == yes else None
-
-    slot, report = bisect(no, yes, yes_report)
+                return at(t_lo, confirm)
+        if hi == anchor:
+            report = hi_report
+    # the cell is missing or not confirmed: the plain bisection
     if report is None:
-        report = probe(slot)
-        if not report.feasible:  # float verdicts were not monotone: replay nothing
-            slot, report = bisect(t_lo, t_hi, None)
-            if report is None:  # the slot is t_hi, not probed yet
-                report = probe(slot)
-    if report.feasible and not slot > cap:  # a NaN cap is no cap
-        return at(slot, report)
-    return AllocationResult.infeasible()
+        report = probe(anchor)
+    if not report.feasible:
+        return AllocationResult.infeasible()
+    if lo_report is None:
+        lo_report = probe(t_lo)
+        if lo_report.feasible:
+            return at(t_lo, lo_report)
+
+    def feasible(mid: float) -> bool:
+        nonlocal report
+        if mid >= anchor:  # not probed: the anchor is feasible
+            return True
+        verdict = probe(mid)
+        if verdict.feasible:
+            report = verdict
+        return verdict.feasible
+
+    _, slot = _final_cell(t_lo, t_hi, feasible)
+    return AllocationResult.infeasible() if slot > cap else at(slot, report)  # a NaN cap is no cap

@@ -6,6 +6,7 @@ healthy mix of feasible and infeasible rate vectors at the bundled radio
 parameters.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ratesched import (
     AllocationResult,
+    ExperimentResults,
     FixedPricer,
     Frame,
     generate_topology,
@@ -22,12 +24,16 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     ValidationError,
+    brute_force_optimal,
     check_targets,
     compute_metrics,
     disc4_table,
     disc8_table,
+    exhaustive_fits,
+    exhaustive_schedule,
     mla_allocate,
     mua_allocate,
+    schedule,
     sna_assign,
     validate_instance,
 )
@@ -313,6 +319,108 @@ def frozen_continuous_optimal(nodes, gains, radio):
         else:
             lo = mid
     return allocation_at(hi, hi_report)
+
+
+def oracle_seed(cfg, n, density, point, k):
+    """One seed's outcome under ``run_experiment``'s rules, from plain
+    definitions: ``(max_active, reference, reference_kind)``, or the model
+    that drops the seed, or ``"numerical"``.
+
+    The seed is drawn alone by ``draw_instance``. Each needed model (the
+    configured ones, and ``cont`` for the reference) prices every
+    controller-distinct subset with no cap and no solo records: ``cont`` by
+    ``frozen_continuous_optimal``, a ladder by ``brute_force_optimal``,
+    which takes at most 4 links and 8 levels. The models price their solos
+    in ``_run_seed``'s order, table models in config order and then
+    ``cont``, and the first with an infeasible solo drops the seed; a draw
+    or price that raises NumericalError drops it as ``"numerical"``, except
+    a ladder solo whose power overflows: that solo is infeasible. A kept
+    seed's prices, a ``FixedPricer`` per model, go to ``schedule`` and
+    ``exhaustive_schedule``, which share ``SubsetPricer.group``'s cap rule
+    with the library."""
+    ladders = {"disc4": disc4_table, "disc8": disc8_table}
+    needed = [m for m in cfg.rate_models if m != "cont"] + ["cont"]
+
+    def price(model, idx):
+        nodes, sub = [inst.nodes[i] for i in idx], gains.sub(list(idx))
+        if model == "cont":
+            return frozen_continuous_optimal(nodes, sub, cfg.radio)
+        return brute_force_optimal(nodes, sub, ladders[model](cfg.radio.bandwidth_hz), cfg.radio)
+
+    try:
+        nodes, gains = draw_instance(cfg, n, density, point, k)
+        inst = validate_instance(nodes)
+        prices = {m: {} for m in needed}
+        for model in needed:
+            for i in range(n):
+                try:
+                    prices[model][(i,)] = price(model, (i,))
+                except NumericalError:
+                    # the kernel raises where a power overflows; a single
+                    # link whose noise over own gain does needs more than
+                    # p_max at every level and cannot transmit alone
+                    if model == "cont" or cfg.radio.noise_power / gains.cols[i][i] < math.inf:
+                        raise
+                    prices[model][(i,)] = AllocationResult.infeasible()
+            if not all(res.feasible for res in prices[model].values()):
+                return model
+        ctrl = [node.controller_id for node in inst.nodes]
+        for size in range(2, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                if len({ctrl[i] for i in idx}) == size:
+                    for model in needed:
+                        prices[model][idx] = price(model, idx)
+    except NumericalError:
+        return "numerical"
+    pricers = {
+        model: FixedPricer(inst, {ids: res.slot for ids, res in table.items() if res.feasible})
+        for model, table in prices.items()
+    }
+    max_active = {
+        f"{s}/{m}": schedule(pricers[m], s)[1].max_active
+        for s in cfg.strategies for m in cfg.rate_models
+    }
+    if exhaustive_fits(inst):
+        return max_active, exhaustive_schedule(pricers["cont"])[1].max_active, "exhaustive"
+    reference = min(schedule(pricers["cont"], s)[1].max_active for s in cfg.strategies)
+    return max_active, reference, "heuristic"
+
+
+def oracle_sweep(cfg):
+    """``run_experiment(cfg)``'s rows and ``per_seed`` from ``oracle_seed``,
+    averaged in plain numpy; its ``reference_counts`` are left empty."""
+    sweep_var, values = cfg.sweep()
+    rows, per_seed = [], []
+    for point, value in enumerate(values):
+        n, density = (value, cfg.density) if sweep_var == "n_sensors" else (cfg.n_sensors, value)
+        records = []
+        for k in range(cfg.seeds):
+            record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
+            outcome = oracle_seed(cfg, int(n), float(density), point, k)
+            if isinstance(outcome, str):
+                record["dropped"] = outcome
+            else:
+                max_active, record["reference"], record["reference_kind"] = outcome
+                record["max_active"] = max_active
+            records.append(record)
+        per_seed += records
+        kept = [r for r in records if r["dropped"] is None]
+        for strategy in cfg.strategies:
+            for model in cfg.rate_models:
+                raws = [r["max_active"][f"{strategy}/{model}"] for r in kept]
+                norms = [t / r["reference"] for t, r in zip(raws, kept)]
+                rows.append({
+                    "sweep_var": sweep_var,
+                    "value": value,
+                    "strategy": strategy,
+                    "rate_model": model,
+                    "seed_count": len(kept),
+                    "infeasible_count": len(records) - len(kept),
+                    "mean_norm": float(np.mean(norms)) if norms else math.nan,
+                    "std_norm": float(np.std(norms)) if norms else math.nan,
+                    "mean_max_active_s": float(np.mean(raws)) if raws else math.nan,
+                })
+    return ExperimentResults(rows, {}, per_seed)
 
 
 def bisection_cell(t_lo, t_hi, feasible):

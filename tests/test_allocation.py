@@ -494,20 +494,19 @@ class TestContinuousOptimal:
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(instance=pricing_instances(), cap=st.sampled_from([None, 0, 2, 5]))
-    def test_replay_equals_the_frozen_bisection(self, instance, cap):
+    def test_equals_the_frozen_bisection_at_any_secant_cap(self, instance, cap):
         # the same slot, rates and powers, bit for bit, or the same error;
         # a secant cut short leaves more midpoints for the predicted cell's
-        # walk to evaluate
+        # walk to evaluate, and a cell it mispredicts runs the plain bisection
         subset, gains, _, radio = instance
         cap = ratesched.allocation._GUIDE_CAP if cap is None else cap
         with mock.patch.object(ratesched.allocation, "_GUIDE_CAP", cap):
-            replayed = outcome(continuous_optimal, subset, gains, radio)
-        assert replayed == outcome(frozen_continuous_optimal, subset, gains, radio)
+            priced = outcome(continuous_optimal, subset, gains, radio)
+        assert priced == outcome(frozen_continuous_optimal, subset, gains, radio)
 
     def test_probe_budget(self, monkeypatch):
-        # the predicted cell leaves few midpoints of the replayed bisection
-        # to probe: at most 16 probes per price on average for k >= 2 links,
-        # where the plain bisection takes about 35
+        # every feasible price of k >= 2 links here confirms its predicted
+        # cell in two probes, where the plain bisection takes about 35
         rng = np.random.default_rng(19)
         calls = 0
 
@@ -527,7 +526,7 @@ class TestContinuousOptimal:
             if continuous_optimal(nodes, gains, TABLE1_RADIO).feasible:
                 probes.append(calls)
         assert len(probes) >= 50
-        assert sum(probes) / len(probes) <= 16
+        assert set(probes) == {2}
         # a single link whose t_lo probe is feasible makes exactly that probe
         at_t_lo = 0
         for _ in range(200):
@@ -582,14 +581,13 @@ class TestContinuousOptimal:
         assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
         assert calls == 1
 
-    def test_non_monotone_final_probe_falls_back_to_the_plain_bisection(self, monkeypatch):
+    def test_unconfirmed_cell_runs_the_plain_bisection(self, monkeypatch):
         # a predicted cell patched to (below, anchor), below being the float
-        # just under the bisection's final slot and off its grid, is
-        # confirmed with a feasible below, so the replay ends on that slot,
-        # probed only there; a seam in check_targets reports
-        # INFEASIBLE_MAX_POWER at it, the plain bisection then runs from
-        # (t_lo, t_hi), and under the same seam its result is the frozen
-        # plain bisection's
+        # just under the bisection's final slot and off its grid, is not
+        # confirmed: below is feasible and not t_lo. A seam in check_targets
+        # reports INFEASIBLE_MAX_POWER at that final slot, so the verdicts
+        # are not monotone; the plain bisection runs from (t_lo, t_hi), and
+        # under the same seam its result is the frozen plain bisection's
         rng = np.random.default_rng(43)
         check = check_targets
         for _ in range(400):
@@ -622,14 +620,13 @@ class TestContinuousOptimal:
             capped = continuous_optimal(nodes, gains, TABLE1_RADIO, cap)
             monkeypatch.undo()
             assert res == frozen and res != final
-            # the cell is confirmed at t_hi and below, t_lo fails, and the
-            # replay's last probe is its first at the final slot; the
-            # midpoints that the frozen bisection probes after t_hi and t_lo
-            # follow it
+            # the cell is probed at its hi, the anchor t_hi, and at below;
+            # t_lo fails; then come exactly the midpoints that the frozen
+            # bisection probes after t_hi and t_lo
             assert guided[:3] == [t_hi, below, t_lo]
-            assert guided[guided.index(final.slot) + 1:] == plain[2:]
-            # capped just above the replay's final slot, the plain
-            # bisection's slot is over the cap: the cap is tested on it too
+            assert guided[3:] == plain[2:]
+            # capped just above the final slot, the plain bisection's slot is
+            # over the cap: the cap is tested on it
             assert frozen.slot > cap and capped == AllocationResult.infeasible()
 
     @pytest.mark.parametrize("gains", [

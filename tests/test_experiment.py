@@ -36,7 +36,7 @@ from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
-from helpers import draw_instance
+from helpers import draw_instance, oracle_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -47,11 +47,30 @@ HEADER = ",".join(RESULT_COLUMNS)
 
 PERFBENCH = ROOT / "perfbench"
 
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
+
 # Every seed of these sweeps is replayed alone by draw_seed: the perfbench
 # workloads at their default seeds and same_results.py's edge configs.
 REPLAYED = {
     name: dict(spec["config"], master_seed=spec["default_seed"])
-    for name, spec in json.loads((PERFBENCH / "workloads.json").read_text()).items()
+    for name, spec in WORKLOADS.items()
+} | {
+    name: dict(doc, master_seed=same_results.EDGE_SEED)
+    for name, doc in same_results.EDGE_CONFIGS.items()
+}
+
+# The sweeps checked against the whole-sweep oracle: paper-sweep at both
+# energy scales of same_results.py, the first 6 of dense-exhaustive's 60
+# seeds at both, and the edge configs. Each holds groups of at most 4 links
+# (one per controller) on ladders of at most 8 levels, which
+# brute_force_optimal's guard admits; dense-large's 6 controllers do not.
+ORACLE_SWEEPS = {
+    f"{name}-energy{scale:g}": dict(
+        WORKLOADS[name]["config"], master_seed=WORKLOADS[name]["default_seed"],
+        energy_scale=scale, **extra,
+    )
+    for name, extra in (("paper-sweep", {}), ("dense-exhaustive", {"seeds": 6}))
+    for scale in (1.0, same_results.BINDING_ENERGY_SCALE)
 } | {
     name: dict(doc, master_seed=same_results.EDGE_SEED)
     for name, doc in same_results.EDGE_CONFIGS.items()
@@ -547,6 +566,25 @@ class TestDrawSeed:
         # paper-sweep has 3 sweep points of 100 seeds
         with pytest.raises(ValidationError, match=f"^{bad} must be an integer in"):
             experiment.draw_seed(paper_sweep()[0], point, k)
+
+
+class TestWholeSweepOracle:
+    @pytest.mark.parametrize("name", ORACLE_SWEEPS)
+    def test_sweep_equals_the_oracle(self, name, tmp_path):
+        # helpers.oracle_sweep prices every controller-distinct subset by the
+        # frozen bisection or the brute force, with no cap and no solo
+        # records, so it checks the triage, the solo records and guesses,
+        # the predicted cells, the priced answers under their caps and the
+        # pricing caches against plain definitions. It shares schedule,
+        # exhaustive_schedule and SubsetPricer's group rule with the
+        # library, so it does not check the schedulers: their oracles are
+        # helpers.reference_schedule and the exhaustive search.
+        cfg = ExperimentConfig.from_dict(ORACLE_SWEEPS[name])
+        expected, got = oracle_sweep(cfg), run_experiment(cfg)
+        assert got.per_seed == expected.per_seed
+        emit_results(expected, tmp_path / "oracle.csv")
+        emit_results(got, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestConfig:

@@ -8,7 +8,9 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import same_results  # noqa: E402
 
-from ratesched import ExperimentConfig, emit_results, experiment, run_experiment  # noqa: E402
+from ratesched import (  # noqa: E402
+    ExperimentConfig, allocation, emit_results, experiment, run_experiment,
+)
 
 TINY = {"n_sensors": [3, 4], "n_controllers": 2, "seeds": 3, "rate_models": ["cont", "disc4"]}
 
@@ -97,7 +99,7 @@ def edge_draws(name):
         yield from experiment._draw_seeds(cfg, n, density, point, range(cfg.seeds))
 
 
-def test_edge_configs_reach_the_solo_triage_fallbacks():
+def test_edge_configs_reach_the_solo_triage_fallbacks(monkeypatch):
     # table models alone, in reverse order: drops are charged to each
     records = edge_results("edge-tables-reversed").per_seed
     assert {r["dropped"] for r in records} == {None, "disc8", "disc4"}
@@ -112,3 +114,29 @@ def test_edge_configs_reach_the_solo_triage_fallbacks():
     assert kept and all(
         math.isnan(top) for _, _, solos in kept for _, top in solos["cont"]
     )
+    # huge packets leave some continuous prices with no predicted cell but a
+    # feasible anchor, so they probe t_lo next, on the way to the plain
+    # bisection; at the benchmark workloads a missing cell has always meant
+    # an infeasible anchor
+    events = []
+    predicted, check = allocation._predicted_cell, allocation.check_targets
+
+    def recording_cell(y, t_lo, t_hi, anchor):
+        cell = predicted(y, t_lo, t_hi, anchor)
+        events.append(("cell", cell, anchor, t_lo))
+        return cell
+
+    def recording_check(gains, targets, radio, times, *args):
+        report = check(gains, targets, radio, times, *args)
+        events.append(("probe", times[0], report.feasible))
+        return report
+
+    monkeypatch.setattr(allocation, "_predicted_cell", recording_cell)
+    monkeypatch.setattr(allocation, "check_targets", recording_check)
+    edge_results("edge-huge-integers")
+    unpredicted = [
+        event for event, anchor_probe, next_probe in zip(events, events[1:], events[2:])
+        if event[:2] == ("cell", None) and anchor_probe == ("probe", event[2], True)
+        and next_probe[:2] == ("probe", event[3])
+    ]
+    assert unpredicted

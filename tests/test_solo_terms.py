@@ -206,7 +206,8 @@ class TestContinuousGuess:
         hi = solo_guess(1e308, 1.7e308)
         assert 1e308 < hi <= 1e308 * (1 + 2e-6)
         # it is the final slot of the bisection walk with every midpoint
-        # feasible, which the two-link guess and the replay share
+        # feasible, as _final_cell walks it for the predicted cell and the
+        # plain bisection
         for t_lo, top in ((2.0, 2.0), (1e-6, 1e-3), (1e308, 1.7e308), (1e-300, 1e295)):
             assert allocation._final_cell(t_lo, top, lambda mid: True) == (
                 t_lo, solo_guess(t_lo, top)
