@@ -328,6 +328,12 @@ def brute_force_optimal(
     are broken by the lexicographically smallest level-index vector, which the
     enumeration order delivers for free. It checks rates through
     ``check_rate_vector``, so it shares no loop with ``lttf``.
+
+    A vector with a link whose interference-free power ``threshold * N /
+    g_ii`` (the kernel's float expression) is above ``p_max`` is infeasible
+    without a check, since ``min_power_vector`` never returns less; so a
+    link whose power overflows there is infeasible, as ``lttf`` reads it,
+    where the kernel would raise NumericalError.
     """
     nodes = list(nodes)
     if not nodes:
@@ -336,8 +342,14 @@ def brute_force_optimal(
         raise ValidationError("brute force limited to 4 links")
     if table.num_levels > 8:
         raise ValidationError("brute force limited to 8 rate levels")
+    if len(nodes) != gains.n:
+        raise ValidationError("one node per gain matrix row required")
+    noise, p_max = radio.noise_power, radio.p_max
+    own = [col[k] for k, col in enumerate(gains.cols)]
     best: AllocationResult | None = None
     for combo in itertools.product(range(table.num_levels), repeat=len(nodes)):
+        if any(table.threshold(q) * noise / g > p_max for q, g in zip(combo, own)):
+            continue
         rates = [table.rate(q) for q in combo]
         report = check_rate_vector(nodes, gains, rates, table, radio)
         if not report.feasible:

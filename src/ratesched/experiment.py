@@ -327,14 +327,16 @@ def _draw_block(cfg: ExperimentConfig, n: int, side: float, point: int, block: r
     shadowing = np.empty((len(block), n, c))
     fading = np.empty((len(block), n, c))
     traffic = np.empty((len(block), 2, n), dtype=np.int64)
+    # one draw per seed gives the values and generator state of one draw of
+    # n periods and then one of n packet sizes
+    highs = np.repeat([len(cfg.period_set), len(cfg.packet_bits_set)], n).reshape(2, n)
     for b in range(len(block)):
         _reseed(rng, *next(states))
         xy[b] = draw_positions(rng, side, n + c)
         _reseed(rng, *next(states))
         shadowing[b], fading[b] = draw_losses(rng, (n, c))
         _reseed(rng, *next(states))
-        traffic[b, 0] = rng.integers(0, len(cfg.period_set), n)
-        traffic[b, 1] = rng.integers(0, len(cfg.packet_bits_set), n)
+        traffic[b] = rng.integers(0, highs)
     dist = distances(xy[:, :n], xy[:, n:])
     return fade(dist, shadowing, fading), nearest_controllers(dist), traffic
 

@@ -69,9 +69,12 @@ class SubsetPricer:
 
     A pricer is the per-(instance, rate model) cache. It keeps each feasible
     ``solo()``, each ``group()`` answer, the ``offsets()`` with the
-    population map they give (``populations()``) and each sorted member
-    tuple's ``partitions()``; the gain-backed pricers also keep one solo
-    record per node. ``price`` keeps nothing.
+    population map they give (``populations()``), each sorted member
+    tuple's ``partitions()`` and the groups and metrics of each frame that
+    ``schedule`` builds on it: one frame for both strategies when no
+    population has more than two nodes, since the allocators then never run,
+    and one per strategy otherwise. The gain-backed pricers also keep one
+    solo record per node. ``price`` keeps nothing.
     """
 
     def __init__(self, inst: Instance):
@@ -84,6 +87,8 @@ class SubsetPricer:
         self._solo_results: dict[int, AllocationResult] = {}
         # member set -> its group() answer, None included
         self._groups: dict[frozenset, AllocationResult | None] = {}
+        # strategy, or None for every strategy -> schedule()'s (groups, metrics)
+        self._frames: dict[str | None, tuple] = {}
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a nonempty sequence of
@@ -509,6 +514,17 @@ _ALLOCATORS = {"sna-mla": mla_allocate, "sna-mua": mua_allocate}
 STRATEGIES = tuple(_ALLOCATORS)
 
 
+def _pair(members, pricer):
+    """The groups of the two-node population ``members``: the pair if
+    ``pricer.group`` accepts it with a slot below the ``math.fsum`` of the
+    two solos, otherwise the two solos, as either allocator returns them."""
+    a, b = members
+    res, sa, sb = pricer.group(members), pricer.solo(a), pricer.solo(b)
+    if res is not None and res.slot < math.fsum((sa.slot, sb.slot)):
+        return [(members, res)]
+    return [((a,), sa), ((b,), sb)]
+
+
 def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, ScheduleMetrics]:
     """Build a frame for ``pricer.inst`` with sorted node assignment plus the
     chosen allocator.
@@ -519,29 +535,50 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
 
     The offsets and populations come from ``pricer.offsets()`` and
     ``pricer.populations()``, so ``sna_assign`` runs once per pricer and
-    every strategy shares its populations; each frame gets its own copy of
-    the offsets. The allocator runs once per population of two or more
-    nodes; a one-node population takes its solo, ``[((i,), solo)]``, which
-    is what either allocator returns for it. Each population's groups go to
-    its own subframes, off, off + s, ..., in sorted (period, offset) order:
+    every strategy shares its populations. The allocator runs once per
+    population of three or more nodes. A one-node population takes its
+    solo, ``[((i,), solo)]``. A two-node population ``(a, b)`` takes
+    ``[((a, b), res)]``, ``res`` its ``pricer.group``, when ``res`` is not
+    None and its slot is below the ``math.fsum`` of the two solo slots, and
+    its two solos otherwise. Either allocator returns just that, for any
+    pricer: MLA's partition DP weighs the split first and takes the pair
+    only at a strictly smaller cost, and MUA adds the second node only when
+    the fsum minus the pair's slot is above 0, which holds exactly when the
+    slot is below the fsum. Each population's groups go to its own
+    subframes, off, off + s, ..., in sorted (period, offset) order:
     subframe m holds, in order of period, the groups of each period s at
     offset m mod s.
+
+    The pricer keeps each frame's groups and metrics: under the strategy
+    that built them, or for every strategy when no population has more than
+    two nodes, since no allocator then runs. A later call returns them in a
+    new ``Frame`` with a fresh copy of the offsets, so each frame owns its
+    assignments.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
     m_count = pricer.inst.subframe_count
-    allocator = _ALLOCATORS[strategy]
-    assignments = pricer.offsets()
-    per_subframe: list[list] = [[] for _ in range(m_count)]
-    for (s, off), members in pricer.populations():
-        if len(members) == 1:
-            groups = [(members, pricer.solo(members[0]))]
-        else:
-            groups = allocator(members, pricer)
-        for m in range(off, m_count, s):
-            per_subframe[m] += groups
-    frame = Frame(m_count, assignments, tuple(map(tuple, per_subframe)))
-    return frame, compute_metrics(frame)
+    frames = pricer._frames
+    kept = frames.get(None) or frames.get(strategy)
+    if kept is None:
+        allocator = _ALLOCATORS[strategy]
+        per_subframe: list[list] = [[] for _ in range(m_count)]
+        allocated = False
+        for (s, off), members in pricer.populations():
+            if len(members) == 1:
+                groups = [(members, pricer.solo(members[0]))]
+            elif len(members) == 2:
+                groups = _pair(members, pricer)
+            else:
+                groups, allocated = allocator(members, pricer), True
+            for m in range(off, m_count, s):
+                per_subframe[m] += groups
+        frame = Frame(m_count, pricer.offsets(), tuple(map(tuple, per_subframe)))
+        metrics = compute_metrics(frame)
+        frames[strategy if allocated else None] = frame.groups, metrics
+        return frame, metrics
+    groups, metrics = kept
+    return Frame(m_count, pricer.offsets(), groups), metrics
 
 
 def exhaustive_fits(inst: Instance) -> bool:

@@ -333,8 +333,7 @@ def oracle_seed(cfg, n, density, point, k):
     which takes at most 4 links and 8 levels. The models price their solos
     in ``_run_seed``'s order, table models in config order and then
     ``cont``, and the first with an infeasible solo drops the seed; a draw
-    or price that raises NumericalError drops it as ``"numerical"``, except
-    a ladder solo whose power overflows: that solo is infeasible. A kept
+    or price that raises NumericalError drops it as ``"numerical"``. A kept
     seed's prices, a ``FixedPricer`` per model, go to ``schedule`` and
     ``exhaustive_schedule``, which share ``SubsetPricer.group``'s cap rule
     with the library."""
@@ -353,15 +352,7 @@ def oracle_seed(cfg, n, density, point, k):
         prices = {m: {} for m in needed}
         for model in needed:
             for i in range(n):
-                try:
-                    prices[model][(i,)] = price(model, (i,))
-                except NumericalError:
-                    # the kernel raises where a power overflows; a single
-                    # link whose noise over own gain does needs more than
-                    # p_max at every level and cannot transmit alone
-                    if model == "cont" or cfg.radio.noise_power / gains.cols[i][i] < math.inf:
-                        raise
-                    prices[model][(i,)] = AllocationResult.infeasible()
+                prices[model][(i,)] = price(model, (i,))
             if not all(res.feasible for res in prices[model].values()):
                 return model
         ctrl = [node.controller_id for node in inst.nodes]

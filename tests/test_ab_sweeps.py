@@ -9,7 +9,12 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import ab_sweeps  # noqa: E402
 
-TINY = {"n_sensors": [3], "n_controllers": 2, "seeds": 3, "rate_models": ["cont", "disc4"]}
+# one period, so that each kept seed's three nodes form one population, which
+# an allocator groups
+TINY = {
+    "n_sensors": [3], "n_controllers": 2, "seeds": 3, "period_set": [1],
+    "rate_models": ["cont", "disc4"],
+}
 
 
 def test_each_tree_imports_under_its_own_name():
@@ -25,6 +30,7 @@ def test_each_tree_imports_under_its_own_name():
     assert out["checks"]["base"] == out["checks"]["head"] > 0
     assert out["kernel"]["base"] == out["kernel"]["head"] >= out["checks"]["head"]
     assert out["candidates"]["base"] == out["candidates"]["head"] > 0
+    assert out["allocators"]["base"] == out["allocators"]["head"] > 0
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):
@@ -42,6 +48,6 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tiny", "tiny-cont"]
     assert all(line.endswith("same results") for line in lines)
-    for kind in ("checks", "kernel", "candidates"):
+    for kind in ("checks", "kernel", "candidates", "allocator"):
         counts = [re.search(kind + r" (\d+) / (\d+),", line).groups() for line in lines]
         assert all(base == head != "0" for base, head in counts)

@@ -310,14 +310,14 @@ class TestInputs:
     # the node count must equal the gain matrix size: three nodes on a 2x2
     # matrix, and one node that the solver would otherwise call infeasible
     # (no level within its delay bound; t_lo > t_hi)
-    @pytest.mark.parametrize("solver", ["lttf", "continuous_optimal"])
+    @pytest.mark.parametrize("solver", ["lttf", "continuous_optimal", "brute_force_optimal"])
     @pytest.mark.parametrize("nodes", [
         [_node(0), _node(1), _node(2)],
         [_node(delay=1e-9)],
     ], ids=["three-nodes", "one-infeasible-node"])
     def test_node_count_must_match_the_gain_matrix(self, solver, nodes):
         gains = GainMatrix([[1e-6, 1e-9], [1e-9, 1e-6]])
-        args = (DISC8, TABLE1_RADIO) if solver == "lttf" else (TABLE1_RADIO,)
+        args = (TABLE1_RADIO,) if solver == "continuous_optimal" else (DISC8, TABLE1_RADIO)
         with pytest.raises(ValidationError, match="one node per gain matrix row"):
             getattr(ratesched.allocation, solver)(nodes, gains, *args)
 
@@ -353,6 +353,21 @@ class TestBruteForceOracle:
             [_node()], GainMatrix([[1e-7]]), DISC4, TABLE1_RADIO
         )
         assert not res.feasible and res.slot == math.inf
+
+    @pytest.mark.parametrize("own", [5e-324, 1.2e-317])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_an_overflowing_solo_power_is_infeasible(self, size, own):
+        # link 0's noise over its own gain overflows to inf, where the kernel
+        # raises for a single link; the oracle reads such a link as
+        # infeasible with no check, as lttf does
+        rows = [[own, 1e-9], [1e-9, 1e-6]]
+        nodes, gains = [_node(k) for k in range(size)], GainMatrix([r[:size] for r in rows[:size]])
+        assert TABLE1_RADIO.noise_power / own == math.inf
+        if size == 1:
+            with pytest.raises(NumericalError):
+                check_rate_vector(nodes, gains, [DISC8.rate(0)], DISC8, TABLE1_RADIO)
+        res = brute_force_optimal(nodes, gains, DISC8, TABLE1_RADIO)
+        assert res == lttf(nodes, gains, DISC8, TABLE1_RADIO) == AllocationResult.infeasible()
 
     def test_two_links_delay_forced_optimum(self):
         # Hand enumeration of all 9 disc4 vectors for this symmetric pair

@@ -870,10 +870,12 @@ class TestRunExperiment:
         # perfbench/layers.py, loaded as it stands, wraps module bindings
         # such as scheduling.sna_assign; an offsets() or a dispatch that
         # bypassed them would read as zero work. Tracing changes no result.
+        # The allocators run only on populations of three or more nodes,
+        # which this config's sweep holds.
         spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
         layers = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(layers)
-        cfg = tiny_config(period_set=[1, 2])
+        cfg = tiny_config(period_set=[1, 2], n_sensors=[3, 4])
         untraced = run_experiment(cfg)
         tracer = layers.Tracer()
         with layers.traced(tracer):

@@ -977,10 +977,12 @@ class TestSharedPricer:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_pricer_serves_every_scheduler(self, instance, kind, order, seed):
-        # the offsets, populations and partitions a pricer keeps give the
-        # frames and bit-identical max_active of fresh pricers, in any order;
-        # sna_assign runs once, both strategies get the kept population
-        # tuples, each member tuple's candidates are enumerated at most once,
+        # the offsets, populations, partitions and frames a pricer keeps
+        # give the frames and bit-identical max_active of fresh pricers, in
+        # any order; sna_assign runs once, both strategies get the kept
+        # population tuples, only populations of three or more nodes reach
+        # an allocator, each member tuple's candidates are enumerated at most
+        # once, a repeated call runs no allocator and returns an equal frame,
         # and each frame owns its assignments
         inst, gains = instance
 
@@ -1020,16 +1022,64 @@ class TestSharedPricer:
         kept = shared.populations()
         assert shared.populations() is kept
         assert all(any(p is members for _, members in kept) for p in allocated)
-        assert len(allocated) == 2 * sum(len(members) > 1 for _, members in kept)
+        assert len(allocated) == 2 * sum(len(members) > 2 for _, members in kept)
         for name, (frame, metrics) in results.items():
             fresh_frame, fresh_metrics = run(make(), name)
             assert frame == fresh_frame
             assert metrics.max_active.hex() == fresh_metrics.max_active.hex()
-        mla, mua = results["sna-mla"][0], results["sna-mua"][0]
-        kept = dict(mua.assignments)
-        mla.assignments[min(mla.assignments)] += 1
-        assert mua.assignments == kept
-        assert schedule(shared, "sna-mua")[0] == mua
+        allocated.clear()
+        with mock.patch.dict(scheduling._ALLOCATORS, allocators):
+            repeated = [schedule(shared, name) for name in STRATEGIES]
+        assert allocated == []
+        assert repeated == [results[name] for name in STRATEGIES]
+        frames = [frame for frame, _ in [*results.values(), *repeated]]
+        owned = [dict(frame.assignments) for frame in frames]
+        for frame in frames:
+            frame.assignments[min(frame.assignments)] += 1
+            assert [f.assignments == a for f, a in zip(frames, owned)].count(False) == 1
+            frame.assignments[min(frame.assignments)] -= 1
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        instance=small_instances(),
+        kind=st.sampled_from(["table", "continuous", "fixed"]),
+        order=st.permutations(STRATEGIES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_populations_of_two_nodes_give_one_frame_for_both_strategies(
+        self, instance, kind, order, seed
+    ):
+        # with no population above two nodes the frame does not depend on
+        # the strategy: the second strategy takes the kept frame, with no
+        # allocator or pair rule, and a fresh pricer's bit-identical metrics
+        inst, gains = instance
+
+        def make():
+            if kind == "fixed":
+                return FixedPricer(inst, random_prices(np.random.default_rng(seed), inst))
+            return gain_pricer(inst, gains, kind == "continuous")
+
+        shared = make()
+        assume(max(len(members) for _, members in shared.populations()) <= 2)
+        first = schedule(shared, order[0])
+        calls = []
+
+        def refusing(name):
+            def call(*args):
+                calls.append(name)
+                raise AssertionError(name)
+            return call
+
+        with (
+            mock.patch.dict(scheduling._ALLOCATORS, {k: refusing(k) for k in STRATEGIES}),
+            mock.patch.object(scheduling, "_pair", refusing("_pair")),
+        ):
+            second = schedule(shared, order[1])
+        assert calls == []
+        assert second == first and second[0].groups is first[0].groups
+        fresh_frame, fresh_metrics = schedule(make(), order[1])
+        assert second[0] == fresh_frame
+        assert second[1].max_active.hex() == fresh_metrics.max_active.hex()
 
 
 @contextlib.contextmanager
@@ -1068,9 +1118,11 @@ class TestPopulationAssembly:
     @given(case=population_cases())
     def test_matches_the_plain_reference(self, case):
         # per-population assembly, with one-node populations taking their
-        # solo, gives the plain reference's frame and bit-identical
-        # max_active under both strategies; no one-node population is
-        # enumerated, and both allocators give a lone node its solo
+        # solo and two-node ones the pair rule, gives the plain reference's
+        # frame and bit-identical max_active under both strategies; no
+        # population of one or two nodes is enumerated, both allocators give
+        # a lone node its solo, and a two-node population the groups that
+        # schedule put in its subframe
         inst, gains, kind, seed = case
 
         def make():
@@ -1088,21 +1140,47 @@ class TestPopulationAssembly:
             ref_frame, ref_metrics = reference_schedule(make(), strategy)
             assert frame == ref_frame
             assert metrics.max_active.hex() == ref_metrics.max_active.hex()
-            assert all(len(members) > 1 for members in enumerated)
+            assert all(len(members) > 2 for members in enumerated)
+            for (_, off), members in pricer.populations():
+                if len(members) == 2:
+                    groups = [g for g in frame.groups[off] if set(g[0]) <= set(members)]
+                    assert mla_allocate(members, pricer) == groups
+                    assert mua_allocate(members, pricer) == groups
         for i in inst.ids:
             solo = [((i,), pricer.solo(i))]
             assert mla_allocate([i], pricer) == mua_allocate([i], pricer) == solo
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_a_pair_is_grouped_only_below_its_solo_sum(self, step, strategy):
+        # a pair priced one float below the fsum of its solos is grouped; at
+        # that fsum, or one float above it (where group rejects it), the two
+        # nodes keep their solos, in schedule and in both allocators
+        inst = fixture_instance(periods={0: 1, 1: 1}, controllers={0: 0, 1: 1})
+        total = math.fsum((0.1 * MS, 0.2 * MS))
+        slot = math.nextafter(total, step * math.inf) if step else total
+        pricer = FixedPricer(inst, {(0,): 0.1 * MS, (1,): 0.2 * MS, (0, 1): slot})
+        assert (pricer.group((0, 1)) is None) == (step > 0)
+        if step < 0:
+            groups = [((0, 1), pricer.group((0, 1)))]
+        else:
+            groups = [((0,), pricer.solo(0)), ((1,), pricer.solo(1))]
+        frame, metrics = schedule(pricer, strategy)
+        assert frame.groups == (tuple(groups),)
+        assert metrics.max_active == math.fsum(res.slot for _, res in groups)
+        assert mla_allocate([0, 1], pricer) == mua_allocate([0, 1], pricer) == groups
+
     def test_one_node_classes_still_reach_the_exhaustive_search(self):
-        # schedule enumerates the two-node population alone; the exhaustive
-        # search enumerates every period class, the one-node class included
+        # schedule enumerates no population of one or two nodes; the
+        # exhaustive search enumerates every period class, the one-node
+        # class included
         inst, pricer = four_node_fixture()
         with recording_candidates() as enumerated:
             for strategy in STRATEGIES:
                 schedule(pricer, strategy)
-            assert enumerated == [(2, 3)]
+            assert enumerated == []
             exhaustive_schedule(pricer)
-        assert enumerated == [(2, 3), (1,), (2, 3, 4)]
+        assert enumerated == [(1,), (2, 3, 4)]
 
 
 class TestComputeMetrics:

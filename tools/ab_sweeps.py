@@ -18,15 +18,17 @@ a perfbench run, by contrast, times only about a second of sweeps.
 After the timed reps, each side runs one more set, untimed, that counts
 its ``check_targets`` calls (those of ``lttf`` and ``continuous_optimal``),
 its ``feasibility.min_power_vector`` calls (one per check, plus any made
-bare) and its ``scheduling._candidates`` calls (one per enumerated
-population or period class), so that a speed-up is reported next to the
-work it saved, a change that trades checks for bare kernel calls shows
-both, and a grouping-layer change shows the enumerations it saved.
+bare), its ``scheduling._candidates`` calls (one per enumerated
+population or period class) and its calls of the ``scheduling._ALLOCATORS``
+(one per population that ``schedule`` allocates), so that a speed-up is
+reported next to the work it saved, a change that trades checks for bare
+kernel calls shows both, and a grouping-layer change shows the
+enumerations and the allocated populations it saved.
 
 Per workload it prints the median over reps of base time / head time, the
-reps the head side won, each side's median set time, check, kernel and
-candidate counts, and whether both sides gave the same rows and per-seed
-records in every set.
+reps the head side won, each side's median set time, check, kernel,
+candidate and allocator counts, and whether both sides gave the same rows
+and per-seed records in every set.
 The exit status is 1 if any set differed.
 """
 
@@ -61,9 +63,10 @@ def load(src: Path, name: str):
 def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> dict:
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
     ``base`` and ``head`` packages: each side's seconds per set, and its
-    ``check_targets``, kernel and ``_candidates`` calls in one untimed set
-    (``count_calls``), the median base/head ratio, the head side's wins and
-    whether every set's results were the same on both sides."""
+    ``check_targets``, kernel, ``_candidates`` and allocator calls in one
+    untimed set (``count_calls``), the median base/head ratio, the head
+    side's wins and whether every set's results were the same on both
+    sides."""
     cfgs = {
         side: [
             packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
@@ -91,6 +94,7 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
         "checks": {side: counted[side][0] for side in SIDES},
         "kernel": {side: counted[side][1] for side in SIDES},
         "candidates": {side: counted[side][2] for side in SIDES},
+        "allocators": {side: counted[side][3] for side in SIDES},
         "ratio": statistics.median(ratios),
         "head_wins": sum(r > 1.0 for r in ratios),
         "reps": reps,
@@ -98,17 +102,18 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     }
 
 
-def count_calls(package, cfgs) -> tuple[int, int, int]:
+def count_calls(package, cfgs) -> tuple[int, int, int, int]:
     """The ``check_targets`` calls that ``package``'s subset solvers make in
     one set of sweeps of ``cfgs``, the ``feasibility.min_power_vector``
-    calls of that set, made by those checks or bare, and its
-    ``scheduling._candidates`` calls."""
+    calls of that set, made by those checks or bare, its
+    ``scheduling._candidates`` calls and its calls of the allocators in
+    ``scheduling._ALLOCATORS``."""
     allocation, feasibility, scheduling = (
         package.allocation, package.feasibility, package.scheduling
     )
     check, kernel = allocation.check_targets, feasibility.min_power_vector
-    candidates = scheduling._candidates
-    calls = [0, 0, 0]
+    candidates, allocators = scheduling._candidates, dict(scheduling._ALLOCATORS)
+    calls = [0, 0, 0, 0]
 
     def counting(index, fn):
         def counted(*args, **kwargs):
@@ -119,6 +124,7 @@ def count_calls(package, cfgs) -> tuple[int, int, int]:
     allocation.check_targets = counting(0, check)
     feasibility.min_power_vector = counting(1, kernel)
     scheduling._candidates = counting(2, candidates)
+    scheduling._ALLOCATORS.update({name: counting(3, fn) for name, fn in allocators.items()})
     try:
         for cfg in cfgs:
             package.run_experiment(cfg)
@@ -126,6 +132,7 @@ def count_calls(package, cfgs) -> tuple[int, int, int]:
         allocation.check_targets = check
         feasibility.min_power_vector = kernel
         scheduling._candidates = candidates
+        scheduling._ALLOCATORS.update(allocators)
     return tuple(calls)
 
 
@@ -157,6 +164,7 @@ def main(argv=None) -> int:
                 f"checks {out['checks']['base']} / {out['checks']['head']}, "
                 f"kernel {out['kernel']['base']} / {out['kernel']['head']}, "
                 f"candidates {out['candidates']['base']} / {out['candidates']['head']}, "
+                f"allocator {out['allocators']['base']} / {out['allocators']['head']}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )
