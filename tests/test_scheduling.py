@@ -1062,20 +1062,15 @@ class TestSharedPricer:
         shared = make()
         assume(max(len(members) for _, members in shared.populations()) <= 2)
         first = schedule(shared, order[0])
-        calls = []
 
-        def refusing(name):
-            def call(*args):
-                calls.append(name)
-                raise AssertionError(name)
-            return call
+        def refusing(*args):
+            raise AssertionError("the kept frame is rebuilt")
 
         with (
-            mock.patch.dict(scheduling._ALLOCATORS, {k: refusing(k) for k in STRATEGIES}),
-            mock.patch.object(scheduling, "_pair", refusing("_pair")),
+            mock.patch.dict(scheduling._ALLOCATORS, dict.fromkeys(STRATEGIES, refusing)),
+            mock.patch.object(scheduling, "_pair", refusing),
         ):
             second = schedule(shared, order[1])
-        assert calls == []
         assert second == first and second[0].groups is first[0].groups
         fresh_frame, fresh_metrics = schedule(make(), order[1])
         assert second[0] == fresh_frame
