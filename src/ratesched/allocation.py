@@ -75,10 +75,13 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     alone, NaN where there is none: t_lo where the check there passes, and
     t_hi (the delay bound) where it fails on power alone, which makes the
     guess the final slot of its bisection with every midpoint feasible.
-    Both need t_lo <= t_hi, and every check a single link's price makes, at
-    t_lo, at t_hi or between, to return without raising: capacity targets
-    > 0 and 0 < power < inf at t_lo and at t_hi. A guess only chooses where
-    to check.
+    Both need t_lo <= t_hi, t_lo * W > 0, capacity targets > 0 at t_hi (so
+    at every slot up to it), and a power at t_lo in (0, inf) whose energy
+    is within the budget. So a link has no guess only where t_lo > t_hi,
+    where ``continuous_optimal`` raises before any check, or where the check
+    at t_lo is infeasible with its energy over the budget or would raise.
+    A guess is checked near t_lo, never at t_hi: where the power at t_hi
+    underflows to 0, where the kernel raises, a guess still answers.
 
     Each term is the same float expression as the kernel's, on float64
     arrays (the logarithms and capacity targets use numpy, as everywhere);
@@ -101,12 +104,11 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
             solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
             ladders.append((lowest, ceiling, power, record, solo))
         floors = bits / (width * np.log2(1.0 + p_max * own / noise))
-        # the kernel's solo power at t_lo and at t_hi; one > 0 has a target > 0
-        p_lo, p_hi = (_capacity_targets(bits, t, width) * noise / own for t in (floors, delay))
+        # the kernel's solo power at t_lo; one > 0 has a target > 0
+        p_lo = _capacity_targets(bits, floors, width) * noise / own
         guessed = (
-            (floors <= delay) & (floors * width > 0)
-            & (0 < p_lo) & (p_lo < np.inf) & (0 < p_hi) & (p_hi < np.inf)
-            & (floors * p_lo <= energy)
+            (floors <= delay) & (floors * width > 0) & (_capacity_targets(bits, delay, width) > 0)
+            & (0 < p_lo) & (p_lo < np.inf) & (floors * p_lo <= energy)
         )
         tops = np.where(guessed, np.where(p_lo <= p_max, floors, delay), np.nan)
     return ladders, floors, tops
@@ -398,24 +400,22 @@ def continuous_optimal(
     unless that is over ``cap``; a feasible verdict there is the answer: it
     is t_lo, or the final slot of the bisection with every midpoint
     feasible, where t_lo fails on power alone. The anchor is min(cap, t_hi).
-    A single link with no guess, anchored at t_hi, probes t_lo first, its
-    answer unless power or energy binds. Any price that goes on takes the
-    bisection's final cell (lo, hi) as arithmetic predicts it, which only
-    chooses where to probe: the closed form of the minimum powers for two
-    links, the kernel run bare for any other count (``_predicted_cell``).
-    Unless hi is above the anchor or the arithmetic finds the anchor
-    infeasible, it probes hi, then lo unless lo is a t_lo already probed. A
-    feasible hi with an infeasible lo makes hi the answer, and a feasible
-    lo that is t_lo makes t_lo the answer: the bisection's result depends
-    only on its verdicts, which are monotone, and every midpoint outside
-    the cell decides as the probed slot on its side of it, so the slot,
-    rates and powers are the plain bisection's, bit for bit.
+    Any price that goes on, a single link's with no guess or an infeasible
+    one included, takes the bisection's final cell (lo, hi) as arithmetic
+    predicts it, which only chooses where to probe: the closed form of the
+    minimum powers for two links, the kernel run bare for any other count
+    (``_predicted_cell``). Unless hi is above the anchor or the arithmetic
+    finds the anchor infeasible, it probes hi, then lo. A feasible hi with
+    an infeasible lo makes hi the answer, and a feasible lo that is t_lo
+    makes t_lo the answer: the bisection's result depends only on its
+    verdicts, which are monotone, and every midpoint outside the cell
+    decides as the probed slot on its side of it, so the slot, rates and
+    powers are the plain bisection's, bit for bit.
 
     Where the cell is missing or not confirmed, the plain bisection runs.
     The anchor is probed, unless it was the cell's hi, and an infeasible
     verdict there is the answer infeasible: no slot up to it is feasible.
-    Then t_lo is probed, unless it already was, and a feasible verdict
-    there is the answer. Then every midpoint of the bisection from (t_lo,
+    Then t_lo is probed, and a feasible verdict there is the answer. Then every midpoint of the bisection from (t_lo,
     t_hi) below the anchor is probed, and those at or above it count as
     feasible; so where rounding breaks monotonicity the verdicts are still
     those the plain bisection probes.
@@ -425,9 +425,10 @@ def continuous_optimal(
     links from ``SubsetPricer.group``, capped at the sum of its members'
     solo slots, which at the benchmark workloads is below its tightest
     delay bound, so it is anchored at its cap. Under those calls a feasible
-    group whose cell is confirmed takes two probes, and t_hi is probed only
-    for a solo that neither its guess nor its t_lo probe answers and whose
-    cell is missing, unconfirmed or ends at t_hi.
+    group whose cell is confirmed takes two probes, as does a solo with no
+    guess whose cell is confirmed, and t_hi is probed only for a solo that
+    its guess does not answer and whose cell is missing, unconfirmed or ends
+    at t_hi.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
@@ -457,7 +458,7 @@ def continuous_optimal(
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
-    probed, as when a solo's guess or t_lo probe is feasible, a cell below
+    probed, as when a solo's guess is feasible, a cell below
     t_hi is confirmed, or a cap below t_hi is infeasible. A prediction never
     raises: the bare kernel's errors there read as NaN.
     """
@@ -480,8 +481,7 @@ def continuous_optimal(
             if report.feasible:
                 return _result_for([packets[0] / slot], [slot], report)
     t_lo = max(t for t, _ in solos)
-    lo_first = len(solos) == 1 and not guessed
-    return _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first)
+    return _search(gains, radio, packets, delays, energies, t_lo, cap)
 
 
 def _inverse_slack(gains, radio, packets, energies):
@@ -569,9 +569,8 @@ def _predicted_cell(y, t_lo, t_hi, anchor):
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
-def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> AllocationResult:
-    """``continuous_optimal`` after a single link's guess, probing t_lo
-    first where ``lo_first``, for a single link with no guess."""
+def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationResult:
+    """``continuous_optimal`` after a single link's guess."""
     k = len(packets)
     bits = np.array(packets)
 
@@ -593,22 +592,17 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
     anchor = cap if cap < t_hi else t_hi  # a NaN cap is no cap
     if t_lo > anchor:
         return AllocationResult.infeasible()
-    lo_report = report = None  # report: the anchor's, then the slot's
-    if anchor == t_hi and lo_first:
-        lo_report = probe(t_lo)
-        if lo_report.feasible:
-            return at(t_lo, lo_report)
+    report = None  # the anchor's, then the slot's
     cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, anchor)
     if cell is not None:
         lo, hi = cell
         hi_report = probe(hi)
         if hi_report.feasible:
-            # a solo with no guess has probed t_lo already
-            confirm = lo_report if lo == t_lo and lo_report is not None else probe(lo)
-            if not confirm.feasible:
+            lo_report = probe(lo)
+            if not lo_report.feasible:
                 return at(hi, hi_report)
             if lo == t_lo:
-                return at(t_lo, confirm)
+                return at(t_lo, lo_report)
         if hi == anchor:
             report = hi_report
     # the cell is missing or not confirmed: the plain bisection
@@ -616,10 +610,9 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap, lo_first) -> All
         report = probe(anchor)
     if not report.feasible:
         return AllocationResult.infeasible()
-    if lo_report is None:
-        lo_report = probe(t_lo)
-        if lo_report.feasible:
-            return at(t_lo, lo_report)
+    lo_report = probe(t_lo)
+    if lo_report.feasible:
+        return at(t_lo, lo_report)
 
     def feasible(mid: float) -> bool:
         nonlocal report

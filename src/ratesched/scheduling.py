@@ -70,11 +70,11 @@ class SubsetPricer:
     A pricer is the per-(instance, rate model) cache. It keeps each feasible
     ``solo()``, each ``group()`` answer, the ``offsets()`` with the
     population map they give (``populations()``), each sorted member
-    tuple's ``partitions()`` and the groups and metrics of each frame that
-    ``schedule`` builds on it: one frame for both strategies when no
-    population has more than two nodes, since the allocators then never run,
-    and one per strategy otherwise. The gain-backed pricers also keep one
-    solo record per node. ``price`` keeps nothing.
+    tuple's ``partitions()`` and, when no population has more than two
+    nodes, the groups and metrics of the one frame ``schedule`` builds on it
+    for both strategies, since the allocators then never run. The
+    gain-backed pricers also keep one solo record per node. ``price`` keeps
+    nothing.
     """
 
     def __init__(self, inst: Instance):
@@ -87,8 +87,8 @@ class SubsetPricer:
         self._solo_results: dict[int, AllocationResult] = {}
         # member set -> its group() answer, None included
         self._groups: dict[frozenset, AllocationResult | None] = {}
-        # strategy, or None for every strategy -> schedule()'s (groups, metrics)
-        self._frames: dict[str | None, tuple] = {}
+        # schedule()'s (groups, metrics) where no allocator ran, for every strategy
+        self._frame: tuple | None = None
 
     def price(self, ids, cap: float = math.inf) -> AllocationResult:
         """Allocation of the node subset ``ids``, a nonempty sequence of
@@ -549,17 +549,16 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
     subframe m holds, in order of period, the groups of each period s at
     offset m mod s.
 
-    The pricer keeps each frame's groups and metrics: under the strategy
-    that built them, or for every strategy when no population has more than
-    two nodes, since no allocator then runs. A later call returns them in a
-    new ``Frame`` with a fresh copy of the offsets, so each frame owns its
-    assignments.
+    When no population has more than two nodes, no allocator runs and the
+    frame does not depend on the strategy: the pricer keeps its groups and
+    metrics, and every later call returns them in a new ``Frame`` with a
+    fresh copy of the offsets, so each frame owns its assignments. A frame
+    that an allocator built is not kept.
     """
     if strategy not in _ALLOCATORS:
         raise ValidationError(f"unknown strategy {strategy!r}")
     m_count = pricer.inst.subframe_count
-    frames = pricer._frames
-    kept = frames.get(None) or frames.get(strategy)
+    kept = pricer._frame
     if kept is None:
         allocator = _ALLOCATORS[strategy]
         per_subframe: list[list] = [[] for _ in range(m_count)]
@@ -575,7 +574,8 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
                 per_subframe[m] += groups
         frame = Frame(m_count, pricer.offsets(), tuple(map(tuple, per_subframe)))
         metrics = compute_metrics(frame)
-        frames[strategy if allocated else None] = frame.groups, metrics
+        if not allocated:
+            pricer._frame = frame.groups, metrics
         return frame, metrics
     groups, metrics = kept
     return Frame(m_count, pricer.offsets(), groups), metrics

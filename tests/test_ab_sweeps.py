@@ -31,6 +31,7 @@ def test_each_tree_imports_under_its_own_name():
     assert out["kernel"]["base"] == out["kernel"]["head"] >= out["checks"]["head"]
     assert out["candidates"]["base"] == out["candidates"]["head"] > 0
     assert out["allocators"]["base"] == out["allocators"]["head"] > 0
+    assert out["binding_checks"]["base"] == out["binding_checks"]["head"] > 0
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):
@@ -48,6 +49,6 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tiny", "tiny-cont"]
     assert all(line.endswith("same results") for line in lines)
-    for kind in ("checks", "kernel", "candidates", "allocator"):
-        counts = [re.search(kind + r" (\d+) / (\d+),", line).groups() for line in lines]
+    for kind in ("checks", "kernel", "candidates", "allocator", "checks@1e-4"):
+        counts = [re.search(" " + kind + r" (\d+) / (\d+),", line).groups() for line in lines]
         assert all(base == head != "0" for base, head in counts)

@@ -30,6 +30,7 @@ from ratesched import (
     lttf,
     validate_instance,
 )
+from ratesched.allocation import continuous_solos, solo_guess
 
 from helpers import (
     TABLE1_RADIO,
@@ -568,8 +569,10 @@ class TestContinuousOptimal:
         # one link whose minimum power underflows to 0 at t_hi (a 1e20 s
         # delay bound), where the kernel raises NumericalError; the plain
         # bisection probes t_hi first and raises, but t_hi is never probed
-        # when a feasible t_lo (100 bits) or an infeasible cap (300 bits,
-        # where t_lo just fails p_max) answers first
+        # when a guess answers first: t_lo for 100 bits, and for 300 bits,
+        # where t_lo just fails p_max, the final slot of the bisection with
+        # every midpoint feasible; capped at that t_lo, the 300-bit link is
+        # infeasible after one probe
         radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
         gains = GainMatrix([[1.0]])
         calls = 0
@@ -590,8 +593,11 @@ class TestContinuousOptimal:
 
         capped = [_node(bits=300.0, delay=1e20)]
         with pytest.raises(NumericalError):
-            continuous_optimal(capped, gains, radio)
+            frozen_continuous_optimal(capped, gains, radio)
         t_lo = interference_free_slot(capped, gains, radio)
+        calls = 0
+        res = continuous_optimal(capped, gains, radio)
+        assert res.feasible and res.slot == solo_guess(t_lo, 1e20) > t_lo and calls == 1
         calls = 0
         assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
         assert calls == 1
@@ -960,11 +966,14 @@ class TestCap:
 
     def test_capped_price_may_stop_before_the_probe_that_raises(self):
         # one link whose minimum power underflows to 0 at t_hi (a 1e20 s
-        # delay bound): the uncapped price raises NumericalError there, while
-        # a cap at t_lo, which 300 bits just fail at p_max, is infeasible
-        # after one probe; no factor of the draws above places such a cap
+        # delay bound) and whose energy budget fails at t_lo, so it has no
+        # guess: the prediction reads t_hi as NaN, and the uncapped price
+        # probes t_hi and raises NumericalError there, while a cap at t_lo
+        # is infeasible after one probe; no factor of the draws above places
+        # such a cap
         radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
-        subset, gains = [_node(bits=300.0, delay=1e20)], GainMatrix([[1.0]])
+        subset, gains = [_node(bits=300.0, delay=1e20, energy=1e-12)], GainMatrix([[1.0]])
+        assert math.isnan(continuous_solos(subset, gains, radio)[0][1])
 
         def price(cap):
             return continuous_optimal(subset, gains, radio, cap)
@@ -998,9 +1007,10 @@ class TestCap:
         The capped outcome is the uncapped result when its slot is at most
         the cap, else infeasible, after at most one check (lttf) or, when the
         cap is below the bisection's tolerance band, one probe
-        (continuous_optimal; two for a solo with no feasible slot: t_lo, then
-        t_hi). It raises only where a probe that the capped call makes
-        raises, or where the set-up raises whatever the cap; so where the
+        (continuous_optimal; two for a subset with no feasible slot: a
+        predicted cell's hi, then the anchor). It raises only where a probe
+        that the capped call makes raises, or where the set-up raises
+        whatever the cap; so where the
         uncapped call raises, the capped one raises that error type or
         returns infeasible.
         """

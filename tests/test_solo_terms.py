@@ -20,6 +20,7 @@ from ratesched import (
     validate_instance,
 )
 from ratesched import allocation, check_targets
+from ratesched.allocation import _capacity_targets
 from ratesched.allocation import (
     continuous_optimal,
     continuous_solos,
@@ -31,7 +32,7 @@ from ratesched.allocation import (
 from ratesched.model import AllocationResult
 from ratesched.scheduling import ContinuousPricer
 
-from helpers import BANDWIDTHS, TABLE1_RADIO, TABLES
+from helpers import BANDWIDTHS, TABLE1_RADIO, TABLES, frozen_continuous_optimal, random_instance
 
 
 def frozen_ladder_solos(nodes, gains, table, radio):
@@ -92,7 +93,9 @@ def check_continuous_solo(nodes, gains, radio) -> str:
     """Assert that a single link's price, bare and as a pricer solo, is the
     uncapped price of the same link without a guess (a NaN top), and that a
     feasible check at its guess is the one check made; the kind of guess
-    the link has: "t_lo", "halved" or "none"."""
+    the link has: "t_lo", "halved" or "none". (Only where the power at t_hi
+    underflows to 0, which no draw of ``blocks`` reaches, does a guess
+    answer a price that raises without one.)"""
     ((floor, top),) = continuous_solos(nodes, gains, radio)
     want = outcome(continuous_optimal, nodes, gains, radio, math.inf, [(floor, math.nan)])
     with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
@@ -147,6 +150,71 @@ class TestBlocks:
                 check_continuous_solo([alone], GainMatrix([[own[b, i]]]), radio)
 
 
+class TestNoGuess:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(blocks())
+    def test_t_lo_fails_wherever_a_link_has_no_guess(self, block):
+        # the invariant that lets a solo with no guess skip t_lo until its
+        # predicted cell or the plain bisection reaches it: wherever the top
+        # is NaN, t_lo <= t_hi and _search's up-front checks pass, the check
+        # at t_lo is infeasible or raises
+        own, bits, delay, energy, radio, _ = block
+        _, floors, tops = solo_terms(own, bits, delay, energy, radio)
+        width = radio.bandwidth_hz
+        for (b, i), top in np.ndenumerate(tops):
+            t_lo, t_hi = floors[b, i], delay[b, i]
+            if not (math.isnan(top) and t_lo <= t_hi and 0.0 < t_lo < math.inf
+                    and t_lo * width > 0 and _capacity_targets(bits[b, i], t_hi, width) > 0):
+                continue
+            targets = _capacity_targets(np.array([bits[b, i]]), t_lo, width).tolist()
+            gains = GainMatrix([[float(own[b, i])]])
+            try:
+                report = check_targets(gains, targets, radio, [float(t_lo)], [float(t_hi)],
+                                       [float(energy[b, i])])
+            except NumericalError:
+                continue
+            assert not report.feasible
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(k=st.integers(1, 3), bandwidth=st.sampled_from(BANDWIDTHS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_binding_energy_prices_are_the_plain_bisections(self, k, bandwidth, seed):
+        # 1-3 links with binding energy budgets: the price is the frozen
+        # plain bisection's, bit for bit, wherever that answers, and a solo
+        # with no guess whose predicted cell is confirmed takes exactly the
+        # two probes of the cell
+        radio = dataclasses.replace(TABLE1_RADIO, bandwidth_hz=bandwidth)
+        nodes, gains = random_instance(
+            np.random.default_rng(seed), k, TABLES["disc8", bandwidth], radio=radio,
+            binding_energy_prob=1.0, loose_delay=1e-3 * 1e8 / bandwidth,
+        )
+        with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
+            priced = outcome(continuous_optimal, nodes, gains, radio)
+        frozen = outcome(frozen_continuous_optimal, nodes, gains, radio)
+        if frozen is not NumericalError:
+            assert priced == frozen
+        [(t_lo, top)] = continuous_solos(nodes, gains, radio) if k == 1 else [(0.0, 0.0)]
+        t_hi = nodes[0].delay_bound
+        if not (math.isnan(top) and t_lo <= t_hi):
+            return
+        y = allocation._inverse_slack(gains, radio, [nodes[0].packet_bits],
+                                      [nodes[0].energy_budget])
+        cell = allocation._predicted_cell(y, t_lo, t_hi, t_hi)
+        if cell is None:
+            return
+        lo, hi = cell
+        verdicts = []
+        for t in (hi, lo):
+            targets = _capacity_targets(np.array([nodes[0].packet_bits]), t, bandwidth).tolist()
+            try:
+                verdicts.append(check_targets(gains, targets, radio, [t], [t_hi],
+                                              [nodes[0].energy_budget]).feasible)
+            except NumericalError:
+                return
+        if verdicts == [True, False]:
+            assert check.call_count == 2 and priced.slot == hi
+
+
 class TestContinuousGuess:
     def test_t_lo_feasible_and_failing_by_rounding_both_keep_the_price(self):
         # alone, a link's power at t_lo is p_max up to rounding: about a
@@ -166,38 +234,58 @@ class TestContinuousGuess:
         [
             ("energy binding", {"own": 1e-5, "energy": 1e-8}, TABLE1_RADIO),
             ("delay too tight", {"own": 1e-7, "delay": 1e-8}, TABLE1_RADIO),
-            # targets near 3.5e-307 at t_hi: the power there underflows to 0
-            ("power underflows at t_hi", {"own": 1e12, "delay": 1e300}, TABLE1_RADIO),
             # p_max is the largest float: the power at t_lo, p_max up to
             # rounding, overflows
             ("power overflows at t_lo", {"own": 0.7},
              RadioConfig(p_max=1.7976931348623157e308, noise_power=1.0, bandwidth_hz=1e8)),
         ],
     )
-    def test_no_guess_goes_to_the_bisection(self, case, kwargs, radio):
-        # with no guess, the first slot checked is t_lo, as the bisection's
-        # single-link order has it, unless t_lo > t_hi answers without one
+    def test_no_guess_goes_to_the_predicted_cell(self, case, kwargs, radio):
+        # with no guess, the first slot checked is the predicted cell's hi,
+        # then its lo, unless t_lo > t_hi answers without one
         nodes, gains = link(**kwargs)
         assert check_continuous_solo(nodes, gains, radio) == "none"
         [(floor, _)] = continuous_solos(nodes, gains, radio)
         with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
             outcome(continuous_optimal, nodes, gains, radio)
         slots = [call.args[3][0] for call in check.call_args_list]
-        assert slots[:1] == ([] if case == "delay too tight" else [floor])
         targets = [math.expm1(50.0 * math.log(2.0) / (t * radio.bandwidth_hz))
                    for t in (floor, nodes[0].delay_bound)]
         powers = [x * radio.noise_power / gains.cols[0][0] if x < math.inf else x
                   for x in targets]
+        if case == "delay too tight":
+            assert floor > nodes[0].delay_bound and slots == []
+            return
+        delay, energy = nodes[0].delay_bound, nodes[0].energy_budget
+        y = allocation._inverse_slack(gains, radio, [nodes[0].packet_bits], [energy])
+        lo, hi = allocation._predicted_cell(y, floor, delay, delay)
+        assert slots == [hi, lo]
         if case == "energy binding":
-            assert floor * powers[0] > nodes[0].energy_budget
-            assert continuous_optimal(nodes, gains, radio).feasible
-        elif case == "delay too tight":
-            assert floor > nodes[0].delay_bound
-        elif case == "power underflows at t_hi":
-            assert powers[1] == 0.0
+            assert floor * powers[0] > energy and lo > floor
+            assert continuous_optimal(nodes, gains, radio).slot == hi
         else:
-            assert powers[0] == math.inf
+            # the cell's lo is t_lo, where the check raises
+            assert powers[0] == math.inf and lo == floor
             assert outcome(continuous_optimal, nodes, gains, radio) is NumericalError
+
+    def test_power_underflowing_at_t_hi_keeps_the_guess(self):
+        # targets near 3.5e-307 at t_hi: the power there underflows to 0,
+        # where the kernel raises NumericalError. The guess never checks
+        # t_hi, so the link keeps it and is priced in one check, while the
+        # same link without a guess, its prediction NaN at t_hi, checks t_hi
+        # and raises
+        nodes, gains = link(own=1e12, delay=1e300)
+        [(floor, top)] = continuous_solos(nodes, gains, TABLE1_RADIO)
+        assert top == nodes[0].delay_bound
+        target = math.expm1(50.0 * math.log(2.0) / (top * TABLE1_RADIO.bandwidth_hz))
+        assert target > 0 and target * TABLE1_RADIO.noise_power / gains.cols[0][0] == 0.0
+        with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
+            res = continuous_optimal(nodes, gains, TABLE1_RADIO)
+        assert res.slot == solo_guess(floor, top) and check.call_count == 1
+        assert pricer_solo(nodes, gains, TABLE1_RADIO) == res
+        no_guess = [(floor, math.nan)]
+        price = outcome(continuous_optimal, nodes, gains, TABLE1_RADIO, math.inf, no_guess)
+        assert price is NumericalError
 
     def test_solo_guess(self):
         assert solo_guess(2.0, 2.0) == 2.0

@@ -23,12 +23,16 @@ population or period class) and its calls of the ``scheduling._ALLOCATORS``
 (one per population that ``schedule`` allocates), so that a speed-up is
 reported next to the work it saved, a change that trades checks for bare
 kernel calls shows both, and a grouping-layer change shows the
-enumerations and the allocated populations it saved.
+enumerations and the allocated populations it saved. Each side then counts
+its checks in the same set once more at ``energy_scale``
+``same_results.BINDING_ENERGY_SCALE``, where energy budgets bind and
+continuous solos take other paths than at the workloads' own scale.
 
 Per workload it prints the median over reps of base time / head time, the
 reps the head side won, each side's median set time, check, kernel,
-candidate and allocator counts, and whether both sides gave the same rows
-and per-seed records in every set.
+candidate and allocator counts, its checks at the binding energy scale
+(``checks@1e-4``), and whether both sides gave the same rows and per-seed
+records in every set.
 The exit status is 1 if any set differed.
 """
 
@@ -44,6 +48,7 @@ import time
 from pathlib import Path
 
 from bench_pairs import export
+from same_results import BINDING_ENERGY_SCALE
 
 SIDES = ("base", "head")
 
@@ -64,16 +69,18 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     """Alternate ``reps`` sets of ``sweeps`` sweeps of ``config`` between the
     ``base`` and ``head`` packages: each side's seconds per set, and its
     ``check_targets``, kernel, ``_candidates`` and allocator calls in one
-    untimed set (``count_calls``), the median base/head ratio, the head
+    untimed set (``count_calls``), its ``check_targets`` calls in that set
+    at ``BINDING_ENERGY_SCALE``, the median base/head ratio, the head
     side's wins and whether every set's results were the same on both
     sides."""
-    cfgs = {
-        side: [
-            packages[side].ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r))
+
+    def configs(package, **fields):
+        return [
+            package.ExperimentConfig.from_dict(dict(config, master_seed=seed * 1000 + r, **fields))
             for r in range(sweeps)
         ]
-        for side in SIDES
-    }
+
+    cfgs = {side: configs(packages[side]) for side in SIDES}
     seconds = {side: [] for side in SIDES}
     same = True
     for rep in range(reps):
@@ -89,9 +96,14 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
         )
     ratios = [b / h for b, h in zip(seconds["base"], seconds["head"])]
     counted = {side: count_calls(packages[side], cfgs[side]) for side in SIDES}
+    binding = {}
+    for side in SIDES:
+        binding_cfgs = configs(packages[side], energy_scale=BINDING_ENERGY_SCALE)
+        binding[side] = count_calls(packages[side], binding_cfgs)
     return {
         "seconds": seconds,
         "checks": {side: counted[side][0] for side in SIDES},
+        "binding_checks": {side: binding[side][0] for side in SIDES},
         "kernel": {side: counted[side][1] for side in SIDES},
         "candidates": {side: counted[side][2] for side in SIDES},
         "allocators": {side: counted[side][3] for side in SIDES},
@@ -165,6 +177,7 @@ def main(argv=None) -> int:
                 f"kernel {out['kernel']['base']} / {out['kernel']['head']}, "
                 f"candidates {out['candidates']['base']} / {out['candidates']['head']}, "
                 f"allocator {out['allocators']['base']} / {out['allocators']['head']}, "
+                f"checks@1e-4 {out['binding_checks']['base']} / {out['binding_checks']['head']}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )

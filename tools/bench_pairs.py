@@ -15,9 +15,10 @@ speed falls on both sides alike.
 With ``--trace-seed`` each tree also makes one ``--trace 1`` run per
 workload, and every metric it prints is kept, including those that are not
 ``per_layer`` metrics of ``BENCHMARK.json`` (``scheduling.exhaustive.self_s``).
-Every ``per_layer`` metric whose unit is ``count`` is then compared between
-the two traced runs, and ``counts_moved`` maps each one that differs to its
-``[base, head]`` values; it is empty when both sides did the same work.
+Every printed metric whose unit is ``count`` (``scheduling.mla.calls`` among
+them) is then compared between the two traced runs, and ``counts_moved``
+maps each one that differs to its ``[base, head]`` values; it is empty when
+both sides did the same work.
 
 The summary holds, per workload and end-to-end metric, each side's runs,
 median and quartiles (``statistics.quantiles``, inclusive method), the
@@ -76,7 +77,8 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_bench(tree: Path, command: list, workload: str, seed: int, seconds: int, trace: int):
     """One benchmark run in ``tree``: its final JSON line plus every printed
-    ``name value unit`` line as ``{name: value}``."""
+    ``name value unit`` line, as ``{name: value}`` under ``printed`` and
+    ``{name: unit}`` under ``units``."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -87,15 +89,16 @@ def run_bench(tree: Path, command: list, workload: str, seed: int, seconds: int,
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    printed = {}
+    printed, units = {}, {}
     for line in lines[:-1]:
         fields = line.split()
         if len(fields) >= 2:
             try:
                 printed[fields[0]] = float(fields[1])
             except ValueError:
-                pass
-    result["printed"] = printed
+                continue
+            units[fields[0]] = " ".join(fields[2:])
+    result["printed"], result["units"] = printed, units
     return result
 
 
@@ -125,15 +128,17 @@ def summarise(metric: dict, pairs: list[dict]) -> dict:
     }
 
 
-def counts_moved(bench: dict, trace: dict) -> dict:
-    """``{name: [base, head]}`` for every ``per_layer`` count of
-    ``BENCHMARK.json`` that differs between the two traced runs."""
+def counts_moved(base: dict, head: dict) -> dict:
+    """``{name: [base, head]}`` for every metric whose unit is ``count`` on
+    either of the two traced runs ``base`` and ``head`` (``run_bench``
+    results) and whose printed values differ; one printed on one side only
+    is None on the other."""
     moved = {}
-    for metric in bench["per_layer"]:
-        name = metric["name"]
-        values = [trace[side].get(name) for side in ("base", "head")]
-        if metric["unit"] == "count" and values[0] != values[1]:
-            moved[name] = values
+    for name in sorted(base["units"].keys() | head["units"].keys()):
+        if "count" in (base["units"].get(name), head["units"].get(name)):
+            values = [run["printed"].get(name) for run in (base, head)]
+            if values[0] != values[1]:
+                moved[name] = values
     return moved
 
 
@@ -195,12 +200,13 @@ def main(argv=None) -> int:
             }
             if args.trace_seed is not None:
                 entry["trace"] = {"seed": args.trace_seed}
+                traced = {}
                 for side in revs:
-                    traced = run_bench(trees[side], bench["command"], workload,
-                                       args.trace_seed, seconds, 1)
-                    entry["trace"][side] = dict(traced["printed"], correct=traced["correct"],
-                                                failed=traced["failed"])
-                entry["counts_moved"] = counts_moved(bench, entry["trace"])
+                    traced[side] = run = run_bench(trees[side], bench["command"], workload,
+                                                   args.trace_seed, seconds, 1)
+                    entry["trace"][side] = dict(run["printed"], correct=run["correct"],
+                                                failed=run["failed"])
+                entry["counts_moved"] = counts_moved(traced["base"], traced["head"])
             summary["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
