@@ -80,8 +80,8 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     is within the budget. So a link has no guess only where t_lo > t_hi,
     where ``continuous_optimal`` raises before any check, or where the check
     at t_lo is infeasible with its energy over the budget or would raise.
-    A guess is checked near t_lo, never at t_hi: where the power at t_hi
-    underflows to 0, where the kernel raises, a guess still answers.
+    A guess is checked near t_lo, never at t_hi, so it answers even where
+    the power at t_hi underflows to 0 and a check there would raise.
 
     Each term is the same float expression as the kernel's, on float64
     arrays (the logarithms and capacity targets use numpy, as everywhere);
@@ -415,10 +415,11 @@ def continuous_optimal(
     Where the cell is missing or not confirmed, the plain bisection runs.
     The anchor is probed, unless it was the cell's hi, and an infeasible
     verdict there is the answer infeasible: no slot up to it is feasible.
-    Then t_lo is probed, and a feasible verdict there is the answer. Then every midpoint of the bisection from (t_lo,
-    t_hi) below the anchor is probed, and those at or above it count as
-    feasible; so where rounding breaks monotonicity the verdicts are still
-    those the plain bisection probes.
+    Then t_lo is probed, and a feasible verdict there is the answer. Then
+    every midpoint of the bisection from (t_lo, t_hi) below the anchor is
+    probed, and those at or above it count as feasible; so where rounding
+    breaks monotonicity the verdicts are still those the plain bisection
+    probes.
 
     The pricers make two kinds of call, which this order serves: a solo
     from ``SubsetPricer.solo``, with no cap, and a group of two or more
@@ -458,9 +459,9 @@ def continuous_optimal(
     The kernel's own NumericalError (a minimum power that underflows to 0 or
     overflows) surfaces only from a slot that is probed: an error that the
     probe at t_hi alone would raise does not surface when t_hi is not
-    probed, as when a solo's guess is feasible, a cell below
-    t_hi is confirmed, or a cap below t_hi is infeasible. A prediction never
-    raises: the bare kernel's errors there read as NaN.
+    probed, as when a solo's guess is feasible, a cell below t_hi is
+    confirmed, or a cap below t_hi is infeasible. A prediction never raises:
+    the bare kernel's errors there read as NaN.
     """
     nodes = list(nodes)
     if not nodes:
@@ -472,8 +473,7 @@ def continuous_optimal(
     packets = [n.packet_bits for n in nodes]
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
-    guessed = len(solos) == 1 and solos[0][1] > 0  # a NaN top is no guess
-    if guessed:
+    if len(solos) == 1 and solos[0][1] > 0:  # a NaN top is no guess
         slot = solo_guess(*solos[0])
         if not slot > cap:  # a NaN cap is no cap
             targets = _capacity_targets(np.array(packets), slot, radio.bandwidth_hz).tolist()

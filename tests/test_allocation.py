@@ -819,8 +819,7 @@ class TestPredictedCell:
         # bisection's final cell gives the same result, bit for bit, with
         # more probes than the two that confirm the right cell, from the
         # closed form (two links) and the kernel (one, three or four) alike;
-        # a single link first makes its failing guess or t_lo probe, and
-        # that t_lo may be the cell's lo
+        # a single link with a guess first makes its failing check there
         nodes, gains, _, radio = instance
         exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
         confirmed = (2,) if len(nodes) > 1 else (2, 3)

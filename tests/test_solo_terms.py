@@ -193,7 +193,9 @@ class TestNoGuess:
         frozen = outcome(frozen_continuous_optimal, nodes, gains, radio)
         if frozen is not NumericalError:
             assert priced == frozen
-        [(t_lo, top)] = continuous_solos(nodes, gains, radio) if k == 1 else [(0.0, 0.0)]
+        if k > 1:
+            return
+        [(t_lo, top)] = continuous_solos(nodes, gains, radio)
         t_hi = nodes[0].delay_bound
         if not (math.isnan(top) and t_lo <= t_hi):
             return
