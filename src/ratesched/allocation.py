@@ -135,17 +135,14 @@ def ladder_triage(ladders, rows: int):
 def solo_guess(t_lo: float, top: float) -> float:
     """The final slot of ``continuous_optimal``'s bisection from (t_lo, top)
     with every midpoint feasible: t_lo for top = t_lo, NaN for a NaN top."""
-    hi = top
-    while hi - t_lo > _REL_TOL * hi:
-        mid = 0.5 * (t_lo + hi)
-        hi = mid if mid != math.inf else 0.5 * t_lo + 0.5 * hi  # t_lo + hi overflows
-    return hi
+    return _final_cell(t_lo, top, lambda mid: True)[1]
 
 
 def _final_cell(lo: float, hi: float, feasible) -> tuple[float, float]:
     """The final cell (lo, hi) of ``continuous_optimal``'s bisection from
-    (lo, hi), each midpoint's verdict given by ``feasible(mid)``; with every
-    midpoint feasible, hi is ``solo_guess(lo, hi)``."""
+    (lo, hi), each midpoint's verdict given by ``feasible(mid)``: the one
+    walk of the predicted cell, the plain bisection and, with every
+    midpoint feasible, ``solo_guess``."""
     while hi - lo > _REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mid == math.inf:  # lo + hi overflows
@@ -405,21 +402,22 @@ def continuous_optimal(
     predicts it, which only chooses where to probe: the closed form of the
     minimum powers for two links, the kernel run bare for any other count
     (``_predicted_cell``). Unless hi is above the anchor or the arithmetic
-    finds the anchor infeasible, it probes hi, then lo. A feasible hi with
-    an infeasible lo makes hi the answer, and a feasible lo that is t_lo
-    makes t_lo the answer: the bisection's result depends only on its
-    verdicts, which are monotone, and every midpoint outside the cell
-    decides as the probed slot on its side of it, so the slot, rates and
-    powers are the plain bisection's, bit for bit.
+    finds the anchor infeasible, it probes hi, then lo. The cell is
+    confirmed, and hi is the answer, only where hi is feasible and lo
+    infeasible: the bisection's result depends only on its verdicts, which
+    are monotone, and every midpoint outside the cell decides as the probed
+    slot on its side of it, so the slot, rates and powers are the plain
+    bisection's, bit for bit.
 
-    Where the cell is missing or not confirmed, the plain bisection runs.
-    The anchor is probed, unless it was the cell's hi, and an infeasible
+    Where the cell is missing or not confirmed, the plain bisection runs,
+    probed in its own order. The anchor is probed, and an infeasible
     verdict there is the answer infeasible: no slot up to it is feasible.
     Then t_lo is probed, and a feasible verdict there is the answer. Then
     every midpoint of the bisection from (t_lo, t_hi) below the anchor is
     probed, and those at or above it count as feasible; so where rounding
     breaks monotonicity the verdicts are still those the plain bisection
-    probes.
+    probes. The answer is thus a confirmed cell's hi or the plain
+    bisection's: the arithmetic only chooses where to probe.
 
     The pricers make two kinds of call, which this order serves: a solo
     from ``SubsetPricer.solo``, with no cap, and a group of two or more
@@ -427,16 +425,17 @@ def continuous_optimal(
     solo slots, which at the benchmark workloads is below its tightest
     delay bound, so it is anchored at its cap. Under those calls a feasible
     group whose cell is confirmed takes two probes, as does a solo with no
-    guess whose cell is confirmed, and t_hi is probed only for a solo that
-    its guess does not answer and whose cell is missing, unconfirmed or ends
-    at t_hi.
+    guess whose cell is confirmed. t_hi is probed only for a solo that its
+    guess does not answer and whose cell is missing, unconfirmed or ends at
+    t_hi; an unconfirmed cell that ends at t_hi probes it twice, as its hi
+    and as the anchor.
 
     ``cap`` is an upper bound on the slot the caller can use: the result is
     exact whenever its slot is at most ``cap``, and
     ``AllocationResult.infeasible()`` otherwise. An anchor below t_lo gives
     infeasible without a probe; a ``cap`` anchor is probed, and an
     infeasible verdict there means t* > cap. So a price with t* > cap takes
-    one probe, or two where a predicted cell below the cap fails first. The
+    one probe, or two where a predicted cell fails first. The
     slot is compared with ``cap`` once, as it is returned: a feasible slot
     at or under ``cap`` is always a probed slot, and a bisection slot above
     ``cap`` (as where t* <= cap lies below it, within its relative
@@ -592,22 +591,14 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationRes
     anchor = cap if cap < t_hi else t_hi  # a NaN cap is no cap
     if t_lo > anchor:
         return AllocationResult.infeasible()
-    report = None  # the anchor's, then the slot's
     cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, anchor)
     if cell is not None:
         lo, hi = cell
-        hi_report = probe(hi)
-        if hi_report.feasible:
-            lo_report = probe(lo)
-            if not lo_report.feasible:
-                return at(hi, hi_report)
-            if lo == t_lo:
-                return at(t_lo, lo_report)
-        if hi == anchor:
-            report = hi_report
+        report = probe(hi)
+        if report.feasible and not probe(lo).feasible:
+            return at(hi, report)
     # the cell is missing or not confirmed: the plain bisection
-    if report is None:
-        report = probe(anchor)
+    report = probe(anchor)  # then the slot's
     if not report.feasible:
         return AllocationResult.infeasible()
     lo_report = probe(t_lo)

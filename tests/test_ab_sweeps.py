@@ -4,6 +4,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -32,6 +34,14 @@ def test_each_tree_imports_under_its_own_name():
     assert out["candidates"]["base"] == out["candidates"]["head"] > 0
     assert out["allocators"]["base"] == out["allocators"]["head"] > 0
     assert out["binding_checks"]["base"] == out["binding_checks"]["head"] > 0
+    # each side's set-time quartiles, and the gain rule on them, which needs
+    # the head side to win at least nine tenths of the reps
+    for side in ab_sweeps.SIDES:
+        spread = out["spread"][side]
+        assert spread["runs"] == out["seconds"][side]
+        assert spread["q1"] <= spread["median"] <= spread["q3"]
+    assert isinstance(out["gain_rule"], bool)
+    assert out["head_wins"] == 3 or not out["gain_rule"]
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):
@@ -49,6 +59,25 @@ def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tiny", "tiny-cont"]
     assert all(line.endswith("same results") for line in lines)
+    for line in lines:
+        median = re.search(r" median set ([\d.]+) s /", line).group(1)
+        q1, q2, q3, rule = re.search(
+            r" base quartiles ([\d.]+) / ([\d.]+) / ([\d.]+) s, gain rule (yes|no), same results$",
+            line,
+        ).groups()
+        assert float(q1) <= float(q2) <= float(q3) and q2 == median
+        # two reps: the gain rule needs the head side to win both
+        assert rule == "no" or " head won 2 of 2," in line
     for kind in ("checks", "kernel", "candidates", "allocator", "checks@1e-4"):
         counts = [re.search(" " + kind + r" (\d+) / (\d+),", line).groups() for line in lines]
         assert all(base == head != "0" for base, head in counts)
+
+
+def test_fewer_than_two_reps_exit_2_before_any_export(monkeypatch, capsys):
+    def no_export(rev, dest):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(ab_sweeps, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        ab_sweeps.main(["--reps", "1"])
+    assert exc.value.code == 2 and "--reps" in capsys.readouterr().err

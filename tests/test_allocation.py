@@ -605,7 +605,7 @@ class TestContinuousOptimal:
     def test_unconfirmed_cell_runs_the_plain_bisection(self, monkeypatch):
         # a predicted cell patched to (below, anchor), below being the float
         # just under the bisection's final slot and off its grid, is not
-        # confirmed: below is feasible and not t_lo. A seam in check_targets
+        # confirmed: below is feasible. A seam in check_targets
         # reports INFEASIBLE_MAX_POWER at that final slot, so the verdicts
         # are not monotone; the plain bisection runs from (t_lo, t_hi), and
         # under the same seam its result is the frozen plain bisection's
@@ -642,10 +642,10 @@ class TestContinuousOptimal:
             monkeypatch.undo()
             assert res == frozen and res != final
             # the cell is probed at its hi, the anchor t_hi, and at below;
-            # t_lo fails; then come exactly the midpoints that the frozen
-            # bisection probes after t_hi and t_lo
-            assert guided[:3] == [t_hi, below, t_lo]
-            assert guided[3:] == plain[2:]
+            # then come exactly the probes of the frozen bisection: t_hi,
+            # t_lo and its midpoints
+            assert guided[:2] == [t_hi, below]
+            assert guided[2:] == plain
             # capped just above the final slot, the plain bisection's slot is
             # over the cap: the cap is tested on it
             assert frozen.slot > cap and capped == AllocationResult.infeasible()
@@ -839,10 +839,11 @@ class TestPredictedCell:
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(instance=pricing_instances(st.integers(2, 4)))
-    def test_a_failing_guess_at_the_anchor_is_checked_once(self, instance):
-        # capped at the infeasible side lo of the final cell, a prediction
-        # whose hi is that anchor fails at it, and the price is infeasible
-        # after that one check, as with no prediction
+    def test_a_failing_cell_at_the_anchor_is_followed_by_the_anchor_probe(self, instance):
+        # capped at the infeasible side lo of the final cell, the price is
+        # infeasible after one check at that anchor; a prediction patched to
+        # end at the anchor fails there, and the plain bisection then probes
+        # the anchor again, so the price is infeasible after two checks
         nodes, gains, _, radio = instance
         exact, calls = self.counted(continuous_optimal, nodes, gains, radio)
         assume(isinstance(exact, AllocationResult) and exact.feasible and calls == 2)
@@ -850,10 +851,44 @@ class TestPredictedCell:
         t_hi = min(n.delay_bound for n in nodes)
         lo, _ = bisection_cell(t_lo, t_hi, lambda mid: mid >= exact.slot)
         assume(lo > t_lo)
-        infeasible = (AllocationResult.infeasible(), 1)
-        assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
+        infeasible = AllocationResult.infeasible()
+        assert self.counted(continuous_optimal, nodes, gains, radio, lo) == (infeasible, 1)
         with mock.patch.object(ratesched.allocation, "_predicted_cell", lambda *args: (t_lo, lo)):
-            assert self.counted(continuous_optimal, nodes, gains, radio, lo) == infeasible
+            assert self.counted(continuous_optimal, nodes, gains, radio, lo) == (infeasible, 2)
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(instance=pricing_instances(), share=st.floats(0.0, 1.0))
+    def test_the_prediction_only_chooses_where_to_probe(self, instance, share):
+        # a prediction patched to any cell of the bisection's grid that ends
+        # at or below the anchor, the final cell under the verdicts mid >= s
+        # for a threshold s in [t_lo, t_hi] (s = t_lo gives a cell (t_lo, hi)
+        # and s = t_hi one whose hi is t_hi), gives the result or the error
+        # of the true prediction and of none, bit for bit, uncapped and
+        # capped around the slot
+        nodes, gains, _, radio = instance
+        t_lo = interference_free_slot(nodes, gains, radio)
+        t_hi = min(n.delay_bound for n in nodes)
+        assume(0.0 < t_lo <= t_hi)  # otherwise nothing is predicted
+        s = min(max(math.exp(math.log(t_lo) + share * math.log(t_hi / t_lo)), t_lo), t_hi)
+
+        def grid_cell(y, t_lo, t_hi, anchor):
+            lo, hi = bisection_cell(t_lo, t_hi, lambda mid: mid >= s)
+            return (lo, hi) if hi <= anchor else None
+
+        def priced(cap, predicted=None):
+            if predicted is None:
+                return outcome(continuous_optimal, nodes, gains, radio, cap)
+            with mock.patch.object(ratesched.allocation, "_predicted_cell", predicted):
+                return outcome(continuous_optimal, nodes, gains, radio, cap)
+
+        exact = priced(math.inf)
+        caps = [math.inf]
+        if isinstance(exact, AllocationResult) and exact.feasible:
+            caps += [exact.slot * f for f in (0.5, 1.0, 1.0 + 1e-7, 2.0)]
+        for cap in caps:
+            expected = priced(cap)
+            assert priced(cap, grid_cell) == expected
+            assert priced(cap, lambda *args: None) == expected
 
     @settings(derandomize=True, deadline=None, max_examples=800)
     @given(

@@ -79,3 +79,31 @@ def test_run_bench_keeps_each_printed_unit(tmp_path):
                               "allocation.continuous.probes_per_call": 1.5}
     assert run["units"] == {"scheduling.mla.calls": "count",
                             "allocation.continuous.probes_per_call": "count/call"}
+
+
+def test_summarise_gain_rule():
+    def summary(better, base, head):
+        metric = {"name": "m", "unit": "u", "better": better, "bound": 0.25}
+        pairs = [{side: {"metrics": {"m": {"value": v}}} for side, v in (("base", b), ("head", h))}
+                 for b, h in zip(base, head)]
+        return bench_pairs.summarise(metric, pairs)
+
+    base = [100.0 + i for i in range(10)]  # quartiles 102.25 / 104.5 / 106.75
+    # 10 of 10 wins, the medians 10 apart against a base IQR of 4.5
+    out = summary("higher", base, [b + 10 for b in base])
+    assert (out["head_wins"], out["pairs"], out["gain_rule"]) == (10, 10, True)
+    assert (out["base"]["q1"], out["base"]["median"], out["base"]["q3"]) == (102.25, 104.5, 106.75)
+    assert out["median_ratio"] == 114.5 / 104.5
+    # 9 of 10 wins is enough with a gap wider than the IQR, not with one inside it
+    assert summary("higher", base, [b + 10 for b in base[:9]] + [base[9] - 1])["gain_rule"]
+    out = summary("higher", base, [b + 1 for b in base[:9]] + [base[9] - 1])
+    assert (out["head_wins"], out["gain_rule"]) == (9, False)
+    # a tie counts for neither side
+    out = summary("higher", base, [base[0]] + [b + 10 for b in base[1:]])
+    assert (out["head_wins"], out["gain_rule"]) == (9, True)
+    assert summary("higher", base, base)["head_wins"] == 0
+    # for a lower-is-better metric a lower head value wins
+    out = summary("lower", base, [b - 10 for b in base])
+    assert (out["head_wins"], out["gain_rule"], out["median_ratio"]) == (10, True, 94.5 / 104.5)
+    out = summary("lower", base, [b + 10 for b in base])
+    assert (out["head_wins"], out["gain_rule"]) == (0, False)

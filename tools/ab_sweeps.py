@@ -31,9 +31,13 @@ continuous solos take other paths than at the workloads' own scale.
 Per workload it prints the median over reps of base time / head time, the
 reps the head side won, each side's median set time, check, kernel,
 candidate and allocator counts, its checks at the binding energy scale
-(``checks@1e-4``), and whether both sides gave the same rows and per-seed
-records in every set.
-The exit status is 1 if any set differed.
+(``checks@1e-4``), the base side's set-time quartiles, whether the head
+side passes ``bench_pairs.gain_rule`` on set time (it won at least nine
+tenths of the reps, and the medians differ by more than the base side's
+interquartile range), and whether both sides gave the same rows and
+per-seed records in every set.
+The exit status is 1 if any set differed; it is 2 for fewer than two reps,
+which give no quartiles.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import export
+from bench_pairs import export, gain_rule, spread
 from same_results import BINDING_ENERGY_SCALE
 
 SIDES = ("base", "head")
@@ -71,8 +75,8 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
     ``check_targets``, kernel, ``_candidates`` and allocator calls in one
     untimed set (``count_calls``), its ``check_targets`` calls in that set
     at ``BINDING_ENERGY_SCALE``, the median base/head ratio, the head
-    side's wins and whether every set's results were the same on both
-    sides."""
+    side's wins, each side's ``spread`` of set times, ``gain_rule`` on them
+    and whether every set's results were the same on both sides."""
 
     def configs(package, **fields):
         return [
@@ -95,6 +99,8 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
             for a, b in zip(results["base"], results["head"])
         )
     ratios = [b / h for b, h in zip(seconds["base"], seconds["head"])]
+    head_wins = sum(r > 1.0 for r in ratios)
+    spreads = {side: spread(seconds[side]) for side in SIDES}
     counted = {side: count_calls(packages[side], cfgs[side]) for side in SIDES}
     binding = {}
     for side in SIDES:
@@ -108,8 +114,10 @@ def compare(packages: dict, config: dict, seed: int, reps: int, sweeps: int) -> 
         "candidates": {side: counted[side][2] for side in SIDES},
         "allocators": {side: counted[side][3] for side in SIDES},
         "ratio": statistics.median(ratios),
-        "head_wins": sum(r > 1.0 for r in ratios),
+        "head_wins": head_wins,
         "reps": reps,
+        "spread": spreads,
+        "gain_rule": gain_rule(head_wins, reps, spreads["base"], spreads["head"]),
         "same_results": same,
     }
 
@@ -157,6 +165,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the sweeps")
     parser.add_argument("--workload", action="append", help="workload to time (default: all)")
     args = parser.parse_args(argv)
+    if args.reps < 2:
+        parser.error("--reps must be at least 2, for quartiles")
 
     differ = False
     with tempfile.TemporaryDirectory(prefix="ab-sweeps-") as tmp:
@@ -169,15 +179,17 @@ def main(argv=None) -> int:
         for name in args.workload or workloads:
             out = compare(packages, workloads[name]["config"], args.seed, args.reps, args.sweeps)
             differ |= not out["same_results"]
-            medians = {side: statistics.median(out["seconds"][side]) for side in SIDES}
+            base, head = out["spread"]["base"], out["spread"]["head"]
             print(
                 f"{name}: base/head {out['ratio']:.3f}, head won {out['head_wins']} of "
-                f"{out['reps']}, median set {medians['base']:.3f} s / {medians['head']:.3f} s, "
+                f"{out['reps']}, median set {base['median']:.3f} s / {head['median']:.3f} s, "
                 f"checks {out['checks']['base']} / {out['checks']['head']}, "
                 f"kernel {out['kernel']['base']} / {out['kernel']['head']}, "
                 f"candidates {out['candidates']['base']} / {out['candidates']['head']}, "
                 f"allocator {out['allocators']['base']} / {out['allocators']['head']}, "
                 f"checks@1e-4 {out['binding_checks']['base']} / {out['binding_checks']['head']}, "
+                f"base quartiles {base['q1']:.3f} / {base['median']:.3f} / {base['q3']:.3f} s, "
+                f"gain rule {'yes' if out['gain_rule'] else 'no'}, "
                 f"{'same' if out['same_results'] else 'DIFFERENT'} results",
                 flush=True,
             )

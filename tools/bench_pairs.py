@@ -107,6 +107,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def gain_rule(wins: int, pairs: int, base: dict, head: dict) -> bool:
+    """Whether the head side won at least nine tenths of ``pairs`` and the
+    medians of its and the base side's ``spread`` differ by more than the
+    base side's interquartile range."""
+    return wins >= 0.9 * pairs and abs(head["median"] - base["median"]) > base["q3"] - base["q1"]
+
+
 def summarise(metric: dict, pairs: list[dict]) -> dict:
     """Both sides of one end-to-end metric over the pairs of one workload."""
     name, higher = metric["name"], metric["better"] == "higher"
@@ -123,8 +130,7 @@ def summarise(metric: dict, pairs: list[dict]) -> dict:
         "head_wins": wins,
         "pairs": len(pairs),
         "median_ratio": h["median"] / b["median"],
-        "gain_rule": wins >= 0.9 * len(pairs)
-        and abs(h["median"] - b["median"]) > b["q3"] - b["q1"],
+        "gain_rule": gain_rule(wins, len(pairs), b, h),
     }
 
 
