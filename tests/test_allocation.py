@@ -875,18 +875,17 @@ class TestPredictedCell:
             lo, hi = bisection_cell(t_lo, t_hi, lambda mid: mid >= s)
             return (lo, hi) if hi <= anchor else None
 
-        def priced(cap, predicted=None):
-            if predicted is None:
-                return outcome(continuous_optimal, nodes, gains, radio, cap)
+        def priced(cap, predicted):
             with mock.patch.object(ratesched.allocation, "_predicted_cell", predicted):
                 return outcome(continuous_optimal, nodes, gains, radio, cap)
 
-        exact = priced(math.inf)
+        true_cell = ratesched.allocation._predicted_cell
+        exact = priced(math.inf, true_cell)
         caps = [math.inf]
         if isinstance(exact, AllocationResult) and exact.feasible:
             caps += [exact.slot * f for f in (0.5, 1.0, 1.0 + 1e-7, 2.0)]
         for cap in caps:
-            expected = priced(cap)
+            expected = priced(cap, true_cell)
             assert priced(cap, grid_cell) == expected
             assert priced(cap, lambda *args: None) == expected
 
