@@ -406,8 +406,9 @@ def _dedup_cover(selected, pricer):
 
     Each shrunk subset comes from ``pricer.group``; one that it rejects
     transmits as its members' solos. Shrinking a subset never raises its slot
-    length under the bundled pricers, so this step can only reduce the
-    total. Returns disjoint groups in canonical order.
+    length under the gain-backed pricers, as a property test states (it need
+    not hold for a ``FixedPricer``), so this step can only reduce the total.
+    Returns disjoint groups in canonical order.
     """
     order = sorted(range(len(selected)), key=lambda k: (selected[k][1].slot, selected[k][0]))
     owner: dict[int, int] = {}
@@ -468,7 +469,9 @@ def mla_allocate(population, pricer: SubsetPricer):
         return _dedup_cover(_greedy_cover(population, candidates), pricer)
     # A minimum cover shrinks to a partition that costs no more whenever
     # subsets of feasible groups stay feasible and no dearer, so the
-    # partition DP also finds the minimum cover.
+    # partition DP also finds the minimum cover. That holds for the
+    # gain-backed pricers, as a property test states; it need not hold for
+    # a FixedPricer.
     _, groups = pricer.partitions(tuple(population))
     return sorted(groups[-1], key=lambda g: g[0])
 

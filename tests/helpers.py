@@ -4,6 +4,12 @@ Instances are drawn so that solo SNR at full power spans roughly 2..42 dB and
 cross gains sit 3..25 dB below the victim's desired gain, which yields a
 healthy mix of feasible and infeasible rate vectors at the bundled radio
 parameters.
+
+Tests count or record library calls with a ``mock.Mock(wraps=...)`` spy,
+put in place by ``monkeypatch.setattr``, ``mock.patch.object(...,
+wraps=...)`` or ``mock.patch.dict`` and read through ``call_count``,
+``call_args_list`` and ``reset_mock()``. A test writes its own wrapper only
+to read results, assert inside the call or inject a fault.
 """
 
 import itertools

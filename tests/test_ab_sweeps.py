@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import shutil
@@ -5,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ratesched
+from ratesched import allocation, experiment, feasibility, scheduling
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -42,6 +46,49 @@ def test_each_tree_imports_under_its_own_name():
         assert spread["q1"] <= spread["median"] <= spread["q3"]
     assert isinstance(out["gain_rule"], bool)
     assert out["head_wins"] == 3 or not out["gain_rule"]
+
+
+@pytest.mark.parametrize("workload", ["two periods", "dense-exhaustive"])
+def test_counts_equal_the_perfbench_trace(workload):
+    # ab_sweeps and perfbench/layers.py patch the library's seams each in
+    # its own way: on the same sweeps, checks, kernel calls and allocator
+    # calls must agree, so that a seam move that one follows and the other
+    # misses fails here
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    if workload == "two periods":
+        configs = [dict(TINY, n_sensors=[3, 4], seeds=6, period_set=[1, 2])]
+    else:
+        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+        configs = [dict(workloads[workload]["config"], master_seed=seed) for seed in (1000, 1001)]
+    cfgs = [ratesched.ExperimentConfig.from_dict(config) for config in configs]
+    checks, kernel, _, allocated = ab_sweeps.count_calls(ratesched, cfgs)
+    tracer = layers.Tracer()
+    with layers.traced(tracer):
+        for cfg in cfgs:
+            experiment.run_experiment(cfg)
+    traced = layers.exact_counts(tracer, layers.span_stats(tracer))
+    assert checks == traced["feasibility.check.calls"] > 0
+    assert kernel == traced["feasibility.kernel.calls"] > 0
+    assert allocated == traced["scheduling.mla.calls"] + traced["scheduling.mua.calls"] > 0
+
+
+def test_count_calls_puts_every_seam_back_when_a_sweep_raises(monkeypatch):
+    def seams():
+        return (
+            allocation.check_targets, feasibility.min_power_vector, scheduling._candidates,
+            dict(scheduling._ALLOCATORS),
+        )
+
+    def failing_seed(cfg, drawn):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(experiment, "_run_seed", failing_seed)
+    before = seams()
+    with pytest.raises(RuntimeError, match="injected"):
+        ab_sweeps.count_calls(ratesched, [ratesched.ExperimentConfig.from_dict(TINY)])
+    assert seams() == before
 
 
 def test_main_times_every_workload_of_the_head_tree(tmp_path, monkeypatch, capsys):

@@ -175,26 +175,20 @@ class TestLttf:
         # feasibility checks on the path bounded by each link's solo
         # ceiling, and at least one once that path is nonempty
         rng = np.random.default_rng(12)
-        calls = 0
-
-        def counting_check(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return check_targets(*args, **kwargs)
-
-        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        check = mock.Mock(wraps=check_targets)
+        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         walks = 0
         for _ in range(100):
             n = int(rng.integers(1, 6))
             nodes, gains = random_instance(
                 rng, n, DISC8, tight_delay_prob=0.2, binding_energy_prob=0.3
             )
-            calls = 0
+            check.reset_mock()
             lttf(nodes, gains, DISC8, TABLE1_RADIO)
             path = bounded_path(nodes, gains, DISC8, TABLE1_RADIO)
-            assert (calls >= 1) == bool(path)
+            assert (check.call_count >= 1) == bool(path)
             if path:
-                assert calls <= 1 + math.ceil(math.log2(len(path)))
+                assert check.call_count <= 1 + math.ceil(math.log2(len(path)))
             walks += bool(path)
         assert walks >= 50
 
@@ -247,19 +241,12 @@ class TestLttf:
         # the bare walk's and the oracle's, or all three are infeasible
         subset, gains, table, radio = instance
         pricer = TablePricer(validate_instance(subset), gains, table, radio)
-        checked = 0
-
-        def counting_check(*args):
-            nonlocal checked
-            checked += 1
-            return check_targets(*args)
-
-        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+        with mock.patch.object(ratesched.allocation, "check_targets", wraps=check_targets) as check:
             try:
                 solo = pricer.solo(subset[0].id)
             except InfeasibleInstanceError:
                 solo = AllocationResult.infeasible()
-        assert checked == 0
+        assert check.call_count == 0
         assert solo == lttf(*instance) == brute_force_optimal(*instance)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
@@ -524,23 +511,17 @@ class TestContinuousOptimal:
         # every feasible price of k >= 2 links here confirms its predicted
         # cell in two probes, where the plain bisection takes about 35
         rng = np.random.default_rng(19)
-        calls = 0
-
-        def counting_check(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return check_targets(*args, **kwargs)
-
-        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        check = mock.Mock(wraps=check_targets)
+        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         probes = []
         for _ in range(200):
             nodes, gains = random_instance(
                 rng, int(rng.integers(2, 6)), DISC8, tight_delay_prob=0.2,
                 binding_energy_prob=0.3,
             )
-            calls = 0
+            check.reset_mock()
             if continuous_optimal(nodes, gains, TABLE1_RADIO).feasible:
-                probes.append(calls)
+                probes.append(check.call_count)
         assert len(probes) >= 50
         assert set(probes) == {2}
         # a single link whose t_lo probe is feasible makes exactly that probe
@@ -558,10 +539,10 @@ class TestContinuousOptimal:
             verdict = check_targets(
                 gains, targets, TABLE1_RADIO, [t_lo], [node.delay_bound], [node.energy_budget]
             )
-            calls = 0
+            check.reset_mock()
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             if verdict.feasible:
-                assert (res.slot, calls) == (t_lo, 1)
+                assert (res.slot, check.call_count) == (t_lo, 1)
                 at_t_lo += 1
         assert at_t_lo >= 50
 
@@ -575,32 +556,27 @@ class TestContinuousOptimal:
         # infeasible after one probe
         radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
         gains = GainMatrix([[1.0]])
-        calls = 0
-
-        def counting_check(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return check_targets(*args, **kwargs)
-
-        monkeypatch.setattr(ratesched.allocation, "check_targets", counting_check)
+        check = mock.Mock(wraps=check_targets)
+        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         solo = [_node(bits=100.0, delay=1e20)]
         with pytest.raises(NumericalError):
             frozen_continuous_optimal(solo, gains, radio)
-        calls = 0
+        check.reset_mock()
         res = continuous_optimal(solo, gains, radio)
         t_lo = interference_free_slot(solo, gains, radio)
-        assert res.feasible and res.slot == t_lo and calls == 1
+        assert res.feasible and res.slot == t_lo and check.call_count == 1
 
         capped = [_node(bits=300.0, delay=1e20)]
         with pytest.raises(NumericalError):
             frozen_continuous_optimal(capped, gains, radio)
         t_lo = interference_free_slot(capped, gains, radio)
-        calls = 0
+        check.reset_mock()
         res = continuous_optimal(capped, gains, radio)
-        assert res.feasible and res.slot == solo_guess(t_lo, 1e20) > t_lo and calls == 1
-        calls = 0
+        assert res.feasible and res.slot == solo_guess(t_lo, 1e20) > t_lo
+        assert check.call_count == 1
+        check.reset_mock()
         assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
-        assert calls == 1
+        assert check.call_count == 1
 
     def test_unconfirmed_cell_runs_the_plain_bisection(self, monkeypatch):
         # a predicted cell patched to (below, anchor), below being the float
@@ -762,16 +738,9 @@ class TestPredictedCell:
     @staticmethod
     def counted(price, *args):
         """``price(*args)``'s outcome and the ``check_targets`` calls it made."""
-        calls = 0
-
-        def counting_check(*a, **kw):
-            nonlocal calls
-            calls += 1
-            return check_targets(*a, **kw)
-
-        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+        with mock.patch.object(ratesched.allocation, "check_targets", wraps=check_targets) as check:
             result = outcome(price, *args)
-        return result, calls
+        return result, check.call_count
 
     @staticmethod
     def predicted(gains, radio, packets, energies, t_lo, t_hi, anchor):

@@ -13,6 +13,7 @@ import weakref
 from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -727,23 +728,21 @@ class TestRunExperiment:
         # reference and runs no continuous heuristic, one that does not fit
         # runs it once per strategy
         cfg = straddling_config(rate_models=["disc8"])
-        original = experiment.schedule
-        continuous = []
-
-        def recording(pricer, strategy):
-            continuous.append(isinstance(pricer, scheduling.ContinuousPricer))
-            return original(pricer, strategy)
-
-        monkeypatch.setattr(experiment, "schedule", recording)
+        spy = mock.Mock(wraps=experiment.schedule)
+        monkeypatch.setattr(experiment, "schedule", spy)
         seen = set()
         for point, n in enumerate(cfg.n_sensors):
             for k in range(cfg.seeds):
-                continuous.clear()
+                spy.reset_mock()
                 try:
                     experiment._run_seed(cfg, drawn_item(cfg, n, point, k))
                 except InfeasibleInstanceError:
                     continue
                 fits = fits_exhaustive(cfg, n, point, k)
+                continuous = [
+                    isinstance(call.args[0], scheduling.ContinuousPricer)
+                    for call in spy.call_args_list
+                ]
                 assert continuous.count(True) == (0 if fits else len(cfg.strategies))
                 assert continuous.count(False) == len(cfg.strategies)
                 seen.add(fits)
@@ -1142,7 +1141,7 @@ class TestSeedTriage:
             rate_models=["cont"], energy_scale=1e-4,
         ))
         # the sizes reaching _price, the seam of solo and group alike
-        sizes, calls = [], Counter()
+        sizes = []
 
         def counting(price):
             def counted(pricer, ids, cap):
@@ -1150,30 +1149,26 @@ class TestSeedTriage:
                 return price(pricer, ids, cap)
             return counted
 
-        def calling(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
         for pricer in (scheduling.TablePricer, scheduling.ContinuousPricer):
             monkeypatch.setattr(pricer, "_price", counting(pricer._price))
-        monkeypatch.setattr(
-            scheduling, "continuous_optimal", calling("cont", scheduling.continuous_optimal)
-        )
-        for name in ("schedule", "exhaustive_schedule"):
-            monkeypatch.setattr(experiment, name, calling(name, getattr(experiment, name)))
+        cont = mock.Mock(wraps=scheduling.continuous_optimal)
+        heuristic = mock.Mock(wraps=experiment.schedule)
+        exhaustive = mock.Mock(wraps=experiment.exhaustive_schedule)
+        monkeypatch.setattr(scheduling, "continuous_optimal", cont)
+        monkeypatch.setattr(experiment, "schedule", heuristic)
+        monkeypatch.setattr(experiment, "exhaustive_schedule", exhaustive)
         dropped_by_the_pricer = 0
         for k in range(10):
             sizes.clear()
-            calls.clear()
+            for spy in (cont, heuristic, exhaustive):
+                spy.reset_mock()
             try:
                 experiment._run_seed(cfg, drawn_item(cfg, 8, 2, k))
             except InfeasibleInstanceError as exc:
                 assert exc.model == "cont"
                 # solos were priced, each by one continuous_optimal call
-                assert sizes and set(sizes) <= {1} and calls["cont"] == len(sizes)
-                assert not calls["schedule"] and not calls["exhaustive_schedule"]
+                assert sizes and set(sizes) <= {1} and cont.call_count == len(sizes)
+                assert not heuristic.called and not exhaustive.called
                 dropped_by_the_pricer += 1
         assert dropped_by_the_pricer
 

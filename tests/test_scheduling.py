@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import json
 import math
@@ -40,6 +39,7 @@ from helpers import (
     TABLE1_RADIO,
     assert_group_certificate,
     four_node_fixture,
+    near_singular_links,
     outcome,
     pricing_instances,
     random_gains,
@@ -995,33 +995,22 @@ class TestSharedPricer:
         def run(pricer, name):
             return exhaustive_schedule(pricer) if name == "exhaustive" else schedule(pricer, name)
 
-        calls = 0
-
-        def counting_sna_assign(pricer):
-            nonlocal calls
-            calls += 1
-            return sna_assign(pricer)
-
-        allocated = []
-
-        def recording(allocate):
-            def allocator(population, pricer):
-                allocated.append(population)
-                return allocate(population, pricer)
-            return allocator
-
-        allocators = {name: recording(fn) for name, fn in scheduling._ALLOCATORS.items()}
+        allocators = {name: mock.Mock(wraps=fn) for name, fn in scheduling._ALLOCATORS.items()}
         shared = make()
         with (
-            mock.patch.object(scheduling, "sna_assign", counting_sna_assign),
-            recording_candidates() as enumerated,
+            mock.patch.object(scheduling, "sna_assign", wraps=sna_assign) as assign,
+            mock.patch.object(
+                scheduling, "_candidates", wraps=scheduling._candidates
+            ) as candidates,
             mock.patch.dict(scheduling._ALLOCATORS, allocators),
         ):
             results = {name: run(shared, name) for name in order}
-        assert calls == 1
-        assert enumerated and max(Counter(enumerated).values()) == 1
+        assert assign.call_count == 1
+        enumerated = Counter(tuple(call.args[0]) for call in candidates.call_args_list)
+        assert enumerated and max(enumerated.values()) == 1
         kept = shared.populations()
         assert shared.populations() is kept
+        allocated = [call.args[0] for spy in allocators.values() for call in spy.call_args_list]
         assert all(any(p is members for _, members in kept) for p in allocated)
         above_two = sum(len(members) > 2 for _, members in kept)
         assert len(allocated) == 2 * above_two
@@ -1029,10 +1018,11 @@ class TestSharedPricer:
             fresh_frame, fresh_metrics = run(make(), name)
             assert frame == fresh_frame
             assert metrics.max_active.hex() == fresh_metrics.max_active.hex()
-        allocated.clear()
+        for spy in allocators.values():
+            spy.reset_mock()
         with mock.patch.dict(scheduling._ALLOCATORS, allocators):
             repeated = [schedule(shared, name) for name in STRATEGIES]
-        assert len(allocated) == 2 * above_two
+        assert sum(spy.call_count for spy in allocators.values()) == 2 * above_two
         assert repeated == [results[name] for name in STRATEGIES]
         frames = [frame for frame, _ in [*results.values(), *repeated]]
         owned = [dict(frame.assignments) for frame in frames]
@@ -1079,21 +1069,6 @@ class TestSharedPricer:
         assert second[1].max_active.hex() == fresh_metrics.max_active.hex()
 
 
-@contextlib.contextmanager
-def recording_candidates():
-    """Patch ``scheduling._candidates`` to record, in a list it yields, the
-    member tuple of each call."""
-    seen = []
-    candidates = scheduling._candidates
-
-    def recording(members, pricer):
-        seen.append(tuple(members))
-        return candidates(members, pricer)
-
-    with mock.patch.object(scheduling, "_candidates", recording):
-        yield seen
-
-
 @st.composite
 def population_cases(draw):
     """7-8 nodes of period 1 (one population for MLA's greedy branch), 3 of
@@ -1132,12 +1107,14 @@ class TestPopulationAssembly:
         assume(sizes[1] and sizes[2])
         assert max(sizes) > 6
         for strategy in STRATEGIES:
-            with recording_candidates() as enumerated:
+            with mock.patch.object(
+                scheduling, "_candidates", wraps=scheduling._candidates
+            ) as candidates:
                 frame, metrics = schedule(pricer, strategy)
             ref_frame, ref_metrics = reference_schedule(make(), strategy)
             assert frame == ref_frame
             assert metrics.max_active.hex() == ref_metrics.max_active.hex()
-            assert all(len(members) > 2 for members in enumerated)
+            assert all(len(call.args[0]) > 2 for call in candidates.call_args_list)
             for (_, off), members in pricer.populations():
                 if len(members) == 2:
                     groups = [g for g in frame.groups[off] if set(g[0]) <= set(members)]
@@ -1172,12 +1149,40 @@ class TestPopulationAssembly:
         # exhaustive search enumerates every period class, the one-node
         # class included
         inst, pricer = four_node_fixture()
-        with recording_candidates() as enumerated:
+        with mock.patch.object(
+            scheduling, "_candidates", wraps=scheduling._candidates
+        ) as candidates:
             for strategy in STRATEGIES:
                 schedule(pricer, strategy)
-            assert enumerated == []
+            assert not candidates.called
             exhaustive_schedule(pricer)
-        assert enumerated == [(1,), (2, 3, 4)]
+        assert [call.args[0] for call in candidates.call_args_list] == [(1,), (2, 3, 4)]
+
+
+class TestSubsetMonotonicity:
+    @pytest.mark.parametrize("kind", ["lttf", "continuous", "near-singular"])
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_a_subset_of_a_feasible_set_is_feasible_and_no_dearer(self, kind, data):
+        # the claim mla_allocate's partition DP and _dedup_cover rest on: for
+        # a feasible uncapped price of two or more links by a gain-backed
+        # pricer, every set of one link fewer is feasible, its slot at most
+        # the whole set's; at energy-binding budgets, near rho = 1 and near
+        # both ends of the float range
+        if kind == "near-singular":
+            nodes, gains, radio = data.draw(near_singular_links())
+        else:
+            nodes, gains, table, radio = data.draw(pricing_instances(st.integers(2, 5)))
+        inst = validate_instance(nodes)
+        if kind == "lttf":
+            pricer = TablePricer(inst, gains, table, radio)
+        else:
+            pricer = ContinuousPricer(inst, gains, radio)
+        whole = outcome(pricer.price, inst.ids)
+        assume(isinstance(whole, AllocationResult) and whole.feasible)
+        for i in inst.ids:
+            part = pricer.price([j for j in inst.ids if j != i])
+            assert part.feasible and part.slot <= whole.slot
 
 
 class TestComputeMetrics:

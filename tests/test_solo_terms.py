@@ -32,7 +32,14 @@ from ratesched.allocation import (
 from ratesched.model import AllocationResult
 from ratesched.scheduling import ContinuousPricer
 
-from helpers import BANDWIDTHS, TABLE1_RADIO, TABLES, frozen_continuous_optimal, random_instance
+from helpers import (
+    BANDWIDTHS,
+    TABLE1_RADIO,
+    TABLES,
+    bisection_cell,
+    frozen_continuous_optimal,
+    random_instance,
+)
 
 
 def frozen_ladder_solos(nodes, gains, table, radio):
@@ -295,10 +302,8 @@ class TestContinuousGuess:
         # t_lo + t_hi overflows: the midpoint is taken half by half
         hi = solo_guess(1e308, 1.7e308)
         assert 1e308 < hi <= 1e308 * (1 + 2e-6)
-        # it is the final slot of the bisection walk with every midpoint
-        # feasible, as _final_cell walks it for the predicted cell and the
-        # plain bisection
-        for t_lo, top in ((2.0, 2.0), (1e-6, 1e-3), (1e308, 1.7e308), (1e-300, 1e295)):
-            assert allocation._final_cell(t_lo, top, lambda mid: True) == (
-                t_lo, solo_guess(t_lo, top)
-            )
+        # it is the final slot of the plain bisection with every midpoint
+        # feasible, walked by the independent bisection_cell; at the float
+        # max above, bisection_cell's midpoint overflows
+        for t_lo, top in ((2.0, 2.0), (1e-6, 1e-3), (1e-300, 1e295)):
+            assert solo_guess(t_lo, top) == bisection_cell(t_lo, top, lambda mid: True)[1]

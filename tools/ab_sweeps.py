@@ -27,6 +27,12 @@ enumerations and the allocated populations it saved. Each side then counts
 its checks in the same set once more at ``energy_scale``
 ``same_results.BINDING_ENERGY_SCALE``, where energy budgets bind and
 continuous solos take other paths than at the workloads' own scale.
+Each count is the ``call_count`` of a ``mock.Mock(wraps=...)`` spy that
+``mock.patch`` puts at the counted name for the set, the way the tests
+count library calls. The check, kernel and allocator counts equal
+perfbench's traced ``feasibility.check.calls``,
+``feasibility.kernel.calls`` and ``scheduling.mla.calls`` plus
+``scheduling.mua.calls`` on the same sweeps.
 
 Per workload it prints the median over reps of base time / head time, the
 reps the head side won, each side's median set time, check, kernel,
@@ -50,6 +56,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from bench_pairs import export, gain_rule, spread
 from same_results import BINDING_ENERGY_SCALE
@@ -127,33 +134,24 @@ def count_calls(package, cfgs) -> tuple[int, int, int, int]:
     one set of sweeps of ``cfgs``, the ``feasibility.min_power_vector``
     calls of that set, made by those checks or bare, its
     ``scheduling._candidates`` calls and its calls of the allocators in
-    ``scheduling._ALLOCATORS``."""
+    ``scheduling._ALLOCATORS``, each read from a ``mock.Mock(wraps=...)``
+    spy that the ``with`` block removes again, also when a sweep raises."""
     allocation, feasibility, scheduling = (
         package.allocation, package.feasibility, package.scheduling
     )
-    check, kernel = allocation.check_targets, feasibility.min_power_vector
-    candidates, allocators = scheduling._candidates, dict(scheduling._ALLOCATORS)
-    calls = [0, 0, 0, 0]
-
-    def counting(index, fn):
-        def counted(*args, **kwargs):
-            calls[index] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    allocation.check_targets = counting(0, check)
-    feasibility.min_power_vector = counting(1, kernel)
-    scheduling._candidates = counting(2, candidates)
-    scheduling._ALLOCATORS.update({name: counting(3, fn) for name, fn in allocators.items()})
-    try:
+    allocators = {name: mock.Mock(wraps=fn) for name, fn in scheduling._ALLOCATORS.items()}
+    with (
+        mock.patch.object(allocation, "check_targets", wraps=allocation.check_targets) as checks,
+        mock.patch.object(
+            feasibility, "min_power_vector", wraps=feasibility.min_power_vector
+        ) as kernel,
+        mock.patch.object(scheduling, "_candidates", wraps=scheduling._candidates) as candidates,
+        mock.patch.dict(scheduling._ALLOCATORS, allocators),
+    ):
         for cfg in cfgs:
             package.run_experiment(cfg)
-    finally:
-        allocation.check_targets = check
-        feasibility.min_power_vector = kernel
-        scheduling._candidates = candidates
-        scheduling._ALLOCATORS.update(allocators)
-    return tuple(calls)
+    allocated = sum(spy.call_count for spy in allocators.values())
+    return checks.call_count, kernel.call_count, candidates.call_count, allocated
 
 
 def main(argv=None) -> int:
