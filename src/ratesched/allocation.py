@@ -61,10 +61,12 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     bits, delay bound and energy budget. Returns ``(ladders, floors, tops)``.
 
     ``ladders[m]`` holds the terms of ``ladder_solos`` under ``tables[m]``:
-    ``(lowest, ceiling, power, record, solo)``, with ``record`` whether the
-    link has a record, ``solo`` whether that record has a solo price, and
-    ``lowest``, ``ceiling`` and the solo ``power``, the kernel's
-    interference-free power at the ceiling, read only where it does.
+    ``(times, lowest, ceiling, power, record, solo)``, with ``times`` each
+    link's time b_i / r_q at every level q of the table (one more axis, the
+    last), ``record`` whether the link has a record, ``solo`` whether that
+    record has a solo price, and ``lowest``, ``ceiling`` and the solo
+    ``power``, the kernel's interference-free power at the ceiling, read
+    only where it does.
     ``floors`` holds each link's interference-free slot t_lo = b_i / (W *
     log2(1 + p_max * g_ii / N)), the shortest slot in which it alone carries
     its packet at p_max: inf where that leaves the float range, as when
@@ -102,7 +104,7 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
             record = within.any(-1) & ~np.take_along_axis(failing, lowest[..., None], -1)[..., 0]
             power = np.take_along_axis(powers, ceiling[..., None], -1)[..., 0]
             solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
-            ladders.append((lowest, ceiling, power, record, solo))
+            ladders.append((times, lowest, ceiling, power, record, solo))
         floors = bits / (width * np.log2(1.0 + p_max * own / noise))
         # the kernel's solo power at t_lo; one > 0 has a target > 0
         p_lo = _capacity_targets(bits, floors, width) * noise / own
@@ -174,16 +176,15 @@ def _link_arrays(nodes, gains: GainMatrix):
     )
 
 
-def ladder_records(table: RateTable, packets, terms, b: int = 0) -> list:
-    """The ``ladder_solos`` records of links with packet bits ``packets``,
-    row ``b`` of ``solo_terms``' ladder ``terms`` under ``table``; each
-    record's times are the divisions ``solo_terms`` makes."""
+def ladder_records(table: RateTable, terms, b: int = 0) -> list:
+    """The ``ladder_solos`` records of the links of row ``b`` of
+    ``solo_terms``' ladder ``terms`` under ``table``, each with the level
+    times of its row."""
     records = []
-    for bits, lowest, ceiling, power, record, solo in zip(packets, *(x[b].tolist() for x in terms)):
+    for times, lowest, ceiling, power, record, solo in zip(*(x[b].tolist() for x in terms)):
         if not record:
             records.append(None)
             continue
-        times = [bits / r for _, r in table.levels]
         t = times[ceiling]
         result = AllocationResult(True, t, (table.rate(ceiling),), (power,), (t,)) if solo else None
         records.append((times, lowest, ceiling, result))
@@ -206,10 +207,11 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     there would give: slot and time ``times[ceiling]``, rate
     ``table.rate(ceiling)`` and power ``threshold(ceiling) * N / g_ii``. It
     is None when that power underflows to 0 at ``lowest``, where the kernel
-    raises NumericalError. The terms are ``solo_terms``' for one subset.
+    raises NumericalError. The terms, ``times`` among them, are
+    ``solo_terms``' for one subset.
     """
     (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
-    return ladder_records(table, [n.packet_bits for n in nodes], terms)
+    return ladder_records(table, terms)
 
 
 def lttf(

@@ -394,8 +394,7 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
                 yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]])
                 continue
             nodes, matrix = _seed_instance(cfg, gains[b], controller_of[b], traffic[b])
-            packets = bits[b].tolist()
-            solos = {m: ladder_records(t, packets, x, b) for m, t, x in zip(tables, ladders, terms)}
+            solos = {m: ladder_records(t, x, b) for m, t, x in zip(tables, ladders, terms)}
             solos["cont"] = list(zip(floors[b].tolist(), tops[b].tolist()))
             yield nodes, matrix, solos
 

@@ -65,7 +65,9 @@ class RateTable:
     listed points (slopes non-increasing), which every Shannon-derived ladder
     satisfies; a chord slope past the first that overflows fails this test,
     since it cannot be compared. Every threshold and rate must be a finite
-    number > 0 (``is_number``).
+    number > 0 (``is_number``); each is kept, and tested, as a float, so that
+    packet bits divided by a rate, an integer number of bits included, is
+    the float64 quotient that ``allocation.solo_terms`` computes.
     """
 
     levels: tuple[tuple[float, float], ...]
@@ -74,10 +76,12 @@ class RateTable:
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("no positive rate levels")
-        prev_g, prev_r = -math.inf, 0.0
         for g, r in self.levels:
             if not (is_number(g) and is_number(r)):
                 raise ValidationError(f"rate level ({g!r}, {r!r}) must be finite numbers > 0")
+        object.__setattr__(self, "levels", tuple((float(g), float(r)) for g, r in self.levels))
+        prev_g, prev_r = -math.inf, 0.0
+        for g, r in self.levels:
             if not (g > prev_g and r > prev_r):
                 raise ValidationError(
                     "rate levels must be strictly increasing in threshold and rate"

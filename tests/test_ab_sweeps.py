@@ -128,3 +128,32 @@ def test_fewer_than_two_reps_exit_2_before_any_export(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         ab_sweeps.main(["--reps", "1"])
     assert exc.value.code == 2 and "--reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--sweeps", "0"), ("--seed", "-1")])
+def test_bad_sweeps_or_seed_exit_2_before_any_export(monkeypatch, capsys, flag, value):
+    # no sweeps gave a ratio of empty sets; seed -1 a master seed of -1000
+    def no_export(rev, dest):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(ab_sweeps, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        ab_sweeps.main(["--reps", "2", flag, value])
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
+
+
+def test_unknown_workload_exits_2_before_any_sweep(monkeypatch, capsys):
+    def fake_export(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "workloads.json").write_text(json.dumps({"tiny": {"config": TINY}}))
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(ab_sweeps, "export", fake_export)
+    monkeypatch.setattr(ab_sweeps, "load", lambda src, name: None)
+    monkeypatch.setattr(ab_sweeps, "compare", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        ab_sweeps.main(["--reps", "2", "--workload", "tiny", "--workload", "nope"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--workload nope" in err

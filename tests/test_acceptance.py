@@ -5,11 +5,15 @@ Each test prints one PASS/FAIL line summarizing its criterion; run with
 """
 
 import math
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ratesched import allocation, feasibility
 from ratesched import (
     ExperimentConfig,
     GainMatrix,
@@ -37,6 +41,10 @@ from helpers import (
     random_instance,
     random_rate_indices,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import same_results  # noqa: E402
 
 DISC4 = disc4_table(1e8)
 DISC8 = disc8_table(1e8)
@@ -283,11 +291,14 @@ def test_criterion_7_byte_identical_runs(tmp_path):
     report(7, ok, f"two runs produced identical CSV ({len(outputs[0])} bytes)")
 
 
-def test_criterion_8_desk_scale_granularity_trends():
-    # 4..8 sensors, 100 seeds each: the 8-level ladder tracks the continuous
-    # model more closely than the 4-level ladder, per strategy and size
+def granularity_trends(energy_scale: float):
+    """Criterion 8 on the desk-scale sweep at ``energy_scale``: whether, at
+    each size, some seed is kept and, per strategy, the 8-level ladder
+    tracks the continuous model more closely than the 4-level ladder, and
+    the line that reports it."""
     cfg = ExperimentConfig.from_dict(
-        {"n_sensors": [4, 6, 8], "seeds": 100, "master_seed": 20260810}
+        {"n_sensors": [4, 6, 8], "seeds": 100, "master_seed": 20260810,
+         "energy_scale": energy_scale}
     )
     results = run_experiment(cfg)
     means = {
@@ -312,4 +323,29 @@ def test_criterion_8_desk_scale_granularity_trends():
         )
         for n in (4, 6, 8)
     )
-    report(8, ok, detail)
+    return ok, detail
+
+
+def test_criterion_8_desk_scale_granularity_trends():
+    # 4..8 sensors, 100 seeds each: the 8-level ladder tracks the continuous
+    # model more closely than the 4-level ladder, per strategy and size
+    report(8, *granularity_trends(1.0))
+
+
+def test_criterion_8_under_binding_energy_budgets(monkeypatch):
+    # the same sweep with energy budgets 1e-4 of p_max * delay, where some
+    # checks end in INFEASIBLE_ENERGY: the trend holds there too
+    verdicts = Counter()
+    check = allocation.check_targets
+
+    def counting_check(*args):
+        result = check(*args)
+        verdicts[result.verdict] += 1
+        return result
+
+    monkeypatch.setattr(allocation, "check_targets", counting_check)
+    ok, detail = granularity_trends(same_results.BINDING_ENERGY_SCALE)
+    binding = verdicts[feasibility.Verdict.INFEASIBLE_ENERGY]
+    assert binding > 0
+    report(8, ok, f"energy_scale {same_results.BINDING_ENERGY_SCALE:g}, "
+                  f"{binding} checks over the energy budget: {detail}")

@@ -30,6 +30,20 @@ def test_bad_seeds_exit_2_before_any_export(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "b.json").exists()
 
 
+def test_negative_trace_seed_exits_2_before_any_export(tmp_path, monkeypatch, capsys):
+    # perfbench refuses --seed -1, which would only show after every timed
+    # pair of the first workload had run
+    def no_export(rev, dest):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--seeds", "1-2", "--trace-seed", "-1",
+                          "--out", str(tmp_path / "b.json")])
+    assert exc.value.code == 2 and "--trace-seed" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
 def traced_run(**metrics):
     """A ``run_bench`` result that printed ``metrics``, each ``(value, unit)``."""
     return {"printed": {k: float(v) for k, (v, _) in metrics.items()},

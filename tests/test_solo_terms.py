@@ -17,15 +17,18 @@ from ratesched import (
     NodeSpec,
     NumericalError,
     RadioConfig,
+    RateTable,
     validate_instance,
 )
 from ratesched import allocation, check_targets
 from ratesched.allocation import _capacity_targets
 from ratesched.allocation import (
+    brute_force_optimal,
     continuous_optimal,
     continuous_solos,
     ladder_records,
     ladder_solos,
+    lttf,
     solo_guess,
     solo_terms,
 )
@@ -146,7 +149,7 @@ class TestBlocks:
                      for i in range(own.shape[1])]
             # off the diagonal the gains play no part in a solo
             gains = GainMatrix(np.diag(own[b]) + 1e-3 * own[b].min() * (1 - np.eye(own.shape[1])))
-            records = ladder_records(table, bits[b].tolist(), terms, b)
+            records = ladder_records(table, terms, b)
             assert repr(records) == repr(ladder_solos(nodes, gains, table, radio))
             assert repr(records) == repr(frozen_ladder_solos(nodes, gains, table, radio))
             pairs = list(zip(floors[b].tolist(), tops[b].tolist()))
@@ -155,6 +158,58 @@ class TestBlocks:
             for i in range(own.shape[1]):
                 alone = dataclasses.replace(nodes[i], id=0, controller_id=0)
                 check_continuous_solo([alone], GainMatrix([[own[b, i]]]), radio)
+
+
+# Integer packet sizes up to the float range: each reaches the block pass
+# and the frozen loop's int / float as the same correctly rounded float.
+INT_PACKETS = (50, 2**53 + 1, 2**70, 2**1000)
+
+
+class TestIntegerPackets:
+    @staticmethod
+    def row(table, radio, packets):
+        """One seed of links with integer ``packets``: each link's lowest
+        level is 1 and its energy budget puts its ceiling at 2."""
+        nodes = []
+        for i, bits in enumerate(packets):
+            delay = bits / table.rate(1)
+            energy = 1.5 * bits / table.rate(2) * table.threshold(2) * radio.noise_power
+            nodes.append(NodeSpec(i, i, bits, 1, delay, energy))
+        return nodes, GainMatrix(np.eye(len(packets)) + 1e-3 * (1 - np.eye(len(packets))))
+
+    @pytest.mark.parametrize("model", ["disc4", "disc8"])
+    def test_ladder_records_match_the_frozen_loop(self, model):
+        table, radio = TABLES[model, 1e8], TABLE1_RADIO
+        # every row a rotation of the sizes, so no two rows share a link's times
+        rows = [self.row(table, radio, INT_PACKETS[k:] + INT_PACKETS[:k])
+                for k in range(len(INT_PACKETS))]
+        for nodes, gains in rows:
+            frozen = frozen_ladder_solos(nodes, gains, table, radio)
+            assert [(lowest, ceiling) for _, lowest, ceiling, solo in frozen] == [(1, 2)] * 4
+            assert all(solo is not None for *_, solo in frozen)
+            assert repr(ladder_solos(nodes, gains, table, radio)) == repr(frozen)
+        own, bits, delay, energy = (
+            np.concatenate(x) for x in zip(*(allocation._link_arrays(*row) for row in rows))
+        )
+        (terms,), _, _ = solo_terms(own, bits, delay, energy, radio, (table,))
+        for b, (nodes, gains) in enumerate(rows):
+            want = repr(frozen_ladder_solos(nodes, gains, table, radio))
+            assert repr(ladder_records(table, terms, b)) == want
+
+    def test_integer_rates_divide_as_floats(self):
+        # (2**53 + 1) / 3 is 3002399751580331 exactly, but 2**53 + 1 reaches
+        # the block pass as the float 2**53, whose quotient is
+        # 3002399751580330.5: a table keeps its levels as floats, so the
+        # reference's quotient is that one too and both see it within delay
+        table = RateTable(((1, 3), (2, 5)))
+        assert [type(x) for level in table.levels for x in level] == [float] * 4
+        nodes = [NodeSpec(0, 0, 2**53 + 1, 1, 3002399751580330.5, math.inf)]
+        gains = GainMatrix([[1.0]])
+        records = ladder_solos(nodes, gains, table, TABLE1_RADIO)
+        assert repr(records) == repr(frozen_ladder_solos(nodes, gains, table, TABLE1_RADIO))
+        assert records[0][0] == [3002399751580330.5, 1801439850948198.5]
+        want = brute_force_optimal(nodes, gains, table, TABLE1_RADIO)
+        assert want.feasible and repr(lttf(nodes, gains, table, TABLE1_RADIO)) == repr(want)
 
 
 class TestNoGuess:

@@ -42,8 +42,10 @@ side passes ``bench_pairs.gain_rule`` on set time (it won at least nine
 tenths of the reps, and the medians differ by more than the base side's
 interquartile range), and whether both sides gave the same rows and
 per-seed records in every set.
-The exit status is 1 if any set differed; it is 2 for fewer than two reps,
-which give no quartiles.
+The exit status is 1 if any set differed. It is 2, before any sweep runs,
+for fewer than two reps (which give no quartiles), fewer than one sweep, a
+seed below 0 or a workload that the head tree does not define; only the
+last needs the trees exported first.
 """
 
 from __future__ import annotations
@@ -165,6 +167,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 2:
         parser.error("--reps must be at least 2, for quartiles")
+    if args.sweeps < 1:
+        parser.error("--sweeps must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     differ = False
     with tempfile.TemporaryDirectory(prefix="ab-sweeps-") as tmp:
@@ -174,6 +180,9 @@ def main(argv=None) -> int:
             export(getattr(args, side), tree)
             packages[side] = load(tree / "src", f"ratesched_{side}")
         workloads = json.loads((Path(tmp) / "head" / "perfbench" / "workloads.json").read_text())
+        unknown = sorted(set(args.workload or ()) - workloads.keys())
+        if unknown:
+            parser.error(f"--workload {', '.join(unknown)} not in the head tree's workloads")
         for name in args.workload or workloads:
             out = compare(packages, workloads[name]["config"], args.seed, args.reps, args.sweeps)
             differ |= not out["same_results"]

@@ -26,6 +26,9 @@ number of pairs the head side won (ties count for neither), the ratio of the
 medians and ``gain_rule``: the head won at least nine tenths of the pairs and
 the medians differ by more than the base side's interquartile range.
 Every run's ``correct`` and ``failed`` are kept too.
+
+Fewer than two seeds, a reversed seed range or a ``--trace-seed`` below 0
+exit with status 2 before any tree is exported.
 """
 
 from __future__ import annotations
@@ -158,6 +161,8 @@ def main(argv=None) -> int:
                         help="also make one --trace 1 run per side and workload")
     parser.add_argument("--out", required=True, help="summary JSON file")
     args = parser.parse_args(argv)
+    if args.trace_seed is not None and args.trace_seed < 0:
+        parser.error("--trace-seed must be at least 0")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
