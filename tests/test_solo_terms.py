@@ -183,17 +183,18 @@ class TestIntegerPackets:
         # every row a rotation of the sizes, so no two rows share a link's times
         rows = [self.row(table, radio, INT_PACKETS[k:] + INT_PACKETS[:k])
                 for k in range(len(INT_PACKETS))]
+        wants = []
         for nodes, gains in rows:
             frozen = frozen_ladder_solos(nodes, gains, table, radio)
-            assert [(lowest, ceiling) for _, lowest, ceiling, solo in frozen] == [(1, 2)] * 4
+            assert [(lowest, ceiling) for _, lowest, ceiling, _ in frozen] == [(1, 2)] * 4
             assert all(solo is not None for *_, solo in frozen)
-            assert repr(ladder_solos(nodes, gains, table, radio)) == repr(frozen)
+            wants.append(repr(frozen))
+            assert repr(ladder_solos(nodes, gains, table, radio)) == wants[-1]
         own, bits, delay, energy = (
             np.concatenate(x) for x in zip(*(allocation._link_arrays(*row) for row in rows))
         )
         (terms,), _, _ = solo_terms(own, bits, delay, energy, radio, (table,))
-        for b, (nodes, gains) in enumerate(rows):
-            want = repr(frozen_ladder_solos(nodes, gains, table, radio))
+        for b, want in enumerate(wants):
             assert repr(ladder_records(table, terms, b)) == want
 
     def test_integer_rates_divide_as_floats(self):
