@@ -200,16 +200,6 @@ def random_rate_indices(rng, n, num_levels):
     return [int(q) for q in rng.integers(0, num_levels, size=n)]
 
 
-def random_descendant(rng, indices):
-    """Component-wise <= copy of ``indices`` with at least one strict drop."""
-    if all(q == 0 for q in indices):
-        raise ValueError("all-zero vector has no descendant")
-    while True:
-        down = [int(rng.integers(0, q + 1)) for q in indices]
-        if any(d < q for d, q in zip(down, indices)):
-            return down
-
-
 def outcome(pricer, *args):
     """A pricer's result, or the type of the error it raised."""
     try:

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -42,6 +43,43 @@ def test_negative_trace_seed_exits_2_before_any_export(tmp_path, monkeypatch, ca
                           "--out", str(tmp_path / "b.json")])
     assert exc.value.code == 2 and "--trace-seed" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+# a benchmark command whose runs report (correct, failed) by their --trace
+FAKE_BENCH = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+correct, failed = {outcomes}[args["--trace"]]
+print(json.dumps({{"correct": correct, "attempted": 4, "failed": failed,
+                  "metrics": {{"seeds_per_s": {{"value": float(args["--seed"])}}}}}}))
+"""
+
+
+@pytest.mark.parametrize("outcomes, status", [
+    ({"0": (True, 0), "1": (True, 0)}, 0),
+    ({"0": (False, 0), "1": (True, 0)}, 1),
+    ({"0": (True, 0), "1": (True, 1)}, 1),
+], ids=["all-correct", "timed-run-incorrect", "traced-run-failed-a-seed"])
+def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, outcomes, status):
+    # perfbench exits 0 with "correct": false or failed seeds, and the
+    # medians of such runs summarise wrong outputs
+    metric = {"name": "seeds_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "bench.py"], "run_seconds": 1,
+        "workloads": [{"name": "w"}], "end_to_end": [metric]}))
+
+    def fake_export(rev, dest):
+        dest.mkdir()
+        (dest / "bench.py").write_text(FAKE_BENCH.format(outcomes=outcomes))
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    out = tmp_path / "b.json"
+    assert bench_pairs.main(["--base", "a", "--head", "b", "--seeds", "1-2",
+                             "--trace-seed", "3", "--out", str(out)]) == status
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert [run["head"]["correct"] for run in entry["runs"]] == [outcomes["0"][0]] * 2
+    assert entry["trace"]["head"]["failed"] == outcomes["1"][1]
 
 
 def traced_run(**metrics):

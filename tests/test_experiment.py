@@ -885,6 +885,40 @@ class TestRunExperiment:
         assert json.dumps(traced.rows) == json.dumps(untraced.rows)
         assert traced.per_seed == untraced.per_seed
 
+    @pytest.mark.parametrize("workload", ["two periods", "dense-exhaustive"])
+    def test_counts_equal_the_perfbench_trace(self, workload):
+        # perfbench/layers.py patches the library's seams its own way; on the
+        # same sweeps its traced checks, kernel calls and allocator calls must
+        # equal those of spies, so that a seam move the tracer misses fails
+        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        if workload == "two periods":
+            configs = [{"n_sensors": [3, 4], "n_controllers": 2, "seeds": 6,
+                        "period_set": [1, 2], "rate_models": ["cont", "disc4"]}]
+        else:
+            configs = [dict(WORKLOADS[workload]["config"], master_seed=s) for s in (1000, 1001)]
+        cfgs = [ExperimentConfig.from_dict(config) for config in configs]
+        checks = mock.Mock(wraps=allocation.check_targets)
+        kernel = mock.Mock(wraps=feasibility.min_power_vector)
+        allocators = {name: mock.Mock(wraps=fn) for name, fn in scheduling._ALLOCATORS.items()}
+        with (
+            mock.patch.object(allocation, "check_targets", checks),
+            mock.patch.object(feasibility, "min_power_vector", kernel),
+            mock.patch.dict(scheduling._ALLOCATORS, allocators),
+        ):
+            for cfg in cfgs:
+                run_experiment(cfg)
+        tracer = layers.Tracer()
+        with layers.traced(tracer):
+            for cfg in cfgs:
+                experiment.run_experiment(cfg)
+        traced = layers.exact_counts(tracer, layers.span_stats(tracer))
+        assert checks.call_count == traced["feasibility.check.calls"] > 0
+        assert kernel.call_count == traced["feasibility.kernel.calls"] > 0
+        allocated = sum(spy.call_count for spy in allocators.values())
+        assert allocated == traced["scheduling.mla.calls"] + traced["scheduling.mua.calls"] > 0
+
     def test_solvers_see_uncapped_solos_and_groups_capped_below_their_delay(
         self, monkeypatch
     ):

@@ -25,7 +25,8 @@ median and quartiles (``statistics.quantiles``, inclusive method), the
 number of pairs the head side won (ties count for neither), the ratio of the
 medians and ``gain_rule``: the head won at least nine tenths of the pairs and
 the medians differ by more than the base side's interquartile range.
-Every run's ``correct`` and ``failed`` are kept too.
+Every run's ``correct`` and ``failed`` are kept; once the summary is written,
+the exit status is 1 if a timed or traced run was incorrect or failed a seed.
 
 Fewer than two seeds, a reversed seed range or a ``--trace-seed`` below 0
 exit with status 2 before any tree is exported.
@@ -220,7 +221,10 @@ def main(argv=None) -> int:
                 entry["counts_moved"] = counts_moved(traced["base"], traced["head"])
             summary["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
-    return 0
+    entries = summary["workloads"].values()
+    runs = [*(pair[side] for entry in entries for pair in entry["runs"] for side in revs),
+            *(entry["trace"][side] for entry in entries if "trace" in entry for side in revs)]
+    return 0 if all(run["correct"] and run["failed"] == 0 for run in runs) else 1
 
 
 if __name__ == "__main__":
