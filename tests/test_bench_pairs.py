@@ -45,31 +45,39 @@ def test_negative_trace_seed_exits_2_before_any_export(tmp_path, monkeypatch, ca
     assert not (tmp_path / "b.json").exists()
 
 
-# a benchmark command whose runs report (correct, failed) by their --trace
+# a benchmark command whose runs report (correct, failed) by their --trace,
+# (True, 0) for a --trace it is not given
 FAKE_BENCH = """import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
-correct, failed = {outcomes}[args["--trace"]]
+correct, failed = {outcomes}.get(args["--trace"], (True, 0))
 print(json.dumps({{"correct": correct, "attempted": 4, "failed": failed,
                   "metrics": {{"seeds_per_s": {{"value": float(args["--seed"])}}}}}}))
 """
 
 
-@pytest.mark.parametrize("outcomes, status", [
-    ({"0": (True, 0), "1": (True, 0)}, 0),
-    ({"0": (False, 0), "1": (True, 0)}, 1),
-    ({"0": (True, 0), "1": (True, 1)}, 1),
-], ids=["all-correct", "timed-run-incorrect", "traced-run-failed-a-seed"])
-def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, outcomes, status):
+@pytest.mark.parametrize("side, outcomes, status", [
+    ("head", {}, 0),
+    ("head", {"0": (False, 0)}, 1),
+    ("head", {"1": (True, 1)}, 1),
+    ("head", {"0": (True, 1)}, 1),
+    ("head", {"1": (False, 0)}, 1),
+    ("base", {"0": (False, 0)}, 1),
+], ids=["all-correct", "timed-run-incorrect", "traced-run-failed-a-seed",
+        "timed-run-failed-a-seed", "traced-run-incorrect", "base-run-incorrect"])
+def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, side, outcomes, status):
     # perfbench exits 0 with "correct": false or failed seeds, and the
-    # medians of such runs summarise wrong outputs
+    # medians of such runs summarise wrong outputs; only the runs of
+    # ``side`` report ``outcomes``
     metric = {"name": "seeds_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "bench.py"], "run_seconds": 1,
         "workloads": [{"name": "w"}], "end_to_end": [metric]}))
+    revs = {"a": "base", "b": "head"}
 
     def fake_export(rev, dest):
         dest.mkdir()
-        (dest / "bench.py").write_text(FAKE_BENCH.format(outcomes=outcomes))
+        bad = outcomes if revs[rev] == side else {}
+        (dest / "bench.py").write_text(FAKE_BENCH.format(outcomes=bad))
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
@@ -78,8 +86,11 @@ def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, outcomes
     assert bench_pairs.main(["--base", "a", "--head", "b", "--seeds", "1-2",
                              "--trace-seed", "3", "--out", str(out)]) == status
     entry = json.loads(out.read_text())["workloads"]["w"]
-    assert [run["head"]["correct"] for run in entry["runs"]] == [outcomes["0"][0]] * 2
-    assert entry["trace"]["head"]["failed"] == outcomes["1"][1]
+    for name in revs.values():
+        timed, traced = (outcomes.get(t, (True, 0)) if name == side else (True, 0)
+                         for t in ("0", "1"))
+        assert [(run[name]["correct"], run[name]["failed"]) for run in entry["runs"]] == [timed] * 2
+        assert (entry["trace"][name]["correct"], entry["trace"][name]["failed"]) == traced
 
 
 def traced_run(**metrics):

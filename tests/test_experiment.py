@@ -919,6 +919,29 @@ class TestRunExperiment:
         allocated = sum(spy.call_count for spy in allocators.values())
         assert allocated == traced["scheduling.mla.calls"] + traced["scheduling.mua.calls"] > 0
 
+    def test_perfbench_trace_puts_every_seam_back_when_a_sweep_raises(self, monkeypatch):
+        # a sweep that raises inside perfbench/layers.py's traced() must not
+        # leave a wrapper in the library for the sweeps that follow
+        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+
+        def seams():
+            modules = (allocation, experiment, feasibility, scheduling)
+            return ([dict(vars(module)) for module in modules]
+                    + [dict(scheduling._ALLOCATORS), scheduling.SubsetPricer.price])
+
+        def failing_seed(cfg, drawn):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(experiment, "_run_seed", failing_seed)
+        before = seams()
+        tracer = layers.Tracer()
+        with pytest.raises(RuntimeError, match="injected"), layers.traced(tracer):
+            experiment.run_experiment(tiny_config())
+        assert seams() == before
+        assert tracer.counts["experiment.seed.raised"] == 1
+
     def test_solvers_see_uncapped_solos_and_groups_capped_below_their_delay(
         self, monkeypatch
     ):
