@@ -30,4 +30,4 @@ for q in range(table.num_levels):
 # Custom ladders work the same way; the -inf dB entry means "stay silent"
 # and never becomes an assignable rate.
 custom = build_rate_table([-math.inf, 3.0, 12.0], W)
-print(f"\ncustom ladder rates: {[round(r / 1e6, 1) for r in custom.rates]} Mbit/s")
+print(f"\ncustom ladder rates: {[round(r / 1e6, 1) for _, r in custom.levels]} Mbit/s")

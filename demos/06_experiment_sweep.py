@@ -65,7 +65,9 @@ try:
 except InfeasibleInstanceError as exc:
     # the pricer knows no model name; the sweep charges the drop to this one
     print(f"\nseed {record['seed_index']} at {record['sweep_var']}={record['value']}, "
-          f"replayed: {InfeasibleInstanceError(exc.node_id, model)}")
+          f"replayed: {InfeasibleInstanceError(exc.node_id, model)}, {exc.reason.name}")
+    if (exc.node_id, exc.reason.name) != (record["node"], record["reason"]):
+        raise SystemExit(f"the sweep dropped node {record['node']} for {record['reason']}")
 else:
     raise SystemExit(f"seed dropped under {model}, but its {model} pricer finds every solo")
 

@@ -30,6 +30,7 @@ from .feasibility import (
     min_power_vector,
 )
 from .model import (
+    OVER_CAP,
     AllocationResult,
     GainMatrix,
     Instance,

@@ -22,10 +22,12 @@ from . import feasibility
 from .feasibility import (
     FeasibilityReport,
     NumericalError,
+    Verdict,
     check_rate_vector,
     check_targets,
 )
 from .model import (
+    OVER_CAP,
     AllocationResult,
     GainMatrix,
     RadioConfig,
@@ -44,15 +46,28 @@ _GUIDE_TOL = 1e-9
 _GUIDE_CAP = 40
 _NUDGE = 4e-10
 
+# The verdicts of ``solo_terms``' ladder solo test, by its ``verdict`` code.
+SOLO_VERDICTS = (
+    Verdict.FEASIBLE,
+    Verdict.INFEASIBLE_DELAY,
+    Verdict.INFEASIBLE_MAX_POWER,
+    Verdict.INFEASIBLE_ENERGY,
+)
 
-def _result_for(rates, times, report: FeasibilityReport) -> AllocationResult:
+
+def _result_for(rates, times, report: FeasibilityReport, checks=0, evaluations=0):
     return AllocationResult(
-        feasible=True,
-        slot=max(times),
-        rates=tuple(rates),
-        powers=report.min_powers,
-        times=tuple(times),
+        True, max(times), tuple(rates), report.min_powers, tuple(times), checks, evaluations
     )
+
+
+class _Tally:
+    """The checks and bare kernel evaluations of one continuous price."""
+
+    __slots__ = ("checks", "evaluations")
+
+    def __init__(self, checks: int = 0):
+        self.checks, self.evaluations = checks, 0
 
 
 def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
@@ -61,12 +76,16 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
     bits, delay bound and energy budget. Returns ``(ladders, floors, tops)``.
 
     ``ladders[m]`` holds the terms of ``ladder_solos`` under ``tables[m]``:
-    ``(times, lowest, ceiling, power, record, solo)``, with ``times`` each
+    ``(times, lowest, ceiling, power, verdict, solo)``, with ``times`` each
     link's time b_i / r_q at every level q of the table (one more axis, the
-    last), ``record`` whether the link has a record, ``solo`` whether that
-    record has a solo price, and ``lowest``, ``ceiling`` and the solo
-    ``power``, the kernel's interference-free power at the ceiling, read
-    only where it does.
+    last), ``verdict`` the index in ``SOLO_VERDICTS`` of its solo test's
+    verdict, ``solo`` whether its record has a solo price, and ``lowest``,
+    ``ceiling`` and the solo ``power``, the kernel's interference-free power
+    at the ceiling, read only where it does. The link has a record where
+    the verdict is FEASIBLE (0): its solo test passes at ``lowest``.
+    Otherwise the verdict is INFEASIBLE_DELAY where no level is within its
+    delay bound, and INFEASIBLE_MAX_POWER or INFEASIBLE_ENERGY, as the
+    kernel checks them, where its test fails at ``lowest``.
     ``floors`` holds each link's interference-free slot t_lo = b_i / (W *
     log2(1 + p_max * g_ii / N)), the shortest slot in which it alone carries
     its packet at p_max: inf where that leaves the float range, as when
@@ -101,10 +120,15 @@ def solo_terms(own, bits, delay, energy, radio: RadioConfig, tables=()):
             lowest = within.argmax(-1)
             ceiling = np.where(failing.any(-1), failing.argmax(-1), len(rates)) - 1
             # a record needs the lowest level to pass; its power is unread elsewhere
-            record = within.any(-1) & ~np.take_along_axis(failing, lowest[..., None], -1)[..., 0]
+            low_power, low_fails = (
+                np.take_along_axis(x, lowest[..., None], -1)[..., 0] for x in (powers, failing)
+            )
+            verdict = np.where(
+                within.any(-1), np.where(low_power <= p_max, np.where(low_fails, 3, 0), 2), 1
+            )
             power = np.take_along_axis(powers, ceiling[..., None], -1)[..., 0]
-            solo = record & ((powers > 0) | ~within).all(-1)  # powers rise with the level
-            ladders.append((times, lowest, ceiling, power, record, solo))
+            solo = (verdict == 0) & ((powers > 0) | ~within).all(-1)  # powers rise with the level
+            ladders.append((times, lowest, ceiling, power, verdict, solo))
         floors = bits / (width * np.log2(1.0 + p_max * own / noise))
         # the kernel's solo power at t_lo; one > 0 has a target > 0
         p_lo = _capacity_targets(bits, floors, width) * noise / own
@@ -122,16 +146,19 @@ def ladder_triage(ladders, rows: int):
     some link fails its solo test, the first such link raises
     InfeasibleInstanceError there if it has no record (one with a record and
     no solo price raises NumericalError instead). Returns the ladder's and
-    the link's index per row, the ladder's -1 where no link is dropped."""
-    ladder, link = np.full(rows, -1), np.zeros(rows, dtype=int)
+    the link's index per row, the ladder's -1 where no link is dropped, and
+    the ``verdict`` code of the dropped link's solo test, its reason."""
+    ladder, link, reason = np.full(rows, -1), np.zeros(rows, dtype=int), np.zeros(rows, dtype=int)
     pending = np.ones(rows, dtype=bool)
-    for m, (*_, record, solo) in enumerate(ladders):
+    for m, (*_, verdict, solo) in enumerate(ladders):
         first = (~solo).argmax(-1)
         failing = pending & ~solo.all(-1)
-        dropped = failing & ~np.take_along_axis(record, first[:, None], -1)[:, 0]
+        why = np.take_along_axis(verdict, first[:, None], -1)[:, 0]
+        dropped = failing & (why != 0)
         ladder, link = np.where(dropped, m, ladder), np.where(dropped, first, link)
+        reason = np.where(dropped, why, reason)
         pending &= ~failing
-    return ladder, link
+    return ladder, link, reason
 
 
 def solo_guess(t_lo: float, top: float) -> float:
@@ -181,8 +208,8 @@ def ladder_records(table: RateTable, terms, b: int = 0) -> list:
     ``solo_terms``' ladder ``terms`` under ``table``, each with the level
     times of its row."""
     records = []
-    for times, lowest, ceiling, power, record, solo in zip(*(x[b].tolist() for x in terms)):
-        if not record:
+    for times, lowest, ceiling, power, verdict, solo in zip(*(x[b].tolist() for x in terms)):
+        if verdict:  # no record
             records.append(None)
             continue
         t = times[ceiling]
@@ -212,6 +239,12 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     """
     (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
     return ladder_records(table, terms)
+
+
+def _ladder_verdict(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig, k: int):
+    """The verdict of link ``k``'s ladder solo test, ``solo_terms``'."""
+    (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
+    return SOLO_VERDICTS[terms[4][0, k]]
 
 
 def lttf(
@@ -267,6 +300,10 @@ def lttf(
     kept, or an infeasible verdict at the first, every feasible vector is
     over ``cap``. A price over ``cap`` therefore takes at most one check.
 
+    An infeasible result's reason is the solo test verdict of the first
+    link with no record (see ``solo_terms``), else OVER_CAP where the walk's
+    first vector is over ``cap``, else the verdict of the check there.
+
     Raises ValidationError when ``nodes`` is empty or its length differs
     from ``gains.n``.
     """
@@ -278,20 +315,24 @@ def lttf(
     if solos is None:
         solos = ladder_solos(nodes, gains, table, radio)
     if None in solos:
-        return AllocationResult.infeasible()
+        return AllocationResult.infeasible(
+            _ladder_verdict(nodes, gains, table, radio, solos.index(None))
+        )
     thresholds, rates = zip(*table.levels)
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
+    checks = 0
 
     def check(vector):
+        nonlocal checks
+        checks += 1
         link_times = [s[0][q] for s, q in zip(solos, vector)]
         targets = [thresholds[q] for q in vector]
-        report = check_targets(gains, targets, radio, link_times, delays, energies)
-        return (vector, link_times, report) if report.feasible else None
+        return vector, link_times, check_targets(gains, targets, radio, link_times, delays, energies)
 
     levels = [s[1] for s in solos]
     current = [s[0][q] for s, q in zip(solos, levels)]
-    path = []
+    path, cut = [], False  # cut: the walk's first vectors are over cap
     while True:
         j, slot = 0, current[0]  # the first longest link
         for i in range(1, len(nodes)):
@@ -299,25 +340,27 @@ def lttf(
                 j, slot = i, current[i]
         if not slot > cap:  # a NaN cap is no cap
             path.append(tuple(levels))
+        else:
+            cut = True
         if levels[j] == solos[j][2]:
             break
         levels[j] += 1
         current[j] = solos[j][0][levels[j]]
     if not path:
-        return AllocationResult.infeasible()
+        return AllocationResult.infeasible(OVER_CAP)
     best = check(path[0])
-    if best is None:
-        return AllocationResult.infeasible()
+    if not best[2].feasible:
+        return AllocationResult.infeasible(OVER_CAP if cut else best[2].verdict, checks)
     lo, hi = 0, len(path)  # position lo is feasible, none from hi on is
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2  # rounded up: many walks end at the top
         found = check(path[mid])
-        if found is None:
-            hi = mid
-        else:
+        if found[2].feasible:
             lo, best = mid, found
+        else:
+            hi = mid
     vector, link_times, report = best
-    return _result_for([rates[q] for q in vector], link_times, report)
+    return _result_for([rates[q] for q in vector], link_times, report, checks)
 
 
 def brute_force_optimal(
@@ -447,6 +490,13 @@ def continuous_optimal(
     it equals t_lo or the true boundary t* lies within a relative
     ``_REL_TOL`` below it.
 
+    The result counts its probes as ``checks`` and the bare kernel runs of
+    its prediction as ``evaluations``. An infeasible result's reason is the
+    verdict of the probe at t_hi where that is the anchor, OVER_CAP where
+    the anchor is ``cap`` or the slot is over it, and INFEASIBLE_MAX_POWER
+    where t_lo > t_hi: some link alone needs more than p_max at every slot
+    within the delay bound.
+
     The set-up and the result are Python floats, from the same float
     operations as on arrays; only the logarithms and the capacity targets
     use numpy (``math.log2`` and ``math.expm1`` differ in the last bit).
@@ -471,6 +521,7 @@ def continuous_optimal(
         raise ValidationError("one node per gain matrix row required")
     if solos is None:
         solos = continuous_solos(nodes, gains, radio)
+    checks = 0
     packets = [n.packet_bits for n in nodes]
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]
@@ -480,12 +531,13 @@ def continuous_optimal(
             targets = _capacity_targets(np.array(packets), slot, radio.bandwidth_hz).tolist()
             report = check_targets(gains, targets, radio, [slot], delays, energies)
             if report.feasible:
-                return _result_for([packets[0] / slot], [slot], report)
+                return _result_for([packets[0] / slot], [slot], report, 1)
+            checks = 1
     t_lo = max(t for t, _ in solos)
-    return _search(gains, radio, packets, delays, energies, t_lo, cap)
+    return _search(gains, radio, packets, delays, energies, t_lo, cap, _Tally(checks))
 
 
-def _inverse_slack(gains, radio, packets, energies):
+def _inverse_slack(gains, radio, packets, energies, tally: _Tally):
     """y(t) = 1/slack, slack being the largest p_i/p_max and t*p_i/E_i of
     the minimum powers p(t) on ``math.expm1`` targets: y(t) >= 1 exactly
     where they exist and pass, NaN where there are none or arithmetic raises.
@@ -494,8 +546,8 @@ def _inverse_slack(gains, radio, packets, energies):
     n_1 = u_1 + F_10 u_0 over the pivot d = 1 - F_01 F_10, so y is the
     closed form d / max_i(n_i * max(1/p_max, t/E_i)). Any other count runs
     the kernel bare, through ``feasibility`` so that a wrapper there sees
-    it; its ValidationError (a target that underflows to 0) and
-    NumericalError are NaN."""
+    it, and counts each run in ``tally.evaluations``; its ValidationError (a
+    target that underflows to 0) and NumericalError are NaN."""
     noise, rate = radio.noise_power, 1.0 / radio.p_max
     scales = [b * (math.log(2.0) / radio.bandwidth_hz) for b in packets]
     if len(packets) == 2:
@@ -517,6 +569,7 @@ def _inverse_slack(gains, radio, packets, energies):
     def y(t: float) -> float:
         try:
             targets = [math.expm1(s / t) for s in scales]
+            tally.evaluations += 1
             powers = feasibility.min_power_vector(gains, targets, noise)
             if powers is None:
                 return math.nan
@@ -570,17 +623,22 @@ def _predicted_cell(y, t_lo, t_hi, anchor):
 
 
 @np.errstate(over="ignore")  # capacity targets overflow at tiny slots
-def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationResult:
-    """``continuous_optimal`` after a single link's guess."""
+def _search(gains, radio, packets, delays, energies, t_lo, cap, tally) -> AllocationResult:
+    """``continuous_optimal`` after a single link's guess, whose check, if
+    it made one, ``tally`` already holds."""
     k = len(packets)
     bits = np.array(packets)
 
     def probe(t: float) -> FeasibilityReport:
+        tally.checks += 1
         targets = _capacity_targets(bits, t, radio.bandwidth_hz).tolist()
         return check_targets(gains, targets, radio, [t] * k, delays, energies)
 
     def at(t: float, report: FeasibilityReport) -> AllocationResult:
-        return _result_for([b / t for b in packets], [t] * k, report)
+        return _result_for([b / t for b in packets], [t] * k, report, tally.checks, tally.evaluations)
+
+    def infeasible(reason) -> AllocationResult:
+        return AllocationResult.infeasible(reason, tally.checks, tally.evaluations)
 
     t_hi = float(min(delays))
     # Every probe is at t >= t_lo and the check below at t_hi, so t * W > 0
@@ -592,8 +650,9 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationRes
         raise NumericalError(f"capacity targets underflow to 0 at slot {t_hi}")
     anchor = cap if cap < t_hi else t_hi  # a NaN cap is no cap
     if t_lo > anchor:
-        return AllocationResult.infeasible()
-    cell = _predicted_cell(_inverse_slack(gains, radio, packets, energies), t_lo, t_hi, anchor)
+        return infeasible(Verdict.INFEASIBLE_MAX_POWER if t_lo > t_hi else OVER_CAP)
+    y = _inverse_slack(gains, radio, packets, energies, tally)
+    cell = _predicted_cell(y, t_lo, t_hi, anchor)
     if cell is not None:
         lo, hi = cell
         report = probe(hi)
@@ -602,7 +661,7 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationRes
     # the cell is missing or not confirmed: the plain bisection
     report = probe(anchor)  # then the slot's
     if not report.feasible:
-        return AllocationResult.infeasible()
+        return infeasible(OVER_CAP if anchor < t_hi else report.verdict)
     lo_report = probe(t_lo)
     if lo_report.feasible:
         return at(t_lo, lo_report)
@@ -617,4 +676,4 @@ def _search(gains, radio, packets, delays, energies, t_lo, cap) -> AllocationRes
         return verdict.feasible
 
     _, slot = _final_cell(t_lo, t_hi, feasible)
-    return AllocationResult.infeasible() if slot > cap else at(slot, report)  # a NaN cap is no cap
+    return infeasible(OVER_CAP) if slot > cap else at(slot, report)  # a NaN cap is no cap

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .allocation import float_array, ladder_records, ladder_triage, solo_terms
+from .allocation import SOLO_VERDICTS, float_array, ladder_records, ladder_triage, solo_terms
 
 # generate_topology and realize_channel draw one seed's topology and channel
 # alone, through the channel functions that _draw_block draws each seed of a
@@ -357,11 +357,12 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
 
     The seeds are seeded, and their channel arithmetic and links' solo terms
     (``solo_terms``) are computed, a block at a time (``_BLOCK_ELEMENTS``).
-    A seed is dropped there, as ``InfeasibleInstanceError(node_id,
-    model)``, when under some table model of the config, the first of them
+    A seed is dropped there, as ``InfeasibleInstanceError(node_id, model,
+    reason)``, when under some table model of the config, the first of them
     in config order where some link fails its ladder solo test, the first
     such link has no ladder record: ``_run_seed`` would build that model's
-    pricer and its ``sna_assign`` would raise just that. Any other seed's
+    pricer and its ``sna_assign`` would raise just that, with that link's
+    solo test verdict as the reason. Any other seed's
     nodes, gain matrix and ``solos``, each needed model's solo records for
     its pricer, are built, and validated, only when it is reached.
     """
@@ -385,13 +386,14 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
         budgets = (x[traffic[:, 0]].min(axis=1, keepdims=True) for x in (delays, energies))
         bits = packet_bits[traffic[:, 1]]
         terms, floors, tops = solo_terms(own, bits, *budgets, cfg.radio, ladders)
-        drop_model, drop_node = ladder_triage(terms, len(block))
+        drop_model, drop_node, drop_reason = ladder_triage(terms, len(block))
         for b in range(len(block)):
             if underflows[b]:
                 yield NumericalError("channel gains underflow to 0")
                 continue
             if drop_model[b] >= 0:
-                yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]])
+                reason = SOLO_VERDICTS[drop_reason[b]]
+                yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]], reason)
                 continue
             nodes, matrix = _seed_instance(cfg, gains[b], controller_of[b], traffic[b])
             solos = {m: ladder_records(t, x, b) for m, t, x in zip(tables, ladders, terms)}
@@ -456,19 +458,22 @@ def draw_seed(cfg: ExperimentConfig, point: int, k: int) -> tuple[list[NodeSpec]
     return _seed_instance(cfg, gains[0], controller_of[0], traffic[0])
 
 
-def _run_seed(cfg: ExperimentConfig, drawn):
+def _run_seed(cfg: ExperimentConfig, drawn, pricers: dict):
     """All (strategy, model) max-actives plus the reference for one seed,
     given as ``_draw_seeds`` yields it: ``(nodes, gains, solos)``, or the
     error that drops the seed, which is raised here afresh, so that no
-    reference cycle through this frame keeps it alive.
+    reference cycle through this frame keeps it alive. ``pricers`` gets
+    each needed model's pricer as it is built, so that the caller reads
+    their counts whether the seed is kept or dropped.
 
     The reference is the ``cont`` optimum of ``exhaustive_schedule`` when the
     instance fits it (``exhaustive_fits``), otherwise the smallest ``cont``
     max-active over the configured strategies; ``cont`` is scheduled for the
     reference only when it is not a configured model.
 
-    Raises InfeasibleInstanceError, with ``node_id`` and ``model`` set, when
-    some node cannot transmit alone under some needed model, so that averages
+    Raises InfeasibleInstanceError, with ``node_id``, ``model`` and
+    ``reason`` set, when some node cannot transmit alone under some needed
+    model, so that averages
     always compare the same seeds. Before any scheduling, each needed model's
     pricer is built in turn, from the seed's solo records, and its
     ``offsets()`` runs ``sna_assign``, which prices every solo and raises on
@@ -479,11 +484,10 @@ def _run_seed(cfg: ExperimentConfig, drawn):
     if isinstance(drawn, NumericalError):
         raise NumericalError(*drawn.args)
     if isinstance(drawn, InfeasibleInstanceError):
-        raise InfeasibleInstanceError(drawn.node_id, drawn.model)
+        raise InfeasibleInstanceError(drawn.node_id, drawn.model, drawn.reason)
     nodes, gains, solos = drawn
     inst = validate_instance(nodes)
     needed = cfg.rate_models if "cont" in cfg.rate_models else ("cont",) + cfg.rate_models
-    pricers = {}
 
     # Table models first (this order also picks the model a drop is charged
     # to): a ladder solo takes no check, a continuous solo about 1.
@@ -492,7 +496,7 @@ def _run_seed(cfg: ExperimentConfig, drawn):
         try:
             pricers[model].offsets()
         except InfeasibleInstanceError as exc:
-            raise InfeasibleInstanceError(exc.node_id, model) from None
+            raise InfeasibleInstanceError(exc.node_id, model, exc.reason) from None
 
     max_active: dict[tuple[str, str], float] = {}
     for strategy in cfg.strategies:
@@ -521,7 +525,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     ``sweep_var``, ``value``, ``seed_index`` and ``dropped``: ``None`` for a
     kept seed, otherwise the rate model that dropped it or ``"numerical"``.
     A kept record also has ``reference``, ``reference_kind`` ("exhaustive" or
-    "heuristic") and ``max_active``, keyed "strategy/model".
+    "heuristic") and ``max_active``, keyed "strategy/model". A record
+    dropped under a rate model also has ``node``, the id of the node that
+    cannot transmit alone, and ``reason``, the name of its solo price's
+    reason (a ``Verdict`` name). Every record has ``counts``: each pricer's
+    ``SubsetPricer.counts()`` keyed by its model, in the order the pricers
+    were built, empty for a seed dropped before any was.
 
     The rows and ``reference_counts`` are counted from these records. A
     point's counts hold its reference kinds, ``infeasible`` (every dropped
@@ -537,16 +546,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
         records = []
         for k, drawn in enumerate(_draw_seeds(cfg, n, density, point, range(cfg.seeds))):
             record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
+            pricers: dict[str, SubsetPricer] = {}
             try:
-                max_active, reference, ref_kind = _run_seed(cfg, drawn)
+                max_active, reference, ref_kind = _run_seed(cfg, drawn, pricers)
             except InfeasibleInstanceError as exc:
                 record["dropped"] = exc.model
+                record["node"] = exc.node_id
+                record["reason"] = exc.reason.name
             except NumericalError:
                 record["dropped"] = "numerical"
             else:
                 record["reference"] = reference
                 record["reference_kind"] = ref_kind
                 record["max_active"] = {f"{s}/{m}": t for (s, m), t in max_active.items()}
+            record["counts"] = {model: pricer.counts() for model, pricer in pricers.items()}
             records.append(record)
         per_seed += records
 

@@ -12,6 +12,7 @@ All types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ __all__ = [
     "RadioConfig",
     "GainMatrix",
     "AllocationResult",
+    "OVER_CAP",
     "Instance",
     "validate_instance",
 ]
@@ -110,10 +112,6 @@ class RateTable:
 
     def threshold(self, q: int) -> float:
         return self.levels[q][0]
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(r for _, r in self.levels)
 
     def index_of(self, rate: float) -> int:
         """Level index of an exact rate value; raises if the rate is unknown."""
@@ -276,6 +274,14 @@ class AllocationResult:
     packet_bits/rate for link i. Infeasible results carry ``slot = inf`` and
     no per-link detail. Results produced from externally supplied slot prices
     (schedule fixtures) may also omit per-link detail.
+
+    ``lttf`` and ``continuous_optimal`` fill in three more fields, which
+    take no part in equality: ``checks``, the ``check_targets`` calls that
+    produced the result; ``evaluations``, the kernel's bare evaluations
+    (``min_power_vector`` outside a check) that chose where to check; and,
+    for an infeasible result, its ``reason``, a ``feasibility.Verdict`` or
+    ``OVER_CAP`` where the price's ``cap`` cut it short. Only the reason
+    shows in the repr.
     """
 
     feasible: bool
@@ -283,10 +289,23 @@ class AllocationResult:
     rates: tuple[float, ...] | None = None
     powers: tuple[float, ...] | None = None
     times: tuple[float, ...] | None = None
+    checks: int = field(default=0, compare=False, repr=False)
+    evaluations: int = field(default=0, compare=False, repr=False)
+    reason: object = field(default=None, compare=False)
 
     @classmethod
-    def infeasible(cls) -> "AllocationResult":
-        return cls(feasible=False, slot=math.inf)
+    def infeasible(cls, reason=None, checks: int = 0, evaluations: int = 0) -> "AllocationResult":
+        return cls(False, math.inf, None, None, None, checks, evaluations, reason)
+
+
+class Cut(enum.Enum):
+    """The reason of an infeasible price that its ``cap`` cut short: every
+    slot it could prove feasible is over the cap, or it checked none."""
+
+    OVER_CAP = "over_cap"
+
+
+OVER_CAP = Cut.OVER_CAP
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .allocation import continuous_optimal, continuous_solos, ladder_solos, lttf
 from .model import (
-    AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError, _not_an_id,
-    is_number,
+    OVER_CAP, AllocationResult, GainMatrix, Instance, RadioConfig, RateTable, ValidationError,
+    _not_an_id, is_number,
 )
 
 __all__ = [
@@ -53,13 +53,15 @@ EXHAUSTIVE_MAX_SUBFRAMES = 4
 class InfeasibleInstanceError(Exception):
     """Some node cannot transmit even alone; no schedule exists.
 
-    ``node_id`` names that node and ``model`` the rate model it was priced
-    under, which ``experiment`` adds.
+    ``node_id`` names that node, ``model`` the rate model it was priced
+    under, which ``experiment`` adds, and ``reason`` its solo price's
+    reason (see ``AllocationResult``).
     """
 
-    def __init__(self, node_id, model=None):
+    def __init__(self, node_id, model=None, reason=None):
         self.node_id = node_id
         self.model = model
+        self.reason = reason
         under = f" under {model}" if model is not None else ""
         super().__init__(f"instance is infeasible (node {node_id}){under}")
 
@@ -75,10 +77,16 @@ class SubsetPricer:
     for both strategies, since the allocators then never run. The
     gain-backed pricers also keep one solo record per node. ``price`` keeps
     nothing.
+
+    A pricer counts its work; ``counts()`` reports it.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        # work counts, as counts() reports them
+        self.checks = self.evaluations = self.over_cap = 0
+        self.group_hits = self.rejections = self.candidates = self.allocations = 0
+        self.priced = [0] * (len(inst.nodes) + 1)  # by subset size
         # (offsets, populations), as offsets() and populations() answer
         self._assignment: tuple | None = None
         # sorted member tuple -> (slots, groups)
@@ -110,7 +118,42 @@ class SubsetPricer:
             raise ValidationError(f"repeated node id in subset {tuple(ids)}")
         if not key <= self.inst.position.keys():
             raise ValidationError(f"unknown node id in subset {tuple(ids)}")
-        return self._price(tuple(sorted(key)), cap)
+        return self._counted(tuple(sorted(key)), cap)
+
+    def counts(self) -> dict:
+        """The pricer's work so far, as a JSON-serialisable dict:
+
+        * ``checks`` and ``evaluations``: the sums of its prices' fields
+          (see ``AllocationResult``);
+        * ``priced``: its prices by subset size, a list from size 1 to
+          the instance's node count;
+        * ``over_cap``: its prices whose reason is OVER_CAP;
+        * ``group_hits``: ``group`` calls answered from a kept answer;
+        * ``rejections``: ``group`` calls whose members share a controller;
+        * ``candidates``: the populations ``_candidates`` enumerated for it;
+        * ``allocations``: the allocator calls ``schedule`` made with it.
+
+        Every ``_price`` call, through ``price`` or ``group``, is a price.
+        """
+        return {
+            "checks": self.checks,
+            "evaluations": self.evaluations,
+            "priced": self.priced[1:],
+            "over_cap": self.over_cap,
+            "group_hits": self.group_hits,
+            "rejections": self.rejections,
+            "candidates": self.candidates,
+            "allocations": self.allocations,
+        }
+
+    def _counted(self, ids: tuple[int, ...], cap: float) -> AllocationResult:
+        """``_price(ids, cap)``, added to the counts."""
+        res = self._price(ids, cap)
+        self.checks += res.checks
+        self.evaluations += res.evaluations
+        self.over_cap += res.reason is OVER_CAP
+        self.priced[len(ids)] += 1
+        return res
 
     def offsets(self) -> dict[int, int]:
         """The ``sna_assign`` offsets, computed on the first call (raising as
@@ -155,7 +198,7 @@ class SubsetPricer:
         if res is None:
             res = self.price((node_id,))
             if not res.feasible:
-                raise InfeasibleInstanceError(node_id)
+                raise InfeasibleInstanceError(node_id, reason=res.reason)
             self._solo_results[node_id] = res
         return res
 
@@ -190,14 +233,17 @@ class SubsetPricer:
         tuple, with no second check.
         """
         if len({self.controller(i) for i in ids}) < len(ids):
+            self.rejections += 1
             return None
         key = frozenset(ids)
-        if key not in self._groups:
+        if key in self._groups:
+            self.group_hits += 1
+        else:
             if not key:
                 raise ValidationError("subset must be nonempty")
             solos = [self.solo(i) for i in ids]
             cap = math.fsum(res.slot for res in solos)
-            res = solos[0] if len(solos) == 1 else self._price(tuple(sorted(ids)), cap)
+            res = solos[0] if len(solos) == 1 else self._counted(tuple(sorted(ids)), cap)
             self._groups[key] = res if res.feasible and res.slot <= cap else None
         return self._groups[key]
 
@@ -363,6 +409,7 @@ def _candidates(members, pricer):
     every member's ``pricer.solo`` first, then larger subsets by increasing
     size, in ``itertools.combinations`` order.
     """
+    pricer.candidates += 1
     bit = {i: 1 << k for k, i in enumerate(members)}
     out = [(bit[i], (i,), pricer.solo(i)) for i in members]
     for size in range(2, len({pricer.controller(i) for i in members}) + 1):
@@ -573,6 +620,7 @@ def schedule(pricer: SubsetPricer, strategy: str = "sna-mla") -> tuple[Frame, Sc
                 groups = _pair(members, pricer)
             else:
                 groups, allocated = allocator(members, pricer), True
+                pricer.allocations += 1
             for m in range(off, m_count, s):
                 per_subframe[m] += groups
         frame = Frame(m_count, pricer.offsets(), tuple(map(tuple, per_subframe)))

@@ -5,11 +5,14 @@ cross gains sit 3..25 dB below the victim's desired gain, which yields a
 healthy mix of feasible and infeasible rate vectors at the bundled radio
 parameters.
 
-Tests count or record library calls with a ``mock.Mock(wraps=...)`` spy,
-put in place by ``monkeypatch.setattr``, ``mock.patch.object(...,
-wraps=...)`` or ``mock.patch.dict`` and read through ``call_count``,
-``call_args_list`` and ``reset_mock()``. A test writes its own wrapper only
-to read results, assert inside the call or inject a fault.
+Tests count the library's work through its own counts: the ``checks`` and
+``evaluations`` of an ``AllocationResult``, ``SubsetPricer.counts()`` and
+the ``counts`` of each ``per_seed`` record; and they read why a price
+failed from a result's ``reason``. A test records calls with a
+``mock.Mock(wraps=...)`` spy only for what those counts do not hold: the
+arguments of a call, the kind of pricer it got, or a call that no count
+covers, such as ``sna_assign``'s. A test writes its own wrapper only to
+read results, assert inside the call or inject a fault.
 """
 
 import itertools
@@ -317,10 +320,36 @@ def frozen_continuous_optimal(nodes, gains, radio):
     return allocation_at(hi, hi_report)
 
 
+def solo_reason(model, node, own, radio):
+    """Why ``node``, alone on its own gain ``own``, fails under ``model``,
+    from plain definitions, as a ``Verdict`` name. For a ladder it is
+    INFEASIBLE_DELAY where no level is within its delay bound, and
+    otherwise the solo test at the lowest level within it, on the power
+    u = threshold * N / g_ii that the kernel gives a link alone:
+    INFEASIBLE_MAX_POWER where u > p_max, INFEASIBLE_ENERGY where its
+    energy is over the budget. For ``cont`` it is the check's verdict at
+    the delay bound."""
+    if model == "cont":
+        t = node.delay_bound
+        target = float(np.expm1(node.packet_bits * (math.log(2.0) / (t * radio.bandwidth_hz))))
+        report = check_targets(GainMatrix([[own]]), [target], radio, [t], [t], [node.energy_budget])
+        return report.verdict.name
+    table = {"disc4": disc4_table, "disc8": disc8_table}[model](radio.bandwidth_hz)
+    q = table.lowest_level_within(node.packet_bits, node.delay_bound)
+    if q is None:
+        return "INFEASIBLE_DELAY"
+    u = table.threshold(q) * radio.noise_power / own
+    if not u <= radio.p_max:
+        return "INFEASIBLE_MAX_POWER"
+    assert node.packet_bits / table.rate(q) * u > node.energy_budget
+    return "INFEASIBLE_ENERGY"
+
+
 def oracle_seed(cfg, n, density, point, k):
     """One seed's outcome under ``run_experiment``'s rules, from plain
-    definitions: ``(max_active, reference, reference_kind)``, or the model
-    that drops the seed, or ``"numerical"``.
+    definitions: ``(max_active, reference, reference_kind)``, or ``(model,
+    node, reason)`` for the model that drops the seed, the first node
+    infeasible alone under it and its ``solo_reason``, or ``"numerical"``.
 
     The seed is drawn alone by ``draw_instance``. Each needed model (the
     configured ones, and ``cont`` for the reference) prices every
@@ -349,8 +378,9 @@ def oracle_seed(cfg, n, density, point, k):
         for model in needed:
             for i in range(n):
                 prices[model][(i,)] = price(model, (i,))
-            if not all(res.feasible for res in prices[model].values()):
-                return model
+            for i in range(n):
+                if not prices[model][(i,)].feasible:
+                    return model, i, solo_reason(model, nodes[i], gains.cols[i][i], cfg.radio)
         ctrl = [node.controller_id for node in inst.nodes]
         for size in range(2, n + 1):
             for idx in itertools.combinations(range(n), size):
@@ -375,7 +405,9 @@ def oracle_seed(cfg, n, density, point, k):
 
 def oracle_sweep(cfg):
     """``run_experiment(cfg)``'s rows and ``per_seed`` from ``oracle_seed``,
-    averaged in plain numpy; its ``reference_counts`` are left empty."""
+    averaged in plain numpy; its ``reference_counts`` are left empty, and
+    so are its records' ``counts``, which the oracle's plan of pricing
+    does not share."""
     sweep_var, values = cfg.sweep()
     rows, per_seed = [], []
     for point, value in enumerate(values):
@@ -384,8 +416,10 @@ def oracle_sweep(cfg):
         for k in range(cfg.seeds):
             record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
             outcome = oracle_seed(cfg, int(n), float(density), point, k)
-            if isinstance(outcome, str):
+            if outcome == "numerical":
                 record["dropped"] = outcome
+            elif isinstance(outcome[0], str):
+                record["dropped"], record["node"], record["reason"] = outcome
             else:
                 max_active, record["reference"], record["reference_kind"] = outcome
                 record["max_active"] = max_active

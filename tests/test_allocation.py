@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 import ratesched.allocation
 from ratesched import (
+    OVER_CAP,
     AllocationResult,
     GainMatrix,
     InfeasibleInstanceError,
@@ -170,25 +171,22 @@ class TestLttf:
             assert res.slot == max(res.times)
             assert all(p <= TABLE1_RADIO.p_max for p in res.powers)
 
-    def test_check_budget(self, monkeypatch):
+    def test_check_budget(self):
         # the binary search makes at most 1 + ceil(log2(path length))
         # feasibility checks on the path bounded by each link's solo
         # ceiling, and at least one once that path is nonempty
         rng = np.random.default_rng(12)
-        check = mock.Mock(wraps=check_targets)
-        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         walks = 0
         for _ in range(100):
             n = int(rng.integers(1, 6))
             nodes, gains = random_instance(
                 rng, n, DISC8, tight_delay_prob=0.2, binding_energy_prob=0.3
             )
-            check.reset_mock()
-            lttf(nodes, gains, DISC8, TABLE1_RADIO)
+            checks = lttf(nodes, gains, DISC8, TABLE1_RADIO).checks
             path = bounded_path(nodes, gains, DISC8, TABLE1_RADIO)
-            assert (check.call_count >= 1) == bool(path)
+            assert (checks >= 1) == bool(path)
             if path:
-                assert check.call_count <= 1 + math.ceil(math.log2(len(path)))
+                assert checks <= 1 + math.ceil(math.log2(len(path)))
             walks += bool(path)
         assert walks >= 50
 
@@ -241,12 +239,11 @@ class TestLttf:
         # the bare walk's and the oracle's, or all three are infeasible
         subset, gains, table, radio = instance
         pricer = TablePricer(validate_instance(subset), gains, table, radio)
-        with mock.patch.object(ratesched.allocation, "check_targets", wraps=check_targets) as check:
-            try:
-                solo = pricer.solo(subset[0].id)
-            except InfeasibleInstanceError:
-                solo = AllocationResult.infeasible()
-        assert check.call_count == 0
+        try:
+            solo = pricer.solo(subset[0].id)
+        except InfeasibleInstanceError:
+            solo = AllocationResult.infeasible()
+        assert pricer.counts()["checks"] == 0
         assert solo == lttf(*instance) == brute_force_optimal(*instance)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
@@ -507,21 +504,19 @@ class TestContinuousOptimal:
             priced = outcome(continuous_optimal, subset, gains, radio)
         assert priced == outcome(frozen_continuous_optimal, subset, gains, radio)
 
-    def test_probe_budget(self, monkeypatch):
+    def test_probe_budget(self):
         # every feasible price of k >= 2 links here confirms its predicted
         # cell in two probes, where the plain bisection takes about 35
         rng = np.random.default_rng(19)
-        check = mock.Mock(wraps=check_targets)
-        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         probes = []
         for _ in range(200):
             nodes, gains = random_instance(
                 rng, int(rng.integers(2, 6)), DISC8, tight_delay_prob=0.2,
                 binding_energy_prob=0.3,
             )
-            check.reset_mock()
-            if continuous_optimal(nodes, gains, TABLE1_RADIO).feasible:
-                probes.append(check.call_count)
+            res = continuous_optimal(nodes, gains, TABLE1_RADIO)
+            if res.feasible:
+                probes.append(res.checks)
         assert len(probes) >= 50
         assert set(probes) == {2}
         # a single link whose t_lo probe is feasible makes exactly that probe
@@ -539,14 +534,13 @@ class TestContinuousOptimal:
             verdict = check_targets(
                 gains, targets, TABLE1_RADIO, [t_lo], [node.delay_bound], [node.energy_budget]
             )
-            check.reset_mock()
             res = continuous_optimal(nodes, gains, TABLE1_RADIO)
             if verdict.feasible:
-                assert (res.slot, check.call_count) == (t_lo, 1)
+                assert (res.slot, res.checks) == (t_lo, 1)
                 at_t_lo += 1
         assert at_t_lo >= 50
 
-    def test_t_hi_probe_only_when_needed(self, monkeypatch):
+    def test_t_hi_probe_only_when_needed(self):
         # one link whose minimum power underflows to 0 at t_hi (a 1e20 s
         # delay bound), where the kernel raises NumericalError; the plain
         # bisection probes t_hi first and raises, but t_hi is never probed
@@ -556,27 +550,23 @@ class TestContinuousOptimal:
         # infeasible after one probe
         radio = RadioConfig(p_max=0.25, noise_power=1e-300, bandwidth_hz=1e8)
         gains = GainMatrix([[1.0]])
-        check = mock.Mock(wraps=check_targets)
-        monkeypatch.setattr(ratesched.allocation, "check_targets", check)
         solo = [_node(bits=100.0, delay=1e20)]
         with pytest.raises(NumericalError):
             frozen_continuous_optimal(solo, gains, radio)
-        check.reset_mock()
         res = continuous_optimal(solo, gains, radio)
         t_lo = interference_free_slot(solo, gains, radio)
-        assert res.feasible and res.slot == t_lo and check.call_count == 1
+        assert res.feasible and res.slot == t_lo and res.checks == 1
 
         capped = [_node(bits=300.0, delay=1e20)]
         with pytest.raises(NumericalError):
             frozen_continuous_optimal(capped, gains, radio)
         t_lo = interference_free_slot(capped, gains, radio)
-        check.reset_mock()
         res = continuous_optimal(capped, gains, radio)
         assert res.feasible and res.slot == solo_guess(t_lo, 1e20) > t_lo
-        assert check.call_count == 1
-        check.reset_mock()
-        assert continuous_optimal(capped, gains, radio, cap=t_lo) == AllocationResult.infeasible()
-        assert check.call_count == 1
+        assert res.checks == 1
+        res = continuous_optimal(capped, gains, radio, cap=t_lo)
+        assert res == AllocationResult.infeasible() and res.checks == 1
+        assert res.reason is OVER_CAP
 
     def test_unconfirmed_cell_runs_the_plain_bisection(self, monkeypatch):
         # a predicted cell patched to (below, anchor), below being the float
@@ -737,15 +727,14 @@ class TestPredictedCell:
 
     @staticmethod
     def counted(price, *args):
-        """``price(*args)``'s outcome and the ``check_targets`` calls it made."""
-        with mock.patch.object(ratesched.allocation, "check_targets", wraps=check_targets) as check:
-            result = outcome(price, *args)
-        return result, check.call_count
+        """``price(*args)``'s outcome and, for a result, its checks."""
+        result = outcome(price, *args)
+        return result, result.checks if isinstance(result, AllocationResult) else None
 
     @staticmethod
     def predicted(gains, radio, packets, energies, t_lo, t_hi, anchor):
         allocation = ratesched.allocation
-        y = allocation._inverse_slack(gains, radio, packets, energies)
+        y = allocation._inverse_slack(gains, radio, packets, energies, allocation._Tally())
         return allocation._predicted_cell(y, t_lo, t_hi, anchor)
 
     @settings(derandomize=True, deadline=None, max_examples=600)
@@ -805,6 +794,19 @@ class TestPredictedCell:
         with mock.patch.object(ratesched.allocation, "_predicted_cell", lambda *args: off):
             shifted, shifted_calls = self.counted(continuous_optimal, nodes, gains, radio)
         assert shifted == exact and shifted_calls > calls
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(instance=pricing_instances(st.integers(2, 4)))
+    def test_only_a_bare_kernel_run_is_an_evaluation(self, instance):
+        # a prediction for two links takes the closed form, which runs no
+        # kernel; one for three or four runs the kernel bare, at least at the
+        # anchor, wherever the price reaches it, as every feasible one does
+        nodes, gains, _, radio = instance
+        res = continuous_optimal(nodes, gains, radio)
+        if len(nodes) == 2:
+            assert res.evaluations == 0
+        elif res.feasible:
+            assert res.evaluations > 0
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(instance=pricing_instances(st.integers(2, 4)))
@@ -896,7 +898,7 @@ class TestPredictedCell:
         ]:
             radio = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=width)
             packets, energies = [bits * (i + 1) for i in range(k)], [math.inf] * k
-            y = allocation._inverse_slack(gains, radio, packets, energies)
+            y = allocation._inverse_slack(gains, radio, packets, energies, allocation._Tally())
             assert math.isnan(y(t_lo))
             cell = self.predicted(gains, radio, packets, energies, t_lo, t_hi, t_hi)
             if math.isnan(y(t_hi)):  # no slot predicts feasible
@@ -1004,7 +1006,7 @@ class TestCap:
     @staticmethod
     def assert_capped(price, cap, exact, continuous):
         """Check ``price(cap)`` against ``exact``, the uncapped outcome, and
-        return the capped outcome and its probe count.
+        return the capped outcome and, for a result, its probe count.
 
         The capped outcome is the uncapped result when its slot is at most
         the cap, else infeasible, after at most one check (lttf) or, when the
@@ -1014,35 +1016,39 @@ class TestCap:
         that the capped call makes raises, or where the set-up raises
         whatever the cap; so where the
         uncapped call raises, the capped one raises that error type or
-        returns infeasible.
+        returns infeasible. An uncapped infeasible result names the verdict
+        that ended it, and a feasible one capped below its slot reads
+        OVER_CAP.
         """
-        calls = 0
         raised = []
 
-        def counting_check(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+        def recording_check(*args, **kwargs):
             try:
                 return check_targets(*args, **kwargs)
             except NumericalError as exc:
                 raised.append(type(exc))
                 raise
 
-        with mock.patch.object(ratesched.allocation, "check_targets", counting_check):
+        with mock.patch.object(ratesched.allocation, "check_targets", recording_check):
             capped = outcome(price, cap)
         if not isinstance(capped, AllocationResult):
             assert capped in raised or (not raised and capped == exact)
+            return capped, None
         if not isinstance(exact, AllocationResult):
-            assert capped in (exact, AllocationResult.infeasible())
+            assert capped == AllocationResult.infeasible()
         elif exact.slot <= cap:
             assert capped == exact
         else:
             assert capped == AllocationResult.infeasible()
+            if exact.feasible:
+                assert capped.reason is OVER_CAP
+            else:
+                assert exact.reason in set(Verdict) - {Verdict.FEASIBLE}
             if not continuous:
-                assert calls <= 1
+                assert capped.checks <= 1
             elif cap < exact.slot * (1 - 2 * ratesched.allocation._REL_TOL):
-                assert calls <= (1 if exact.feasible else 2)
-        return capped, calls
+                assert capped.checks <= (1 if exact.feasible else 2)
+        return capped, capped.checks
 
 
 class TestResultTypes:

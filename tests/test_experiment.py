@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import gc
 import itertools
 import importlib.util
@@ -37,7 +38,7 @@ from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
-from helpers import draw_instance, oracle_sweep
+from helpers import draw_instance, oracle_sweep, solo_reason
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -49,6 +50,16 @@ HEADER = ",".join(RESULT_COLUMNS)
 PERFBENCH = ROOT / "perfbench"
 
 WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
+
+
+@functools.cache
+def perfbench_layers():
+    """``perfbench/layers.py`` as it stands, loaded once; the tests only
+    read it and run its tracer."""
+    spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
 
 # Every seed of these sweeps is replayed alone by draw_seed: the perfbench
 # workloads at their default seeds and same_results.py's edge configs.
@@ -287,6 +298,11 @@ def kept_records(results):
     return [r for r in results.per_seed if r["dropped"] is None]
 
 
+def without_counts(record):
+    """A ``per_seed`` record without its ``counts``."""
+    return {key: value for key, value in record.items() if key != "counts"}
+
+
 def drawn_item(cfg, n, point, k):
     """What ``_draw_seeds`` yields for one seed at the config's density."""
     return next(experiment._draw_seeds(cfg, n, cfg.density, point, range(k, k + 1)))
@@ -412,15 +428,15 @@ def oracle_draw(cfg, n, density, point, k):
 
 
 def pricers_drop(cfg, nodes, gains):
-    """``(node_id, model)`` of the drop that building each needed model's
-    pricer, with its own solo records, and calling its ``offsets()`` in
-    ``_run_seed``'s order gives one seed; None if none drops it."""
+    """``(node_id, model, reason)`` of the drop that building each needed
+    model's pricer, with its own solo records, and calling its ``offsets()``
+    in ``_run_seed``'s order gives one seed; None if none drops it."""
     inst = validate_instance(nodes)
     for model in [m for m in cfg.rate_models if m != "cont"] + ["cont"]:
         try:
             experiment._pricer(model, inst, gains, cfg.radio).offsets()
         except InfeasibleInstanceError as exc:
-            return exc.node_id, model
+            return exc.node_id, model, exc.reason
     return None
 
 
@@ -443,7 +459,7 @@ def same_draw(cfg, got, expected) -> bool:
     if isinstance(expected, NumericalError):
         return type(got) is NumericalError and str(got) == str(expected)
     if isinstance(got, InfeasibleInstanceError):
-        return (got.node_id, got.model) == pricers_drop(cfg, *expected)
+        return (got.node_id, got.model, got.reason) == pricers_drop(cfg, *expected)
     nodes, gains, solos = got
     return (
         nodes == expected[0]
@@ -539,7 +555,7 @@ def assert_replays_every_seed(cfg) -> int:
             nodes, gains = got
             assert nodes == expected[0] and gains.cols == expected[1].cols
             if isinstance(drawn, InfeasibleInstanceError):
-                assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model)
+                assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model, drawn.reason)
                 triaged += 1
             else:
                 assert nodes == drawn[0] and gains.cols == drawn[1].cols
@@ -569,6 +585,50 @@ class TestDrawSeed:
             experiment.draw_seed(paper_sweep()[0], point, k)
 
 
+# A fixed delay bound below the time of every level of both ladders, whose
+# top rate carries 50 bits in about 5e-8 s.
+BELOW_EVERY_LEVEL = {"n_sensors": [3, 5], "seeds": 10, "delay_rule": 1e-8}
+
+
+class TestDropReasons:
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            ({}, {(n, "INFEASIBLE_MAX_POWER"): c for n, c in ((4, 38), (6, 70), (8, 83))}),
+            ({"energy_scale": same_results.BINDING_ENERGY_SCALE}, {
+                (4, "INFEASIBLE_MAX_POWER"): 36, (6, "INFEASIBLE_MAX_POWER"): 57,
+                (8, "INFEASIBLE_MAX_POWER"): 66, (4, "INFEASIBLE_ENERGY"): 17,
+                (6, "INFEASIBLE_ENERGY"): 28, (8, "INFEASIBLE_ENERGY"): 27,
+            }),
+            (BELOW_EVERY_LEVEL, {(3, "INFEASIBLE_DELAY"): 10, (5, "INFEASIBLE_DELAY"): 10}),
+        ],
+        ids=["paper-sweep", "paper-sweep-energy", "below-every-level"],
+    )
+    def test_every_drop_replays_to_its_reason(self, config, expected):
+        # every dropped record names a node of its seed, replayed alone by
+        # draw_seed, whose solo test under the dropping model fails for the
+        # stated reason: at paper-sweep's default seed all 191 drops are
+        # disc4's, for power, and at binding energy budgets 72 of 231 are
+        # for energy; under a delay bound below every level, every seed
+        # drops for delay
+        cfg = dataclasses.replace(paper_sweep()[0], **config)
+        if "delay_rule" in config:
+            tables = [experiment._ladder(m, cfg.radio.bandwidth_hz) for m in ("disc4", "disc8")]
+            assert all(50.0 / t.rate(q) > cfg.delay_rule
+                       for t in tables for q in range(t.num_levels))
+        reasons = Counter()
+        for record in run_experiment(cfg).per_seed:
+            if record["dropped"] is None:
+                continue
+            assert record["dropped"] == "disc4"
+            point = cfg.sweep()[1].index(record["value"])
+            nodes, gains = experiment.draw_seed(cfg, point, record["seed_index"])
+            i = record["node"]
+            assert solo_reason("disc4", nodes[i], gains.cols[i][i], cfg.radio) == record["reason"]
+            reasons[record["value"], record["reason"]] += 1
+        assert reasons == expected
+
+
 class TestWholeSweepOracle:
     @pytest.mark.parametrize("name", ORACLE_SWEEPS)
     def test_sweep_equals_the_oracle(self, name, tmp_path):
@@ -582,7 +642,7 @@ class TestWholeSweepOracle:
         # helpers.reference_schedule and the exhaustive search.
         cfg = ExperimentConfig.from_dict(ORACLE_SWEEPS[name])
         expected, got = oracle_sweep(cfg), run_experiment(cfg)
-        assert got.per_seed == expected.per_seed
+        assert [without_counts(r) for r in got.per_seed] == expected.per_seed
         emit_results(expected, tmp_path / "oracle.csv")
         emit_results(got, tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -735,7 +795,7 @@ class TestRunExperiment:
             for k in range(cfg.seeds):
                 spy.reset_mock()
                 try:
-                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k))
+                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k), {})
                 except InfeasibleInstanceError:
                     continue
                 fits = fits_exhaustive(cfg, n, point, k)
@@ -774,23 +834,14 @@ class TestRunExperiment:
             assert row["mean_norm"] == pytest.approx(mean, rel=1e-9)
             assert row["std_norm"] == pytest.approx(std, rel=1e-9)
 
-    def test_seeded_energy_binding_sweep_regression_pin(self, monkeypatch):
+    def test_seeded_energy_binding_sweep_regression_pin(self):
         # the sweep above with energy budgets 1e-4 of p_max * delay: frozen
-        # output, and the budgets really bind (checks end in
-        # INFEASIBLE_ENERGY, and four more seeds drop than at energy_scale 1.0)
-        verdicts = Counter()
-        check = allocation.check_targets
-
-        def counting_check(*args):
-            report = check(*args)
-            verdicts[report.verdict] += 1
-            return report
-
-        monkeypatch.setattr(allocation, "check_targets", counting_check)
+        # output, and the budgets really bind (some seeds drop for
+        # INFEASIBLE_ENERGY, and four more drop than at energy_scale 1.0)
         results = run_experiment(
             tiny_config(n_sensors=[4], seeds=20, master_seed=123, energy_scale=1e-4)
         )
-        assert verdicts[feasibility.Verdict.INFEASIBLE_ENERGY] > 0
+        assert any(r.get("reason") == "INFEASIBLE_ENERGY" for r in results.per_seed)
         assert results.reference_counts[("n_sensors", 4)] == {
             "exhaustive": 3, "heuristic": 5, "infeasible": 12,
             "infeasible_by_model": {"disc4": 12}, "numerical": 0,
@@ -812,68 +863,13 @@ class TestRunExperiment:
         unbound = run_experiment(tiny_config(n_sensors=[4], seeds=20, master_seed=123))
         assert unbound.rows != results.rows
 
-    def test_every_kernel_call_passes_through_the_traced_names(self, monkeypatch):
-        # perfbench counts feasibility work per link count by wrapping these
-        # module globals; a call that bypassed them (say, an inlined kernel)
-        # would silently read as zero work. A kernel call outside any check
-        # is a predicted cell's bare evaluation, counted as its own kind.
-        counts = Counter()
-        kernel, check, walk = feasibility.min_power_vector, feasibility.check_targets, scheduling.lttf
-        walking, checking = [], []
-
-        def counting_kernel(gains, sinr_targets, noise):
-            k = f"k{min(gains.n, 3)}"
-            counts[k] += 1
-            counts[k + "/bare"] += not checking
-            return kernel(gains, sinr_targets, noise)
-
-        def counting_check(module):
-            def wrapped(*args):
-                counts[module] += 1
-                counts[module + "/lttf"] += bool(walking)
-                checking.append(True)
-                try:
-                    return check(*args)
-                finally:
-                    checking.pop()
-            return wrapped
-
-        def counting_walk(*args):
-            walking.append(True)
-            try:
-                return walk(*args)
-            finally:
-                walking.pop()
-
-        monkeypatch.setattr(feasibility, "min_power_vector", counting_kernel)
-        monkeypatch.setattr(feasibility, "check_targets", counting_check("feasibility"))
-        monkeypatch.setattr(allocation, "check_targets", counting_check("allocation"))
-        monkeypatch.setattr(scheduling, "lttf", counting_walk)
-        run_experiment(
-            tiny_config(
-                n_sensors=8, n_controllers=8, density=50.0, seeds=2,
-                rate_models=["cont", "disc8"], strategies=["sna-mla"],
-            )
-        )
-        assert counts["k1"] and counts["k2"] and counts["k3"]
-        # ladder walks and continuous probes alike come through allocation
-        assert 0 < counts["allocation/lttf"] < counts["allocation"]
-        # predicted cells of three or more links run the kernel bare; those
-        # of two links take the closed form instead
-        assert counts["k3/bare"] and not counts["k2/bare"]
-        bare = counts["k1/bare"] + counts["k3/bare"]
-        kernel_calls = counts["k1"] + counts["k2"] + counts["k3"]
-        assert counts["feasibility"] + counts["allocation"] + bare == kernel_calls
-
     def test_perfbench_trace_sees_every_scheduling_layer(self):
         # perfbench/layers.py, loaded as it stands, wraps module bindings
         # such as scheduling.sna_assign; an offsets() or a dispatch that
         # bypassed them would read as zero work. Tracing changes no result.
         # The allocators run only on populations of three or more nodes,
         # which this config's sweep holds.
-        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
+        layers = perfbench_layers()
         cfg = tiny_config(period_set=[1, 2], n_sensors=[3, 4])
         untraced = run_experiment(cfg)
         tracer = layers.Tracer()
@@ -887,51 +883,54 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workload", ["two periods", "dense-exhaustive"])
     def test_counts_equal_the_perfbench_trace(self, workload):
-        # perfbench/layers.py patches the library's seams its own way; on the
-        # same sweeps its traced checks, kernel calls and allocator calls must
-        # equal those of spies, so that a seam move the tracer misses fails
-        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
+        # perfbench/layers.py counts by patching the library's seams; on the
+        # same sweeps its traced checks, kernel calls, solver calls, price
+        # calls and allocator calls must equal the library's own counts,
+        # summed over every per_seed record, dropped ones included, so that
+        # a seam move the tracer misses fails. Two runs count alike.
+        layers = perfbench_layers()
         if workload == "two periods":
             configs = [{"n_sensors": [3, 4], "n_controllers": 2, "seeds": 6,
                         "period_set": [1, 2], "rate_models": ["cont", "disc4"]}]
         else:
             configs = [dict(WORKLOADS[workload]["config"], master_seed=s) for s in (1000, 1001)]
         cfgs = [ExperimentConfig.from_dict(config) for config in configs]
-        checks = mock.Mock(wraps=allocation.check_targets)
-        kernel = mock.Mock(wraps=feasibility.min_power_vector)
-        allocators = {name: mock.Mock(wraps=fn) for name, fn in scheduling._ALLOCATORS.items()}
-        with (
-            mock.patch.object(allocation, "check_targets", checks),
-            mock.patch.object(feasibility, "min_power_vector", kernel),
-            mock.patch.dict(scheduling._ALLOCATORS, allocators),
-        ):
-            for cfg in cfgs:
-                run_experiment(cfg)
+        totals = Counter()
+        for cfg in cfgs:
+            records = run_experiment(cfg).per_seed
+            assert [r["counts"] for r in run_experiment(cfg).per_seed] == [
+                r["counts"] for r in records
+            ]
+            for counts in (c for r in records for c in r["counts"].values()):
+                totals.update({key: counts[key] for key in ("checks", "evaluations", "allocations")})
+                totals.update(priced=sum(counts["priced"]), solos=counts["priced"][0])
         tracer = layers.Tracer()
         with layers.traced(tracer):
             for cfg in cfgs:
                 experiment.run_experiment(cfg)
         traced = layers.exact_counts(tracer, layers.span_stats(tracer))
-        assert checks.call_count == traced["feasibility.check.calls"] > 0
-        assert kernel.call_count == traced["feasibility.kernel.calls"] > 0
-        allocated = sum(spy.call_count for spy in allocators.values())
-        assert allocated == traced["scheduling.mla.calls"] + traced["scheduling.mua.calls"] > 0
+        assert totals["checks"] == traced["feasibility.check.calls"] > 0
+        assert totals["checks"] + totals["evaluations"] == traced["feasibility.kernel.calls"]
+        # groups of three or four links predict their cells by the bare
+        # kernel; pairs, all "two periods" has, by a closed form
+        assert (totals["evaluations"] > 0) == (workload == "dense-exhaustive")
+        solved = traced["allocation.lttf.calls"] + traced["allocation.continuous.calls"]
+        assert totals["priced"] == solved
+        assert totals["solos"] == traced["scheduling.price.calls"] > 0
+        allocated = traced["scheduling.mla.calls"] + traced["scheduling.mua.calls"]
+        assert totals["allocations"] == allocated > 0
 
     def test_perfbench_trace_puts_every_seam_back_when_a_sweep_raises(self, monkeypatch):
         # a sweep that raises inside perfbench/layers.py's traced() must not
         # leave a wrapper in the library for the sweeps that follow
-        spec = importlib.util.spec_from_file_location("layers", PERFBENCH / "layers.py")
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
+        layers = perfbench_layers()
 
         def seams():
             modules = (allocation, experiment, feasibility, scheduling)
             return ([dict(vars(module)) for module in modules]
                     + [dict(scheduling._ALLOCATORS), scheduling.SubsetPricer.price])
 
-        def failing_seed(cfg, drawn):
+        def failing_seed(*args):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(experiment, "_run_seed", failing_seed)
@@ -1044,10 +1043,10 @@ class TestRunExperiment:
         running = []
         run_seed, kernel = experiment._run_seed, feasibility.min_power_vector
 
-        def recording_run(cfg, drawn):
+        def recording_run(*args):
             # one sweep point: the k-th call runs seed k
             running.append(len(running))
-            return run_seed(cfg, drawn)
+            return run_seed(*args)
 
         def failing_kernel(gains, sinr_targets, noise):
             if running[-1] == bad:
@@ -1062,7 +1061,7 @@ class TestRunExperiment:
         assert counts["numerical"] == 1
         assert counts["infeasible"] == clean_counts["infeasible"] + 1
         assert counts["infeasible_by_model"] == clean_counts["infeasible_by_model"]
-        assert results.per_seed[bad] == {
+        assert without_counts(results.per_seed[bad]) == {
             "sweep_var": "n_sensors", "value": 3, "seed_index": bad, "dropped": "numerical"
         }
         assert results.per_seed[:bad] + results.per_seed[bad + 1:] == (
@@ -1081,8 +1080,11 @@ class TestRunExperiment:
         ]
         assert {r["dropped"] for r in records} == {None, "disc4", "disc8", "numerical"}
         for r in records:
-            extra = {"reference", "reference_kind", "max_active"} if r["dropped"] is None else set()
-            assert set(r) == {"sweep_var", "value", "seed_index", "dropped"} | extra
+            if r["dropped"] is None:
+                extra = {"reference", "reference_kind", "max_active"}
+            else:
+                extra = set() if r["dropped"] == "numerical" else {"node", "reason"}
+            assert set(r) == {"sweep_var", "value", "seed_index", "dropped", "counts"} | extra
 
     def test_rows_and_reference_counts_are_counted_from_the_records(self):
         cfg = mixed_drops_config()
@@ -1144,7 +1146,7 @@ class TestSeedTriage:
     @pytest.mark.parametrize("energy_scale, triaged", [(1.0, 191), (1e-4, 231)])
     def test_the_block_triage_drops_what_the_pricers_drop(self, energy_scale, triaged):
         # every seed dropped before any node is built is dropped, under the
-        # same model and at the same node, by building the seed's pricers
+        # same model, at the same node and for the same reason, by building the seed's pricers
         # and calling offsets(); at paper-sweep's default seed that is every
         # dropped seed
         cfg = dataclasses.replace(paper_sweep()[0], energy_scale=energy_scale)
@@ -1155,7 +1157,7 @@ class TestSeedTriage:
             ):
                 if isinstance(drawn, InfeasibleInstanceError):
                     nodes, gains = draw_instance(cfg, n, cfg.density, point, k)
-                    assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model)
+                    assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model, drawn.reason)
                     drops.append(drawn.model)
         assert len(drops) == triaged
         assert sum(r["dropped"] is not None for r in run_experiment(cfg).per_seed) == triaged
@@ -1176,7 +1178,7 @@ class TestSeedTriage:
                 if isinstance(drawn, kind):
                     refs.append(weakref.ref(drawn))
                     try:
-                        experiment._run_seed(cfg, drawn)
+                        experiment._run_seed(cfg, drawn, {})
                     except kind as exc:
                         refs.append(weakref.ref(exc))
             return refs
@@ -1188,74 +1190,41 @@ class TestSeedTriage:
         finally:
             gc.enable()
 
-    def test_dropped_seed_prices_only_solos_and_never_schedules(self, monkeypatch):
+    def test_dropped_seed_prices_only_solos_and_never_schedules(self):
         # paper-sweep with cont alone at energy budgets 1e-4 of p_max *
         # delay: the block triage tests table models only, so every seed
-        # that drops is dropped by the cont pricer's offsets(), in _run_seed
+        # that drops is dropped by the cont pricer's offsets(), in _run_seed,
+        # which prices the solos in id order up to the dropped node's and
+        # prices no group, enumerates no population and runs no allocator
         workload = json.loads((PERFBENCH / "workloads.json").read_text())["paper-sweep"]
         cfg = ExperimentConfig.from_dict(dict(
             workload["config"], master_seed=workload["default_seed"],
             rate_models=["cont"], energy_scale=1e-4,
         ))
-        # the sizes reaching _price, the seam of solo and group alike
-        sizes = []
+        dropped = [r for r in run_experiment(cfg).per_seed if r["dropped"] is not None]
+        assert dropped and {r["dropped"] for r in dropped} == {"cont"}
+        for record in dropped:
+            assert list(record["counts"]) == ["cont"]
+            counts = record["counts"]["cont"]
+            assert counts["priced"][0] == record["node"] + 1
+            assert not any(counts["priced"][1:])
+            assert counts["checks"] >= record["node"] + 1
+            idle = ("group_hits", "rejections", "over_cap", "candidates", "allocations")
+            assert [counts[key] for key in idle] == [0] * len(idle)
 
-        def counting(price):
-            def counted(pricer, ids, cap):
-                sizes.append(len(ids))
-                return price(pricer, ids, cap)
-            return counted
-
-        for pricer in (scheduling.TablePricer, scheduling.ContinuousPricer):
-            monkeypatch.setattr(pricer, "_price", counting(pricer._price))
-        cont = mock.Mock(wraps=scheduling.continuous_optimal)
-        heuristic = mock.Mock(wraps=experiment.schedule)
-        exhaustive = mock.Mock(wraps=experiment.exhaustive_schedule)
-        monkeypatch.setattr(scheduling, "continuous_optimal", cont)
-        monkeypatch.setattr(experiment, "schedule", heuristic)
-        monkeypatch.setattr(experiment, "exhaustive_schedule", exhaustive)
-        dropped_by_the_pricer = 0
-        for k in range(10):
-            sizes.clear()
-            for spy in (cont, heuristic, exhaustive):
-                spy.reset_mock()
-            try:
-                experiment._run_seed(cfg, drawn_item(cfg, 8, 2, k))
-            except InfeasibleInstanceError as exc:
-                assert exc.model == "cont"
-                # solos were priced, each by one continuous_optimal call
-                assert sizes and set(sizes) <= {1} and cont.call_count == len(sizes)
-                assert not heuristic.called and not exhaustive.called
-                dropped_by_the_pricer += 1
-        assert dropped_by_the_pricer
-
-    def test_a_dropped_seed_builds_no_pricer_after_its_model(self, monkeypatch):
+    def test_a_dropped_seed_builds_no_pricer_after_its_model(self):
         # the triage builds each model's pricer only when it reaches it, in
         # the order disc4, disc8, cont: a seed dropped under disc4 builds no
         # disc8 and no cont pricer, and one the block triage drops builds
-        # none
+        # none; a record's counts name the pricers its seed built
         cfg, _ = paper_sweep()
-        built = []
-        run_seed, pricer = experiment._run_seed, experiment._pricer
-
-        def running(*args):
-            built.append([])
-            return run_seed(*args)
-
-        def building(model, *args):
-            built[-1].append(model)
-            return pricer(model, *args)
-
-        monkeypatch.setattr(experiment, "_run_seed", running)
-        monkeypatch.setattr(experiment, "_pricer", building)
         results = run_experiment(cfg)
         order = ["disc4", "disc8", "cont"]
-        for record, models in zip(results.per_seed, built, strict=True):
-            dropped = record["dropped"]
-            assert models == (order if dropped is None else [])
+        for record in results.per_seed:
+            assert list(record["counts"]) == (order if record["dropped"] is None else [])
         # 191 seeds dropped under disc4 by the block triage, 109 kept under
         # all three models
-        assert sum(map(len, built)) == 3 * 109
+        assert sum(len(r["counts"]) for r in results.per_seed) == 3 * 109
 
     def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
         cfg, _ = paper_sweep()
@@ -1264,7 +1233,7 @@ class TestSeedTriage:
             for k in range(12):
                 bad = infeasible_solos(cfg, n, point, k)
                 try:
-                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k))
+                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k), {})
                 except InfeasibleInstanceError as exc:
                     assert (exc.model, exc.node_id) in bad
                     dropped += 1

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratesched import (
+    OVER_CAP,
     AllocationResult,
     ContinuousPricer,
     FixedPricer,
@@ -20,6 +21,8 @@ from ratesched import (
     NodeSpec,
     TablePricer,
     ValidationError,
+    Verdict,
+    check_targets,
     compute_metrics,
     continuous_optimal,
     disc8_table,
@@ -856,6 +859,41 @@ class TestSubsetPricer:
                 FixedPricer(inst, {(0,): 0.1 * MS, (0, 1): bad})
 
 
+class TestPricerCounts:
+    def test_group_counts_its_rejections_hits_and_prices(self):
+        # nodes 1 and 2 share controller 0; the pair (2, 3) is priced once,
+        # after its members' solos, and then read from the kept answer
+        _, pricer = four_node_fixture()
+        assert pricer.group((1, 2)) is None
+        assert pricer.group((2, 3)) == pricer.group((3, 2)) is not None
+        counts = pricer.counts()
+        assert (counts["rejections"], counts["group_hits"]) == (1, 1)
+        assert counts["priced"] == [2, 1, 0, 0]
+        assert counts["checks"] == counts["evaluations"] == counts["over_cap"] == 0
+
+    def test_a_continuous_group_over_its_cap_reads_over_cap(self):
+        # two links on distinct controllers, each interfering at 0.9 of the
+        # other's own gain: the pair is feasible, but only at a slot above
+        # the sum of its solo slots, its cap, so group prices it over cap;
+        # its reason is OVER_CAP, not the verdict of the check at the cap
+        nodes = [NodeSpec(i, i, 50.0, 1, 1e-3) for i in range(2)]
+        gains = GainMatrix([[1e-6, 0.9e-6], [0.9e-6, 1e-6]])
+        pricer = ContinuousPricer(validate_instance(nodes), gains, TABLE1_RADIO)
+        cap = math.fsum(pricer.solo(i).slot for i in (0, 1))
+        exact = continuous_optimal(nodes, gains, TABLE1_RADIO)
+        assert exact.feasible and exact.slot > cap
+        assert pricer.group((0, 1)) is None
+        assert pricer.counts()["over_cap"] == 1
+        capped = pricer.price((0, 1), cap)
+        assert not capped.feasible and capped.reason is OVER_CAP
+        assert pricer.counts()["over_cap"] == 2
+        # the check at the cap fails on the spectral test: a verdict about
+        # that slot alone, which the price does not report as its reason
+        targets = [math.expm1(50.0 * math.log(2.0) / (cap * 1e8))] * 2
+        at_cap = check_targets(gains, targets, TABLE1_RADIO, [cap] * 2, [1e-3] * 2, [math.inf] * 2)
+        assert at_cap.verdict is Verdict.INFEASIBLE_SPECTRAL
+
+
 class CappingFixedPricer(FixedPricer):
     """Fixed prices that stop at every cap, as the gain-backed pricers may:
     a price above ``cap`` comes back infeasible."""
@@ -1147,16 +1185,14 @@ class TestPopulationAssembly:
     def test_one_node_classes_still_reach_the_exhaustive_search(self):
         # schedule enumerates no population of one or two nodes; the
         # exhaustive search enumerates every period class, the one-node
-        # class included
+        # class (1,) and (2, 3, 4) here, each once
         inst, pricer = four_node_fixture()
-        with mock.patch.object(
-            scheduling, "_candidates", wraps=scheduling._candidates
-        ) as candidates:
-            for strategy in STRATEGIES:
-                schedule(pricer, strategy)
-            assert not candidates.called
-            exhaustive_schedule(pricer)
-        assert [call.args[0] for call in candidates.call_args_list] == [(1,), (2, 3, 4)]
+        assert sorted(set(inst.periods.values())) == [1, 2]
+        for strategy in STRATEGIES:
+            schedule(pricer, strategy)
+        assert pricer.counts()["candidates"] == 0
+        exhaustive_schedule(pricer)
+        assert pricer.counts()["candidates"] == 2
 
 
 class TestSubsetMonotonicity:

@@ -108,14 +108,14 @@ def check_continuous_solo(nodes, gains, radio) -> str:
     answer a price that raises without one.)"""
     ((floor, top),) = continuous_solos(nodes, gains, radio)
     want = outcome(continuous_optimal, nodes, gains, radio, math.inf, [(floor, math.nan)])
-    with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
-        assert outcome(continuous_optimal, nodes, gains, radio) == want
+    priced = outcome(continuous_optimal, nodes, gains, radio)
+    assert priced == want
     assert outcome(pricer_solo, nodes, gains, radio) == want
     if math.isnan(top):
         return "none"
     guess = solo_guess(floor, top)
     if isinstance(want, AllocationResult) and want.slot == guess:
-        assert check.call_count == 1
+        assert priced.checks == 1
     return "t_lo" if top == floor else "halved"
 
 
@@ -251,8 +251,7 @@ class TestNoGuess:
             np.random.default_rng(seed), k, TABLES["disc8", bandwidth], radio=radio,
             binding_energy_prob=1.0, loose_delay=1e-3 * 1e8 / bandwidth,
         )
-        with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
-            priced = outcome(continuous_optimal, nodes, gains, radio)
+        priced = outcome(continuous_optimal, nodes, gains, radio)
         frozen = outcome(frozen_continuous_optimal, nodes, gains, radio)
         if frozen is not NumericalError:
             assert priced == frozen
@@ -263,7 +262,7 @@ class TestNoGuess:
         if not (math.isnan(top) and t_lo <= t_hi):
             return
         y = allocation._inverse_slack(gains, radio, [nodes[0].packet_bits],
-                                      [nodes[0].energy_budget])
+                                      [nodes[0].energy_budget], allocation._Tally())
         cell = allocation._predicted_cell(y, t_lo, t_hi, t_hi)
         if cell is None:
             return
@@ -277,7 +276,7 @@ class TestNoGuess:
             except NumericalError:
                 return
         if verdicts == [True, False]:
-            assert check.call_count == 2 and priced.slot == hi
+            assert priced.checks == 2 and priced.slot == hi
 
 
 class TestContinuousGuess:
@@ -322,7 +321,8 @@ class TestContinuousGuess:
             assert floor > nodes[0].delay_bound and slots == []
             return
         delay, energy = nodes[0].delay_bound, nodes[0].energy_budget
-        y = allocation._inverse_slack(gains, radio, [nodes[0].packet_bits], [energy])
+        y = allocation._inverse_slack(gains, radio, [nodes[0].packet_bits], [energy],
+                                      allocation._Tally())
         lo, hi = allocation._predicted_cell(y, floor, delay, delay)
         assert slots == [hi, lo]
         if case == "energy binding":
@@ -344,9 +344,8 @@ class TestContinuousGuess:
         assert top == nodes[0].delay_bound
         target = math.expm1(50.0 * math.log(2.0) / (top * TABLE1_RADIO.bandwidth_hz))
         assert target > 0 and target * TABLE1_RADIO.noise_power / gains.cols[0][0] == 0.0
-        with mock.patch.object(allocation, "check_targets", wraps=check_targets) as check:
-            res = continuous_optimal(nodes, gains, TABLE1_RADIO)
-        assert res.slot == solo_guess(floor, top) and check.call_count == 1
+        res = continuous_optimal(nodes, gains, TABLE1_RADIO)
+        assert res.slot == solo_guess(floor, top) and res.checks == 1
         assert pricer_solo(nodes, gains, TABLE1_RADIO) == res
         no_guess = [(floor, math.nan)]
         price = outcome(continuous_optimal, nodes, gains, TABLE1_RADIO, math.inf, no_guess)

@@ -16,9 +16,11 @@ the sweep's config file as ``master_seed``. Each sweep leaves three files:
 its CSV; a ``.refs`` file with the CLI's exit code and its stderr, which
 prints every sweep point's ``reference_counts`` (reference kinds,
 infeasible seeds per rate model, numerical drops); and a ``.per_seed.json``
-file with the sweep's ``ExperimentResults.per_seed`` records, so that a
-change to one seed's ``max_active`` shows even where the CSV's means round
-it away. ``DRIVER``
+file with the sweep's ``ExperimentResults.per_seed`` records. Those hold each
+seed's ``max_active``, the node and reason of each drop and each pricer's
+work counts, so a change to one seed's result, to why it drops or to the
+checks, prices or allocator calls it takes shows there, even where the
+CSV's means round it away or no result moves. ``DRIVER``
 records ``per_seed`` as ``run_experiment`` returns it to the CLI. The
 ``EDGE_CONFIGS`` then run the same way, each at ``EDGE_SEED`` alone. Every
 file is reported as ``same`` or ``diff`` against the other side; the exit
