@@ -210,7 +210,7 @@ def ladder_records(table: RateTable, terms, b: int = 0) -> list:
     records = []
     for times, lowest, ceiling, power, verdict, solo in zip(*(x[b].tolist() for x in terms)):
         if verdict:  # no record
-            records.append(None)
+            records.append(SOLO_VERDICTS[verdict])
             continue
         t = times[ceiling]
         result = AllocationResult(True, t, (table.rate(ceiling),), (power,), (t,)) if solo else None
@@ -227,7 +227,8 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     level, counting up from ``lowest``, up to which every level passes the
     link's solo test (see ``lttf``), and ``solo`` the link's price alone. A
     link with no level within its delay bound, or one that fails the solo
-    test at ``lowest``, gets None.
+    test at ``lowest``, has no record: it gets its solo test's ``Verdict``
+    (see ``solo_terms``) instead.
 
     Alone, every level up to the ceiling passes the kernel's checks with the
     same floats, so ``solo`` is the ceiling level, with the result a check
@@ -239,12 +240,6 @@ def ladder_solos(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig)
     """
     (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
     return ladder_records(table, terms)
-
-
-def _ladder_verdict(nodes, gains: GainMatrix, table: RateTable, radio: RadioConfig, k: int):
-    """The verdict of link ``k``'s ladder solo test, ``solo_terms``'."""
-    (terms,), _, _ = solo_terms(*_link_arrays(nodes, gains), radio, (table,))
-    return SOLO_VERDICTS[terms[4][0, k]]
 
 
 def lttf(
@@ -314,10 +309,9 @@ def lttf(
         raise ValidationError("one node per gain matrix row required")
     if solos is None:
         solos = ladder_solos(nodes, gains, table, radio)
-    if None in solos:
-        return AllocationResult.infeasible(
-            _ladder_verdict(nodes, gains, table, radio, solos.index(None))
-        )
+    for record in solos:
+        if type(record) is Verdict:  # no record
+            return AllocationResult.infeasible(record)
     thresholds, rates = zip(*table.levels)
     delays = [n.delay_bound for n in nodes]
     energies = [n.energy_budget for n in nodes]

@@ -290,7 +290,9 @@ class TablePricer(_GainBackedPricer):
         if solos is None:
             solos = ladder_solos(inst.nodes, gains, table, radio)
         self._solos = solos
-        self._solo_results = {i: r[3] for i, r in zip(inst.ids, solos) if r and r[3]}
+        self._solo_results = {
+            i: r[3] for i, r in zip(inst.ids, solos) if type(r) is tuple and r[3]
+        }
 
     def _price(self, ids, cap):
         nodes, sub, solos = self._sub(ids)

@@ -29,6 +29,7 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     ValidationError,
+    Verdict,
     emit_results,
     run_experiment,
     validate_instance,
@@ -981,7 +982,7 @@ class TestRunExperiment:
                     # so it hands lttf only a link without one, which the
                     # walk prices infeasible (or raises on); the block triage
                     # drops these seeds at the workloads' default seeds
-                    assert solos[0] is None or solos[0][3] is None
+                    assert type(solos[0]) is Verdict or solos[0][3] is None
                     assert not res.feasible
                 return res
             return call

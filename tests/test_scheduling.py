@@ -1185,13 +1185,18 @@ class TestPopulationAssembly:
     def test_one_node_classes_still_reach_the_exhaustive_search(self):
         # schedule enumerates no population of one or two nodes; the
         # exhaustive search enumerates every period class, the one-node
-        # class (1,) and (2, 3, 4) here, each once
+        # class included; the spy holds each call's members, the pricer's
+        # count only how many calls there were
         inst, pricer = four_node_fixture()
-        assert sorted(set(inst.periods.values())) == [1, 2]
-        for strategy in STRATEGIES:
-            schedule(pricer, strategy)
-        assert pricer.counts()["candidates"] == 0
-        exhaustive_schedule(pricer)
+        with mock.patch.object(
+            scheduling, "_candidates", wraps=scheduling._candidates
+        ) as candidates:
+            for strategy in STRATEGIES:
+                schedule(pricer, strategy)
+            assert not candidates.called
+            assert pricer.counts()["candidates"] == 0
+            exhaustive_schedule(pricer)
+        assert [call.args[0] for call in candidates.call_args_list] == [(1,), (2, 3, 4)]
         assert pricer.counts()["candidates"] == 2
 
 

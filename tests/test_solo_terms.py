@@ -18,6 +18,7 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     RateTable,
+    Verdict,
     validate_instance,
 )
 from ratesched import allocation, check_targets
@@ -46,21 +47,26 @@ from helpers import (
 
 
 def frozen_ladder_solos(nodes, gains, table, radio):
-    """The per-node loop ``ladder_solos`` ran before the block pass."""
+    """The per-node loop ``ladder_solos`` ran before the block pass, a link
+    with no record given the verdict of its solo test's first failing term."""
     noise, p_max = radio.noise_power, radio.p_max
     records = []
     for i, (n, col) in enumerate(zip(nodes, gains.cols)):
         times = [n.packet_bits / r for _, r in table.levels]
         lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
-        powers = []
+        powers, verdict = [], Verdict.INFEASIBLE_DELAY
         if lowest is not None:
             for q in range(lowest, table.num_levels):
                 u = table.threshold(q) * noise / col[i]
-                if not (u <= p_max and times[q] * u <= n.energy_budget):
+                if not u <= p_max:
+                    verdict = Verdict.INFEASIBLE_MAX_POWER
+                    break
+                if not times[q] * u <= n.energy_budget:
+                    verdict = Verdict.INFEASIBLE_ENERGY
                     break
                 powers.append(u)
         if not powers:
-            records.append(None)
+            records.append(verdict)
             continue
         ceiling = lowest + len(powers) - 1
         t = times[ceiling]
