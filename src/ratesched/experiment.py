@@ -386,14 +386,14 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
         budgets = (x[traffic[:, 0]].min(axis=1, keepdims=True) for x in (delays, energies))
         bits = packet_bits[traffic[:, 1]]
         terms, floors, tops = solo_terms(own, bits, *budgets, cfg.radio, ladders)
-        drop_model, drop_node, drop_reason = ladder_triage(terms, len(block))
+        drop_model, drop_node, drop_reason = (x.tolist() for x in ladder_triage(terms, len(block)))
         for b in range(len(block)):
             if underflows[b]:
                 yield NumericalError("channel gains underflow to 0")
                 continue
             if drop_model[b] >= 0:
                 reason = SOLO_VERDICTS[drop_reason[b]]
-                yield InfeasibleInstanceError(int(drop_node[b]), tables[drop_model[b]], reason)
+                yield InfeasibleInstanceError(drop_node[b], tables[drop_model[b]], reason)
                 continue
             nodes, matrix = _seed_instance(cfg, gains[b], controller_of[b], traffic[b])
             solos = {m: ladder_records(t, x, b) for m, t, x in zip(tables, ladders, terms)}
