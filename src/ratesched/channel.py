@@ -40,6 +40,9 @@ PATH_LOSS_1M_DB = 70.0
 PATH_LOSS_EXPONENT = 3.5
 SHADOWING_DB = 4.0
 
+# Why a seed is dropped when one of its gains underflows to 0.
+GAINS_UNDERFLOW = "channel gains underflow to 0"
+
 # The largest n_sensors * n_controllers: the bytes of the (n_sensors,
 # n_controllers, 2) float64 array of sensor-controller offsets must fit in
 # sys.maxsize for numpy to size it.
@@ -152,6 +155,14 @@ def fade(dist: np.ndarray, shadowing_db: np.ndarray, fading: np.ndarray) -> np.n
     return np.minimum(1.0, 10.0 ** (-pl / 10.0)) * fading
 
 
+def underflows(gains):
+    """Per seed, whether some gain of ``gains`` is not > 0: over the last two
+    axes, one seed's (sensor, controller) gains, so a 2-D array gives one
+    answer and a block of seeds one per seed. Such a seed cannot be priced,
+    and is dropped with ``NumericalError(GAINS_UNDERFLOW)``."""
+    return ~np.all(gains > 0, axis=(-2, -1))
+
+
 def path_loss_db(distance_m):
     """Log-distance path loss in dB (no shadowing term)."""
     d = np.maximum(np.asarray(distance_m, dtype=float), 1e-9)
@@ -216,8 +227,8 @@ def realize_channel(topology: Topology, seed=None) -> ChannelRealization:
     dist = distances(topology.sensors, topology.controllers)
     shadowing, fading = draw_losses(np.random.default_rng(seed), dist.shape)
     gains = fade(dist, shadowing, fading)
-    if not np.all(gains > 0):
-        raise NumericalError("channel gains underflow to 0")
+    if underflows(gains):
+        raise NumericalError(GAINS_UNDERFLOW)
     return ChannelRealization(gains, topology.controller_of, shadowing, fading)
 
 

@@ -33,6 +33,7 @@ from .allocation import SOLO_VERDICTS, float_array, ladder_records, ladder_triag
 # block through; no sweep calls them, but perfbench's tracer wraps them under
 # these names.
 from .channel import (
+    GAINS_UNDERFLOW,
     MAX_LINKS,
     distances,
     draw_losses,
@@ -42,6 +43,7 @@ from .channel import (
     nearest_controllers,
     realize_channel,
     square_side,
+    underflows,
 )
 from .feasibility import NumericalError
 from .model import (
@@ -122,7 +124,7 @@ class ExperimentConfig:
     ``energy_scale`` scales the default per-packet energy budget
     p_max * delay_bound. For the default radio and periods the results are
     identical from 1.0 down to 1e-3; checks first end in INFEASIBLE_ENERGY
-    at 3e-4, and at 1e-4 perfbench's paper-sweep keeps 69 of 300 seeds.
+    at 3e-4.
     """
 
     n_sensors: object = 8
@@ -381,15 +383,15 @@ def _draw_seeds(cfg: ExperimentConfig, n: int, density: float, point: int, ks: r
     delays, energies = (float_array(x) for x in zip(*map(cfg._budget, cfg.period_set)))
     for block in _blocks(ks, max(1, _BLOCK_ELEMENTS // (2 * (n * c + n + c)))):
         gains, controller_of, traffic = _draw_block(cfg, n, side, point, block)
-        underflows = ~np.all(gains > 0, axis=(1, 2))
+        underflowing = underflows(gains).tolist()
         own = np.take_along_axis(gains, controller_of[..., None], -1)[..., 0]
         budgets = (x[traffic[:, 0]].min(axis=1, keepdims=True) for x in (delays, energies))
         bits = packet_bits[traffic[:, 1]]
         terms, floors, tops = solo_terms(own, bits, *budgets, cfg.radio, ladders)
         drop_model, drop_node, drop_reason = (x.tolist() for x in ladder_triage(terms, len(block)))
         for b in range(len(block)):
-            if underflows[b]:
-                yield NumericalError("channel gains underflow to 0")
+            if underflowing[b]:
+                yield NumericalError(GAINS_UNDERFLOW)
                 continue
             if drop_model[b] >= 0:
                 reason = SOLO_VERDICTS[drop_reason[b]]
@@ -453,8 +455,8 @@ def draw_seed(cfg: ExperimentConfig, point: int, k: int) -> tuple[list[NodeSpec]
     gains, controller_of, traffic = _draw_block(
         cfg, n, square_side(n, density), point, range(k, k + 1)
     )
-    if not np.all(gains > 0):
-        raise NumericalError("channel gains underflow to 0")
+    if underflows(gains):
+        raise NumericalError(GAINS_UNDERFLOW)
     return _seed_instance(cfg, gains[0], controller_of[0], traffic[0])
 
 

@@ -13,6 +13,10 @@ failed from a result's ``reason``. A test records calls with a
 arguments of a call, the kind of pricer it got, or a call that no count
 covers, such as ``sna_assign``'s. A test writes its own wrapper only to
 read results, assert inside the call or inject a fault.
+
+Each plain-definition reference is defined once, here: among them
+``frozen_ladder_solos``, which ``solo_reason`` reads, and
+``frozen_continuous_optimal``, which walks ``bisection_cell``.
 """
 
 import itertools
@@ -33,6 +37,7 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     ValidationError,
+    Verdict,
     brute_force_optimal,
     check_targets,
     compute_metrics,
@@ -309,40 +314,59 @@ def frozen_continuous_optimal(nodes, gains, radio):
     lo_report = probe(t_lo)
     if lo_report.feasible:
         return allocation_at(t_lo, lo_report)
-    lo, hi = t_lo, t_hi
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        report = probe(mid)
-        if report.feasible:
-            hi, hi_report = mid, report
-        else:
-            lo = mid
-    return allocation_at(hi, hi_report)
+    reports = {t_hi: hi_report}
+
+    def feasible(mid):
+        reports[mid] = probe(mid)
+        return reports[mid].feasible
+
+    _, hi = bisection_cell(t_lo, t_hi, feasible)
+    return allocation_at(hi, reports[hi])
+
+
+def frozen_ladder_solos(nodes, gains, table, radio):
+    """The per-node loop ``ladder_solos`` ran before the block pass, a link
+    with no record given the verdict of its solo test's first failing term."""
+    noise, p_max = radio.noise_power, radio.p_max
+    records = []
+    for i, (n, col) in enumerate(zip(nodes, gains.cols)):
+        times = [n.packet_bits / r for _, r in table.levels]
+        lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
+        powers, verdict = [], Verdict.INFEASIBLE_DELAY
+        if lowest is not None:
+            for q in range(lowest, table.num_levels):
+                u = table.threshold(q) * noise / col[i]
+                if not u <= p_max:
+                    verdict = Verdict.INFEASIBLE_MAX_POWER
+                    break
+                if not times[q] * u <= n.energy_budget:
+                    verdict = Verdict.INFEASIBLE_ENERGY
+                    break
+                powers.append(u)
+        if not powers:
+            records.append(verdict)
+            continue
+        ceiling = lowest + len(powers) - 1
+        t = times[ceiling]
+        solo = AllocationResult(True, t, (table.rate(ceiling),), (powers[-1],), (t,))
+        records.append((times, lowest, ceiling, solo if powers[0] > 0 else None))
+    return records
 
 
 def solo_reason(model, node, own, radio):
     """Why ``node``, alone on its own gain ``own``, fails under ``model``,
-    from plain definitions, as a ``Verdict`` name. For a ladder it is
-    INFEASIBLE_DELAY where no level is within its delay bound, and
-    otherwise the solo test at the lowest level within it, on the power
-    u = threshold * N / g_ii that the kernel gives a link alone:
-    INFEASIBLE_MAX_POWER where u > p_max, INFEASIBLE_ENERGY where its
-    energy is over the budget. For ``cont`` it is the check's verdict at
-    the delay bound."""
+    from plain definitions, as a ``Verdict`` name: for a ladder, the verdict
+    in its ``frozen_ladder_solos`` record; for ``cont``, the check's verdict
+    at the delay bound."""
     if model == "cont":
         t = node.delay_bound
         target = float(np.expm1(node.packet_bits * (math.log(2.0) / (t * radio.bandwidth_hz))))
         report = check_targets(GainMatrix([[own]]), [target], radio, [t], [t], [node.energy_budget])
         return report.verdict.name
     table = {"disc4": disc4_table, "disc8": disc8_table}[model](radio.bandwidth_hz)
-    q = table.lowest_level_within(node.packet_bits, node.delay_bound)
-    if q is None:
-        return "INFEASIBLE_DELAY"
-    u = table.threshold(q) * radio.noise_power / own
-    if not u <= radio.p_max:
-        return "INFEASIBLE_MAX_POWER"
-    assert node.packet_bits / table.rate(q) * u > node.energy_budget
-    return "INFEASIBLE_ENERGY"
+    (record,) = frozen_ladder_solos([node], GainMatrix([[own]]), table, radio)
+    assert isinstance(record, Verdict), record
+    return record.name
 
 
 def oracle_seed(cfg, n, density, point, k):

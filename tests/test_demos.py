@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -71,3 +72,35 @@ def test_readme_one_seed_recipe_matches_the_batch_draw():
     assert recipe["nodes"] == nodes and recipe["gains"].cols == gains.cols
     drawn = next(experiment._draw_seeds(cfg, 8, cfg.density, point, range(k, k + 1)))
     assert isinstance(drawn, InfeasibleInstanceError) and drawn.model == "disc4"
+
+
+# A test named in prose: ``test_<file>.py::[Class::]test_name``, a
+# parametrize id in brackets allowed after it.
+CITATION = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)(?:\[[^\]\s]*\])?")
+
+
+def defined_tests(path):
+    """The ``(class or None, test name)`` pairs a test file defines."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.add((None, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found.update((node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+    return found
+
+
+def test_every_cited_test_exists():
+    # the README and the library's docstrings name the test that states
+    # each contract; a renamed or deleted test must not leave a citation
+    # that names nothing
+    cited, missing = 0, []
+    for source in [ROOT / "README.md", *sorted((ROOT / "src").rglob("*.py"))]:
+        for match in CITATION.finditer(source.read_text()):
+            name, cls, test = match.groups()
+            path = ROOT / "tests" / name
+            cited += 1
+            if not (path.is_file() and (cls, test) in defined_tests(path)):
+                missing.append((source.name, match.group()))
+    assert cited and not missing

@@ -39,7 +39,7 @@ from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
-from helpers import draw_instance, oracle_sweep, solo_reason
+from helpers import draw_instance, oracle_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -62,21 +62,35 @@ def perfbench_layers():
     spec.loader.exec_module(layers)
     return layers
 
-# Every seed of these sweeps is replayed alone by draw_seed: the perfbench
-# workloads at their default seeds and same_results.py's edge configs.
+# A fixed delay bound below the time of every level of both ladders, whose
+# top rate carries 50 bits in about 5e-8 s; an override of paper-sweep.
+BELOW_EVERY_LEVEL = {"n_sensors": [3, 5], "seeds": 10, "delay_rule": 1e-8}
+
+PAPER_SWEEP = dict(
+    WORKLOADS["paper-sweep"]["config"], master_seed=WORKLOADS["paper-sweep"]["default_seed"]
+)
+
+# Every seed of these sweeps is replayed alone by draw_seed, and every seed
+# the block triage drops is dropped alike by its pricers: the perfbench
+# workloads at their default seeds, paper-sweep with binding energy budgets
+# and below every level's time, and same_results.py's edge configs.
 REPLAYED = {
     name: dict(spec["config"], master_seed=spec["default_seed"])
     for name, spec in WORKLOADS.items()
+} | {
+    "paper-sweep-energy": dict(PAPER_SWEEP, energy_scale=same_results.BINDING_ENERGY_SCALE),
+    "below-every-level": dict(PAPER_SWEEP, **BELOW_EVERY_LEVEL),
 } | {
     name: dict(doc, master_seed=same_results.EDGE_SEED)
     for name, doc in same_results.EDGE_CONFIGS.items()
 }
 
 # The sweeps checked against the whole-sweep oracle: paper-sweep at both
-# energy scales of same_results.py, the first 6 of dense-exhaustive's 60
-# seeds at both, and the edge configs. Each holds groups of at most 4 links
-# (one per controller) on ladders of at most 8 levels, which
-# brute_force_optimal's guard admits; dense-large's 6 controllers do not.
+# energy scales of same_results.py and below every level's time, the first 6
+# of dense-exhaustive's 60 seeds at both scales, and the edge configs. Each
+# holds groups of at most 4 links (one per controller) on ladders of at most
+# 8 levels, which brute_force_optimal's guard admits; dense-large's 6
+# controllers do not.
 ORACLE_SWEEPS = {
     f"{name}-energy{scale:g}": dict(
         WORKLOADS[name]["config"], master_seed=WORKLOADS[name]["default_seed"],
@@ -84,6 +98,8 @@ ORACLE_SWEEPS = {
     )
     for name, extra in (("paper-sweep", {}), ("dense-exhaustive", {"seeds": 6}))
     for scale in (1.0, same_results.BINDING_ENERGY_SCALE)
+} | {
+    "below-every-level": dict(PAPER_SWEEP, **BELOW_EVERY_LEVEL),
 } | {
     name: dict(doc, master_seed=same_results.EDGE_SEED)
     for name, doc in same_results.EDGE_CONFIGS.items()
@@ -222,6 +238,34 @@ EXTREME_FLOATS = (5e-324, 1e-308, 1e-30, 1e30, 1e300, 1.7e308)
 RATE_MODEL_SETS = (None, ["cont"], ["disc8"], ["cont", "disc8"])
 
 
+# Configs (of 2 seeds unless given) on which every seed drops, with the
+# stderr line that splits the drops by cause; table models go first.
+NUMERICAL_2 = "2 infeasible (numerical 2)"
+ALL_DROPPED = {
+    # t_lo * W, or t_hi * W, underflows to 0 in continuous_optimal
+    "slot-floor-times-bandwidth": ({
+        "n_sensors": 1, "n_controllers": 2, "master_seed": 69, "period_set": [1, 2],
+        "delay_rule": 1e30, "packet_bits_set": [5e-324], "radio": {"bandwidth_hz": 1e-30},
+    }, NUMERICAL_2),
+    "delay-bound-times-bandwidth": ({
+        "n_sensors": 1, "seeds": 1, "rate_models": ["cont"], "base_period_s": 1e-308,
+        "radio": {"bandwidth_hz": 1e-30},
+    }, "1 infeasible (numerical 1)"),
+    # W * log2(1 + SNR) underflows to 0 in solo_terms, so no disc4 solo is
+    # feasible; a kilowatt of receiver noise makes every link unusable
+    "rate": ({"n_sensors": 4, "n_controllers": 1, "master_seed": 59, "period_set": [1],
+              "radio": {"bandwidth_hz": 5e-324}}, "2 infeasible (disc4 2)"),
+    "noise": ({"n_sensors": 2, "radio": {"noise_power": 1000.0}}, "2 infeasible (disc4 2)"),
+    # every gain underflows to 0; the square side overflows
+    "gains": ({"density": 1e-300}, NUMERICAL_2),
+    "side": ({"density": 1e-310}, NUMERICAL_2),
+    # slots of 1e300 s underflow the capacity targets to 0; a 1e308 W solo
+    # SNR underflows the interference-free slot bound to 0
+    "capacity-targets": ({"n_sensors": 2, "base_period_s": 1e300}, NUMERICAL_2),
+    "slot-floor": ({"n_sensors": 2, "radio": {"p_max": 1e308}}, NUMERICAL_2),
+}
+
+
 def _runs_briefly(field, value):
     """False for the accepted values that would run for ages: a seed count
     above 2 (a huge count is valid, and out of scope here)."""
@@ -318,22 +362,7 @@ def fits_exhaustive(cfg, n, point, k):
 def paper_sweep():
     """The benchmark's paper-sweep workload (acceptance criterion 8) and the
     CSV it must write at its default seed."""
-    workload = json.loads((PERFBENCH / "workloads.json").read_text())["paper-sweep"]
-    cfg = ExperimentConfig.from_dict(
-        dict(workload["config"], master_seed=workload["default_seed"])
-    )
-    return cfg, PERFBENCH / "expected" / "paper-sweep.csv"
-
-
-def infeasible_solos(cfg, n, point, k):
-    """(model, node id) pairs of one seed whose solo price is infeasible."""
-    nodes, gains = draw_instance(cfg, n, cfg.density, point, k)
-    inst = validate_instance(nodes)
-    out = set()
-    for model in cfg.rate_models:
-        pricer = experiment._pricer(model, inst, gains, cfg.radio)
-        out.update((model, i) for i in inst.ids if not pricer.price((i,)).feasible)
-    return out
+    return ExperimentConfig.from_dict(PAPER_SWEEP), PERFBENCH / "expected" / "paper-sweep.csv"
 
 
 class TestSubseed:
@@ -586,11 +615,6 @@ class TestDrawSeed:
             experiment.draw_seed(paper_sweep()[0], point, k)
 
 
-# A fixed delay bound below the time of every level of both ladders, whose
-# top rate carries 50 bits in about 5e-8 s.
-BELOW_EVERY_LEVEL = {"n_sensors": [3, 5], "seeds": 10, "delay_rule": 1e-8}
-
-
 class TestDropReasons:
     @pytest.mark.parametrize(
         "config, expected",
@@ -605,29 +629,22 @@ class TestDropReasons:
         ],
         ids=["paper-sweep", "paper-sweep-energy", "below-every-level"],
     )
-    def test_every_drop_replays_to_its_reason(self, config, expected):
-        # every dropped record names a node of its seed, replayed alone by
-        # draw_seed, whose solo test under the dropping model fails for the
-        # stated reason: at paper-sweep's default seed all 191 drops are
-        # disc4's, for power, and at binding energy budgets 72 of 231 are
-        # for energy; under a delay bound below every level, every seed
-        # drops for delay
+    def test_drops_per_size_and_reason(self, config, expected):
+        # the one home of paper-sweep's drop figures at its default seed:
+        # drops per (n_sensors, reason), every one under disc4 and every one
+        # by the block triage, which builds no pricer and so leaves its
+        # record's counts empty. Each drop's node and reason against plain
+        # definitions is test_sweep_equals_the_oracle's, and each triaged
+        # seed against its pricers test_replays_every_seed_of_the_sweep's.
         cfg = dataclasses.replace(paper_sweep()[0], **config)
         if "delay_rule" in config:
             tables = [experiment._ladder(m, cfg.radio.bandwidth_hz) for m in ("disc4", "disc8")]
             assert all(50.0 / t.rate(q) > cfg.delay_rule
                        for t in tables for q in range(t.num_levels))
-        reasons = Counter()
-        for record in run_experiment(cfg).per_seed:
-            if record["dropped"] is None:
-                continue
-            assert record["dropped"] == "disc4"
-            point = cfg.sweep()[1].index(record["value"])
-            nodes, gains = experiment.draw_seed(cfg, point, record["seed_index"])
-            i = record["node"]
-            assert solo_reason("disc4", nodes[i], gains.cols[i][i], cfg.radio) == record["reason"]
-            reasons[record["value"], record["reason"]] += 1
-        assert reasons == expected
+        drops = [r for r in run_experiment(cfg).per_seed if r["dropped"] is not None]
+        assert {r["dropped"] for r in drops} == {"disc4"}
+        assert all(r["counts"] == {} for r in drops)
+        assert Counter((r["value"], r["reason"]) for r in drops) == expected
 
 
 class TestWholeSweepOracle:
@@ -948,7 +965,6 @@ class TestRunExperiment:
         # the two kinds of call continuous_optimal's probe order is written
         # for, at each benchmark workload's default seed, and the probes of
         # its solos and feasible pairs
-        workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         kinds = set()
         checked, pairs = [], []
         check = allocation.check_targets
@@ -990,7 +1006,7 @@ class TestRunExperiment:
         for name in ("lttf", "continuous_optimal"):
             monkeypatch.setattr(scheduling, name, recording(name, getattr(scheduling, name)))
         monkeypatch.setattr(allocation, "check_targets", counting_check)
-        for workload in workloads.values():
+        for workload in WORKLOADS.values():
             run_experiment(ExperimentConfig.from_dict(
                 dict(workload["config"], master_seed=workload["default_seed"])
             ))
@@ -1010,7 +1026,6 @@ class TestRunExperiment:
         # a subset's cap is fixed by the subset, and no pricer prices a
         # subset twice. The record is keyed by the pricer itself: the id() of
         # a collected pricer is reused.
-        workloads = json.loads((PERFBENCH / "workloads.json").read_text())
         sizes = Counter()
         priced = defaultdict(set)
 
@@ -1029,7 +1044,7 @@ class TestRunExperiment:
 
         for pricer in (scheduling.TablePricer, scheduling.ContinuousPricer):
             monkeypatch.setattr(pricer, "_price", checking(pricer._price))
-        for workload, energy_scale in itertools.product(workloads.values(), (1.0, 1e-4)):
+        for workload, energy_scale in itertools.product(WORKLOADS.values(), (1.0, 1e-4)):
             run_experiment(ExperimentConfig.from_dict(dict(
                 workload["config"],
                 master_seed=workload["default_seed"],
@@ -1144,25 +1159,6 @@ class TestRunExperiment:
 
 
 class TestSeedTriage:
-    @pytest.mark.parametrize("energy_scale, triaged", [(1.0, 191), (1e-4, 231)])
-    def test_the_block_triage_drops_what_the_pricers_drop(self, energy_scale, triaged):
-        # every seed dropped before any node is built is dropped, under the
-        # same model, at the same node and for the same reason, by building the seed's pricers
-        # and calling offsets(); at paper-sweep's default seed that is every
-        # dropped seed
-        cfg = dataclasses.replace(paper_sweep()[0], energy_scale=energy_scale)
-        drops = []
-        for point, n in enumerate(cfg.n_sensors):
-            for k, drawn in enumerate(
-                experiment._draw_seeds(cfg, n, cfg.density, point, range(cfg.seeds))
-            ):
-                if isinstance(drawn, InfeasibleInstanceError):
-                    nodes, gains = draw_instance(cfg, n, cfg.density, point, k)
-                    assert pricers_drop(cfg, nodes, gains) == (drawn.node_id, drawn.model, drawn.reason)
-                    drops.append(drawn.model)
-        assert len(drops) == triaged
-        assert sum(r["dropped"] is not None for r in run_experiment(cfg).per_seed) == triaged
-
     @pytest.mark.parametrize("kind", [InfeasibleInstanceError, NumericalError])
     def test_no_dropped_seed_error_outlives_its_seed(self, kind):
         # _run_seed raises a fresh error, so that no reference cycle (error,
@@ -1197,11 +1193,7 @@ class TestSeedTriage:
         # that drops is dropped by the cont pricer's offsets(), in _run_seed,
         # which prices the solos in id order up to the dropped node's and
         # prices no group, enumerates no population and runs no allocator
-        workload = json.loads((PERFBENCH / "workloads.json").read_text())["paper-sweep"]
-        cfg = ExperimentConfig.from_dict(dict(
-            workload["config"], master_seed=workload["default_seed"],
-            rate_models=["cont"], energy_scale=1e-4,
-        ))
+        cfg = ExperimentConfig.from_dict(dict(PAPER_SWEEP, rate_models=["cont"], energy_scale=1e-4))
         dropped = [r for r in run_experiment(cfg).per_seed if r["dropped"] is not None]
         assert dropped and {r["dropped"] for r in dropped} == {"cont"}
         for record in dropped:
@@ -1218,42 +1210,15 @@ class TestSeedTriage:
         # the order disc4, disc8, cont: a seed dropped under disc4 builds no
         # disc8 and no cont pricer, and one the block triage drops builds
         # none; a record's counts name the pricers its seed built
-        cfg, _ = paper_sweep()
-        results = run_experiment(cfg)
         order = ["disc4", "disc8", "cont"]
-        for record in results.per_seed:
+        for record in run_experiment(paper_sweep()[0]).per_seed:
             assert list(record["counts"]) == (order if record["dropped"] is None else [])
-        # 191 seeds dropped under disc4 by the block triage, 109 kept under
-        # all three models
-        assert sum(len(r["counts"]) for r in results.per_seed) == 3 * 109
-
-    def test_seed_dropped_exactly_when_a_solo_price_is_infeasible(self):
-        cfg, _ = paper_sweep()
-        dropped = kept = 0
-        for point, n in enumerate(cfg.n_sensors):
-            for k in range(12):
-                bad = infeasible_solos(cfg, n, point, k)
-                try:
-                    experiment._run_seed(cfg, drawn_item(cfg, n, point, k), {})
-                except InfeasibleInstanceError as exc:
-                    assert (exc.model, exc.node_id) in bad
-                    dropped += 1
-                else:
-                    assert not bad
-                    kept += 1
-        assert dropped and kept
 
     def test_paper_sweep_writes_the_benchmark_expected_csv(self, tmp_path):
         cfg, expected = paper_sweep()
-        results = run_experiment(cfg)
         out = tmp_path / "paper-sweep.csv"
-        emit_results(results, out)
+        emit_results(run_experiment(cfg), out)
         assert out.read_bytes() == expected.read_bytes()
-        by_model = {
-            value: counts["infeasible_by_model"]
-            for (_, value), counts in results.reference_counts.items()
-        }
-        assert by_model == {4: {"disc4": 38}, 6: {"disc4": 70}, 8: {"disc4": 83}}
 
 
 class TestEmitResults:
@@ -1367,6 +1332,12 @@ class TestCli:
         doc[name] = {radio_key: value} if radio_key else value
         return self.run_cli(doc)[0]
 
+    @pytest.mark.parametrize("name", ALL_DROPPED)
+    def test_every_seed_dropped_exits_3_and_writes_nothing(self, name, capsys):
+        doc, line = ALL_DROPPED[name]
+        assert self.run_cli(dict({"seeds": 2}, **doc)) == (3, [])
+        assert line in capsys.readouterr().err
+
     def test_extreme_field_values_exit_0_2_or_3(self):
         # every field at every extreme ends in a documented exit code; with 3
         # sensors, continuous prices of k >= 2 links meet the extreme slot
@@ -1375,35 +1346,6 @@ class TestCli:
             for value in filter(partial(_runs_briefly, field), EXTREMES + WRONG):
                 for n in (2, 3):
                     assert self.exit_code(field, value, n) in (0, 2, 3), (field, value, n)
-
-    def test_interference_free_slot_times_bandwidth_underflowing_exits_3(self, capsys):
-        # t_lo * W underflows to 0 in continuous_optimal, which raises
-        # NumericalError before any probe; both seeds drop as numerical
-        code = self.exit_code(
-            "radio.bandwidth_hz", 1e-30, 1, n_controllers=2, master_seed=69,
-            period_set=[1, 2], delay_rule=1e30, packet_bits_set=[5e-324],
-        )
-        assert code == 3
-        assert "2 infeasible (numerical 2)" in capsys.readouterr().err
-
-    def test_rate_underflowing_exits_3(self, capsys):
-        # W * log2(1 + SNR) underflows to 0 in solo_terms, as the block's
-        # solo terms are computed: the slot floor is inf, and the disc4
-        # solos, triaged first, drop both seeds
-        code = self.exit_code(
-            "radio.bandwidth_hz", 5e-324, 4, n_controllers=1, master_seed=59, period_set=[1],
-        )
-        assert code == 3
-        assert "2 infeasible (disc4 2)" in capsys.readouterr().err
-
-    def test_delay_bound_times_bandwidth_underflowing_exits_3(self, capsys):
-        # t_hi * W underflows to 0 in continuous_optimal, which raises
-        # NumericalError before any probe; the seed drops as numerical
-        code = self.exit_code(
-            "radio.bandwidth_hz", 1e-30, 1, seeds=1, rate_models=["cont"], base_period_s=1e-308,
-        )
-        assert code == 3
-        assert "1 infeasible (numerical 1)" in capsys.readouterr().err
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(
@@ -1453,33 +1395,6 @@ class TestCli:
             path.write_bytes(data)
             assert main(["--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
             assert "cannot read config" in capsys.readouterr().err
-
-    def test_all_infeasible_exits_3(self, tmp_path, capsys):
-        # a kilowatt of receiver noise makes every link unusable
-        cfg = self.write_config(
-            tmp_path,
-            {"n_sensors": 2, "seeds": 2, "radio": {"noise_power": 1000.0}},
-        )
-        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-        # table models are checked first, in config order
-        assert "2 infeasible (disc4 2)" in capsys.readouterr().err
-
-    def test_unrepresentable_channel_exits_3(self, tmp_path, capsys):
-        # at 1e-300 every gain underflows to 0, at 1e-310 the square side
-        # overflows: each seed is dropped on a NumericalError
-        for density in (1e-300, 1e-310):
-            cfg = self.write_config(tmp_path, {"density": density, "seeds": 2})
-            assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-            assert "2 infeasible (numerical 2)" in capsys.readouterr().err
-
-    def test_unrepresentable_slots_exit_3(self, tmp_path, capsys):
-        # slots of 1e300 s underflow the capacity targets to 0, and a 1e308 W
-        # solo SNR underflows the interference-free slot bound to 0: each
-        # seed is dropped on a NumericalError in continuous pricing
-        for doc in ({"base_period_s": 1e300}, {"radio": {"p_max": 1e308}}):
-            cfg = self.write_config(tmp_path, dict(doc, n_sensors=2, seeds=2))
-            assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-            assert "2 infeasible (numerical 2)" in capsys.readouterr().err
 
     def test_master_seed_changes_output(self, tmp_path):
         outs = []

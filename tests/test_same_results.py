@@ -69,6 +69,36 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
     assert out[-1] == f"1 of {files} files differ"
 
 
+def test_drift_in_the_counts_alone_moves_work(tmp_path, monkeypatch, capsys):
+    # one seed's counts differ and its result does not: the results agree,
+    # so the tool exits 0 and reports the work that moved
+    workloads = {"w": {"config": TINY, "default_seed": 1, "held_out_seed": 2}}
+
+    def fake_export(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "workloads.json").write_text(json.dumps(workloads))
+
+    def fake_sweep(tree, workload, config, seed):
+        checks = 3 if (tree.name, workload, seed) == ("head", "w", 1) else 2
+        suffixes = (".csv", ".refs", ".per_seed.json")
+        paths = [tree / f"{workload}-{seed}{suffix}" for suffix in suffixes]
+        paths[0].write_text("same rows\n")
+        paths[1].write_text("exit 0\n")
+        paths[2].write_text(json.dumps([{"max_active": {"sna-mla/cont": math.nan},
+                                         "counts": {"cont": {"checks": checks}}}]))
+        return tuple(paths)
+
+    monkeypatch.setattr(same_results, "export", fake_export)
+    monkeypatch.setattr(same_results, "sweep", fake_sweep)
+    assert same_results.main(["--base", "a", "--head", "b"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("moved", "diff"))] == [
+        "moved w-1.per_seed.json"
+    ]
+    sweeps = 2 * (2 + len(same_results.EXTRA_SEEDS)) + len(same_results.EDGE_CONFIGS)
+    assert out[-2:] == [f"work moved in 1 of {sweeps} sweeps", f"0 of {3 * sweeps} files differ"]
+
+
 def edge_results(name):
     config = dict(same_results.EDGE_CONFIGS[name], master_seed=same_results.EDGE_SEED)
     return run_experiment(ExperimentConfig.from_dict(config))

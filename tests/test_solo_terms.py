@@ -18,7 +18,6 @@ from ratesched import (
     NumericalError,
     RadioConfig,
     RateTable,
-    Verdict,
     validate_instance,
 )
 from ratesched import allocation, check_targets
@@ -42,37 +41,9 @@ from helpers import (
     TABLES,
     bisection_cell,
     frozen_continuous_optimal,
+    frozen_ladder_solos,
     random_instance,
 )
-
-
-def frozen_ladder_solos(nodes, gains, table, radio):
-    """The per-node loop ``ladder_solos`` ran before the block pass, a link
-    with no record given the verdict of its solo test's first failing term."""
-    noise, p_max = radio.noise_power, radio.p_max
-    records = []
-    for i, (n, col) in enumerate(zip(nodes, gains.cols)):
-        times = [n.packet_bits / r for _, r in table.levels]
-        lowest = table.lowest_level_within(n.packet_bits, n.delay_bound)
-        powers, verdict = [], Verdict.INFEASIBLE_DELAY
-        if lowest is not None:
-            for q in range(lowest, table.num_levels):
-                u = table.threshold(q) * noise / col[i]
-                if not u <= p_max:
-                    verdict = Verdict.INFEASIBLE_MAX_POWER
-                    break
-                if not times[q] * u <= n.energy_budget:
-                    verdict = Verdict.INFEASIBLE_ENERGY
-                    break
-                powers.append(u)
-        if not powers:
-            records.append(verdict)
-            continue
-        ceiling = lowest + len(powers) - 1
-        t = times[ceiling]
-        solo = AllocationResult(True, t, (table.rate(ceiling),), (powers[-1],), (t,))
-        records.append((times, lowest, ceiling, solo if powers[0] > 0 else None))
-    return records
 
 
 def frozen_slot_floors(nodes, gains, radio):

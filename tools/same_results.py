@@ -20,11 +20,17 @@ file with the sweep's ``ExperimentResults.per_seed`` records. Those hold each
 seed's ``max_active``, the node and reason of each drop and each pricer's
 work counts, so a change to one seed's result, to why it drops or to the
 checks, prices or allocator calls it takes shows there, even where the
-CSV's means round it away or no result moves. ``DRIVER``
-records ``per_seed`` as ``run_experiment`` returns it to the CLI. The
-``EDGE_CONFIGS`` then run the same way, each at ``EDGE_SEED`` alone. Every
-file is reported as ``same`` or ``diff`` against the other side; the exit
-status is 1 if any differs.
+CSV's means round it away. ``DRIVER`` records ``per_seed`` as
+``run_experiment`` returns it to the CLI. The ``EDGE_CONFIGS`` then run the
+same way, each at ``EDGE_SEED`` alone.
+
+The tool judges results and reports work. Every file is reported against
+the other side as ``same``, ``diff``, or, for a ``.per_seed.json`` file
+whose records are equal once their ``counts`` are removed, ``moved``: the
+results agree and only the work differs. The line before the last gives the
+number of sweeps whose work moved, and the last ``N of M files differ``,
+where a moved file is not counted as differing. The exit status is 1 if any
+file differs.
 """
 
 from __future__ import annotations
@@ -112,13 +118,32 @@ def contents(path: Path) -> bytes | None:
     return path.read_bytes() if path.exists() else None
 
 
+def results_of(data: bytes) -> str:
+    """A ``.per_seed.json`` file's records with their ``counts`` removed, as
+    JSON text, so that NaN compares equal to itself."""
+    records = json.loads(data)
+    return json.dumps([{k: v for k, v in r.items() if k != "counts"} for r in records])
+
+
+def verdict(base_path: Path, head_path: Path) -> str:
+    """``same``, ``moved`` (per-seed records that differ in their counts
+    alone) or ``diff``."""
+    base, head = contents(base_path), contents(head_path)
+    if base == head:
+        return "same"
+    if head_path.name.endswith(".per_seed.json") and None not in (base, head):
+        if results_of(base) == results_of(head):
+            return "moved"
+    return "diff"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
     parser.add_argument("--head", default="HEAD", help="revision of the head side")
     args = parser.parse_args(argv)
 
-    differ = files = 0
+    differ = files = moved = 0
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
         export(args.base, trees["base"])
@@ -138,10 +163,12 @@ def main(argv=None) -> int:
             base = sweep(trees["base"], name, config, seed)
             head = sweep(trees["head"], name, config, seed)
             for base_path, head_path in zip(base, head):
-                same = contents(base_path) == contents(head_path)
-                differ += not same
+                word = verdict(base_path, head_path)
+                differ += word == "diff"
+                moved += word == "moved"
                 files += 1
-                print("same" if same else "diff", head_path.name, flush=True)
+                print(word, head_path.name, flush=True)
+    print(f"work moved in {moved} of {len(runs)} sweeps")
     print(f"{differ} of {files} files differ")
     return 1 if differ else 0
 
