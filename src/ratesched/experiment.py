@@ -11,7 +11,9 @@ Seeds fan out from one master seed through counter-style spawn keys, so any
 (sweep point, topology) pair can be reproduced in isolation, by
 ``draw_seed``, and a fixed config always produces byte-identical output
 files. A sweep point's seeds are drawn together, in blocks, each from its
-own three ``subseed`` streams.
+own three ``subseed`` streams. ``run_experiment`` splits each point's seeds
+across one forked process per usable CPU and merges their records back in
+seed order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import csv
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import traceback
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 
@@ -518,6 +524,126 @@ def _run_seed(cfg: ExperimentConfig, drawn, pricers: dict):
     return max_active, reference, "heuristic"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, ``os.sched_getaffinity``'s count or
+    ``os.cpu_count()`` where that call is missing; 1 where ``os.fork`` is."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _seed_records(cfg: ExperimentConfig, sweep_var: str, point: int, value, ks: range):
+    """The ``per_seed`` records of the seeds ``ks`` of sweep point ``point``,
+    whose value is ``value``, in seed order."""
+    n, density = _point_size(cfg, sweep_var, value)
+    records = []
+    for k, drawn in zip(ks, _draw_seeds(cfg, n, density, point, ks)):
+        record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
+        pricers: dict[str, SubsetPricer] = {}
+        try:
+            max_active, reference, ref_kind = _run_seed(cfg, drawn, pricers)
+        except InfeasibleInstanceError as exc:
+            record["dropped"] = exc.model
+            record["node"] = exc.node_id
+            record["reason"] = exc.reason.name
+        except NumericalError:
+            record["dropped"] = "numerical"
+        else:
+            record["reference"] = reference
+            record["reference_kind"] = ref_kind
+            record["max_active"] = {f"{s}/{m}": t for (s, m), t in max_active.items()}
+        record["counts"] = {model: pricer.counts() for model, pricer in pricers.items()}
+        records.append(record)
+    return records
+
+
+def _part_outcome(cfg: ExperimentConfig, ks: range):
+    """``(records, error)``: the records of the seeds ``ks`` of each sweep
+    point in turn, and the exception that ended the part early, or None. The
+    point that raised has no records, so ``len(records)`` is its index. The
+    exception is kept, not raised, so that the caller can raise the one of
+    the earliest seed over every part."""
+    sweep_var, values = cfg.sweep()
+    records = []
+    try:
+        for point, value in enumerate(values):
+            records.append(_seed_records(cfg, sweep_var, point, value, ks))
+    except Exception as exc:
+        return records, exc
+    return records, None
+
+
+def _child(cfg: ExperimentConfig, ks: range, fd: int):
+    """The body of a forked sweep process: ``_part_outcome`` of ``ks``,
+    pickled to the pipe's write end ``fd``, as ``(records, error, text)``
+    where ``text`` is the traceback of a raised ``error``. An error that does
+    not pickle is sent as a RuntimeError holding that text. The process then
+    ends in ``os._exit``, so that it never returns into the caller's stack,
+    runs no exit handler and flushes no buffer it copied from its parent; it
+    exits 1 without a payload when the pickling fails."""
+    code = 1
+    try:
+        records, error = _part_outcome(cfg, ks)
+        text = None
+        if error is not None:
+            text = "".join(traceback.format_exception(error))
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(
+                    f"a forked sweep process raised an exception that does not pickle:\n{text}"
+                )
+                text = None
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump((records, error, text), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _outcomes(cfg: ExperimentConfig, parts: list[range]) -> list[tuple]:
+    """``(records, error, text)`` of each of ``parts``: the first run in this
+    process, with ``text`` None, and each other in a child forked for it,
+    read back from a pipe (``_child``). Every child is reaped; when this
+    process raises meanwhile, the children still running are killed first.
+    Raises RuntimeError, naming the exit status, for a child that ends
+    without a payload."""
+    pipes = {}  # pid: read end of its pipe, until the child is reaped
+    try:
+        for ks in parts[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(cfg, ks, write)
+            os.close(write)
+            pipes[pid] = os.fdopen(read, "rb")
+        outcomes = [(*_part_outcome(cfg, parts[0]), None)]
+        for pid in list(pipes):
+            with pipes[pid] as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            # a child exits 0 only once its whole payload is written
+            if status != 0:
+                raise RuntimeError(f"a forked sweep process exited {status} without its records")
+            outcomes.append(pickle.loads(data))
+        return outcomes
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     """Execute the configured sweep; unusable seeds are recorded and skipped.
 
@@ -538,31 +664,42 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     point's counts hold its reference kinds, ``infeasible`` (every dropped
     seed, the CSV's ``infeasible_count``), ``infeasible_by_model`` (in the
     order the models first dropped a seed) and ``numerical``.
+
+    The seeds are split into P contiguous, near-equal parts, P the smaller
+    of ``cfg.seeds`` and the usable CPUs (``_usable_cpus``). This process
+    runs the first part of every sweep point and a forked child runs each
+    other part; the records come back in seed order, so the results do not
+    depend on P. Any exception other than a seed's InfeasibleInstanceError
+    or NumericalError reaches the caller with its type: that of the earliest
+    seed in sweep order to raise one, with a child's traceback as its cause.
     """
     sweep_var, values = cfg.sweep()
+    processes = min(_usable_cpus(), cfg.seeds)
+    parts = [
+        range(cfg.seeds * i // processes, cfg.seeds * (i + 1) // processes)
+        for i in range(processes)
+    ]
+    outcomes = _outcomes(cfg, parts)
+    # a part ends at its first error, and at a sweep point the parts run in
+    # seed order: the earliest error has the least (point, part)
+    failed = [
+        (len(records), i) for i, (records, error, _) in enumerate(outcomes) if error is not None
+    ]
+    if failed:
+        _, error, text = outcomes[min(failed)[1]]
+        try:
+            if text is None:
+                raise error
+            raise error from RuntimeError(f"in a forked sweep process:\n{text}")
+        finally:
+            # no cycle through this frame keeps the error alive
+            del error, outcomes
+
     rows = []
     reference_counts = {}
     per_seed = []
     for point, value in enumerate(values):
-        n, density = _point_size(cfg, sweep_var, value)
-        records = []
-        for k, drawn in enumerate(_draw_seeds(cfg, n, density, point, range(cfg.seeds))):
-            record = {"sweep_var": sweep_var, "value": value, "seed_index": k, "dropped": None}
-            pricers: dict[str, SubsetPricer] = {}
-            try:
-                max_active, reference, ref_kind = _run_seed(cfg, drawn, pricers)
-            except InfeasibleInstanceError as exc:
-                record["dropped"] = exc.model
-                record["node"] = exc.node_id
-                record["reason"] = exc.reason.name
-            except NumericalError:
-                record["dropped"] = "numerical"
-            else:
-                record["reference"] = reference
-                record["reference_kind"] = ref_kind
-                record["max_active"] = {f"{s}/{m}": t for (s, m), t in max_active.items()}
-            record["counts"] = {model: pricer.counts() for model, pricer in pricers.items()}
-            records.append(record)
+        records = [record for part, _, _ in outcomes for record in part[point]]
         per_seed += records
 
         kept = [r for r in records if r["dropped"] is None]

@@ -216,9 +216,13 @@ def check_rate_vector(
 def achieved_sinr(gains: GainMatrix, powers, noise: float) -> np.ndarray:
     """Per-link SINR produced by a given power vector: each link's desired
     power over the noise plus the interference summed over the other links
-    alone, so that no term cancels at high SNR."""
+    alone, so that no term cancels at high SNR. Raises ValidationError
+    unless ``powers`` holds one value per link."""
+    powers = np.asarray(powers, dtype=float)
+    if powers.shape != (gains.n,):
+        raise ValidationError("one power per link required")
     g_t = np.array(gains.cols)  # g_t[k, l] is the gain from link l to link k
-    received = g_t * np.asarray(powers, dtype=float)
+    received = g_t * powers
     desired = np.diag(received).copy()
     np.fill_diagonal(received, 0.0)
     return desired / (noise + received.sum(axis=1))

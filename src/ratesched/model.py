@@ -232,7 +232,8 @@ class GainMatrix:
 
     Entry (l, k) is the gain from the transmitter of link l to the receiver
     (controller) of link k, so row l describes where link l's power lands.
-    It must be square with at least one link. The entries are validated on
+    It must be square with at least one link, and its entries numbers, not
+    booleans or strings. The entries are validated on
     construction and kept only column by column: ``cols[k][l]`` is entry
     (l, k), a Python float, so that the feasibility kernel reads them without
     converting. ``sub(idx)`` is the matrix of a subset of links.
@@ -241,9 +242,22 @@ class GainMatrix:
     __slots__ = ("cols",)
 
     def __init__(self, g):
-        arr = np.array(g, dtype=float)
+        try:
+            arr = np.array(g, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows, or entries that are no numbers
+            raise ValidationError(f"gain matrix must be a square array of numbers: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
             raise ValidationError("gain matrix must be square and nonempty")
+        # an array of numbers is checked by its dtype, other input entry by entry
+        if isinstance(g, np.ndarray) and g.dtype != object:
+            numbers = g.dtype.kind in "iuf"
+        else:
+            numbers = all(
+                isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+                for x in np.array(g, dtype=object).flat
+            )
+        if not numbers:
+            raise ValidationError("gains must be numbers, not booleans or strings")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValidationError("gains must be finite and > 0")
         self.cols = tuple(map(tuple, arr.T.tolist()))

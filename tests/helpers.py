@@ -20,7 +20,9 @@ Each plain-definition reference is defined once, here: among them
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -55,6 +57,11 @@ from ratesched import (
 from ratesched.experiment import subseed
 
 TABLE1_RADIO = RadioConfig(p_max=0.25, noise_power=1e-8, bandwidth_hz=1e8)
+
+# The benchmark's workloads, by name: each one's config and default seed.
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text()
+)
 
 
 def gain_array(gains):

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,8 @@ def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, side, ou
                          for t in ("0", "1"))
         assert [(run[name]["correct"], run[name]["failed"]) for run in entry["runs"]] == [timed] * 2
         assert (entry["trace"][name]["correct"], entry["trace"][name]["failed"]) == traced
+        for run in [entry["trace"][name]] + [run[name] for run in entry["runs"]]:
+            assert run["cpu_per_wall"] > 0 and run["max_rss_mb"] > 0
 
 
 def traced_run(**metrics):
@@ -142,6 +145,40 @@ def test_run_bench_keeps_each_printed_unit(tmp_path):
                               "allocation.continuous.probes_per_call": 1.5}
     assert run["units"] == {"scheduling.mla.calls": "count",
                             "allocation.continuous.probes_per_call": "count/call"}
+
+
+# a benchmark command that forks a child, which holds 64 MB and spins for
+# 0.3 CPU seconds, and reports the child's CPU seconds and its own peak RSS
+FORKING_BENCH = """import json, os, resource, time
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    ballast = b"x" * (64 << 20)
+    t0 = time.process_time()
+    while time.process_time() - t0 < 0.3:
+        pass
+    os.write(write, str(time.process_time()).encode())
+    os._exit(0)
+os.close(write)
+child_cpu = float(os.read(read, 64))
+os.waitpid(pid, 0)
+own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "child_cpu_s": {"value": child_cpu}, "peak_rss_mb": {"value": own}}}))
+"""
+
+
+def test_run_bench_counts_the_cpu_and_memory_of_forked_children(tmp_path):
+    # the benchmark's peak_rss_mb is its own process's; a forked child's
+    # memory and CPU seconds show only in the run's wait4 usage
+    script = tmp_path / "bench.py"
+    script.write_text(FORKING_BENCH)
+    t0 = time.perf_counter()
+    run = bench_pairs.run_bench(tmp_path, [sys.executable, str(script)], "w", 1, 1, 0)
+    wall = time.perf_counter() - t0
+    metrics = run["metrics"]
+    assert run["max_rss_mb"] >= 64 > metrics["peak_rss_mb"]["value"]
+    assert run["cpu_per_wall"] * wall >= metrics["child_cpu_s"]["value"] >= 0.3
 
 
 def test_summarise_gain_rule():

@@ -6,9 +6,12 @@ import itertools
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from collections import Counter, defaultdict
@@ -39,7 +42,7 @@ from ratesched.cli import main
 from ratesched.experiment import RATE_MODELS, RESULT_COLUMNS, subseed
 from ratesched.scheduling import STRATEGIES, exhaustive_fits
 
-from helpers import draw_instance, oracle_sweep
+from helpers import WORKLOADS, draw_instance, oracle_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -50,8 +53,6 @@ HEADER = ",".join(RESULT_COLUMNS)
 
 PERFBENCH = ROOT / "perfbench"
 
-WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
-
 
 @functools.cache
 def perfbench_layers():
@@ -61,6 +62,13 @@ def perfbench_layers():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     return layers
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Sweeps run in the test's process alone: the test records calls in its
+    own memory, where a forked sweep process's calls never arrive."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+
 
 # A fixed delay bound below the time of every level of both ladders, whose
 # top rate carries 50 bits in about 5e-8 s; an override of paper-sweep.
@@ -346,6 +354,25 @@ def kept_records(results):
 def without_counts(record):
     """A ``per_seed`` record without its ``counts``."""
     return {key: value for key, value in record.items() if key != "counts"}
+
+
+def assert_only_seed_dropped_as_numerical(cfg, clean, results, bad):
+    """Check that ``results``, of ``cfg``'s sweep over one point of 3
+    sensors, equal ``clean`` but for seed ``bad``, dropped as numerical."""
+    counts = results.reference_counts[("n_sensors", 3)]
+    clean_counts = clean.reference_counts[("n_sensors", 3)]
+    assert counts["numerical"] == 1
+    assert counts["infeasible"] == clean_counts["infeasible"] + 1
+    assert counts["infeasible_by_model"] == clean_counts["infeasible_by_model"]
+    assert without_counts(results.per_seed[bad]) == {
+        "sweep_var": "n_sensors", "value": 3, "seed_index": bad, "dropped": "numerical"
+    }
+    assert results.per_seed[:bad] + results.per_seed[bad + 1:] == (
+        clean.per_seed[:bad] + clean.per_seed[bad + 1:]
+    )
+    for row, clean_row in zip(results.rows, clean.rows):
+        assert row["seed_count"] == clean_row["seed_count"] - 1
+        assert row["seed_count"] + row["infeasible_count"] == cfg.seeds
 
 
 def drawn_item(cfg, n, point, k):
@@ -755,6 +782,7 @@ class TestRunExperiment:
         by_model = counted["infeasible_by_model"]
         assert sum(by_model.values()) + counted["numerical"] == counted["infeasible"]
 
+    @pytest.mark.usefixtures("one_process")
     def test_seeds_of_one_sweep_share_one_ladder(self, monkeypatch):
         # a RateTable is immutable, so each discrete model builds its ladder
         # once and every TablePricer built for that model reads that one
@@ -899,6 +927,7 @@ class TestRunExperiment:
         assert json.dumps(traced.rows) == json.dumps(untraced.rows)
         assert traced.per_seed == untraced.per_seed
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("workload", ["two periods", "dense-exhaustive"])
     def test_counts_equal_the_perfbench_trace(self, workload):
         # perfbench/layers.py counts by patching the library's seams; on the
@@ -1052,6 +1081,7 @@ class TestRunExperiment:
             )))
         assert sizes[1] > 0 and sizes[2] > 0
 
+    @pytest.mark.usefixtures("one_process")
     def test_numerical_error_drops_only_its_seed(self, monkeypatch):
         cfg = tiny_config(n_sensors=[3], seeds=4)
         clean = run_experiment(cfg)
@@ -1071,21 +1101,36 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "_run_seed", recording_run)
         monkeypatch.setattr(feasibility, "min_power_vector", failing_kernel)
-        results = run_experiment(cfg)
-        counts = results.reference_counts[("n_sensors", 3)]
-        clean_counts = clean.reference_counts[("n_sensors", 3)]
-        assert counts["numerical"] == 1
-        assert counts["infeasible"] == clean_counts["infeasible"] + 1
-        assert counts["infeasible_by_model"] == clean_counts["infeasible_by_model"]
-        assert without_counts(results.per_seed[bad]) == {
-            "sweep_var": "n_sensors", "value": 3, "seed_index": bad, "dropped": "numerical"
-        }
-        assert results.per_seed[:bad] + results.per_seed[bad + 1:] == (
-            clean.per_seed[:bad] + clean.per_seed[bad + 1:]
-        )
-        for row, clean_row in zip(results.rows, clean.rows):
-            assert row["seed_count"] == clean_row["seed_count"] - 1
-            assert row["seed_count"] + row["infeasible_count"] == cfg.seeds
+        assert_only_seed_dropped_as_numerical(cfg, clean, run_experiment(cfg), bad)
+
+    def test_numerical_error_in_a_forked_part_drops_only_its_seed(self, monkeypatch):
+        # the second of two parts, seeds 2 and 3, runs in a forked child,
+        # which knows the seed it runs from what _draw_seeds last yielded
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        cfg = tiny_config(n_sensors=[3], seeds=4)
+        clean = run_experiment(cfg)
+        bad = next(r["seed_index"] for r in kept_records(clean) if r["seed_index"] >= 2)
+        running = []
+        draw_seeds, kernel = experiment._draw_seeds, feasibility.min_power_vector
+
+        def recording_draw(cfg, n, density, point, ks):
+            for k, drawn in zip(ks, draw_seeds(cfg, n, density, point, ks)):
+                running.append(k)
+                yield drawn
+
+        def failing_kernel(gains, sinr_targets, noise):
+            if running[-1] == bad:
+                raise NumericalError("injected")
+            return kernel(gains, sinr_targets, noise)
+
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(experiment, "_draw_seeds", recording_draw)
+        monkeypatch.setattr(feasibility, "min_power_vector", failing_kernel)
+        assert_only_seed_dropped_as_numerical(cfg, clean, run_experiment(cfg), bad)
+        assert fork.call_count == 1
+        # the parent ran seeds 0 and 1 alone
+        assert running == [0, 1]
 
     def test_one_record_per_seed_in_seed_order(self):
         cfg = mixed_drops_config()
@@ -1156,6 +1201,158 @@ class TestRunExperiment:
         # where np.mean is finite it is kept
         assert experiment._mean([0.1, 0.2, 0.7]) == float(np.mean([0.1, 0.2, 0.7]))
         assert math.isnan(experiment._mean([]))
+
+
+# The sweeps run in 1, 2 and 3 processes: paper-sweep at both energy scales
+# of same_results.py, dense-exhaustive, an odd seed count with drops under
+# disc4, disc8 and numerical, and one seed, fewer than the processes.
+FORKED_SWEEPS = {
+    "paper-sweep": lambda: ExperimentConfig.from_dict(PAPER_SWEEP),
+    "paper-sweep-energy": lambda: ExperimentConfig.from_dict(
+        dict(PAPER_SWEEP, energy_scale=same_results.BINDING_ENERGY_SCALE)
+    ),
+    "dense-exhaustive": lambda: ExperimentConfig.from_dict(REPLAYED["dense-exhaustive"]),
+    "odd-seeds": lambda: dataclasses.replace(mixed_drops_config(), seeds=7),
+    "one-seed": lambda: tiny_config(seeds=1),
+}
+
+
+class Injected(Exception):
+    """An error a test injects into a sweep; it pickles."""
+
+
+class Unpicklable(Exception):
+    """An error that does not pickle: its argument is a closure."""
+
+    def __init__(self, k):
+        super().__init__(lambda: k)
+
+
+class Halt(BaseException):
+    """An interruption that no sweep process catches."""
+
+
+def raise_injected(point, k):
+    raise Injected(f"{point}/{k}")
+
+
+def raise_unpicklable(point, k):
+    raise Unpicklable(k)
+
+
+def exit_7(point, k):
+    os._exit(7)
+
+
+def sleep_60(point, k):
+    time.sleep(60)
+
+
+def halt(point, k):
+    raise Halt
+
+
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSweep:
+    @pytest.mark.parametrize("name", FORKED_SWEEPS)
+    def test_forked_sweeps_equal_the_one_process_sweep(self, name, monkeypatch, tmp_path):
+        cfg = FORKED_SWEEPS[name]()
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        outputs = []
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda: processes)
+            fork.reset_mock()
+            results = run_experiment(cfg)
+            assert fork.call_count == min(processes, cfg.seeds) - 1
+            emit_results(results, tmp_path / "out.csv")
+            outputs.append((
+                (tmp_path / "out.csv").read_bytes(),
+                json.dumps(results.rows),
+                results.reference_counts,
+                results.per_seed,
+            ))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "processes, faults, error, match, from_child",
+        [
+            # the child's point 0 precedes the parent's point 1
+            (2, {(1, 0): raise_injected, (0, 2): raise_injected}, Injected, "^0/2$", True),
+            (2, {(0, 1): raise_injected, (0, 3): raise_injected}, Injected, "^0/1$", False),
+            # parts of seeds 0, 1 and 2-3: the first child's seed is earlier
+            (3, {(0, 3): raise_injected, (0, 1): raise_injected}, Injected, "^0/1$", True),
+            (2, {(0, 2): raise_unpicklable}, RuntimeError,
+             "does not pickle(.|\n)*Unpicklable", False),
+            (2, {(0, 2): exit_7}, RuntimeError, "exited 7 without its records", False),
+            # the parent stops at once and kills the sleeping child
+            (2, {(0, 0): halt, (0, 2): sleep_60}, Halt, None, False),
+        ],
+        ids=["child-first", "parent-first", "earlier-child", "unpicklable", "no-payload",
+             "parent-halted"],
+    )
+    def test_the_earliest_seed_error_reaches_the_caller(
+        self, monkeypatch, processes, faults, error, match, from_child
+    ):
+        # faults[point, k] runs before seed k of sweep point point is
+        # scheduled, in whichever process runs that seed; an error raised in
+        # a child carries the child's traceback as its cause
+        draw_seeds = experiment._draw_seeds
+
+        def faulty_draw(cfg, n, density, point, ks):
+            for k, drawn in zip(ks, draw_seeds(cfg, n, density, point, ks)):
+                if (point, k) in faults:
+                    faults[point, k](point, k)
+                yield drawn
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: processes)
+        monkeypatch.setattr(experiment, "_draw_seeds", faulty_draw)
+        t0 = time.monotonic()
+        with pytest.raises(error, match=match) as raised:
+            run_experiment(tiny_config(seeds=4))
+        assert time.monotonic() - t0 < 30
+        cause = raised.value.__cause__
+        assert (cause is not None) == from_child
+        if from_child:
+            assert re.match("in a forked sweep process:(.|\n)*Injected: 0/", str(cause))
+        assert_no_child_left()
+
+    def test_usable_cpus_fall_back_to_the_cpu_count_and_to_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiment._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert experiment._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "fork")
+        assert experiment._usable_cpus() == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_a_process_pinned_to_one_cpu_forks_nothing(self):
+        code = (
+            "import os\n"
+            "from unittest import mock\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from ratesched import ExperimentConfig, run_experiment\n"
+            "with mock.patch('os.fork', wraps=os.fork) as fork:\n"
+            "    run_experiment(ExperimentConfig(n_sensors=[2], seeds=4))\n"
+            "print(fork.call_count)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])
+        ))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestSeedTriage:

@@ -319,6 +319,10 @@ class TestMinPowerVector:
             min_power_vector(GainMatrix([[1e-7]]), [-1.0], 1e-8)
         with pytest.raises(ValidationError):
             min_power_vector(GainMatrix([[1e-7]]), [[10.0]], 1e-8)
+        # achieved_sinr would broadcast one power over both links
+        for powers in ([1.0], 1.0, [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+            with pytest.raises(ValidationError, match="one power per link"):
+                achieved_sinr(GainMatrix([[1e-6, 1e-8], [1e-8, 1e-6]]), powers, 1e-8)
 
 
 # One case per verdict on two symmetric links: the SINR targets, then the

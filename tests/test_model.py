@@ -188,12 +188,18 @@ class TestNodeAndRadioValidation:
             RadioConfig(**args)
 
     def test_gain_matrix_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            GainMatrix([[1e-6, 0.0], [1e-8, 1e-6]])
+        # a bool is not a number, as in every config field and NodeSpec, nor
+        # is a string; both reach the kernel as 1.0 otherwise
+        for g in ([[1e-6, 0.0], [1e-8, 1e-6]], [[True]], [[1e-6, True], [1e-8, 1e-6]],
+                  np.array([[True]]), "ab", [["1e-6"]]):
+            with pytest.raises(ValidationError):
+                GainMatrix(g)
 
     def test_gain_matrix_must_be_square(self):
-        with pytest.raises(ValidationError):
-            GainMatrix([[1e-6, 1e-8]])
+        # ragged rows raise numpy's ValueError unless caught
+        for g in ([[1e-6, 1e-8]], [[1.0, 2.0], [1.0]]):
+            with pytest.raises(ValidationError):
+                GainMatrix(g)
 
     @pytest.mark.parametrize("g", [np.empty((0, 0)), [[]], []])
     def test_gain_matrix_must_be_nonempty(self, g):

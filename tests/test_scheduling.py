@@ -1,8 +1,6 @@
 import itertools
-import json
 import math
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,6 +38,7 @@ from ratesched.scheduling import STRATEGIES
 
 from helpers import (
     TABLE1_RADIO,
+    WORKLOADS,
     assert_group_certificate,
     four_node_fixture,
     near_singular_links,
@@ -52,9 +51,6 @@ from helpers import (
 
 DISC8 = disc8_table(1e8)
 MS = 1e-3
-WORKLOADS = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text()
-)
 
 
 def gain_pricer(inst, gains, continuous=False):

@@ -25,7 +25,8 @@ median and quartiles (``statistics.quantiles``, inclusive method), the
 number of pairs the head side won (ties count for neither), the ratio of the
 medians and ``gain_rule``: the head won at least nine tenths of the pairs and
 the medians differ by more than the base side's interquartile range.
-Every run's ``correct`` and ``failed`` are kept; once the summary is written,
+Every run's ``correct``, ``failed``, ``cpu_per_wall`` and ``max_rss_mb``
+(``run_bench``) are kept; once the summary is written,
 the exit status is 1 if a timed or traced run was incorrect or failed a seed.
 
 Fewer than two seeds, a reversed seed range or a ``--trace-seed`` below 0
@@ -42,9 +43,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# What the summary keeps of every run besides its metrics.
+RUN_KEYS = ("correct", "failed", "attempted", "cpu_per_wall", "max_rss_mb")
 
 
 def git(*args: str) -> str:
@@ -82,17 +87,33 @@ def parse_seeds(text: str) -> list[int]:
 def run_bench(tree: Path, command: list, workload: str, seed: int, seconds: int, trace: int):
     """One benchmark run in ``tree``: its final JSON line plus every printed
     ``name value unit`` line, as ``{name: value}`` under ``printed`` and
-    ``{name: unit}`` under ``units``."""
-    proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True,
-    )
-    lines = proc.stdout.strip().splitlines()
+    ``{name: unit}`` under ``units``.
+
+    Two figures come from the run's ``os.wait4`` usage, which covers the
+    benchmark process and every process it reaped, such as a sweep's forked
+    children: ``cpu_per_wall``, their CPU seconds per wall second of the run,
+    and ``max_rss_mb``, the largest resident set of any one of them. The
+    benchmark's own ``peak_rss_mb`` counts its process alone."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [*command, "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=tree, stdout=out, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = (f.read().decode(errors="replace") for f in (out, err))
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}\n"
-                           f"{proc.stderr[-2000:]}")
+                           f"{stderr[-2000:]}")
     result = json.loads(lines[-1])
+    result["cpu_per_wall"] = (usage.ru_utime + usage.ru_stime) / wall
+    result["max_rss_mb"] = usage.ru_maxrss / 1024.0
     printed, units = {}, {}
     for line in lines[:-1]:
         fields = line.split()
@@ -204,9 +225,7 @@ def main(argv=None) -> int:
                 "end_to_end": {m["name"]: summarise(m, pairs) for m in bench["end_to_end"]},
                 "runs": [
                     {"seed": p["seed"], "first": p["first"],
-                     **{side: {"correct": p[side]["correct"], "failed": p[side]["failed"],
-                               "attempted": p[side]["attempted"]}
-                        for side in revs}}
+                     **{side: {key: p[side][key] for key in RUN_KEYS} for side in revs}}
                     for p in pairs
                 ],
             }
@@ -216,8 +235,7 @@ def main(argv=None) -> int:
                 for side in revs:
                     traced[side] = run = run_bench(trees[side], bench["command"], workload,
                                                    args.trace_seed, seconds, 1)
-                    entry["trace"][side] = dict(run["printed"], correct=run["correct"],
-                                                failed=run["failed"])
+                    entry["trace"][side] = dict(run["printed"], **{k: run[k] for k in RUN_KEYS})
                 entry["counts_moved"] = counts_moved(traced["base"], traced["head"])
             summary["workloads"][workload] = entry
             Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
