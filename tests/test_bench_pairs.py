@@ -147,24 +147,30 @@ def test_run_bench_keeps_each_printed_unit(tmp_path):
                             "allocation.continuous.probes_per_call": "count/call"}
 
 
-# a benchmark command that forks a child, which holds 64 MB and spins for
-# 0.3 CPU seconds, and reports the child's CPU seconds and its own peak RSS
+# a benchmark command that forks a child, which holds 64 MB more than the
+# command's own peak RSS and spins for 0.3 CPU seconds, and reports the
+# child's CPU seconds and peak RSS and its own peak RSS. On Linux a process
+# starts with the peak RSS of the process that spawned it, so the command's
+# own peak can be the test process's.
 FORKING_BENCH = """import json, os, resource, time
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+own = peak_mb()
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
-    ballast = b"x" * (64 << 20)
+    ballast = b"x" * (int(own + 64) << 20)
     t0 = time.process_time()
     while time.process_time() - t0 < 0.3:
         pass
-    os.write(write, str(time.process_time()).encode())
+    os.write(write, json.dumps([time.process_time(), peak_mb()]).encode())
     os._exit(0)
 os.close(write)
-child_cpu = float(os.read(read, 64))
+child_cpu, child_rss = json.loads(os.read(read, 256))
 os.waitpid(pid, 0)
-own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
-    "child_cpu_s": {"value": child_cpu}, "peak_rss_mb": {"value": own}}}))
+    "child_cpu_s": {"value": child_cpu}, "child_rss_mb": {"value": child_rss},
+    "peak_rss_mb": {"value": peak_mb()}}}))
 """
 
 
@@ -176,9 +182,9 @@ def test_run_bench_counts_the_cpu_and_memory_of_forked_children(tmp_path):
     t0 = time.perf_counter()
     run = bench_pairs.run_bench(tmp_path, [sys.executable, str(script)], "w", 1, 1, 0)
     wall = time.perf_counter() - t0
-    metrics = run["metrics"]
-    assert run["max_rss_mb"] >= 64 > metrics["peak_rss_mb"]["value"]
-    assert run["cpu_per_wall"] * wall >= metrics["child_cpu_s"]["value"] >= 0.3
+    metrics = {name: metric["value"] for name, metric in run["metrics"].items()}
+    assert run["max_rss_mb"] >= metrics["child_rss_mb"] > metrics["peak_rss_mb"] + 60
+    assert run["cpu_per_wall"] * wall >= metrics["child_cpu_s"] >= 0.3
 
 
 def test_summarise_gain_rule():

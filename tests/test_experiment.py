@@ -63,6 +63,7 @@ def perfbench_layers():
     spec.loader.exec_module(layers)
     return layers
 
+
 @pytest.fixture
 def one_process(monkeypatch):
     """Sweeps run in the test's process alone: the test records calls in its

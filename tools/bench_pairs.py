@@ -93,7 +93,8 @@ def run_bench(tree: Path, command: list, workload: str, seed: int, seconds: int,
     benchmark process and every process it reaped, such as a sweep's forked
     children: ``cpu_per_wall``, their CPU seconds per wall second of the run,
     and ``max_rss_mb``, the largest resident set of any one of them. The
-    benchmark's own ``peak_rss_mb`` counts its process alone."""
+    benchmark's own ``peak_rss_mb`` counts its process alone. On Linux both
+    peaks start at that of the process that spawned the run, this one."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen(
