@@ -294,6 +294,8 @@ def lttf(
     a suffix of the walk, and the search starts at its first; with none
     kept, or an infeasible verdict at the first, every feasible vector is
     over ``cap``. A price over ``cap`` therefore takes at most one check.
+    A NaN ``cap`` is no cap, the same as ``math.inf``
+    (``test_allocation.py::TestCap::test_nan_cap_is_no_cap``).
 
     An infeasible result's reason is the solo test verdict of the first
     link with no record (see ``solo_terms``), else OVER_CAP where the walk's
@@ -478,7 +480,9 @@ def continuous_optimal(
     slot is compared with ``cap`` once, as it is returned: a feasible slot
     at or under ``cap`` is always a probed slot, and a bisection slot above
     ``cap`` (as where t* <= cap lies below it, within its relative
-    ``_REL_TOL``) is infeasible without a probe.
+    ``_REL_TOL``) is infeasible without a probe. A NaN ``cap`` is no cap,
+    the same as ``math.inf``
+    (``test_allocation.py::TestCap::test_nan_cap_is_no_cap``).
 
     Guarantee: a feasible result's slot passed the ordered check, and either
     it equals t_lo or the true boundary t* lies within a relative

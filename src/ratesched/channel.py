@@ -164,9 +164,17 @@ def underflows(gains):
 
 
 def path_loss_db(distance_m):
-    """Log-distance path loss in dB (no shadowing term)."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), 1e-9)
-    return PATH_LOSS_1M_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
+    """Log-distance path loss in dB (no shadowing term) at a distance in
+    meters, or elementwise at an array of them.
+
+    A distance below 1e-9 m, 0 included, takes the loss at that 1e-9 m
+    floor, and an infinite one an infinite loss. Raises ValidationError for
+    a negative or NaN distance.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    if not np.all(d >= 0.0):
+        raise ValidationError("distances must be >= 0 m, not negative or NaN")
+    return PATH_LOSS_1M_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(np.maximum(d, 1e-9))
 
 
 def mean_gain(distance_m):
@@ -174,7 +182,8 @@ def mean_gain(distance_m):
 
     The cap keeps very short links physical; without it the log-distance
     model would amplify below ``10**(-PATH_LOSS_1M_DB / (10 * PATH_LOSS_EXPONENT))``
-    meters, 1 cm.
+    meters, 1 cm. Raises ValidationError, as ``path_loss_db`` does, for a
+    negative or NaN distance.
     """
     return np.minimum(1.0, 10.0 ** (-path_loss_db(distance_m) / 10.0))
 

@@ -128,9 +128,12 @@ class ExperimentConfig:
     ``delay_rule`` is either the string "subframe" (delay bound equals the
     effective subframe duration) or a fixed number of seconds.
     ``energy_scale`` scales the default per-packet energy budget
-    p_max * delay_bound. For the default radio and periods the results are
-    identical from 1.0 down to 1e-3; checks first end in INFEASIBLE_ENERGY
-    at 3e-4.
+    p_max * delay_bound. Each benchmark workload's rows at its default seed
+    are identical at 1.0 and 1e-3
+    (``test_experiment.py::TestDropReasons::test_energy_scale_1e_3_moves_no_row``).
+    At 1e-4, paper-sweep at its default seed drops 17, 28 and 27 seeds for
+    INFEASIBLE_ENERGY at 4, 6 and 8 sensors
+    (``test_experiment.py::TestDropReasons::test_drops_per_size_and_reason``).
     """
 
     n_sensors: object = 8
@@ -174,7 +177,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} values must be distinct")
         if not is_number(self.n_controllers, int, top=math.inf):
             raise ConfigError("n_controllers must be an integer >= 1")
-        # generate_topology's bound, checked here so that no draw fails on it
+        # MAX_LINKS keeps the bytes of _draw_block's float64 (block, n, C, 2)
+        # sensor-controller offsets within what numpy can size for a block of
+        # one seed, the block size where n * C is large; checked here so that
+        # no draw fails on it
         if not _positive_numbers(self.n_sensors, int, MAX_LINKS // self.n_controllers):
             raise ConfigError(f"n_sensors * n_controllers must be at most {MAX_LINKS}")
         if not (self.packet_bits_set and _positive_numbers(self.packet_bits_set)):

@@ -106,7 +106,9 @@ class SubsetPricer:
         ``cap`` is an upper bound on the slot the caller can use. The result
         is exact whenever its slot is at most ``cap``; otherwise it may be
         ``AllocationResult.infeasible()``, since the pricer may stop once one
-        verdict proves the slot is above ``cap``.
+        verdict proves the slot is above ``cap``. A NaN ``cap`` is no cap,
+        the same as ``math.inf``, as for ``lttf`` and ``continuous_optimal``
+        (``test_allocation.py::TestCap::test_nan_cap_is_no_cap``).
         """
         for i in ids:
             if type(i) is not int:

@@ -107,7 +107,7 @@ def test_criterion_2_minimum_power_correctness():
     g, noise = 1e-6, TABLE1_RADIO.noise_power
     for gamma_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
         gamma = 10.0 ** (gamma_db / 10.0)
-        for beta in (1e-4, 1e-3, 5e-3, 1e-2):
+        for beta in (1e-4, 1e-3, 5e-3, 1e-2, 5e-2):
             if gamma * beta >= 1.0:
                 continue
             powers = min_power_vector(
@@ -226,6 +226,7 @@ def test_criterion_5_worked_four_node_frame():
     for strategy in ("sna-mla", "sna-mua"):
         _, metrics = schedule(pricer, strategy)
         values[strategy] = metrics.max_active
+        assert list(metrics.active_lengths) == pytest.approx([0.45e-3, 0.45e-3], rel=1e-12)
     _, optimum = exhaustive_schedule(pricer)
     values["exhaustive"] = optimum.max_active
     ok = all(v == pytest.approx(0.45e-3, rel=1e-12) for v in values.values())

@@ -42,7 +42,6 @@ from helpers import (
     outcome,
     pricing_instances,
     random_instance,
-    random_rate_indices,
 )
 
 DISC4 = disc4_table(1e8)
@@ -190,7 +189,7 @@ class TestLttf:
             walks += bool(path)
         assert walks >= 50
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(instance=pricing_instances())
     def test_never_checks_above_a_ceiling(self, instance):
         # every checked vector passes each link's solo test: the kernel's
@@ -232,7 +231,7 @@ class TestLttf:
         with pytest.raises(NumericalError):
             pricer.solo(0)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(instance=pricing_instances(sizes=st.just(1)))
     def test_a_pricer_solo_is_read_from_its_record(self, instance):
         # a TablePricer prices a link alone with no check, and its price is
@@ -246,7 +245,7 @@ class TestLttf:
         assert pricer.counts()["checks"] == 0
         assert solo == lttf(*instance) == brute_force_optimal(*instance)
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(instance=pricing_instances())
     def test_binary_search_equals_the_frozen_walk(self, instance):
         # the same rates, times and powers, bit for bit, because the
@@ -261,7 +260,7 @@ class TestLttf:
         assert verdicts == sorted(verdicts, reverse=True), "verdicts not monotone"
         assert outcome(lttf, *instance) == outcome(frozen_lttf, *instance)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(1, 4),
@@ -324,15 +323,6 @@ class TestBruteForceOracle:
         with pytest.raises(ValidationError, match="8 rate levels"):
             brute_force_optimal(one, g1, wide, TABLE1_RADIO)
 
-    def test_single_node_matches_lttf(self):
-        rng = np.random.default_rng(14)
-        for _ in range(30):
-            nodes, gains = random_instance(rng, 1, DISC8, tight_delay_prob=0.3)
-            a = lttf(nodes, gains, DISC8, TABLE1_RADIO)
-            b = brute_force_optimal(nodes, gains, DISC8, TABLE1_RADIO)
-            assert a.slot == b.slot
-            assert a.rates == b.rates
-
     def test_power_infeasible_instance(self):
         res = brute_force_optimal(
             [_node()], GainMatrix([[1e-7]]), DISC4, TABLE1_RADIO
@@ -378,19 +368,6 @@ class TestBruteForceOracle:
         walked = lttf(nodes, gains, DISC4, TABLE1_RADIO)
         assert walked.slot == best.slot
         assert walked.rates == best.rates
-
-    def test_matches_lttf_on_random_instances(self):
-        rng = np.random.default_rng(15)
-        for _ in range(60):
-            n = int(rng.integers(2, 4))
-            table = DISC4 if rng.random() < 0.5 else DISC8
-            nodes, gains = random_instance(
-                rng, n, table, tight_delay_prob=0.25, binding_energy_prob=0.2
-            )
-            a = lttf(nodes, gains, table, TABLE1_RADIO)
-            b = brute_force_optimal(nodes, gains, table, TABLE1_RADIO)
-            assert a.slot == b.slot
-
 
 class TestContinuousOptimal:
     def test_single_link_closed_form(self):
@@ -442,7 +419,7 @@ class TestContinuousOptimal:
         # energy constraint holds at the returned point
         assert res.slot * res.powers[0] <= e * (1 + 1e-9)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(1, 4),
@@ -492,7 +469,7 @@ class TestContinuousOptimal:
             if res.slot != t_lo:
                 assert not feasible(res.slot * (1 - 2e-6))
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(instance=pricing_instances(), cap=st.sampled_from([None, 0, 2, 5]))
     def test_equals_the_frozen_bisection_at_any_secant_cap(self, instance, cap):
         # the same slot, rates and powers, bit for bit, or the same error;
@@ -705,21 +682,6 @@ class TestContinuousOptimal:
         )
         assert not res.feasible
 
-    def test_never_above_discrete_optimum(self):
-        # equal delay bounds make the discrete optimum continuous-feasible
-        rng = np.random.default_rng(16)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            nodes, gains = random_instance(rng, n, DISC8)
-            disc = brute_force_optimal(nodes, gains, DISC8, TABLE1_RADIO)
-            cont = continuous_optimal(nodes, gains, TABLE1_RADIO)
-            if disc.feasible:
-                assert cont.slot <= disc.slot
-            # nested ladders: every disc4 vector is a disc8 vector
-            disc4 = brute_force_optimal(nodes, gains, DISC4, TABLE1_RADIO)
-            assert disc.slot <= disc4.slot
-
-
 class TestPredictedCell:
     """A price that reaches the bisection is probed at its final cell as
     ``_inverse_slack`` predicts it, the closed form for two links and the
@@ -737,7 +699,7 @@ class TestPredictedCell:
         y = allocation._inverse_slack(gains, radio, packets, energies, allocation._Tally())
         return allocation._predicted_cell(y, t_lo, t_hi, anchor)
 
-    @settings(derandomize=True, deadline=None, max_examples=600)
+    @settings(max_examples=600)
     @given(
         instance=st.one_of(
             pricing_instances(st.integers(1, 4)).map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
@@ -770,7 +732,7 @@ class TestPredictedCell:
         assert outcome(continuous_optimal, nodes, gains, radio, cap) == expected
 
     @pytest.mark.parametrize("shift", ["up", "down"])
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(instance=pricing_instances(st.integers(1, 4)))
     def test_a_cell_one_off_leaves_the_result(self, shift, instance):
         # a prediction patched to the cell just above or below the
@@ -795,7 +757,7 @@ class TestPredictedCell:
             shifted, shifted_calls = self.counted(continuous_optimal, nodes, gains, radio)
         assert shifted == exact and shifted_calls > calls
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(instance=pricing_instances(st.integers(2, 4)))
     def test_only_a_bare_kernel_run_is_an_evaluation(self, instance):
         # a prediction for two links takes the closed form, which runs no
@@ -808,7 +770,7 @@ class TestPredictedCell:
         elif res.feasible:
             assert res.evaluations > 0
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(instance=pricing_instances(st.integers(2, 4)))
     def test_a_failing_cell_at_the_anchor_is_followed_by_the_anchor_probe(self, instance):
         # capped at the infeasible side lo of the final cell, the price is
@@ -827,7 +789,7 @@ class TestPredictedCell:
         with mock.patch.object(ratesched.allocation, "_predicted_cell", lambda *args: (t_lo, lo)):
             assert self.counted(continuous_optimal, nodes, gains, radio, lo) == (infeasible, 2)
 
-    @settings(derandomize=True, deadline=None, max_examples=600)
+    @settings(max_examples=600)
     @given(instance=pricing_instances(), share=st.floats(0.0, 1.0))
     def test_the_prediction_only_chooses_where_to_probe(self, instance, share):
         # a prediction patched to any cell of the bisection's grid that ends
@@ -860,7 +822,7 @@ class TestPredictedCell:
             assert priced(cap, grid_cell) == expected
             assert priced(cap, lambda *args: None) == expected
 
-    @settings(derandomize=True, deadline=None, max_examples=800)
+    @settings(max_examples=800)
     @given(
         k=st.integers(1, 3),
         floats=st.lists(st.floats(5e-324, 1.7e308), min_size=9, max_size=9),
@@ -907,43 +869,10 @@ class TestPredictedCell:
                 assert cell is not None and t_lo < cell[0] < cell[1] <= t_hi
 
 
-class TestSlotRatioProperties:
-    def test_lowering_rates_never_shrinks_the_slot(self):
-        # pure max-ratio statement, independent of feasibility
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            n = int(rng.integers(1, 5))
-            bits = rng.choice([50.0, 100.0], size=n)
-            upper = random_rate_indices(rng, n, DISC8.num_levels)
-            if all(q == 0 for q in upper):
-                continue
-            lower = [int(rng.integers(0, q + 1)) for q in upper]
-            t_up = max(b / DISC8.rate(q) for b, q in zip(bits, upper))
-            t_low = max(b / DISC8.rate(q) for b, q in zip(bits, lower))
-            assert t_low >= t_up
-
-    def test_raising_non_bottleneck_rate_keeps_the_slot(self):
-        rng = np.random.default_rng(18)
-        for _ in range(2000):
-            n = int(rng.integers(2, 5))
-            bits = rng.choice([50.0, 100.0], size=n)
-            idx = random_rate_indices(rng, n, DISC8.num_levels)
-            times = [b / DISC8.rate(q) for b, q in zip(bits, idx)]
-            j = max(range(n), key=lambda i: (times[i], -i))
-            candidates = [k for k in range(n) if k != j and idx[k] < DISC8.num_levels - 1]
-            if not candidates:
-                continue
-            k = candidates[int(rng.integers(0, len(candidates)))]
-            bumped = list(idx)
-            bumped[k] += 1
-            t_new = max(b / DISC8.rate(q) for b, q in zip(bits, bumped))
-            assert t_new >= max(times)
-
-
 class TestCap:
     # caps at, just below and around the uncapped slot (or, for an infeasible
     # subset, its tightest delay bound), and none
-    @settings(derandomize=True, deadline=None, max_examples=600)
+    @settings(max_examples=600)
     @given(
         instance=pricing_instances(),
         continuous=st.booleans(),
@@ -989,7 +918,7 @@ class TestCap:
 
     @pytest.mark.parametrize("continuous", [False, True])
     @pytest.mark.parametrize("k", [1, 3])
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_nan_cap_is_no_cap(self, continuous, k, data):
         # lttf's k = 1 branch and its path, and continuous_optimal's anchor
@@ -1051,7 +980,7 @@ class TestCap:
 
 
 class TestResultTypes:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(instance=pricing_instances())
     def test_feasible_results_hold_python_floats(self, instance):
         # every solver returns plain floats, never numpy scalars (np.float64

@@ -32,6 +32,21 @@ def test_bad_seeds_exit_2_before_any_export(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "b.json").exists()
 
 
+def test_unknown_revision_exits_2_before_any_export(tmp_path, monkeypatch, capsys):
+    # git archive would fail only after the other side was exported; a tree
+    # names no commit either
+    def no_export(rev, dest):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+    for option, rev in (("--base", "nosuchrev"), ("--head", "nosuchrev"), ("--base", "HEAD^{tree}")):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([option, rev, "--seeds", "1-2", "--out", str(tmp_path / "b.json")])
+        assert exc.value.code == 2
+        assert f"{option} {rev!r} names no commit" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_negative_trace_seed_exits_2_before_any_export(tmp_path, monkeypatch, capsys):
     # perfbench refuses --seed -1, which would only show after every timed
     # pair of the first workload had run
@@ -81,7 +96,7 @@ def test_incorrect_run_exits_1_after_the_summary(tmp_path, monkeypatch, side, ou
         (dest / "bench.py").write_text(FAKE_BENCH.format(outcomes=bad))
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "commits", lambda parser, args: {"base": "a", "head": "b"})
     monkeypatch.setattr(bench_pairs, "export", fake_export)
     out = tmp_path / "b.json"
     assert bench_pairs.main(["--base", "a", "--head", "b", "--seeds", "1-2",

@@ -167,6 +167,18 @@ class TestPathLoss:
 
     def test_short_links_capped_at_unity_gain(self):
         assert mean_gain(1e-3) == 1.0
+        # 0 m takes the loss at the 1e-9 m floor; an infinite distance none
+        assert path_loss_db(0.0) == path_loss_db(1e-9) == pytest.approx(-245.0)
+        assert mean_gain(math.inf) == 0.0
+
+    @pytest.mark.parametrize("distance", [
+        -5.0, -1e-300, -math.inf, math.nan, [1.0, -1.0], np.array([[2.0, math.nan]]),
+    ])
+    def test_negative_or_nan_distance_is_rejected(self, distance):
+        # a negative distance would read as the floor's loss, and NaN as a NaN gain
+        for loss in (path_loss_db, mean_gain):
+            with pytest.raises(ValidationError, match="distances must be >= 0 m"):
+                loss(distance)
 
 
 def _fixed_distance_topology(n, distance):

@@ -446,7 +446,7 @@ class TestSeedStates:
         states = seeding.seed_states(master, point, ks)
         assert [pcg64_state(*s) for s in states] == default_rng_states(master, point, ks)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         master=st.integers(0, 2**140),
         point=st.integers(0, 2**40),
@@ -674,6 +674,19 @@ class TestDropReasons:
         assert all(r["counts"] == {} for r in drops)
         assert Counter((r["value"], r["reason"]) for r in drops) == expected
 
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_energy_scale_1e_3_moves_no_row(self, workload):
+        # budgets a thousandth of p_max * delay_bound bind no check of a
+        # workload's sweep at its default seed
+        spec = WORKLOADS[workload]
+        rows = [
+            json.dumps(run_experiment(ExperimentConfig.from_dict(dict(
+                spec["config"], master_seed=spec["default_seed"], energy_scale=scale,
+            ))).rows)
+            for scale in (1.0, 1e-3)
+        ]
+        assert rows[0] == rows[1]
+
 
 class TestWholeSweepOracle:
     @pytest.mark.parametrize("name", ORACLE_SWEEPS)
@@ -722,7 +735,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(doc))):
             ExperimentConfig.from_dict(doc)
 
-    @settings(derandomize=True, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(cfg=valid_configs())
     def test_config_round_trips_through_its_fields(self, cfg):
         doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
@@ -812,13 +825,6 @@ class TestRunExperiment:
                 continue
             for value in record["max_active"].values():
                 assert value / record["reference"] >= 1.0
-
-    def test_more_than_eight_nodes_take_the_heuristic_reference(self):
-        cfg = tiny_config(n_sensors=[9], seeds=4, rate_models=["cont", "disc8"])
-        results = run_experiment(cfg)
-        counts = results.reference_counts[("n_sensors", 9)]
-        assert counts["exhaustive"] == 0
-        assert counts["heuristic"] > 0
 
     def test_exhaustive_reference_exactly_when_the_instance_fits(self):
         cfg = straddling_config()
@@ -1420,17 +1426,6 @@ class TestSeedTriage:
 
 
 class TestEmitResults:
-    def test_csv_header_and_determinism(self, tmp_path):
-        cfg = tiny_config(seeds=2)
-        paths = []
-        for run in range(2):
-            out = tmp_path / f"r{run}.csv"
-            emit_results(run_experiment(cfg), out)
-            paths.append(out)
-        first = paths[0].read_bytes()
-        assert first == paths[1].read_bytes()
-        assert first.decode().splitlines()[0] == HEADER
-
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(seeds=2, n_sensors=[2])
         results = run_experiment(cfg)
@@ -1545,7 +1540,7 @@ class TestCli:
                 for n in (2, 3):
                     assert self.exit_code(field, value, n) in (0, 2, 3), (field, value, n)
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(
         fields=st.lists(st.sampled_from(COMBINED_FIELDS), min_size=2, max_size=3, unique=True),
         data=st.data(),
@@ -1575,7 +1570,7 @@ class TestCli:
             assert int(row["seed_count"]) == 0 or math.isfinite(float(row["mean_max_active_s"])), doc
 
     @pytest.mark.parametrize("field", sorted(FUZZED_FIELDS))
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_fuzzed_field_exits_0_2_or_3(self, field, data):
         # one field at a time is fuzzed, so no other field's error masks it;

@@ -151,34 +151,12 @@ class TestMinPowerVector:
         assert powers[0] == 10.0 * 1e-8 / 1e-7
         assert powers[0] == pytest.approx(1.0, rel=1e-12)
 
-    def test_two_symmetric_links_closed_form(self):
-        # p = gamma*N0 / (g_ii * (1 - gamma*beta)) with beta = g_ij/g_ii = 0.05
-        g = GainMatrix([[1e-6, 5e-8], [5e-8, 1e-6]])
-        powers = min_power_vector(g, [10.0, 10.0], 1e-8)
-        expected = 10.0 * 1e-8 / (1e-6 * (1.0 - 10.0 * 0.05))
-        assert powers == pytest.approx([expected, expected], rel=1e-9)
-        assert expected == 0.2
-
     def test_spectral_infeasible(self):
         # gamma * g_ij/g_ii = 2 gives rho(F) = 2, so the second pivot is 1 - 4
         g = GainMatrix([[1e-6, 2e-7], [2e-7, 1e-6]])
         assert min_power_vector(g, [10.0, 10.0], 1e-8) is None
         # rho = 1 exactly (F[0,1] = F[1,0] = 1, a zero pivot) is infeasible too
         assert min_power_vector(GainMatrix([[1.0, 0.5], [0.5, 1.0]]), [2.0, 2.0], 1e-8) is None
-
-    def test_targets_met_with_equality(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 200:
-            n = int(rng.integers(1, 5))
-            gains = random_gains(rng, n)
-            targets = 10.0 ** (rng.uniform(0.0, 3.0, size=n))
-            powers = min_power_vector(gains, targets, TABLE1_RADIO.noise_power)
-            if powers is None:
-                continue
-            sinr = achieved_sinr(gains, powers, TABLE1_RADIO.noise_power)
-            assert sinr == pytest.approx(targets, rel=1e-9)
-            checked += 1
 
     def test_componentwise_minimality(self):
         # shaving any coordinate of the minimum vector breaks that link's SINR
@@ -216,19 +194,19 @@ class TestMinPowerVector:
             elif after is not None:
                 assert all(a >= b * (1.0 - 1e-12) for a, b in zip(after, before))
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(system=small_systems())
     def test_small_kernel_matches_eigensolve_reference(self, system):
         # the elimination agrees with eigvals + solve: same verdict, powers
         # to rel 1e-12 when well conditioned, SINR equality and minimality
         assert_matches_reference(*system)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(system=near_singular_systems())
     def test_small_kernel_matches_reference_near_rho_one(self, system):
         assert_matches_reference(*system)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(system=near_singular_systems(sides=(-1.0,)))
     def test_targets_met_to_a_relative_1e9_near_rho_one(self, system):
         # the docstring's promise, with each SINR computed afresh from the
@@ -239,7 +217,7 @@ class TestMinPowerVector:
         sinrs = link_sinrs(gains.cols, powers, NOISE)
         assert all(abs(x - t) <= 1e-9 * t for x, t in zip(sinrs, targets.tolist()))
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         system=small_systems(),
         huge=st.lists(
@@ -262,7 +240,7 @@ class TestMinPowerVector:
         elif powers is not None:
             assert all(math.isfinite(p) and p > 0 for p in powers)
 
-    @settings(derandomize=True, deadline=None, max_examples=600)
+    @settings(max_examples=600)
     @given(system=st.one_of(small_systems(), near_singular_systems()))
     def test_no_power_below_the_interference_free_power(self, system):
         # the elimination adds only non-negative terms to u and divides by
@@ -276,7 +254,7 @@ class TestMinPowerVector:
         for p, t, col, i in zip(powers, targets, gains.cols, itertools.count()):
             assert p >= t * NOISE / col[i]
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(
         system=st.one_of(small_systems(), near_singular_systems()),
         huge=st.lists(st.sampled_from([None, math.inf, 1e300, 1.7e308]), max_size=5),
@@ -340,7 +318,7 @@ PAIR_CASES = {
 
 
 class TestCheckTargets:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         system=small_systems(),
         data=st.data(),
@@ -445,44 +423,6 @@ class TestCheckRateVector:
                 TABLE,
                 TABLE1_RADIO,
             )
-
-
-class TestDescendantInfeasibility:
-    def test_infeasible_descendant_implies_infeasible_vector(self):
-        # lowering rates can only help: if the lowered vector fails, the
-        # original must fail too (checked over random small instances)
-        rng = np.random.default_rng(10)
-        table = disc4_table(1e8)
-        pairs = 0
-        while pairs < 300:
-            n = int(rng.integers(2, 4))
-            gains = random_gains(rng, n)
-            nodes = [
-                NodeSpec(
-                    id=i,
-                    controller_id=i,
-                    packet_bits=float(rng.choice([50.0, 100.0])),
-                    period=1,
-                    delay_bound=1e-3,
-                    energy_budget=TABLE1_RADIO.p_max * 1e-3 * 10 ** rng.uniform(-3, 0),
-                )
-                for i in range(n)
-            ]
-            upper = [int(q) for q in rng.integers(0, table.num_levels, size=n)]
-            if all(q == 0 for q in upper):
-                continue
-            lower = [int(rng.integers(0, q + 1)) for q in upper]
-            if not any(a < b for a, b in zip(lower, upper)):
-                continue
-            rep_low = check_rate_vector(
-                nodes, gains, [table.rate(q) for q in lower], table, TABLE1_RADIO
-            )
-            rep_up = check_rate_vector(
-                nodes, gains, [table.rate(q) for q in upper], table, TABLE1_RADIO
-            )
-            if not rep_low.feasible:
-                assert not rep_up.feasible
-            pairs += 1
 
 
 class TestRandomInstances:

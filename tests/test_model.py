@@ -229,7 +229,7 @@ class TestGainMatrixColumns:
         assert gains.cols == ((1.0, 3.0), (2.0, 4.0))
         assert all(type(x) is float for col in gains.cols for x in col)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(case=gains_and_subset())
     def test_sub_equals_a_validated_submatrix(self, case):
         gains, idx = case

@@ -3,6 +3,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -29,6 +31,17 @@ def test_sweep_dumps_the_per_seed_records(tmp_path):
     assert csv_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+def test_unknown_revision_exits_2_before_any_export(monkeypatch, capsys):
+    def no_export(rev, dest):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(same_results, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        same_results.main(["--base", "nosuchrev", "--head", "HEAD"])
+    assert exc.value.code == 2
+    assert "--base 'nosuchrev' names no commit" in capsys.readouterr().err
+
+
 def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
     # one max_active one ulp apart: the CSV and the refs agree, the per-seed
     # dump does not
@@ -51,6 +64,7 @@ def test_drift_in_one_seed_is_a_diff(tmp_path, monkeypatch, capsys):
         paths[2].write_text(json.dumps([{"max_active": {"sna-mla/cont": value}}]))
         return tuple(paths)
 
+    monkeypatch.setattr(same_results, "commits", lambda parser, args: {"base": "a", "head": "b"})
     monkeypatch.setattr(same_results, "export", fake_export)
     monkeypatch.setattr(same_results, "sweep", fake_sweep)
     assert same_results.main(["--base", "a", "--head", "b"]) == 1
@@ -88,6 +102,7 @@ def test_drift_in_the_counts_alone_moves_work(tmp_path, monkeypatch, capsys):
                                          "counts": {"cont": {"checks": checks}}}]))
         return tuple(paths)
 
+    monkeypatch.setattr(same_results, "commits", lambda parser, args: {"base": "a", "head": "b"})
     monkeypatch.setattr(same_results, "export", fake_export)
     monkeypatch.setattr(same_results, "sweep", fake_sweep)
     assert same_results.main(["--base", "a", "--head", "b"]) == 0

@@ -236,7 +236,7 @@ class TestMlaAllocate:
             assert sorted(i for ids, _ in groups for i in ids) == list(range(7))
             assert all(res.slot == prices[ids] for ids, res in groups)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         n=st.integers(7, 10),
         n_controllers=st.integers(2, 4),
@@ -360,17 +360,6 @@ class TestMuaAllocate:
 
 
 class TestSchedule:
-    def test_four_node_example_max_active(self):
-        inst, pricer = four_node_fixture()
-        for strategy in ("sna-mla", "sna-mua"):
-            frame, metrics = schedule(pricer, strategy)
-            assert metrics.max_active == pytest.approx(0.45 * MS, rel=1e-12)
-            assert list(metrics.active_lengths) == pytest.approx(
-                [0.45 * MS, 0.45 * MS], rel=1e-12
-            )
-        _, optimum = exhaustive_schedule(pricer)
-        assert optimum.max_active == pytest.approx(0.45 * MS, rel=1e-12)
-
     def test_single_node_schedule(self):
         inst = fixture_instance(periods={0: 1}, controllers={0: 0})
         pricer = FixedPricer(inst, {(0,): 0.1 * MS})
@@ -555,16 +544,7 @@ def _two_class_case():
 
 
 class TestFrameInvariants:
-    def test_coverage_controllers_periods_feasibility(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = int(rng.integers(3, 7))
-            inst, gains = _random_real_instance(rng, n)
-            pricer = gain_pricer(inst, gains)
-            for strategy in ("sna-mla", "sna-mua"):
-                assert_frame_invariants(pricer, *schedule(pricer, strategy))
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(case=small_instances(), continuous=st.booleans())
     def test_every_scheduler_keeps_the_frame_invariants(self, case, continuous):
         inst, gains = case
@@ -598,7 +578,7 @@ class TestFrameInvariants:
         )))
         assert built["schedule", "ContinuousPricer"] and built["schedule", "TablePricer"]
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(case=small_instances(), continuous=st.booleans())
     def test_exhaustive_never_beaten(self, case, continuous):
         inst, gains = case
@@ -695,7 +675,7 @@ class TestExhaustive:
             assert opt8.max_active <= opt4.max_active
             compared += 1
 
-    @settings(derandomize=True, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(case=small_instances(), continuous=st.booleans())
     @example(case=_two_class_case(), continuous=False)
     @example(case=_two_class_case(), continuous=True)
@@ -723,7 +703,7 @@ class TestExhaustive:
 
 
 class TestPricerSolos:
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(
         instance=pricing_instances(sizes=st.just(5)),
         order=st.permutations(
@@ -970,7 +950,7 @@ def cap_cases(draw):
 
 
 class TestCappedPricing:
-    @settings(derandomize=True, deadline=None, max_examples=180)
+    @settings(max_examples=180)
     @given(case=cap_cases())
     def test_caps_change_no_schedule(self, case):
         # MLA (both branches), MUA and the exhaustive search give equal
@@ -1003,7 +983,7 @@ class TestCappedPricing:
 
 
 class TestSharedPricer:
-    @settings(derandomize=True, deadline=None, max_examples=120)
+    @settings(max_examples=120)
     @given(
         instance=small_instances(),
         kind=st.sampled_from(["table", "continuous", "fixed"]),
@@ -1065,7 +1045,7 @@ class TestSharedPricer:
             assert [f.assignments == a for f, a in zip(frames, owned)].count(False) == 1
             frame.assignments[min(frame.assignments)] -= 1
 
-    @settings(derandomize=True, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(
         instance=small_instances(),
         kind=st.sampled_from(["table", "continuous", "fixed"]),
@@ -1120,7 +1100,7 @@ def population_cases(draw):
 
 
 class TestPopulationAssembly:
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(case=population_cases())
     def test_matches_the_plain_reference(self, case):
         # per-population assembly, with one-node populations taking their
@@ -1198,7 +1178,7 @@ class TestPopulationAssembly:
 
 class TestSubsetMonotonicity:
     @pytest.mark.parametrize("kind", ["lttf", "continuous", "near-singular"])
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_a_subset_of_a_feasible_set_is_feasible_and_no_dearer(self, kind, data):
         # the claim mla_allocate's partition DP and _dedup_cover rest on: for
@@ -1223,7 +1203,7 @@ class TestSubsetMonotonicity:
 
 
 class TestComputeMetrics:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         slots=st.lists(
             st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=8), min_size=1, max_size=4

@@ -116,7 +116,7 @@ def blocks(draw):
 
 
 class TestBlocks:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(blocks())
     def test_each_row_is_its_seed_alone(self, block):
         own, bits, delay, energy, radio, table = block
@@ -191,7 +191,7 @@ class TestIntegerPackets:
 
 
 class TestNoGuess:
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(blocks())
     def test_t_lo_fails_wherever_a_link_has_no_guess(self, block):
         # the invariant that lets a solo with no guess skip t_lo until its
@@ -215,7 +215,7 @@ class TestNoGuess:
                 continue
             assert not report.feasible
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(k=st.integers(1, 3), bandwidth=st.sampled_from(BANDWIDTHS),
            seed=st.integers(0, 2**32 - 1))
     def test_binding_energy_prices_are_the_plain_bisections(self, k, bandwidth, seed):

@@ -29,8 +29,9 @@ Every run's ``correct``, ``failed``, ``cpu_per_wall`` and ``max_rss_mb``
 (``run_bench``) are kept; once the summary is written,
 the exit status is 1 if a timed or traced run was incorrect or failed a seed.
 
-Fewer than two seeds, a reversed seed range or a ``--trace-seed`` below 0
-exit with status 2 before any tree is exported.
+Fewer than two seeds, a reversed seed range, a ``--trace-seed`` below 0 or
+a ``--base`` or ``--head`` that names no commit exit with status 2 before
+any tree is exported.
 """
 
 from __future__ import annotations
@@ -52,10 +53,21 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_KEYS = ("correct", "failed", "attempted", "cpu_per_wall", "max_rss_mb")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+def commits(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, str]:
+    """``{"base": hash, "head": hash}``: the commits that ``args.base`` and
+    ``args.head`` name. A revision that names no commit ends the run through
+    ``parser.error`` (exit status 2), so call this before any export."""
+    revs = {}
+    for side in ("base", "head"):
+        rev = getattr(args, side)
+        proc = subprocess.run(
+            ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            parser.error(f"--{side} {rev!r} names no commit")
+        revs[side] = proc.stdout.strip()
+    return revs
 
 
 def export(rev: str, dest: Path) -> None:
@@ -186,12 +198,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trace_seed is not None and args.trace_seed < 0:
         parser.error("--trace-seed must be at least 0")
+    revs = commits(parser, args)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     seeds = args.seeds
-    revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     summary = {
         "base": revs["base"],
         "head": revs["head"],

@@ -30,7 +30,8 @@ whose records are equal once their ``counts`` are removed, ``moved``: the
 results agree and only the work differs. The line before the last gives the
 number of sweeps whose work moved, and the last ``N of M files differ``,
 where a moved file is not counted as differing. The exit status is 1 if any
-file differs.
+file differs, and 2, before any tree is exported, if ``--base`` or
+``--head`` names no commit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import export
+from bench_pairs import commits, export
 
 EXTRA_SEEDS = (1001, 20262)
 
@@ -142,12 +143,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="revision of the base side")
     parser.add_argument("--head", default="HEAD", help="revision of the head side")
     args = parser.parse_args(argv)
+    revs = commits(parser, args)
 
     differ = files = moved = 0
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
-        export(args.base, trees["base"])
-        export(args.head, trees["head"])
+        for side, rev in revs.items():
+            export(rev, trees[side])
         workloads = json.loads((trees["head"] / "perfbench" / "workloads.json").read_text())
         runs = []
         for workload, spec in workloads.items():
