@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ratesched import ExperimentConfig, InfeasibleInstanceError, experiment
 
@@ -104,3 +105,12 @@ def test_every_cited_test_exists():
             if not (path.is_file() and (cls, test) in defined_tests(path)):
                 missing.append((source.name, match.group()))
     assert cited and not missing
+
+
+def test_property_tests_run_under_the_derandomized_profile():
+    # conftest's profile makes every property test reproducible and keeps
+    # the run from writing an example database
+    assert settings.get_current_profile_name() == "ratesched"
+    assert settings.default.derandomize is True
+    assert settings.default.database is None
+    assert settings.default.deadline is None

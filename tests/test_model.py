@@ -80,6 +80,12 @@ class TestRateTableInvariants:
             assert table.threshold(q) < table.threshold(q + 1)
             assert table.rate(q) < table.rate(q + 1)
 
+    def test_disc8_refines_disc4(self):
+        # every disc4 level is a disc8 level, so a denser ladder only adds
+        # choices: criterion 4's disc8 <= disc4 and criterion 3's disc8 pairs
+        # standing in for disc4 ones rest on this
+        assert set(disc4_table(1e8).levels) < set(disc8_table(1e8).levels)
+
     def test_index_round_trip(self):
         table = disc8_table(1e8)
         for q in range(table.num_levels):
