@@ -678,6 +678,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResults:
     depend on P. Any exception other than a seed's InfeasibleInstanceError
     or NumericalError reaches the caller with its type: that of the earliest
     seed in sweep order to raise one, with a child's traceback as its cause.
+    Each call with P > 1 pays a fixed cost of a few milliseconds for its
+    forks (on a 2-vCPU VM, ``ExperimentConfig(n_sensors=[2, 3], seeds=3)``
+    took a median of 3.4-5.8 ms in one process and 9.2-16 ms forked), so a
+    process pinned to one CPU, which forks nothing, suits many tiny sweeps.
     """
     sweep_var, values = cfg.sweep()
     processes = min(_usable_cpus(), cfg.seeds)

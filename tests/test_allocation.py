@@ -469,18 +469,6 @@ class TestContinuousOptimal:
             if res.slot != t_lo:
                 assert not feasible(res.slot * (1 - 2e-6))
 
-    @settings(max_examples=400)
-    @given(instance=pricing_instances(), cap=st.sampled_from([None, 0, 2, 5]))
-    def test_equals_the_frozen_bisection_at_any_secant_cap(self, instance, cap):
-        # the same slot, rates and powers, bit for bit, or the same error;
-        # a secant cut short leaves more midpoints for the predicted cell's
-        # walk to evaluate, and a cell it mispredicts runs the plain bisection
-        subset, gains, _, radio = instance
-        cap = ratesched.allocation._GUIDE_CAP if cap is None else cap
-        with mock.patch.object(ratesched.allocation, "_GUIDE_CAP", cap):
-            priced = outcome(continuous_optimal, subset, gains, radio)
-        assert priced == outcome(frozen_continuous_optimal, subset, gains, radio)
-
     def test_probe_budget(self):
         # every feasible price of k >= 2 links here confirms its predicted
         # cell in two probes, where the plain bisection takes about 35
@@ -699,37 +687,42 @@ class TestPredictedCell:
         y = allocation._inverse_slack(gains, radio, packets, energies, allocation._Tally())
         return allocation._predicted_cell(y, t_lo, t_hi, anchor)
 
-    @settings(max_examples=600)
+    @settings(max_examples=1000)
     @given(
         instance=st.one_of(
-            pricing_instances(st.integers(1, 4)).map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
+            pricing_instances().map(lambda drawn: (drawn[0], drawn[1], drawn[3])),
             near_singular_links(),
         ),
         cap=st.sampled_from(["none", "at", "above", "below", "in cell", "under cell"]),
+        guide_cap=st.sampled_from([ratesched.allocation._GUIDE_CAP, 0, 2, 5]),
     )
-    def test_equals_the_plain_bisection(self, instance, cap):
+    def test_equals_the_plain_bisection(self, instance, cap, guide_cap):
         # the same slot, rates and powers, bit for bit, or the same error, for
-        # one to four links, at energy-binding budgets, near rho = 1 and near
+        # one to five links, at energy-binding budgets, near rho = 1 and near
         # both ends of the float range; a cap at the plain bisection's slot,
         # one float above or below it, inside its final cell (within a
         # relative 1e-6 below the slot, where t* lies) or under it gives the
-        # slot where it is at most the cap and infeasible otherwise
+        # slot where it is at most the cap and infeasible otherwise. A secant
+        # cut short at guide_cap steps leaves more midpoints for the predicted
+        # cell's walk to evaluate, and a cell it mispredicts runs the plain
+        # bisection
         nodes, gains, radio = instance
         plain = outcome(frozen_continuous_optimal, nodes, gains, radio)
         if cap == "none":
-            assert outcome(continuous_optimal, nodes, gains, radio) == plain
-            return
-        assume(isinstance(plain, AllocationResult) and plain.feasible)
-        slot = plain.slot
-        cap = {
-            "at": slot,
-            "above": math.nextafter(slot, math.inf),
-            "below": math.nextafter(slot, 0.0),
-            "in cell": slot * (1.0 - 3e-7),
-            "under cell": slot * (1.0 - 2e-6),
-        }[cap]
-        expected = plain if slot <= cap else AllocationResult.infeasible()
-        assert outcome(continuous_optimal, nodes, gains, radio, cap) == expected
+            caps, expected = (), plain
+        else:
+            assume(isinstance(plain, AllocationResult) and plain.feasible)
+            slot = plain.slot
+            cap = {
+                "at": slot,
+                "above": math.nextafter(slot, math.inf),
+                "below": math.nextafter(slot, 0.0),
+                "in cell": slot * (1.0 - 3e-7),
+                "under cell": slot * (1.0 - 2e-6),
+            }[cap]
+            caps, expected = (cap,), plain if slot <= cap else AllocationResult.infeasible()
+        with mock.patch.object(ratesched.allocation, "_GUIDE_CAP", guide_cap):
+            assert outcome(continuous_optimal, nodes, gains, radio, *caps) == expected
 
     @pytest.mark.parametrize("shift", ["up", "down"])
     @settings(max_examples=150)

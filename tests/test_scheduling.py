@@ -23,6 +23,7 @@ from ratesched import (
     check_targets,
     compute_metrics,
     continuous_optimal,
+    disc4_table,
     disc8_table,
     exhaustive_fits,
     exhaustive_schedule,
@@ -49,6 +50,7 @@ from helpers import (
     reference_schedule,
 )
 
+DISC4 = disc4_table(1e8)
 DISC8 = disc8_table(1e8)
 MS = 1e-3
 
@@ -381,24 +383,6 @@ class TestSchedule:
             schedule(FixedPricer(inst, {(0,): 1e-4}), strategy="bogus")
 
 
-def _random_real_instance(rng, n):
-    periods = [int(p) for p in rng.choice([1, 2, 4], size=n)]
-    controllers = [int(c) for c in rng.integers(0, 3, size=n)]
-    nodes = [
-        NodeSpec(
-            id=i,
-            controller_id=controllers[i],
-            packet_bits=float(rng.choice([50.0, 100.0])),
-            period=periods[i],
-            delay_bound=1e-3,
-        )
-        for i in range(n)
-    ]
-    inst = validate_instance(nodes)
-    gains = random_gains(rng, n)
-    return inst, gains
-
-
 @st.composite
 def small_instances(draw):
     """Up to 6 nodes on 3 controllers with periods from {1, 2, 4}, and gains
@@ -547,11 +531,18 @@ class TestFrameInvariants:
     @settings(max_examples=100)
     @given(case=small_instances(), continuous=st.booleans())
     def test_every_scheduler_keeps_the_frame_invariants(self, case, continuous):
+        # every frame keeps the invariants, and no heuristic frame beats
+        # the exact optimum
         inst, gains = case
         pricer = gain_pricer(inst, gains, continuous)
+        heuristic = []
         for strategy in STRATEGIES:
-            assert_frame_invariants(pricer, *schedule(pricer, strategy))
-        assert_frame_invariants(pricer, *exhaustive_schedule(pricer))
+            frame, metrics = schedule(pricer, strategy)
+            assert_frame_invariants(pricer, frame, metrics)
+            heuristic.append(metrics.max_active)
+        frame, optimum = exhaustive_schedule(pricer)
+        assert_frame_invariants(pricer, frame, optimum)
+        assert optimum.max_active <= min(heuristic)
 
     @pytest.mark.parametrize("energy_scale", [1.0, 1e-4])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -578,49 +569,16 @@ class TestFrameInvariants:
         )))
         assert built["schedule", "ContinuousPricer"] and built["schedule", "TablePricer"]
 
-    @settings(max_examples=60)
-    @given(case=small_instances(), continuous=st.booleans())
-    def test_exhaustive_never_beaten(self, case, continuous):
-        inst, gains = case
-        pricer = gain_pricer(inst, gains, continuous)
-        _, optimum = exhaustive_schedule(pricer)
-        for strategy in STRATEGIES:
-            _, metrics = schedule(pricer, strategy)
-            assert optimum.max_active <= metrics.max_active
-
-    def test_removing_a_node_from_a_group_never_hurts(self):
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 40:
-            n = int(rng.integers(4, 7))
-            inst, gains = _random_real_instance(rng, n)
-            pricer = gain_pricer(inst, gains)
-            frame, _ = schedule(pricer, "sna-mla")
-            for m in range(frame.subframe_count):
-                for ids, alloc in frame.groups[m]:
-                    if len(ids) < 2:
-                        continue
-                    drop = ids[int(rng.integers(0, len(ids)))]
-                    kept = tuple(i for i in ids if i != drop)
-                    shrunk = pricer.price(kept)
-                    assert shrunk.feasible
-                    assert shrunk.slot <= alloc.slot
-                    checked += 1
-
-    def test_schedule_is_deterministic(self):
-        rng = np.random.default_rng(24)
-        inst, gains = _random_real_instance(rng, 6)
-        a_frame, a_metrics = schedule(gain_pricer(inst, gains), "sna-mua")
-        b_frame, b_metrics = schedule(gain_pricer(inst, gains), "sna-mua")
-        assert a_frame == b_frame
-        assert a_metrics == b_metrics
-
 
 class TestExhaustive:
     def test_node_guard(self):
-        rng = np.random.default_rng(25)
-        inst, gains = _random_real_instance(rng, 9)
-        assert not exhaustive_fits(inst)
+        # nine nodes in a frame of four subframes: only the node count is over
+        inst = fixture_instance(
+            periods={i: (1, 2, 4)[i % 3] for i in range(9)},
+            controllers={i: i % 3 for i in range(9)},
+        )
+        assert inst.subframe_count == 4 and not exhaustive_fits(inst)
+        gains = random_gains(np.random.default_rng(25), 9)
         with pytest.raises(ValidationError, match="8 nodes"):
             exhaustive_schedule(gain_pricer(inst, gains))
 
@@ -656,24 +614,18 @@ class TestExhaustive:
         with pytest.raises(InfeasibleInstanceError):
             exhaustive_schedule(gain_pricer(inst, GainMatrix([[1e-4]])))
 
-    def test_denser_ladder_never_hurts_the_optimum(self):
+    @settings(max_examples=60)
+    @given(case=small_instances())
+    def test_denser_ladder_never_hurts_the_optimum(self, case):
         # disc4's levels are a subset of disc8's, so every group price under
         # disc8 is at most the disc4 price and the exact optima are ordered
-        from ratesched import disc4_table
-
-        disc4 = disc4_table(1e8)
-        rng = np.random.default_rng(26)
-        compared = 0
-        while compared < 10:
-            n = int(rng.integers(3, 6))
-            inst, gains = _random_real_instance(rng, n)
-            try:
-                _, opt4 = exhaustive_schedule(TablePricer(inst, gains, disc4, TABLE1_RADIO))
-            except InfeasibleInstanceError:
-                continue
-            _, opt8 = exhaustive_schedule(gain_pricer(inst, gains))
-            assert opt8.max_active <= opt4.max_active
-            compared += 1
+        inst, gains = case
+        try:
+            _, opt4 = exhaustive_schedule(TablePricer(inst, gains, DISC4, TABLE1_RADIO))
+        except InfeasibleInstanceError:
+            assume(False)
+        _, opt8 = exhaustive_schedule(gain_pricer(inst, gains))
+        assert opt8.max_active <= opt4.max_active
 
     @settings(max_examples=80)
     @given(case=small_instances(), continuous=st.booleans())
