@@ -726,6 +726,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="radio"):
             ExperimentConfig.from_dict({"radio": {"p_maxx": 0.1}})
 
+    def test_radio_must_be_a_radio_config(self):
+        # from_dict builds the RadioConfig from its overrides; the
+        # constructor takes only a built one
+        for radio in ({"p_max": 0.1}, None, (0.25, 1e-8, 1e8)):
+            with pytest.raises(ConfigError, match="radio must be a RadioConfig"):
+                ExperimentConfig(radio=radio)
+
     def test_radio_overrides_keep_other_defaults(self):
         cfg = ExperimentConfig.from_dict({"radio": {"noise_power": 1e-9}})
         assert cfg.radio == RadioConfig(p_max=0.25, noise_power=1e-9, bandwidth_hz=1e8)
@@ -752,6 +759,23 @@ class TestConfig:
     def test_bad_delay_rule_rejected(self):
         with pytest.raises(ConfigError, match="delay_rule"):
             ExperimentConfig.from_dict({"delay_rule": "whenever"})
+
+    def test_a_fixed_delay_rule_holds_at_every_shortest_period(self):
+        # with periods 2 and 4 a draw's shortest period is 2 or 4 base
+        # periods; a fixed delay_rule is every node's delay bound all the
+        # same, and its energy budget energy_scale * p_max times that delay
+        cfg = tiny_config(n_sensors=3, seeds=4, period_set=[2, 4], delay_rule=2.5e-4)
+        for k in range(cfg.seeds):
+            nodes, _ = experiment.draw_seed(cfg, 0, k)
+            assert {(n.delay_bound, n.energy_budget) for n in nodes} == {(2.5e-4, 0.25 * 2.5e-4)}
+
+    def test_a_frame_of_max_frame_subframes_is_accepted(self):
+        # the bound on the longest over the shortest period is inclusive
+        top = experiment.MAX_FRAME_SUBFRAMES
+        for periods in ([1, top], [2, 2 * top]):
+            assert ExperimentConfig.from_dict({"period_set": periods}).period_set == tuple(periods)
+        with pytest.raises(ConfigError, match="period_set"):
+            ExperimentConfig.from_dict({"period_set": [1, 2 * top]})
 
     def test_sweep_resolution(self):
         assert tiny_config().sweep() == ("n_sensors", [2, 3])

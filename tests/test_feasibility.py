@@ -350,6 +350,23 @@ class TestCheckTargets:
                 args = (form([t] * 2), form([d] * 2), form([e] * 2))
                 assert check_targets(PAIR_GAINS, targets, PAIR_RADIO, *args).verdict is verdict
 
+    def test_every_bound_holds_with_equality(self):
+        # the feasible pair's larger power is p_max, and link 0's time and
+        # energy are its delay bound and budget: it passes, and one float
+        # less of any of the three fails with that bound's verdict
+        targets, t, d, e = PAIR_CASES[Verdict.FEASIBLE]
+        p = min_power_vector(PAIR_GAINS, targets, PAIR_RADIO.noise_power)
+        radio = RadioConfig(max(p), PAIR_RADIO.noise_power, PAIR_RADIO.bandwidth_hz)
+        tight = ([t, t], [t, d], [t * p[0], e])
+        assert check_targets(PAIR_GAINS, targets, radio, *tight).feasible
+        below = RadioConfig(math.nextafter(max(p), 0.0), radio.noise_power, radio.bandwidth_hz)
+        verdict = check_targets(PAIR_GAINS, targets, below, *tight).verdict
+        assert verdict is Verdict.INFEASIBLE_MAX_POWER
+        for k, failing in ((1, Verdict.INFEASIBLE_DELAY), (2, Verdict.INFEASIBLE_ENERGY)):
+            bounds = list(tight)
+            bounds[k] = [math.nextafter(bounds[k][0], 0.0), bounds[k][1]]
+            assert check_targets(PAIR_GAINS, targets, radio, *bounds).verdict is failing
+
     def test_scalar_or_wrong_length_raises_at_every_verdict(self):
         # lengths are checked before the kernel runs, so the verdict the
         # values would reach makes no difference

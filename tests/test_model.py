@@ -44,6 +44,12 @@ class TestBuildRateTable:
         with pytest.raises(ValidationError, match="strictly increasing"):
             build_rate_table([10.0, 10.0], 1e8)
 
+    def test_a_repeated_silent_level_is_rejected(self):
+        # both -inf entries are dropped from the usable levels, so only the
+        # threshold order can reject them
+        with pytest.raises(ValidationError, match="thresholds must be strictly increasing"):
+            build_rate_table([-math.inf, -math.inf, 10.0], 1e8)
+
     def test_bad_bandwidth(self):
         with pytest.raises(ValidationError):
             build_rate_table([10.0], 0.0)
@@ -112,6 +118,13 @@ class TestRateTableInvariants:
         # compared, so the test fails closed
         with pytest.raises(ValidationError, match="concave"):
             RateTable(levels=((1e-300, 1e300), (2e-300, 3e300)))
+
+    def test_collinear_levels_are_concave(self):
+        # rate = 3 * threshold: every chord slope is 3, but as floats the
+        # second (3.000000000000001) is above the first (2.9999999999999996),
+        # so equal slopes are compared within a relative 1e-12
+        table = RateTable(levels=((0.1, 0.3), (0.3, 0.9)))
+        assert table.num_levels == 2
 
     def test_concave_ladder_with_an_overflowing_leading_chord_accepted(self):
         # only the chord from the origin (slope 1e310) overflows; it is above

@@ -799,6 +799,18 @@ class TestPricerCounts:
         assert counts["priced"] == [2, 1, 0, 0]
         assert counts["checks"] == counts["evaluations"] == counts["over_cap"] == 0
 
+    def test_candidates_try_no_group_larger_than_the_controller_count(self):
+        # four nodes on two controllers: no three of them have distinct
+        # controllers, so only the six pairs reach group, and the two pairs
+        # that share a controller are its only rejections
+        inst = fixture_instance(
+            periods={i: 1 for i in range(4)}, controllers={0: 0, 1: 0, 2: 1, 3: 1}
+        )
+        pricer = FixedPricer(inst, {(i,): 1.0 * MS for i in range(4)})
+        scheduling._candidates((0, 1, 2, 3), pricer)
+        assert pricer.counts()["rejections"] == 2
+        assert pricer.counts()["priced"] == [4, 4, 0, 0]
+
     def test_a_continuous_group_over_its_cap_reads_over_cap(self):
         # two links on distinct controllers, each interfering at 0.9 of the
         # other's own gain: the pair is feasible, but only at a slot above
